@@ -66,8 +66,8 @@ def _split_phases(cfg: cf.RunConfig):
 
 def _write_heldout(cfg: cf.RunConfig, held_samples) -> None:
     horizons = sorted({s.H for s in held_samples})
-    header = dg._make_header(horizons, held_samples, cfg.seed,
-                             dg.config_digest(cfg.datagen_config()))
+    header = dg.make_header(horizons, held_samples, cfg.seed,
+                            dg.config_digest(cfg.datagen_config()))
     dg.write_dataset(cfg.estimator.heldout_path,
                      dg.Dataset(header=header, samples=held_samples))
 
@@ -80,11 +80,11 @@ def _load_heldout(cfg: cf.RunConfig) -> est.SampleBatch:
 def _cmd_train_estimator(cfg: cf.RunConfig, args) -> None:
     train_phases, held_samples = _split_phases(cfg)
     params = est.train(train_phases, cfg.estimator_train_config())
-    est.save_params(params, cfg.estimator.checkpoint_path,
-                    config_digest=dg.config_digest(cfg.datagen_config()))
+    params.config_digest = dg.config_digest(cfg.datagen_config())
+    est.save_params(params, cfg.estimator.checkpoint_path)
     _write_heldout(cfg, held_samples)
     held = dg.to_sample_batch(held_samples)
-    risks = mt.calibrated_risks(params, held)
+    risks = est.risk_batch(params, held)
     _emit({
         "checkpoint": cfg.estimator.checkpoint_path,
         "heldout": cfg.estimator.heldout_path,
@@ -100,12 +100,10 @@ def _cmd_calibrate(cfg: cf.RunConfig, args) -> None:
     held = _load_heldout(cfg)
     nll_before = est.heldout_nll(params, held, 1.0)
     ece_before = mt.compute_calibration(
-        mt.calibrated_risks(est.EstimatorParams(params.weights, 1.0, params.d_model,
-                                                params.ttc_cap), held),
-        held.y_bin).ece
+        est.risk_batch(replace(params, temperature=1.0), held), held.y_bin).ece
     temperature = est.calibrate_temperature(params, held)
     est.save_params(params, cfg.estimator.checkpoint_path)
-    risks = mt.calibrated_risks(params, held)
+    risks = est.risk_batch(params, held)
     _emit({
         "temperature": temperature,
         "nll_t1": nll_before,
@@ -137,7 +135,7 @@ def _cmd_roc_tune(cfg: cf.RunConfig, args) -> None:
 
 
 def _demo_seeds(cfg: cf.RunConfig, task_id: str):
-    tidx = wd._task_index(task_id)
+    tidx = wd.task_index(task_id)
     return [int(np.random.SeedSequence([cfg.seed, tidx, i, 301]).generate_state(1)[0])
             for i in range(cfg.policy.demo_episodes_per_task)]
 
@@ -172,7 +170,7 @@ def _cmd_finetune_policy(cfg: cf.RunConfig, args) -> None:
     records = []
     for tid in cfg.tasks.ids:
         for i in range(cfg.policy.rollout_episodes_per_task):
-            seed = hn._episode_seed(cfg.seed, tid, i, tag=401)
+            seed = hn.episode_seed(cfg.seed, tid, i, tag=401)
             hn.run_episode(setup, tid, seed, collector=records)
     buffer = pol.aggregate_buffer(pol.AggBuffer(), records)
     d_safe = pol.safety_filter_dataset(demos + buffer.records, est_params,
@@ -193,7 +191,7 @@ def _cmd_post_train(cfg: cf.RunConfig, args) -> None:
     records = []
     for tid in cfg.tasks.ids:
         for i in range(cfg.tasks.episodes_per_task):
-            seed = hn._episode_seed(cfg.seed, tid, i, tag=501)
+            seed = hn.episode_seed(cfg.seed, tid, i, tag=501)
             hn.run_episode(setup, tid, seed, collector=records)
     buffer = pol.aggregate_buffer(pol.AggBuffer(), records)
     params = pol.post_train_estimator(setup.est_params, buffer,
@@ -206,7 +204,7 @@ def _cmd_post_train(cfg: cf.RunConfig, args) -> None:
 
 def _cmd_run(cfg: cf.RunConfig, args) -> None:
     setup = hn.prepare_setup(cfg, args.mode)
-    seed = hn._episode_seed(cfg.seed, args.task, args.index)
+    seed = hn.episode_seed(cfg.seed, args.task, args.index)
     log = hn.run_episode(setup, args.task, seed)
     os.makedirs(cfg.eval.logs_dir, exist_ok=True)
     name = f"ep_{log.mode.replace('+', '_')}_{log.task_id}_{log.seed}.jsonl"

@@ -2,13 +2,16 @@
 
 One document with sections world, tasks, datagen, estimator, gate, policy,
 eval. Unknown sections or keys are errors; missing keys fall back to the
-defaults baked into the corresponding dataclasses.
+defaults of the runtime dataclasses. Each section except eval is derived
+from one runtime dataclass (WorldConfig, TaskParams, DatagenConfig,
+TrainConfig, GateConfig, PolicyTrainConfig) and adds only the keys the
+config alone owns: paths, counts and a few stage arguments.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 
 from . import datasetgen as dg
 from . import estimator as est
@@ -23,88 +26,38 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
 
 
-@dataclass
-class WorldSection:
-    a_max: float = 0.02
-    dt: float = 0.1
-    mu: float = 0.05
-    inflation: float = 0.0
-    grasp_length: float = 0.10
-    grasp_radius: float = 0.02
-    include_intra_arm: bool = False
-    noise_sigma: float = 0.005
+def _section(name: str, runtime, drop=(), **own):
+    """Config section class with the fields and defaults of the runtime
+    dataclass, less those named in drop, followed by the config-only keys
+    in own (a list default is copied per instance)."""
+    specs = [(f.name, f.type, field(default=f.default))
+             for f in fields(runtime) if f.name not in drop]
+    for key, default in own.items():
+        spec = (field(default_factory=default.copy) if isinstance(default, list)
+                else field(default=default))
+        specs.append((key, type(default), spec))
+    return make_dataclass(name, specs, namespace={"__module__": __name__})
 
 
-@dataclass
-class TasksSection:
-    ids: list = field(default_factory=lambda: list(wd.TASK_IDS))
-    episodes_per_task: int = 100
-    goal_jitter: float = 0.03
-    start_q_jitter: float = 0.1
-    min_start_clearance: float = 0.05
-    success_tolerance: float = 0.02
-    max_steps: int = 300
-    max_reset_draws: int = 100
-
-
-@dataclass
-class DatagenSection:
-    out_dir: str = "data"
-    episodes_per_task: int = 200
-    n_candidates: int = 8
-    sigma_a: float = 0.01
-    horizons: list = field(default_factory=lambda: [2, 3, 5])
-    d_thresh: float = 0.05
-    oversample_factor: int = 3
-
-
-@dataclass
-class EstimatorSection:
-    checkpoint_path: str = "estimator.json"
-    posttrained_path: str = ""   # empty: post-train overwrites checkpoint_path
-    heldout_path: str = "heldout.jsonl"
-    heldout_frac: float = 0.15
-    lr: float = 1e-2
-    momentum: float = 0.9
-    batch_size: int = 64
-    epochs_per_phase: int = 10
-    lambda_bce: float = 1.0
-    lambda_d: float = 1.0
-    lambda_ttc: float = 0.5
-    w_pos: float = 3.0
-    gamma_early: float = 0.5
-
-
-@dataclass
-class GateSection:
-    tau_up: float = 0.7
-    tau_down: float = 0.35
-    k_resume: int = 3
-    r_sat: float = 0.99
-    watchdog_window: int = 50
-    d0: float = 0.02
-    thresholds_path: str = ""    # roc-tune output; evaluate reads it if set
-    fn_target: float = 0.05
-    lambda_reg: float = 0.1
-    eta: float = 0.05
-    max_iters: int = 10
-    max_halvings: int = 5
-    alpha: float = 1.0
-    beta: float = 2.0
-
-
-@dataclass
-class PolicySection:
-    checkpoint_path: str = "policy.json"
-    finetuned_path: str = "policy_finetuned.json"
-    demo_episodes_per_task: int = 100
-    explore_noise: float = 0.01
-    rollout_episodes_per_task: int = 20
-    lr: float = 1e-2
-    momentum: float = 0.9
-    batch_size: int = 64
-    epochs: int = 300
-    kappa: float = 5.0
+WorldSection = _section("WorldSection", wd.WorldConfig, drop=("arm_left", "arm_right"))
+TasksSection = _section("TasksSection", wd.TaskParams, drop=("start_q_mean",),
+                        ids=list(wd.TASK_IDS), episodes_per_task=100)
+DatagenSection = _section("DatagenSection", dg.DatagenConfig, drop=("tasks", "seed"),
+                          out_dir="data")
+EstimatorSection = _section(
+    "EstimatorSection", est.TrainConfig, drop=("seed",),
+    checkpoint_path="estimator.json",
+    posttrained_path="",  # empty: post-train overwrites checkpoint_path
+    heldout_path="heldout.jsonl", heldout_frac=0.15)
+GateSection = _section(
+    "GateSection", sg.GateConfig, drop=("a_max",),  # a_max comes from world
+    thresholds_path="",  # roc-tune output; evaluate reads it if set
+    fn_target=0.05)
+PolicySection = _section(
+    "PolicySection", pol.PolicyTrainConfig, drop=("seed",),
+    checkpoint_path="policy.json", finetuned_path="policy_finetuned.json",
+    demo_episodes_per_task=100, explore_noise=0.01, rollout_episodes_per_task=20,
+    kappa=5.0)
 
 
 @dataclass
@@ -133,48 +86,35 @@ class RunConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
     def world_config(self) -> wd.WorldConfig:
-        w = self.world
-        return wd.default_world(
-            a_max=w.a_max, dt=w.dt, mu=w.mu, inflation=w.inflation,
-            grasp_length=w.grasp_length, grasp_radius=w.grasp_radius,
-            include_intra_arm=w.include_intra_arm, noise_sigma=w.noise_sigma)
+        return wd.default_world(**_shared(wd.WorldConfig, self.world))
 
     def task_params(self) -> wd.TaskParams:
-        t = self.tasks
-        return wd.TaskParams(
-            goal_jitter=t.goal_jitter, start_q_jitter=t.start_q_jitter,
-            min_start_clearance=t.min_start_clearance,
-            success_tolerance=t.success_tolerance, max_steps=t.max_steps,
-            max_reset_draws=t.max_reset_draws)
+        return wd.TaskParams(**_shared(wd.TaskParams, self.tasks))
 
     def datagen_config(self) -> dg.DatagenConfig:
-        d = self.datagen
-        return dg.DatagenConfig(
-            tasks=tuple(self.tasks.ids), episodes_per_task=d.episodes_per_task,
-            n_candidates=d.n_candidates, sigma_a=d.sigma_a,
-            horizons=tuple(d.horizons), d_thresh=d.d_thresh,
-            oversample_factor=d.oversample_factor, seed=self.seed)
+        return dg.DatagenConfig(**_shared(dg.DatagenConfig, self.datagen),
+                                tasks=tuple(self.tasks.ids), seed=self.seed)
 
     def gate_config(self) -> sg.GateConfig:
-        g = self.gate
-        return sg.GateConfig(
-            tau_up=g.tau_up, tau_down=g.tau_down, k_resume=g.k_resume,
-            r_sat=g.r_sat, watchdog_window=g.watchdog_window, d0=g.d0,
-            a_max=self.world.a_max)
+        return sg.GateConfig(**_shared(sg.GateConfig, self.gate), a_max=self.world.a_max)
 
     def estimator_train_config(self) -> est.TrainConfig:
-        e = self.estimator
-        return est.TrainConfig(
-            lr=e.lr, momentum=e.momentum, batch_size=e.batch_size,
-            epochs_per_phase=e.epochs_per_phase, lambda_bce=e.lambda_bce,
-            lambda_d=e.lambda_d, lambda_ttc=e.lambda_ttc, w_pos=e.w_pos,
-            gamma_early=e.gamma_early, seed=self.seed)
+        return est.TrainConfig(**_shared(est.TrainConfig, self.estimator), seed=self.seed)
 
     def policy_train_config(self) -> pol.PolicyTrainConfig:
-        p = self.policy
-        return pol.PolicyTrainConfig(lr=p.lr, momentum=p.momentum,
-                                     batch_size=p.batch_size, epochs=p.epochs,
+        return pol.PolicyTrainConfig(**_shared(pol.PolicyTrainConfig, self.policy),
                                      seed=self.seed)
+
+
+def _shared(runtime, section) -> dict:
+    """The section's values for the runtime dataclass's fields of the same
+    name; lists become tuples, as the runtime configs are frozen."""
+    out = {}
+    for f in fields(runtime):
+        if hasattr(section, f.name):
+            value = getattr(section, f.name)
+            out[f.name] = tuple(value) if isinstance(value, list) else value
+    return out
 
 
 _SECTIONS = {
@@ -221,7 +161,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if not (1 <= cfg.eval.H <= 10):
         raise ConfigError("eval.H must lie in [1, 10]")
     for h in cfg.datagen.horizons:
-        if not (1 <= int(h) <= 10):
+        if isinstance(h, bool) or not isinstance(h, int):
+            raise ConfigError(f"datagen.horizons entries must be integers, got {h!r}")
+        if not (1 <= h <= 10):
             raise ConfigError("datagen.horizons entries must lie in [1, 10]")
     for tid in cfg.tasks.ids:
         if tid not in wd.TASK_IDS:

@@ -137,7 +137,7 @@ def _episode_samples(task_id: str, ep_seed: int, horizon: int, gen_cfg: DatagenC
     actions) does not depend on how many candidates are drawn.
     """
     state, task = wd.task_init(task_id, ep_seed, world_cfg, task_params)
-    tidx = wd._task_index(task_id)
+    tidx = wd.task_index(task_id)
     noise_rng = np.random.default_rng(np.random.SeedSequence([gen_cfg.seed, tidx, ep_seed, 1]))
     jitter_rng = np.random.default_rng(np.random.SeedSequence([gen_cfg.seed, tidx, ep_seed, 2]))
     samples = []
@@ -173,7 +173,7 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
     by_h = {h: [] for h in gen_cfg.horizons}
     n_phases = len(gen_cfg.horizons)
     for task_id in gen_cfg.tasks:
-        tidx = wd._task_index(task_id)
+        tidx = wd.task_index(task_id)
         for ep in range(gen_cfg.episodes_per_task):
             horizon = gen_cfg.horizons[ep % n_phases]
             ep_seed = int(np.random.SeedSequence([gen_cfg.seed, tidx, ep]).generate_state(1)[0])
@@ -186,7 +186,7 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
     paths = {}
     for h in gen_cfg.horizons:
         samples = by_h[h]
-        dataset = Dataset(header=_make_header([h], samples, gen_cfg.seed, digest),
+        dataset = Dataset(header=make_header([h], samples, gen_cfg.seed, digest),
                           samples=samples)
         dataset = oversample_near_miss(dataset, gen_cfg.d_thresh, gen_cfg.oversample_factor)
         path = os.path.join(out_dir, f"risk_H{h}.jsonl")
@@ -195,7 +195,8 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
     return paths
 
 
-def _make_header(horizons, samples, seed, digest) -> DatasetHeader:
+def make_header(horizons, samples, seed, digest) -> DatasetHeader:
+    """Header of a dataset file holding these samples."""
     return DatasetHeader(
         format_version=FORMAT_VERSION,
         horizons=list(horizons),
@@ -207,8 +208,7 @@ def _make_header(horizons, samples, seed, digest) -> DatasetHeader:
     )
 
 
-def oversample_near_miss(dataset: Dataset, d_thresh: float = 0.05,
-                         factor: int = 3) -> Dataset:
+def oversample_near_miss(dataset: Dataset, d_thresh: float, factor: int) -> Dataset:
     """Duplicate near-miss samples (y_d below threshold) factor-1 extra
     times, then reshuffle with the dataset seed. Collisions have negative
     y_d, so every positive is duplicated too; the positive fraction never

@@ -15,7 +15,7 @@ gradient recovery/refinement). Everything runs in float64 numpy, batch-first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,19 +82,19 @@ class EstimatorParams:
     """All learnable arrays plus the calibration temperature.
 
     Treated as immutable once training finishes; any number of workers may
-    run inference on a shared instance.
+    run inference on a shared instance. config_digest names the dataset
+    config the weights were trained on ("" when unknown); checkpoints carry
+    it through calibration and post-training.
     """
 
     weights: dict[str, np.ndarray]
     temperature: float = 1.0
     d_model: int = D_MODEL
     ttc_cap: float = TTC_CAP
+    config_digest: str = ""
 
     def copy(self) -> "EstimatorParams":
-        return EstimatorParams(
-            weights={k: v.copy() for k, v in self.weights.items()},
-            temperature=self.temperature, d_model=self.d_model, ttc_cap=self.ttc_cap,
-        )
+        return replace(self, weights={k: v.copy() for k, v in self.weights.items()})
 
     def count(self) -> int:
         return int(sum(v.size for v in self.weights.values())) + 1  # + temperature
@@ -149,12 +149,9 @@ class SampleBatch:
 
 
 def stack_batch(samples) -> SampleBatch:
-    """Pad a list of (proprio, z, plan, y_bin, y_d, y_ttc) tuples or objects
-    with those attributes into one SampleBatch."""
-    def get(s, name):
-        return getattr(s, name) if hasattr(s, name) else s[name]
-
-    plans = [np.asarray(get(s, "plan"), dtype=float).reshape(-1, ACTION_DIM) for s in samples]
+    """Pad objects with proprio, z, plan, y_bin, y_d and y_ttc attributes
+    into one SampleBatch."""
+    plans = [np.asarray(s.plan, dtype=float).reshape(-1, ACTION_DIM) for s in samples]
     h_pad = max(p.shape[0] for p in plans)
     n = len(samples)
     plan = np.zeros((n, h_pad, ACTION_DIM))
@@ -163,12 +160,12 @@ def stack_batch(samples) -> SampleBatch:
         plan[i, : p.shape[0]] = p
         mask[i, : p.shape[0]] = 1.0
     return SampleBatch(
-        proprio=np.array([get(s, "proprio") for s in samples], dtype=float),
-        z=np.array([get(s, "z") for s in samples], dtype=float),
+        proprio=np.array([s.proprio for s in samples], dtype=float),
+        z=np.array([s.z for s in samples], dtype=float),
         plan=plan, mask=mask,
-        y_bin=np.array([get(s, "y_bin") for s in samples], dtype=float),
-        y_d=np.array([get(s, "y_d") for s in samples], dtype=float),
-        y_ttc=np.array([get(s, "y_ttc") for s in samples], dtype=float),
+        y_bin=np.array([s.y_bin for s in samples], dtype=float),
+        y_d=np.array([s.y_d for s in samples], dtype=float),
+        y_ttc=np.array([s.y_ttc for s in samples], dtype=float),
     )
 
 
@@ -302,13 +299,6 @@ def _as_batch_inputs(proprio, z, plan):
     return proprio, z, plan_arr, mask
 
 
-def tokenize(params: EstimatorParams, proprio, z, plan):
-    """Action tokens (H, d) and context tokens (2, d) for one sample."""
-    P, Z, A, mask = _as_batch_inputs(proprio, z, plan)
-    _, _, _, cache = _forward_batch(params, P, Z, A, mask)
-    return cache["act"][0], cache["C"][0]
-
-
 def forward(params: EstimatorParams, proprio, z, plan) -> RiskPrediction:
     """Uncalibrated prediction (temperature treated as 1)."""
     P, Z, A, mask = _as_batch_inputs(proprio, z, plan)
@@ -340,6 +330,12 @@ def predict_risk_batch(params: EstimatorParams, proprio, z, plans: np.ndarray):
     mask = np.ones(plans.shape[:2])
     logit, dist, ttc, _ = _forward_batch(params, P, Z, plans, mask)
     return _sigmoid(logit / params.temperature), logit, dist, ttc
+
+
+def risk_batch(params: EstimatorParams, batch: SampleBatch) -> np.ndarray:
+    """Calibrated risk sigmoid(logit / T) of every sample in a padded batch."""
+    logit, _, _, _ = _forward_batch(params, batch.proprio, batch.z, batch.plan, batch.mask)
+    return _sigmoid(logit / params.temperature)
 
 
 def risk_plan_gradient(params: EstimatorParams, proprio, z, plan):
@@ -503,7 +499,7 @@ def calibrate_temperature(params: EstimatorParams, heldout: SampleBatch,
     return params.temperature
 
 
-def save_params(params: EstimatorParams, path, config_digest: str = "") -> None:
+def save_params(params: EstimatorParams, path) -> None:
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "risk_estimator",
@@ -516,7 +512,7 @@ def save_params(params: EstimatorParams, path, config_digest: str = "") -> None:
         "weights": {k: v.ravel().tolist() for k, v in params.weights.items()},
         "temperature": params.temperature,
         "ttc_cap": params.ttc_cap,
-        "config_digest": config_digest,
+        "config_digest": params.config_digest,
     }
     with open(path, "w") as f:
         json.dump(payload, f)
@@ -536,4 +532,5 @@ def load_params(path) -> EstimatorParams:
     }
     return EstimatorParams(weights=weights, temperature=float(payload["temperature"]),
                            d_model=int(payload["dims"]["d_model"]),
-                           ttc_cap=float(payload["ttc_cap"]))
+                           ttc_cap=float(payload["ttc_cap"]),
+                           config_digest=str(payload["config_digest"]))

@@ -204,7 +204,7 @@ def jacobian(arm: ArmModel, q: np.ndarray) -> np.ndarray:
     return np.stack([-rel[:, 1], rel[:, 0]], axis=0)
 
 
-def dls_ik_step(arm: ArmModel, q: np.ndarray, dx: np.ndarray, mu: float = 0.05) -> np.ndarray:
+def dls_ik_step(arm: ArmModel, q: np.ndarray, dx: np.ndarray, mu: float) -> np.ndarray:
     """Damped-least-squares joint increment realizing EE increment dx.
 
     dq = J^T (J J^T + mu^2 I)^{-1} dx, then clipped componentwise to the

@@ -14,7 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -70,8 +70,6 @@ class EvalSetup:
     seed: int
     est_params: est.EstimatorParams | None = None
     policy_params: pol.PolicyParams | None = None
-    recover_kwargs: dict = field(default_factory=dict)
-    refine_kwargs: dict = field(default_factory=dict)
 
 
 def _state_digest(state: wd.DualArmState) -> str:
@@ -83,17 +81,14 @@ def _state_digest(state: wd.DualArmState) -> str:
 def resolve_gate_config(cfg: cf.RunConfig) -> sg.GateConfig:
     """Gate thresholds for a run: the tuned file when configured, else the
     static gate section."""
-    g = cfg.gate
-    if not g.thresholds_path:
+    path = cfg.gate.thresholds_path
+    if not path:
         return cfg.gate_config()
-    if not os.path.exists(g.thresholds_path):
-        raise cf.ConfigError(f"thresholds file not found: {g.thresholds_path}")
-    with open(g.thresholds_path) as f:
+    if not os.path.exists(path):
+        raise cf.ConfigError(f"thresholds file not found: {path}")
+    with open(path) as f:
         tuned = json.load(f)
-    return sg.GateConfig(
-        tau_up=tuned["tau_up"], tau_down=tuned["tau_down"],
-        k_resume=g.k_resume, r_sat=g.r_sat,
-        watchdog_window=g.watchdog_window, d0=g.d0, a_max=cfg.world.a_max)
+    return replace(cfg.gate_config(), tau_up=tuned["tau_up"], tau_down=tuned["tau_down"])
 
 
 def prepare_setup(cfg: cf.RunConfig, mode: str | None = None) -> EvalSetup:
@@ -106,7 +101,6 @@ def prepare_setup(cfg: cf.RunConfig, mode: str | None = None) -> EvalSetup:
     mode = mode or cfg.eval.mode
     if mode not in cf.MODES:
         raise cf.ConfigError(f"unknown mode {mode!r}")
-    g = cfg.gate
     gate_cfg = cfg.gate_config()
     est_params = None
     policy_params = None
@@ -125,12 +119,7 @@ def prepare_setup(cfg: cf.RunConfig, mode: str | None = None) -> EvalSetup:
         mode=mode, world_cfg=cfg.world_config(), task_params=cfg.task_params(),
         gate_cfg=gate_cfg, horizon=cfg.eval.H, n_candidates=cfg.eval.n_candidates,
         sigma_a=cfg.eval.sigma_a, soft_gate=cfg.eval.soft_gate, seed=cfg.seed,
-        est_params=est_params, policy_params=policy_params,
-        recover_kwargs={"lambda_reg": g.lambda_reg, "eta": g.eta,
-                        "max_iters": g.max_iters, "max_halvings": g.max_halvings},
-        refine_kwargs={"alpha": g.alpha, "beta": g.beta, "eta": g.eta,
-                       "max_iters": g.max_iters, "max_halvings": g.max_halvings},
-    )
+        est_params=est_params, policy_params=policy_params)
 
 
 def _nominal_plan(setup: EvalSetup, state, task):
@@ -154,7 +143,7 @@ def run_episode(setup: EvalSetup, task_id: str, seed: int,
     """
     wcfg = setup.world_cfg
     state, task = wd.task_init(task_id, seed, wcfg, setup.task_params)
-    tidx = wd._task_index(task_id)
+    tidx = wd.task_index(task_id)
     noise_rng = np.random.default_rng(np.random.SeedSequence([setup.seed, tidx, int(seed), 101]))
     jitter_rng = np.random.default_rng(np.random.SeedSequence([setup.seed, tidx, int(seed), 102]))
     gated = setup.mode != "ungated"
@@ -189,8 +178,7 @@ def run_episode(setup: EvalSetup, task_id: str, seed: int,
                 exec_plan = choice.plan
                 if setup.mode == "gated+refine":
                     refined = sg.refine_plan(setup.est_params, proprio, z,
-                                             exec_plan, setup.gate_cfg,
-                                             **setup.refine_kwargs)
+                                             exec_plan, setup.gate_cfg)
                     exec_plan = refined.plan
                 action_row = exec_plan.steps[0].copy()
                 if setup.soft_gate:
@@ -198,7 +186,7 @@ def run_episode(setup: EvalSetup, task_id: str, seed: int,
             elif decision == sg.BLOCK:
                 log.blocked_steps += 1
                 rec = sg.recover(setup.est_params, proprio, z, setup.horizon,
-                                 setup.gate_cfg, **setup.recover_kwargs)
+                                 setup.gate_cfg)
                 exec_plan = rec.plan
                 action_row = rec.plan.steps[0].copy()
                 if not rec.made_progress:
@@ -350,8 +338,9 @@ def aggregate_metrics(logs, gate_cfg: sg.GateConfig, mode: str, seed: int,
         episodes=len(logs))
 
 
-def _episode_seed(base_seed: int, task_id: str, index: int, tag: int = 201) -> int:
-    ss = np.random.SeedSequence([base_seed, wd._task_index(task_id), index, tag])
+def episode_seed(base_seed: int, task_id: str, index: int, tag: int = 201) -> int:
+    """Seed of episode `index` of a task; tags keep the stages' grids apart."""
+    ss = np.random.SeedSequence([base_seed, wd.task_index(task_id), index, tag])
     return int(ss.generate_state(1)[0])
 
 
@@ -369,7 +358,7 @@ def evaluate(cfg: cf.RunConfig, mode: str | None = None,
     aggregation sorts by (task, seed), so the report is identical either way.
     """
     setup = prepare_setup(cfg, mode)
-    jobs = [(setup, tid, _episode_seed(cfg.seed, tid, i))
+    jobs = [(setup, tid, episode_seed(cfg.seed, tid, i))
             for tid in cfg.tasks.ids
             for i in range(cfg.tasks.episodes_per_task)]
     if cfg.eval.workers > 1:

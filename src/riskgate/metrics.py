@@ -9,12 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator as est
-
-
-def calibrated_risks(params: est.EstimatorParams, batch: est.SampleBatch) -> np.ndarray:
-    logit, _, _, _ = est._forward_batch(params, batch.proprio, batch.z,
-                                        batch.plan, batch.mask)
-    return est._sigmoid(logit / params.temperature)
+from .world import A_MAX
 
 
 def roc_points(scores: np.ndarray, labels: np.ndarray):
@@ -61,7 +56,7 @@ class RocResult:
 
 
 def roc_tune(params: est.EstimatorParams, heldout: est.SampleBatch,
-             fn_target: float = 0.05) -> RocResult:
+             fn_target: float) -> RocResult:
     """Tune the gate thresholds from held-out calibrated risks.
 
     Sweeps the unique scores as thresholds (predict positive iff r > tau).
@@ -70,7 +65,7 @@ def roc_tune(params: est.EstimatorParams, heldout: est.SampleBatch,
     anything smaller blocks more while buying nothing on missed collisions.
     tau_down is fixed at half tau_up.
     """
-    risks = calibrated_risks(params, heldout)
+    risks = est.risk_batch(params, heldout)
     y = np.asarray(heldout.y_bin, dtype=float) > 0.5
     if not (y.any() and (~y).any()):
         raise ValueError("held-out set must contain both classes")
@@ -135,8 +130,7 @@ class LatencyReport:
 
 
 def measure_latency(params: est.EstimatorParams, horizon: int,
-                    trials: int = 1000, warmup: int = 100,
-                    seed: int = 0) -> LatencyReport:
+                    trials: int, warmup: int, seed: int = 0) -> LatencyReport:
     """Wall-clock batch-1 predict_risk percentiles.
 
     Inputs cycle through a fixed pool so timings measure inference, not
@@ -144,7 +138,7 @@ def measure_latency(params: est.EstimatorParams, horizon: int,
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 23]))
     pool = [(rng.normal(size=est.PROPRIO_DIM), rng.normal(size=est.VISION_DIM),
-             rng.uniform(-0.02, 0.02, size=(horizon, est.ACTION_DIM)))
+             rng.uniform(-A_MAX, A_MAX, size=(horizon, est.ACTION_DIM)))
             for _ in range(16)]
     for i in range(warmup):
         p, z, a = pool[i % len(pool)]

@@ -57,7 +57,7 @@ class PolicyParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    a_max: float = 0.02
+    a_max: float
 
     def copy(self) -> "PolicyParams":
         return PolicyParams(self.w1.copy(), self.b1.copy(), self.w2.copy(),
@@ -67,7 +67,7 @@ class PolicyParams:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
 
-def init_policy(seed: int = 0, a_max: float = 0.02) -> PolicyParams:
+def init_policy(seed: int = 0, a_max: float = wd.A_MAX) -> PolicyParams:
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 13]))
     lim1 = np.sqrt(6.0 / (POLICY_IN + POLICY_HIDDEN))
     lim2 = np.sqrt(6.0 / (POLICY_HIDDEN + POLICY_OUT))
@@ -144,13 +144,13 @@ class PolicyTrainConfig:
     lr: float = 1e-2
     momentum: float = 0.9
     batch_size: int = 64
-    epochs: int = 40
+    epochs: int = 300
     seed: int = 0
 
 
 def collect_demonstrations(task_id: str, seeds, horizon: int, cfg: wd.WorldConfig,
-                           params: wd.TaskParams = wd.TaskParams(),
-                           explore_noise: float = 0.005) -> list:
+                           params: wd.TaskParams = wd.TaskParams(), *,
+                           explore_noise: float) -> list:
     """Expert rollouts over the given seeds, one record per visited state.
 
     The executed action adds small exploration noise (clipped to the box)
@@ -163,7 +163,7 @@ def collect_demonstrations(task_id: str, seeds, horizon: int, cfg: wd.WorldConfi
     for seed in seeds:
         state, task = wd.task_init(task_id, seed, cfg, params)
         rng = np.random.default_rng(np.random.SeedSequence(
-            [wd._task_index(task_id), int(seed), 29]))
+            [wd.task_index(task_id), int(seed), 29]))
         goals = np.concatenate([task.goal_left, task.goal_right])
         for _ in range(task.max_steps):
             plan = scripted_expert(state, task, horizon, cfg)
@@ -248,14 +248,7 @@ def safety_filter_dataset(demonstrations, est_params: est.EstimatorParams,
     """
     if not demonstrations:
         raise ValueError("no demonstrations")
-    batch = est.stack_batch([
-        {"proprio": d.proprio, "z": d.z, "plan": d.plan,
-         "y_bin": d.y_bin, "y_d": d.y_d, "y_ttc": d.y_ttc}
-        for d in demonstrations
-    ])
-    logit, _, _, _ = est._forward_batch(est_params, batch.proprio, batch.z,
-                                        batch.plan, batch.mask)
-    risk = est._sigmoid(logit / est_params.temperature)
+    risk = est.risk_batch(est_params, est.stack_batch(demonstrations))
     kept = [replace(d, risk=float(r)) for d, r in zip(demonstrations, risk)
             if r <= tau_down]
     if not kept:
@@ -264,7 +257,7 @@ def safety_filter_dataset(demonstrations, est_params: est.EstimatorParams,
 
 
 def risk_weighted_finetune(params: PolicyParams, d_safe, cfg: PolicyTrainConfig,
-                           kappa: float = 5.0) -> PolicyParams:
+                           kappa: float) -> PolicyParams:
     """Cloning with per-sample weight exp(-kappa * risk).
 
     Risks are the ones frozen on the records at filter time, so the
@@ -310,11 +303,7 @@ def post_train_estimator(est_params: est.EstimatorParams, buffer: AggBuffer,
     """
     if len(buffer) == 0:
         raise ValueError("empty aggregation buffer")
-    batch = est.stack_batch([
-        {"proprio": d.proprio, "z": d.z, "plan": d.plan,
-         "y_bin": d.y_bin, "y_d": d.y_d, "y_ttc": d.y_ttc}
-        for d in buffer.records
-    ])
+    batch = est.stack_batch(buffer.records)
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 19]))
     order = rng.permutation(len(batch))
     n_held = max(1, int(round(heldout_frac * len(batch))))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator as est
-from .world import PlanSequence
+from .world import A_MAX, PlanSequence
 
 RUN = "RUN"
 BLOCKED = "BLOCKED"
@@ -28,8 +28,11 @@ _BOX_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GateConfig:
-    """Gate thresholds. tau_down < tau_up gives the hysteresis band that
-    prevents chattering; r_sat/watchdog_window define the halt condition."""
+    """Gate thresholds plus the recovery and refinement search settings.
+
+    tau_down < tau_up gives the hysteresis band that prevents chattering;
+    r_sat/watchdog_window define the halt condition.
+    """
 
     tau_up: float = 0.7
     tau_down: float = 0.35
@@ -37,7 +40,13 @@ class GateConfig:
     r_sat: float = 0.99
     watchdog_window: int = 50  # saturated cycles in BLOCKED before HALT
     d0: float = 0.02           # clearance margin for the distance fallback, m
-    a_max: float = 0.02        # per-step action box half-width, m
+    a_max: float = A_MAX       # per-step action box half-width, m
+    lambda_reg: float = 0.1    # recover: weight of the ||A||^2 stay-still prior
+    alpha: float = 1.0         # refine: weight of ||A' - nominal||^2
+    beta: float = 2.0          # refine: weight of the risk term
+    eta: float = 0.05          # descent: initial step size of every iteration
+    max_iters: int = 10
+    max_halvings: int = 5      # step-size halvings before an iteration gives up
 
     def __post_init__(self):
         if not (0.0 < self.tau_down < self.tau_up < 1.0):
@@ -146,8 +155,7 @@ class DescentResult:
 
 
 def _projected_descent(params, proprio, z, init: np.ndarray, risk_coeff,
-                       grad_extra, obj_extra, a_max: float, eta: float,
-                       max_iters: int, max_halvings: int):
+                       grad_extra, obj_extra, cfg: GateConfig):
     """Shared descent loop for recover and refine_plan.
 
     Objective: risk_coeff * calibrated_risk + obj_extra(plan). The step
@@ -158,6 +166,7 @@ def _projected_descent(params, proprio, z, init: np.ndarray, risk_coeff,
     step size and halves it on rejection; an iteration that exhausts all
     halvings ends the search.
     """
+    a_max = cfg.a_max
     plan = np.clip(np.asarray(init, dtype=float), -a_max, a_max)
 
     def objective(arr, risk):
@@ -167,11 +176,11 @@ def _projected_descent(params, proprio, z, init: np.ndarray, risk_coeff,
     obj = objective(plan, pred.risk)
     trace = [obj]
     made_progress = False
-    for _ in range(max_iters):
+    for _ in range(cfg.max_iters):
         g = risk_coeff * g_logit + grad_extra(plan)
-        step = eta
+        step = cfg.eta
         accepted = False
-        for _ in range(max_halvings + 1):
+        for _ in range(cfg.max_halvings + 1):
             cand = np.clip(plan - step * g, -a_max, a_max)
             cand_pred = est.predict_risk(params, proprio, z, cand)
             cand_obj = objective(cand, cand_pred.risk)
@@ -190,12 +199,11 @@ def _projected_descent(params, proprio, z, init: np.ndarray, risk_coeff,
                          min_dist=pred.min_dist)
 
 
-def recover(params: est.EstimatorParams, proprio, z, horizon: int, cfg: GateConfig,
-            lambda_reg: float = 0.1, eta: float = 0.05, max_iters: int = 10,
-            max_halvings: int = 5) -> DescentResult:
+def recover(params: est.EstimatorParams, proprio, z, horizon: int,
+            cfg: GateConfig) -> DescentResult:
     """Search for a low-risk escape plan from a blocked state.
 
-    Minimizes risk plus lambda_reg * ||A||^2 starting from the stay-still
+    Minimizes risk plus cfg.lambda_reg * ||A||^2 starting from the stay-still
     (zero) plan, so doing nothing is the protective prior and any accepted
     step strictly improves on it. Worst case returns the zero plan with
     made_progress False.
@@ -205,26 +213,25 @@ def recover(params: est.EstimatorParams, proprio, z, horizon: int, cfg: GateConf
     init = np.zeros((horizon, est.ACTION_DIM))
     return _projected_descent(
         params, proprio, z, init, risk_coeff=1.0,
-        grad_extra=lambda arr: 2.0 * lambda_reg * arr,
-        obj_extra=lambda arr: lambda_reg * float(np.sum(arr * arr)),
-        a_max=cfg.a_max, eta=eta, max_iters=max_iters, max_halvings=max_halvings)
+        grad_extra=lambda arr: 2.0 * cfg.lambda_reg * arr,
+        obj_extra=lambda arr: cfg.lambda_reg * float(np.sum(arr * arr)),
+        cfg=cfg)
 
 
-def refine_plan(params: est.EstimatorParams, proprio, z, nominal, cfg: GateConfig,
-                alpha: float = 1.0, beta: float = 2.0, eta: float = 0.05,
-                max_iters: int = 10, max_halvings: int = 5) -> DescentResult:
+def refine_plan(params: est.EstimatorParams, proprio, z, nominal,
+                cfg: GateConfig) -> DescentResult:
     """Locally deform a nominal plan toward lower predicted risk.
 
-    Minimizes alpha * ||A' - nominal||^2 + beta * risk(A') from A' = nominal.
-    Because the initial objective is beta * risk(nominal) and acceptance is
-    strict descent, the refined plan's risk never exceeds the nominal's
-    whenever beta > 0. The caller executes only the first action.
+    Minimizes cfg.alpha * ||A' - nominal||^2 + cfg.beta * risk(A') from
+    A' = nominal. Because the initial objective is beta * risk(nominal) and
+    acceptance is strict descent, the refined plan's risk never exceeds the
+    nominal's whenever beta > 0. The caller executes only the first action.
     """
     nom = nominal.steps if hasattr(nominal, "steps") else np.asarray(nominal, dtype=float)
     if np.abs(nom).max() > cfg.a_max + _BOX_TOL:
         raise ValueError("nominal plan violates the action box")
     return _projected_descent(
-        params, proprio, z, nom, risk_coeff=beta,
-        grad_extra=lambda arr: 2.0 * alpha * (arr - nom),
-        obj_extra=lambda arr: alpha * float(np.sum((arr - nom) ** 2)),
-        a_max=cfg.a_max, eta=eta, max_iters=max_iters, max_halvings=max_halvings)
+        params, proprio, z, nom, risk_coeff=cfg.beta,
+        grad_extra=lambda arr: 2.0 * cfg.alpha * (arr - nom),
+        obj_extra=lambda arr: cfg.alpha * float(np.sum((arr - nom) ** 2)),
+        cfg=cfg)

@@ -9,13 +9,14 @@ state and never mutates its argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import ArmModel, default_arm, dls_ik_step, joint_origins, segment_pairs_distance
 
 TASK_IDS = ("crossing_transfer", "parallel_place")
+A_MAX = 0.02  # per-component EE increment bound, m/step
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,7 @@ class WorldConfig:
 
     arm_left: ArmModel
     arm_right: ArmModel
-    a_max: float = 0.02          # per-component EE increment bound, m/step
+    a_max: float = A_MAX
     dt: float = 0.1              # control period, s (10 Hz)
     mu: float = 0.05             # DLS damping, m
     inflation: float = 0.0       # capsule inflation for distance queries, m
@@ -122,8 +123,7 @@ class DualAction:
 class PlanSequence:
     """H-step dual-arm action plan, stored as an (H, 4) row matrix.
 
-    Row layout is [dxL, dyL, dxR, dyR]; `actions` views the rows as
-    DualAction objects.
+    Row layout is [dxL, dyL, dxR, dyR].
     """
 
     steps: np.ndarray
@@ -138,19 +138,8 @@ class PlanSequence:
     def horizon(self) -> int:
         return self.steps.shape[0]
 
-    @property
-    def actions(self) -> list[DualAction]:
-        return [DualAction.from_row(r) for r in self.steps]
-
     def action(self, i: int) -> DualAction:
         return DualAction.from_row(self.steps[i])
-
-    @staticmethod
-    def zeros(horizon: int) -> "PlanSequence":
-        return PlanSequence(np.zeros((horizon, 4)))
-
-    def within_box(self, a_max: float, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.steps) <= a_max + tol))
 
 
 @dataclass(frozen=True)
@@ -160,13 +149,13 @@ class Task:
     goal_right: np.ndarray
     start_q_left: np.ndarray
     start_q_right: np.ndarray
-    success_tolerance: float = 0.02
-    max_steps: int = 300
+    success_tolerance: float
+    max_steps: int
 
 
 @dataclass(frozen=True)
 class RolloutOutcome:
-    """Horizon labels plus the trajectory that produced them.
+    """Horizon labels of one executed plan.
 
     y_bin is 1 iff some step penetrated (d_min < 0); y_d is the minimum
     clearance seen over the executed steps; y_ttc is the first collision
@@ -176,7 +165,6 @@ class RolloutOutcome:
     y_bin: int
     y_d: float
     y_ttc: float
-    states: list[DualArmState]
 
 
 def _capsule_arrays(state: DualArmState, cfg: WorldConfig):
@@ -252,17 +240,15 @@ def rollout(state: DualArmState, plan: PlanSequence, cfg: WorldConfig,
     never applied.
     """
     horizon = plan.horizon
-    states = [state]
     y_d = np.inf
     cur = state
     for i in range(horizon):
         cur = step(cur, plan.action(i), cfg)
-        states.append(cur)
         d = min_self_distance(cur, cfg, inflation)
         y_d = min(y_d, d)
         if d < 0.0:
-            return RolloutOutcome(y_bin=1, y_d=float(y_d), y_ttc=(i + 1) * cfg.dt, states=states)
-    return RolloutOutcome(y_bin=0, y_d=float(y_d), y_ttc=horizon * cfg.dt, states=states)
+            return RolloutOutcome(y_bin=1, y_d=float(y_d), y_ttc=(i + 1) * cfg.dt)
+    return RolloutOutcome(y_bin=0, y_d=float(y_d), y_ttc=horizon * cfg.dt)
 
 
 def scene_feature(state: DualArmState, task: Task, noise_sigma: float = 0.0,
@@ -321,7 +307,7 @@ def task_init(task_id: str, seed: int, cfg: WorldConfig,
     """
     if task_id not in _GOAL_CENTERS:
         raise ValueError(f"unknown task id {task_id!r}; expected one of {TASK_IDS}")
-    rng = np.random.default_rng(np.random.SeedSequence([_task_index(task_id), int(seed)]))
+    rng = np.random.default_rng(np.random.SeedSequence([task_index(task_id), int(seed)]))
     center_l, center_r = _GOAL_CENTERS[task_id]
     j = params.goal_jitter
     goal_l = center_l + rng.uniform(-j, j, size=2)
@@ -346,7 +332,8 @@ def task_init(task_id: str, seed: int, cfg: WorldConfig,
     )
 
 
-def _task_index(task_id: str) -> int:
+def task_index(task_id: str) -> int:
+    """Position of task_id in TASK_IDS; every per-task seed stream mixes it in."""
     return TASK_IDS.index(task_id)
 
 

@@ -178,7 +178,7 @@ def test_criterion_03_estimator_quality(pipeline):
         head = json.loads(open(path).readline())
         n_samples += head["counts"]["samples"]
     held = pipeline["heldout"]
-    risks = mt.calibrated_risks(pipeline["est"], held)
+    risks = est.risk_batch(pipeline["est"], held)
     auc = mt.auc_trapezoid(risks, held.y_bin)
     train_s = pipeline["times"]["train-estimator"]
 
@@ -193,9 +193,9 @@ def test_criterion_04_calibration(pipeline):
     pre, post = pipeline["est_precal"], pipeline["est"]
     nll_t1 = est.heldout_nll(pre, held, 1.0)
     nll_cal = est.heldout_nll(post, held, post.temperature)
-    ece_before = mt.compute_calibration(mt.calibrated_risks(pre, held),
+    ece_before = mt.compute_calibration(est.risk_batch(pre, held),
                                         held.y_bin).ece
-    ece_after = mt.compute_calibration(mt.calibrated_risks(post, held),
+    ece_after = mt.compute_calibration(est.risk_batch(post, held),
                                        held.y_bin).ece
 
     ok = nll_cal <= nll_t1 and ece_after <= ece_before + 0.01
@@ -346,7 +346,7 @@ def test_criterion_10_risk_weighted_finetuning(pipeline, world_cfg, task_params)
                              horizon=5, n_candidates=8, sigma_a=0.01,
                              soft_gate=False, seed=0, policy_params=policy)
         return {tid: np.mean([hn.run_episode(setup, tid,
-                                             hn._episode_seed(0, tid, i)).success
+                                             hn.episode_seed(0, tid, i)).success
                               for i in range(50)])
                 for tid in wd.TASK_IDS}
 

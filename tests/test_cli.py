@@ -7,6 +7,8 @@ import os
 import pytest
 
 from riskgate import cli
+from riskgate import config as cf
+from riskgate import datasetgen as dg
 from riskgate import estimator as est
 from riskgate import policy as pol
 
@@ -40,6 +42,15 @@ def test_pipeline_artifacts(micro_run):
         (offline.weights[k] == post.weights[k]).all() for k in offline.weights)
     pol.load_policy(root / "pol.json")
     pol.load_policy(root / "pol_ft.json")
+
+
+def test_estimator_checkpoints_keep_config_digest(micro_run):
+    """calibrate and post-train re-save the estimator; both keep the digest
+    of the dataset config that train-estimator stored."""
+    cfg = cf.load_config(micro_run["cfg_path"])
+    digest = dg.config_digest(cfg.datagen_config())
+    for name in ("est.json", "est_post.json"):
+        assert _read(micro_run["root"], name)["config_digest"] == digest, name
 
 
 def test_thresholds_file_feeds_reports(micro_run):

@@ -2,10 +2,15 @@
 mapping onto the runtime config objects."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from riskgate import config as cf
+from riskgate import datasetgen as dg
+from riskgate import estimator as est
+from riskgate import policy as pol
+from riskgate import safeguard as sg
 from riskgate import world as wd
 
 
@@ -15,6 +20,21 @@ def test_defaults_from_empty_dict():
     assert cfg.eval.mode == "gated"
     assert cfg.world.a_max == 0.02
     assert cfg.tasks.ids == list(wd.TASK_IDS)
+
+
+def test_omitted_keys_take_the_runtime_defaults():
+    cfg = cf.config_from_dict({})
+    pairs = ((cfg.world_config(), wd.default_world()),
+             (cfg.task_params(), wd.TaskParams()),
+             (cfg.datagen_config(), dg.DatagenConfig()),
+             (cfg.gate_config(), sg.GateConfig()),
+             (cfg.estimator_train_config(), est.TrainConfig()),
+             (cfg.policy_train_config(), pol.PolicyTrainConfig()))
+    for built, default in pairs:
+        for f in fields(default):
+            if f.name not in ("arm_left", "arm_right"):
+                assert getattr(built, f.name) == getattr(default, f.name), \
+                    (type(default).__name__, f.name)
 
 
 def test_unknown_keys_are_rejected():
@@ -38,6 +58,9 @@ def test_type_rules():
                 {"eval": {"soft_gate": 1}},
                 {"eval": {"logs_dir": 5}},
                 {"gate": {"tau_up": "high"}},
+                {"datagen": {"horizons": [2.5]}},
+                {"datagen": {"horizons": [True]}},
+                {"datagen": {"horizons": ["a"]}},
                 {"seed": "zero"},
                 {"seed": True}):
         with pytest.raises(cf.ConfigError):
@@ -77,7 +100,7 @@ def test_derived_configs_carry_values():
         "world": {"a_max": 0.03, "inflation": 0.001},
         "tasks": {"ids": ["crossing_transfer"], "max_steps": 120},
         "datagen": {"horizons": [2, 4], "episodes_per_task": 5},
-        "gate": {"tau_up": 0.6, "tau_down": 0.2},
+        "gate": {"tau_up": 0.6, "tau_down": 0.2, "lambda_reg": 0.3, "eta": 0.01},
         "estimator": {"epochs_per_phase": 7},
         "policy": {"epochs": 11},
     })
@@ -88,6 +111,7 @@ def test_derived_configs_carry_values():
     assert d.seed == 9 and d.horizons == (2, 4) and d.tasks == ("crossing_transfer",)
     g = cfg.gate_config()
     assert g.tau_up == 0.6 and g.a_max == 0.03
+    assert g.lambda_reg == 0.3 and g.eta == 0.01
     assert cfg.estimator_train_config().epochs_per_phase == 7
     assert cfg.estimator_train_config().seed == 9
     assert cfg.policy_train_config().epochs == 11

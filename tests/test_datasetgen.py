@@ -56,10 +56,11 @@ def test_oversample_multiplicities():
     for s in far:
         assert ids.count(id(s)) == 1
     # factor 1 is the identity
-    same = dg.oversample_near_miss(dg.Dataset(header, near + far), factor=1)
+    same = dg.oversample_near_miss(dg.Dataset(header, near + far), d_thresh=0.05, factor=1)
     assert same.samples == near + far
     with pytest.raises(ValueError):
-        dg.oversample_near_miss(dg.Dataset(header, near + far), factor=0)
+        dg.oversample_near_miss(dg.Dataset(header, near + far), d_thresh=0.05,
+                                factor=0)
 
 
 def test_oversample_never_dilutes_positives():
@@ -68,7 +69,7 @@ def test_oversample_never_dilutes_positives():
     header = dg.DatasetHeader(format_version=dg.FORMAT_VERSION, horizons=[2],
                               dims={}, counts={"samples": 10, "positives": 3},
                               seed=1, config_digest="x")
-    out = dg.oversample_near_miss(dg.Dataset(header, pos + neg), factor=4)
+    out = dg.oversample_near_miss(dg.Dataset(header, pos + neg), d_thresh=0.05, factor=4)
     frac_before = 3 / 10
     frac_after = out.header.counts["positives"] / out.header.counts["samples"]
     assert frac_after >= frac_before

@@ -253,9 +253,9 @@ def test_report_from_logs_rebuilds_evaluate_report(world_cfg, task_params, tmp_p
 
 
 def test_episode_seeds_pair_across_modes():
-    a = hn._episode_seed(0, "crossing_transfer", 0)
-    b = hn._episode_seed(0, "crossing_transfer", 1)
-    c = hn._episode_seed(0, "parallel_place", 0)
-    d = hn._episode_seed(1, "crossing_transfer", 0)
+    a = hn.episode_seed(0, "crossing_transfer", 0)
+    b = hn.episode_seed(0, "crossing_transfer", 1)
+    c = hn.episode_seed(0, "parallel_place", 0)
+    d = hn.episode_seed(1, "crossing_transfer", 0)
     assert len({a, b, c, d}) == 4
-    assert a == hn._episode_seed(0, "crossing_transfer", 0)
+    assert a == hn.episode_seed(0, "crossing_transfer", 0)

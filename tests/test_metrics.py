@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from riskgate import estimator as est
 from riskgate import metrics as mt
 
 
@@ -57,7 +58,7 @@ def test_roc_tune_picks_largest_threshold_within_budget(trained_tiny, tiny_data)
     assert 0.0 < res.tau_down < res.tau_up < 1.0
     assert res.fnr_at_tau <= 0.05 or res.tau_up <= 1e-6
 
-    risks = mt.calibrated_risks(trained_tiny, held)
+    risks = est.risk_batch(trained_tiny, held)
     pos = risks[held.y_bin > 0.5]
     ok = [t for t in np.unique(risks) if np.mean(pos <= t) <= 0.05]
     expected = max(ok) if ok else np.unique(risks)[0]
@@ -68,7 +69,7 @@ def test_roc_tune_picks_largest_threshold_within_budget(trained_tiny, tiny_data)
 def test_roc_tune_impossible_budget_falls_back_to_min(trained_tiny, tiny_data):
     held = tiny_data["heldout"]
     res = mt.roc_tune(trained_tiny, held, fn_target=0.0)
-    risks = mt.calibrated_risks(trained_tiny, held)
+    risks = est.risk_batch(trained_tiny, held)
     pos = risks[held.y_bin > 0.5]
     if np.min(pos) > np.min(risks):  # some threshold catches every positive
         assert res.fnr_at_tau == 0.0

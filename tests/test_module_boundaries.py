@@ -1,0 +1,56 @@
+"""Module boundaries: no riskgate module reads another riskgate module's
+private (underscore) names, whether through a module alias or an import."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "riskgate"
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reach_ins(source):
+    """(line, text) of every private name of a sibling module that source
+    imports by name or reads as `<module alias>._name`."""
+    tree = ast.parse(source)
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "riskgate":
+                continue
+            imports_modules = node.module in (None, "riskgate")
+            for a in node.names:
+                if imports_modules:
+                    aliases.add(a.asname or a.name)
+                elif _private(a.name):
+                    found.append((node.lineno, f"from {node.module} import {a.name}"))
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname for a in node.names
+                           if a.name.startswith("riskgate.") and a.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _private(node.attr)):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_checker_sees_every_import_form():
+    source = ("from . import world as wd\n"
+              "from .estimator import _sigmoid, predict_risk\n"
+              "import riskgate.harness as hn\n"
+              "def f(x):\n"
+              "    return wd._task_index(x) + hn._episode_seed(x) + wd.task_index(x)\n"
+              "def _own(x):\n"
+              "    return _own(x.__class__)\n")
+    assert private_reach_ins(source) == [
+        (2, "from estimator import _sigmoid"),
+        (5, "hn._episode_seed"), (5, "wd._task_index")]
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = [f"{path.name}:{line}: {text}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, text in private_reach_ins(path.read_text())]
+    assert found == []

@@ -14,7 +14,7 @@ from riskgate import world as wd
 @pytest.fixture(scope="module")
 def demo_records(world_cfg, task_params):
     recs = pol.collect_demonstrations("crossing_transfer", range(6), 5,
-                                      world_cfg, task_params)
+                                      world_cfg, task_params, explore_noise=0.005)
     assert any(d.y_bin == 1 for d in recs) and any(d.y_bin == 0 for d in recs)
     return recs
 
@@ -88,8 +88,10 @@ def test_collect_demonstrations_records(demo_records, world_cfg):
 
 
 def test_collect_demonstrations_deterministic(world_cfg, task_params):
-    a = pol.collect_demonstrations("parallel_place", [7], 3, world_cfg, task_params)
-    b = pol.collect_demonstrations("parallel_place", [7], 3, world_cfg, task_params)
+    a = pol.collect_demonstrations("parallel_place", [7], 3, world_cfg, task_params,
+                                   explore_noise=0.005)
+    b = pol.collect_demonstrations("parallel_place", [7], 3, world_cfg, task_params,
+                                   explore_noise=0.005)
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         assert_array_equal(ra.z, rb.z)
@@ -145,7 +147,7 @@ def test_risk_weighting_downweights_risky_targets():
     assert np.all(np.abs(out - base.action) < 0.004)
     assert np.all(np.abs(out - risky.action) > 0.02)
     with pytest.raises(ValueError):
-        pol.risk_weighted_finetune(pol.init_policy(0), [], cfg)
+        pol.risk_weighted_finetune(pol.init_policy(0), [], cfg, kappa=8.0)
 
 
 def test_agg_buffer_fifo():

@@ -2,6 +2,8 @@
 reference implementation), soft scaling, candidate selection, and the
 projected-descent recovery/refinement searches."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,8 +215,8 @@ def test_refine_never_raises_risk(trained_tiny, world_cfg, task_params):
     for seed in range(10):
         proprio, z = _state_features(seed, world_cfg, task_params)
         nominal = wd.PlanSequence(rng.uniform(-0.02, 0.02, size=(5, 4)))
-        res = sg.refine_plan(trained_tiny, proprio, z, nominal, CFG,
-                             alpha=1.0, beta=2.0)
+        res = sg.refine_plan(trained_tiny, proprio, z, nominal,
+                             replace(CFG, alpha=1.0, beta=2.0))
         nominal_risk = est.predict_risk(trained_tiny, proprio, z, nominal).risk
         assert res.risk <= nominal_risk + 1e-12
         assert res.objectives[0] == pytest.approx(2.0 * nominal_risk)

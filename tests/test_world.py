@@ -97,8 +97,6 @@ def test_rollout_matches_manual_resimulation(world_cfg):
         assert out.y_bin == y_bin
         assert out.y_d == pytest.approx(y_d, abs=1e-15)
         assert out.y_ttc == pytest.approx(y_ttc, abs=1e-15)
-        assert len(out.states) == (1 + 5 if y_bin == 0 else len(out.states))
-        assert out.states[0] is state
 
 
 def test_rollout_censors_ttc_at_horizon(world_cfg):
