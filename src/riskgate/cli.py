@@ -60,7 +60,7 @@ def _split_phases(cfg: cf.RunConfig):
         held_idx = set(order[:n_held].tolist())
         held_samples.extend(ds.samples[i] for i in sorted(held_idx))
         train = [ds.samples[i] for i in order[n_held:]]
-        train_phases.append(dg.to_sample_batch(train))
+        train_phases.append(est.stack_batch(train))
     return train_phases, held_samples
 
 
@@ -74,7 +74,7 @@ def _write_heldout(cfg: cf.RunConfig, held_samples) -> None:
 
 def _load_heldout(cfg: cf.RunConfig) -> est.SampleBatch:
     ds = dg.read_dataset(cfg.estimator.heldout_path)
-    return dg.to_sample_batch(ds.samples)
+    return est.stack_batch(ds.samples)
 
 
 def _cmd_train_estimator(cfg: cf.RunConfig, args) -> None:
@@ -83,7 +83,7 @@ def _cmd_train_estimator(cfg: cf.RunConfig, args) -> None:
     params.config_digest = dg.config_digest(cfg.datagen_config())
     est.save_params(params, cfg.estimator.checkpoint_path)
     _write_heldout(cfg, held_samples)
-    held = dg.to_sample_batch(held_samples)
+    held = est.stack_batch(held_samples)
     risks = est.risk_batch(params, held)
     _emit({
         "checkpoint": cfg.estimator.checkpoint_path,
@@ -207,8 +207,7 @@ def _cmd_run(cfg: cf.RunConfig, args) -> None:
     seed = hn.episode_seed(cfg.seed, args.task, args.index)
     log = hn.run_episode(setup, args.task, seed)
     os.makedirs(cfg.eval.logs_dir, exist_ok=True)
-    name = f"ep_{log.mode.replace('+', '_')}_{log.task_id}_{log.seed}.jsonl"
-    path = os.path.join(cfg.eval.logs_dir, name)
+    path = hn.episode_log_path(cfg.eval.logs_dir, log)
     hn.write_episode_log(log, path)
     _emit({"log": path, "success": log.success, "collided": log.collided,
            "steps": log.n_steps, "blocked_steps": log.blocked_steps,

@@ -165,9 +165,13 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"datagen.horizons entries must be integers, got {h!r}")
         if not (1 <= h <= 10):
             raise ConfigError("datagen.horizons entries must lie in [1, 10]")
+    if not cfg.tasks.ids:
+        raise ConfigError("tasks.ids must name at least one task")
     for tid in cfg.tasks.ids:
         if tid not in wd.TASK_IDS:
             raise ConfigError(f"unknown task id {tid!r}; expected one of {wd.TASK_IDS}")
+    if len(set(cfg.tasks.ids)) != len(cfg.tasks.ids):
+        raise ConfigError(f"tasks.ids must not repeat a task, got {cfg.tasks.ids}")
     if cfg.eval.n_candidates < 1:
         raise ConfigError("eval.n_candidates must be >= 1")
     if not (0.0 < cfg.estimator.heldout_frac < 1.0):

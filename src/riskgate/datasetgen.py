@@ -23,22 +23,12 @@ FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class RiskLabel:
-    """Ground-truth horizon label: collision flag, min clearance, first
-    collision time (censored at H*dt when no collision occurs)."""
-
-    y_bin: int
-    y_d: float
-    y_ttc: float
-
-
-@dataclass(frozen=True)
 class Sample:
     proprio: np.ndarray
     z: np.ndarray
     plan: np.ndarray  # (H, 4)
     H: int
-    label: RiskLabel
+    label: wd.RolloutOutcome
     meta: tuple  # (task_id, episode seed, step index)
 
     def __post_init__(self):
@@ -49,19 +39,6 @@ class Sample:
         for arr in (self.proprio, self.z, self.plan):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite sample field")
-
-    # attribute views used when stacking into training batches
-    @property
-    def y_bin(self):
-        return self.label.y_bin
-
-    @property
-    def y_d(self):
-        return self.label.y_d
-
-    @property
-    def y_ttc(self):
-        return self.label.y_ttc
 
 
 @dataclass
@@ -109,23 +86,14 @@ def config_digest(cfg: DatagenConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def sample_candidates(nominal: wd.PlanSequence, n: int, sigma_a: float,
-                      rng: np.random.Generator, a_max: float) -> list:
-    """Nominal plus n-1 Gaussian-jittered variants, clipped to the box."""
+def sample_candidates(nominal: np.ndarray, n: int, sigma_a: float,
+                      rng: np.random.Generator, a_max: float) -> np.ndarray:
+    """(n, H, 4) candidates: the (H, 4) nominal plan in row 0, then n-1
+    Gaussian-jittered variants clipped to the box."""
     if n < 1:
         raise ValueError("need n >= 1")
-    out = [nominal]
-    for _ in range(n - 1):
-        noisy = nominal.steps + rng.normal(0.0, sigma_a, size=nominal.steps.shape)
-        out.append(wd.PlanSequence(np.clip(noisy, -a_max, a_max)))
-    return out
-
-
-def label_plan(state: wd.DualArmState, plan: wd.PlanSequence, cfg: wd.WorldConfig,
-               inflation: float | None = None) -> RiskLabel:
-    """Exact label by simulating the plan with the collision oracle."""
-    outcome = wd.rollout(state, plan, cfg, inflation)
-    return RiskLabel(y_bin=outcome.y_bin, y_d=outcome.y_d, y_ttc=outcome.y_ttc)
+    noise = rng.normal(0.0, sigma_a, size=(n - 1, *nominal.shape))
+    return np.concatenate([nominal[None], np.clip(nominal + noise, -a_max, a_max)])
 
 
 def _episode_samples(task_id: str, ep_seed: int, horizon: int, gen_cfg: DatagenConfig,
@@ -149,11 +117,11 @@ def _episode_samples(task_id: str, ep_seed: int, horizon: int, gen_cfg: DatagenC
         z = wd.scene_feature(state, task, world_cfg.noise_sigma, noise_rng)
         for cand in candidates:
             samples.append(Sample(
-                proprio=proprio, z=z, plan=cand.steps, H=horizon,
-                label=label_plan(state, cand, world_cfg),
+                proprio=proprio, z=z, plan=cand, H=horizon,
+                label=wd.rollout(state, cand, world_cfg),
                 meta=(task_id, int(ep_seed), step_idx),
             ))
-        state = wd.step(state, nominal.action(0), world_cfg)
+        state = wd.step(state, nominal[0], world_cfg)
         if wd.min_self_distance(state, world_cfg) < 0.0:
             break
         if wd.success_check(state, task):
@@ -250,8 +218,8 @@ def _sample_from_obj(obj: dict) -> Sample:
         z=np.array(obj["z"], dtype=float),
         plan=np.array(obj["plan"], dtype=float).reshape(int(obj["H"]), 4),
         H=int(obj["H"]),
-        label=RiskLabel(y_bin=int(obj["y_bin"]), y_d=float(obj["y_d"]),
-                        y_ttc=float(obj["y_ttc"])),
+        label=wd.RolloutOutcome(y_bin=int(obj["y_bin"]), y_d=float(obj["y_d"]),
+                                y_ttc=float(obj["y_ttc"])),
         meta=(str(obj["meta"][0]), int(obj["meta"][1]), int(obj["meta"][2])),
     )
 
@@ -297,8 +265,3 @@ def read_dataset(path) -> Dataset:
         raise ValueError(
             f"header declares {header.counts['samples']} samples, body has {len(samples)}")
     return Dataset(header=header, samples=samples)
-
-
-def to_sample_batch(samples) -> est.SampleBatch:
-    """Stack parsed samples into padded training arrays."""
-    return est.stack_batch(samples)

@@ -149,8 +149,8 @@ class SampleBatch:
 
 
 def stack_batch(samples) -> SampleBatch:
-    """Pad objects with proprio, z, plan, y_bin, y_d and y_ttc attributes
-    into one SampleBatch."""
+    """Pad objects with proprio, z, plan and label (y_bin, y_d, y_ttc)
+    attributes into one SampleBatch."""
     plans = [np.asarray(s.plan, dtype=float).reshape(-1, ACTION_DIM) for s in samples]
     h_pad = max(p.shape[0] for p in plans)
     n = len(samples)
@@ -163,9 +163,9 @@ def stack_batch(samples) -> SampleBatch:
         proprio=np.array([s.proprio for s in samples], dtype=float),
         z=np.array([s.z for s in samples], dtype=float),
         plan=plan, mask=mask,
-        y_bin=np.array([s.y_bin for s in samples], dtype=float),
-        y_d=np.array([s.y_d for s in samples], dtype=float),
-        y_ttc=np.array([s.y_ttc for s in samples], dtype=float),
+        y_bin=np.array([s.label.y_bin for s in samples], dtype=float),
+        y_d=np.array([s.label.y_d for s in samples], dtype=float),
+        y_ttc=np.array([s.label.y_ttc for s in samples], dtype=float),
     )
 
 
@@ -293,8 +293,7 @@ def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
 def _as_batch_inputs(proprio, z, plan):
     proprio = np.asarray(proprio, dtype=float)[None, :]
     z = np.asarray(z, dtype=float)[None, :]
-    plan_arr = plan.steps if hasattr(plan, "steps") else np.asarray(plan, dtype=float)
-    plan_arr = plan_arr[None, :, :]
+    plan_arr = np.asarray(plan, dtype=float)[None, :, :]
     mask = np.ones(plan_arr.shape[:2])
     return proprio, z, plan_arr, mask
 

@@ -166,9 +166,7 @@ def run_episode(setup: EvalSetup, task_id: str, seed: int,
         if gated:
             cands = dg.sample_candidates(nominal, setup.n_candidates,
                                          setup.sigma_a, jitter_rng, wcfg.a_max)
-            choice = sg.select_candidate(setup.est_params, proprio, z,
-                                         np.stack([c.steps for c in cands]),
-                                         wcfg.a_max)
+            choice = sg.select_candidate(setup.est_params, proprio, z, cands, wcfg.a_max)
             r_hat = float(choice.risks[choice.index])
             prev_mode = gate.mode
             gate, decision = sg.gate_step(gate, r_hat, setup.gate_cfg)
@@ -180,7 +178,7 @@ def run_episode(setup: EvalSetup, task_id: str, seed: int,
                     refined = sg.refine_plan(setup.est_params, proprio, z,
                                              exec_plan, setup.gate_cfg)
                     exec_plan = refined.plan
-                action_row = exec_plan.steps[0].copy()
+                action_row = exec_plan[0].copy()
                 if setup.soft_gate:
                     action_row *= sg.soft_scale(r_hat, setup.gate_cfg.tau_up)
             elif decision == sg.BLOCK:
@@ -188,7 +186,7 @@ def run_episode(setup: EvalSetup, task_id: str, seed: int,
                 rec = sg.recover(setup.est_params, proprio, z, setup.horizon,
                                  setup.gate_cfg)
                 exec_plan = rec.plan
-                action_row = rec.plan.steps[0].copy()
+                action_row = rec.plan[0].copy()
                 if not rec.made_progress:
                     action_row *= sg.distance_fallback(rec.min_dist,
                                                        setup.gate_cfg.d0)
@@ -196,10 +194,10 @@ def run_episode(setup: EvalSetup, task_id: str, seed: int,
                 action_row = np.zeros(4)
                 halted = True
         else:
-            action_row = nominal.steps[0].copy()
+            action_row = nominal[0].copy()
 
         latency_us = max((time.perf_counter() - t0) * 1e6, 1e-3)
-        plan_label = dg.label_plan(state, exec_plan, wcfg)
+        plan_label = wd.rollout(state, exec_plan, wcfg)
 
         if halted:
             log.steps.append(StepRecord(
@@ -213,13 +211,11 @@ def run_episode(setup: EvalSetup, task_id: str, seed: int,
         if collector is not None:
             collector.append(pol.DemoRecord(
                 proprio=proprio, z=z, goals=goals.copy(),
-                action=action_row.copy(), plan=exec_plan.steps.copy(),
-                y_bin=plan_label.y_bin, y_d=plan_label.y_d,
-                y_ttc=plan_label.y_ttc,
+                action=action_row.copy(), plan=exec_plan.copy(), label=plan_label,
                 risk=float(r_hat) if r_hat is not None else 0.0,
                 corrected=(decision == sg.BLOCK)))
 
-        state = wd.step(state, wd.DualAction.from_row(action_row), wcfg)
+        state = wd.step(state, action_row, wcfg)
         d_min = float(wd.min_self_distance(state, wcfg))
         log.steps.append(StepRecord(
             t=t, state_digest=digest, r_hat=r_hat, d_min=d_min,
@@ -251,6 +247,12 @@ def write_episode_log(log: EpisodeLog, path) -> None:
                 "collided": log.collided, "steps": log.n_steps,
                 "blocked_steps": log.blocked_steps, "recoveries": log.recoveries}
         f.write(json.dumps(term, sort_keys=True) + "\n")
+
+
+def episode_log_path(logs_dir, log: EpisodeLog) -> str:
+    """Where an episode's log lives: one file per (mode, task, seed)."""
+    name = f"ep_{log.mode.replace('+', '_')}_{log.task_id}_{log.seed}.jsonl"
+    return os.path.join(logs_dir, name)
 
 
 def read_episode_log(path) -> EpisodeLog:
@@ -370,8 +372,7 @@ def evaluate(cfg: cf.RunConfig, mode: str | None = None,
     if write_logs:
         os.makedirs(cfg.eval.logs_dir, exist_ok=True)
         for lg in logs:
-            name = f"ep_{lg.mode.replace('+', '_')}_{lg.task_id}_{lg.seed}.jsonl"
-            write_episode_log(lg, os.path.join(cfg.eval.logs_dir, name))
+            write_episode_log(lg, episode_log_path(cfg.eval.logs_dir, lg))
 
     latency = None
     if setup.mode != "ungated":

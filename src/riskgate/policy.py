@@ -31,8 +31,8 @@ def _expert_action_row(state: wd.DualArmState, task: wd.Task, a_max: float) -> n
 
 
 def scripted_expert(state: wd.DualArmState, task: wd.Task, horizon: int,
-                    cfg: wd.WorldConfig) -> wd.PlanSequence:
-    """H-step plan from a proportional law dx = clip(k_p (goal - ee), box).
+                    cfg: wd.WorldConfig) -> np.ndarray:
+    """(H, 4) plan from a proportional law dx = clip(k_p (goal - ee), box).
 
     The expert rolls its own kinematic prediction forward, so later actions
     react to where the earlier ones will have moved each arm. Deliberately
@@ -45,8 +45,8 @@ def scripted_expert(state: wd.DualArmState, task: wd.Task, horizon: int,
     for i in range(horizon):
         row = _expert_action_row(cur, task, cfg.a_max)
         steps[i] = row
-        cur = wd.step(cur, wd.DualAction.from_row(row), cfg)
-    return wd.PlanSequence(steps)
+        cur = wd.step(cur, row, cfg)
+    return steps
 
 
 @dataclass
@@ -93,16 +93,17 @@ def policy_features(proprio, z, goals) -> np.ndarray:
                            np.asarray(goals, dtype=float)])
 
 
-def policy_forward(params: PolicyParams, proprio, z, goals) -> wd.DualAction:
-    """Deterministic action; the tanh squash keeps it inside the a_max box."""
+def policy_forward(params: PolicyParams, proprio, z, goals) -> np.ndarray:
+    """Deterministic action row [dxL, dyL, dxR, dyR]; the tanh squash keeps
+    it inside the a_max box."""
     x = policy_features(proprio, z, goals)[None, :]
     out, _, _ = _policy_forward_batch(params, x)
-    return wd.DualAction.from_row(out[0])
+    return out[0]
 
 
 def policy_plan(params: PolicyParams, state: wd.DualArmState, task: wd.Task,
-                cfg: wd.WorldConfig, horizon: int) -> wd.PlanSequence:
-    """The policy's own H-step plan, rolled forward kinematically.
+                cfg: wd.WorldConfig, horizon: int) -> np.ndarray:
+    """The policy's own (H, 4) plan, rolled forward kinematically.
 
     Noise-free scene features: this is the policy's internal prediction,
     not a sensor pass.
@@ -113,9 +114,9 @@ def policy_plan(params: PolicyParams, state: wd.DualArmState, task: wd.Task,
     for i in range(horizon):
         action = policy_forward(params, wd.proprio_feature(cur),
                                 wd.scene_feature(cur, task), goals)
-        steps[i] = action.as_row()
+        steps[i] = action
         cur = wd.step(cur, action, cfg)
-    return wd.PlanSequence(steps)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,7 @@ class DemoRecord:
     goals: np.ndarray
     action: np.ndarray
     plan: np.ndarray
-    y_bin: int
-    y_d: float
-    y_ttc: float
+    label: wd.RolloutOutcome
     risk: float = 0.0
     corrected: bool = False
 
@@ -167,20 +166,19 @@ def collect_demonstrations(task_id: str, seeds, horizon: int, cfg: wd.WorldConfi
         goals = np.concatenate([task.goal_left, task.goal_right])
         for _ in range(task.max_steps):
             plan = scripted_expert(state, task, horizon, cfg)
-            outcome = wd.rollout(state, plan, cfg)
             records.append(DemoRecord(
                 proprio=wd.proprio_feature(state),
                 z=wd.scene_feature(state, task, cfg.noise_sigma, rng),
                 goals=goals.copy(),
-                action=plan.steps[0].copy(),
-                plan=plan.steps.copy(),
-                y_bin=outcome.y_bin, y_d=outcome.y_d, y_ttc=outcome.y_ttc,
+                action=plan[0].copy(),
+                plan=plan,
+                label=wd.rollout(state, plan, cfg),
             ))
-            executed = plan.steps[0]
+            executed = plan[0]
             if explore_noise > 0:
                 executed = np.clip(executed + rng.normal(0.0, explore_noise, size=4),
                                    -cfg.a_max, cfg.a_max)
-            state = wd.step(state, wd.DualAction.from_row(executed), cfg)
+            state = wd.step(state, executed, cfg)
             if wd.min_self_distance(state, cfg) < 0.0:
                 break
             if wd.success_check(state, task):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator as est
-from .world import A_MAX, PlanSequence
+from .world import A_MAX
 
 RUN = "RUN"
 BLOCKED = "BLOCKED"
@@ -111,7 +111,7 @@ def distance_fallback(d_hat: float, d0: float) -> float:
 @dataclass
 class CandidateChoice:
     index: int
-    plan: PlanSequence
+    plan: np.ndarray   # (H, 4)
     risks: np.ndarray  # calibrated risk per candidate, inf where infeasible
 
 
@@ -133,7 +133,7 @@ def select_candidate(params: est.EstimatorParams, proprio, z,
     risks, _, _, _ = est.predict_risk_batch(params, proprio, z, candidates)
     risks = np.where(feasible, risks, np.inf)
     idx = int(np.argmin(risks))
-    return CandidateChoice(index=idx, plan=PlanSequence(candidates[idx]), risks=risks)
+    return CandidateChoice(index=idx, plan=candidates[idx], risks=risks)
 
 
 @dataclass
@@ -147,7 +147,7 @@ class DescentResult:
     is the clearance head's prediction at the returned plan.
     """
 
-    plan: PlanSequence
+    plan: np.ndarray   # (H, 4)
     objectives: list
     made_progress: bool
     risk: float
@@ -194,7 +194,7 @@ def _projected_descent(params, proprio, z, init: np.ndarray, risk_coeff,
         made_progress = True
         trace.append(obj)
         pred, g_logit = est.risk_plan_gradient(params, proprio, z, plan)
-    return DescentResult(plan=PlanSequence(plan), objectives=trace,
+    return DescentResult(plan=plan, objectives=trace,
                          made_progress=made_progress, risk=pred.risk,
                          min_dist=pred.min_dist)
 
@@ -227,7 +227,7 @@ def refine_plan(params: est.EstimatorParams, proprio, z, nominal,
     acceptance is strict descent, the refined plan's risk never exceeds the
     nominal's whenever beta > 0. The caller executes only the first action.
     """
-    nom = nominal.steps if hasattr(nominal, "steps") else np.asarray(nominal, dtype=float)
+    nom = np.asarray(nominal, dtype=float)
     if np.abs(nom).max() > cfg.a_max + _BOX_TOL:
         raise ValueError("nominal plan violates the action box")
     return _projected_descent(

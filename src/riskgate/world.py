@@ -100,49 +100,6 @@ def make_state(
 
 
 @dataclass(frozen=True)
-class DualAction:
-    """Cartesian EE increments for both arms, each within the a_max box."""
-
-    dx_left: np.ndarray
-    dx_right: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dx_left", np.asarray(self.dx_left, dtype=float))
-        object.__setattr__(self, "dx_right", np.asarray(self.dx_right, dtype=float))
-
-    def as_row(self) -> np.ndarray:
-        return np.concatenate([self.dx_left, self.dx_right])
-
-    @staticmethod
-    def from_row(row) -> "DualAction":
-        row = np.asarray(row, dtype=float)
-        return DualAction(dx_left=row[:2], dx_right=row[2:4])
-
-
-@dataclass(frozen=True)
-class PlanSequence:
-    """H-step dual-arm action plan, stored as an (H, 4) row matrix.
-
-    Row layout is [dxL, dyL, dxR, dyR].
-    """
-
-    steps: np.ndarray
-
-    def __post_init__(self):
-        steps = np.asarray(self.steps, dtype=float)
-        if steps.ndim != 2 or steps.shape[1] != 4 or steps.shape[0] < 1:
-            raise ValueError(f"plan must be (H, 4) with H >= 1, got {steps.shape}")
-        object.__setattr__(self, "steps", steps)
-
-    @property
-    def horizon(self) -> int:
-        return self.steps.shape[0]
-
-    def action(self, i: int) -> DualAction:
-        return DualAction.from_row(self.steps[i])
-
-
-@dataclass(frozen=True)
 class Task:
     id: str
     goal_left: np.ndarray
@@ -215,15 +172,18 @@ def min_self_distance(state: DualArmState, cfg: WorldConfig, inflation: float | 
     return best
 
 
-def step(state: DualArmState, action: DualAction, cfg: WorldConfig) -> DualArmState:
-    """Advance one control period: DLS increment per arm, clip to limits."""
+def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
+    """Advance one control period: DLS increment per arm, clip to limits.
+
+    action is one plan row [dxL, dyL, dxR, dyR] of Cartesian EE increments.
+    """
 
     def advance(arm: ArmModel, q, dx):
         dq = dls_ik_step(arm, q, dx, cfg.mu)
         return np.clip(q + dq, arm.joint_limits[:, 0], arm.joint_limits[:, 1])
 
-    q_l = advance(cfg.arm_left, state.q_left, action.dx_left)
-    q_r = advance(cfg.arm_right, state.q_right, action.dx_right)
+    q_l = advance(cfg.arm_left, state.q_left, action[:2])
+    q_r = advance(cfg.arm_right, state.q_right, action[2:4])
     return make_state(
         cfg, q_l, q_r,
         g_left=state.g_left, g_right=state.g_right,
@@ -232,18 +192,21 @@ def step(state: DualArmState, action: DualAction, cfg: WorldConfig) -> DualArmSt
     )
 
 
-def rollout(state: DualArmState, plan: PlanSequence, cfg: WorldConfig,
+def rollout(state: DualArmState, plan, cfg: WorldConfig,
             inflation: float | None = None) -> RolloutOutcome:
-    """Execute the plan, recording clearance after each step.
+    """Execute the (H, 4) plan row by row, recording clearance after each step.
 
     Execution stops at the first penetrating step; remaining actions are
-    never applied.
+    never applied. Raises ValueError unless the plan is (H, 4) with H >= 1.
     """
-    horizon = plan.horizon
+    plan = np.asarray(plan, dtype=float)
+    if plan.ndim != 2 or plan.shape[1] != 4 or plan.shape[0] < 1:
+        raise ValueError(f"plan must be (H, 4) with H >= 1, got {plan.shape}")
+    horizon = plan.shape[0]
     y_d = np.inf
     cur = state
     for i in range(horizon):
-        cur = step(cur, plan.action(i), cfg)
+        cur = step(cur, plan[i], cfg)
         d = min_self_distance(cur, cfg, inflation)
         y_d = min(y_d, d)
         if d < 0.0:

@@ -49,9 +49,9 @@ def tiny_data(tmp_path_factory, world_cfg, task_params):
         order = rng.permutation(len(samples))
         n_held = max(1, len(samples) // 6)
         held.extend(samples[i] for i in order[:n_held])
-        phases.append(dg.to_sample_batch([samples[i] for i in order[n_held:]]))
+        phases.append(est.stack_batch([samples[i] for i in order[n_held:]]))
     return {"paths": paths, "phases": phases,
-            "heldout": dg.to_sample_batch(held), "gen_cfg": gen_cfg}
+            "heldout": est.stack_batch(held), "gen_cfg": gen_cfg}
 
 
 @pytest.fixture(scope="session")

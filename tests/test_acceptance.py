@@ -81,7 +81,7 @@ def pipeline(tmp_path_factory):
         "times": times,
         "est": est.load_params(art / "estimator.json"),
         "est_precal": est.load_params(art / "estimator_precal.json"),
-        "heldout": dg.to_sample_batch(
+        "heldout": est.stack_batch(
             dg.read_dataset(art / "heldout.jsonl").samples),
         "data_paths": [art / "data" / f"risk_H{h}.jsonl" for h in (2, 3, 5)],
         "bc": pol.load_policy(art / "policy.json"),
@@ -291,7 +291,7 @@ def test_criterion_08_recovery_refinement(pipeline, world_cfg, task_params):
         for r in (res, rec):
             monotone &= all(b <= a for a, b in
                             zip(r.objectives, r.objectives[1:]))
-            in_box &= bool(np.all(np.abs(r.plan.steps) <= gate_cfg.a_max))
+            in_box &= bool(np.all(np.abs(r.plan) <= gate_cfg.a_max))
         nominal_risk = est.predict_risk(params, proprio, z, nominal).risk
         improved &= res.risk <= nominal_risk
         worst_gap = max(worst_gap, res.risk - nominal_risk)

@@ -74,6 +74,8 @@ def test_semantic_validation():
                 {"eval": {"n_candidates": 0}},
                 {"datagen": {"horizons": [0]}},
                 {"tasks": {"ids": ["flying"]}},
+                {"tasks": {"ids": []}},
+                {"tasks": {"ids": ["parallel_place", "parallel_place"]}},
                 {"estimator": {"heldout_frac": 0.0}},
                 {"gate": {"tau_up": 0.2, "tau_down": 0.4}},
                 {"gate": {"r_sat": 0.1}}):

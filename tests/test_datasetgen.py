@@ -14,30 +14,25 @@ from riskgate import world as wd
 
 def test_sample_candidates_box_and_identity(world_cfg):
     rng = np.random.default_rng(0)
-    nominal = wd.PlanSequence(rng.uniform(-0.02, 0.02, size=(3, 4)))
-    cands = dg.sample_candidates(nominal, 6, 0.05, rng, world_cfg.a_max)
-    assert len(cands) == 6
-    assert cands[0] is nominal
+    nominal = rng.uniform(-0.02, 0.02, size=(3, 4))
+    cands = dg.sample_candidates(nominal, 6, 0.05, np.random.default_rng(5), world_cfg.a_max)
+    assert cands.shape == (6, 3, 4)
+    np.testing.assert_array_equal(cands[0], nominal)
+    assert np.all(np.abs(cands[1:]) <= world_cfg.a_max)
+    # the same values as one (H, 4) draw per jittered candidate, in order
+    ref_rng = np.random.default_rng(5)
     for c in cands[1:]:
-        assert np.all(np.abs(c.steps) <= world_cfg.a_max)
+        ref = np.clip(nominal + ref_rng.normal(0.0, 0.05, size=(3, 4)),
+                      -world_cfg.a_max, world_cfg.a_max)
+        np.testing.assert_array_equal(c, ref)
     with pytest.raises(ValueError):
         dg.sample_candidates(nominal, 0, 0.05, rng, world_cfg.a_max)
-
-
-def test_label_plan_matches_rollout(world_cfg):
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        state = wd.make_state(world_cfg, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        plan = wd.PlanSequence(rng.uniform(-0.02, 0.02, size=(4, 4)))
-        label = dg.label_plan(state, plan, world_cfg)
-        out = wd.rollout(state, plan, world_cfg)
-        assert (label.y_bin, label.y_d, label.y_ttc) == (out.y_bin, out.y_d, out.y_ttc)
 
 
 def _mk_sample(y_d, y_bin=0):
     return dg.Sample(proprio=np.zeros(est.PROPRIO_DIM), z=np.zeros(est.VISION_DIM),
                      plan=np.zeros((2, 4)), H=2,
-                     label=dg.RiskLabel(y_bin=y_bin, y_d=y_d, y_ttc=0.2),
+                     label=wd.RolloutOutcome(y_bin=y_bin, y_d=y_d, y_ttc=0.2),
                      meta=("crossing_transfer", 0, 0))
 
 
@@ -135,7 +130,7 @@ def test_stored_labels_are_exact(tiny_data, world_cfg):
         state = wd.make_state(world_cfg, q[:3], q[3:],
                               holding_left=bool(s.proprio[12]),
                               holding_right=bool(s.proprio[13]))
-        ref = dg.label_plan(state, wd.PlanSequence(s.plan), world_cfg)
+        ref = wd.rollout(state, s.plan, world_cfg)
         assert s.label.y_bin == ref.y_bin
         assert s.label.y_d == pytest.approx(ref.y_d, abs=1e-9)
         assert s.label.y_ttc == pytest.approx(ref.y_ttc, abs=1e-12)

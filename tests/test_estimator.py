@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
+from riskgate import world as wd
 
 
 def small_batch(tiny_data, n=8):
@@ -23,8 +24,8 @@ def batch_mean_loss(params, batch, cfg):
     for i in range(len(batch)):
         h = int(batch.mask[i].sum())
         pred = est.forward(params, batch.proprio[i], batch.z[i], batch.plan[i, :h])
-        label = dg.RiskLabel(y_bin=int(batch.y_bin[i]), y_d=float(batch.y_d[i]),
-                             y_ttc=float(batch.y_ttc[i]))
+        label = wd.RolloutOutcome(y_bin=int(batch.y_bin[i]), y_d=float(batch.y_d[i]),
+                                  y_ttc=float(batch.y_ttc[i]))
         total += est.loss(pred, label, cfg)[0]
     return total / len(batch)
 
@@ -98,7 +99,7 @@ def test_loss_composition():
     cfg = est.TrainConfig(lambda_bce=2.0, lambda_d=3.0, lambda_ttc=0.5,
                           w_pos=4.0, gamma_early=0.5)
     pred = est.RiskPrediction(risk=0.0, logit=0.3, min_dist=0.1, ttc=0.4)
-    pos = dg.RiskLabel(y_bin=1, y_d=-0.02, y_ttc=0.2)
+    pos = wd.RolloutOutcome(y_bin=1, y_d=-0.02, y_ttc=0.2)
     total, parts = est.loss(pred, pos, cfg)
     wgt = 4.0 * 0.5 ** 0.2
     assert parts["bce"] == pytest.approx(wgt * (np.log1p(np.exp(-0.3)) + 0.3 * 0))
@@ -107,7 +108,7 @@ def test_loss_composition():
     assert parts["ttc"] == pytest.approx(abs(0.4 - 0.2))
     assert total == pytest.approx(2.0 * parts["bce"] + 3.0 * parts["dist"] + 0.5 * parts["ttc"])
 
-    neg = dg.RiskLabel(y_bin=0, y_d=0.3, y_ttc=0.5)
+    neg = wd.RolloutOutcome(y_bin=0, y_d=0.3, y_ttc=0.5)
     _, parts = est.loss(pred, neg, cfg)
     assert parts["ttc"] == 0.0  # censored negatives carry no TTC signal
     assert parts["bce"] == pytest.approx(np.log1p(np.exp(0.3)))  # unweighted

@@ -139,7 +139,7 @@ def test_collector_records_and_corrected_flags(world_cfg, task_params):
         assert rec.risk == step.r_hat
         assert_array_equal(rec.action, np.array(step.action))
         assert rec.plan.shape == (setup.horizon, 4)
-        assert rec.y_bin == step.plan_y_bin
+        assert rec.label.y_bin == step.plan_y_bin
 
     blocked = []
     halt_setup = make_setup(world_cfg, task_params, mode="gated",

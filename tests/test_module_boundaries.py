@@ -1,8 +1,10 @@
 """Module boundaries: no riskgate module reads another riskgate module's
-private (underscore) names, whether through a module alias or an import."""
+private (underscore) names, whether through a module alias or an import,
+and the runtime imports nothing beyond the standard library and numpy."""
 
 import ast
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "riskgate"
 
@@ -53,4 +55,38 @@ def test_no_module_reads_another_modules_private_names():
     found = [f"{path.name}:{line}: {text}"
              for path in sorted(SRC.glob("*.py"))
              for line, text in private_reach_ins(path.read_text())]
+    assert found == []
+
+
+def foreign_imports(source):
+    """(line, module) of every absolute import that is neither the standard
+    library, numpy nor riskgate."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "riskgate"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.split(".")[0] not in allowed]
+    return found
+
+
+def test_import_checker_flags_third_party_modules():
+    source = ("from __future__ import annotations\n"
+              "import json, numpy as np\n"
+              "from . import world as wd\n"
+              "from riskgate.estimator import predict_risk\n"
+              "import scipy.stats\n"
+              "def f():\n"
+              "    from sklearn import metrics\n")
+    assert foreign_imports(source) == [(5, "scipy.stats"), (7, "sklearn")]
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in foreign_imports(path.read_text())]
     assert found == []

@@ -15,25 +15,25 @@ from riskgate import world as wd
 def demo_records(world_cfg, task_params):
     recs = pol.collect_demonstrations("crossing_transfer", range(6), 5,
                                       world_cfg, task_params, explore_noise=0.005)
-    assert any(d.y_bin == 1 for d in recs) and any(d.y_bin == 0 for d in recs)
+    assert any(d.label.y_bin == 1 for d in recs) and any(d.label.y_bin == 0 for d in recs)
     return recs
 
 
 def test_scripted_expert_matches_proportional_law(world_cfg, task_params):
     state, task = wd.task_init("crossing_transfer", 0, world_cfg, task_params)
     plan = pol.scripted_expert(state, task, 4, world_cfg)
-    assert plan.steps.shape == (4, 4)
+    assert plan.shape == (4, 4)
     first = np.concatenate([
         np.clip(pol.K_P * (task.goal_left - state.ee_left), -0.02, 0.02),
         np.clip(pol.K_P * (task.goal_right - state.ee_right), -0.02, 0.02),
     ])
-    assert_allclose(plan.steps[0], first, atol=1e-15)
+    assert_allclose(plan[0], first, atol=1e-15)
     # row i is the proportional action at the state the plan itself reaches
     cur = state
     for i in range(4):
-        assert_allclose(plan.steps[i], pol._expert_action_row(cur, task, 0.02),
+        assert_allclose(plan[i], pol._expert_action_row(cur, task, 0.02),
                         atol=1e-15)
-        cur = wd.step(cur, plan.action(i), world_cfg)
+        cur = wd.step(cur, plan[i], world_cfg)
     with pytest.raises(ValueError):
         pol.scripted_expert(state, task, 0, world_cfg)
 
@@ -55,7 +55,8 @@ def test_policy_forward_stays_in_box(world_cfg, task_params):
     goals = np.concatenate([task.goal_left, task.goal_right])
     a = pol.policy_forward(params, wd.proprio_feature(state),
                            wd.scene_feature(state, task), goals)
-    assert np.all(np.abs(a.as_row()) <= params.a_max)
+    assert a.shape == (4,)
+    assert np.all(np.abs(a) <= params.a_max)
 
 
 def test_policy_plan_matches_manual_rollout(world_cfg, task_params):
@@ -67,7 +68,7 @@ def test_policy_plan_matches_manual_rollout(world_cfg, task_params):
     for i in range(5):
         a = pol.policy_forward(params, wd.proprio_feature(cur),
                                wd.scene_feature(cur, task), goals)
-        assert_allclose(plan.steps[i], a.as_row(), atol=1e-15)
+        assert_allclose(plan[i], a, atol=1e-15)
         cur = wd.step(cur, a, world_cfg)
 
 
@@ -82,9 +83,9 @@ def test_collect_demonstrations_records(demo_records, world_cfg):
         d = demo_records[idx]
         q = np.arctan2(d.proprio[0:12:2], d.proprio[1:12:2])
         state = wd.make_state(world_cfg, q[:3], q[3:])
-        out = wd.rollout(state, wd.PlanSequence(d.plan), world_cfg)
-        assert d.y_bin == out.y_bin
-        assert d.y_d == pytest.approx(out.y_d, abs=1e-9)
+        out = wd.rollout(state, d.plan, world_cfg)
+        assert d.label.y_bin == out.y_bin
+        assert d.label.y_d == pytest.approx(out.y_d, abs=1e-9)
 
 
 def test_collect_demonstrations_deterministic(world_cfg, task_params):
@@ -136,7 +137,8 @@ def test_risk_weighting_downweights_risky_targets():
     must land near the low-risk target, not the average."""
     base = pol.DemoRecord(proprio=np.zeros(14), z=np.zeros(10), goals=np.zeros(4),
                           action=np.full(4, 0.015), plan=np.zeros((1, 4)),
-                          y_bin=0, y_d=0.5, y_ttc=0.5, risk=0.0)
+                          label=wd.RolloutOutcome(y_bin=0, y_d=0.5, y_ttc=0.5),
+                          risk=0.0)
     from dataclasses import replace
     risky = replace(base, action=np.full(4, -0.015), risk=0.9)
     data = [base, risky] * 40

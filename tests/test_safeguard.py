@@ -154,7 +154,7 @@ def test_select_candidate_argmin_and_feasibility(trained_tiny, world_cfg, task_p
         one = est.predict_risk(trained_tiny, proprio, z, cands[i])
         assert choice.risks[i] == pytest.approx(one.risk, abs=1e-12)
     assert choice.index == int(np.argmin(choice.risks))
-    np.testing.assert_array_equal(choice.plan.steps, cands[choice.index])
+    np.testing.assert_array_equal(choice.plan, cands[choice.index])
 
     # a box-violating candidate is never selected, even at lower risk
     cands[choice.index, 0, 0] = 0.5
@@ -188,8 +188,8 @@ def test_recover_descends_and_respects_box(trained_tiny, world_cfg, task_params)
         res = sg.recover(trained_tiny, proprio, z, horizon=5, cfg=CFG)
         obj = res.objectives
         assert all(b < a for a, b in zip(obj, obj[1:]))
-        assert np.all(np.abs(res.plan.steps) <= CFG.a_max + 1e-12)
-        assert res.plan.steps.shape == (5, 4)
+        assert np.all(np.abs(res.plan) <= CFG.a_max + 1e-12)
+        assert res.plan.shape == (5, 4)
         # the zero plan is the protective prior: any progress beat it
         zero_risk = est.predict_risk(trained_tiny, proprio, z,
                                      np.zeros((5, 4))).risk
@@ -206,7 +206,7 @@ def test_recover_stalls_to_zero_plan_on_flat_risk(world_cfg, task_params):
     proprio, z = _state_features(2, world_cfg, task_params)
     res = sg.recover(params, proprio, z, horizon=4, cfg=CFG)
     assert not res.made_progress
-    np.testing.assert_array_equal(res.plan.steps, np.zeros((4, 4)))
+    np.testing.assert_array_equal(res.plan, np.zeros((4, 4)))
     assert len(res.objectives) == 1
 
 
@@ -214,14 +214,14 @@ def test_refine_never_raises_risk(trained_tiny, world_cfg, task_params):
     rng = np.random.default_rng(3)
     for seed in range(10):
         proprio, z = _state_features(seed, world_cfg, task_params)
-        nominal = wd.PlanSequence(rng.uniform(-0.02, 0.02, size=(5, 4)))
+        nominal = rng.uniform(-0.02, 0.02, size=(5, 4))
         res = sg.refine_plan(trained_tiny, proprio, z, nominal,
                              replace(CFG, alpha=1.0, beta=2.0))
         nominal_risk = est.predict_risk(trained_tiny, proprio, z, nominal).risk
         assert res.risk <= nominal_risk + 1e-12
         assert res.objectives[0] == pytest.approx(2.0 * nominal_risk)
         assert all(b < a for a, b in zip(res.objectives, res.objectives[1:]))
-        assert np.all(np.abs(res.plan.steps) <= CFG.a_max + 1e-12)
+        assert np.all(np.abs(res.plan) <= CFG.a_max + 1e-12)
 
 
 def test_refine_rejects_out_of_box_nominal(trained_tiny, world_cfg, task_params):

@@ -68,7 +68,7 @@ def test_mirror_symmetry(world_cfg):
 
 def test_step_kinematics_and_limits(world_cfg):
     state = wd.make_state(world_cfg, [0.6, -0.4, -0.2], [0.6, -0.4, -0.2])
-    action = wd.DualAction(dx_left=[1.0, 1.0], dx_right=[-1.0, 1.0])
+    action = [1.0, 1.0, -1.0, 1.0]  # [dxL, dyL, dxR, dyR]
     nxt = wd.step(state, action, world_cfg)
     assert nxt.t == state.t + 1
     assert np.all(np.abs(nxt.q_left - state.q_left) <= world_cfg.arm_left.joint_velocity_limit + 1e-15)
@@ -83,12 +83,12 @@ def test_rollout_matches_manual_resimulation(world_cfg):
     rng = np.random.default_rng(14)
     for _ in range(10):
         state = random_state(rng, world_cfg)
-        plan = wd.PlanSequence(rng.uniform(-0.02, 0.02, size=(5, 4)))
+        plan = rng.uniform(-0.02, 0.02, size=(5, 4))
         out = wd.rollout(state, plan, world_cfg)
 
         cur, y_d, y_bin, y_ttc = state, np.inf, 0, 5 * world_cfg.dt
         for i in range(5):
-            cur = wd.step(cur, plan.action(i), world_cfg)
+            cur = wd.step(cur, plan[i], world_cfg)
             d = wd.min_self_distance(cur, world_cfg)
             y_d = min(y_d, d)
             if d < 0:
@@ -101,17 +101,17 @@ def test_rollout_matches_manual_resimulation(world_cfg):
 
 def test_rollout_censors_ttc_at_horizon(world_cfg):
     state = wd.make_state(world_cfg, [0.6, -0.4, -0.2], [0.6, -0.4, -0.2])
-    plan = wd.PlanSequence(np.zeros((3, 4)))
-    out = wd.rollout(state, plan, world_cfg)
+    out = wd.rollout(state, np.zeros((3, 4)), world_cfg)
     assert out.y_bin == 0
     assert out.y_ttc == pytest.approx(3 * world_cfg.dt)
 
 
-def test_plan_sequence_validates_shape():
+def test_rollout_validates_plan_shape(world_cfg):
+    state = wd.make_state(world_cfg, [0.6, -0.4, -0.2], [0.6, -0.4, -0.2])
     with pytest.raises(ValueError):
-        wd.PlanSequence(np.zeros((0, 4)))
+        wd.rollout(state, np.zeros((0, 4)), world_cfg)
     with pytest.raises(ValueError):
-        wd.PlanSequence(np.zeros((3, 5)))
+        wd.rollout(state, np.zeros((3, 5)), world_cfg)
 
 
 def test_task_init_deterministic_and_clear(world_cfg, task_params):
@@ -144,7 +144,7 @@ def test_success_check(world_cfg, task_params):
     cur = state
     for _ in range(task.max_steps):
         plan = pol.scripted_expert(cur, task, 1, world_cfg)
-        cur = wd.step(cur, plan.action(0), world_cfg)
+        cur = wd.step(cur, plan[0], world_cfg)
         if wd.success_check(cur, task):
             break
     assert wd.success_check(cur, task)
