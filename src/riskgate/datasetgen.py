@@ -115,10 +115,10 @@ def _episode_samples(task_id: str, ep_seed: int, horizon: int, gen_cfg: DatagenC
                                        jitter_rng, world_cfg.a_max)
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, world_cfg.noise_sigma, noise_rng)
-        for cand in candidates:
+        labels = wd.rollout_batch(state, candidates, world_cfg)
+        for cand, label in zip(candidates, labels):
             samples.append(Sample(
-                proprio=proprio, z=z, plan=cand, H=horizon,
-                label=wd.rollout(state, cand, world_cfg),
+                proprio=proprio, z=z, plan=cand, H=horizon, label=label,
                 meta=(task_id, int(ep_seed), step_idx),
             ))
         state = wd.step(state, nominal[0], world_cfg)

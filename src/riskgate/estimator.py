@@ -14,6 +14,7 @@ gradient recovery/refinement). Everything runs in float64 numpy, batch-first.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 
@@ -115,13 +116,19 @@ def init_params(seed: int = 0, d_model: int = D_MODEL, ttc_cap: float = TTC_CAP)
     return EstimatorParams(weights=weights, d_model=d_model, ttc_cap=ttc_cap)
 
 
+@functools.lru_cache(maxsize=None)
 def positional_encoding(horizon: int, dim: int = POS_ENC_DIM) -> np.ndarray:
-    """Interleaved (sin, cos) pairs; pe(0) = (0, 1, 0, 1, ...)."""
+    """Interleaved (sin, cos) pairs; pe(0) = (0, 1, 0, 1, ...).
+
+    Every forward pass needs it, so one read-only array is kept per
+    (horizon, dim).
+    """
     pe = np.empty((horizon, dim))
     pos = np.arange(horizon)[:, None]
     freqs = 1.0 / np.power(10000.0, 2.0 * np.arange(dim // 2) / dim)
     pe[:, 0::2] = np.sin(pos * freqs)
     pe[:, 1::2] = np.cos(pos * freqs)
+    pe.flags.writeable = False
     return pe
 
 

@@ -158,64 +158,72 @@ def capsule_distance(a: Capsule2, b: Capsule2, inflation: float = 0.0) -> float:
 
 
 def joint_origins(arm: ArmModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint origin points (n+1, 2) and cumulative link angles (n,)."""
+    """Joint origin points (..., n+1, 2) and cumulative link angles (..., n)
+    of joint vectors q (..., n)."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (arm.dof,):
+    if q.ndim < 1 or q.shape[-1] != arm.dof:
         raise ValueError(f"expected {arm.dof} joint angles, got shape {q.shape}")
-    angles = arm.base_orientation + np.cumsum(q)
-    steps = arm.link_lengths[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    pts = np.empty((arm.dof + 1, 2))
-    pts[0] = arm.base_position
-    pts[1:] = arm.base_position + np.cumsum(steps, axis=0)
+    angles = arm.base_orientation + np.cumsum(q, axis=-1)
+    steps = arm.link_lengths[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    pts = np.empty((*q.shape[:-1], arm.dof + 1, 2))
+    pts[..., 0, :] = arm.base_position
+    pts[..., 1:, :] = arm.base_position + np.cumsum(steps, axis=-2)
     return pts, angles
 
 
+def link_segments(origins: np.ndarray) -> np.ndarray:
+    """(..., n, 2, 2) link segments [p0, p1] between consecutive joint origins."""
+    return np.stack([origins[..., :-1, :], origins[..., 1:, :]], axis=-2)
+
+
 def forward_kinematics(arm: ArmModel, q: np.ndarray):
-    """Link segments, end-effector position and heading for joint vector q.
+    """Link segments, end-effector position and heading for joint vectors q (..., n).
 
     Link i runs from joint i's origin to joint i+1's origin at cumulative
     angle base_orientation + sum(q[:i+1]).
 
     Returns:
-        (link_segments, ee_position, ee_heading) where link_segments is an
-        (n, 2, 2) array of [p0, p1] rows.
+        (link_segments, ee_position, ee_heading) shaped (..., n, 2, 2),
+        (..., 2) and (...).
 
     Raises:
         ValueError: q has the wrong length.
-        JointLimitError: some q[i] lies outside its joint limits.
+        JointLimitError: some joint angle lies outside its joint limits.
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != (arm.dof,):
-        raise ValueError(f"expected {arm.dof} joint angles, got shape {q.shape}")
+    pts, angles = joint_origins(arm, q)
     if np.any(q < arm.joint_limits[:, 0]) or np.any(q > arm.joint_limits[:, 1]):
         raise JointLimitError(f"joint vector {q} violates limits {arm.joint_limits.tolist()}")
-    pts, angles = joint_origins(arm, q)
-    segments = np.stack([pts[:-1], pts[1:]], axis=1)
-    return segments, pts[-1].copy(), float(angles[-1])
+    return link_segments(pts), pts[..., -1, :].copy(), angles[..., -1]
+
+
+def _origins_jacobian(origins: np.ndarray) -> np.ndarray:
+    rel = origins[..., -1:, :] - origins[..., :-1, :]  # (..., n, 2)
+    return np.stack([-rel[..., 1], rel[..., 0]], axis=-2)
 
 
 def jacobian(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Analytic 2 x n position Jacobian of the end effector.
+    """Analytic (..., 2, n) position Jacobian of the end effector.
 
     Column j is the 90-degree CCW rotation of (ee - joint_j_origin).
     """
-    pts, _ = joint_origins(arm, q)
-    rel = pts[-1] - pts[:-1]  # (n, 2)
-    return np.stack([-rel[:, 1], rel[:, 0]], axis=0)
+    return _origins_jacobian(joint_origins(arm, q)[0])
 
 
-def dls_ik_step(arm: ArmModel, q: np.ndarray, dx: np.ndarray, mu: float) -> np.ndarray:
+def dls_ik_step(arm: ArmModel, origins: np.ndarray, dx: np.ndarray, mu: float) -> np.ndarray:
     """Damped-least-squares joint increment realizing EE increment dx.
 
-    dq = J^T (J J^T + mu^2 I)^{-1} dx, then clipped componentwise to the
-    per-step velocity limit. mu > 0 keeps the 2x2 solve well-posed at
-    singular configurations.
+    origins are the (..., n+1, 2) joint origins of the current joint vector
+    (see `joint_origins`) and dx is (..., 2). dq = J^T (J J^T + mu^2 I)^{-1} dx,
+    then clipped componentwise to the per-step velocity limit. mu > 0 keeps
+    the 2x2 solve well-posed at singular configurations.
     """
     if mu <= 0:
         raise ValueError("damping mu must be > 0")
     dx = np.asarray(dx, dtype=float)
-    J = jacobian(arm, q)
-    A = J @ J.T + (mu * mu) * np.eye(2)
-    dq = J.T @ np.linalg.solve(A, dx)
+    J = _origins_jacobian(origins)
+    Jt = np.swapaxes(J, -1, -2)
+    A = J @ Jt + (mu * mu) * np.eye(2)
+    dq = (Jt @ np.linalg.solve(A, dx[..., None]))[..., 0]
     lim = arm.joint_velocity_limit
     return np.clip(dq, -lim, lim)

@@ -9,11 +9,12 @@ state and never mutates its argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import ArmModel, default_arm, dls_ik_step, joint_origins, segment_pairs_distance
+from .geometry import (ArmModel, default_arm, dls_ik_step, forward_kinematics, joint_origins,
+                       link_segments, segment_pairs_distance)
 
 TASK_IDS = ("crossing_transfer", "parallel_place")
 A_MAX = 0.02  # per-component EE increment bound, m/step
@@ -84,8 +85,6 @@ def make_state(
     """Build a state with fresh kinematic caches (joint limits enforced)."""
     q_left = np.asarray(q_left, dtype=float)
     q_right = np.asarray(q_right, dtype=float)
-    from .geometry import forward_kinematics
-
     segs_l, ee_l, head_l = forward_kinematics(cfg.arm_left, q_left)
     segs_r, ee_r, head_r = forward_kinematics(cfg.arm_right, q_right)
     return DualArmState(
@@ -94,7 +93,7 @@ def make_state(
         holding_left=holding_left, holding_right=holding_right,
         t=t,
         ee_left=ee_l, ee_right=ee_r,
-        heading_left=head_l, heading_right=head_r,
+        heading_left=float(head_l), heading_right=float(head_r),
         segs_left=segs_l, segs_right=segs_r,
     )
 
@@ -124,21 +123,42 @@ class RolloutOutcome:
     y_ttc: float
 
 
-def _capsule_arrays(state: DualArmState, cfg: WorldConfig):
-    """Per-arm capsule segment/radius arrays, grasped object appended."""
+def _side_capsules(segs, ee, heading, radii, holding: bool, cfg: WorldConfig):
+    """Capsule axes (..., k, 2, 2) and radii (k,) of one arm: its links,
+    plus the grasped object extending from the EE along the EE heading."""
+    if not holding:
+        return segs, radii
+    tip = ee + cfg.grasp_length * np.stack([np.cos(heading), np.sin(heading)], axis=-1)
+    grasp = np.stack([ee, tip], axis=-2)[..., None, :, :]
+    return np.concatenate([segs, grasp], axis=-3), np.append(radii, cfg.grasp_radius)
 
-    def one_side(segs, radii, holding, ee, heading):
-        if not holding:
-            return segs, radii
-        tip = ee + cfg.grasp_length * np.array([np.cos(heading), np.sin(heading)])
-        grasp = np.stack([ee, tip])[None]
-        return np.concatenate([segs, grasp]), np.append(radii, cfg.grasp_radius)
 
-    segs_l, rad_l = one_side(state.segs_left, cfg.arm_left.link_radii,
-                             state.holding_left, state.ee_left, state.heading_left)
-    segs_r, rad_r = one_side(state.segs_right, cfg.arm_right.link_radii,
-                             state.holding_right, state.ee_right, state.heading_right)
-    return segs_l, rad_l, segs_r, rad_r
+def _clearance(cfg: WorldConfig, holding_left: bool, holding_right: bool,
+               left: tuple, right: tuple, inflation: float) -> np.ndarray:
+    """Minimum inflated capsule clearance per configuration.
+
+    left and right are each arm's (segs (..., n, 2, 2), ee (..., 2),
+    heading (...)); the result has the leading shape (...).
+    """
+    segs_l, rad_l = _side_capsules(*left, cfg.arm_left.link_radii, holding_left, cfg)
+    segs_r, rad_r = _side_capsules(*right, cfg.arm_right.link_radii, holding_right, cfg)
+    nl, nr = segs_l.shape[-3], segs_r.shape[-3]
+    il, ir = np.repeat(np.arange(nl), nr), np.tile(np.arange(nr), nl)
+    best = _pair_clearance(segs_l, rad_l, il, segs_r, rad_r, ir, inflation)
+
+    if cfg.include_intra_arm:
+        for segs, rad in ((segs_l, rad_l), (segs_r, rad_r)):
+            ii, jj = np.triu_indices(segs.shape[-3], k=2)  # skip adjacent links (shared joint)
+            if len(ii):
+                best = np.minimum(best, _pair_clearance(segs, rad, ii, segs, rad, jj, inflation))
+    return best
+
+
+def _pair_clearance(segs_a, rad_a, ia, segs_b, rad_b, ib, inflation: float) -> np.ndarray:
+    """Minimum inflated clearance over the capsule pairs (ia[k] of a, ib[k] of b)."""
+    axis_dist = segment_pairs_distance(segs_a[..., ia, 0, :], segs_a[..., ia, 1, :],
+                                       segs_b[..., ib, 0, :], segs_b[..., ib, 1, :])
+    return (axis_dist - (rad_a[ia] + rad_b[ib] + 2.0 * inflation)).min(axis=-1)
 
 
 def min_self_distance(state: DualArmState, cfg: WorldConfig, inflation: float | None = None) -> float:
@@ -152,66 +172,98 @@ def min_self_distance(state: DualArmState, cfg: WorldConfig, inflation: float | 
     """
     if inflation is None:
         inflation = cfg.inflation
-    segs_l, rad_l, segs_r, rad_r = _capsule_arrays(state, cfg)
-    nl, nr = len(segs_l), len(segs_r)
-    il, ir = np.repeat(np.arange(nl), nr), np.tile(np.arange(nr), nl)
-    dists = segment_pairs_distance(
-        segs_l[il, 0], segs_l[il, 1], segs_r[ir, 0], segs_r[ir, 1]
-    ) - (rad_l[il] + rad_r[ir] + 2.0 * inflation)
-    best = float(np.min(dists))
+    return float(_clearance(cfg, state.holding_left, state.holding_right,
+                            (state.segs_left, state.ee_left, state.heading_left),
+                            (state.segs_right, state.ee_right, state.heading_right), inflation))
 
-    if cfg.include_intra_arm:
-        for segs, rad in ((segs_l, rad_l), (segs_r, rad_r)):
-            n = len(segs)
-            ii, jj = np.triu_indices(n, k=2)  # skip adjacent links (shared joint)
-            if len(ii):
-                d = segment_pairs_distance(
-                    segs[ii, 0], segs[ii, 1], segs[jj, 0], segs[jj, 1]
-                ) - (rad[ii] + rad[jj] + 2.0 * inflation)
-                best = min(best, float(np.min(d)))
-    return best
+
+def _origins(segs: np.ndarray, ee: np.ndarray) -> np.ndarray:
+    """Joint origins (..., n+1, 2) recovered from cached link segments and EE."""
+    return np.concatenate([segs[..., 0, :], ee[..., None, :]], axis=-2)
+
+
+def _advance_arm(arm: ArmModel, q, origins, dx, mu: float):
+    """One DLS step of joint vectors q (..., n) whose joint origins are
+    given, clipped to the joint limits: (new q, its origins, its angles)."""
+    dq = dls_ik_step(arm, origins, dx, mu)
+    q = np.clip(q + dq, arm.joint_limits[:, 0], arm.joint_limits[:, 1])
+    return (q, *joint_origins(arm, q))
 
 
 def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
     """Advance one control period: DLS increment per arm, clip to limits.
 
     action is one plan row [dxL, dyL, dxR, dyR] of Cartesian EE increments.
+    The Jacobian comes from the state's cached kinematics.
     """
-
-    def advance(arm: ArmModel, q, dx):
-        dq = dls_ik_step(arm, q, dx, cfg.mu)
-        return np.clip(q + dq, arm.joint_limits[:, 0], arm.joint_limits[:, 1])
-
-    q_l = advance(cfg.arm_left, state.q_left, action[:2])
-    q_r = advance(cfg.arm_right, state.q_right, action[2:4])
-    return make_state(
-        cfg, q_l, q_r,
-        g_left=state.g_left, g_right=state.g_right,
-        holding_left=state.holding_left, holding_right=state.holding_right,
-        t=state.t + 1,
+    q_l, pts_l, ang_l = _advance_arm(cfg.arm_left, state.q_left,
+                                     _origins(state.segs_left, state.ee_left), action[:2], cfg.mu)
+    q_r, pts_r, ang_r = _advance_arm(cfg.arm_right, state.q_right,
+                                     _origins(state.segs_right, state.ee_right), action[2:4],
+                                     cfg.mu)
+    return replace(
+        state, q_left=q_l, q_right=q_r, t=state.t + 1,
+        ee_left=pts_l[-1], ee_right=pts_r[-1],
+        heading_left=float(ang_l[-1]), heading_right=float(ang_r[-1]),
+        segs_left=link_segments(pts_l), segs_right=link_segments(pts_r),
     )
+
+
+def rollout_batch(state: DualArmState, plans, cfg: WorldConfig,
+                  inflation: float | None = None) -> list[RolloutOutcome]:
+    """Execute N (H, 4) plans from one state; outcome i labels plans[i].
+
+    Every row takes the same per-step arithmetic as `step` followed by
+    `min_self_distance`, and stops at its first penetrating step: it leaves
+    the live set and its remaining actions are never applied. Raises
+    ValueError unless plans is (N, H, 4) with N >= 1 and H >= 1.
+    """
+    plans = np.asarray(plans, dtype=float)
+    if plans.ndim != 3 or plans.shape[2] != 4 or plans.shape[0] < 1 or plans.shape[1] < 1:
+        raise ValueError(f"plans must be (N, H, 4) with N, H >= 1, got {plans.shape}")
+    if inflation is None:
+        inflation = cfg.inflation
+    n, horizon = plans.shape[:2]
+    y_bin = np.zeros(n, dtype=int)
+    y_d = np.full(n, np.inf)
+    y_ttc = np.full(n, horizon * cfg.dt)
+    live = np.arange(n)
+
+    def rows(a):
+        return np.broadcast_to(a, (n, *a.shape))
+
+    q_l, pts_l = rows(state.q_left), rows(_origins(state.segs_left, state.ee_left))
+    q_r, pts_r = rows(state.q_right), rows(_origins(state.segs_right, state.ee_right))
+    for i in range(horizon):
+        q_l, pts_l, ang_l = _advance_arm(cfg.arm_left, q_l, pts_l, plans[live, i, :2], cfg.mu)
+        q_r, pts_r, ang_r = _advance_arm(cfg.arm_right, q_r, pts_r, plans[live, i, 2:], cfg.mu)
+        d = _clearance(cfg, state.holding_left, state.holding_right,
+                       (link_segments(pts_l), pts_l[:, -1], ang_l[:, -1]),
+                       (link_segments(pts_r), pts_r[:, -1], ang_r[:, -1]), inflation)
+        y_d[live] = np.minimum(y_d[live], d)
+        hit = d < 0.0
+        if hit.any():
+            y_bin[live[hit]] = 1
+            y_ttc[live[hit]] = (i + 1) * cfg.dt
+            keep = ~hit
+            live, q_l, pts_l = live[keep], q_l[keep], pts_l[keep]
+            q_r, pts_r = q_r[keep], pts_r[keep]
+            if not len(live):
+                break
+    return [RolloutOutcome(y_bin=int(b), y_d=float(d), y_ttc=float(t))
+            for b, d, t in zip(y_bin, y_d, y_ttc)]
 
 
 def rollout(state: DualArmState, plan, cfg: WorldConfig,
             inflation: float | None = None) -> RolloutOutcome:
-    """Execute the (H, 4) plan row by row, recording clearance after each step.
+    """Label one (H, 4) plan: `rollout_batch` with N = 1.
 
-    Execution stops at the first penetrating step; remaining actions are
-    never applied. Raises ValueError unless the plan is (H, 4) with H >= 1.
+    Raises ValueError unless the plan is (H, 4) with H >= 1.
     """
     plan = np.asarray(plan, dtype=float)
     if plan.ndim != 2 or plan.shape[1] != 4 or plan.shape[0] < 1:
         raise ValueError(f"plan must be (H, 4) with H >= 1, got {plan.shape}")
-    horizon = plan.shape[0]
-    y_d = np.inf
-    cur = state
-    for i in range(horizon):
-        cur = step(cur, plan[i], cfg)
-        d = min_self_distance(cur, cfg, inflation)
-        y_d = min(y_d, d)
-        if d < 0.0:
-            return RolloutOutcome(y_bin=1, y_d=float(y_d), y_ttc=(i + 1) * cfg.dt)
-    return RolloutOutcome(y_bin=0, y_d=float(y_d), y_ttc=horizon * cfg.dt)
+    return rollout_batch(state, plan[None], cfg, inflation)[0]
 
 
 def scene_feature(state: DualArmState, task: Task, noise_sigma: float = 0.0,

@@ -119,8 +119,9 @@ def test_read_rejects_corrupt_files(tiny_data, tmp_path):
 
 
 def test_stored_labels_are_exact(tiny_data, world_cfg):
-    """Rebuild the state from the serialized proprio features and re-run
-    the collision oracle on the stored plan: every label must agree."""
+    """Rebuild the state from the serialized features (joints and grippers
+    from proprio, holding flags from the scene feature) and re-run the
+    collision oracle on the stored plan: every label must agree."""
     ds = dg.read_dataset(tiny_data["paths"][3])
     rng = np.random.default_rng(2)
     pick = rng.choice(len(ds.samples), size=min(200, len(ds.samples)), replace=False)
@@ -128,8 +129,8 @@ def test_stored_labels_are_exact(tiny_data, world_cfg):
         s = ds.samples[idx]
         q = np.arctan2(s.proprio[0:12:2], s.proprio[1:12:2])
         state = wd.make_state(world_cfg, q[:3], q[3:],
-                              holding_left=bool(s.proprio[12]),
-                              holding_right=bool(s.proprio[13]))
+                              g_left=s.proprio[12], g_right=s.proprio[13],
+                              holding_left=bool(s.z[8]), holding_right=bool(s.z[9]))
         ref = wd.rollout(state, s.plan, world_cfg)
         assert s.label.y_bin == ref.y_bin
         assert s.label.y_d == pytest.approx(ref.y_d, abs=1e-9)

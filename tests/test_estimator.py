@@ -54,6 +54,11 @@ def test_positional_encoding():
     assert_allclose(pe[3, 0::2], np.sin(3 * freqs))
     assert_allclose(pe[3, 1::2], np.cos(3 * freqs))
     assert np.all(np.abs(pe) <= 1.0)
+    # one cached, read-only array per (horizon, dim)
+    assert est.positional_encoding(5) is pe
+    assert not pe.flags.writeable
+    with pytest.raises(ValueError):
+        pe[0, 0] = 1.0
 
 
 def test_forward_ranges_and_temperature(tiny_data):

@@ -96,6 +96,32 @@ def test_forward_kinematics_validates_input():
         gm.forward_kinematics(arm, np.zeros(4))
     with pytest.raises(gm.JointLimitError):
         gm.forward_kinematics(arm, np.array([0.0, 0.0, 3.0]))
+    # a batch is checked row by row: one bad row fails the whole call
+    with pytest.raises(ValueError):
+        gm.forward_kinematics(arm, np.zeros((2, 4)))
+    with pytest.raises(gm.JointLimitError):
+        gm.forward_kinematics(arm, np.array([[0.0, 0.0, 0.0], [0.0, -3.0, 0.0]]))
+
+
+def test_batched_kinematics_match_per_row():
+    """Every kinematics routine takes leading batch axes; each batch row
+    equals the unbatched call on that row bit for bit."""
+    arm = gm.default_arm(base_position=(0.25, 0.0), base_orientation=np.pi / 2)
+    rng = np.random.default_rng(8)
+    qs = rng.uniform(-2.5, 2.5, size=(16, 3))
+    dxs = rng.uniform(-0.02, 0.02, size=(16, 2))
+    pts, angles = gm.joint_origins(arm, qs)
+    segs, ee, heading = gm.forward_kinematics(arm, qs)
+    J = gm.jacobian(arm, qs)
+    dq = gm.dls_ik_step(arm, pts, dxs, mu=0.05)
+    assert pts.shape == (16, 4, 2) and J.shape == (16, 2, 3) and dq.shape == (16, 3)
+    for i, q in enumerate(qs):
+        p1, a1 = gm.joint_origins(arm, q)
+        s1, e1, h1 = gm.forward_kinematics(arm, q)
+        assert np.array_equal(pts[i], p1) and np.array_equal(angles[i], a1)
+        assert np.array_equal(segs[i], s1) and np.array_equal(ee[i], e1) and heading[i] == h1
+        assert np.array_equal(J[i], gm.jacobian(arm, q))
+        assert np.array_equal(dq[i], gm.dls_ik_step(arm, p1, dxs[i], mu=0.05))
 
 
 def test_jacobian_matches_finite_differences():
@@ -120,7 +146,7 @@ def test_dls_step_tracks_small_increments():
     for _ in range(10):
         q = rng.uniform(-1.5, 1.5, size=3)
         dx = rng.uniform(-0.01, 0.01, size=2)
-        dq = gm.dls_ik_step(arm, q, dx, mu=0.05)
+        dq = gm.dls_ik_step(arm, gm.joint_origins(arm, q)[0], dx, mu=0.05)
         assert np.all(np.abs(dq) <= arm.joint_velocity_limit + 1e-15)
         realized = gm.jacobian(arm, q) @ dq
         # damping trades tracking accuracy for stability; small mu, small gap
@@ -129,7 +155,8 @@ def test_dls_step_tracks_small_increments():
 
 def test_dls_step_finite_at_singularity():
     arm = gm.default_arm()
-    dq = gm.dls_ik_step(arm, np.zeros(3), np.array([0.0, 0.05]), mu=0.05)
+    origins, _ = gm.joint_origins(arm, np.zeros(3))
+    dq = gm.dls_ik_step(arm, origins, np.array([0.0, 0.05]), mu=0.05)
     assert np.all(np.isfinite(dq))
     with pytest.raises(ValueError):
-        gm.dls_ik_step(arm, np.zeros(3), np.array([0.01, 0.0]), mu=0.0)
+        gm.dls_ik_step(arm, origins, np.array([0.01, 0.0]), mu=0.0)

@@ -5,6 +5,8 @@ primitives (explicit capsule pair enumeration), so the production routine
 is checked against an independent construction.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -79,24 +81,74 @@ def test_step_kinematics_and_limits(world_cfg):
     assert nxt.heading_left == pytest.approx(heading)
 
 
+def resimulate(state, plan, cfg, inflation=None):
+    """Reference label of one plan: step it alone, checking clearance after
+    every step, and stop at the first penetration."""
+    cur, y_d = state, np.inf
+    for i, row in enumerate(plan):
+        cur = wd.step(cur, row, cfg)
+        d = wd.min_self_distance(cur, cfg, inflation)
+        y_d = min(y_d, d)
+        if d < 0:
+            return wd.RolloutOutcome(y_bin=1, y_d=y_d, y_ttc=(i + 1) * cfg.dt)
+    return wd.RolloutOutcome(y_bin=0, y_d=y_d, y_ttc=len(plan) * cfg.dt)
+
+
 def test_rollout_matches_manual_resimulation(world_cfg):
     rng = np.random.default_rng(14)
     for _ in range(10):
         state = random_state(rng, world_cfg)
         plan = rng.uniform(-0.02, 0.02, size=(5, 4))
-        out = wd.rollout(state, plan, world_cfg)
+        assert wd.rollout(state, plan, world_cfg) == resimulate(state, plan, world_cfg)
 
-        cur, y_d, y_bin, y_ttc = state, np.inf, 0, 5 * world_cfg.dt
-        for i in range(5):
-            cur = wd.step(cur, plan[i], world_cfg)
-            d = wd.min_self_distance(cur, world_cfg)
-            y_d = min(y_d, d)
-            if d < 0:
-                y_bin, y_ttc = 1, (i + 1) * world_cfg.dt
-                break
-        assert out.y_bin == y_bin
-        assert out.y_d == pytest.approx(y_d, abs=1e-15)
-        assert out.y_ttc == pytest.approx(y_ttc, abs=1e-15)
+
+@pytest.mark.parametrize("intra_and_inflation", [False, True])
+def test_rollout_batch_rows_equal_per_row_resimulation(world_cfg, intra_and_inflation):
+    """Every row of a batched rollout equals, bit for bit, the resimulation
+    of that row alone, across holding sides, intra-arm pairs, inflation,
+    rows that collide at different steps and rows that never collide."""
+    cfg, inflation = world_cfg, None
+    if intra_and_inflation:
+        cfg, inflation = replace(world_cfg, include_intra_arm=True), 0.01
+    rng = np.random.default_rng(15)
+    # both arms lean in; row k closes the gap at its own speed, the last row backs off
+    q = np.array([-0.25, 0.0, 0.0])
+    speeds = (0.02, 0.01, 0.006, 0.003, -0.02)
+    plans = np.array([np.tile([v, 0.0, -v, 0.0], (6, 1)) for v in speeds])
+    plans += rng.uniform(-0.002, 0.002, size=plans.shape)
+    ttcs = set()
+    for holding in ((True, False), (False, True), (True, True), (False, False)):
+        state = wd.make_state(cfg, q, -q, holding_left=holding[0], holding_right=holding[1])
+        out = wd.rollout_batch(state, plans, cfg, inflation)
+        assert len(out) == len(plans)
+        for row, label in zip(plans, out):
+            assert label == resimulate(state, row, cfg, inflation)
+        assert out[-1].y_bin == 0 and out[0].y_bin == 1
+        ttcs.update(o.y_ttc for o in out if o.y_bin)
+        assert wd.rollout_batch(state, plans[1:2], cfg, inflation) == [out[1]]
+    assert len(ttcs) >= 3
+
+
+def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch):
+    calls = []
+    real = wd.joint_origins
+
+    def counting(arm, q):
+        calls.append(arm)
+        return real(arm, q)
+
+    monkeypatch.setattr(wd, "joint_origins", counting)
+    state = wd.make_state(world_cfg, [0.6, -0.4, -0.2], [0.6, -0.4, -0.2])
+    calls.clear()
+    wd.step(state, [0.01, 0.0, -0.01, 0.0], world_cfg)
+    assert len(calls) == 2
+    plans = np.random.default_rng(16).uniform(-0.005, 0.005, size=(8, 5, 4))
+    counts = {}
+    for n in (1, 8):
+        calls.clear()
+        assert not any(o.y_bin for o in wd.rollout_batch(state, plans[:n], world_cfg))
+        counts[n] = len(calls)
+    assert counts[8] == counts[1] <= 2 * (5 + 1)
 
 
 def test_rollout_censors_ttc_at_horizon(world_cfg):
@@ -112,6 +164,9 @@ def test_rollout_validates_plan_shape(world_cfg):
         wd.rollout(state, np.zeros((0, 4)), world_cfg)
     with pytest.raises(ValueError):
         wd.rollout(state, np.zeros((3, 5)), world_cfg)
+    for shape in ((2, 0, 4), (2, 3, 5), (0, 3, 4), (3, 4)):
+        with pytest.raises(ValueError):
+            wd.rollout_batch(state, np.zeros(shape), world_cfg)
 
 
 def test_task_init_deterministic_and_clear(world_cfg, task_params):
