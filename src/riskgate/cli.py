@@ -39,13 +39,10 @@ def _phase_paths(cfg: cf.RunConfig) -> dict:
 
 
 def _cmd_gen_data(cfg: cf.RunConfig, args) -> None:
-    paths = dg.generate_dataset(cfg.datagen_config(), cfg.world_config(),
-                                cfg.datagen.out_dir, cfg.task_params())
-    counts = {}
-    for h, p in paths.items():
-        ds = dg.read_dataset(p)
-        counts[str(h)] = ds.header.counts
-    _emit({"files": {str(h): p for h, p in paths.items()}, "counts": counts})
+    paths, counts = dg.generate_dataset(cfg.datagen_config(), cfg.world_config(),
+                                        cfg.datagen.out_dir, cfg.task_params())
+    _emit({"files": {str(h): p for h, p in paths.items()},
+           "counts": {str(h): c for h, c in counts.items()}})
 
 
 def _split_phases(cfg: cf.RunConfig):

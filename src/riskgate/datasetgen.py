@@ -130,8 +130,9 @@ def _episode_samples(task_id: str, ep_seed: int, horizon: int, gen_cfg: DatagenC
 
 
 def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
-                     task_params: wd.TaskParams = wd.TaskParams()) -> dict:
-    """Write one JSONL file per curriculum horizon; returns {H: path}.
+                     task_params: wd.TaskParams = wd.TaskParams()) -> tuple[dict, dict]:
+    """Write one JSONL file per curriculum horizon; returns ({H: path},
+    {H: header counts}), the counts as written, after oversampling.
 
     Episodes are assigned to horizons round-robin, giving each phase an
     equal share. Every stage is seeded from (seed, task, episode), so the
@@ -151,7 +152,7 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
         raise RuntimeError("dataset generation produced zero samples")
 
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
+    paths, counts = {}, {}
     for h in gen_cfg.horizons:
         samples = by_h[h]
         dataset = Dataset(header=make_header([h], samples, gen_cfg.seed, digest),
@@ -159,8 +160,8 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
         dataset = oversample_near_miss(dataset, gen_cfg.d_thresh, gen_cfg.oversample_factor)
         path = os.path.join(out_dir, f"risk_H{h}.jsonl")
         write_dataset(path, dataset)
-        paths[h] = path
-    return paths
+        paths[h], counts[h] = path, dataset.header.counts
+    return paths, counts
 
 
 def make_header(horizons, samples, seed, digest) -> DatasetHeader:

@@ -71,14 +71,31 @@ class ArmModel:
         object.__setattr__(self, "joint_limits", np.asarray(self.joint_limits, dtype=float))
         if np.any(self.link_lengths <= 0):
             raise ValueError("link lengths must be > 0")
-        if np.any(self.joint_limits[:, 0] >= self.joint_limits[:, 1]):
+        if np.any(self.joint_limits[..., 0] >= self.joint_limits[..., 1]):
             raise ValueError("joint limits require lo < hi")
-        if self.joint_velocity_limit <= 0:
+        if np.any(np.asarray(self.joint_velocity_limit) <= 0):
             raise ValueError("joint velocity limit must be > 0")
 
     @property
     def dof(self) -> int:
-        return len(self.link_lengths)
+        return self.link_lengths.shape[-1]
+
+
+def stack_arms(*arms: ArmModel) -> ArmModel:
+    """One ArmModel whose every field carries a leading arm axis.
+
+    `joint_origins`, `forward_kinematics` and `dls_ik_step` broadcast over
+    that axis, so one call advances all the arms: q (..., k, n) for k arms.
+    The arms must share their DoF.
+    """
+    return ArmModel(
+        base_position=np.stack([arm.base_position for arm in arms]),
+        base_orientation=np.array([arm.base_orientation for arm in arms], dtype=float),
+        link_lengths=np.stack([arm.link_lengths for arm in arms]),
+        link_radii=np.stack([arm.link_radii for arm in arms]),
+        joint_limits=np.stack([arm.joint_limits for arm in arms]),
+        joint_velocity_limit=np.array([arm.joint_velocity_limit for arm in arms], dtype=float),
+    )
 
 
 def default_arm(base_position=(0.0, 0.0), base_orientation: float = 0.0) -> ArmModel:
@@ -159,15 +176,19 @@ def capsule_distance(a: Capsule2, b: Capsule2, inflation: float = 0.0) -> float:
 
 def joint_origins(arm: ArmModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint origin points (..., n+1, 2) and cumulative link angles (..., n)
-    of joint vectors q (..., n)."""
+    of joint vectors q (..., n).
+
+    For arms stacked by `stack_arms`, q is (..., k, n) with the arm axis
+    last but one, and the results carry it too: (..., k, n+1, 2), (..., k, n).
+    """
     q = np.asarray(q, dtype=float)
     if q.ndim < 1 or q.shape[-1] != arm.dof:
         raise ValueError(f"expected {arm.dof} joint angles, got shape {q.shape}")
-    angles = arm.base_orientation + np.cumsum(q, axis=-1)
-    steps = arm.link_lengths[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    angles = np.asarray(arm.base_orientation)[..., None] + np.cumsum(q, axis=-1)
+    steps = arm.link_lengths[..., None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     pts = np.empty((*q.shape[:-1], arm.dof + 1, 2))
     pts[..., 0, :] = arm.base_position
-    pts[..., 1:, :] = arm.base_position + np.cumsum(steps, axis=-2)
+    pts[..., 1:, :] = arm.base_position[..., None, :] + np.cumsum(steps, axis=-2)
     return pts, angles
 
 
@@ -192,7 +213,7 @@ def forward_kinematics(arm: ArmModel, q: np.ndarray):
     """
     q = np.asarray(q, dtype=float)
     pts, angles = joint_origins(arm, q)
-    if np.any(q < arm.joint_limits[:, 0]) or np.any(q > arm.joint_limits[:, 1]):
+    if np.any(q < arm.joint_limits[..., 0]) or np.any(q > arm.joint_limits[..., 1]):
         raise JointLimitError(f"joint vector {q} violates limits {arm.joint_limits.tolist()}")
     return link_segments(pts), pts[..., -1, :].copy(), angles[..., -1]
 
@@ -216,7 +237,9 @@ def dls_ik_step(arm: ArmModel, origins: np.ndarray, dx: np.ndarray, mu: float) -
     origins are the (..., n+1, 2) joint origins of the current joint vector
     (see `joint_origins`) and dx is (..., 2). dq = J^T (J J^T + mu^2 I)^{-1} dx,
     then clipped componentwise to the per-step velocity limit. mu > 0 keeps
-    the 2x2 solve well-posed at singular configurations.
+    the 2x2 solve well-posed at singular configurations. For arms stacked by
+    `stack_arms`, origins are (..., k, n+1, 2), dx is (..., k, 2) and dq
+    is (..., k, n).
     """
     if mu <= 0:
         raise ValueError("damping mu must be > 0")
@@ -225,5 +248,5 @@ def dls_ik_step(arm: ArmModel, origins: np.ndarray, dx: np.ndarray, mu: float) -
     Jt = np.swapaxes(J, -1, -2)
     A = J @ Jt + (mu * mu) * np.eye(2)
     dq = (Jt @ np.linalg.solve(A, dx[..., None]))[..., 0]
-    lim = arm.joint_velocity_limit
+    lim = np.asarray(arm.joint_velocity_limit)[..., None]
     return np.clip(dq, -lim, lim)

@@ -5,16 +5,25 @@ network and as the execution environment for the control loop, so every
 function here is deterministic given its inputs (plus an explicit rng where
 noise is part of the contract). States are value-like: `step` returns a new
 state and never mutates its argument.
+
+Two kernels do the oracle's work. `_advance` moves both arms one control
+period in one kinematics call, over an arm axis of size 2 (see
+`geometry.stack_arms`); `_clearance` measures capsule clearance over any
+leading batch shape. `step` and `min_self_distance` are single calls of
+them. `rollout_batch` first advances all H steps of all N plans, since a
+configuration never depends on clearance, and then makes one clearance
+pass over the (H, N) configurations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import (ArmModel, default_arm, dls_ik_step, forward_kinematics, joint_origins,
-                       link_segments, segment_pairs_distance)
+                       link_segments, segment_pairs_distance, stack_arms)
 
 TASK_IDS = ("crossing_transfer", "parallel_place")
 A_MAX = 0.02  # per-component EE increment bound, m/step
@@ -35,9 +44,20 @@ class WorldConfig:
     include_intra_arm: bool = False
     noise_sigma: float = 0.005   # scene feature position noise, m
 
+    def __post_init__(self):
+        if self.arm_left.dof != self.arm_right.dof:
+            raise ValueError(
+                f"arm_left has {self.arm_left.dof} DoF and arm_right has {self.arm_right.dof}; "
+                "both arms step in one kinematics call, so their DoF must be equal")
+
     @property
     def dof(self) -> int:
         return self.arm_left.dof + self.arm_right.dof
+
+    @cached_property
+    def arms(self) -> ArmModel:
+        """Both arms stacked on an arm axis, left then right."""
+        return stack_arms(self.arm_left, self.arm_right)
 
 
 def default_world(**overrides) -> WorldConfig:
@@ -114,8 +134,9 @@ class RolloutOutcome:
     """Horizon labels of one executed plan.
 
     y_bin is 1 iff some step penetrated (d_min < 0); y_d is the minimum
-    clearance seen over the executed steps; y_ttc is the first collision
-    time (1-based step index times dt), censored at H*dt when collision-free.
+    clearance over the steps up to and including the first penetrating one
+    (all H when collision-free); y_ttc is the first collision time (1-based
+    step index times dt), censored at H*dt when collision-free.
     """
 
     y_bin: int
@@ -182,30 +203,43 @@ def _origins(segs: np.ndarray, ee: np.ndarray) -> np.ndarray:
     return np.concatenate([segs[..., 0, :], ee[..., None, :]], axis=-2)
 
 
-def _advance_arm(arm: ArmModel, q, origins, dx, mu: float):
-    """One DLS step of joint vectors q (..., n) whose joint origins are
-    given, clipped to the joint limits: (new q, its origins, its angles)."""
-    dq = dls_ik_step(arm, origins, dx, mu)
-    q = np.clip(q + dq, arm.joint_limits[:, 0], arm.joint_limits[:, 1])
-    return (q, *joint_origins(arm, q))
+def _advance(cfg: WorldConfig, q, origins, dx):
+    """One DLS step of both arms, clipped to the joint limits.
+
+    q (..., 2, n) are the joint vectors, origins (..., 2, n+1, 2) their
+    joint origins and dx (..., 2, 2) the EE increments, left arm first.
+    Returns the new q, its joint origins and its cumulative link angles.
+    """
+    arms = cfg.arms
+    q = np.clip(q + dls_ik_step(arms, origins, dx, cfg.mu),
+                arms.joint_limits[..., 0], arms.joint_limits[..., 1])
+    return (q, *joint_origins(arms, q))
+
+
+def _state_arrays(state: DualArmState) -> tuple[np.ndarray, np.ndarray]:
+    """The state's joint vectors (2, n) and joint origins (2, n+1, 2)."""
+    return (np.stack([state.q_left, state.q_right]),
+            np.stack([_origins(state.segs_left, state.ee_left),
+                      _origins(state.segs_right, state.ee_right)]))
 
 
 def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
     """Advance one control period: DLS increment per arm, clip to limits.
 
-    action is one plan row [dxL, dyL, dxR, dyR] of Cartesian EE increments.
-    The Jacobian comes from the state's cached kinematics.
+    action is one plan row [dxL, dyL, dxR, dyR] of Cartesian EE increments;
+    anything but shape (4,) raises ValueError. The Jacobian comes from the
+    state's cached kinematics.
     """
-    q_l, pts_l, ang_l = _advance_arm(cfg.arm_left, state.q_left,
-                                     _origins(state.segs_left, state.ee_left), action[:2], cfg.mu)
-    q_r, pts_r, ang_r = _advance_arm(cfg.arm_right, state.q_right,
-                                     _origins(state.segs_right, state.ee_right), action[2:4],
-                                     cfg.mu)
+    action = np.asarray(action, dtype=float)
+    if action.shape != (4,):
+        raise ValueError(f"action must be one row of shape (4,), got {action.shape}")
+    q, pts, ang = _advance(cfg, *_state_arrays(state), action.reshape(2, 2))
+    segs = link_segments(pts)
     return replace(
-        state, q_left=q_l, q_right=q_r, t=state.t + 1,
-        ee_left=pts_l[-1], ee_right=pts_r[-1],
-        heading_left=float(ang_l[-1]), heading_right=float(ang_r[-1]),
-        segs_left=link_segments(pts_l), segs_right=link_segments(pts_r),
+        state, q_left=q[0], q_right=q[1], t=state.t + 1,
+        ee_left=pts[0, -1], ee_right=pts[1, -1],
+        heading_left=float(ang[0, -1]), heading_right=float(ang[1, -1]),
+        segs_left=segs[0], segs_right=segs[1],
     )
 
 
@@ -213,9 +247,11 @@ def rollout_batch(state: DualArmState, plans, cfg: WorldConfig,
                   inflation: float | None = None) -> list[RolloutOutcome]:
     """Execute N (H, 4) plans from one state; outcome i labels plans[i].
 
-    Every row takes the same per-step arithmetic as `step` followed by
-    `min_self_distance`, and stops at its first penetrating step: it leaves
-    the live set and its remaining actions are never applied. Raises
+    All H steps of all N rows are advanced first, with the arithmetic of
+    `step`; then one clearance pass, with the arithmetic of
+    `min_self_distance`, covers the (H, N) configurations. Each row is
+    labeled up to and including its first penetrating step, as if it
+    stopped there: y_d is the minimum clearance over those steps. Raises
     ValueError unless plans is (N, H, 4) with N >= 1 and H >= 1.
     """
     plans = np.asarray(plans, dtype=float)
@@ -224,32 +260,23 @@ def rollout_batch(state: DualArmState, plans, cfg: WorldConfig,
     if inflation is None:
         inflation = cfg.inflation
     n, horizon = plans.shape[:2]
-    y_bin = np.zeros(n, dtype=int)
-    y_d = np.full(n, np.inf)
-    y_ttc = np.full(n, horizon * cfg.dt)
-    live = np.arange(n)
-
-    def rows(a):
-        return np.broadcast_to(a, (n, *a.shape))
-
-    q_l, pts_l = rows(state.q_left), rows(_origins(state.segs_left, state.ee_left))
-    q_r, pts_r = rows(state.q_right), rows(_origins(state.segs_right, state.ee_right))
+    q, pts = (np.broadcast_to(a, (n, *a.shape)) for a in _state_arrays(state))
+    dx = plans.reshape(n, horizon, 2, 2)
+    traj = np.empty((horizon, *pts.shape))   # (H, N, 2, n_joints + 1, 2)
+    heading = np.empty((horizon, n, 2))
     for i in range(horizon):
-        q_l, pts_l, ang_l = _advance_arm(cfg.arm_left, q_l, pts_l, plans[live, i, :2], cfg.mu)
-        q_r, pts_r, ang_r = _advance_arm(cfg.arm_right, q_r, pts_r, plans[live, i, 2:], cfg.mu)
-        d = _clearance(cfg, state.holding_left, state.holding_right,
-                       (link_segments(pts_l), pts_l[:, -1], ang_l[:, -1]),
-                       (link_segments(pts_r), pts_r[:, -1], ang_r[:, -1]), inflation)
-        y_d[live] = np.minimum(y_d[live], d)
-        hit = d < 0.0
-        if hit.any():
-            y_bin[live[hit]] = 1
-            y_ttc[live[hit]] = (i + 1) * cfg.dt
-            keep = ~hit
-            live, q_l, pts_l = live[keep], q_l[keep], pts_l[keep]
-            q_r, pts_r = q_r[keep], pts_r[keep]
-            if not len(live):
-                break
+        q, pts, ang = _advance(cfg, q, pts, dx[:, i])
+        traj[i], heading[i] = pts, ang[..., -1]
+    segs = link_segments(traj)
+    d = _clearance(cfg, state.holding_left, state.holding_right,
+                   (segs[:, :, 0], traj[:, :, 0, -1], heading[:, :, 0]),
+                   (segs[:, :, 1], traj[:, :, 1, -1], heading[:, :, 1]), inflation)
+
+    hit = d < 0.0
+    y_bin = hit.any(axis=0)
+    last = np.where(y_bin, hit.argmax(axis=0), horizon - 1)  # last step each row labels
+    y_d = np.where(np.arange(horizon)[:, None] <= last, d, np.inf).min(axis=0)
+    y_ttc = np.where(y_bin, (last + 1) * cfg.dt, horizon * cfg.dt)
     return [RolloutOutcome(y_bin=int(b), y_d=float(d), y_ttc=float(t))
             for b, d, t in zip(y_bin, y_d, y_ttc)]
 

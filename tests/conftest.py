@@ -41,7 +41,7 @@ def tiny_data(tmp_path_factory, world_cfg, task_params):
     """Small generated dataset: per-horizon batches plus a held-out batch."""
     out = tmp_path_factory.mktemp("tinydata")
     gen_cfg = dg.DatagenConfig(episodes_per_task=8, horizons=(2, 3), seed=0)
-    paths = dg.generate_dataset(gen_cfg, world_cfg, out, task_params)
+    paths, _ = dg.generate_dataset(gen_cfg, world_cfg, out, task_params)
     rng = np.random.default_rng(np.random.SeedSequence([0, 31]))
     phases, held = [], []
     for h in sorted(paths):

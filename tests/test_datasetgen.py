@@ -139,12 +139,16 @@ def test_stored_labels_are_exact(tiny_data, world_cfg):
 
 def test_generate_is_byte_deterministic(world_cfg, task_params, tmp_path):
     cfg = dg.DatagenConfig(episodes_per_task=2, horizons=(2,), seed=7)
-    p1 = dg.generate_dataset(cfg, world_cfg, tmp_path / "a", task_params)
-    p2 = dg.generate_dataset(cfg, world_cfg, tmp_path / "b", task_params)
+    p1, counts = dg.generate_dataset(cfg, world_cfg, tmp_path / "a", task_params)
+    p2, _ = dg.generate_dataset(cfg, world_cfg, tmp_path / "b", task_params)
     assert open(p1[2], "rb").read() == open(p2[2], "rb").read()
+    # the returned counts are those of the header written, after oversampling
+    assert counts == {2: dg.read_dataset(p1[2]).header.counts}
+    body = open(p1[2]).readlines()[1:]
+    assert counts[2]["samples"] == len(body) > len(set(body))
     # a different seed must not reproduce the same file
-    p3 = dg.generate_dataset(dg.DatagenConfig(episodes_per_task=2, horizons=(2,), seed=8),
-                             world_cfg, tmp_path / "c", task_params)
+    p3, _ = dg.generate_dataset(dg.DatagenConfig(episodes_per_task=2, horizons=(2,), seed=8),
+                                world_cfg, tmp_path / "c", task_params)
     assert open(p1[2], "rb").read() != open(p3[2], "rb").read()
 
 

@@ -124,6 +124,31 @@ def test_batched_kinematics_match_per_row():
         assert np.array_equal(dq[i], gm.dls_ik_step(arm, p1, dxs[i], mu=0.05))
 
 
+def test_stacked_arms_match_per_arm():
+    """Arms stacked by `stack_arms` broadcast over an arm axis; each arm's
+    slice equals the single-arm call bit for bit."""
+    left = gm.default_arm(base_position=(-0.25, 0.0), base_orientation=np.pi / 2)
+    right = gm.default_arm(base_position=(0.3, 0.1), base_orientation=1.0)
+    arms = gm.stack_arms(left, right)
+    assert arms.dof == 3
+    rng = np.random.default_rng(9)
+    qs = rng.uniform(-2.5, 2.5, size=(6, 2, 3))
+    dxs = rng.uniform(-0.3, 0.3, size=(6, 2, 2))
+    pts, angles = gm.joint_origins(arms, qs)
+    segs, ee, heading = gm.forward_kinematics(arms, qs)
+    dq = gm.dls_ik_step(arms, pts, dxs, mu=0.05)
+    assert pts.shape == (6, 2, 4, 2) and dq.shape == (6, 2, 3)
+    for k, arm in enumerate((left, right)):
+        p1, a1 = gm.joint_origins(arm, qs[:, k])
+        s1, e1, h1 = gm.forward_kinematics(arm, qs[:, k])
+        assert np.array_equal(pts[:, k], p1) and np.array_equal(angles[:, k], a1)
+        assert np.array_equal(segs[:, k], s1) and np.array_equal(ee[:, k], e1)
+        assert np.array_equal(heading[:, k], h1)
+        assert np.array_equal(dq[:, k], gm.dls_ik_step(arm, p1, dxs[:, k], mu=0.05))
+    with pytest.raises(gm.JointLimitError):
+        gm.forward_kinematics(arms, np.array([[0.0, 0.0, 0.0], [0.0, 3.0, 0.0]]))
+
+
 def test_jacobian_matches_finite_differences():
     arm = gm.default_arm(base_orientation=np.pi / 2)
     rng = np.random.default_rng(7)

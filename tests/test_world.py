@@ -81,6 +81,56 @@ def test_step_kinematics_and_limits(world_cfg):
     assert nxt.heading_left == pytest.approx(heading)
 
 
+def test_step_matches_per_arm_reference(world_cfg):
+    """`step` equals, bit for bit, each arm advanced alone by the single-arm
+    geometry routines: DLS increment, joint-limit clip, forward kinematics.
+    The rows include ones the velocity clip and the joint limits cut."""
+    rng = np.random.default_rng(17)
+    velocity_clipped = limit_clipped = 0
+    for _ in range(60):
+        state = wd.make_state(world_cfg, rng.uniform(-2.75, 2.75, 3), rng.uniform(-2.75, 2.75, 3))
+        action = rng.uniform(-0.3, 0.3, 4)
+        nxt = wd.step(state, action, world_cfg)
+        for arm, q, dx, q_new, ee, heading, segs in (
+                (world_cfg.arm_left, state.q_left, action[:2], nxt.q_left, nxt.ee_left,
+                 nxt.heading_left, nxt.segs_left),
+                (world_cfg.arm_right, state.q_right, action[2:], nxt.q_right, nxt.ee_right,
+                 nxt.heading_right, nxt.segs_right)):
+            dq = gm.dls_ik_step(arm, gm.joint_origins(arm, q)[0], dx, world_cfg.mu)
+            ref_q = np.clip(q + dq, arm.joint_limits[:, 0], arm.joint_limits[:, 1])
+            pts, angles = gm.joint_origins(arm, ref_q)
+            assert np.array_equal(q_new, ref_q) and np.array_equal(ee, pts[-1])
+            assert heading == angles[-1] and np.array_equal(segs, gm.link_segments(pts))
+            velocity_clipped += np.any(np.abs(dq) == arm.joint_velocity_limit)
+            limit_clipped += np.any(ref_q != q + dq)
+    assert velocity_clipped > 0 and limit_clipped > 0
+
+
+def test_step_rejects_malformed_action_rows(world_cfg):
+    state = wd.make_state(world_cfg, [0.6, -0.4, -0.2], [0.6, -0.4, -0.2])
+    for bad in (np.zeros(5), np.zeros(3), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            wd.step(state, bad, world_cfg)
+
+
+def test_world_config_rejects_arms_of_different_dof():
+    left = gm.default_arm()
+    right = gm.ArmModel(base_position=(0.25, 0.0), base_orientation=0.0,
+                        link_lengths=[0.3, 0.25], link_radii=[0.03, 0.03],
+                        joint_limits=[[-2.8, 2.8]] * 2, joint_velocity_limit=0.1)
+    with pytest.raises(ValueError, match="DoF"):
+        wd.WorldConfig(arm_left=left, arm_right=right)
+
+
+def clearances(state, plan, cfg, inflation=None):
+    """Clearance after every step of the whole plan, past any penetration."""
+    out = []
+    for row in plan:
+        state = wd.step(state, row, cfg)
+        out.append(wd.min_self_distance(state, cfg, inflation))
+    return np.array(out)
+
+
 def resimulate(state, plan, cfg, inflation=None):
     """Reference label of one plan: step it alone, checking clearance after
     every step, and stop at the first penetration."""
@@ -106,7 +156,9 @@ def test_rollout_matches_manual_resimulation(world_cfg):
 def test_rollout_batch_rows_equal_per_row_resimulation(world_cfg, intra_and_inflation):
     """Every row of a batched rollout equals, bit for bit, the resimulation
     of that row alone, across holding sides, intra-arm pairs, inflation,
-    rows that collide at different steps and rows that never collide."""
+    rows that collide at different steps and rows that never collide.
+    A row that penetrates at step k and goes deeper later is labeled from
+    steps <= k only."""
     cfg, inflation = world_cfg, None
     if intra_and_inflation:
         cfg, inflation = replace(world_cfg, include_intra_arm=True), 0.01
@@ -124,31 +176,35 @@ def test_rollout_batch_rows_equal_per_row_resimulation(world_cfg, intra_and_infl
         for row, label in zip(plans, out):
             assert label == resimulate(state, row, cfg, inflation)
         assert out[-1].y_bin == 0 and out[0].y_bin == 1
+        d = clearances(state, plans[0], cfg, inflation)
+        k = int(np.argmax(d < 0.0))
+        assert d[k + 1:].min() < d[:k + 1].min()  # deeper after the first penetration
+        assert out[0].y_d == d[:k + 1].min() and out[0].y_ttc == (k + 1) * cfg.dt
         ttcs.update(o.y_ttc for o in out if o.y_bin)
         assert wd.rollout_batch(state, plans[1:2], cfg, inflation) == [out[1]]
     assert len(ttcs) >= 3
 
 
 def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch):
-    calls = []
-    real = wd.joint_origins
+    """One kinematics call moves both arms: `step` computes joint origins
+    once, `rollout_batch` once per horizon step whatever N, and a whole
+    rollout makes one clearance pass."""
+    calls = {"joint_origins": 0, "segment_pairs_distance": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(wd, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(wd, name, counting)
 
-    def counting(arm, q):
-        calls.append(arm)
-        return real(arm, q)
-
-    monkeypatch.setattr(wd, "joint_origins", counting)
     state = wd.make_state(world_cfg, [0.6, -0.4, -0.2], [0.6, -0.4, -0.2])
-    calls.clear()
+    calls["joint_origins"] = 0
     wd.step(state, [0.01, 0.0, -0.01, 0.0], world_cfg)
-    assert len(calls) == 2
+    assert calls["joint_origins"] == 1
     plans = np.random.default_rng(16).uniform(-0.005, 0.005, size=(8, 5, 4))
-    counts = {}
     for n in (1, 8):
-        calls.clear()
+        calls.update(joint_origins=0, segment_pairs_distance=0)
         assert not any(o.y_bin for o in wd.rollout_batch(state, plans[:n], world_cfg))
-        counts[n] = len(calls)
-    assert counts[8] == counts[1] <= 2 * (5 + 1)
+        assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
 
 
 def test_rollout_censors_ttc_at_horizon(world_cfg):
