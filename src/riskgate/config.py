@@ -177,6 +177,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if not (0.0 < cfg.estimator.heldout_frac < 1.0):
         raise ConfigError("estimator.heldout_frac must lie in (0, 1)")
     try:
+        cfg.world_config()
+        cfg.task_params()
         cfg.gate_config()
         cfg.datagen_config()
         cfg.estimator_train_config()

@@ -1,8 +1,11 @@
 """Labeled (state, plan) dataset generation and line-delimited persistence.
 
-Expert episodes are replayed step by step; at every step the nominal plan
-plus Gaussian-jittered candidates are each labeled by simulating them with
-the exact collision checker. Files are JSONL: one header object, then one
+All expert episodes of a run advance in lockstep, as one batch of states;
+at every step each live episode's nominal plan plus Gaussian-jittered
+candidates are labeled by simulating them with the exact collision
+checker, all episodes' candidates in one oracle pass. Each episode keeps
+its own random streams and its samples, so the files are those of running
+the episodes one at a time. Files are JSONL: one header object, then one
 object per sample, partitioned by curriculum horizon.
 """
 
@@ -20,6 +23,11 @@ from . import policy as pol
 from . import world as wd
 
 FORMAT_VERSION = 1
+# Episodes advanced together. The oracle's temporaries grow with the rows
+# of one lockstep step (episodes x candidates x horizon); 64 episodes keep
+# gen-data's peak memory near that of one episode at a time and lose
+# little speed to a single batch of every episode.
+LOCKSTEP_EPISODES = 64
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,12 @@ class DatagenConfig:
             raise ValueError("oversample_factor must be >= 1")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ValueError("horizons must be a non-empty list of ints >= 1")
+        if self.episodes_per_task < 1:
+            raise ValueError(f"episodes_per_task must be >= 1, got {self.episodes_per_task}")
+        if not self.sigma_a >= 0:
+            raise ValueError(f"sigma_a must be >= 0, got {self.sigma_a}")
+        if not self.tasks:
+            raise ValueError("tasks must name at least one task")
         for t in self.tasks:
             if t not in wd.TASK_IDS:
                 raise ValueError(f"unknown task id {t!r}")
@@ -96,36 +110,59 @@ def sample_candidates(nominal: np.ndarray, n: int, sigma_a: float,
     return np.concatenate([nominal[None], np.clip(nominal + noise, -a_max, a_max)])
 
 
-def _episode_samples(task_id: str, ep_seed: int, horizon: int, gen_cfg: DatagenConfig,
-                     world_cfg: wd.WorldConfig, task_params: wd.TaskParams) -> list:
-    """All candidate samples along one expert episode.
+def _lockstep_samples(episodes, gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig,
+                      task_params: wd.TaskParams) -> list:
+    """All candidate samples along each expert episode, one list per
+    (task_id, ep_seed, horizon) in episodes.
+
+    The live episodes form one batched state. Each step makes one expert
+    call, run to the longest live horizon, and one oracle pass over every
+    episode's candidates, each row padded to that horizon and labeled over
+    its own. The expert's first predicted step is the executed step, and
+    the oracle's first-step clearance of candidate 0, the nominal plan, is
+    the clearance of the executed state. An episode drops out at collision
+    or success.
 
     Two independent streams per episode: feature noise and candidate jitter.
     Keeping them separate means the executed trajectory (expert, nominal
     actions) does not depend on how many candidates are drawn.
     """
-    state, task = wd.task_init(task_id, ep_seed, world_cfg, task_params)
-    tidx = wd.task_index(task_id)
-    noise_rng = np.random.default_rng(np.random.SeedSequence([gen_cfg.seed, tidx, ep_seed, 1]))
-    jitter_rng = np.random.default_rng(np.random.SeedSequence([gen_cfg.seed, tidx, ep_seed, 2]))
-    samples = []
-    for step_idx in range(task.max_steps):
-        nominal = pol.scripted_expert(state, task, horizon, world_cfg)
-        candidates = sample_candidates(nominal, gen_cfg.n_candidates, gen_cfg.sigma_a,
-                                       jitter_rng, world_cfg.a_max)
+    inits = [wd.task_init(tid, seed, world_cfg, task_params) for tid, seed, _ in episodes]
+    state = wd.stack_states([s for s, _ in inits])
+    task = wd.stack_tasks([t for _, t in inits])
+    streams = [[np.random.default_rng(np.random.SeedSequence(
+                    [gen_cfg.seed, wd.task_index(tid), seed, k])) for k in (1, 2)]
+               for tid, seed, _ in episodes]
+    horizons = np.array([h for _, _, h in episodes])
+    n = gen_cfg.n_candidates
+    samples = [[] for _ in episodes]
+    live = np.arange(len(episodes))
+    for step_idx in range(task_params.max_steps):
+        h_live = horizons[live]
+        h_max = int(h_live.max())
+        nominal, state_next = pol.scripted_expert(state, task, h_max, world_cfg)
         proprio = wd.proprio_feature(state)
-        z = wd.scene_feature(state, task, world_cfg.noise_sigma, noise_rng)
-        labels = wd.rollout_batch(state, candidates, world_cfg)
-        for cand, label in zip(candidates, labels):
-            samples.append(Sample(
-                proprio=proprio, z=z, plan=cand, H=horizon, label=label,
-                meta=(task_id, int(ep_seed), step_idx),
-            ))
-        state = wd.step(state, nominal[0], world_cfg)
-        if wd.min_self_distance(state, world_cfg) < 0.0:
+        z = wd.scene_feature(state, task, world_cfg.noise_sigma, [streams[i][0] for i in live])
+        plans = np.zeros((len(live), n, h_max, 4))
+        cands = []
+        for j, (i, h) in enumerate(zip(live, h_live)):
+            cands.append(sample_candidates(nominal[j, :h], n, gen_cfg.sigma_a,
+                                           streams[i][1], world_cfg.a_max))
+            plans[j, :, :h] = cands[-1]
+        d = wd.rollout_clearance(wd.take(state, np.repeat(np.arange(len(live)), n)),
+                                 plans.reshape(-1, h_max, 4), world_cfg)
+        labels = wd.label_rollouts(d, world_cfg.dt, np.repeat(h_live, n))
+        for j, (i, h) in enumerate(zip(live, h_live)):
+            p_j, z_j, meta = proprio[j], z[j], (episodes[i][0], int(episodes[i][1]), step_idx)
+            samples[i].extend(
+                Sample(proprio=p_j, z=z_j, plan=cand, H=int(h), label=label, meta=meta)
+                for cand, label in zip(cands[j], labels[j * n:(j + 1) * n]))
+        done = (d[0, ::n] < 0.0) | wd.success_check(state_next, task)
+        if done.all():
             break
-        if wd.success_check(state, task):
-            break
+        state = state_next
+        if done.any():
+            live, state, task = live[~done], wd.take(state, ~done), wd.take(task, ~done)
     return samples
 
 
@@ -139,17 +176,19 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
     same config writes byte-identical files.
     """
     digest = config_digest(gen_cfg)
-    by_h = {h: [] for h in gen_cfg.horizons}
     n_phases = len(gen_cfg.horizons)
+    episodes = []
     for task_id in gen_cfg.tasks:
         tidx = wd.task_index(task_id)
         for ep in range(gen_cfg.episodes_per_task):
-            horizon = gen_cfg.horizons[ep % n_phases]
             ep_seed = int(np.random.SeedSequence([gen_cfg.seed, tidx, ep]).generate_state(1)[0])
-            by_h[horizon].extend(_episode_samples(task_id, ep_seed, horizon, gen_cfg,
-                                                  world_cfg, task_params))
-    if all(len(v) == 0 for v in by_h.values()):
-        raise RuntimeError("dataset generation produced zero samples")
+            episodes.append((task_id, ep_seed, gen_cfg.horizons[ep % n_phases]))
+    by_h = {h: [] for h in gen_cfg.horizons}
+    for lo in range(0, len(episodes), LOCKSTEP_EPISODES):
+        group = episodes[lo:lo + LOCKSTEP_EPISODES]
+        for (_, _, horizon), samples in zip(group, _lockstep_samples(
+                group, gen_cfg, world_cfg, task_params)):
+            by_h[horizon].extend(samples)
 
     os.makedirs(out_dir, exist_ok=True)
     paths, counts = {}, {}

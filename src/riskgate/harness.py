@@ -126,7 +126,7 @@ def _nominal_plan(setup: EvalSetup, state, task):
     if setup.policy_params is not None:
         return pol.policy_plan(setup.policy_params, state, task,
                                setup.world_cfg, setup.horizon)
-    return pol.scripted_expert(state, task, setup.horizon, setup.world_cfg)
+    return pol.scripted_expert(state, task, setup.horizon, setup.world_cfg)[0]
 
 
 def run_episode(setup: EvalSetup, task_id: str, seed: int,

@@ -27,26 +27,29 @@ POLICY_OUT = 4
 def _expert_action_row(state: wd.DualArmState, task: wd.Task, a_max: float) -> np.ndarray:
     dx_l = np.clip(K_P * (task.goal_left - state.ee_left), -a_max, a_max)
     dx_r = np.clip(K_P * (task.goal_right - state.ee_right), -a_max, a_max)
-    return np.concatenate([dx_l, dx_r])
+    return np.concatenate([dx_l, dx_r], axis=-1)
 
 
 def scripted_expert(state: wd.DualArmState, task: wd.Task, horizon: int,
-                    cfg: wd.WorldConfig) -> np.ndarray:
-    """(H, 4) plan from a proportional law dx = clip(k_p (goal - ee), box).
+                    cfg: wd.WorldConfig) -> tuple[np.ndarray, wd.DualArmState]:
+    """(H, 4) plan from a proportional law dx = clip(k_p (goal - ee), box),
+    and the state its first row leads to.
 
     The expert rolls its own kinematic prediction forward, so later actions
     react to where the earlier ones will have moved each arm. Deliberately
-    blind to the other arm: this is the unsafe baseline.
+    blind to the other arm: this is the unsafe baseline. A batched state
+    and task (`wd.stack_states`, `wd.stack_tasks`) plan every row at once:
+    the plan is then (..., H, 4).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    steps = np.empty((horizon, 4))
-    cur = state
-    for i in range(horizon):
-        row = _expert_action_row(cur, task, cfg.a_max)
-        steps[i] = row
-        cur = wd.step(cur, row, cfg)
-    return steps
+    rows = [_expert_action_row(state, task, cfg.a_max)]
+    first = cur = wd.step(state, rows[0], cfg)
+    for _ in range(1, horizon):
+        rows.append(_expert_action_row(cur, task, cfg.a_max))
+        if len(rows) < horizon:  # no state is needed past the last row
+            cur = wd.step(cur, rows[-1], cfg)
+    return np.stack(rows, axis=-2), first
 
 
 @dataclass
@@ -165,7 +168,7 @@ def collect_demonstrations(task_id: str, seeds, horizon: int, cfg: wd.WorldConfi
             [wd.task_index(task_id), int(seed), 29]))
         goals = np.concatenate([task.goal_left, task.goal_right])
         for _ in range(task.max_steps):
-            plan = scripted_expert(state, task, horizon, cfg)
+            plan, _ = scripted_expert(state, task, horizon, cfg)
             records.append(DemoRecord(
                 proprio=wd.proprio_feature(state),
                 z=wd.scene_feature(state, task, cfg.noise_sigma, rng),

@@ -6,18 +6,25 @@ function here is deterministic given its inputs (plus an explicit rng where
 noise is part of the contract). States are value-like: `step` returns a new
 state and never mutates its argument.
 
+A state or task may carry a leading batch axis on every per-episode field
+(`stack_states`, `stack_tasks`; `take` selects rows), as `geometry.stack_arms`
+does for arms. `step`, `min_self_distance`, `proprio_feature`,
+`scene_feature` and `success_check` then act on every row at once, and a
+single state is the same call without the axis. The kernels give each row
+the same bits at any batch size.
+
 Two kernels do the oracle's work. `_advance` moves both arms one control
 period in one kinematics call, over an arm axis of size 2 (see
 `geometry.stack_arms`); `_clearance` measures capsule clearance over any
-leading batch shape. `step` and `min_self_distance` are single calls of
-them. `rollout_batch` first advances all H steps of all N plans, since a
-configuration never depends on clearance, and then makes one clearance
-pass over the (H, N) configurations.
+leading batch shape. `rollout_clearance` first advances all H steps of all
+N plans, since a configuration never depends on clearance, and then makes
+one clearance pass over the (H, N) configurations; `label_rollouts` turns
+those clearances into labels, and `rollout_batch` is the two together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -49,6 +56,10 @@ class WorldConfig:
             raise ValueError(
                 f"arm_left has {self.arm_left.dof} DoF and arm_right has {self.arm_right.dof}; "
                 "both arms step in one kinematics call, so their DoF must be equal")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not self.noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
     @property
     def dof(self) -> int:
@@ -74,7 +85,9 @@ class DualArmState:
 
     The cached EE poses and link segments always equal the forward
     kinematics of q_left/q_right; use `make_state` (or `step`) so the caches
-    are rebuilt on every change.
+    are rebuilt on every change. In a batch (`stack_states`) every field but
+    the holding flags carries a leading batch axis; the flags fix how many
+    capsules each side has, so all rows share them.
     """
 
     q_left: np.ndarray
@@ -90,6 +103,35 @@ class DualArmState:
     heading_right: float
     segs_left: np.ndarray   # (n, 2, 2)
     segs_right: np.ndarray
+
+
+_SHARED = ("holding_left", "holding_right")
+
+
+def _stack(items):
+    first = items[0]
+    return replace(first, **{f.name: np.stack([getattr(x, f.name) for x in items])
+                             for f in fields(first) if f.name not in _SHARED})
+
+
+def stack_states(states) -> DualArmState:
+    """One state whose row i is states[i]. Raises ValueError unless all
+    states share their holding flags."""
+    if len({(s.holding_left, s.holding_right) for s in states}) != 1:
+        raise ValueError("states in one batch must share their holding flags")
+    return _stack(states)
+
+
+def stack_tasks(tasks) -> Task:
+    """One task whose row i is tasks[i]; every field gains the batch axis."""
+    return _stack(tasks)
+
+
+def take(batch, rows):
+    """Rows of a stacked state or task: an index array or mask keeps the
+    batch axis, an integer drops it."""
+    return replace(batch, **{f.name: getattr(batch, f.name)[rows]
+                             for f in fields(batch) if f.name not in _SHARED})
 
 
 def make_state(
@@ -182,8 +224,9 @@ def _pair_clearance(segs_a, rad_a, ia, segs_b, rad_b, ib, inflation: float) -> n
     return (axis_dist - (rad_a[ia] + rad_b[ib] + 2.0 * inflation)).min(axis=-1)
 
 
-def min_self_distance(state: DualArmState, cfg: WorldConfig, inflation: float | None = None) -> float:
-    """Minimum inflated capsule clearance over all cross-arm pairs.
+def min_self_distance(state: DualArmState, cfg: WorldConfig, inflation: float | None = None):
+    """Minimum inflated capsule clearance over all cross-arm pairs: a float,
+    or one value per row of a batched state.
 
     Pairs are every left capsule against every right capsule, where each
     side's capsules are its links plus (when holding) the grasped-object
@@ -193,14 +236,10 @@ def min_self_distance(state: DualArmState, cfg: WorldConfig, inflation: float | 
     """
     if inflation is None:
         inflation = cfg.inflation
-    return float(_clearance(cfg, state.holding_left, state.holding_right,
-                            (state.segs_left, state.ee_left, state.heading_left),
-                            (state.segs_right, state.ee_right, state.heading_right), inflation))
-
-
-def _origins(segs: np.ndarray, ee: np.ndarray) -> np.ndarray:
-    """Joint origins (..., n+1, 2) recovered from cached link segments and EE."""
-    return np.concatenate([segs[..., 0, :], ee[..., None, :]], axis=-2)
+    d = _clearance(cfg, state.holding_left, state.holding_right,
+                   (state.segs_left, state.ee_left, state.heading_left),
+                   (state.segs_right, state.ee_right, state.heading_right), inflation)
+    return float(d) if d.ndim == 0 else d
 
 
 def _advance(cfg: WorldConfig, q, origins, dx):
@@ -217,41 +256,47 @@ def _advance(cfg: WorldConfig, q, origins, dx):
 
 
 def _state_arrays(state: DualArmState) -> tuple[np.ndarray, np.ndarray]:
-    """The state's joint vectors (2, n) and joint origins (2, n+1, 2)."""
-    return (np.stack([state.q_left, state.q_right]),
-            np.stack([_origins(state.segs_left, state.ee_left),
-                      _origins(state.segs_right, state.ee_right)]))
+    """The state's joint vectors (..., 2, n) and joint origins (..., 2, n+1, 2),
+    the origins recovered from the cached link segments and EE."""
+    *batch, n = state.q_left.shape
+    q = np.concatenate([state.q_left, state.q_right], axis=-1)
+    pts = np.concatenate([state.segs_left[..., 0, :], state.ee_left[..., None, :],
+                          state.segs_right[..., 0, :], state.ee_right[..., None, :]], axis=-2)
+    return q.reshape(*batch, 2, n), pts.reshape(*batch, 2, n + 1, 2)
 
 
 def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
     """Advance one control period: DLS increment per arm, clip to limits.
 
-    action is one plan row [dxL, dyL, dxR, dyR] of Cartesian EE increments;
-    anything but shape (4,) raises ValueError. The Jacobian comes from the
-    state's cached kinematics.
+    action is one plan row [dxL, dyL, dxR, dyR] of Cartesian EE increments
+    per state row, shape (..., 4) for a state of batch shape (...); any
+    other shape raises ValueError. The Jacobian comes from the state's
+    cached kinematics.
     """
     action = np.asarray(action, dtype=float)
-    if action.shape != (4,):
-        raise ValueError(f"action must be one row of shape (4,), got {action.shape}")
-    q, pts, ang = _advance(cfg, *_state_arrays(state), action.reshape(2, 2))
+    batch = state.q_left.shape[:-1]
+    if action.shape != (*batch, 4):
+        raise ValueError(f"action must have shape {(*batch, 4)}, one row per state, "
+                         f"got {action.shape}")
+    q, pts, ang = _advance(cfg, *_state_arrays(state), action.reshape(*batch, 2, 2))
     segs = link_segments(pts)
     return replace(
-        state, q_left=q[0], q_right=q[1], t=state.t + 1,
-        ee_left=pts[0, -1], ee_right=pts[1, -1],
-        heading_left=float(ang[0, -1]), heading_right=float(ang[1, -1]),
-        segs_left=segs[0], segs_right=segs[1],
+        state, q_left=q[..., 0, :], q_right=q[..., 1, :], t=state.t + 1,
+        ee_left=pts[..., 0, -1, :], ee_right=pts[..., 1, -1, :],
+        heading_left=ang[..., 0, -1], heading_right=ang[..., 1, -1],
+        segs_left=segs[..., 0, :, :, :], segs_right=segs[..., 1, :, :, :],
     )
 
 
-def rollout_batch(state: DualArmState, plans, cfg: WorldConfig,
-                  inflation: float | None = None) -> list[RolloutOutcome]:
-    """Execute N (H, 4) plans from one state; outcome i labels plans[i].
+def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig,
+                      inflation: float | None = None) -> np.ndarray:
+    """(H, N) clearance after each step of each of N (H, 4) plans, past any
+    penetration.
 
-    All H steps of all N rows are advanced first, with the arithmetic of
-    `step`; then one clearance pass, with the arithmetic of
-    `min_self_distance`, covers the (H, N) configurations. Each row is
-    labeled up to and including its first penetrating step, as if it
-    stopped there: y_d is the minimum clearance over those steps. Raises
+    The state is one state for every row, or a batch of N states, one per
+    row. All H steps of all N rows are advanced first, with the arithmetic
+    of `step`; then one clearance pass, with the arithmetic of
+    `min_self_distance`, covers the (H, N) configurations. Raises
     ValueError unless plans is (N, H, 4) with N >= 1 and H >= 1.
     """
     plans = np.asarray(plans, dtype=float)
@@ -260,7 +305,11 @@ def rollout_batch(state: DualArmState, plans, cfg: WorldConfig,
     if inflation is None:
         inflation = cfg.inflation
     n, horizon = plans.shape[:2]
-    q, pts = (np.broadcast_to(a, (n, *a.shape)) for a in _state_arrays(state))
+    q, pts = _state_arrays(state)
+    if q.shape[:-2] not in ((), (n,)):
+        raise ValueError(f"state batch shape {q.shape[:-2]} must be () or ({n},) for {n} plans")
+    q = np.broadcast_to(q, (n, *q.shape[-2:]))
+    pts = np.broadcast_to(pts, (n, *pts.shape[-3:]))
     dx = plans.reshape(n, horizon, 2, 2)
     traj = np.empty((horizon, *pts.shape))   # (H, N, 2, n_joints + 1, 2)
     heading = np.empty((horizon, n, 2))
@@ -268,17 +317,46 @@ def rollout_batch(state: DualArmState, plans, cfg: WorldConfig,
         q, pts, ang = _advance(cfg, q, pts, dx[:, i])
         traj[i], heading[i] = pts, ang[..., -1]
     segs = link_segments(traj)
-    d = _clearance(cfg, state.holding_left, state.holding_right,
-                   (segs[:, :, 0], traj[:, :, 0, -1], heading[:, :, 0]),
-                   (segs[:, :, 1], traj[:, :, 1, -1], heading[:, :, 1]), inflation)
+    return _clearance(cfg, state.holding_left, state.holding_right,
+                      (segs[:, :, 0], traj[:, :, 0, -1], heading[:, :, 0]),
+                      (segs[:, :, 1], traj[:, :, 1, -1], heading[:, :, 1]), inflation)
 
+
+def label_rollouts(d, dt: float, horizons=None) -> list[RolloutOutcome]:
+    """Labels of N rollouts from their (H, N) step clearances.
+
+    Row i counts only its first horizons[i] steps (all H when horizons is
+    None), so a shorter plan padded to H is labeled as if run alone. Each
+    row is labeled up to and including its first penetrating step, as if
+    it stopped there: y_d is the minimum clearance over those steps.
+    """
+    d = np.asarray(d, dtype=float)
+    horizon, n = d.shape
+    steps = np.arange(horizon)[:, None]
     hit = d < 0.0
+    h = horizon
+    if horizons is not None:
+        h = np.asarray(horizons)
+        if h.shape != (n,) or h.dtype.kind not in "iu" or h.min() < 1 or h.max() > horizon:
+            raise ValueError(f"horizons must be {n} integers in [1, {horizon}]")
+        hit &= steps < h
     y_bin = hit.any(axis=0)
-    last = np.where(y_bin, hit.argmax(axis=0), horizon - 1)  # last step each row labels
-    y_d = np.where(np.arange(horizon)[:, None] <= last, d, np.inf).min(axis=0)
-    y_ttc = np.where(y_bin, (last + 1) * cfg.dt, horizon * cfg.dt)
+    last = np.where(y_bin, hit.argmax(axis=0), h - 1)  # last step each row labels
+    y_d = np.where(steps <= last, d, np.inf).min(axis=0)
+    y_ttc = np.where(y_bin, (last + 1) * dt, h * dt)
     return [RolloutOutcome(y_bin=int(b), y_d=float(d), y_ttc=float(t))
             for b, d, t in zip(y_bin, y_d, y_ttc)]
+
+
+def rollout_batch(state: DualArmState, plans, cfg: WorldConfig,
+                  inflation: float | None = None, horizons=None) -> list[RolloutOutcome]:
+    """Execute N (H, 4) plans from one state, or from one state per row;
+    outcome i labels plans[i] over its first horizons[i] steps.
+
+    `rollout_clearance` followed by `label_rollouts`; raises ValueError
+    unless plans is (N, H, 4) with N >= 1 and H >= 1.
+    """
+    return label_rollouts(rollout_clearance(state, plans, cfg, inflation), cfg.dt, horizons)
 
 
 def rollout(state: DualArmState, plan, cfg: WorldConfig,
@@ -294,29 +372,38 @@ def rollout(state: DualArmState, plan, cfg: WorldConfig,
 
 
 def scene_feature(state: DualArmState, task: Task, noise_sigma: float = 0.0,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
+                  rng=None) -> np.ndarray:
     """Synthetic 10-dim scene descriptor standing in for a vision embedding.
 
     Layout: [ee_left, ee_right, goal_left, goal_right, holding_left,
     holding_right]; Gaussian noise with the given sigma lands on the eight
-    position entries only.
+    position entries only. A batched state and task give one row each, and
+    rng is then a sequence of one generator per row.
     """
-    z = np.concatenate([
-        state.ee_left, state.ee_right, task.goal_left, task.goal_right,
-        [float(state.holding_left), float(state.holding_right)],
-    ])
+    batch = state.ee_left.shape[:-1]
+    z = np.empty((*batch, 10))
+    z[..., 0:2] = state.ee_left
+    z[..., 2:4] = state.ee_right
+    z[..., 4:6] = task.goal_left
+    z[..., 6:8] = task.goal_right
+    z[..., 8] = float(state.holding_left)
+    z[..., 9] = float(state.holding_right)
     if noise_sigma > 0:
-        z[:8] += rng.normal(0.0, noise_sigma, size=8)
+        for row, gen in zip(z.reshape(-1, z.shape[-1]), rng if batch else (rng,), strict=True):
+            row[:8] += gen.normal(0.0, noise_sigma, size=8)
     return z
 
 
 def proprio_feature(state: DualArmState) -> np.ndarray:
-    """14-dim proprioception: interleaved sin/cos of the 6 joints + grippers."""
-    q = np.concatenate([state.q_left, state.q_right])
-    enc = np.empty(2 * len(q))
-    enc[0::2] = np.sin(q)
-    enc[1::2] = np.cos(q)
-    return np.concatenate([enc, [state.g_left, state.g_right]])
+    """14-dim proprioception: interleaved sin/cos of the 6 joints + grippers,
+    one row per row of a batched state."""
+    q = np.concatenate([state.q_left, state.q_right], axis=-1)
+    out = np.empty((*q.shape[:-1], 2 * q.shape[-1] + 2))
+    out[..., 0:-2:2] = np.sin(q)
+    out[..., 1:-2:2] = np.cos(q)
+    out[..., -2] = state.g_left
+    out[..., -1] = state.g_right
+    return out
 
 
 @dataclass(frozen=True)
@@ -330,6 +417,10 @@ class TaskParams:
     success_tolerance: float = 0.02
     max_steps: int = 300
     max_reset_draws: int = 100
+
+    def __post_init__(self):
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 _GOAL_CENTERS = {
@@ -388,13 +479,19 @@ def _check_reachable(goal: np.ndarray, arm: ArmModel) -> None:
         raise ValueError(f"goal {goal} beyond workspace of arm at {arm.base_position}")
 
 
-def success_check(state: DualArmState, task: Task, collided: bool = False) -> bool:
+def _within(ee, goal, tol):
+    # vecdot takes, per row, the dot product `np.linalg.norm` takes of one
+    # row, so a row gets the same bits at any batch size (norm with an axis
+    # sums the squares and may round differently)
+    d = ee - goal
+    return np.sqrt(np.vecdot(d, d)) <= tol
+
+
+def success_check(state: DualArmState, task: Task, collided: bool = False):
     """True iff both EEs sit within tolerance of their goals and the episode
-    never collided (collision is a terminal failure)."""
-    if collided:
-        return False
+    never collided (collision is a terminal failure). A batched state and
+    task give one bool per row."""
     tol = task.success_tolerance
-    return bool(
-        np.linalg.norm(state.ee_left - task.goal_left) <= tol
-        and np.linalg.norm(state.ee_right - task.goal_right) <= tol
-    )
+    ok = (_within(state.ee_left, task.goal_left, tol)
+          & _within(state.ee_right, task.goal_right, tol) & (not collided))
+    return bool(ok) if ok.ndim == 0 else ok

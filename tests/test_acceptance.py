@@ -285,7 +285,7 @@ def test_criterion_08_recovery_refinement(pipeline, world_cfg, task_params):
                                    world_cfg, task_params)
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task)
-        nominal = pol.scripted_expert(state, task, 5, world_cfg)
+        nominal, _ = pol.scripted_expert(state, task, 5, world_cfg)
         res = sg.refine_plan(params, proprio, z, nominal, gate_cfg)
         rec = sg.recover(params, proprio, z, 5, gate_cfg)
         for r in (res, rec):

@@ -81,6 +81,14 @@ def test_semantic_validation():
                 {"gate": {"r_sat": 0.1}}):
         with pytest.raises(cf.ConfigError):
             cf.config_from_dict(bad)
+    # values the runtime dataclasses reject, each named in the message
+    for section, key, value in (("world", "dt", 0.0), ("world", "dt", -0.1),
+                                ("world", "noise_sigma", -0.001),
+                                ("datagen", "sigma_a", -0.01), ("datagen", "sigma_a", float("nan")),
+                                ("datagen", "episodes_per_task", 0),
+                                ("tasks", "max_steps", 0)):
+        with pytest.raises(cf.ConfigError, match=key):
+            cf.config_from_dict({section: {key: value}})
 
 
 def test_load_config_errors(tmp_path):

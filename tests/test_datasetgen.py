@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
+from riskgate import policy as pol
 from riskgate import world as wd
 
 
@@ -161,3 +162,67 @@ def test_config_validation():
         dg.DatagenConfig(oversample_factor=0)
     with pytest.raises(ValueError):
         dg.DatagenConfig(tasks=("bogus",))
+    for bad in ({"tasks": ()}, {"episodes_per_task": 0}, {"sigma_a": -0.01},
+                {"sigma_a": float("nan")}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            dg.DatagenConfig(**bad)
+
+
+def one_episode_at_a_time(gen_cfg, world_cfg, task_params):
+    """Reference generator: each episode alone, from the per-episode calls.
+    Returns the samples per horizon, in (task, episode, step) order, and
+    how each episode ended."""
+    by_h = {h: [] for h in gen_cfg.horizons}
+    endings = []
+    for task_id in gen_cfg.tasks:
+        tidx = wd.task_index(task_id)
+        for ep in range(gen_cfg.episodes_per_task):
+            h = gen_cfg.horizons[ep % len(gen_cfg.horizons)]
+            seed = int(np.random.SeedSequence([gen_cfg.seed, tidx, ep]).generate_state(1)[0])
+            state, task = wd.task_init(task_id, seed, world_cfg, task_params)
+            noise, jitter = (np.random.default_rng(np.random.SeedSequence(
+                [gen_cfg.seed, tidx, seed, k])) for k in (1, 2))
+            ending = "budget"
+            for t in range(task.max_steps):
+                nominal, _ = pol.scripted_expert(state, task, h, world_cfg)
+                cands = dg.sample_candidates(nominal, gen_cfg.n_candidates, gen_cfg.sigma_a,
+                                             jitter, world_cfg.a_max)
+                proprio = wd.proprio_feature(state)
+                z = wd.scene_feature(state, task, world_cfg.noise_sigma, noise)
+                for cand, label in zip(cands, wd.rollout_batch(state, cands, world_cfg)):
+                    by_h[h].append((proprio, z, cand, h, label, (task_id, seed, t)))
+                state = wd.step(state, nominal[0], world_cfg)
+                if wd.min_self_distance(state, world_cfg) < 0.0:
+                    ending = "collision"
+                    break
+                if wd.success_check(state, task):
+                    ending = "success"
+                    break
+            endings.append(ending)
+    return by_h, endings
+
+
+@pytest.mark.parametrize("group", [dg.LOCKSTEP_EPISODES, 4])
+def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
+                                               monkeypatch, group):
+    """`generate_dataset` steps episodes together, in groups of `group`;
+    every sample equals, with ==, the one the per-episode reference makes,
+    in the same order, over both tasks, horizons 2, 3 and 5, and episodes
+    that end by collision and by success at different steps."""
+    monkeypatch.setattr(dg, "LOCKSTEP_EPISODES", group)
+    cfg = dg.DatagenConfig(episodes_per_task=3, horizons=(2, 3, 5), oversample_factor=1, seed=4)
+    paths, _ = dg.generate_dataset(cfg, world_cfg, tmp_path, task_params)
+    ref, endings = one_episode_at_a_time(cfg, world_cfg, task_params)
+    assert {"collision", "success"} <= set(endings)
+    for h in cfg.horizons:
+        got = dg.read_dataset(paths[h]).samples
+        assert len(got) == len(ref[h]) > 0
+        for s, (proprio, z, plan, horizon, label, meta) in zip(got, ref[h]):
+            assert np.array_equal(s.proprio, proprio) and np.array_equal(s.z, z)
+            assert np.array_equal(s.plan, plan) and s.H == horizon
+            assert s.label == label and s.meta == meta
+    steps = {}
+    for samples in ref.values():
+        for *_, (task_id, seed, t) in samples:
+            steps[task_id, seed] = max(steps.get((task_id, seed), 0), t + 1)
+    assert len(steps) == 6 and len(set(steps.values())) > 2  # episodes drop out at different steps

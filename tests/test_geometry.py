@@ -13,11 +13,21 @@ from riskgate import geometry as gm
 
 
 def dense_segment_distance(p0, p1, q0, q1, n=1001):
-    """Min distance over an n x n grid of the (s, t) parameter square."""
+    """Min distance over an n x n grid of the (s, t) parameter square.
+
+    For each grid point on the first segment, the squared distance to the
+    second is a convex quadratic in t, so its grid minimum sits at a grid
+    index next to the clamped projection. Checking two indices either side
+    of it gives the minimum of the full n x n scan, with the same
+    arithmetic per grid pair, at a fraction of the cost.
+    """
     t = np.linspace(0.0, 1.0, n)
     a = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
     b = q0[None, :] + t[:, None] * (q1 - q0)[None, :]
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    v = q1 - q0
+    proj = np.clip((a - q0) @ v / max(v @ v, np.finfo(float).tiny), 0.0, 1.0)
+    near = np.clip(np.rint(proj * (n - 1)).astype(int)[:, None] + np.arange(-2, 3), 0, n - 1)
+    d2 = ((a[:, None, :] - b[near]) ** 2).sum(axis=2)
     return float(np.sqrt(d2.min()))
 
 

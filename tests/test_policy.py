@@ -21,7 +21,7 @@ def demo_records(world_cfg, task_params):
 
 def test_scripted_expert_matches_proportional_law(world_cfg, task_params):
     state, task = wd.task_init("crossing_transfer", 0, world_cfg, task_params)
-    plan = pol.scripted_expert(state, task, 4, world_cfg)
+    plan, reached = pol.scripted_expert(state, task, 4, world_cfg)
     assert plan.shape == (4, 4)
     first = np.concatenate([
         np.clip(pol.K_P * (task.goal_left - state.ee_left), -0.02, 0.02),
@@ -34,6 +34,10 @@ def test_scripted_expert_matches_proportional_law(world_cfg, task_params):
         assert_allclose(plan[i], pol._expert_action_row(cur, task, 0.02),
                         atol=1e-15)
         cur = wd.step(cur, plan[i], world_cfg)
+    # the returned state is where the first row leads
+    nxt = wd.step(state, plan[0], world_cfg)
+    assert all(np.array_equal(getattr(reached, f), getattr(nxt, f))
+               for f in ("q_left", "q_right", "ee_left", "ee_right", "segs_left", "segs_right"))
     with pytest.raises(ValueError):
         pol.scripted_expert(state, task, 0, world_cfg)
 

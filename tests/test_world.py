@@ -207,6 +207,89 @@ def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch)
         assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
 
 
+def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
+    """A batch of states and tasks gives, row for row and bit for bit, what
+    each state and task gives alone: `step`, `min_self_distance`, the
+    features, `success_check` and the expert's plan and next state."""
+    from riskgate import policy as pol
+    rng = np.random.default_rng(18)
+    pairs = [wd.task_init(wd.TASK_IDS[i % 2], i, world_cfg, task_params) for i in range(7)]
+    pairs.append((pairs[0][0], replace(pairs[0][1], goal_left=pairs[0][0].ee_left,
+                                       goal_right=pairs[0][0].ee_right)))  # already at goal
+    states = [random_state(rng, world_cfg) for _ in range(4)] + [s for s, _ in pairs[4:]]
+    tasks = [t for _, t in pairs]
+    state, task = wd.stack_states(states), wd.stack_tasks(tasks)
+    assert state.q_left.shape == (8, 3) and task.goal_left.shape == (8, 2)
+    actions = rng.uniform(-0.3, 0.3, size=(8, 4))
+    nxt = wd.step(state, actions, world_cfg)
+    d = wd.min_self_distance(state, world_cfg, inflation=0.01)
+    p = wd.proprio_feature(state)
+    z = wd.scene_feature(state, task, 0.005, [np.random.default_rng(i) for i in range(8)])
+    ok = wd.success_check(state, task)
+    plan, reached = pol.scripted_expert(state, task, 4, world_cfg)
+    assert plan.shape == (8, 4, 4) and ok.tolist().count(True) == 1
+    for i, (s, t) in enumerate(zip(states, tasks)):
+        row = wd.take(nxt, i)
+        ref = wd.step(s, actions[i], world_cfg)
+        for f in ("q_left", "q_right", "ee_left", "ee_right", "heading_left",
+                  "heading_right", "segs_left", "segs_right", "t"):
+            assert np.array_equal(getattr(row, f), getattr(ref, f)), f
+        assert d[i] == wd.min_self_distance(s, world_cfg, inflation=0.01)
+        assert np.array_equal(p[i], wd.proprio_feature(s))
+        assert np.array_equal(z[i], wd.scene_feature(s, t, 0.005, np.random.default_rng(i)))
+        assert ok[i] == wd.success_check(s, t)
+        ref_plan, ref_reached = pol.scripted_expert(s, t, 4, world_cfg)
+        assert np.array_equal(plan[i], ref_plan)
+        assert np.array_equal(wd.take(reached, i).q_left, ref_reached.q_left)
+        assert np.array_equal(wd.take(reached, i).q_right, ref_reached.q_right)
+    # a mask keeps the batch axis
+    kept = wd.take(task, np.arange(8) % 2 == 0)
+    assert kept.goal_left.shape == (4, 2) and list(kept.id) == [t.id for t in tasks[::2]]
+    with pytest.raises(ValueError):
+        wd.step(state, actions[0], world_cfg)
+
+
+def test_batches_must_share_holding_flags(world_cfg):
+    rng = np.random.default_rng(19)
+    a = random_state(rng, world_cfg, holding=True)
+    b = random_state(rng, world_cfg, holding=False)
+    with pytest.raises(ValueError, match="holding"):
+        wd.stack_states([a, b])
+    with pytest.raises(ValueError, match="holding"):
+        wd.stack_states([a, replace(a, holding_right=False)])
+
+
+def test_rollout_batch_per_row_states_and_horizons(world_cfg):
+    """Rows from their own states, padded to the longest horizon, equal
+    each row's N=1 `rollout` of its unpadded plan; padding never counts."""
+    rng = np.random.default_rng(20)
+    q = np.array([-0.25, 0.0, 0.0])
+    states, plans, horizons = [], [], []
+    for i in range(12):
+        h = (2, 3, 5)[i % 3]
+        v = (0.02, 0.006, -0.02, 0.0)[i % 4]
+        states.append(wd.make_state(world_cfg, q + rng.uniform(-0.05, 0.05, 3),
+                                    -q + rng.uniform(-0.05, 0.05, 3)))
+        plan = np.tile([v, 0.0, -v, 0.0], (5, 1)) + rng.uniform(-0.002, 0.002, (5, 4))
+        plan[h:] = [0.02, 0.0, -0.02, 0.0]  # padding that would collide if it counted
+        plans.append(plan)
+        horizons.append(h)
+    out = wd.rollout_batch(wd.stack_states(states), np.array(plans), world_cfg,
+                           horizons=horizons)
+    for s, plan, h, label in zip(states, plans, horizons, out):
+        assert label == wd.rollout(s, plan[:h], world_cfg)
+    assert {o.y_bin for o in out} == {0, 1}
+    assert len({o.y_ttc for o in out if o.y_bin == 0}) == 3  # censored at 2, 3 and 5 steps
+    # rows that the padding would have made collide are labeled collision-free
+    assert any(o.y_bin == 0 and wd.rollout(s, plan, world_cfg).y_bin == 1
+               for s, plan, o in zip(states, plans, out))
+    for bad in ([5] * 11, [0] + [5] * 11, [6] * 12, [2.0] * 12):
+        with pytest.raises(ValueError):
+            wd.rollout_batch(wd.stack_states(states), np.array(plans), world_cfg, horizons=bad)
+    with pytest.raises(ValueError):
+        wd.rollout_batch(wd.stack_states(states[:3]), np.array(plans), world_cfg)
+
+
 def test_rollout_censors_ttc_at_horizon(world_cfg):
     state = wd.make_state(world_cfg, [0.6, -0.4, -0.2], [0.6, -0.4, -0.2])
     out = wd.rollout(state, np.zeros((3, 4)), world_cfg)
@@ -254,7 +337,7 @@ def test_success_check(world_cfg, task_params):
     from riskgate import policy as pol
     cur = state
     for _ in range(task.max_steps):
-        plan = pol.scripted_expert(cur, task, 1, world_cfg)
+        plan, _ = pol.scripted_expert(cur, task, 1, world_cfg)
         cur = wd.step(cur, plan[0], world_cfg)
         if wd.success_check(cur, task):
             break
