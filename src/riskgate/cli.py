@@ -156,6 +156,15 @@ def _cmd_train_policy(cfg: cf.RunConfig, args) -> None:
     _emit({"checkpoint": cfg.policy.checkpoint_path, "demonstrations": len(demos)})
 
 
+def _gated_records(setup: hn.EvalSetup, cfg: cf.RunConfig, episodes: int, tag: int) -> list:
+    """Records of `episodes` gated episodes per task, in (task, episode) order."""
+    jobs = [(tid, hn.episode_seed(cfg.seed, tid, i, tag=tag))
+            for tid in cfg.tasks.ids for i in range(episodes)]
+    collectors = [[] for _ in jobs]
+    hn.run_episodes(setup, jobs, collectors)
+    return [rec for records in collectors for rec in records]
+
+
 def _cmd_finetune_policy(cfg: cf.RunConfig, args) -> None:
     demos = _collect_all_demos(cfg)
     est_params = est.load_params(cfg.estimator.checkpoint_path)
@@ -164,20 +173,14 @@ def _cmd_finetune_policy(cfg: cf.RunConfig, args) -> None:
     # Aggregation pass: roll the cloned policy under the gate so blocked
     # steps contribute the recovery action as a corrected cloning target.
     setup = replace(hn.prepare_setup(cfg, "gated"), policy_params=params)
-    records = []
-    for tid in cfg.tasks.ids:
-        for i in range(cfg.policy.rollout_episodes_per_task):
-            seed = hn.episode_seed(cfg.seed, tid, i, tag=401)
-            hn.run_episode(setup, tid, seed, collector=records)
-    buffer = pol.aggregate_buffer(pol.AggBuffer(), records)
-    d_safe = pol.safety_filter_dataset(demos + buffer.records, est_params,
-                                       gate_cfg.tau_down)
+    records = _gated_records(setup, cfg, cfg.policy.rollout_episodes_per_task, tag=401)
+    d_safe = pol.safety_filter_dataset(demos + records, est_params, gate_cfg.tau_down)
     tuned = pol.risk_weighted_finetune(params, d_safe, cfg.policy_train_config(),
                                        kappa=cfg.policy.kappa)
     pol.save_policy(tuned, cfg.policy.finetuned_path)
     _emit({"checkpoint": cfg.policy.finetuned_path, "kept": len(d_safe),
-           "demos": len(demos), "rollout_records": len(buffer.records),
-           "corrected": sum(r.corrected for r in buffer.records),
+           "demos": len(demos), "rollout_records": len(records),
+           "corrected": sum(r.corrected for r in records),
            "tau_down": gate_cfg.tau_down})
 
 
@@ -185,17 +188,12 @@ def _cmd_post_train(cfg: cf.RunConfig, args) -> None:
     setup = hn.prepare_setup(cfg, "gated")
     if os.path.exists(cfg.policy.checkpoint_path):
         setup = replace(setup, policy_params=pol.load_policy(cfg.policy.checkpoint_path))
-    records = []
-    for tid in cfg.tasks.ids:
-        for i in range(cfg.tasks.episodes_per_task):
-            seed = hn.episode_seed(cfg.seed, tid, i, tag=501)
-            hn.run_episode(setup, tid, seed, collector=records)
-    buffer = pol.aggregate_buffer(pol.AggBuffer(), records)
-    params = pol.post_train_estimator(setup.est_params, buffer,
+    records = _gated_records(setup, cfg, cfg.tasks.episodes_per_task, tag=501)
+    params = pol.post_train_estimator(setup.est_params, records,
                                       cfg.estimator_train_config())
     out = cfg.estimator.posttrained_path or cfg.estimator.checkpoint_path
     est.save_params(params, out)
-    _emit({"checkpoint": out, "buffer_records": len(buffer),
+    _emit({"checkpoint": out, "buffer_records": len(records),
            "temperature": params.temperature})
 
 

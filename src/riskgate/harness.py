@@ -1,10 +1,18 @@
 """Episode execution and evaluation.
 
-run_episode drives one seeded episode in one of four modes (ungated,
-gated, gated+refine, gated+finetuned), logging every step; evaluate fans
-episodes out over tasks and seeds, aggregates a metrics report, and
-persists logs as line-delimited records. Logs are the source of truth:
-every non-latency number in the report is recomputable from them.
+run_episodes drives seeded episodes in one of four modes (ungated, gated,
+gated+refine, gated+finetuned), logging every step. The episodes advance
+in lockstep as one batched world state: per step, one call each takes
+the observations, the scripted expert's plans, the oracle labels of the
+executed plans, the executed step, its clearance and the success check
+for every live episode, while each episode's gate decision (candidate
+sampling and scoring, gate, recovery, refinement, and the cloned
+policy's plan) runs alone with the estimator batch sizes of a single
+episode. Every log is therefore the one the episode gives when run by
+itself. evaluate runs the episodes of every task and seed, aggregates a
+metrics report, and persists logs as line-delimited records. Logs are
+the source of truth: every non-latency number in the report is
+recomputable from them.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ class StepRecord:
     gate_mode: str
     decision: str
     action: list
+    # wall time of the step's shared batched observation and expert-plan
+    # call, plus this episode's own plan and decision time
     latency_us: float
     plan_y_bin: int | None    # oracle label of the plan driving the step
 
@@ -72,10 +82,11 @@ class EvalSetup:
     policy_params: pol.PolicyParams | None = None
 
 
-def _state_digest(state: wd.DualArmState) -> str:
-    payload = np.concatenate([state.q_left, state.q_right,
-                              [state.g_left, state.g_right, float(state.t)]])
-    return hashlib.sha256(payload.tobytes()).hexdigest()[:16]
+def _state_digests(state: wd.DualArmState) -> list:
+    """Digest of each row of a batched state."""
+    payload = np.concatenate([state.q_left, state.q_right, state.g_left[:, None],
+                              state.g_right[:, None], state.t[:, None].astype(float)], axis=1)
+    return [hashlib.sha256(row.tobytes()).hexdigest()[:16] for row in payload]
 
 
 def resolve_gate_config(cfg: cf.RunConfig) -> sg.GateConfig:
@@ -122,117 +133,153 @@ def prepare_setup(cfg: cf.RunConfig, mode: str | None = None) -> EvalSetup:
         est_params=est_params, policy_params=policy_params)
 
 
-def _nominal_plan(setup: EvalSetup, state, task):
-    if setup.policy_params is not None:
-        return pol.policy_plan(setup.policy_params, state, task,
-                               setup.world_cfg, setup.horizon)
-    return pol.scripted_expert(state, task, setup.horizon, setup.world_cfg)[0]
+def _decide(setup: EvalSetup, gate: sg.GateState, proprio, z, nominal, jitter_rng):
+    """One episode's gate decision on its nominal plan.
+
+    Returns (gate, decision, r_hat, executed plan, action row); r_hat is
+    None when ungated and the action row is None at HALT, where the
+    executed plan stays the nominal one.
+    """
+    if setup.mode == "ungated":
+        return gate, sg.EXECUTE, None, nominal, nominal[0].copy()
+    a_max, gate_cfg = setup.world_cfg.a_max, setup.gate_cfg
+    cands = dg.sample_candidates(nominal, setup.n_candidates, setup.sigma_a, jitter_rng, a_max)
+    choice = sg.select_candidate(setup.est_params, proprio, z, cands, a_max)
+    r_hat = float(choice.risks[choice.index])
+    gate, decision = sg.gate_step(gate, r_hat, gate_cfg)
+    if decision == sg.EXECUTE:
+        plan = choice.plan
+        if setup.mode == "gated+refine":
+            plan = sg.refine_plan(setup.est_params, proprio, z, plan, gate_cfg).plan
+        row = plan[0].copy()
+        if setup.soft_gate:
+            row *= sg.soft_scale(r_hat, gate_cfg.tau_up)
+        return gate, decision, r_hat, plan, row
+    if decision == sg.BLOCK:
+        rec = sg.recover(setup.est_params, proprio, z, setup.horizon, gate_cfg)
+        row = rec.plan[0].copy()
+        if not rec.made_progress:
+            row *= sg.distance_fallback(rec.min_dist, gate_cfg.d0)
+        return gate, decision, r_hat, rec.plan, row
+    return gate, decision, r_hat, nominal, None
+
+
+def _lockstep(setup: EvalSetup, jobs, collectors) -> list:
+    """Run the (task_id, seed) episodes of jobs together; one log per job.
+
+    The live episodes form one batched state. Per step, one call each
+    observes them all (proprioception, and the scene feature with each
+    episode's own noise generator) and, for the scripted expert, plans
+    them all. Each episode then decides alone, in job order, with the
+    estimator calls of a single episode; the cloned policy also plans
+    per episode. One oracle pass labels every executed plan from its own
+    episode's state, and one `step`, one clearance pass and one success
+    check advance them all. An episode drops out when it collides,
+    succeeds or halts.
+    """
+    wcfg = setup.world_cfg
+    inits = [wd.task_init(tid, seed, wcfg, setup.task_params) for tid, seed in jobs]
+    state = wd.stack_states([s for s, _ in inits])
+    task = wd.stack_tasks([t for _, t in inits])
+    streams = [[np.random.default_rng(np.random.SeedSequence(
+                    [setup.seed, wd.task_index(tid), int(seed), k])) for k in (101, 102)]
+               for tid, seed in jobs]
+    logs = [EpisodeLog(task_id=tid, seed=int(seed), mode=setup.mode, steps=[])
+            for tid, seed in jobs]
+    gates = [sg.GateState()] * len(jobs)
+    live = np.arange(len(jobs))
+    for t in range(setup.task_params.max_steps):
+        t0 = time.perf_counter()
+        proprio = wd.proprio_feature(state)
+        z = wd.scene_feature(state, task, wcfg.noise_sigma, [streams[i][0] for i in live])
+        expert = (pol.scripted_expert(state, task, setup.horizon, wcfg)[0]
+                  if setup.policy_params is None else None)
+        shared_s = time.perf_counter() - t0
+        decided = []  # per live episode: (r_hat, decision, executed plan, action row, latency)
+        for j, i in enumerate(live):
+            t1 = time.perf_counter()
+            if expert is not None:
+                nominal = expert[j]
+            else:
+                nominal = pol.policy_plan(setup.policy_params, wd.take(state, j),
+                                          wd.take(task, j), wcfg, setup.horizon)
+            prev = gates[i]
+            gates[i], decision, r_hat, plan, row = _decide(setup, prev, proprio[j], z[j],
+                                                           nominal, streams[i][1])
+            latency_us = max((shared_s + time.perf_counter() - t1) * 1e6, 1e-3)
+            if prev.mode == sg.RUN and gates[i].mode == sg.BLOCKED:
+                logs[i].recoveries += 1
+            logs[i].blocked_steps += decision == sg.BLOCK
+            decided.append((r_hat, decision, plan, row, latency_us))
+        r_hats, decisions, plans, rows, latencies = zip(*decided)
+
+        labels = wd.rollout_batch(state, np.stack(plans), wcfg)
+        actions = np.stack([np.zeros(4) if row is None else row for row in rows])
+        state_next = wd.step(state, actions, wcfg)
+        d_min = wd.min_self_distance(state_next, wcfg)
+        success = wd.success_check(state_next, task)
+        digests = _state_digests(state)
+        done = np.zeros(len(live), dtype=bool)
+        for j, i in enumerate(live):
+            log, halted = logs[i], rows[j] is None
+            # a HALT executes nothing, so it logs the clearance of the current
+            # state; that state passed its success check after the last step
+            d = float(wd.min_self_distance(wd.take(state, j), wcfg) if halted else d_min[j])
+            log.steps.append(StepRecord(
+                t=t, state_digest=digests[j], r_hat=r_hats[j], d_min=d,
+                gate_mode=gates[i].mode, decision=decisions[j],
+                action=[float(a) for a in actions[j]], latency_us=latencies[j],
+                plan_y_bin=int(labels[j].y_bin)))
+            if not halted and collectors[i] is not None:
+                collectors[i].append(pol.DemoRecord(
+                    proprio=proprio[j], z=z[j],
+                    goals=np.concatenate([task.goal_left[j], task.goal_right[j]]),
+                    action=rows[j], plan=plans[j].copy(), label=labels[j],
+                    risk=0.0 if r_hats[j] is None else r_hats[j],
+                    corrected=(decisions[j] == sg.BLOCK)))
+            log.collided = not halted and d < 0.0
+            log.success = not halted and not log.collided and bool(success[j])
+            done[j] = halted or log.collided or log.success
+        if done.all():
+            break
+        state = state_next
+        if done.any():
+            live, state, task = live[~done], wd.take(state, ~done), wd.take(task, ~done)
+    for log in logs:
+        log.n_steps = len(log.steps)
+    return logs
+
+
+def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
+    """Seeded episodes, one per (task_id, seed) in jobs; returns their logs
+    in job order.
+
+    Episodes advance in lockstep, at most `datasetgen.LOCKSTEP_EPISODES`
+    at a time, and every log is the one the episode would give alone. An
+    episode ends at success, collision (terminal failure), a HALT
+    decision, or the step budget. Feature noise and candidate jitter come
+    from separate seeded streams per episode, so the executed trajectory
+    under a gate that never blocks matches the ungated trajectory exactly.
+
+    When collectors is given, it holds one list per job, and each step of
+    that episode appends a labeled record for aggregation (corrected
+    actions at blocked steps come from recovery; a HALT step adds none).
+    """
+    jobs = list(jobs)
+    if collectors is None:
+        collectors = [None] * len(jobs)
+    if len(collectors) != len(jobs):
+        raise ValueError(f"{len(collectors)} collectors for {len(jobs)} jobs")
+    size = dg.LOCKSTEP_EPISODES
+    return [log for lo in range(0, len(jobs), size)
+            for log in _lockstep(setup, jobs[lo:lo + size], collectors[lo:lo + size])]
 
 
 def run_episode(setup: EvalSetup, task_id: str, seed: int,
                 collector: list | None = None) -> EpisodeLog:
-    """One seeded episode; returns the full log.
-
-    The loop ends at success, collision (terminal failure), a HALT
-    decision, or the step budget. Feature noise and candidate jitter come
-    from separate seeded streams, so the executed trajectory under a gate
-    that never blocks matches the ungated trajectory exactly.
-
-    When collector is given, a labeled record per step is appended for
-    aggregation (corrected actions at blocked steps come from recovery).
-    """
-    wcfg = setup.world_cfg
-    state, task = wd.task_init(task_id, seed, wcfg, setup.task_params)
-    tidx = wd.task_index(task_id)
-    noise_rng = np.random.default_rng(np.random.SeedSequence([setup.seed, tidx, int(seed), 101]))
-    jitter_rng = np.random.default_rng(np.random.SeedSequence([setup.seed, tidx, int(seed), 102]))
-    gated = setup.mode != "ungated"
-    gate = sg.GateState()
-    log = EpisodeLog(task_id=task_id, seed=int(seed), mode=setup.mode, steps=[])
-    goals = np.concatenate([task.goal_left, task.goal_right])
-
-    for t in range(task.max_steps):
-        digest = _state_digest(state)
-        t0 = time.perf_counter()
-        proprio = wd.proprio_feature(state)
-        z = wd.scene_feature(state, task, wcfg.noise_sigma, noise_rng)
-        nominal = _nominal_plan(setup, state, task)
-        r_hat = None
-        plan_label = None
-        decision = sg.EXECUTE
-        exec_plan = nominal
-        halted = False
-
-        if gated:
-            cands = dg.sample_candidates(nominal, setup.n_candidates,
-                                         setup.sigma_a, jitter_rng, wcfg.a_max)
-            choice = sg.select_candidate(setup.est_params, proprio, z, cands, wcfg.a_max)
-            r_hat = float(choice.risks[choice.index])
-            prev_mode = gate.mode
-            gate, decision = sg.gate_step(gate, r_hat, setup.gate_cfg)
-            if prev_mode == sg.RUN and gate.mode == sg.BLOCKED:
-                log.recoveries += 1
-            if decision == sg.EXECUTE:
-                exec_plan = choice.plan
-                if setup.mode == "gated+refine":
-                    refined = sg.refine_plan(setup.est_params, proprio, z,
-                                             exec_plan, setup.gate_cfg)
-                    exec_plan = refined.plan
-                action_row = exec_plan[0].copy()
-                if setup.soft_gate:
-                    action_row *= sg.soft_scale(r_hat, setup.gate_cfg.tau_up)
-            elif decision == sg.BLOCK:
-                log.blocked_steps += 1
-                rec = sg.recover(setup.est_params, proprio, z, setup.horizon,
-                                 setup.gate_cfg)
-                exec_plan = rec.plan
-                action_row = rec.plan[0].copy()
-                if not rec.made_progress:
-                    action_row *= sg.distance_fallback(rec.min_dist,
-                                                       setup.gate_cfg.d0)
-            else:
-                action_row = np.zeros(4)
-                halted = True
-        else:
-            action_row = nominal[0].copy()
-
-        latency_us = max((time.perf_counter() - t0) * 1e6, 1e-3)
-        plan_label = wd.rollout(state, exec_plan, wcfg)
-
-        if halted:
-            log.steps.append(StepRecord(
-                t=t, state_digest=digest, r_hat=r_hat,
-                d_min=float(wd.min_self_distance(state, wcfg)),
-                gate_mode=gate.mode, decision=decision,
-                action=[0.0, 0.0, 0.0, 0.0], latency_us=latency_us,
-                plan_y_bin=int(plan_label.y_bin)))
-            break
-
-        if collector is not None:
-            collector.append(pol.DemoRecord(
-                proprio=proprio, z=z, goals=goals.copy(),
-                action=action_row.copy(), plan=exec_plan.copy(), label=plan_label,
-                risk=float(r_hat) if r_hat is not None else 0.0,
-                corrected=(decision == sg.BLOCK)))
-
-        state = wd.step(state, action_row, wcfg)
-        d_min = float(wd.min_self_distance(state, wcfg))
-        log.steps.append(StepRecord(
-            t=t, state_digest=digest, r_hat=r_hat, d_min=d_min,
-            gate_mode=gate.mode, decision=decision,
-            action=[float(a) for a in action_row], latency_us=latency_us,
-            plan_y_bin=int(plan_label.y_bin)))
-        if d_min < 0.0:
-            log.collided = True
-            break
-        if wd.success_check(state, task):
-            log.success = True
-            break
-
-    log.n_steps = len(log.steps)
-    if not log.collided:
-        log.success = log.success or wd.success_check(state, task)
-    return log
+    """One seeded episode: `run_episodes` with a single job."""
+    return run_episodes(setup, [(task_id, seed)],
+                        None if collector is None else [collector])[0]
 
 
 def write_episode_log(log: EpisodeLog, path) -> None:
@@ -346,28 +393,28 @@ def episode_seed(base_seed: int, task_id: str, index: int, tag: int = 201) -> in
     return int(ss.generate_state(1)[0])
 
 
-def _run_one(args):
-    setup, task_id, seed = args
-    return run_episode(setup, task_id, seed)
-
-
 def evaluate(cfg: cf.RunConfig, mode: str | None = None,
              write_logs: bool = True) -> MetricsReport:
     """Run the full episode grid for one mode and aggregate the report.
 
     Episode seeds derive from (config seed, task, index) only, so the same
-    seeds pair up across modes. Workers > 1 fan episodes out to processes;
-    aggregation sorts by (task, seed), so the report is identical either way.
+    seeds pair up across modes. Workers > 1 split the job list into
+    contiguous chunks, one `run_episodes` call per chunk in a process
+    pool; each log is the episode's own, so the report is identical
+    either way.
     """
     setup = prepare_setup(cfg, mode)
-    jobs = [(setup, tid, episode_seed(cfg.seed, tid, i))
+    jobs = [(tid, episode_seed(cfg.seed, tid, i))
             for tid in cfg.tasks.ids
             for i in range(cfg.tasks.episodes_per_task)]
     if cfg.eval.workers > 1:
+        size = -(-len(jobs) // cfg.eval.workers)
+        chunks = [jobs[lo:lo + size] for lo in range(0, len(jobs), size)]
         with ProcessPoolExecutor(max_workers=cfg.eval.workers) as pool:
-            logs = list(pool.map(_run_one, jobs, chunksize=4))
+            logs = [lg for part in pool.map(run_episodes, [setup] * len(chunks), chunks)
+                    for lg in part]
     else:
-        logs = [_run_one(j) for j in jobs]
+        logs = run_episodes(setup, jobs)
 
     if write_logs:
         os.makedirs(cfg.eval.logs_dir, exist_ok=True)

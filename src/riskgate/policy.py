@@ -2,18 +2,19 @@
 
 A deterministic scripted expert emits short-horizon plans by simulating a
 proportional task-space law (goal-seeking, collision-blind). A small MLP
-policy clones it, optionally with per-sample risk weights on a
-safety-filtered dataset. A FIFO aggregation buffer collects gated-rollout
-records for estimator post-training.
+policy clones it from demonstrations collected in lockstep expert
+episodes, optionally with per-sample risk weights on a safety-filtered
+dataset. Records of gated rollouts post-train the risk estimator.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import datasetgen as dg
 from . import estimator as est
 from . import world as wd
 
@@ -109,16 +110,17 @@ def policy_plan(params: PolicyParams, state: wd.DualArmState, task: wd.Task,
     """The policy's own (H, 4) plan, rolled forward kinematically.
 
     Noise-free scene features: this is the policy's internal prediction,
-    not a sensor pass.
+    not a sensor pass. Like the expert, it steps no further than the state
+    its last row is chosen at.
     """
     goals = np.concatenate([task.goal_left, task.goal_right])
     steps = np.empty((horizon, 4))
     cur = state
     for i in range(horizon):
-        action = policy_forward(params, wd.proprio_feature(cur),
-                                wd.scene_feature(cur, task), goals)
-        steps[i] = action
-        cur = wd.step(cur, action, cfg)
+        steps[i] = policy_forward(params, wd.proprio_feature(cur),
+                                  wd.scene_feature(cur, task), goals)
+        if i + 1 < horizon:
+            cur = wd.step(cur, steps[i], cfg)
     return steps
 
 
@@ -153,39 +155,59 @@ class PolicyTrainConfig:
 def collect_demonstrations(task_id: str, seeds, horizon: int, cfg: wd.WorldConfig,
                            params: wd.TaskParams = wd.TaskParams(), *,
                            explore_noise: float) -> list:
-    """Expert rollouts over the given seeds, one record per visited state.
+    """Expert rollouts over the given seeds, one record per visited state,
+    concatenated per seed in the order given.
 
     The executed action adds small exploration noise (clipped to the box)
     while the recorded action and plan stay the expert's own, so cloning
     sees corrective labels on off-trajectory states and stays stable in
     closed loop. Episodes stop at success, collision, or the step budget.
     Oracle labels come from simulating each stored plan from its own state.
+
+    The episodes advance in lockstep, at most `datasetgen.LOCKSTEP_EPISODES`
+    at a time: per step, one expert call, one feature call each, one
+    oracle pass, one `step` and one clearance pass cover every live
+    episode. Each episode keeps one generator, which draws its scene noise
+    and then its exploration noise, so the records are those of running
+    the episodes one at a time.
     """
-    records = []
-    for seed in seeds:
-        state, task = wd.task_init(task_id, seed, cfg, params)
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [wd.task_index(task_id), int(seed), 29]))
-        goals = np.concatenate([task.goal_left, task.goal_right])
-        for _ in range(task.max_steps):
-            plan, _ = scripted_expert(state, task, horizon, cfg)
-            records.append(DemoRecord(
-                proprio=wd.proprio_feature(state),
-                z=wd.scene_feature(state, task, cfg.noise_sigma, rng),
-                goals=goals.copy(),
-                action=plan[0].copy(),
-                plan=plan,
-                label=wd.rollout(state, plan, cfg),
-            ))
-            executed = plan[0]
-            if explore_noise > 0:
-                executed = np.clip(executed + rng.normal(0.0, explore_noise, size=4),
-                                   -cfg.a_max, cfg.a_max)
-            state = wd.step(state, executed, cfg)
-            if wd.min_self_distance(state, cfg) < 0.0:
-                break
-            if wd.success_check(state, task):
-                break
+    seeds = [int(s) for s in seeds]
+    size = dg.LOCKSTEP_EPISODES
+    return [rec for lo in range(0, len(seeds), size)
+            for episode in _lockstep_demos(task_id, seeds[lo:lo + size], horizon, cfg,
+                                           params, explore_noise)
+            for rec in episode]
+
+
+def _lockstep_demos(task_id, seeds, horizon, cfg, params, explore_noise) -> list:
+    """The records of each of seeds' episodes, one list per seed."""
+    inits = [wd.task_init(task_id, seed, cfg, params) for seed in seeds]
+    state = wd.stack_states([s for s, _ in inits])
+    task = wd.stack_tasks([t for _, t in inits])
+    rngs = [np.random.default_rng(np.random.SeedSequence([wd.task_index(task_id), seed, 29]))
+            for seed in seeds]
+    records = [[] for _ in seeds]
+    live = np.arange(len(seeds))
+    for _ in range(params.max_steps):
+        plans, _ = scripted_expert(state, task, horizon, cfg)
+        proprio = wd.proprio_feature(state)
+        z = wd.scene_feature(state, task, cfg.noise_sigma, [rngs[i] for i in live])
+        goals = np.concatenate([task.goal_left, task.goal_right], axis=-1)
+        labels = wd.rollout_batch(state, plans, cfg)
+        executed = plans[:, 0]
+        for j, i in enumerate(live):
+            records[i].append(DemoRecord(proprio=proprio[j], z=z[j], goals=goals[j],
+                                         action=plans[j, 0].copy(), plan=plans[j],
+                                         label=labels[j]))
+        if explore_noise > 0:
+            noise = np.stack([rngs[i].normal(0.0, explore_noise, size=4) for i in live])
+            executed = np.clip(executed + noise, -cfg.a_max, cfg.a_max)
+        state = wd.step(state, executed, cfg)
+        done = (wd.min_self_distance(state, cfg) < 0.0) | wd.success_check(state, task)
+        if done.all():
+            break
+        if done.any():
+            live, state, task = live[~done], wd.take(state, ~done), wd.take(task, ~done)
     return records
 
 
@@ -271,40 +293,16 @@ def risk_weighted_finetune(params: PolicyParams, d_safe, cfg: PolicyTrainConfig,
     return _fit_mlp(params, x, y, weights, cfg)
 
 
-@dataclass
-class AggBuffer:
-    """FIFO record buffer; eviction keeps the newest records in order."""
-
-    capacity: int = 50_000
-    records: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-def aggregate_buffer(buffer: AggBuffer, new_records) -> AggBuffer:
-    """Append gated-rollout records, FIFO-evicting past capacity."""
-    buffer.records.extend(new_records)
-    overflow = len(buffer.records) - buffer.capacity
-    if overflow > 0:
-        del buffer.records[:overflow]
-    return buffer
-
-
-def post_train_estimator(est_params: est.EstimatorParams, buffer: AggBuffer,
+def post_train_estimator(est_params: est.EstimatorParams, records,
                          cfg: est.TrainConfig, heldout_frac: float = 0.2) -> est.EstimatorParams:
-    """Continue estimator training on buffer records, then recalibrate.
+    """Continue estimator training on gated-rollout records, then recalibrate.
 
     A fresh held-out split (seeded shuffle) backs the temperature fit, so
     the calibration NLL can only match or improve on T = 1.
     """
-    if len(buffer) == 0:
-        raise ValueError("empty aggregation buffer")
-    batch = est.stack_batch(buffer.records)
+    if not records:
+        raise ValueError("no gated-rollout records")
+    batch = est.stack_batch(records)
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 19]))
     order = rng.permutation(len(batch))
     n_held = max(1, int(round(heldout_frac * len(batch))))

@@ -19,6 +19,15 @@ from riskgate import world as wd
 ACCEPTANCE_LINES = []
 
 
+def assert_records_equal(got, ref):
+    """Two lists of policy.DemoRecord are equal, field by field, with ==."""
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        for name in ("proprio", "z", "goals", "action", "plan"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert (a.label, a.risk, a.corrected) == (b.label, b.risk, b.corrected)
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

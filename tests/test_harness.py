@@ -1,17 +1,22 @@
-"""Episode harness: log round-trips, metric arithmetic, gate wiring, and
-the exact equivalence of gated and ungated execution when the estimator
-never fires."""
+"""Episode harness: log round-trips, metric arithmetic, gate wiring, the
+exact equivalence of gated and ungated execution when the estimator never
+fires, and of lockstep episodes with episodes run one at a time."""
 
+import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from conftest import assert_records_equal
 from riskgate import config as cf
+from riskgate import datasetgen as dg
 from riskgate import estimator as est
 from riskgate import harness as hn
+from riskgate import policy as pol
 from riskgate import safeguard as sg
 from riskgate import world as wd
 
@@ -30,11 +35,12 @@ def inert_estimator(logit_bias):
 
 
 def make_setup(world_cfg, task_params, mode="ungated", est_params=None,
-               gate_cfg=None, soft_gate=False, horizon=3):
+               gate_cfg=None, soft_gate=False, horizon=3, policy_params=None):
     return hn.EvalSetup(
         mode=mode, world_cfg=world_cfg, task_params=task_params,
         gate_cfg=gate_cfg or sg.GateConfig(), horizon=horizon, n_candidates=4,
-        sigma_a=0.01, soft_gate=soft_gate, seed=0, est_params=est_params)
+        sigma_a=0.01, soft_gate=soft_gate, seed=0, est_params=est_params,
+        policy_params=policy_params)
 
 
 def test_episode_log_roundtrip(world_cfg, task_params, tmp_path):
@@ -259,3 +265,128 @@ def test_episode_seeds_pair_across_modes():
     d = hn.episode_seed(1, "crossing_transfer", 0)
     assert len({a, b, c, d}) == 4
     assert a == hn.episode_seed(0, "crossing_transfer", 0)
+
+
+def one_episode_at_a_time(setup, task_id, seed, collector):
+    """Reference episode: the closed loop of one episode alone, from the
+    per-state public calls. Returns its log and how it ended."""
+    wcfg, gate_cfg = setup.world_cfg, setup.gate_cfg
+    state, task = wd.task_init(task_id, seed, wcfg, setup.task_params)
+    noise, jitter = (np.random.default_rng(np.random.SeedSequence(
+        [setup.seed, wd.task_index(task_id), seed, k])) for k in (101, 102))
+    goals = np.concatenate([task.goal_left, task.goal_right])
+    gate = sg.GateState()
+    log = hn.EpisodeLog(task_id=task_id, seed=seed, mode=setup.mode, steps=[])
+    ending = "budget"
+    for t in range(task.max_steps):
+        digest = hashlib.sha256(np.concatenate(
+            [state.q_left, state.q_right, [state.g_left, state.g_right, float(state.t)]]
+        ).tobytes()).hexdigest()[:16]
+        proprio = wd.proprio_feature(state)
+        z = wd.scene_feature(state, task, wcfg.noise_sigma, noise)
+        if setup.policy_params is None:
+            nominal, _ = pol.scripted_expert(state, task, setup.horizon, wcfg)
+        else:
+            nominal = pol.policy_plan(setup.policy_params, state, task, wcfg, setup.horizon)
+        r_hat, decision, plan, action = None, sg.EXECUTE, nominal, nominal[0].copy()
+        if setup.mode != "ungated":
+            cands = dg.sample_candidates(nominal, setup.n_candidates, setup.sigma_a, jitter,
+                                         wcfg.a_max)
+            choice = sg.select_candidate(setup.est_params, proprio, z, cands, wcfg.a_max)
+            r_hat = float(choice.risks[choice.index])
+            before = gate.mode
+            gate, decision = sg.gate_step(gate, r_hat, gate_cfg)
+            log.recoveries += before == sg.RUN and gate.mode == sg.BLOCKED
+            if decision == sg.EXECUTE:
+                plan = choice.plan
+                if setup.mode == "gated+refine":
+                    plan = sg.refine_plan(setup.est_params, proprio, z, plan, gate_cfg).plan
+                action = plan[0].copy()
+                if setup.soft_gate:
+                    action *= sg.soft_scale(r_hat, gate_cfg.tau_up)
+            elif decision == sg.BLOCK:
+                log.blocked_steps += 1
+                rec = sg.recover(setup.est_params, proprio, z, setup.horizon, gate_cfg)
+                plan, action = rec.plan, rec.plan[0].copy()
+                if not rec.made_progress:
+                    action *= sg.distance_fallback(rec.min_dist, gate_cfg.d0)
+        label = wd.rollout(state, plan, wcfg)
+        if decision == sg.HALT:
+            log.steps.append(hn.StepRecord(
+                t=t, state_digest=digest, r_hat=r_hat,
+                d_min=wd.min_self_distance(state, wcfg), gate_mode=gate.mode,
+                decision=decision, action=[0.0] * 4, latency_us=0.0,
+                plan_y_bin=label.y_bin))
+            ending = "halt"
+            break
+        collector.append(pol.DemoRecord(
+            proprio=proprio, z=z, goals=goals, action=action, plan=plan, label=label,
+            risk=0.0 if r_hat is None else r_hat, corrected=decision == sg.BLOCK))
+        state = wd.step(state, action, wcfg)
+        d_min = wd.min_self_distance(state, wcfg)
+        log.steps.append(hn.StepRecord(
+            t=t, state_digest=digest, r_hat=r_hat, d_min=d_min, gate_mode=gate.mode,
+            decision=decision, action=action.tolist(), latency_us=0.0,
+            plan_y_bin=label.y_bin))
+        if d_min < 0.0:
+            log.collided, ending = True, "collision"
+            break
+        if wd.success_check(state, task):
+            log.success, ending = True, "success"
+            break
+    if not log.collided:
+        log.success = log.success or bool(wd.success_check(state, task))
+    log.n_steps = len(log.steps)
+    return log, ending
+
+
+LOCKSTEP_JOBS = [("crossing_transfer", s) for s in (0, 1, 2, 3)] + \
+    [("parallel_place", s) for s in (0, 1, 2, 3)]
+
+
+@pytest.fixture(scope="module")
+def lockstep_cases(world_cfg, trained_tiny):
+    """Setups of all four modes plus the watchdog halt case, each with its
+    per-episode reference logs, records and endings over LOCKSTEP_JOBS."""
+    params = wd.TaskParams(max_steps=30)
+    gate_cfg = sg.GateConfig(tau_up=0.6, tau_down=0.3)
+    setups = {mode: make_setup(world_cfg, params, mode=mode, gate_cfg=gate_cfg,
+                               est_params=None if mode == "ungated" else trained_tiny,
+                               soft_gate=True, horizon=5,
+                               policy_params=pol.init_policy(seed=2)
+                               if mode == "gated+finetuned" else None)
+              for mode in cf.MODES}
+    setups["halt"] = make_setup(world_cfg, params, mode="gated",
+                                est_params=inert_estimator(30.0),
+                                gate_cfg=sg.GateConfig(watchdog_window=5))
+    cases = {}
+    for name, setup in setups.items():
+        ref = []
+        for task_id, seed in LOCKSTEP_JOBS:
+            records = []
+            log, ending = one_episode_at_a_time(setup, task_id, seed, records)
+            ref.append((log, records, ending))
+        cases[name] = (setup, ref)
+    return cases
+
+
+@pytest.mark.parametrize("group", [dg.LOCKSTEP_EPISODES, 3])
+def test_lockstep_equals_one_episode_at_a_time(lockstep_cases, monkeypatch, group):
+    """`run_episodes` steps its episodes together, in groups of `group`.
+    In every mode each log, without its latency, and each collector's
+    records equal, with ==, those of the episode run alone; over both
+    tasks, episodes end by collision, success, the step budget and a
+    watchdog HALT."""
+    monkeypatch.setattr(dg, "LOCKSTEP_EPISODES", group)
+    endings = {}
+    for name, (setup, ref) in lockstep_cases.items():
+        collectors = [[] for _ in LOCKSTEP_JOBS]
+        logs = hn.run_episodes(setup, LOCKSTEP_JOBS, collectors)
+        assert len(logs) == len(ref)
+        for log, records, (ref_log, ref_records, ending) in zip(logs, collectors, ref):
+            assert all(s.latency_us > 0.0 for s in log.steps)
+            assert replace(log, steps=[replace(s, latency_us=0.0) for s in log.steps]) == ref_log
+            assert_records_equal(records, ref_records)
+            endings.setdefault(ending, set()).add((name, log.task_id))
+    assert set(endings) == {"collision", "success", "budget", "halt"}, endings
+    assert {task_id for cases in endings.values() for _, task_id in cases} == set(wd.TASK_IDS)

@@ -1,11 +1,13 @@
-"""Expert and learned policies: plan construction, cloning, the safety
-filter, risk-weighted fine-tuning, the aggregation buffer, and estimator
-post-training."""
+"""Expert and learned policies: plan construction, lockstep demonstration
+collection, cloning, the safety filter, risk-weighted fine-tuning, and
+estimator post-training."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import assert_records_equal
+from riskgate import datasetgen as dg
 from riskgate import estimator as est
 from riskgate import policy as pol
 from riskgate import world as wd
@@ -63,19 +65,27 @@ def test_policy_forward_stays_in_box(world_cfg, task_params):
     assert np.all(np.abs(a) <= params.a_max)
 
 
-def test_policy_plan_matches_manual_rollout(world_cfg, task_params):
+def test_policy_plan_matches_manual_rollout(world_cfg, task_params, monkeypatch):
+    """The plan equals, with ==, the rows of the policy rolled forward one
+    step per row, and the world is stepped only between rows."""
     params = pol.init_policy(seed=2)
     state, task = wd.task_init("crossing_transfer", 3, world_cfg, task_params)
-    plan = pol.policy_plan(params, state, task, world_cfg, 5)
     goals = np.concatenate([task.goal_left, task.goal_right])
-    cur = state
+    ref, cur = [], state
     for i in range(5):
-        a = pol.policy_forward(params, wd.proprio_feature(cur),
-                               wd.scene_feature(cur, task), goals)
-        assert_allclose(plan[i], a, atol=1e-15)
-        cur = wd.step(cur, a, world_cfg)
+        ref.append(pol.policy_forward(params, wd.proprio_feature(cur),
+                                      wd.scene_feature(cur, task), goals))
+        cur = wd.step(cur, ref[-1], world_cfg)
+    real_step, calls = wd.step, []
 
+    def counting_step(*args):
+        calls.append(1)
+        return real_step(*args)
 
+    monkeypatch.setattr(wd, "step", counting_step)
+    plan = pol.policy_plan(params, state, task, world_cfg, 5)
+    assert_array_equal(plan, np.array(ref))
+    assert len(calls) == 4
 def test_collect_demonstrations_records(demo_records, world_cfg):
     for d in demo_records[:50]:
         assert d.plan.shape == (5, 4)
@@ -101,6 +111,56 @@ def test_collect_demonstrations_deterministic(world_cfg, task_params):
     for ra, rb in zip(a, b):
         assert_array_equal(ra.z, rb.z)
         assert_array_equal(ra.plan, rb.plan)
+
+
+def demos_one_episode_at_a_time(task_id, seeds, horizon, world_cfg, task_params,
+                                explore_noise):
+    """Reference collector: each episode alone, from the per-state calls.
+    Returns the records and how each episode ended."""
+    records, endings = [], []
+    for seed in seeds:
+        state, task = wd.task_init(task_id, seed, world_cfg, task_params)
+        rng = np.random.default_rng(np.random.SeedSequence([wd.task_index(task_id), seed, 29]))
+        goals = np.concatenate([task.goal_left, task.goal_right])
+        ending = "budget"
+        for _ in range(task.max_steps):
+            plan, _ = pol.scripted_expert(state, task, horizon, world_cfg)
+            records.append(pol.DemoRecord(
+                proprio=wd.proprio_feature(state),
+                z=wd.scene_feature(state, task, world_cfg.noise_sigma, rng),
+                goals=goals, action=plan[0].copy(), plan=plan,
+                label=wd.rollout(state, plan, world_cfg)))
+            executed = np.clip(plan[0] + rng.normal(0.0, explore_noise, size=4),
+                               -world_cfg.a_max, world_cfg.a_max)
+            state = wd.step(state, executed, world_cfg)
+            if wd.min_self_distance(state, world_cfg) < 0.0:
+                ending = "collision"
+                break
+            if wd.success_check(state, task):
+                ending = "success"
+                break
+        endings.append(ending)
+    return records, endings
+
+
+@pytest.mark.parametrize("group", [dg.LOCKSTEP_EPISODES, 3])
+def test_lockstep_demonstrations_equal_one_episode_at_a_time(world_cfg, task_params,
+                                                             monkeypatch, group):
+    """`collect_demonstrations` steps its episodes together, in groups of
+    `group`; every record equals the per-episode reference's, in seed
+    order, on both tasks, with episodes ending by collision, success and
+    the step budget at different steps."""
+    monkeypatch.setattr(dg, "LOCKSTEP_EPISODES", group)
+    params = wd.TaskParams(max_steps=25)
+    endings = set()
+    for task_id in wd.TASK_IDS:
+        seeds = [11, 3, 7, 20, 5]
+        ref, ends = demos_one_episode_at_a_time(task_id, seeds, 3, world_cfg, params, 0.01)
+        got = pol.collect_demonstrations(task_id, seeds, 3, world_cfg, params,
+                                         explore_noise=0.01)
+        assert_records_equal(got, ref)
+        endings.update(ends)
+    assert endings == {"collision", "success", "budget"}
 
 
 def test_bc_train_reduces_cloning_error(demo_records):
@@ -156,30 +216,18 @@ def test_risk_weighting_downweights_risky_targets():
         pol.risk_weighted_finetune(pol.init_policy(0), [], cfg, kappa=8.0)
 
 
-def test_agg_buffer_fifo():
-    buf = pol.AggBuffer(capacity=5)
-    pol.aggregate_buffer(buf, list(range(3)))
-    assert buf.records == [0, 1, 2]
-    pol.aggregate_buffer(buf, list(range(3, 8)))
-    assert buf.records == [3, 4, 5, 6, 7]
-    assert len(buf) == 5
-    with pytest.raises(ValueError):
-        pol.AggBuffer(capacity=0)
-
-
 def test_post_train_estimator_runs_and_calibrates(demo_records, trained_tiny):
-    buf = pol.AggBuffer(records=list(demo_records))
     cfg = est.TrainConfig(epochs_per_phase=2, seed=0)
-    out = pol.post_train_estimator(trained_tiny, buf, cfg)
+    out = pol.post_train_estimator(trained_tiny, demo_records, cfg)
     assert out is not trained_tiny
     assert 0.25 <= out.temperature <= 4.0
     # weights moved; the input estimator is untouched
     assert not np.array_equal(out.weights["w_risk"], trained_tiny.weights["w_risk"])
-    again = pol.post_train_estimator(trained_tiny, buf, cfg)
+    again = pol.post_train_estimator(trained_tiny, demo_records, cfg)
     assert_array_equal(out.weights["w_risk"], again.weights["w_risk"])
     assert out.temperature == again.temperature
     with pytest.raises(ValueError):
-        pol.post_train_estimator(trained_tiny, pol.AggBuffer(), cfg)
+        pol.post_train_estimator(trained_tiny, [], cfg)
 
 
 def test_policy_checkpoint_roundtrip(tmp_path):
