@@ -174,6 +174,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"tasks.ids must not repeat a task, got {cfg.tasks.ids}")
     if cfg.eval.n_candidates < 1:
         raise ConfigError("eval.n_candidates must be >= 1")
+    if not cfg.eval.sigma_a >= 0:
+        raise ConfigError(f"eval.sigma_a must be >= 0, got {cfg.eval.sigma_a}")
+    if cfg.eval.latency_trials < 1:
+        raise ConfigError("eval.latency_trials must be >= 1")
+    if cfg.eval.latency_warmup < 0:
+        raise ConfigError("eval.latency_warmup must be >= 0")
     if not (0.0 < cfg.estimator.heldout_frac < 1.0):
         raise ConfigError("estimator.heldout_frac must lie in (0, 1)")
     try:

@@ -7,16 +7,19 @@ scene feature) through single-head cross-attention, then mean-pools and
 feeds a small tanh trunk with three linear heads: collision-risk logit,
 minimum-clearance regression, and time-to-collision (softplus, capped).
 
-Gradients are analytic and hand-written; the same backward pass produces
-both parameter gradients (training) and plan-input gradients (projected
-gradient recovery/refinement). Everything runs in float64 numpy, batch-first.
+Gradients are analytic and hand-written. One backward chain runs from the
+heads to the plan inputs; training adds the parameter gradients on top of
+it, while projected-gradient recovery and refinement run the plan-only
+chain on the forward cache a B=1 prediction already carries, so descent
+pays one forward per evaluated plan and no parameter-gradient work.
+Everything runs in float64 numpy, batch-first.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,12 +35,18 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class RiskPrediction:
-    """One network output: calibrated risk, raw logit, clearance, TTC (s)."""
+    """One network output: calibrated risk, raw logit, clearance, TTC (s).
+
+    cache is the forward pass's activations when the prediction came from
+    predict_risk (None otherwise); risk_plan_gradient backpropagates from
+    it without a second forward.
+    """
 
     risk: float
     logit: float
     min_dist: float
     ttc: float
+    cache: dict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -181,12 +190,10 @@ def _softplus(x):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(min(x, -x)) is exp(-x) where x >= 0 and exp(x) elsewhere (NaN
+    # passes through with its sign): it never overflows
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _forward_batch(params: EstimatorParams, proprio, z, plan, mask):
@@ -195,12 +202,15 @@ def _forward_batch(params: EstimatorParams, proprio, z, plan, mask):
     d = params.d_model
     B, H, _ = plan.shape
 
-    pe = positional_encoding(H)
-    U = np.concatenate([plan, np.broadcast_to(pe, (B, H, POS_ENC_DIM))], axis=2)
+    U = np.empty((B, H, ACTION_DIM + POS_ENC_DIM))
+    U[:, :, :ACTION_DIM] = plan
+    U[:, :, ACTION_DIM:] = positional_encoding(H)
     act = np.tanh(U @ w["w_action"] + w["b_action"])                     # (B,H,d)
     ctx_p = np.tanh(proprio @ w["w_proprio"] + w["b_proprio"])           # (B,d)
     ctx_v = np.tanh(z @ w["w_vision"] + w["b_vision"])                   # (B,d)
-    C = np.stack([ctx_p, ctx_v], axis=1)                                 # (B,2,d)
+    C = np.empty((B, 2, d))                                              # (B,2,d)
+    C[:, 0] = ctx_p
+    C[:, 1] = ctx_v
 
     Q = act @ w["w_query"] + w["b_query"]                                # (B,H,d)
     K = C @ w["w_key"] + w["b_key"]                                      # (B,2,d)
@@ -229,52 +239,72 @@ def _forward_batch(params: EstimatorParams, proprio, z, plan, mask):
     return logit, dist, ttc, cache
 
 
-def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
-    """Exact gradients of any scalar with upstream (g_logit, g_dist, g_ttc).
+def _plan_backward(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
+    """Backprop of any scalar with upstream (g_logit, g_dist, g_ttc) to the
+    plan inputs only.
 
-    Returns (param_grads, plan_grads) where param_grads mirrors
-    params.weights and plan_grads is (B, H, 4). One pass serves both
-    training (all three upstreams) and plan optimization (logit only).
+    Returns (plan_grads, taps): plan_grads is (B, H, 4); taps holds the
+    upstream gradient at each layer the plan path crosses, from which
+    _backward_batch forms the parameter gradients. The context branch
+    (key, value, proprio, vision) feeds no plan gradient and is skipped.
     """
     w = params.weights
     d = params.d_model
     c = cache
-    g = {}
 
     g_raw = g_ttc * (c["ttc_sp"] < params.ttc_cap) * _sigmoid(c["ttc_raw"])
-    g["w_risk"] = c["t2"].T @ g_logit
-    g["b_risk"] = np.asarray(g_logit.sum())
-    g["w_dist"] = c["t2"].T @ g_dist
-    g["b_dist"] = np.asarray(g_dist.sum())
-    g["w_ttc"] = c["t2"].T @ g_raw
-    g["b_ttc"] = np.asarray(g_raw.sum())
     g_t2 = (g_logit[:, None] * w["w_risk"] + g_dist[:, None] * w["w_dist"]
             + g_raw[:, None] * w["w_ttc"])
 
     a2 = g_t2 * (1.0 - c["t2"] ** 2)
-    g["w_trunk2"] = c["t1"].T @ a2
-    g["b_trunk2"] = a2.sum(axis=0)
     g_t1 = a2 @ w["w_trunk2"].T
     a1 = g_t1 * (1.0 - c["t1"] ** 2)
-    g["w_trunk1"] = c["pooled"].T @ a1
-    g["b_trunk1"] = a1.sum(axis=0)
     g_pooled = a1 @ w["w_trunk1"].T
 
     g_R = (c["mask"] / c["counts"][:, None])[:, :, None] * g_pooled[:, None, :]
-    g_O = g_R
-    g_act = g_R.copy()  # residual branch
+    g_O = g_R  # attention branch; the residual branch passes g_R to act
 
     g_attn = g_O @ c["V"].transpose(0, 2, 1)                               # (B,H,2)
-    g_V = c["attn"].transpose(0, 2, 1) @ g_O                               # (B,2,d)
     attn = c["attn"]
     g_scores = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True))
     g_scores = g_scores / np.sqrt(d)
     g_Q = g_scores @ c["K"]
-    g_K = g_scores.transpose(0, 2, 1) @ c["Q"]
+    g_act = g_R + g_Q @ w["w_query"].T
 
-    g["w_query"] = np.einsum("bhd,bhe->de", c["act"], g_Q)
-    g["b_query"] = g_Q.sum(axis=(0, 1))
-    g_act = g_act + g_Q @ w["w_query"].T
+    g_act_pre = g_act * (1.0 - c["act"] ** 2)
+    g_U = g_act_pre @ w["w_action"].T
+    taps = dict(g_raw=g_raw, a2=a2, a1=a1, g_O=g_O, g_scores=g_scores, g_Q=g_Q,
+                g_act_pre=g_act_pre)
+    return g_U[:, :, :ACTION_DIM], taps
+
+
+def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
+    """Exact gradients of any scalar with upstream (g_logit, g_dist, g_ttc).
+
+    Returns (param_grads, plan_grads) where param_grads mirrors
+    params.weights and plan_grads is (B, H, 4): the plan-only pass plus
+    every parameter gradient (training).
+    """
+    w = params.weights
+    c = cache
+    plan_grads, t = _plan_backward(params, cache, g_logit, g_dist, g_ttc)
+    g = {}
+
+    g["w_risk"] = c["t2"].T @ g_logit
+    g["b_risk"] = np.asarray(g_logit.sum())
+    g["w_dist"] = c["t2"].T @ g_dist
+    g["b_dist"] = np.asarray(g_dist.sum())
+    g["w_ttc"] = c["t2"].T @ t["g_raw"]
+    g["b_ttc"] = np.asarray(t["g_raw"].sum())
+    g["w_trunk2"] = c["t1"].T @ t["a2"]
+    g["b_trunk2"] = t["a2"].sum(axis=0)
+    g["w_trunk1"] = c["pooled"].T @ t["a1"]
+    g["b_trunk1"] = t["a1"].sum(axis=0)
+
+    g_V = c["attn"].transpose(0, 2, 1) @ t["g_O"]                          # (B,2,d)
+    g_K = t["g_scores"].transpose(0, 2, 1) @ c["Q"]
+    g["w_query"] = np.einsum("bhd,bhe->de", c["act"], t["g_Q"])
+    g["b_query"] = t["g_Q"].sum(axis=(0, 1))
     g["w_key"] = np.einsum("bcd,bce->de", c["C"], g_K)
     g["b_key"] = g_K.sum(axis=(0, 1))
     g_C = g_K @ w["w_key"].T
@@ -289,11 +319,8 @@ def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
     g["w_vision"] = c["z"].T @ a_v
     g["b_vision"] = a_v.sum(axis=0)
 
-    g_act_pre = g_act * (1.0 - c["act"] ** 2)
-    g["w_action"] = np.einsum("bhu,bhd->ud", c["U"], g_act_pre)
-    g["b_action"] = g_act_pre.sum(axis=(0, 1))
-    g_U = g_act_pre @ w["w_action"].T
-    plan_grads = g_U[:, :, :ACTION_DIM]
+    g["w_action"] = np.einsum("bhu,bhd->ud", c["U"], t["g_act_pre"])
+    g["b_action"] = t["g_act_pre"].sum(axis=(0, 1))
     return g, plan_grads
 
 
@@ -305,24 +332,19 @@ def _as_batch_inputs(proprio, z, plan):
     return proprio, z, plan_arr, mask
 
 
-def forward(params: EstimatorParams, proprio, z, plan) -> RiskPrediction:
-    """Uncalibrated prediction (temperature treated as 1)."""
-    P, Z, A, mask = _as_batch_inputs(proprio, z, plan)
-    logit, dist, ttc, _ = _forward_batch(params, P, Z, A, mask)
-    ell = float(logit[0])
-    return RiskPrediction(risk=float(_sigmoid(np.array([ell]))[0]), logit=ell,
-                          min_dist=float(dist[0]), ttc=float(ttc[0]))
-
-
 def predict_risk(params: EstimatorParams, proprio, z, plan) -> RiskPrediction:
     """Calibrated prediction: stored temperature applied to the risk logit.
 
     min_dist and ttc are unaffected by the temperature, and risk ordering
-    over any fixed batch is invariant to it (monotone transform).
+    over any fixed batch is invariant to it (monotone transform). The
+    result carries its forward cache for risk_plan_gradient.
     """
-    pred = forward(params, proprio, z, plan)
-    pred.risk = float(_sigmoid(np.array([pred.logit / params.temperature]))[0])
-    return pred
+    P, Z, A, mask = _as_batch_inputs(proprio, z, plan)
+    logit, dist, ttc, cache = _forward_batch(params, P, Z, A, mask)
+    ell = float(logit[0])
+    return RiskPrediction(risk=float(_sigmoid(np.array([ell / params.temperature]))[0]),
+                          logit=ell, min_dist=float(dist[0]), ttc=float(ttc[0]),
+                          cache=cache)
 
 
 def predict_risk_batch(params: EstimatorParams, proprio, z, plans: np.ndarray):
@@ -344,20 +366,16 @@ def risk_batch(params: EstimatorParams, batch: SampleBatch) -> np.ndarray:
     return _sigmoid(logit / params.temperature)
 
 
-def risk_plan_gradient(params: EstimatorParams, proprio, z, plan):
-    """(prediction, d logit / d plan) for one sample.
+def risk_plan_gradient(params: EstimatorParams, pred: RiskPrediction) -> np.ndarray:
+    """d logit / d plan, (H, 4), at the plan predict_risk scored into pred.
 
-    The gradient is of the uncalibrated risk logit, which shares its descent
+    Runs the plan-only backward on pred's forward cache, no forward. The
+    gradient is of the uncalibrated risk logit, which shares its descent
     directions with the calibrated probability (temperature is a positive
     monotone reparameterization).
     """
-    P, Z, A, mask = _as_batch_inputs(proprio, z, plan)
-    logit, dist, ttc, cache = _forward_batch(params, P, Z, A, mask)
-    _, plan_grads = _backward_batch(params, cache, np.ones(1), np.zeros(1), np.zeros(1))
-    ell = float(logit[0])
-    pred = RiskPrediction(risk=float(_sigmoid(np.array([ell / params.temperature]))[0]),
-                          logit=ell, min_dist=float(dist[0]), ttc=float(ttc[0]))
-    return pred, plan_grads[0]
+    plan_grads, _ = _plan_backward(params, pred.cache, np.ones(1), np.zeros(1), np.zeros(1))
+    return plan_grads[0]
 
 
 def _bce_from_logit(logit, y):

@@ -4,6 +4,10 @@ Hysteresis gate state machine (RUN / BLOCKED / HALTED with a saturation
 watchdog), soft velocity scaling, lowest-risk candidate selection,
 projected-gradient recovery toward a low-risk plan, test-time plan
 refinement, and a distance-head damping fallback for when recovery stalls.
+
+Descent runs one B=1 forward per evaluated plan: the accepted iterate's
+prediction keeps its forward cache, and the step direction comes from a
+plan-only backward on that cache.
 """
 
 from __future__ import annotations
@@ -57,6 +61,15 @@ class GateConfig:
             raise ValueError("r_sat must be >= tau_up")
         if self.d0 <= 0 or self.a_max <= 0:
             raise ValueError("d0 and a_max must be positive")
+        if not (0.0 < self.eta < np.inf):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.max_halvings < 0:
+            raise ValueError(f"max_halvings must be >= 0, got {self.max_halvings}")
+        for name in ("lambda_reg", "alpha", "beta"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +177,8 @@ def _projected_descent(params, proprio, z, init: np.ndarray, risk_coeff,
     positive monotone map), while acceptance compares the true objective,
     so accepted iterates strictly descend. Each iteration restarts the
     step size and halves it on rejection; an iteration that exhausts all
-    halvings ends the search.
+    halvings ends the search. Every evaluated plan costs one forward; the
+    gradient backpropagates from the accepted plan's forward cache.
     """
     a_max = cfg.a_max
     plan = np.clip(np.asarray(init, dtype=float), -a_max, a_max)
@@ -172,12 +186,12 @@ def _projected_descent(params, proprio, z, init: np.ndarray, risk_coeff,
     def objective(arr, risk):
         return risk_coeff * risk + obj_extra(arr)
 
-    pred, g_logit = est.risk_plan_gradient(params, proprio, z, plan)
+    pred = est.predict_risk(params, proprio, z, plan)
     obj = objective(plan, pred.risk)
     trace = [obj]
     made_progress = False
     for _ in range(cfg.max_iters):
-        g = risk_coeff * g_logit + grad_extra(plan)
+        g = risk_coeff * est.risk_plan_gradient(params, pred) + grad_extra(plan)
         step = cfg.eta
         accepted = False
         for _ in range(cfg.max_halvings + 1):
@@ -193,7 +207,6 @@ def _projected_descent(params, proprio, z, init: np.ndarray, risk_coeff,
             break
         made_progress = True
         trace.append(obj)
-        pred, g_logit = est.risk_plan_gradient(params, proprio, z, plan)
     return DescentResult(plan=plan, objectives=trace,
                          made_progress=made_progress, risk=pred.risk,
                          min_dist=pred.min_dist)

@@ -86,7 +86,14 @@ def test_semantic_validation():
                                 ("world", "noise_sigma", -0.001),
                                 ("datagen", "sigma_a", -0.01), ("datagen", "sigma_a", float("nan")),
                                 ("datagen", "episodes_per_task", 0),
-                                ("tasks", "max_steps", 0)):
+                                ("tasks", "max_steps", 0),
+                                ("gate", "eta", 0.0), ("gate", "eta", -0.05),
+                                ("gate", "eta", float("nan")), ("gate", "eta", float("inf")),
+                                ("gate", "max_iters", 0), ("gate", "max_halvings", -1),
+                                ("gate", "lambda_reg", -0.1), ("gate", "alpha", -1.0),
+                                ("gate", "beta", -2.0), ("gate", "beta", float("nan")),
+                                ("eval", "latency_trials", 0), ("eval", "latency_warmup", -1),
+                                ("eval", "sigma_a", -0.01), ("eval", "sigma_a", float("nan"))):
         with pytest.raises(cf.ConfigError, match=key):
             cf.config_from_dict({section: {key: value}})
 

@@ -19,11 +19,11 @@ def small_batch(tiny_data, n=8):
 
 def batch_mean_loss(params, batch, cfg):
     """Independent re-derivation: mean of per-sample losses through the
-    public single-sample forward/loss path."""
+    public single-sample prediction/loss path."""
     total = 0.0
     for i in range(len(batch)):
         h = int(batch.mask[i].sum())
-        pred = est.forward(params, batch.proprio[i], batch.z[i], batch.plan[i, :h])
+        pred = est.predict_risk(params, batch.proprio[i], batch.z[i], batch.plan[i, :h])
         label = wd.RolloutOutcome(y_bin=int(batch.y_bin[i]), y_d=float(batch.y_d[i]),
                                   y_ttc=float(batch.y_ttc[i]))
         total += est.loss(pred, label, cfg)[0]
@@ -66,13 +66,16 @@ def test_forward_ranges_and_temperature(tiny_data):
     b = small_batch(tiny_data, 4)
     for i in range(4):
         h = int(b.mask[i].sum())
-        pred = est.forward(params, b.proprio[i], b.z[i], b.plan[i, :h])
+        pred = est.predict_risk(replace(params, temperature=1.0), b.proprio[i], b.z[i],
+                                b.plan[i, :h])
         assert 0.0 < pred.risk < 1.0
         assert 0.0 < pred.ttc <= params.ttc_cap
         assert pred.risk == pytest.approx(1.0 / (1.0 + np.exp(-pred.logit)))
         params.temperature = 2.5
         cal = est.predict_risk(params, b.proprio[i], b.z[i], b.plan[i, :h])
         assert cal.logit == pred.logit
+        # the forward cache it carries is left out of == and repr
+        assert cal == replace(cal, cache=None) and "cache" not in repr(cal)
         assert cal.risk == pytest.approx(1.0 / (1.0 + np.exp(-pred.logit / 2.5)))
         params.temperature = 1.0
 
@@ -88,7 +91,7 @@ def test_masked_padding_is_inert(tiny_data):
                                              mixed.plan, mixed.mask)
     for i in range(2):
         h = int(mixed.mask[i].sum())
-        solo = est.forward(params, mixed.proprio[i], mixed.z[i], mixed.plan[i, :h])
+        solo = est.predict_risk(params, mixed.proprio[i], mixed.z[i], mixed.plan[i, :h])
         assert solo.logit == pytest.approx(logit[i], abs=1e-12)
         assert solo.min_dist == pytest.approx(dist[i], abs=1e-12)
         assert solo.ttc == pytest.approx(ttc[i], abs=1e-12)
@@ -153,17 +156,53 @@ def test_plan_gradients_match_finite_differences(tiny_data):
     b = small_batch(tiny_data, 1)
     h = int(b.mask[0].sum())
     plan = b.plan[0, :h].copy()
-    _, g = est.risk_plan_gradient(params, b.proprio[0], b.z[0], plan)
+    g = est.risk_plan_gradient(params, est.predict_risk(params, b.proprio[0], b.z[0], plan))
     assert g.shape == plan.shape
     for (i, j) in [(0, 0), (0, 3), (h - 1, 1), (h - 1, 2)]:
         eps = 1e-6
         plan[i, j] += eps
-        up = est.forward(params, b.proprio[0], b.z[0], plan).logit
+        up = est.predict_risk(params, b.proprio[0], b.z[0], plan).logit
         plan[i, j] -= 2 * eps
-        dn = est.forward(params, b.proprio[0], b.z[0], plan).logit
+        dn = est.predict_risk(params, b.proprio[0], b.z[0], plan).logit
         plan[i, j] += eps
         fd = (up - dn) / (2 * eps)
         assert abs(fd - g[i, j]) / max(abs(fd), abs(g[i, j]), 1e-8) < 1e-4
+
+
+def test_plan_only_backward_matches_full_backward(tiny_data):
+    """The plan-only pass gives the full pass's plan gradients bit for bit,
+    for any upstream and with padded rows."""
+    params = est.init_params(seed=11)
+    mixed = est.stack_batch(
+        [dg.read_dataset(tiny_data["paths"][h]).samples[i] for h in (2, 3) for i in range(4)])
+    _, _, _, cache = est._forward_batch(params, mixed.proprio, mixed.z, mixed.plan, mixed.mask)
+    rng = np.random.default_rng(12)
+    n = len(mixed)
+    zero = np.zeros(n)
+    for ups in ((np.ones(n), zero, zero), tuple(rng.normal(size=(3, n)))):
+        _, full = est._backward_batch(params, cache, *ups)
+        plan_only, _ = est._plan_backward(params, cache, *ups)
+        assert_array_equal(plan_only.view(np.uint64), full.view(np.uint64))
+
+
+def masked_sigmoid(x):
+    """The boolean-mask logistic: 1/(1+exp(-x)) on x >= 0, exp(x)/(1+exp(x))
+    elsewhere."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bits_match_masked_formula():
+    edge = np.array([0.0, 1e-300, 30.0, 709.0, 800.0, np.inf, np.nan])
+    x = np.concatenate([edge, -edge])
+    assert_array_equal(est._sigmoid(x).view(np.uint64), masked_sigmoid(x).view(np.uint64))
+    wide = np.random.default_rng(13).normal(0.0, 40.0, size=1000)
+    assert_array_equal(est._sigmoid(wide).view(np.uint64),
+                       masked_sigmoid(wide).view(np.uint64))
 
 
 def test_batch_plan_gradients_zero_on_padding(tiny_data):

@@ -60,6 +60,15 @@ def test_gate_config_validation():
                 dict(r_sat=0.5), dict(d0=0.0), dict(a_max=-1.0)):
         with pytest.raises(ValueError):
             sg.GateConfig(**bad)
+    # descent settings under which recovery could never progress, or would
+    # climb the risk, each named in the message
+    for key, value in (("eta", 0.0), ("eta", float("nan")), ("eta", float("inf")),
+                       ("max_iters", 0), ("max_halvings", -1), ("lambda_reg", -0.1),
+                       ("alpha", -1.0), ("beta", -1.0), ("beta", float("nan"))):
+        with pytest.raises(ValueError, match=key):
+            sg.GateConfig(**{key: value})
+    # zero weights and zero halvings are legal
+    sg.GateConfig(max_halvings=0, lambda_reg=0.0, alpha=0.0, beta=0.0)
 
 
 def test_block_boundary_is_strict():
@@ -228,3 +237,113 @@ def test_refine_rejects_out_of_box_nominal(trained_tiny, world_cfg, task_params)
     proprio, z = _state_features(0, world_cfg, task_params)
     with pytest.raises(ValueError, match="action box"):
         sg.refine_plan(trained_tiny, proprio, z, np.full((3, 4), 0.5), CFG)
+
+
+def reference_descent(params, proprio, z, init, risk_coeff, grad_extra, obj_extra, cfg):
+    """The descent loop with no forward reuse: one forward per evaluated
+    plan plus a fresh forward and full backward per accepted iterate.
+
+    Returns (plan, objectives, made_progress, risk, min_dist, evaluated).
+    """
+    def full_gradient(plan):
+        P, Z, A, mask = est._as_batch_inputs(proprio, z, plan)
+        logit, dist, _, cache = est._forward_batch(params, P, Z, A, mask)
+        _, plan_grads = est._backward_batch(params, cache, np.ones(1), np.zeros(1),
+                                            np.zeros(1))
+        ell = float(logit[0])
+        risk = float(est._sigmoid(np.array([ell / params.temperature]))[0])
+        return risk, float(dist[0]), plan_grads[0]
+
+    plan = np.clip(np.asarray(init, dtype=float), -cfg.a_max, cfg.a_max)
+    risk, min_dist, g_logit = full_gradient(plan)
+    obj = risk_coeff * risk + obj_extra(plan)
+    trace, made_progress, evaluated = [obj], False, 1
+    for _ in range(cfg.max_iters):
+        g = risk_coeff * g_logit + grad_extra(plan)
+        step, accepted = cfg.eta, False
+        for _ in range(cfg.max_halvings + 1):
+            cand = np.clip(plan - step * g, -cfg.a_max, cfg.a_max)
+            pred = est.predict_risk(params, proprio, z, cand)
+            evaluated += 1
+            cand_obj = risk_coeff * pred.risk + obj_extra(cand)
+            if cand_obj < obj:
+                plan, obj, accepted = cand, cand_obj, True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        made_progress = True
+        trace.append(obj)
+        risk, min_dist, g_logit = full_gradient(plan)
+    return plan, trace, made_progress, risk, min_dist, evaluated
+
+
+def _descent_cases(trained_tiny, world_cfg, task_params):
+    """(params, proprio, z, nominal): the trained estimator on task states,
+    a rough random-weight estimator on random states (long descents), and
+    a flat estimator whose first iteration exhausts every halving."""
+    rng = np.random.default_rng(12)
+    rough = est.init_params(seed=4)
+    for k in rough.weights:
+        rough.weights[k] = 3.0 * rough.weights[k] + rng.normal(0.0, 0.3, rough.weights[k].shape)
+    rough.temperature = 2.5
+    flat = est.init_params(seed=0)
+    for k in flat.weights:
+        flat.weights[k] = np.zeros_like(flat.weights[k])
+    for seed in range(3):
+        proprio, z = _state_features(seed, world_cfg, task_params)
+        for params in (trained_tiny, flat):
+            yield params, proprio, z, rng.uniform(-0.02, 0.02, size=(3, 4))
+    for _ in range(8):
+        h = int(rng.integers(1, 6))
+        yield (rough, rng.normal(size=est.PROPRIO_DIM), rng.normal(size=est.VISION_DIM),
+               rng.uniform(-0.02, 0.02, size=(h, 4)))
+
+
+def _count_forwards(monkeypatch):
+    """Counter of est._forward_batch calls; est._backward_batch must not run."""
+    calls = []
+    forward = est._forward_batch
+
+    def counted(*args):
+        calls.append(1)
+        return forward(*args)
+
+    def no_full_backward(*args):
+        raise AssertionError("descent ran the parameter-gradient backward")
+
+    monkeypatch.setattr(est, "_forward_batch", counted)
+    monkeypatch.setattr(est, "_backward_batch", no_full_backward)
+    return calls
+
+
+def test_descent_matches_reference_with_one_forward_per_plan(
+        trained_tiny, world_cfg, task_params, monkeypatch):
+    """recover and refine_plan equal, with ==, the loop without forward
+    reuse, and run exactly one forward per evaluated plan."""
+    cfg = replace(CFG, max_iters=6, max_halvings=3)
+    lengths = []
+    for params, proprio, z, nominal in _descent_cases(trained_tiny, world_cfg, task_params):
+        h = nominal.shape[0]
+        for init, coeff, g_extra, o_extra, run in (
+                (np.zeros((h, 4)), 1.0,
+                 lambda a: 2.0 * cfg.lambda_reg * a,
+                 lambda a: cfg.lambda_reg * float(np.sum(a * a)),
+                 lambda: sg.recover(params, proprio, z, h, cfg)),
+                (nominal, cfg.beta,
+                 lambda a: 2.0 * cfg.alpha * (a - nominal),
+                 lambda a: cfg.alpha * float(np.sum((a - nominal) ** 2)),
+                 lambda: sg.refine_plan(params, proprio, z, nominal, cfg))):
+            plan, trace, progress, risk, min_dist, evaluated = reference_descent(
+                params, proprio, z, init, coeff, g_extra, o_extra, cfg)
+            with monkeypatch.context() as m:
+                forwards = _count_forwards(m)
+                res = run()
+            assert np.array_equal(res.plan, plan)
+            assert res.objectives == trace
+            assert res.made_progress == progress
+            assert res.risk == risk and res.min_dist == min_dist
+            assert len(forwards) == evaluated
+            lengths.append(len(trace))
+    # stalled at once (flat), stalled part way, and ran all max_iters
+    assert {1, 2, cfg.max_iters + 1} <= set(lengths) and len(set(lengths)) >= 4
