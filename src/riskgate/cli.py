@@ -126,8 +126,7 @@ def _cmd_roc_tune(cfg: cf.RunConfig, args) -> None:
         },
     }
     with open(cfg.gate.thresholds_path, "w") as f:
-        json.dump(payload, f)
-        f.write("\n")
+        f.write(json.dumps(payload) + "\n")
     _emit({k: payload[k] for k in ("tau_up", "tau_down", "auc", "fnr_at_tau")})
 
 

@@ -7,14 +7,30 @@ checker, all episodes' candidates in one oracle pass. Each episode keeps
 its own random streams and its samples, so the files are those of running
 the episodes one at a time. Files are JSONL: one header object, then one
 object per sample, partitioned by curriculum horizon.
+
+Every line is exactly the text of `json.dumps(obj, sort_keys=True)`.
+`write_dataset` renders it itself: for a list of finite floats, the list's
+repr is that text. Every candidate of a step, and every oversampled copy,
+shares the step's `proprio` and `z`, so their text is rendered once per
+distinct pair in a file, keyed by the arrays' bytes.
+
+Samples are validated as columns by one check, `_check_columns`.
+`Sample(...)` runs it on one row; gen-data runs it once per lockstep step,
+on that step's arrays; `read_dataset` parses line by line, then converts
+and checks slices of `_READ_SLICE` lines at a time, and names the first bad
+line. Validated columns become samples through `_assemble`, which checks
+nothing again.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import operator
 import os
 from dataclasses import dataclass, asdict, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -28,10 +44,20 @@ FORMAT_VERSION = 1
 # gen-data's peak memory near that of one episode at a time and lose
 # little speed to a single batch of every episode.
 LOCKSTEP_EPISODES = 64
+# Parsed lines that read_dataset converts and validates together; bounds
+# the parsed objects held at once.
+_READ_SLICE = 64
 
 
 @dataclass(frozen=True)
 class Sample:
+    """One labeled candidate plan.
+
+    The fields hold float64 arrays, an int H, a label of Python scalars and
+    a (str, int, int) meta. `Sample(...)` coerces them to these types and
+    raises ValueError unless they pass `_check_columns`.
+    """
+
     proprio: np.ndarray
     z: np.ndarray
     plan: np.ndarray  # (H, 4)
@@ -40,13 +66,80 @@ class Sample:
     meta: tuple  # (task_id, episode seed, step index)
 
     def __post_init__(self):
-        plan = np.asarray(self.plan, dtype=float).reshape(self.H, 4)
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "proprio", np.asarray(self.proprio, dtype=float))
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
-        for arr in (self.proprio, self.z, self.plan):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite sample field")
+        proprio = np.asarray(self.proprio, dtype=float)
+        z = np.asarray(self.z, dtype=float)
+        plan = np.asarray(self.plan, dtype=float)
+        label = self.label
+        _check_columns(proprio[None], z[None], plan.ravel(), [plan.size], [self.H],
+                       [label.y_bin], [label.y_d], [label.y_ttc])
+        task_id, seed, step = self.meta
+        for name, value in (
+                ("proprio", proprio), ("z", z), ("plan", plan.reshape(-1, 4)),
+                ("H", int(self.H)),
+                ("label", wd.RolloutOutcome(y_bin=int(label.y_bin), y_d=float(label.y_d),
+                                            y_ttc=float(label.y_ttc))),
+                ("meta", (str(task_id), int(seed), int(step)))):
+            object.__setattr__(self, name, value)
+
+
+def _assemble(proprio, z, plan, H, label, meta) -> Sample:
+    """A Sample of fields that `_check_columns` passed and that already
+    have Sample's types; nothing is checked again."""
+    s = object.__new__(Sample)
+    setattr_ = object.__setattr__  # Sample is frozen
+    setattr_(s, "proprio", proprio)
+    setattr_(s, "z", z)
+    setattr_(s, "plan", plan)
+    setattr_(s, "H", H)
+    setattr_(s, "label", label)
+    setattr_(s, "meta", meta)
+    return s
+
+
+class _BadSample(ValueError):
+    """A sample that breaks the format: its row among the columns checked,
+    and why."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(reason)
+        self.row = row
+
+
+def _check_columns(proprio, z, plan_values, plan_sizes, H, y_bin, y_d, y_ttc,
+                   horizons=None) -> None:
+    """Raise _BadSample for the first of N samples, given as columns, that
+    breaks the format.
+
+    proprio and z are (N, width) arrays; plan_values holds the N plans'
+    values back to back and plan_sizes their lengths; H, y_bin, y_d and
+    y_ttc hold N numbers each. horizons, when given, lists the allowed H.
+    """
+    H, y_bin, y_d, y_ttc, plan_sizes = (np.asarray(c, dtype=float)
+                                        for c in (H, y_bin, y_d, y_ttc, plan_sizes))
+    n = len(H)
+    plan_rows = np.repeat(np.arange(n), plan_sizes.astype(int))
+    checks = (
+        (np.full(n, proprio.shape[1:] != (est.PROPRIO_DIM,)),
+         f"proprio must hold {est.PROPRIO_DIM} values"),
+        (np.full(n, z.shape[1:] != (est.VISION_DIM,)), f"z must hold {est.VISION_DIM} values"),
+        (~(H >= 1) | (H % 1 != 0), "H must be an integer >= 1"),
+        (np.zeros(n, bool) if horizons is None else ~np.isin(H, horizons),
+         f"H not in the header's horizons {horizons}"),
+        (plan_sizes != 4 * H, "plan must hold 4*H values"),
+        (~np.isfinite(proprio.reshape(n, -1)).all(axis=1), "non-finite proprio"),
+        (~np.isfinite(z.reshape(n, -1)).all(axis=1), "non-finite z"),
+        (np.bincount(plan_rows, weights=~np.isfinite(plan_values), minlength=n) > 0,
+         "non-finite plan"),
+        ((y_bin != 0) & (y_bin != 1), "y_bin must be 0 or 1"),
+        (y_bin != (y_d < 0), "y_bin != (y_d < 0)"),
+        (~np.isfinite(y_d), "non-finite y_d"),
+        (~np.isfinite(y_ttc), "non-finite y_ttc"),
+    )
+    bad = np.stack([mask for mask, _ in checks])
+    rows = np.flatnonzero(bad.any(axis=0))
+    if rows.size:
+        row = int(rows[0])
+        raise _BadSample(row, checks[int(np.argmax(bad[:, row]))][1])
 
 
 @dataclass
@@ -125,7 +218,8 @@ def _lockstep_samples(episodes, gen_cfg: DatagenConfig, world_cfg: wd.WorldConfi
 
     Two independent streams per episode: feature noise and candidate jitter.
     Keeping them separate means the executed trajectory (expert, nominal
-    actions) does not depend on how many candidates are drawn.
+    actions) does not depend on how many candidates are drawn. Each step's
+    samples pass `_check_columns` once, as columns.
     """
     inits = [wd.task_init(tid, seed, world_cfg, task_params) for tid, seed, _ in episodes]
     state = wd.stack_states([s for s, _ in inits])
@@ -152,11 +246,14 @@ def _lockstep_samples(episodes, gen_cfg: DatagenConfig, world_cfg: wd.WorldConfi
         d = wd.rollout_clearance(wd.take(state, np.repeat(np.arange(len(live)), n)),
                                  plans.reshape(-1, h_max, 4), world_cfg)
         labels = wd.label_rollouts(d, world_cfg.dt, np.repeat(h_live, n))
+        y = np.array([(lab.y_bin, lab.y_d, lab.y_ttc) for lab in labels])
+        _check_columns(np.repeat(proprio, n, axis=0), np.repeat(z, n, axis=0),
+                       np.concatenate(cands, axis=None), np.repeat(4 * h_live, n),
+                       np.repeat(h_live, n), y[:, 0], y[:, 1], y[:, 2])
         for j, (i, h) in enumerate(zip(live, h_live)):
             p_j, z_j, meta = proprio[j], z[j], (episodes[i][0], int(episodes[i][1]), step_idx)
-            samples[i].extend(
-                Sample(proprio=p_j, z=z_j, plan=cand, H=int(h), label=label, meta=meta)
-                for cand, label in zip(cands[j], labels[j * n:(j + 1) * n]))
+            samples[i].extend(_assemble(p_j, z_j, cand, int(h), label, meta)
+                              for cand, label in zip(cands[j], labels[j * n:(j + 1) * n]))
         done = (d[0, ::n] < 0.0) | wd.success_check(state_next, task)
         if done.all():
             break
@@ -239,44 +336,75 @@ def oversample_near_miss(dataset: Dataset, d_thresh: float, factor: int) -> Data
     return Dataset(header=header, samples=samples)
 
 
-def _sample_to_obj(s: Sample) -> dict:
-    return {
-        "proprio": s.proprio.tolist(),
-        "z": s.z.tolist(),
-        "plan": s.plan.ravel().tolist(),
-        "H": int(s.H),
-        "y_bin": int(s.label.y_bin),
-        "y_d": float(s.label.y_d),
-        "y_ttc": float(s.label.y_ttc),
-        "meta": list(s.meta),
-    }
-
-
-def _sample_from_obj(obj: dict) -> Sample:
-    return Sample(
-        proprio=np.array(obj["proprio"], dtype=float),
-        z=np.array(obj["z"], dtype=float),
-        plan=np.array(obj["plan"], dtype=float).reshape(int(obj["H"]), 4),
-        H=int(obj["H"]),
-        label=wd.RolloutOutcome(y_bin=int(obj["y_bin"]), y_d=float(obj["y_d"]),
-                                y_ttc=float(obj["y_ttc"])),
-        meta=(str(obj["meta"][0]), int(obj["meta"][1]), int(obj["meta"][2])),
-    )
-
-
 def write_dataset(path, dataset: Dataset) -> None:
+    """Write the header line, then one line per sample, each the text of
+    `json.dumps(obj, sort_keys=True)` for the sample's object."""
     header = dataset.header
     if header.counts["samples"] != len(dataset.samples):
         raise ValueError("header sample count disagrees with body")
+    # (proprio bytes, z bytes) -> their text; kept for the whole file, as
+    # oversampling shuffles a step's samples across it
+    shared = {}
     with open(path, "w") as f:
         f.write(json.dumps(asdict(header), sort_keys=True) + "\n")
         for s in dataset.samples:
-            f.write(json.dumps(_sample_to_obj(s), sort_keys=True) + "\n")
+            key = (s.proprio.tobytes(), s.z.tobytes())
+            text = shared.get(key)
+            if text is None:
+                text = shared[key] = (repr(s.proprio.tolist()), repr(s.z.tolist()))
+            task_id, seed, step = s.meta
+            label = s.label
+            f.write(f'{{"H": {s.H}, "meta": [{encode_basestring_ascii(task_id)}, {seed}, '
+                    f'{step}], "plan": {s.plan.ravel().tolist()!r}, "proprio": {text[0]}, '
+                    f'"y_bin": {label.y_bin}, "y_d": {label.y_d!r}, '
+                    f'"y_ttc": {label.y_ttc!r}, "z": {text[1]}}}\n')
+
+
+# the fields of a parsed sample line that read_dataset keeps, in this order
+_line_fields = operator.itemgetter("proprio", "z", "plan", "H", "y_bin", "y_d", "y_ttc", "meta")
+
+
+def _samples_from_rows(rows, horizons) -> list:
+    """Samples of parsed sample lines, each given as its `_line_fields`,
+    converted and checked as columns."""
+    proprio, z, plans, H, y_bin, y_d, y_ttc, metas = zip(*rows)
+    plan_sizes = np.fromiter(map(len, plans), dtype=int, count=len(plans))
+    plan_values = np.fromiter(itertools.chain.from_iterable(plans), dtype=float,
+                              count=int(plan_sizes.sum()))
+    proprio, z, H, y_bin, y_d, y_ttc = (np.array(c, dtype=float)
+                                        for c in (proprio, z, H, y_bin, y_d, y_ttc))
+    _check_columns(proprio, z, plan_values, plan_sizes, H, y_bin, y_d, y_ttc, horizons)
+    ends = np.cumsum(plan_sizes).tolist()
+    labels = map(wd.RolloutOutcome, y_bin.astype(int).tolist(), y_d.tolist(), y_ttc.tolist())
+    # each sample owns copies of its rows: views would keep the whole
+    # slice's columns alive for as long as any one sample is kept
+    return [_assemble(p.copy(), zz.copy(), plan_values[end - 4 * h:end].reshape(h, 4).copy(),
+                      h, label, (str(m[0]), int(m[1]), int(m[2])))
+            for p, zz, end, h, label, m in zip(proprio, z, ends, H.astype(int).tolist(),
+                                               labels, metas)]
+
+
+def _read_rows(rows, linenos, horizons) -> list:
+    """`_samples_from_rows`, with errors naming the first bad line."""
+    if not rows:
+        return []
+    try:
+        return _samples_from_rows(rows, horizons)
+    except _BadSample as e:
+        raise ValueError(f"malformed sample at line {linenos[e.row]}: {e}") from None
+    except (KeyError, TypeError, ValueError, IndexError) as e:
+        if len(rows) == 1:
+            raise ValueError(f"malformed sample at line {linenos[0]}: {e}") from e
+        for k in range(len(rows)):  # raises at the first line that fails on its own
+            _read_rows(rows[k:k + 1], linenos[k:k + 1], horizons)
+        raise
 
 
 def read_dataset(path) -> Dataset:
     """Parse and validate a dataset file; raises ValueError on a version
-    mismatch, a malformed line, or a header/body count disagreement."""
+    mismatch, a malformed line, a sample that fails `_check_columns` or has
+    an H outside the header's horizons, or a header/body count
+    disagreement. A bad sample's error names its line."""
     with open(path) as f:
         first = f.readline()
         if not first.strip():
@@ -293,14 +421,20 @@ def read_dataset(path) -> Dataset:
             counts=dict(head_obj["counts"]), seed=int(head_obj["seed"]),
             config_digest=str(head_obj["config_digest"]),
         )
-        samples = []
+        samples, rows, linenos = [], [], []
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             try:
-                samples.append(_sample_from_obj(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError, IndexError) as e:
+                rows.append(_line_fields(json.loads(line)))
+            except (json.JSONDecodeError, KeyError, TypeError) as e:
+                _read_rows(rows, linenos, header.horizons)  # an earlier bad line comes first
                 raise ValueError(f"malformed sample at line {lineno}: {e}") from e
+            linenos.append(lineno)
+            if len(rows) == _READ_SLICE:
+                samples += _read_rows(rows, linenos, header.horizons)
+                rows, linenos = [], []
+        samples += _read_rows(rows, linenos, header.horizons)
     if header.counts["samples"] != len(samples):
         raise ValueError(
             f"header declares {header.counts['samples']} samples, body has {len(samples)}")

@@ -539,22 +539,74 @@ def save_params(params: EstimatorParams, path) -> None:
         "config_digest": params.config_digest,
     }
     with open(path, "w") as f:
-        json.dump(payload, f)
-        f.write("\n")
+        f.write(json.dumps(payload) + "\n")
+
+
+def checkpoint_weights(payload: dict, specs) -> dict:
+    """A checkpoint's arrays, in the checkpoint's order, checked against
+    (name, shape) specs: exactly the specs' names, each with its spec's
+    shape and every value finite. Raises ValueError naming the first bad
+    weight."""
+    weights, shapes = payload.get("weights"), payload.get("shapes")
+    if not isinstance(weights, dict) or not isinstance(shapes, dict):
+        raise ValueError("checkpoint lacks its weights or shapes")
+    expected = dict(specs)
+    missing = [name for name in expected if name not in weights]
+    if missing:
+        raise ValueError(f"checkpoint lacks weight {missing[0]!r}")
+    out = {}
+    for name, values in weights.items():
+        if name not in expected:
+            raise ValueError(f"checkpoint has unknown weight {name!r}")
+        shape = expected[name]
+        if shapes.get(name) != list(shape):
+            raise ValueError(f"weight {name!r} has shape {shapes.get(name)!r}, "
+                             f"expected {list(shape)}")
+        try:
+            arr = np.array(values, dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"weight {name!r} is not a list of numbers: {e}") from None
+        if arr.shape != (int(np.prod(shape)),):
+            raise ValueError(f"weight {name!r} holds {arr.size} values, "
+                             f"expected {int(np.prod(shape))}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"weight {name!r} has non-finite values")
+        out[name] = arr.reshape(shape)
+    return out
+
+
+def checkpoint_positive(payload: dict, key: str) -> float:
+    """payload[key] as a float; raises ValueError naming the key unless it
+    is a finite number > 0."""
+    try:
+        value = float(payload[key])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"checkpoint {key} must be a number, got {payload.get(key)!r}") from None
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"checkpoint {key} must be finite and > 0, got {value}")
+    return value
 
 
 def load_params(path) -> EstimatorParams:
+    """Read an estimator checkpoint; raises ValueError on a wrong version or
+    kind, a `dims.d_model` or `config_digest` of the wrong type, or a
+    weight, temperature or ttc_cap that `checkpoint_weights` or
+    `checkpoint_positive` rejects."""
     with open(path) as f:
         payload = json.load(f)
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
     if payload.get("kind") != "risk_estimator":
         raise ValueError(f"not a risk estimator checkpoint: kind={payload.get('kind')!r}")
-    weights = {
-        k: np.array(payload["weights"][k], dtype=float).reshape(payload["shapes"][k])
-        for k in payload["weights"]
-    }
-    return EstimatorParams(weights=weights, temperature=float(payload["temperature"]),
-                           d_model=int(payload["dims"]["d_model"]),
-                           ttc_cap=float(payload["ttc_cap"]),
-                           config_digest=str(payload["config_digest"]))
+    dims = payload.get("dims")
+    d_model = dims.get("d_model") if isinstance(dims, dict) else None
+    if not isinstance(d_model, int) or isinstance(d_model, bool) or d_model < 1:
+        raise ValueError(f"checkpoint dims.d_model must be an integer >= 1, got {d_model!r}")
+    digest = payload.get("config_digest")
+    if not isinstance(digest, str):
+        raise ValueError(f"checkpoint config_digest must be a string, got {digest!r}")
+    return EstimatorParams(weights=checkpoint_weights(payload, _weight_specs(d_model)),
+                           temperature=checkpoint_positive(payload, "temperature"),
+                           d_model=d_model,
+                           ttc_cap=checkpoint_positive(payload, "ttc_cap"),
+                           config_digest=digest)

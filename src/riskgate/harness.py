@@ -288,7 +288,7 @@ def write_episode_log(log: EpisodeLog, path) -> None:
                 "task_id": log.task_id, "seed": log.seed, "mode": log.mode}
         f.write(json.dumps(head, sort_keys=True) + "\n")
         for s in log.steps:
-            rec = {"kind": "step", **asdict(s)}
+            rec = {"kind": "step", **vars(s)}
             f.write(json.dumps(rec, sort_keys=True) + "\n")
         term = {"kind": "terminal", "success": log.success,
                 "collided": log.collided, "steps": log.n_steps,

@@ -327,20 +327,20 @@ def save_policy(params: PolicyParams, path, config_digest: str = "") -> None:
         "config_digest": config_digest,
     }
     with open(path, "w") as f:
-        json.dump(payload, f)
-        f.write("\n")
+        f.write(json.dumps(payload) + "\n")
 
 
 def load_policy(path) -> PolicyParams:
+    """Read a policy checkpoint; raises ValueError on a wrong version or
+    kind, or arrays or an a_max that `est.checkpoint_weights` or
+    `est.checkpoint_positive` rejects."""
     with open(path) as f:
         payload = json.load(f)
     if payload.get("format_version") != est.CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
     if payload.get("kind") != POLICY_CHECKPOINT_KIND:
         raise ValueError(f"not a policy checkpoint: kind={payload.get('kind')!r}")
-    arrs = {
-        name: np.array(payload["weights"][name], dtype=float).reshape(payload["shapes"][name])
-        for name in payload["weights"]
-    }
-    return PolicyParams(w1=arrs["w1"], b1=arrs["b1"], w2=arrs["w2"], b2=arrs["b2"],
-                        a_max=float(payload["a_max"]))
+    arrs = est.checkpoint_weights(payload, [
+        ("w1", (POLICY_IN, POLICY_HIDDEN)), ("b1", (POLICY_HIDDEN,)),
+        ("w2", (POLICY_HIDDEN, POLICY_OUT)), ("b2", (POLICY_OUT,))])
+    return PolicyParams(**arrs, a_max=est.checkpoint_positive(payload, "a_max"))

@@ -4,12 +4,14 @@ integrity, exit codes, assert expressions, and seed overrides."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from riskgate import cli
 from riskgate import config as cf
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
+from riskgate import metrics as mt
 from riskgate import policy as pol
 
 from conftest import MICRO_STAGES
@@ -62,6 +64,25 @@ def test_thresholds_file_feeds_reports(micro_run):
     gated = _read(root, "report_gated.json")
     assert gated["thresholds"]["tau_up"] == thr["tau_up"]
     assert gated["thresholds"]["tau_down"] == thr["tau_down"]
+
+
+def test_thresholds_bytes_match_json_dump(micro_run, tmp_path):
+    """roc-tune writes the bytes json.dump wrote for the same payload."""
+    root = micro_run["root"]
+    cfg = cf.load_config(micro_run["cfg_path"])
+    held = est.stack_batch(dg.read_dataset(root / "heldout.jsonl").samples)
+    res = mt.roc_tune(est.load_params(root / "est.json"), held, cfg.gate.fn_target)
+    payload = {
+        "tau_up": res.tau_up, "tau_down": res.tau_down, "auc": res.auc,
+        "fn_target": cfg.gate.fn_target, "fnr_at_tau": res.fnr_at_tau,
+        "roc": {"fpr": res.fpr.tolist(), "tpr": res.tpr.tolist(),
+                "thresholds": [t if np.isfinite(t) else None for t in res.thresholds.tolist()]},
+    }
+    with open(tmp_path / "ref.json", "w") as f:
+        json.dump(payload, f)
+        f.write("\n")
+    assert None in payload["roc"]["thresholds"]
+    assert (root / "thresholds.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def test_report_shapes(micro_run):

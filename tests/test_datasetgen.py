@@ -2,6 +2,7 @@
 serialization round-trips, and byte-level determinism."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -117,6 +118,156 @@ def test_read_rejects_corrupt_files(tiny_data, tmp_path):
         ds = dg.read_dataset(src)
         dg.write_dataset(tmp_path / "x.jsonl",
                          dg.Dataset(ds.header, ds.samples[:-1]))
+
+    # one bad sample among good ones, past the first read slice: the error
+    # names its line (lines[k] is line k + 1 of the file)
+    k = 300
+    assert len(lines) > k + 10
+
+    def corrupt(edit, name):
+        obj = json.loads(lines[k])
+        edit(obj)
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("\n".join(lines[:k] + [json.dumps(obj, sort_keys=True)]
+                                  + lines[k + 1:]) + "\n")
+        return path
+
+    def clear(o):  # a collision-free label, so only the edited field is wrong
+        o.update(y_bin=0, y_d=abs(o["y_d"]))
+
+    cases = [
+        ("proprio13", lambda o: o.update(proprio=o["proprio"][:13]), "proprio"),
+        ("z11", lambda o: o.update(z=o["z"] + [0.0]), "z must hold"),
+        ("ybin2", lambda o: (clear(o), o.update(y_bin=2)), "y_bin must be 0 or 1"),
+        ("ybin_disagrees", lambda o: (clear(o), o.update(y_bin=1)), "y_bin != "),
+        ("yd_nan", lambda o: (clear(o), o.update(y_d=float("nan"))), "y_d"),
+        ("yttc_nan", lambda o: o.update(y_ttc=float("nan")), "y_ttc"),
+        ("h_not_in_header", lambda o: o.update(H=3, plan=o["plan"] + [0.0] * 4), "horizons"),
+        ("plan_short", lambda o: o.update(plan=o["plan"][:-1]), "plan"),
+        ("plan_nan", lambda o: o.update(plan=[float("nan")] + o["plan"][1:]), "plan"),
+        ("no_z", lambda o: o.pop("z"), "'z'"),
+        ("meta_short", lambda o: o.update(meta=o["meta"][:1]), "index"),
+    ]
+    for name, edit, what in cases:
+        with pytest.raises(ValueError, match=f"line {k + 1}: .*{what}"):
+            dg.read_dataset(corrupt(edit, name))
+
+    # a bad sample earlier in the slice than a line that is not JSON is
+    # named first, as it is read first
+    first_bad = tmp_path / "two_bad.jsonl"
+    obj = json.loads(lines[2])
+    obj["z"] = obj["z"][:3]
+    first_bad.write_text("\n".join([lines[0], lines[1], json.dumps(obj), "{not json"]
+                                   + lines[3:]) + "\n")
+    with pytest.raises(ValueError, match="line 3: z must hold"):
+        dg.read_dataset(first_bad)
+
+
+@pytest.mark.parametrize("edit, what", [
+    (lambda kw: kw.update(proprio=np.zeros(13)), "proprio"),
+    (lambda kw: kw.update(z=np.zeros((2, 5))), "z must hold"),
+    (lambda kw: kw.update(plan=np.zeros((3, 4))), "plan"),
+    (lambda kw: kw.update(H=0, plan=np.zeros((0, 4))), "H must be"),
+    (lambda kw: kw.update(plan=np.full((2, 4), np.inf)), "plan"),
+    (lambda kw: kw.update(label=wd.RolloutOutcome(y_bin=1, y_d=0.1, y_ttc=0.2)), "y_bin !="),
+    (lambda kw: kw.update(label=wd.RolloutOutcome(y_bin=0, y_d=0.1, y_ttc=np.nan)), "y_ttc"),
+])
+def test_sample_runs_the_column_check(edit, what):
+    kw = dict(proprio=np.zeros(est.PROPRIO_DIM), z=np.zeros(est.VISION_DIM),
+              plan=np.zeros(8), H=2, label=wd.RolloutOutcome(y_bin=0, y_d=0.5, y_ttc=0.2),
+              meta=("crossing_transfer", np.int64(3), 4))
+    s = dg.Sample(**kw)
+    assert s.plan.shape == (2, 4) and s.meta == ("crossing_transfer", 3, 4)
+    assert type(s.meta[1]) is int and type(s.label.y_d) is float
+    edit(kw)
+    with pytest.raises(ValueError, match=what):
+        dg.Sample(**kw)
+
+
+def reference_line(s):
+    """The text the per-sample writer produced: json.dumps of the sample's
+    object with sorted keys."""
+    return json.dumps({
+        "proprio": s.proprio.tolist(), "z": s.z.tolist(), "plan": s.plan.ravel().tolist(),
+        "H": int(s.H), "y_bin": int(s.label.y_bin), "y_d": float(s.label.y_d),
+        "y_ttc": float(s.label.y_ttc), "meta": list(s.meta),
+    }, sort_keys=True) + "\n"
+
+
+def test_write_matches_json_dumps_bytes(tmp_path):
+    """Every line of `write_dataset` is json.dumps of the sample's object,
+    byte for byte: edge floats, the largest seeds, escaped task ids,
+    oversampled copies of one object and samples sharing proprio/z arrays,
+    including pairs whose text differs only in the sign of a zero."""
+    edge = np.array([-0.0, 5e-324, 1e-7, 1e16, 0.1 + 0.2, -1.5e-300, 123456.789, 1 / 3])
+    rng = np.random.default_rng(0)
+    proprio = np.resize(edge, est.PROPRIO_DIM)
+    z = np.resize(edge[::-1], est.VISION_DIM)
+    neg_zero = proprio.copy()
+    neg_zero[0] = 0.0  # same text as proprio but for one sign
+    samples = []
+    for i, (h, y_d) in enumerate([(2, -0.0), (3, 5e-324), (5, -1e-7), (2, 1e16), (3, 0.1 + 0.2)]):
+        plan = np.resize(np.concatenate([edge, rng.normal(0, 0.01, 40)]), (h, 4))
+        for p, zz in ((proprio, z), (neg_zero, z), (proprio.copy(), z.copy()),
+                      (proprio, rng.normal(size=est.VISION_DIM))):
+            samples.append(dg.Sample(
+                proprio=p, z=zz, plan=plan, H=h,
+                label=wd.RolloutOutcome(y_bin=int(y_d < 0), y_d=y_d, y_ttc=0.1 * h),
+                meta=(["crossing_transfer", 'tâsk "x"\n'][i % 2], 2**32 - 1 - i, i)))
+    samples += [samples[3]] * 3 + [samples[7], samples[3]]  # shared objects
+    header = dg.make_header([2, 3, 5], samples, 2**32 - 1, "d" * 64)
+    path = tmp_path / "edge.jsonl"
+    dg.write_dataset(path, dg.Dataset(header, samples))
+    ref = json.dumps(asdict(header), sort_keys=True) + "\n" + "".join(map(reference_line, samples))
+    assert path.read_bytes() == ref.encode()
+    # reading the file back gives samples that render the same lines
+    ds = dg.read_dataset(path)
+    assert [reference_line(s) for s in ds.samples] == list(map(reference_line, samples))
+
+
+def per_line_reader(path):
+    """The per-line reader the column reader replaced: one json.loads and
+    one validated Sample per line."""
+    with open(path) as f:
+        head = json.loads(f.readline())
+        samples = []
+        for line in f:
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+            samples.append(dg.Sample(
+                proprio=np.array(obj["proprio"], dtype=float),
+                z=np.array(obj["z"], dtype=float),
+                plan=np.array(obj["plan"], dtype=float).reshape(int(obj["H"]), 4),
+                H=int(obj["H"]),
+                label=wd.RolloutOutcome(y_bin=int(obj["y_bin"]), y_d=float(obj["y_d"]),
+                                        y_ttc=float(obj["y_ttc"])),
+                meta=(str(obj["meta"][0]), int(obj["meta"][1]), int(obj["meta"][2]))))
+    return head, samples
+
+
+def test_read_equals_per_line_reader(tiny_data, tmp_path):
+    """`read_dataset` equals the per-line reader on every field of every
+    sample: one-horizon files, and a mixed-horizon file (like the held-out
+    file) that spans several read slices."""
+    mixed = [s for h in (2, 3) for s in dg.read_dataset(tiny_data["paths"][h]).samples[::3]]
+    mixed_path = tmp_path / "mixed.jsonl"
+    rng = np.random.default_rng(1)
+    mixed = [mixed[i] for i in rng.permutation(len(mixed))]
+    dg.write_dataset(mixed_path, dg.Dataset(dg.make_header([2, 3], mixed, 0, "x"), mixed))
+    for path in (tiny_data["paths"][2], tiny_data["paths"][3], mixed_path):
+        head, ref = per_line_reader(path)
+        ds = dg.read_dataset(path)
+        assert asdict(ds.header) == head
+        assert len(ds.samples) == len(ref) > dg._READ_SLICE
+        for got, want in zip(ds.samples, ref):
+            for name in ("proprio", "z", "plan"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
+            assert (got.H, got.label, got.meta) == (want.H, want.label, want.meta)
+            assert [type(v) for v in (got.H, *asdict(got.label).values(), *got.meta)] == \
+                [type(v) for v in (want.H, *asdict(want.label).values(), *want.meta)]
 
 
 def test_stored_labels_are_exact(tiny_data, world_cfg):

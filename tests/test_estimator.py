@@ -2,6 +2,7 @@
 finite differences, masked pooling, training determinism, calibration,
 and checkpoint round-trips."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -304,11 +305,65 @@ def test_checkpoint_roundtrip(trained_tiny, tmp_path):
     bad.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="version"):
         est.load_params(bad)
+
     payload["format_version"] = est.CHECKPOINT_VERSION
     payload["kind"] = "policy"
     bad.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="kind"):
         est.load_params(bad)
+
+
+def save_params_reference(params, path):
+    """The writer `save_params` replaced: json.dump of the same payload."""
+    payload = {
+        "format_version": est.CHECKPOINT_VERSION, "kind": "risk_estimator",
+        "dims": {"d_model": params.d_model, "action": est.ACTION_DIM,
+                 "proprio": est.PROPRIO_DIM, "vision": est.VISION_DIM,
+                 "pos_enc": est.POS_ENC_DIM},
+        "shapes": {k: list(v.shape) for k, v in params.weights.items()},
+        "weights": {k: v.ravel().tolist() for k, v in params.weights.items()},
+        "temperature": params.temperature, "ttc_cap": params.ttc_cap,
+        "config_digest": params.config_digest,
+    }
+    with open(path, "w") as f:
+        json.dump(payload, f)
+        f.write("\n")
+
+
+def test_save_params_bytes_match_json_dump(trained_tiny, tmp_path):
+    params = replace(trained_tiny, config_digest="abc")
+    params.weights = dict(params.weights, b_risk=np.array(-0.0), b_dist=np.array(5e-324))
+    est.save_params(params, tmp_path / "new.json")
+    save_params_reference(params, tmp_path / "ref.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda p: p["weights"]["w_risk"].__setitem__(3, float("nan")), "w_risk"),
+    (lambda p: (p["weights"].pop("w_ttc"), p["shapes"].pop("w_ttc")), "w_ttc"),
+    (lambda p: p["weights"].update(w_extra=[0.0]), "w_extra"),
+    (lambda p: p["shapes"].update(w_query=[4, 8]), "w_query"),
+    (lambda p: p["weights"]["b_value"].pop(), "b_value"),
+    (lambda p: p["weights"].update(b_key="zeros"), "b_key"),
+    (lambda p: p.update(temperature=-1.0), "temperature"),
+    (lambda p: p.update(temperature=float("inf")), "temperature"),
+    (lambda p: p.pop("temperature"), "temperature"),
+    (lambda p: p.update(ttc_cap=0.0), "ttc_cap"),
+    (lambda p: p["dims"].update(d_model=0), "d_model"),
+    (lambda p: p.update(dims=[32]), "d_model"),
+    (lambda p: p.pop("config_digest"), "config_digest"),
+])
+def test_load_params_rejects_bad_checkpoints(trained_tiny, tmp_path, edit, key):
+    """A checkpoint whose weights are missing, extra, misshapen or not
+    finite, or whose temperature or ttc_cap is not a finite number > 0,
+    raises ValueError naming the key."""
+    path = tmp_path / "est.json"
+    est.save_params(trained_tiny, path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=key):
+        est.load_params(path)
 
 
 def test_train_config_validation():

@@ -5,7 +5,7 @@ fires, and of lockstep episodes with episodes run one at a time."""
 import hashlib
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -51,6 +51,26 @@ def test_episode_log_roundtrip(world_cfg, task_params, tmp_path):
     hn.write_episode_log(log, path)
     back = hn.read_episode_log(path)
     assert back == log
+
+
+def test_episode_log_bytes_match_asdict_writer(world_cfg, task_params, tmp_path):
+    """`write_episode_log` writes what the asdict-based writer wrote, byte
+    for byte, on a gated episode plus steps with edge values."""
+    setup = make_setup(world_cfg, task_params, mode="gated", est_params=inert_estimator(-1.0))
+    log = hn.run_episode(setup, "crossing_transfer", 3)
+    log.steps.append(hn.StepRecord(t=len(log.steps), state_digest="f" * 16, r_hat=None,
+                                   d_min=-0.0, gate_mode="HALT", decision="HALT",
+                                   action=[5e-324, -0.0, 1e16, 0.1 + 0.2],
+                                   latency_us=1e-7, plan_y_bin=None))
+    path = tmp_path / "ep.jsonl"
+    hn.write_episode_log(log, path)
+    head = {"kind": "episode", "format_version": hn.LOG_FORMAT_VERSION,
+            "task_id": log.task_id, "seed": log.seed, "mode": log.mode}
+    term = {"kind": "terminal", "success": log.success, "collided": log.collided,
+            "steps": log.n_steps, "blocked_steps": log.blocked_steps,
+            "recoveries": log.recoveries}
+    ref = [head] + [{"kind": "step", **asdict(s)} for s in log.steps] + [term]
+    assert path.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in ref)
 
 
 def test_read_episode_log_validation(world_cfg, task_params, tmp_path):

@@ -1,6 +1,7 @@
 """Module boundaries: no riskgate module reads another riskgate module's
 private (underscore) names, whether through a module alias or an import,
-and the runtime imports nothing beyond the standard library and numpy."""
+the runtime imports nothing beyond the standard library and numpy, and
+every compact JSON writer goes through json's C encoder."""
 
 import ast
 import pathlib
@@ -89,4 +90,33 @@ def test_runtime_imports_only_stdlib_and_numpy():
     found = [f"{path.name}:{line}: {name}"
              for path in sorted(SRC.glob("*.py"))
              for line, name in foreign_imports(path.read_text())]
+    assert found == []
+
+
+def streamed_json_dumps(source):
+    """Line of every `json.dump(...)` call without `indent=`. json.dump
+    streams through the pure-Python encoder; `f.write(json.dumps(...))`
+    writes the same bytes through the C encoder, which has no indent."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dump" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+            and not any(k.arg == "indent" for k in node.keywords)]
+
+
+def test_json_dump_checker():
+    source = ("import json\n"
+              "def f(obj, g):\n"
+              "    json.dump(obj, g)\n"
+              "    json.dump(obj, g, indent=2, sort_keys=True)\n"
+              "    g.write(json.dumps(obj) + '\\n')\n"
+              "    json.dump(obj, g,\n"
+              "              sort_keys=True)\n")
+    assert streamed_json_dumps(source) == [3, 6]
+
+
+def test_compact_json_writers_use_the_c_encoder():
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line in streamed_json_dumps(path.read_text())]
     assert found == []

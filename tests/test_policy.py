@@ -2,6 +2,8 @@
 collection, cloning, the safety filter, risk-weighted fine-tuning, and
 estimator post-training."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -245,3 +247,38 @@ def test_policy_checkpoint_roundtrip(tmp_path):
         pol.load_policy(tmp_path / "est.json")
     with pytest.raises(ValueError, match="kind"):
         est.load_params(path)
+
+
+def test_save_policy_bytes_match_json_dump(tmp_path):
+    params = pol.init_policy(seed=5)
+    params.b2[:2] = (-0.0, 5e-324)
+    pol.save_policy(params, tmp_path / "new.json", config_digest="d")
+    payload = {
+        "format_version": est.CHECKPOINT_VERSION, "kind": pol.POLICY_CHECKPOINT_KIND,
+        "dims": {"input": pol.POLICY_IN, "hidden": pol.POLICY_HIDDEN, "output": pol.POLICY_OUT},
+        "shapes": {name: list(arr.shape) for name, arr in params.weight_items()},
+        "weights": {name: arr.ravel().tolist() for name, arr in params.weight_items()},
+        "a_max": params.a_max, "config_digest": "d",
+    }
+    with open(tmp_path / "ref.json", "w") as f:
+        json.dump(payload, f)
+        f.write("\n")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda p: p["weights"]["b2"].__setitem__(0, float("nan")), "b2"),
+    (lambda p: (p["weights"].pop("w1"), p["shapes"].pop("w1")), "w1"),
+    (lambda p: p["shapes"].update(w2=[4, 32]), "w2"),
+    (lambda p: p["weights"]["b1"].append(0.0), "b1"),
+    (lambda p: p.update(a_max=0.0), "a_max"),
+    (lambda p: p.update(a_max=float("nan")), "a_max"),
+])
+def test_load_policy_rejects_bad_checkpoints(tmp_path, edit, key):
+    path = tmp_path / "pol.json"
+    pol.save_policy(pol.init_policy(seed=5), path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=key):
+        pol.load_policy(path)
