@@ -12,13 +12,21 @@ heads to the plan inputs; training adds the parameter gradients on top of
 it, while projected-gradient recovery and refinement run the plan-only
 chain on the forward cache a B=1 prediction already carries, so descent
 pays one forward per evaluated plan and no parameter-gradient work.
-Everything runs in float64 numpy, batch-first.
+
+Everything runs in float64 numpy, batch-first, with one forward for every
+use. The forward takes any leading batch shape: numpy's matmul makes one
+call per leading block, so scoring E groups of N plans as (E, N, H, 4)
+gives each group the bits of its own (N, H, 4) call. Padded training
+batches pass a step mask; inference passes none (every step is real),
+which skips the mask multiply and count and gives the bits of an
+all-ones mask.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -196,36 +204,64 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _forward_batch(params: EstimatorParams, proprio, z, plan, mask):
-    """Batched forward pass; returns (logit, dist, ttc, cache)."""
+def _forward_batch(params: EstimatorParams, proprio, z, plan, mask=None):
+    """Forward pass over any leading batch shape; returns (logit, dist, ttc,
+    cache).
+
+    plan is (..., H, 4) and proprio, z are (..., 14), (..., 10) over the
+    same leading shape. mask (..., H) marks the real steps of right-padded
+    plans; None means every step is real. Each matmul runs once per
+    leading block of its core shape, so a row's bits depend only on the
+    shape of its last batch axis, never on how many blocks lead it.
+    """
     w = params.weights
     d = params.d_model
-    B, H, _ = plan.shape
+    H = plan.shape[-2]
 
-    U = np.empty((B, H, ACTION_DIM + POS_ENC_DIM))
-    U[:, :, :ACTION_DIM] = plan
-    U[:, :, ACTION_DIM:] = positional_encoding(H)
-    act = np.tanh(U @ w["w_action"] + w["b_action"])                     # (B,H,d)
-    ctx_p = np.tanh(proprio @ w["w_proprio"] + w["b_proprio"])           # (B,d)
-    ctx_v = np.tanh(z @ w["w_vision"] + w["b_vision"])                   # (B,d)
-    C = np.empty((B, 2, d))                                              # (B,2,d)
-    C[:, 0] = ctx_p
-    C[:, 1] = ctx_v
+    U = np.empty((*plan.shape[:-1], ACTION_DIM + POS_ENC_DIM))
+    U[..., :ACTION_DIM] = plan
+    U[..., ACTION_DIM:] = positional_encoding(H)
+    act = U @ w["w_action"]                                              # (...,H,d)
+    act += w["b_action"]
+    np.tanh(act, out=act)
+    ctx_p = proprio @ w["w_proprio"]                                     # (...,d)
+    ctx_p += w["b_proprio"]
+    np.tanh(ctx_p, out=ctx_p)
+    ctx_v = z @ w["w_vision"]                                            # (...,d)
+    ctx_v += w["b_vision"]
+    np.tanh(ctx_v, out=ctx_v)
+    C = np.empty((*ctx_p.shape[:-1], 2, d))                              # (...,2,d)
+    C[..., 0, :] = ctx_p
+    C[..., 1, :] = ctx_v
 
-    Q = act @ w["w_query"] + w["b_query"]                                # (B,H,d)
-    K = C @ w["w_key"] + w["b_key"]                                      # (B,2,d)
-    V = C @ w["w_value"] + w["b_value"]                                  # (B,2,d)
-    scores = Q @ K.transpose(0, 2, 1) / np.sqrt(d)                       # (B,H,2)
-    scores = scores - scores.max(axis=2, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=2, keepdims=True)
-    O = attn @ V                                                         # (B,H,d)
-    R = O + act
-    counts = mask.sum(axis=1)                                            # (B,)
-    pooled = (mask[:, :, None] * R).sum(axis=1) / counts[:, None]        # (B,d)
+    Q = act @ w["w_query"]                                               # (...,H,d)
+    Q += w["b_query"]
+    K = C @ w["w_key"]                                                   # (...,2,d)
+    K += w["b_key"]
+    V = C @ w["w_value"]                                                 # (...,2,d)
+    V += w["b_value"]
+    attn = Q @ K.mT                                                      # (...,H,2)
+    attn /= math.sqrt(d)
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    R = attn @ V                                                         # (...,H,d)
+    R += act
+    if mask is None:
+        counts = None
+        pooled = R.sum(axis=-2)
+        pooled /= H
+    else:
+        counts = mask.sum(axis=-1)                                       # (...,)
+        pooled = (mask[..., None] * R).sum(axis=-2)
+        pooled /= counts[..., None]
 
-    t1 = np.tanh(pooled @ w["w_trunk1"] + w["b_trunk1"])
-    t2 = np.tanh(t1 @ w["w_trunk2"] + w["b_trunk2"])
+    t1 = pooled @ w["w_trunk1"]
+    t1 += w["b_trunk1"]
+    np.tanh(t1, out=t1)
+    t2 = t1 @ w["w_trunk2"]
+    t2 += w["b_trunk2"]
+    np.tanh(t2, out=t2)
     logit = t2 @ w["w_risk"] + w["b_risk"]
     dist = t2 @ w["w_dist"] + w["b_dist"]
     ttc_raw = t2 @ w["w_ttc"] + w["b_ttc"]
@@ -243,31 +279,36 @@ def _plan_backward(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
     """Backprop of any scalar with upstream (g_logit, g_dist, g_ttc) to the
     plan inputs only.
 
-    Returns (plan_grads, taps): plan_grads is (B, H, 4); taps holds the
+    Returns (plan_grads, taps): plan_grads is (..., H, 4); taps holds the
     upstream gradient at each layer the plan path crosses, from which
     _backward_batch forms the parameter gradients. The context branch
     (key, value, proprio, vision) feeds no plan gradient and is skipped.
+    A cache without a mask gives the bits of an all-ones mask.
     """
     w = params.weights
     d = params.d_model
     c = cache
 
     g_raw = g_ttc * (c["ttc_sp"] < params.ttc_cap) * _sigmoid(c["ttc_raw"])
-    g_t2 = (g_logit[:, None] * w["w_risk"] + g_dist[:, None] * w["w_dist"]
-            + g_raw[:, None] * w["w_ttc"])
+    g_t2 = (g_logit[..., None] * w["w_risk"] + g_dist[..., None] * w["w_dist"]
+            + g_raw[..., None] * w["w_ttc"])
 
     a2 = g_t2 * (1.0 - c["t2"] ** 2)
     g_t1 = a2 @ w["w_trunk2"].T
     a1 = g_t1 * (1.0 - c["t1"] ** 2)
     g_pooled = a1 @ w["w_trunk1"].T
 
-    g_R = (c["mask"] / c["counts"][:, None])[:, :, None] * g_pooled[:, None, :]
+    if c["mask"] is None:
+        H = c["act"].shape[-2]
+        g_R = np.repeat((1.0 / H) * g_pooled[..., None, :], H, axis=-2)
+    else:
+        g_R = (c["mask"] / c["counts"][..., None])[..., None] * g_pooled[..., None, :]
     g_O = g_R  # attention branch; the residual branch passes g_R to act
 
-    g_attn = g_O @ c["V"].transpose(0, 2, 1)                               # (B,H,2)
+    g_attn = g_O @ c["V"].mT                                               # (...,H,2)
     attn = c["attn"]
-    g_scores = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True))
-    g_scores = g_scores / np.sqrt(d)
+    g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
+    g_scores /= math.sqrt(d)
     g_Q = g_scores @ c["K"]
     g_act = g_R + g_Q @ w["w_query"].T
 
@@ -275,7 +316,7 @@ def _plan_backward(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
     g_U = g_act_pre @ w["w_action"].T
     taps = dict(g_raw=g_raw, a2=a2, a1=a1, g_O=g_O, g_scores=g_scores, g_Q=g_Q,
                 g_act_pre=g_act_pre)
-    return g_U[:, :, :ACTION_DIM], taps
+    return g_U[..., :ACTION_DIM], taps
 
 
 def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
@@ -324,39 +365,62 @@ def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
     return g, plan_grads
 
 
-def _as_batch_inputs(proprio, z, plan):
-    proprio = np.asarray(proprio, dtype=float)[None, :]
-    z = np.asarray(z, dtype=float)[None, :]
-    plan_arr = np.asarray(plan, dtype=float)[None, :, :]
-    mask = np.ones(plan_arr.shape[:2])
-    return proprio, z, plan_arr, mask
+def _checked_inputs(proprio, z, plans, plan_axes: int):
+    """(proprio, z, plans) as float arrays; raises ValueError naming the
+    shapes unless plans ends in plan_axes axes whose last two are (H, 4)
+    with H >= 1, and proprio and z are (..., 14) and (..., 10) over the
+    leading shape before those axes."""
+    proprio = np.asarray(proprio, dtype=float)
+    z = np.asarray(z, dtype=float)
+    plans = np.asarray(plans, dtype=float)
+    lead = plans.shape[:plans.ndim - plan_axes]
+    if (plans.ndim < plan_axes or plans.shape[-1] != ACTION_DIM or plans.shape[-2] < 1
+            or proprio.shape != (*lead, PROPRIO_DIM) or z.shape != (*lead, VISION_DIM)):
+        want = "(H, 4)" if plan_axes == 2 else "(..., N, H, 4)"
+        raise ValueError(f"need plans {want} with H >= 1, proprio (..., {PROPRIO_DIM}) and "
+                         f"z (..., {VISION_DIM}) over the plans' leading shape; got plans "
+                         f"{plans.shape}, proprio {proprio.shape}, z {z.shape}")
+    return proprio, z, plans
+
+
+def _sigmoid_scalar(x: float) -> float:
+    """_sigmoid of one float, with the same bits."""
+    e = float(np.exp(min(x, -x)))
+    return 1.0 / (1.0 + e) if x >= 0 else e / (1.0 + e)
 
 
 def predict_risk(params: EstimatorParams, proprio, z, plan) -> RiskPrediction:
     """Calibrated prediction: stored temperature applied to the risk logit.
 
-    min_dist and ttc are unaffected by the temperature, and risk ordering
-    over any fixed batch is invariant to it (monotone transform). The
-    result carries its forward cache for risk_plan_gradient.
+    plan is (H, 4), proprio (14,) and z (10,); raises ValueError on any
+    other shape. min_dist and ttc are unaffected by the temperature, and
+    risk ordering over any fixed batch is invariant to it (monotone
+    transform). The result carries its forward cache for
+    risk_plan_gradient.
     """
-    P, Z, A, mask = _as_batch_inputs(proprio, z, plan)
-    logit, dist, ttc, cache = _forward_batch(params, P, Z, A, mask)
+    proprio, z, plan = _checked_inputs(proprio, z, plan, 2)
+    logit, dist, ttc, cache = _forward_batch(params, proprio[None], z[None], plan[None])
     ell = float(logit[0])
-    return RiskPrediction(risk=float(_sigmoid(np.array([ell / params.temperature]))[0]),
+    return RiskPrediction(risk=_sigmoid_scalar(ell / params.temperature),
                           logit=ell, min_dist=float(dist[0]), ttc=float(ttc[0]),
                           cache=cache)
 
 
-def predict_risk_batch(params: EstimatorParams, proprio, z, plans: np.ndarray):
-    """Calibrated predictions for many plans sharing one (proprio, z).
+def predict_risk_batch(params: EstimatorParams, proprio, z, plans):
+    """Calibrated predictions for groups of plans, each group sharing one
+    (proprio, z).
 
-    plans is (N, H, 4); returns (risk, logit, dist, ttc) arrays of length N.
+    plans is (..., N, H, 4) and proprio, z are (..., 14), (..., 10) over
+    its group shape (a single group when plans is (N, H, 4)); raises
+    ValueError on any other shape. Returns (risk, logit, dist, ttc)
+    arrays of shape (..., N). Each group's predictions have the bits of
+    that group scored alone.
     """
-    n = plans.shape[0]
-    P = np.broadcast_to(np.asarray(proprio, dtype=float), (n, PROPRIO_DIM))
-    Z = np.broadcast_to(np.asarray(z, dtype=float), (n, VISION_DIM))
-    mask = np.ones(plans.shape[:2])
-    logit, dist, ttc, _ = _forward_batch(params, P, Z, plans, mask)
+    proprio, z, plans = _checked_inputs(proprio, z, plans, 3)
+    rows = plans.shape[:-2]
+    P = np.broadcast_to(proprio[..., None, :], (*rows, PROPRIO_DIM))
+    Z = np.broadcast_to(z[..., None, :], (*rows, VISION_DIM))
+    logit, dist, ttc, _ = _forward_batch(params, P, Z, plans)
     return _sigmoid(logit / params.temperature), logit, dist, ttc
 
 

@@ -5,9 +5,10 @@ gated+refine, gated+finetuned), logging every step. The episodes advance
 in lockstep as one batched world state: per step, one call each takes
 the observations, the scripted expert's plans, the oracle labels of the
 executed plans, the executed step, its clearance and the success check
-for every live episode, while each episode's gate decision (candidate
-sampling and scoring, gate, recovery, refinement, and the cloned
-policy's plan) runs alone with the estimator batch sizes of a single
+for every live episode. When gated, one estimator forward also scores
+the candidates of every live episode, each episode's with the bits it
+gets scored alone. Candidate sampling (from each episode's own stream),
+the gate, recovery, refinement and the cloned policy's plan run per
 episode. Every log is therefore the one the episode gives when run by
 itself. evaluate runs the episodes of every task and seed, aggregates a
 metrics report, and persists logs as line-delimited records. Logs are
@@ -46,8 +47,9 @@ class StepRecord:
     gate_mode: str
     decision: str
     action: list
-    # wall time of the step's shared batched observation and expert-plan
-    # call, plus this episode's own plan and decision time
+    # wall time of the step's shared part (batched observation, expert
+    # plans, candidate sampling and the one batched candidate scoring),
+    # plus this episode's own policy plan and gate decision time
     latency_us: float
     plan_y_bin: int | None    # oracle label of the plan driving the step
 
@@ -133,35 +135,33 @@ def prepare_setup(cfg: cf.RunConfig, mode: str | None = None) -> EvalSetup:
         est_params=est_params, policy_params=policy_params)
 
 
-def _decide(setup: EvalSetup, gate: sg.GateState, proprio, z, nominal, jitter_rng):
-    """One episode's gate decision on its nominal plan.
+def _decide(setup: EvalSetup, gate: sg.GateState, proprio, z, nominal, r_hat, chosen):
+    """One episode's gate decision on its scored candidates.
 
-    Returns (gate, decision, r_hat, executed plan, action row); r_hat is
-    None when ungated and the action row is None at HALT, where the
-    executed plan stays the nominal one.
+    r_hat is the chosen candidate's risk and chosen its plan (both None
+    when ungated). Returns (gate, decision, executed plan, action row);
+    the action row is None at HALT, where the executed plan stays the
+    nominal one.
     """
     if setup.mode == "ungated":
-        return gate, sg.EXECUTE, None, nominal, nominal[0].copy()
-    a_max, gate_cfg = setup.world_cfg.a_max, setup.gate_cfg
-    cands = dg.sample_candidates(nominal, setup.n_candidates, setup.sigma_a, jitter_rng, a_max)
-    choice = sg.select_candidate(setup.est_params, proprio, z, cands, a_max)
-    r_hat = float(choice.risks[choice.index])
+        return gate, sg.EXECUTE, nominal, nominal[0].copy()
+    gate_cfg = setup.gate_cfg
     gate, decision = sg.gate_step(gate, r_hat, gate_cfg)
     if decision == sg.EXECUTE:
-        plan = choice.plan
+        plan = chosen
         if setup.mode == "gated+refine":
             plan = sg.refine_plan(setup.est_params, proprio, z, plan, gate_cfg).plan
         row = plan[0].copy()
         if setup.soft_gate:
             row *= sg.soft_scale(r_hat, gate_cfg.tau_up)
-        return gate, decision, r_hat, plan, row
+        return gate, decision, plan, row
     if decision == sg.BLOCK:
         rec = sg.recover(setup.est_params, proprio, z, setup.horizon, gate_cfg)
         row = rec.plan[0].copy()
         if not rec.made_progress:
             row *= sg.distance_fallback(rec.min_dist, gate_cfg.d0)
-        return gate, decision, r_hat, rec.plan, row
-    return gate, decision, r_hat, nominal, None
+        return gate, decision, rec.plan, row
+    return gate, decision, nominal, None
 
 
 def _lockstep(setup: EvalSetup, jobs, collectors) -> list:
@@ -170,12 +170,14 @@ def _lockstep(setup: EvalSetup, jobs, collectors) -> list:
     The live episodes form one batched state. Per step, one call each
     observes them all (proprioception, and the scene feature with each
     episode's own noise generator) and, for the scripted expert, plans
-    them all. Each episode then decides alone, in job order, with the
-    estimator calls of a single episode; the cloned policy also plans
-    per episode. One oracle pass labels every executed plan from its own
-    episode's state, and one `step`, one clearance pass and one success
-    check advance them all. An episode drops out when it collides,
-    succeeds or halts.
+    them all; the cloned policy plans per episode. When gated, each
+    episode draws its candidates from its own jitter stream, and one
+    `select_candidate` call scores every episode's candidates, each
+    episode's with the bits it gets scored alone. Each episode then runs
+    its gate, recovery and refinement alone, in job order. One oracle
+    pass labels every executed plan from its own episode's state, and
+    one `step`, one clearance pass and one success check advance them
+    all. An episode drops out when it collides, succeeds or halts.
     """
     wcfg = setup.world_cfg
     inits = [wd.task_init(tid, seed, wcfg, setup.task_params) for tid, seed in jobs]
@@ -188,25 +190,39 @@ def _lockstep(setup: EvalSetup, jobs, collectors) -> list:
             for tid, seed in jobs]
     gates = [sg.GateState()] * len(jobs)
     live = np.arange(len(jobs))
+    gated = setup.mode != "ungated"
     for t in range(setup.task_params.max_steps):
         t0 = time.perf_counter()
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, wcfg.noise_sigma, [streams[i][0] for i in live])
-        expert = (pol.scripted_expert(state, task, setup.horizon, wcfg)[0]
-                  if setup.policy_params is None else None)
-        shared_s = time.perf_counter() - t0
+        if setup.policy_params is None:
+            nominals = pol.scripted_expert(state, task, setup.horizon, wcfg)[0]
+            own_s = np.zeros(len(live))
+        else:
+            nominals, own_s = [], np.empty(len(live))
+            for j in range(len(live)):
+                t1 = time.perf_counter()
+                nominals.append(pol.policy_plan(setup.policy_params, wd.take(state, j),
+                                                wd.take(task, j), wcfg, setup.horizon))
+                own_s[j] = time.perf_counter() - t1
+        choice = None
+        if gated:
+            cands = np.stack([dg.sample_candidates(nominals[j], setup.n_candidates,
+                                                   setup.sigma_a, streams[i][1], wcfg.a_max)
+                              for j, i in enumerate(live)])
+            choice = sg.select_candidate(setup.est_params, proprio, z, cands, wcfg.a_max)
+        shared_s = time.perf_counter() - t0 - own_s.sum()
         decided = []  # per live episode: (r_hat, decision, executed plan, action row, latency)
         for j, i in enumerate(live):
             t1 = time.perf_counter()
-            if expert is not None:
-                nominal = expert[j]
-            else:
-                nominal = pol.policy_plan(setup.policy_params, wd.take(state, j),
-                                          wd.take(task, j), wcfg, setup.horizon)
+            r_hat = chosen = None
+            if gated:
+                r_hat = float(choice.risks[j, choice.index[j]])
+                chosen = choice.plan[j]
             prev = gates[i]
-            gates[i], decision, r_hat, plan, row = _decide(setup, prev, proprio[j], z[j],
-                                                           nominal, streams[i][1])
-            latency_us = max((shared_s + time.perf_counter() - t1) * 1e6, 1e-3)
+            gates[i], decision, plan, row = _decide(setup, prev, proprio[j], z[j],
+                                                    nominals[j], r_hat, chosen)
+            latency_us = max((shared_s + own_s[j] + time.perf_counter() - t1) * 1e6, 1e-3)
             if prev.mode == sg.RUN and gates[i].mode == sg.BLOCKED:
                 logs[i].recoveries += 1
             logs[i].blocked_steps += decision == sg.BLOCK

@@ -12,6 +12,7 @@ plan-only backward on that cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,11 +83,15 @@ class GateState:
 def gate_step(gate: GateState, r_hat: float, cfg: GateConfig):
     """One gate transition. Pure function of (gate, r_hat, cfg).
 
-    Returns (new_state, decision). HALTED absorbs every input. From RUN
-    the gate blocks when r_hat exceeds tau_up; from BLOCKED it resumes
+    Returns (new_state, decision). HALTED absorbs every finite input. From
+    RUN the gate blocks when r_hat exceeds tau_up; from BLOCKED it resumes
     after k_resume consecutive cycles at or below tau_down, and halts
-    after watchdog_window consecutive cycles at or above r_sat.
+    after watchdog_window consecutive cycles at or above r_sat. A
+    non-finite r_hat compares false with every threshold and would
+    execute, so it raises ValueError instead.
     """
+    if not math.isfinite(r_hat):
+        raise ValueError(f"risk must be finite, got {r_hat}")
     if gate.mode == HALTED:
         return gate, HALT
     if gate.mode == RUN:
@@ -123,30 +128,40 @@ def distance_fallback(d_hat: float, d0: float) -> float:
 
 @dataclass
 class CandidateChoice:
-    index: int
-    plan: np.ndarray   # (H, 4)
-    risks: np.ndarray  # calibrated risk per candidate, inf where infeasible
+    """The chosen candidate of one group, or of each group when the
+    candidates carry a leading group shape."""
+
+    index: int | np.ndarray  # int, or an int array of the group shape
+    plan: np.ndarray         # (..., H, 4)
+    risks: np.ndarray        # (..., N) calibrated risk, inf where infeasible
 
 
 def select_candidate(params: est.EstimatorParams, proprio, z,
                      candidates: np.ndarray, a_max: float) -> CandidateChoice:
-    """Pick the lowest-risk feasible candidate plan.
+    """Pick the lowest-risk feasible candidate plan of each group.
 
-    candidates is (N, H, 4); feasibility means every component respects
-    the a_max box. Risks come from one batched calibrated forward pass;
-    ties break toward the lowest index, so the nominal plan (index 0)
-    wins unless a jittered alternative is strictly better.
+    candidates is (N, H, 4), or (..., N, H, 4) with proprio (..., 14) and
+    z (..., 10) over the same group shape; feasibility means every
+    component respects the a_max box. Risks come from one batched
+    calibrated forward pass over every group, each group with the bits
+    it gets scored alone; ties break toward the lowest index, so the
+    nominal plan (index 0) wins unless a jittered alternative is strictly
+    better. Raises ValueError on a malformed shape, an empty group or a
+    group with no feasible candidate.
     """
     candidates = np.asarray(candidates, dtype=float)
-    if candidates.ndim != 3 or candidates.shape[0] == 0:
-        raise ValueError("candidates must be a non-empty (N, H, 4) array")
-    feasible = np.abs(candidates).max(axis=(1, 2)) <= a_max + _BOX_TOL
-    if not feasible.any():
+    if (candidates.ndim < 3 or candidates.shape[-1] != est.ACTION_DIM
+            or min(candidates.shape[-3:-1]) < 1):
+        raise ValueError(f"candidates must be a (..., N, H, 4) array with N, H >= 1, "
+                         f"got shape {candidates.shape}")
+    feasible = np.abs(candidates).max(axis=(-2, -1)) <= a_max + _BOX_TOL
+    if not feasible.any(axis=-1).all():
         raise ValueError("no feasible candidate (all violate the action box)")
     risks, _, _, _ = est.predict_risk_batch(params, proprio, z, candidates)
     risks = np.where(feasible, risks, np.inf)
-    idx = int(np.argmin(risks))
-    return CandidateChoice(index=idx, plan=candidates[idx], risks=risks)
+    idx = np.argmin(risks, axis=-1)
+    plan = np.take_along_axis(candidates, idx[..., None, None, None], axis=-3)[..., 0, :, :]
+    return CandidateChoice(index=int(idx) if idx.ndim == 0 else idx, plan=plan, risks=risks)
 
 
 @dataclass
@@ -239,8 +254,12 @@ def refine_plan(params: est.EstimatorParams, proprio, z, nominal,
     A' = nominal. Because the initial objective is beta * risk(nominal) and
     acceptance is strict descent, the refined plan's risk never exceeds the
     nominal's whenever beta > 0. The caller executes only the first action.
+    Raises ValueError on a nominal with a non-finite value or outside the
+    action box.
     """
     nom = np.asarray(nominal, dtype=float)
+    if not np.isfinite(nom).all():
+        raise ValueError("nominal plan has non-finite values")
     if np.abs(nom).max() > cfg.a_max + _BOX_TOL:
         raise ValueError("nominal plan violates the action box")
     return _projected_descent(

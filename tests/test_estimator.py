@@ -204,6 +204,10 @@ def test_sigmoid_bits_match_masked_formula():
     wide = np.random.default_rng(13).normal(0.0, 40.0, size=1000)
     assert_array_equal(est._sigmoid(wide).view(np.uint64),
                        masked_sigmoid(wide).view(np.uint64))
+    # the scalar form predict_risk takes has the same bits
+    both = np.concatenate([x, wide])
+    scalar = np.array([est._sigmoid_scalar(float(v)) for v in both])
+    assert_array_equal(scalar.view(np.uint64), est._sigmoid(both).view(np.uint64))
 
 
 def test_batch_plan_gradients_zero_on_padding(tiny_data):
@@ -373,3 +377,114 @@ def test_train_config_validation():
         est.TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         est.TrainConfig(batch_size=-1)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def rough_params(seed):
+    """Random weights scaled up so risks spread over (0, 1), with T != 1."""
+    rng = np.random.default_rng(seed)
+    params = est.init_params(seed=seed)
+    for k in params.weights:
+        params.weights[k] = 3.0 * params.weights[k] + rng.normal(0.0, 0.3, params.weights[k].shape)
+    params.temperature = 1.7
+    return params
+
+
+@pytest.mark.parametrize("groups", [1, 3, 8])
+def test_grouped_predict_risk_batch_equals_one_call_per_group(groups):
+    """An (E, N, H, 4) call gives each group, with ==, the outputs of its
+    own (N, H, 4) call."""
+    params = rough_params(groups)
+    rng = np.random.default_rng(40 + groups)
+    for n, h in ((8, 5), (1, 3), (5, 1)):
+        proprio = rng.normal(size=(groups, est.PROPRIO_DIM))
+        z = rng.normal(size=(groups, est.VISION_DIM))
+        plans = rng.uniform(-0.02, 0.02, size=(groups, n, h, 4))
+        grouped = est.predict_risk_batch(params, proprio, z, plans)
+        assert all(out.shape == (groups, n) for out in grouped)
+        for e in range(groups):
+            alone = est.predict_risk_batch(params, proprio[e], z[e], plans[e])
+            for got, want in zip(grouped, alone):
+                assert_array_equal(bits(got[e]), bits(want))
+
+
+@pytest.mark.parametrize("b", [1, 8])
+def test_unmasked_forward_equals_all_ones_mask(b):
+    """mask=None, the inference forward, and the plan gradient taken on its
+    cache equal, with ==, the explicit all-ones-mask forward and the full
+    backward."""
+    params = rough_params(5)
+    rng = np.random.default_rng(50 + b)
+    for h in (1, 3, 5):
+        proprio = rng.normal(size=(b, est.PROPRIO_DIM))
+        z = rng.normal(size=(b, est.VISION_DIM))
+        plan = rng.uniform(-0.02, 0.02, size=(b, h, 4))
+        *masked, m_cache = est._forward_batch(params, proprio, z, plan, np.ones((b, h)))
+        *unmasked, u_cache = est._forward_batch(params, proprio, z, plan)
+        for got, want in zip(unmasked, masked):
+            assert_array_equal(bits(got), bits(want))
+        ups = (np.ones(b), np.zeros(b), np.zeros(b))
+        _, want = est._backward_batch(params, m_cache, *ups)
+        got, _ = est._plan_backward(params, u_cache, *ups)
+        assert_array_equal(bits(got), bits(want))
+        if b == 1:
+            pred = est.predict_risk(params, proprio[0], z[0], plan[0])
+            assert (pred.logit, pred.min_dist, pred.ttc) == \
+                (masked[0][0], masked[1][0], masked[2][0])
+            assert_array_equal(bits(est.risk_plan_gradient(params, pred)), bits(want[0]))
+
+
+def test_malformed_estimator_inputs_raise():
+    """A plan without 4 columns or without steps, or a context that does not
+    match the plans, raises naming the shapes instead of broadcasting."""
+    params = est.init_params(seed=0)
+    p, z = np.zeros(est.PROPRIO_DIM), np.zeros(est.VISION_DIM)
+    plan = np.zeros((3, 4))
+    for args in ((p, z, np.zeros((5, 1))), (p, z, np.zeros((0, 4))), (p, z, np.zeros(4)),
+                 (p, z, np.zeros((1, 3, 4))), (np.zeros(13), z, plan),
+                 (p, np.zeros((1, est.VISION_DIM)), plan)):
+        with pytest.raises(ValueError, match=r"got plans \("):
+            est.predict_risk(params, *args)
+    groups = np.zeros((2, 8, 3, 4))
+    pg, zg = np.zeros((2, est.PROPRIO_DIM)), np.zeros((2, est.VISION_DIM))
+    for args in ((p, z, np.zeros((8, 5, 1))), (p, z, np.zeros((8, 0, 4))), (p, z, plan),
+                 (p, z, groups), (pg, zg, np.zeros((8, 3, 4))), (pg[:1], zg, groups),
+                 (pg, zg[:, :9], groups)):
+        with pytest.raises(ValueError, match=r"got plans \("):
+            est.predict_risk_batch(params, *args)
+
+
+@pytest.mark.parametrize("blocks", [1, 3, 8])
+@pytest.mark.parametrize("rows", [1, 8])
+def test_stacked_matmul_equals_per_block_calls(blocks, rows):
+    """numpy runs a stacked matmul as one call per leading block, so each
+    block has the bits of its own call; the grouped estimator forward rests
+    on this. Checked for every product of the forward at its shapes, on the
+    BLAS path (contiguous operands) and on the no-BLAS path numpy takes for
+    the stride-0 context rows of a broadcast (proprio, z). A numpy or BLAS
+    upgrade that breaks this fails here rather than silently moving bits."""
+    rng = np.random.default_rng(60 + blocks * rows)
+    d, h = est.D_MODEL, 5
+    lead = (blocks, rows)
+    w = {k: rng.normal(size=s) for k, s in (("action", (12, d)), ("square", (d, d)),
+                                             ("proprio", (est.PROPRIO_DIM, d)), ("head", (d,)))}
+    tokens = rng.normal(size=(*lead, h, d))
+    cases = [
+        (rng.normal(size=(*lead, h, 12)), w["action"]),                   # action tokens
+        (tokens, w["square"]),                                             # query
+        (rng.normal(size=(*lead, 2, d)), w["square"]),                    # key, value
+        (tokens, np.swapaxes(rng.normal(size=(*lead, 2, d)), -1, -2)),    # scores
+        (rng.normal(size=(*lead, h, 2)), rng.normal(size=(*lead, 2, d))),  # attention
+        (rng.normal(size=(*lead, d)), w["square"]),                       # trunk
+        (rng.normal(size=(*lead, d)), w["head"]),                         # heads
+        (np.broadcast_to(rng.normal(size=(blocks, 1, est.PROPRIO_DIM)),   # stride-0 context
+                         (*lead, est.PROPRIO_DIM)), w["proprio"]),
+    ]
+    for a, b in cases:
+        stacked = a @ b
+        for e in range(blocks):
+            alone = a[e] @ (b[e] if b.ndim == a.ndim else b)
+            assert_array_equal(bits(stacked[e]), bits(alone))

@@ -175,6 +175,47 @@ def test_select_candidate_argmin_and_feasibility(trained_tiny, world_cfg, task_p
         sg.select_candidate(trained_tiny, proprio, z, np.full((2, 3, 4), 1.0), 0.02)
     with pytest.raises(ValueError):
         sg.select_candidate(trained_tiny, proprio, z, np.zeros((0, 3, 4)), 0.02)
+    # malformed plans, and groups the (14,), (10,) context does not match
+    for bad in (np.zeros((8, 5, 1)), np.zeros((8, 0, 4)), np.zeros((5, 4)),
+                np.zeros((2, 8, 5, 4))):
+        with pytest.raises(ValueError, match=r"shape|got plans"):
+            sg.select_candidate(trained_tiny, proprio, z, bad, 0.02)
+
+
+def test_gate_step_fails_closed_on_non_finite_risk():
+    """NaN compares false with every threshold, so from RUN it would
+    execute; a non-finite risk raises in every mode instead."""
+    for gate in (sg.GateState(), sg.GateState(mode=sg.BLOCKED, safe_count=2, sat_count=3),
+                 sg.GateState(mode=sg.HALTED)):
+        for r in (np.nan, np.inf, -np.inf, float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                sg.gate_step(gate, r, CFG)
+    assert sg.gate_step(sg.GateState(), np.float64(0.2), CFG) == (sg.GateState(), sg.EXECUTE)
+
+
+def test_select_candidate_groups_equal_one_call_per_group(trained_tiny, world_cfg,
+                                                          task_params):
+    """(E, N, H, 4) candidates with (E, 14), (E, 10) contexts pick, for
+    each group, the index, plan and risks (with ==) of that group alone."""
+    rng = np.random.default_rng(3)
+    feats = [_state_features(seed, world_cfg, task_params) for seed in range(3)]
+    proprio = np.stack([p for p, _ in feats])
+    z = np.stack([zz for _, zz in feats])
+    cands = rng.uniform(-0.02, 0.02, size=(3, 8, 5, 4))
+    cands[1, 0, 0, 0] = 0.5  # an infeasible candidate in one group
+    grouped = sg.select_candidate(trained_tiny, proprio, z, cands, a_max=0.02)
+    assert grouped.index.shape == (3,) and grouped.plan.shape == (3, 5, 4)
+    for e in range(3):
+        alone = sg.select_candidate(trained_tiny, proprio[e], z[e], cands[e], a_max=0.02)
+        assert isinstance(alone.index, int) and alone.index == grouped.index[e]
+        np.testing.assert_array_equal(grouped.plan[e], alone.plan)
+        np.testing.assert_array_equal(grouped.risks[e].view(np.uint64),
+                                      alone.risks.view(np.uint64))
+    assert np.isinf(grouped.risks[1, 0])
+    # one group without a feasible candidate fails the whole call
+    cands[2] = 0.5
+    with pytest.raises(ValueError, match="feasible"):
+        sg.select_candidate(trained_tiny, proprio, z, cands, a_max=0.02)
 
 
 def test_select_candidate_ties_keep_nominal(world_cfg, task_params):
@@ -239,6 +280,17 @@ def test_refine_rejects_out_of_box_nominal(trained_tiny, world_cfg, task_params)
         sg.refine_plan(trained_tiny, proprio, z, np.full((3, 4), 0.5), CFG)
 
 
+def test_refine_rejects_non_finite_nominal(trained_tiny, world_cfg, task_params):
+    """NaN passes the box check (its comparison is false), so a nominal
+    holding one would come back as a NaN plan; it raises instead."""
+    proprio, z = _state_features(0, world_cfg, task_params)
+    for bad in (np.nan, np.inf, -np.inf):
+        nominal = np.zeros((3, 4))
+        nominal[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sg.refine_plan(trained_tiny, proprio, z, nominal, CFG)
+
+
 def reference_descent(params, proprio, z, init, risk_coeff, grad_extra, obj_extra, cfg):
     """The descent loop with no forward reuse: one forward per evaluated
     plan plus a fresh forward and full backward per accepted iterate.
@@ -246,8 +298,10 @@ def reference_descent(params, proprio, z, init, risk_coeff, grad_extra, obj_extr
     Returns (plan, objectives, made_progress, risk, min_dist, evaluated).
     """
     def full_gradient(plan):
-        P, Z, A, mask = est._as_batch_inputs(proprio, z, plan)
-        logit, dist, _, cache = est._forward_batch(params, P, Z, A, mask)
+        A = np.asarray(plan, dtype=float)[None]
+        logit, dist, _, cache = est._forward_batch(
+            params, np.asarray(proprio, dtype=float)[None], np.asarray(z, dtype=float)[None],
+            A, np.ones(A.shape[:2]))
         _, plan_grads = est._backward_batch(params, cache, np.ones(1), np.zeros(1),
                                             np.zeros(1))
         ell = float(logit[0])
