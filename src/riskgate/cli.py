@@ -199,7 +199,7 @@ def _cmd_post_train(cfg: cf.RunConfig, args) -> None:
 def _cmd_run(cfg: cf.RunConfig, args) -> None:
     setup = hn.prepare_setup(cfg, args.mode)
     seed = hn.episode_seed(cfg.seed, args.task, args.index)
-    log = hn.run_episode(setup, args.task, seed)
+    log = hn.run_episodes(setup, [(args.task, seed)])[0]
     os.makedirs(cfg.eval.logs_dir, exist_ok=True)
     path = hn.episode_log_path(cfg.eval.logs_dir, log)
     hn.write_episode_log(log, path)

@@ -1,4 +1,4 @@
-"""Planar kinematics and capsule distance primitives.
+"""Planar kinematics and the segment distance kernel of the capsule oracle.
 
 Everything here is a pure function of its inputs (no hidden state), so the
 simulator, the labeling oracle and any number of parallel workers can share
@@ -7,7 +7,7 @@ these routines freely. Units are meters and radians throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,40 +19,14 @@ class JointLimitError(ValueError):
 
 
 @dataclass(frozen=True)
-class Segment2:
-    """2D line segment; zero length is allowed and treated as a point."""
-
-    p0: np.ndarray
-    p1: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float))
-        object.__setattr__(self, "p1", np.asarray(self.p1, dtype=float))
-        if not (np.isfinite(self.p0).all() and np.isfinite(self.p1).all()):
-            raise ValueError("segment endpoints must be finite")
-
-
-@dataclass(frozen=True)
-class Capsule2:
-    """A segment swollen by a radius; stands in for a link or grasped object."""
-
-    axis: Segment2
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("capsule radius must be >= 0")
-
-
-@dataclass(frozen=True)
 class ArmModel:
     """Geometry and limits of one planar chain.
 
     Attributes:
         base_position: world position of joint 0 (m).
         base_orientation: world heading of the chain root (rad).
-        link_lengths: per-link lengths (m), all > 0.
-        link_radii: per-link capsule radii (m).
+        link_lengths: per-link lengths (m), all finite and > 0.
+        link_radii: per-link capsule radii (m), all finite and >= 0.
         joint_limits: per-joint [lo, hi] (rad), lo < hi.
         joint_velocity_limit: per-step joint increment bound (rad/step).
     """
@@ -69,8 +43,10 @@ class ArmModel:
         object.__setattr__(self, "link_lengths", np.asarray(self.link_lengths, dtype=float))
         object.__setattr__(self, "link_radii", np.asarray(self.link_radii, dtype=float))
         object.__setattr__(self, "joint_limits", np.asarray(self.joint_limits, dtype=float))
-        if np.any(self.link_lengths <= 0):
-            raise ValueError("link lengths must be > 0")
+        if not np.all(np.isfinite(self.link_lengths) & (self.link_lengths > 0)):
+            raise ValueError(f"link lengths must be finite and > 0, got {self.link_lengths}")
+        if not np.all(np.isfinite(self.link_radii) & (self.link_radii >= 0)):
+            raise ValueError(f"link radii must be finite and >= 0, got {self.link_radii}")
         if np.any(self.joint_limits[..., 0] >= self.joint_limits[..., 1]):
             raise ValueError("joint limits require lo < hi")
         if np.any(np.asarray(self.joint_velocity_limit) <= 0):
@@ -158,22 +134,6 @@ def segment_pairs_distance(p0, p1, q0, q1) -> np.ndarray:
     return np.sqrt(best)
 
 
-def segment_closest_distance(a: Segment2, b: Segment2) -> float:
-    """Minimum Euclidean distance between two segments (0 if they intersect)."""
-    return float(segment_pairs_distance(a.p0, a.p1, b.p0, b.p1))
-
-
-def capsule_distance(a: Capsule2, b: Capsule2, inflation: float = 0.0) -> float:
-    """Signed clearance between two capsules, each grown by `inflation`.
-
-    Negative values measure penetration of the inflated surfaces.
-    """
-    if inflation < 0:
-        raise ValueError("inflation must be >= 0")
-    axis_dist = segment_closest_distance(a.axis, b.axis)
-    return axis_dist - (a.radius + b.radius + 2.0 * inflation)
-
-
 def joint_origins(arm: ArmModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint origin points (..., n+1, 2) and cumulative link angles (..., n)
     of joint vectors q (..., n).
@@ -219,16 +179,11 @@ def forward_kinematics(arm: ArmModel, q: np.ndarray):
 
 
 def _origins_jacobian(origins: np.ndarray) -> np.ndarray:
+    """Analytic (..., 2, n) end-effector position Jacobian from the joint
+    origins (..., n+1, 2): column j is the 90-degree CCW rotation of
+    (ee - joint_j_origin)."""
     rel = origins[..., -1:, :] - origins[..., :-1, :]  # (..., n, 2)
     return np.stack([-rel[..., 1], rel[..., 0]], axis=-2)
-
-
-def jacobian(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Analytic (..., 2, n) position Jacobian of the end effector.
-
-    Column j is the 90-degree CCW rotation of (ee - joint_j_origin).
-    """
-    return _origins_jacobian(joint_origins(arm, q)[0])
 
 
 def dls_ik_step(arm: ArmModel, origins: np.ndarray, dx: np.ndarray, mu: float) -> np.ndarray:

@@ -3,12 +3,12 @@
 run_episodes drives seeded episodes in one of four modes (ungated, gated,
 gated+refine, gated+finetuned), logging every step. The episodes advance
 in lockstep as one batched world state: per step, one call each takes
-the observations, the scripted expert's plans, the oracle labels of the
-executed plans, the executed step, its clearance and the success check
-for every live episode. When gated, one estimator forward also scores
-the candidates of every live episode, each episode's with the bits it
-gets scored alone. Candidate sampling (from each episode's own stream),
-the gate, recovery, refinement and the cloned policy's plan run per
+the observations, the plans of the scripted expert or the cloned
+policy, the oracle labels of the executed plans, the executed step, its
+clearance and the success check for every live episode. When gated, one
+estimator forward also scores the candidates of every live episode, each
+episode's with the bits it gets scored alone. Candidate sampling (from
+each episode's own stream), the gate, recovery and refinement run per
 episode. Every log is therefore the one the episode gives when run by
 itself. evaluate runs the episodes of every task and seed, aggregates a
 metrics report, and persists logs as line-delimited records. Logs are
@@ -47,9 +47,9 @@ class StepRecord:
     gate_mode: str
     decision: str
     action: list
-    # wall time of the step's shared part (batched observation, expert
-    # plans, candidate sampling and the one batched candidate scoring),
-    # plus this episode's own policy plan and gate decision time
+    # wall time of the step's shared part (batched observation, the
+    # expert's or the cloned policy's plans, candidate sampling and the one
+    # batched candidate scoring), plus this episode's own gate decision time
     latency_us: float
     plan_y_bin: int | None    # oracle label of the plan driving the step
 
@@ -169,8 +169,8 @@ def _lockstep(setup: EvalSetup, jobs, collectors) -> list:
 
     The live episodes form one batched state. Per step, one call each
     observes them all (proprioception, and the scene feature with each
-    episode's own noise generator) and, for the scripted expert, plans
-    them all; the cloned policy plans per episode. When gated, each
+    episode's own noise generator) and plans them all, by the scripted
+    expert or the cloned policy. When gated, each
     episode draws its candidates from its own jitter stream, and one
     `select_candidate` call scores every episode's candidates, each
     episode's with the bits it gets scored alone. Each episode then runs
@@ -197,21 +197,15 @@ def _lockstep(setup: EvalSetup, jobs, collectors) -> list:
         z = wd.scene_feature(state, task, wcfg.noise_sigma, [streams[i][0] for i in live])
         if setup.policy_params is None:
             nominals = pol.scripted_expert(state, task, setup.horizon, wcfg)[0]
-            own_s = np.zeros(len(live))
         else:
-            nominals, own_s = [], np.empty(len(live))
-            for j in range(len(live)):
-                t1 = time.perf_counter()
-                nominals.append(pol.policy_plan(setup.policy_params, wd.take(state, j),
-                                                wd.take(task, j), wcfg, setup.horizon))
-                own_s[j] = time.perf_counter() - t1
+            nominals = pol.policy_plan(setup.policy_params, state, task, wcfg, setup.horizon)
         choice = None
         if gated:
             cands = np.stack([dg.sample_candidates(nominals[j], setup.n_candidates,
                                                    setup.sigma_a, streams[i][1], wcfg.a_max)
                               for j, i in enumerate(live)])
             choice = sg.select_candidate(setup.est_params, proprio, z, cands, wcfg.a_max)
-        shared_s = time.perf_counter() - t0 - own_s.sum()
+        shared_s = time.perf_counter() - t0
         decided = []  # per live episode: (r_hat, decision, executed plan, action row, latency)
         for j, i in enumerate(live):
             t1 = time.perf_counter()
@@ -222,7 +216,7 @@ def _lockstep(setup: EvalSetup, jobs, collectors) -> list:
             prev = gates[i]
             gates[i], decision, plan, row = _decide(setup, prev, proprio[j], z[j],
                                                     nominals[j], r_hat, chosen)
-            latency_us = max((shared_s + own_s[j] + time.perf_counter() - t1) * 1e6, 1e-3)
+            latency_us = max((shared_s + time.perf_counter() - t1) * 1e6, 1e-3)
             if prev.mode == sg.RUN and gates[i].mode == sg.BLOCKED:
                 logs[i].recoveries += 1
             logs[i].blocked_steps += decision == sg.BLOCK
@@ -289,13 +283,6 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
     size = dg.LOCKSTEP_EPISODES
     return [log for lo in range(0, len(jobs), size)
             for log in _lockstep(setup, jobs[lo:lo + size], collectors[lo:lo + size])]
-
-
-def run_episode(setup: EvalSetup, task_id: str, seed: int,
-                collector: list | None = None) -> EpisodeLog:
-    """One seeded episode: `run_episodes` with a single job."""
-    return run_episodes(setup, [(task_id, seed)],
-                        None if collector is None else [collector])[0]
 
 
 def write_episode_log(log: EpisodeLog, path) -> None:
@@ -409,6 +396,13 @@ def episode_seed(base_seed: int, task_id: str, index: int, tag: int = 201) -> in
     return int(ss.generate_state(1)[0])
 
 
+def episode_grid(cfg: cf.RunConfig) -> list:
+    """The (task_id, seed) episodes that evaluate runs, in task then index order."""
+    return [(tid, episode_seed(cfg.seed, tid, i))
+            for tid in cfg.tasks.ids
+            for i in range(cfg.tasks.episodes_per_task)]
+
+
 def evaluate(cfg: cf.RunConfig, mode: str | None = None,
              write_logs: bool = True) -> MetricsReport:
     """Run the full episode grid for one mode and aggregate the report.
@@ -420,9 +414,7 @@ def evaluate(cfg: cf.RunConfig, mode: str | None = None,
     either way.
     """
     setup = prepare_setup(cfg, mode)
-    jobs = [(tid, episode_seed(cfg.seed, tid, i))
-            for tid in cfg.tasks.ids
-            for i in range(cfg.tasks.episodes_per_task)]
+    jobs = episode_grid(cfg)
     if cfg.eval.workers > 1:
         size = -(-len(jobs) // cfg.eval.workers)
         chunks = [jobs[lo:lo + size] for lo in range(0, len(jobs), size)]
@@ -452,7 +444,13 @@ def evaluate(cfg: cf.RunConfig, mode: str | None = None,
 
 
 def report_from_logs(cfg: cf.RunConfig, logs_dir=None) -> MetricsReport:
-    """Rebuild the metrics report purely from persisted episode logs."""
+    """Rebuild the metrics report purely from persisted episode logs.
+
+    The logs must be one mode's run of exactly the config's episode grid
+    (`episode_grid`); logs that mix modes, a log from another grid (a
+    stale one from an earlier run, say) and a missing log each raise
+    ValueError.
+    """
     logs_dir = logs_dir or cfg.eval.logs_dir
     paths = sorted(p for p in os.listdir(logs_dir) if p.endswith(".jsonl"))
     if not paths:
@@ -461,5 +459,17 @@ def report_from_logs(cfg: cf.RunConfig, logs_dir=None) -> MetricsReport:
     modes = {lg.mode for lg in logs}
     if len(modes) > 1:
         raise ValueError(f"logs mix modes {sorted(modes)}; point at one run")
+    grid = episode_grid(cfg)
+    found = [(lg.task_id, lg.seed) for lg in logs]
+    in_grid, in_logs = set(grid), set(found)
+    extra = [pair for pair in found if pair not in in_grid]
+    missing = [pair for pair in grid if pair not in in_logs]
+    what = (f"the config's episode grid (seed {cfg.seed}, tasks {list(cfg.tasks.ids)}, "
+            f"{cfg.tasks.episodes_per_task} episodes per task)")
+    if extra:
+        raise ValueError(f"log of episode {extra[0]} in {logs_dir} is not in {what}; "
+                         "point at the logs of one run of this config")
+    if missing:
+        raise ValueError(f"no log of episode {missing[0]} of {what} in {logs_dir}")
     gate_cfg = resolve_gate_config(cfg) if logs[0].mode != "ungated" else cfg.gate_config()
     return aggregate_metrics(logs, gate_cfg, logs[0].mode, cfg.seed)

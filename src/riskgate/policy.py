@@ -94,34 +94,33 @@ def _policy_forward_batch(params: PolicyParams, x: np.ndarray):
 def policy_features(proprio, z, goals) -> np.ndarray:
     return np.concatenate([np.asarray(proprio, dtype=float),
                            np.asarray(z, dtype=float),
-                           np.asarray(goals, dtype=float)])
-
-
-def policy_forward(params: PolicyParams, proprio, z, goals) -> np.ndarray:
-    """Deterministic action row [dxL, dyL, dxR, dyR]; the tanh squash keeps
-    it inside the a_max box."""
-    x = policy_features(proprio, z, goals)[None, :]
-    out, _, _ = _policy_forward_batch(params, x)
-    return out[0]
+                           np.asarray(goals, dtype=float)], axis=-1)
 
 
 def policy_plan(params: PolicyParams, state: wd.DualArmState, task: wd.Task,
                 cfg: wd.WorldConfig, horizon: int) -> np.ndarray:
-    """The policy's own (H, 4) plan, rolled forward kinematically.
+    """The policy's own (H, 4) plan of action rows [dxL, dyL, dxR, dyR],
+    rolled forward kinematically; the tanh squash keeps every row inside
+    the a_max box.
 
     Noise-free scene features: this is the policy's internal prediction,
     not a sensor pass. Like the expert, it steps no further than the state
-    its last row is chosen at.
+    its last row is chosen at. A batched state and task plan every row at
+    once: the plan is then (..., H, 4). Each row's features go through the
+    network as a (1, 28) block of its own, and numpy's matmul makes one
+    call per leading block, so each row gets the bits of planning it alone.
     """
-    goals = np.concatenate([task.goal_left, task.goal_right])
-    steps = np.empty((horizon, 4))
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    goals = np.concatenate([task.goal_left, task.goal_right], axis=-1)
+    rows = []
     cur = state
     for i in range(horizon):
-        steps[i] = policy_forward(params, wd.proprio_feature(cur),
-                                  wd.scene_feature(cur, task), goals)
+        x = policy_features(wd.proprio_feature(cur), wd.scene_feature(cur, task), goals)
+        rows.append(_policy_forward_batch(params, x[..., None, :])[0][..., 0, :])
         if i + 1 < horizon:
-            cur = wd.step(cur, steps[i], cfg)
-    return steps
+            cur = wd.step(cur, rows[-1], cfg)
+    return np.stack(rows, axis=-2)
 
 
 @dataclass(frozen=True)

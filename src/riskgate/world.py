@@ -56,10 +56,14 @@ class WorldConfig:
             raise ValueError(
                 f"arm_left has {self.arm_left.dof} DoF and arm_right has {self.arm_right.dof}; "
                 "both arms step in one kinematics call, so their DoF must be equal")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.noise_sigma >= 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name in ("a_max", "dt", "mu"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("inflation", "grasp_length", "grasp_radius", "noise_sigma"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     @property
     def dof(self) -> int:
@@ -197,7 +201,7 @@ def _side_capsules(segs, ee, heading, radii, holding: bool, cfg: WorldConfig):
 
 
 def _clearance(cfg: WorldConfig, holding_left: bool, holding_right: bool,
-               left: tuple, right: tuple, inflation: float) -> np.ndarray:
+               left: tuple, right: tuple) -> np.ndarray:
     """Minimum inflated capsule clearance per configuration.
 
     left and right are each arm's (segs (..., n, 2, 2), ee (..., 2),
@@ -207,13 +211,14 @@ def _clearance(cfg: WorldConfig, holding_left: bool, holding_right: bool,
     segs_r, rad_r = _side_capsules(*right, cfg.arm_right.link_radii, holding_right, cfg)
     nl, nr = segs_l.shape[-3], segs_r.shape[-3]
     il, ir = np.repeat(np.arange(nl), nr), np.tile(np.arange(nr), nl)
-    best = _pair_clearance(segs_l, rad_l, il, segs_r, rad_r, ir, inflation)
+    best = _pair_clearance(segs_l, rad_l, il, segs_r, rad_r, ir, cfg.inflation)
 
     if cfg.include_intra_arm:
         for segs, rad in ((segs_l, rad_l), (segs_r, rad_r)):
             ii, jj = np.triu_indices(segs.shape[-3], k=2)  # skip adjacent links (shared joint)
             if len(ii):
-                best = np.minimum(best, _pair_clearance(segs, rad, ii, segs, rad, jj, inflation))
+                best = np.minimum(best, _pair_clearance(segs, rad, ii, segs, rad, jj,
+                                                        cfg.inflation))
     return best
 
 
@@ -224,7 +229,7 @@ def _pair_clearance(segs_a, rad_a, ia, segs_b, rad_b, ib, inflation: float) -> n
     return (axis_dist - (rad_a[ia] + rad_b[ib] + 2.0 * inflation)).min(axis=-1)
 
 
-def min_self_distance(state: DualArmState, cfg: WorldConfig, inflation: float | None = None):
+def min_self_distance(state: DualArmState, cfg: WorldConfig):
     """Minimum inflated capsule clearance over all cross-arm pairs: a float,
     or one value per row of a batched state.
 
@@ -232,13 +237,11 @@ def min_self_distance(state: DualArmState, cfg: WorldConfig, inflation: float | 
     side's capsules are its links plus (when holding) the grasped-object
     capsule extending from the EE along the EE heading. Intra-arm pairs
     between non-adjacent links of one arm join the enumeration only when
-    cfg.include_intra_arm is set.
+    cfg.include_intra_arm is set. Each capsule grows by cfg.inflation.
     """
-    if inflation is None:
-        inflation = cfg.inflation
     d = _clearance(cfg, state.holding_left, state.holding_right,
                    (state.segs_left, state.ee_left, state.heading_left),
-                   (state.segs_right, state.ee_right, state.heading_right), inflation)
+                   (state.segs_right, state.ee_right, state.heading_right))
     return float(d) if d.ndim == 0 else d
 
 
@@ -288,8 +291,7 @@ def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
     )
 
 
-def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig,
-                      inflation: float | None = None) -> np.ndarray:
+def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig) -> np.ndarray:
     """(H, N) clearance after each step of each of N (H, 4) plans, past any
     penetration.
 
@@ -302,8 +304,6 @@ def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig,
     plans = np.asarray(plans, dtype=float)
     if plans.ndim != 3 or plans.shape[2] != 4 or plans.shape[0] < 1 or plans.shape[1] < 1:
         raise ValueError(f"plans must be (N, H, 4) with N, H >= 1, got {plans.shape}")
-    if inflation is None:
-        inflation = cfg.inflation
     n, horizon = plans.shape[:2]
     q, pts = _state_arrays(state)
     if q.shape[:-2] not in ((), (n,)):
@@ -319,7 +319,7 @@ def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig,
     segs = link_segments(traj)
     return _clearance(cfg, state.holding_left, state.holding_right,
                       (segs[:, :, 0], traj[:, :, 0, -1], heading[:, :, 0]),
-                      (segs[:, :, 1], traj[:, :, 1, -1], heading[:, :, 1]), inflation)
+                      (segs[:, :, 1], traj[:, :, 1, -1], heading[:, :, 1]))
 
 
 def label_rollouts(d, dt: float, horizons=None) -> list[RolloutOutcome]:
@@ -349,26 +349,15 @@ def label_rollouts(d, dt: float, horizons=None) -> list[RolloutOutcome]:
 
 
 def rollout_batch(state: DualArmState, plans, cfg: WorldConfig,
-                  inflation: float | None = None, horizons=None) -> list[RolloutOutcome]:
+                  horizons=None) -> list[RolloutOutcome]:
     """Execute N (H, 4) plans from one state, or from one state per row;
     outcome i labels plans[i] over its first horizons[i] steps.
 
     `rollout_clearance` followed by `label_rollouts`; raises ValueError
-    unless plans is (N, H, 4) with N >= 1 and H >= 1.
+    unless plans is (N, H, 4) with N >= 1 and H >= 1. One plan labels as
+    `rollout_batch(state, plan[None], cfg)[0]`.
     """
-    return label_rollouts(rollout_clearance(state, plans, cfg, inflation), cfg.dt, horizons)
-
-
-def rollout(state: DualArmState, plan, cfg: WorldConfig,
-            inflation: float | None = None) -> RolloutOutcome:
-    """Label one (H, 4) plan: `rollout_batch` with N = 1.
-
-    Raises ValueError unless the plan is (H, 4) with H >= 1.
-    """
-    plan = np.asarray(plan, dtype=float)
-    if plan.ndim != 2 or plan.shape[1] != 4 or plan.shape[0] < 1:
-        raise ValueError(f"plan must be (H, 4) with H >= 1, got {plan.shape}")
-    return rollout_batch(state, plan[None], cfg, inflation)[0]
+    return label_rollouts(rollout_clearance(state, plans, cfg), cfg.dt, horizons)
 
 
 def scene_feature(state: DualArmState, task: Task, noise_sigma: float = 0.0,

@@ -27,7 +27,7 @@ from riskgate import world as wd
 
 from conftest import ACCEPTANCE_LINES, MICRO_CONFIG, MICRO_STAGES
 from test_estimator import batch_mean_loss
-from test_geometry import dense_segment_distance
+from test_geometry import dense_segment_distance, jacobian
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -95,20 +95,21 @@ def pipeline(tmp_path_factory):
 def test_criterion_01_geometry_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
+    # the oracle's kernels: segment_pairs_distance over a batch of pairs,
+    # and the joint-origins Jacobian that dls_ik_step solves with
+    pairs = rng.uniform(-1.0, 1.0, size=(1000, 4, 2))
+    exact = gm.segment_pairs_distance(pairs[:, 0], pairs[:, 1], pairs[:, 2], pairs[:, 3])
     worst = 0.0
-    for _ in range(1000):
-        p0, p1, q0, q1 = rng.uniform(-1.0, 1.0, size=(4, 2))
-        exact = gm.segment_closest_distance(gm.Segment2(p0, p1),
-                                            gm.Segment2(q0, q1))
+    for d, (p0, p1, q0, q1) in zip(exact, pairs):
         ref = dense_segment_distance(p0, p1, q0, q1)
-        worst = max(worst, abs(exact - ref))
+        worst = max(worst, abs(d - ref))
 
     arm = wd.default_world().arm_left
     worst_jac = 0.0
     eps = 1e-6
     for _ in range(20):
         q = rng.uniform(-1.5, 1.5, size=3)
-        jac = gm.jacobian(arm, q)
+        jac = jacobian(arm, q)
         fd = np.empty_like(jac)
         for j in range(3):
             dq = np.zeros(3)
@@ -321,10 +322,8 @@ def test_criterion_10_risk_weighted_finetuning(pipeline, world_cfg, task_params)
         tid = wd.TASK_IDS[i % 2]
         state, task = wd.task_init(tid, int(rng.integers(2 ** 31)),
                                    world_cfg, task_params)
-        goals = np.concatenate([task.goal_left, task.goal_right])
         for _ in range(int(rng.integers(30))):
-            a = pol.policy_forward(bc, wd.proprio_feature(state),
-                                   wd.scene_feature(state, task), goals)
+            a = pol.policy_plan(bc, state, task, world_cfg, 1)[0]
             nxt = wd.step(state, a, world_cfg)
             if wd.min_self_distance(nxt, world_cfg) < 0.0:
                 break
@@ -345,9 +344,8 @@ def test_criterion_10_risk_weighted_finetuning(pipeline, world_cfg, task_params)
                              task_params=task_params, gate_cfg=sg.GateConfig(),
                              horizon=5, n_candidates=8, sigma_a=0.01,
                              soft_gate=False, seed=0, policy_params=policy)
-        return {tid: np.mean([hn.run_episode(setup, tid,
-                                             hn.episode_seed(0, tid, i)).success
-                              for i in range(50)])
+        return {tid: np.mean([log.success for log in hn.run_episodes(
+                    setup, [(tid, hn.episode_seed(0, tid, i)) for i in range(50)])])
                 for tid in wd.TASK_IDS}
 
     r_bc, r_ft = mean_own_plan_risk(bc), mean_own_plan_risk(ft)

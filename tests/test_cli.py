@@ -11,8 +11,10 @@ from riskgate import cli
 from riskgate import config as cf
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
+from riskgate import harness as hn
 from riskgate import metrics as mt
 from riskgate import policy as pol
+from riskgate import world as wd
 
 from conftest import MICRO_STAGES
 
@@ -207,3 +209,50 @@ def test_stdout_is_json(tmp_path, capsys):
                      "--index", "0", "--mode", "ungated"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert {"log", "success", "collided", "steps"} <= set(payload)
+
+
+def test_report_rejects_logs_outside_the_config_grid(tmp_path, capsys):
+    """report counts exactly the config's episode grid: a stale log from a
+    larger or another-seed run, or a missing log, exits 2 naming the
+    (task, seed) pair, and the mode check still comes first."""
+    logs = tmp_path / "logs"
+
+    def write_cfg(episodes):
+        path = tmp_path / f"cfg_{episodes}.json"
+        path.write_text(json.dumps({
+            "tasks": {"episodes_per_task": episodes},
+            "eval": {"mode": "ungated", "logs_dir": str(logs),
+                     "report_path": str(tmp_path / "rep.json")}}))
+        return str(path)
+
+    def report_error(cfg_path, *extra):
+        capsys.readouterr()
+        assert cli.main(["report", "--config", cfg_path, *extra]) == 2
+        return capsys.readouterr().err
+
+    three, one = write_cfg(3), write_cfg(1)
+    assert cli.main(["evaluate", "--config", three]) == 0
+    assert cli.main(["report", "--config", three]) == 0
+    assert json.load(open(tmp_path / "rep.json"))["episodes"] == 6
+    assert hn.episode_grid(cf.load_config(three)) == [
+        (tid, hn.episode_seed(0, tid, i)) for tid in wd.TASK_IDS for i in range(3)]
+
+    # a smaller rerun into the same directory leaves the larger run's logs
+    assert cli.main(["evaluate", "--config", one]) == 0
+    stale = ("crossing_transfer", hn.episode_seed(0, "crossing_transfer", 1))
+    err = report_error(one)
+    assert f"log of episode {stale} in {logs} is not in the config's episode grid" in err
+
+    # a missing log
+    missing = ("parallel_place", hn.episode_seed(0, "parallel_place", 2))
+    os.remove(hn.episode_log_path(logs, hn.EpisodeLog(*missing, mode="ungated", steps=[])))
+    assert f"no log of episode {missing}" in report_error(three)
+
+    # a run of another seed next to them
+    assert cli.main(["evaluate", "--config", one, "--seed", "5"]) == 0
+    assert "not in the config's episode grid (seed 5," in report_error(one, "--seed", "5")
+
+    # logs of two modes are reported as such, before any grid check
+    stray = hn.EpisodeLog("parallel_place", 1, "gated", [])
+    hn.write_episode_log(stray, hn.episode_log_path(logs, stray))
+    assert "mix modes" in report_error(three)

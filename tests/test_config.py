@@ -83,7 +83,13 @@ def test_semantic_validation():
             cf.config_from_dict(bad)
     # values the runtime dataclasses reject, each named in the message
     for section, key, value in (("world", "dt", 0.0), ("world", "dt", -0.1),
-                                ("world", "noise_sigma", -0.001),
+                                ("world", "dt", float("inf")), ("world", "noise_sigma", -0.001),
+                                ("world", "a_max", 0.0), ("world", "a_max", float("inf")),
+                                ("world", "mu", float("nan")), ("world", "mu", -0.05),
+                                ("world", "inflation", -0.05),
+                                ("world", "inflation", float("nan")),
+                                ("world", "grasp_length", -0.1),
+                                ("world", "grasp_radius", float("inf")),
                                 ("datagen", "sigma_a", -0.01), ("datagen", "sigma_a", float("nan")),
                                 ("datagen", "episodes_per_task", 0),
                                 ("tasks", "max_steps", 0),
@@ -109,6 +115,25 @@ def test_load_config_errors(tmp_path):
     good.write_text(json.dumps({"seed": 3, "eval": {"mode": "ungated"}}))
     cfg = cf.load_config(good)
     assert cfg.seed == 3 and cfg.eval.mode == "ungated"
+
+
+def test_world_values_from_json_text_are_checked(tmp_path, capsys):
+    """json reads NaN and Infinity literals; a world value that would make
+    every clearance or step meaningless is a config error (exit 1) whose
+    message names the key, while zero inflation and grasp size pass."""
+    from riskgate import cli
+    for text, key in (('{"mu": NaN}', "mu"), ('{"inflation": -0.05}', "inflation"),
+                      ('{"a_max": Infinity}', "a_max")):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"eval": {"mode": "ungated"}, "world": %s}' % text)
+        with pytest.raises(cf.ConfigError, match=key):
+            cf.load_config(path)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(path)]) == 1
+        assert f"config error: {key} must be finite" in capsys.readouterr().err
+    cfg = cf.config_from_dict({"world": {"inflation": 0, "grasp_length": 0.0,
+                                         "grasp_radius": 0.0}})
+    assert cfg.world_config().inflation == 0.0
 
 
 def test_derived_configs_carry_values():

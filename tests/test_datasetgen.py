@@ -283,7 +283,7 @@ def test_stored_labels_are_exact(tiny_data, world_cfg):
         state = wd.make_state(world_cfg, q[:3], q[3:],
                               g_left=s.proprio[12], g_right=s.proprio[13],
                               holding_left=bool(s.z[8]), holding_right=bool(s.z[9]))
-        ref = wd.rollout(state, s.plan, world_cfg)
+        ref = wd.rollout_batch(state, s.plan[None], world_cfg)[0]
         assert s.label.y_bin == ref.y_bin
         assert s.label.y_d == pytest.approx(ref.y_d, abs=1e-9)
         assert s.label.y_ttc == pytest.approx(ref.y_ttc, abs=1e-12)

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
+from riskgate import policy as pol
 from riskgate import world as wd
 
 
@@ -461,11 +462,13 @@ def test_malformed_estimator_inputs_raise():
 @pytest.mark.parametrize("rows", [1, 8])
 def test_stacked_matmul_equals_per_block_calls(blocks, rows):
     """numpy runs a stacked matmul as one call per leading block, so each
-    block has the bits of its own call; the grouped estimator forward rests
-    on this. Checked for every product of the forward at its shapes, on the
-    BLAS path (contiguous operands) and on the no-BLAS path numpy takes for
-    the stride-0 context rows of a broadcast (proprio, z). A numpy or BLAS
-    upgrade that breaks this fails here rather than silently moving bits."""
+    block has the bits of its own call; the grouped estimator forward and
+    the batched policy plan rest on this. Checked for every product of the
+    estimator forward at its shapes, on the BLAS path (contiguous operands)
+    and on the no-BLAS path numpy takes for the stride-0 context rows of a
+    broadcast (proprio, z), and for the policy network's two products on
+    (E, 1, features) blocks. A numpy or BLAS upgrade that breaks this fails
+    here rather than silently moving bits."""
     rng = np.random.default_rng(60 + blocks * rows)
     d, h = est.D_MODEL, 5
     lead = (blocks, rows)
@@ -482,6 +485,10 @@ def test_stacked_matmul_equals_per_block_calls(blocks, rows):
         (rng.normal(size=(*lead, d)), w["head"]),                         # heads
         (np.broadcast_to(rng.normal(size=(blocks, 1, est.PROPRIO_DIM)),   # stride-0 context
                          (*lead, est.PROPRIO_DIM)), w["proprio"]),
+        (rng.normal(size=(blocks, 1, pol.POLICY_IN)),                     # policy hidden layer
+         rng.normal(size=(pol.POLICY_IN, pol.POLICY_HIDDEN))),
+        (rng.normal(size=(blocks, 1, pol.POLICY_HIDDEN)),                 # policy output
+         rng.normal(size=(pol.POLICY_HIDDEN, pol.POLICY_OUT))),
     ]
     for a, b in cases:
         stacked = a @ b

@@ -1,8 +1,9 @@
 """Geometry primitives against brute-force oracles.
 
-The closed-form segment distance is checked against dense parameter
-sampling, the analytic Jacobian against central finite differences, and
-the kinematic chain against a hand-rolled reference.
+The closed-form segment distance kernel the oracle runs is checked against
+dense parameter sampling, the analytic Jacobian that DLS-IK uses against
+central finite differences, and the kinematic chain against a hand-rolled
+reference.
 """
 
 import numpy as np
@@ -31,55 +32,45 @@ def dense_segment_distance(p0, p1, q0, q1, n=1001):
     return float(np.sqrt(d2.min()))
 
 
-def random_pairs(rng, n):
-    pts = rng.uniform(-1.0, 1.0, size=(n, 4, 2))
-    return [tuple(p) for p in pts]
+def segment_distance(p0, p1, q0, q1):
+    """`segment_pairs_distance` of one pair, as a float."""
+    return float(gm.segment_pairs_distance(p0, p1, q0, q1))
+
+
+def jacobian(arm, q):
+    """The end-effector Jacobian `dls_ik_step` uses, at joint vectors q."""
+    return gm._origins_jacobian(gm.joint_origins(arm, q)[0])
 
 
 def test_segment_distance_matches_dense_sampling():
     rng = np.random.default_rng(42)
+    pts = rng.uniform(-1.0, 1.0, size=(200, 4, 2))
+    exact = gm.segment_pairs_distance(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
     worst = 0.0
-    for p0, p1, q0, q1 in random_pairs(rng, 200):
-        exact = gm.segment_closest_distance(gm.Segment2(p0, p1), gm.Segment2(q0, q1))
+    for d, (p0, p1, q0, q1) in zip(exact, pts):
+        assert d == segment_distance(p0, p1, q0, q1)  # a batch row has its own bits
         ref = dense_segment_distance(p0, p1, q0, q1)
-        worst = max(worst, abs(exact - ref))
+        worst = max(worst, abs(d - ref))
         # grid minimum can only overestimate the true minimum
-        assert exact <= ref + 1e-12
+        assert d <= ref + 1e-12
     assert worst < 2e-3
 
 
 def test_segment_distance_known_values():
-    s = gm.Segment2((0.0, 0.0), (1.0, 0.0))
-    assert gm.segment_closest_distance(s, gm.Segment2((0.0, 1.0), (1.0, 1.0))) == pytest.approx(1.0)
+    a, b = (0.0, 0.0), (1.0, 0.0)
+    assert segment_distance(a, b, (0.0, 1.0), (1.0, 1.0)) == pytest.approx(1.0)
     # crossing segments touch
-    assert gm.segment_closest_distance(
-        gm.Segment2((-1.0, -1.0), (1.0, 1.0)),
-        gm.Segment2((-1.0, 1.0), (1.0, -1.0))) == pytest.approx(0.0, abs=1e-12)
+    assert segment_distance((-1.0, -1.0), (1.0, 1.0),
+                            (-1.0, 1.0), (1.0, -1.0)) == pytest.approx(0.0, abs=1e-12)
     # collinear with a gap
-    assert gm.segment_closest_distance(
-        s, gm.Segment2((2.0, 0.0), (3.0, 0.0))) == pytest.approx(1.0)
+    assert segment_distance(a, b, (2.0, 0.0), (3.0, 0.0)) == pytest.approx(1.0)
 
 
 def test_degenerate_segments_are_points():
-    p = gm.Segment2((0.3, 0.4), (0.3, 0.4))
-    s = gm.Segment2((0.0, 0.0), (1.0, 0.0))
-    assert gm.segment_closest_distance(p, s) == pytest.approx(0.4)
-    q = gm.Segment2((2.0, 0.0), (2.0, 0.0))
-    assert gm.segment_closest_distance(p, q) == pytest.approx(np.hypot(1.7, 0.4))
-
-
-def test_capsule_distance_subtracts_radii_and_inflation():
-    a = gm.Capsule2(gm.Segment2((0.0, 0.0), (1.0, 0.0)), radius=0.1)
-    b = gm.Capsule2(gm.Segment2((0.0, 1.0), (1.0, 1.0)), radius=0.2)
-    assert gm.capsule_distance(a, b) == pytest.approx(0.7)
-    # each capsule grows by the inflation, so the clearance drops by twice it
-    assert gm.capsule_distance(a, b, inflation=0.05) == pytest.approx(0.6)
-    overlapping = gm.Capsule2(gm.Segment2((0.0, 0.05), (1.0, 0.05)), radius=0.1)
-    assert gm.capsule_distance(a, overlapping) < 0
-    with pytest.raises(ValueError):
-        gm.capsule_distance(a, b, inflation=-0.01)
-    with pytest.raises(ValueError):
-        gm.Capsule2(gm.Segment2((0, 0), (1, 0)), radius=-0.1)
+    p = (0.3, 0.4)
+    assert segment_distance(p, p, (0.0, 0.0), (1.0, 0.0)) == pytest.approx(0.4)
+    q = (2.0, 0.0)
+    assert segment_distance(p, p, q, q) == pytest.approx(np.hypot(1.7, 0.4))
 
 
 def test_forward_kinematics_matches_manual_chain():
@@ -122,7 +113,7 @@ def test_batched_kinematics_match_per_row():
     dxs = rng.uniform(-0.02, 0.02, size=(16, 2))
     pts, angles = gm.joint_origins(arm, qs)
     segs, ee, heading = gm.forward_kinematics(arm, qs)
-    J = gm.jacobian(arm, qs)
+    J = jacobian(arm, qs)
     dq = gm.dls_ik_step(arm, pts, dxs, mu=0.05)
     assert pts.shape == (16, 4, 2) and J.shape == (16, 2, 3) and dq.shape == (16, 3)
     for i, q in enumerate(qs):
@@ -130,7 +121,7 @@ def test_batched_kinematics_match_per_row():
         s1, e1, h1 = gm.forward_kinematics(arm, q)
         assert np.array_equal(pts[i], p1) and np.array_equal(angles[i], a1)
         assert np.array_equal(segs[i], s1) and np.array_equal(ee[i], e1) and heading[i] == h1
-        assert np.array_equal(J[i], gm.jacobian(arm, q))
+        assert np.array_equal(J[i], jacobian(arm, q))
         assert np.array_equal(dq[i], gm.dls_ik_step(arm, p1, dxs[i], mu=0.05))
 
 
@@ -165,7 +156,7 @@ def test_jacobian_matches_finite_differences():
     h = 1e-6
     for _ in range(12):
         q = rng.uniform(-2.0, 2.0, size=3)
-        J = gm.jacobian(arm, q)
+        J = jacobian(arm, q)
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
@@ -183,7 +174,7 @@ def test_dls_step_tracks_small_increments():
         dx = rng.uniform(-0.01, 0.01, size=2)
         dq = gm.dls_ik_step(arm, gm.joint_origins(arm, q)[0], dx, mu=0.05)
         assert np.all(np.abs(dq) <= arm.joint_velocity_limit + 1e-15)
-        realized = gm.jacobian(arm, q) @ dq
+        realized = jacobian(arm, q) @ dq
         # damping trades tracking accuracy for stability; small mu, small gap
         assert np.linalg.norm(realized - dx) <= 0.5 * np.linalg.norm(dx) + 1e-9
 

@@ -45,7 +45,7 @@ def make_setup(world_cfg, task_params, mode="ungated", est_params=None,
 
 def test_episode_log_roundtrip(world_cfg, task_params, tmp_path):
     setup = make_setup(world_cfg, task_params)
-    log = hn.run_episode(setup, "parallel_place", 5)
+    log = hn.run_episodes(setup, [("parallel_place", 5)])[0]
     assert log.n_steps == len(log.steps) > 0
     path = tmp_path / "ep.jsonl"
     hn.write_episode_log(log, path)
@@ -57,7 +57,7 @@ def test_episode_log_bytes_match_asdict_writer(world_cfg, task_params, tmp_path)
     """`write_episode_log` writes what the asdict-based writer wrote, byte
     for byte, on a gated episode plus steps with edge values."""
     setup = make_setup(world_cfg, task_params, mode="gated", est_params=inert_estimator(-1.0))
-    log = hn.run_episode(setup, "crossing_transfer", 3)
+    log = hn.run_episodes(setup, [("crossing_transfer", 3)])[0]
     log.steps.append(hn.StepRecord(t=len(log.steps), state_digest="f" * 16, r_hat=None,
                                    d_min=-0.0, gate_mode="HALT", decision="HALT",
                                    action=[5e-324, -0.0, 1e16, 0.1 + 0.2],
@@ -75,7 +75,7 @@ def test_episode_log_bytes_match_asdict_writer(world_cfg, task_params, tmp_path)
 
 def test_read_episode_log_validation(world_cfg, task_params, tmp_path):
     setup = make_setup(world_cfg, task_params)
-    log = hn.run_episode(setup, "parallel_place", 6)
+    log = hn.run_episodes(setup, [("parallel_place", 6)])[0]
     path = tmp_path / "ep.jsonl"
     hn.write_episode_log(log, path)
     lines = path.read_text().splitlines()
@@ -100,8 +100,8 @@ def test_read_episode_log_validation(world_cfg, task_params, tmp_path):
 
 def test_ungated_episode_deterministic(world_cfg, task_params):
     setup = make_setup(world_cfg, task_params)
-    a = hn.run_episode(setup, "crossing_transfer", 11)
-    b = hn.run_episode(setup, "crossing_transfer", 11)
+    a = hn.run_episodes(setup, [("crossing_transfer", 11)])[0]
+    b = hn.run_episodes(setup, [("crossing_transfer", 11)])[0]
     assert a.success == b.success and a.collided == b.collided
     assert [s.state_digest for s in a.steps] == [s.state_digest for s in b.steps]
     assert [s.action for s in a.steps] == [s.action for s in b.steps]
@@ -114,8 +114,8 @@ def test_gated_equals_ungated_when_gate_never_fires(world_cfg, task_params):
     gated = make_setup(world_cfg, task_params, mode="gated",
                        est_params=inert_estimator(-30.0), soft_gate=False)
     for task_id, seed in (("crossing_transfer", 0), ("parallel_place", 1)):
-        a = hn.run_episode(plain, task_id, seed)
-        b = hn.run_episode(gated, task_id, seed)
+        a = hn.run_episodes(plain, [(task_id, seed)])[0]
+        b = hn.run_episodes(gated, [(task_id, seed)])[0]
         assert [s.state_digest for s in a.steps] == [s.state_digest for s in b.steps]
         assert [s.action for s in a.steps] == [s.action for s in b.steps]
         assert (a.success, a.collided) == (b.success, b.collided)
@@ -129,8 +129,8 @@ def test_soft_gate_scales_executed_action(world_cfg, task_params):
                       est_params=inert_estimator(-2.0), soft_gate=False)
     soft = make_setup(world_cfg, task_params, mode="gated",
                       est_params=inert_estimator(-2.0), soft_gate=True)
-    a = hn.run_episode(hard, "parallel_place", 2)
-    b = hn.run_episode(soft, "parallel_place", 2)
+    a = hn.run_episodes(hard, [("parallel_place", 2)])[0]
+    b = hn.run_episodes(soft, [("parallel_place", 2)])[0]
     r = a.steps[0].r_hat
     scale = sg.soft_scale(r, hard.gate_cfg.tau_up)
     assert 0.0 < scale < 1.0
@@ -142,7 +142,7 @@ def test_watchdog_halts_saturated_blocked_episode(world_cfg, task_params):
     gate_cfg = sg.GateConfig(watchdog_window=5)
     setup = make_setup(world_cfg, task_params, mode="gated",
                        est_params=inert_estimator(30.0), gate_cfg=gate_cfg)
-    log = hn.run_episode(setup, "crossing_transfer", 3)
+    log = hn.run_episodes(setup, [("crossing_transfer", 3)])[0]
     decisions = [s.decision for s in log.steps]
     assert decisions == [sg.BLOCK] * 5 + [sg.HALT]
     assert log.blocked_steps == 5
@@ -158,7 +158,7 @@ def test_collector_records_and_corrected_flags(world_cfg, task_params):
     records = []
     setup = make_setup(world_cfg, task_params, mode="gated",
                        est_params=inert_estimator(-30.0))
-    log = hn.run_episode(setup, "parallel_place", 4, collector=records)
+    log = hn.run_episodes(setup, [("parallel_place", 4)], [records])[0]
     assert len(records) == log.n_steps
     for rec, step in zip(records, log.steps):
         assert not rec.corrected
@@ -171,7 +171,7 @@ def test_collector_records_and_corrected_flags(world_cfg, task_params):
     halt_setup = make_setup(world_cfg, task_params, mode="gated",
                             est_params=inert_estimator(30.0),
                             gate_cfg=sg.GateConfig(watchdog_window=5))
-    hn.run_episode(halt_setup, "crossing_transfer", 3, collector=blocked)
+    hn.run_episodes(halt_setup, [("crossing_transfer", 3)], [blocked])
     assert len(blocked) == 5  # the HALT step is never a training record
     assert all(r.corrected for r in blocked)
 
@@ -208,7 +208,7 @@ def test_aggregate_metrics_arithmetic():
 def test_aggregate_metrics_estimator_block(world_cfg, task_params):
     setup = make_setup(world_cfg, task_params, mode="gated",
                        est_params=inert_estimator(-2.0))
-    logs = [hn.run_episode(setup, "crossing_transfer", s) for s in (0, 1)]
+    logs = hn.run_episodes(setup, [("crossing_transfer", s) for s in (0, 1)])
     rep = hn.aggregate_metrics(logs, setup.gate_cfg, "gated", seed=0)
     assert rep.estimator is not None
     assert rep.estimator["n_scored_steps"] == sum(lg.n_steps for lg in logs)
@@ -330,7 +330,7 @@ def one_episode_at_a_time(setup, task_id, seed, collector):
                 plan, action = rec.plan, rec.plan[0].copy()
                 if not rec.made_progress:
                     action *= sg.distance_fallback(rec.min_dist, gate_cfg.d0)
-        label = wd.rollout(state, plan, wcfg)
+        label = wd.rollout_batch(state, plan[None], wcfg)[0]
         if decision == sg.HALT:
             log.steps.append(hn.StepRecord(
                 t=t, state_digest=digest, r_hat=r_hat,

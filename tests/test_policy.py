@@ -60,23 +60,31 @@ def test_policy_forward_stays_in_box(world_cfg, task_params):
     params = pol.init_policy(seed=0)
     params.w2 *= 100.0  # drive the pre-squash output far out of range
     state, task = wd.task_init("parallel_place", 1, world_cfg, task_params)
-    goals = np.concatenate([task.goal_left, task.goal_right])
-    a = pol.policy_forward(params, wd.proprio_feature(state),
-                           wd.scene_feature(state, task), goals)
-    assert a.shape == (4,)
-    assert np.all(np.abs(a) <= params.a_max)
+    plan = pol.policy_plan(params, state, task, world_cfg, 1)
+    assert plan.shape == (1, 4)
+    assert np.all(np.abs(plan) <= params.a_max)
+    assert np.abs(plan).max() > 0.99 * params.a_max
+    with pytest.raises(ValueError):
+        pol.policy_plan(params, state, task, world_cfg, 0)
+
+
+def network_row(params, state, task):
+    """The network's action row at one state, from a (1, 28) input."""
+    x = np.concatenate([wd.proprio_feature(state), wd.scene_feature(state, task),
+                        task.goal_left, task.goal_right])[None, :]
+    return pol._policy_forward_batch(params, x)[0][0]
 
 
 def test_policy_plan_matches_manual_rollout(world_cfg, task_params, monkeypatch):
     """The plan equals, with ==, the rows of the policy rolled forward one
-    step per row, and the world is stepped only between rows."""
+    step per row, and the world is stepped only between rows. A stacked
+    state and task over both tasks plan every row in one call, and each
+    row equals its own single-state call with ==."""
     params = pol.init_policy(seed=2)
     state, task = wd.task_init("crossing_transfer", 3, world_cfg, task_params)
-    goals = np.concatenate([task.goal_left, task.goal_right])
     ref, cur = [], state
     for i in range(5):
-        ref.append(pol.policy_forward(params, wd.proprio_feature(cur),
-                                      wd.scene_feature(cur, task), goals))
+        ref.append(network_row(params, cur, task))
         cur = wd.step(cur, ref[-1], world_cfg)
     real_step, calls = wd.step, []
 
@@ -88,6 +96,15 @@ def test_policy_plan_matches_manual_rollout(world_cfg, task_params, monkeypatch)
     plan = pol.policy_plan(params, state, task, world_cfg, 5)
     assert_array_equal(plan, np.array(ref))
     assert len(calls) == 4
+
+    inits = [wd.task_init(wd.TASK_IDS[i % 2], i, world_cfg, task_params) for i in range(6)]
+    states, tasks = [s for s, _ in inits], [t for _, t in inits]
+    calls.clear()
+    plans = pol.policy_plan(params, wd.stack_states(states), wd.stack_tasks(tasks),
+                            world_cfg, 5)
+    assert plans.shape == (6, 5, 4) and len(calls) == 4
+    for row, s, t in zip(plans, states, tasks):
+        assert np.array_equal(row, pol.policy_plan(params, s, t, world_cfg, 5))
 def test_collect_demonstrations_records(demo_records, world_cfg):
     for d in demo_records[:50]:
         assert d.plan.shape == (5, 4)
@@ -99,7 +116,7 @@ def test_collect_demonstrations_records(demo_records, world_cfg):
         d = demo_records[idx]
         q = np.arctan2(d.proprio[0:12:2], d.proprio[1:12:2])
         state = wd.make_state(world_cfg, q[:3], q[3:])
-        out = wd.rollout(state, d.plan, world_cfg)
+        out = wd.rollout_batch(state, d.plan[None], world_cfg)[0]
         assert d.label.y_bin == out.y_bin
         assert d.label.y_d == pytest.approx(out.y_d, abs=1e-9)
 
@@ -131,7 +148,7 @@ def demos_one_episode_at_a_time(task_id, seeds, horizon, world_cfg, task_params,
                 proprio=wd.proprio_feature(state),
                 z=wd.scene_feature(state, task, world_cfg.noise_sigma, rng),
                 goals=goals, action=plan[0].copy(), plan=plan,
-                label=wd.rollout(state, plan, world_cfg)))
+                label=wd.rollout_batch(state, plan[None], world_cfg)[0]))
             executed = np.clip(plan[0] + rng.normal(0.0, explore_noise, size=4),
                                -world_cfg.a_max, world_cfg.a_max)
             state = wd.step(state, executed, world_cfg)

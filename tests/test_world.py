@@ -1,8 +1,9 @@
 """Dual-arm world: collision oracle, stepping, rollouts, task resets.
 
-The minimum self-distance is re-derived in each test from public geometry
-primitives (explicit capsule pair enumeration), so the production routine
-is checked against an independent construction.
+The minimum self-distance is re-derived in each test from one
+`segment_pairs_distance` call per capsule pair (explicit capsule pair
+enumeration), so the batched production routine is checked against an
+independent construction.
 """
 
 from dataclasses import replace
@@ -15,22 +16,33 @@ from riskgate import geometry as gm
 from riskgate import world as wd
 
 
-def enumerate_min_distance(state, cfg, inflation=0.0):
-    """Brute-force cross-arm capsule clearance from public primitives."""
+def enumerate_min_distance(state, cfg):
+    """Brute-force cross-arm capsule clearance, one pair at a time: the
+    distance between the capsule axes less both radii, each capsule grown
+    by cfg.inflation."""
 
     def side_capsules(segs, radii, holding, ee, heading):
-        caps = [gm.Capsule2(gm.Segment2(s[0], s[1]), float(r))
-                for s, r in zip(segs, radii)]
+        caps = [(s[0], s[1], float(r)) for s, r in zip(segs, radii)]
         if holding:
             tip = ee + cfg.grasp_length * np.array([np.cos(heading), np.sin(heading)])
-            caps.append(gm.Capsule2(gm.Segment2(ee, tip), cfg.grasp_radius))
+            caps.append((ee, tip, cfg.grasp_radius))
         return caps
 
     left = side_capsules(state.segs_left, cfg.arm_left.link_radii,
                          state.holding_left, state.ee_left, state.heading_left)
     right = side_capsules(state.segs_right, cfg.arm_right.link_radii,
                           state.holding_right, state.ee_right, state.heading_right)
-    return min(gm.capsule_distance(a, b, inflation) for a in left for b in right)
+    return min(float(gm.segment_pairs_distance(p0, p1, q0, q1)) - (ra + rb + 2.0 * cfg.inflation)
+               for p0, p1, ra in left for q0, q1, rb in right)
+
+
+def world_with_radii(cfg, left, right, **overrides):
+    """cfg with every link of the left arm of radius `left` and of the right
+    arm of radius `right`."""
+    arms = {name: replace(arm, link_radii=np.full(arm.dof, r))
+            for name, arm, r in (("arm_left", cfg.arm_left, left),
+                                 ("arm_right", cfg.arm_right, right))}
+    return replace(cfg, **arms, **overrides)
 
 
 def random_state(rng, cfg, holding=False):
@@ -40,20 +52,38 @@ def random_state(rng, cfg, holding=False):
 
 
 def test_min_self_distance_matches_pair_enumeration(world_cfg):
+    """Over random states, with and without a grasped object, radii that
+    differ per arm, inflation, and zero radii and a zero-size grasped
+    object, the clearance equals the pair enumeration; some states overlap
+    (clearance < 0)."""
     rng = np.random.default_rng(11)
+    cfgs = [world_cfg, replace(world_cfg, inflation=0.05),
+            world_with_radii(world_cfg, 0.1, 0.2), world_with_radii(world_cfg, 0.0, 0.05),
+            world_with_radii(world_cfg, 0.1, 0.2, inflation=0.05),
+            world_with_radii(world_cfg, 0.0, 0.0, grasp_length=0.0, grasp_radius=0.0)]
+    overlapping = 0
     for i in range(100):
         state = random_state(rng, world_cfg, holding=bool(i % 2))
-        expected = enumerate_min_distance(state, world_cfg)
-        assert wd.min_self_distance(state, world_cfg) == pytest.approx(expected, abs=1e-12)
+        for cfg in cfgs:
+            expected = enumerate_min_distance(state, cfg)
+            assert wd.min_self_distance(state, cfg) == pytest.approx(expected, abs=1e-12)
+        overlapping += wd.min_self_distance(state, world_cfg) < 0.0
+    assert 0 < overlapping < 100
 
 
 def test_inflation_shifts_clearance_exactly(world_cfg):
+    """Each capsule grows by the inflation, so the clearance drops by twice
+    it; thicker links lower it by the sum of the two radii's growth."""
     rng = np.random.default_rng(12)
+    inflated = replace(world_cfg, inflation=0.01)
+    thick = world_with_radii(world_cfg, 0.1, 0.2)
     for _ in range(20):
         state = random_state(rng, world_cfg, holding=True)
-        base = wd.min_self_distance(state, world_cfg, inflation=0.0)
-        assert wd.min_self_distance(state, world_cfg, inflation=0.01) == pytest.approx(
-            base - 0.02, abs=1e-12)
+        base = wd.min_self_distance(state, world_cfg)
+        assert wd.min_self_distance(state, inflated) == pytest.approx(base - 0.02, abs=1e-12)
+        # the grasped objects keep their radius, so thick links shift the
+        # clearance by 0.07 + 0.17 at most
+        assert base - 0.24 - 1e-12 <= wd.min_self_distance(state, thick) <= base + 1e-12
 
 
 def test_mirror_symmetry(world_cfg):
@@ -122,22 +152,53 @@ def test_world_config_rejects_arms_of_different_dof():
         wd.WorldConfig(arm_left=left, arm_right=right)
 
 
-def clearances(state, plan, cfg, inflation=None):
+@pytest.mark.parametrize("key,bad", [
+    ("a_max", 0.0), ("a_max", -0.02), ("a_max", np.inf), ("a_max", np.nan),
+    ("mu", 0.0), ("mu", np.nan), ("mu", np.inf),
+    ("dt", np.inf), ("dt", np.nan), ("dt", 0.0),
+    ("inflation", -0.05), ("inflation", np.nan), ("inflation", np.inf),
+    ("grasp_length", -0.1), ("grasp_length", np.nan),
+    ("grasp_radius", -0.01), ("grasp_radius", np.inf), ("noise_sigma", np.inf)])
+def test_world_config_rejects_meaningless_scalars(key, bad):
+    """A value that would make every clearance or step meaningless is
+    refused where the config is built, naming the key."""
+    with pytest.raises(ValueError, match=key):
+        wd.default_world(**{key: bad})
+
+
+@pytest.mark.parametrize("key,bad,match", [
+    ("link_lengths", [0.3, np.inf, 0.15], "link lengths"),
+    ("link_lengths", [0.3, np.nan, 0.15], "link lengths"),
+    ("link_lengths", [0.3, 0.0, 0.15], "link lengths"),
+    ("link_radii", [0.03, -0.01, 0.03], "link radii"),
+    ("link_radii", [0.03, np.nan, 0.03], "link radii"),
+    ("link_radii", [np.inf, 0.03, 0.03], "link radii")])
+def test_arm_model_rejects_bad_lengths_and_radii(key, bad, match):
+    with pytest.raises(ValueError, match=match):
+        replace(gm.default_arm(), **{key: bad})
+
+
+def clearances(state, plan, cfg):
     """Clearance after every step of the whole plan, past any penetration."""
     out = []
     for row in plan:
         state = wd.step(state, row, cfg)
-        out.append(wd.min_self_distance(state, cfg, inflation))
+        out.append(wd.min_self_distance(state, cfg))
     return np.array(out)
 
 
-def resimulate(state, plan, cfg, inflation=None):
+def rollout(state, plan, cfg):
+    """The oracle's label of one plan: `rollout_batch` with N = 1."""
+    return wd.rollout_batch(state, np.asarray(plan)[None], cfg)[0]
+
+
+def resimulate(state, plan, cfg):
     """Reference label of one plan: step it alone, checking clearance after
     every step, and stop at the first penetration."""
     cur, y_d = state, np.inf
     for i, row in enumerate(plan):
         cur = wd.step(cur, row, cfg)
-        d = wd.min_self_distance(cur, cfg, inflation)
+        d = wd.min_self_distance(cur, cfg)
         y_d = min(y_d, d)
         if d < 0:
             return wd.RolloutOutcome(y_bin=1, y_d=y_d, y_ttc=(i + 1) * cfg.dt)
@@ -149,7 +210,7 @@ def test_rollout_matches_manual_resimulation(world_cfg):
     for _ in range(10):
         state = random_state(rng, world_cfg)
         plan = rng.uniform(-0.02, 0.02, size=(5, 4))
-        assert wd.rollout(state, plan, world_cfg) == resimulate(state, plan, world_cfg)
+        assert rollout(state, plan, world_cfg) == resimulate(state, plan, world_cfg)
 
 
 @pytest.mark.parametrize("intra_and_inflation", [False, True])
@@ -159,9 +220,9 @@ def test_rollout_batch_rows_equal_per_row_resimulation(world_cfg, intra_and_infl
     rows that collide at different steps and rows that never collide.
     A row that penetrates at step k and goes deeper later is labeled from
     steps <= k only."""
-    cfg, inflation = world_cfg, None
+    cfg = world_cfg
     if intra_and_inflation:
-        cfg, inflation = replace(world_cfg, include_intra_arm=True), 0.01
+        cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
     rng = np.random.default_rng(15)
     # both arms lean in; row k closes the gap at its own speed, the last row backs off
     q = np.array([-0.25, 0.0, 0.0])
@@ -171,17 +232,17 @@ def test_rollout_batch_rows_equal_per_row_resimulation(world_cfg, intra_and_infl
     ttcs = set()
     for holding in ((True, False), (False, True), (True, True), (False, False)):
         state = wd.make_state(cfg, q, -q, holding_left=holding[0], holding_right=holding[1])
-        out = wd.rollout_batch(state, plans, cfg, inflation)
+        out = wd.rollout_batch(state, plans, cfg)
         assert len(out) == len(plans)
         for row, label in zip(plans, out):
-            assert label == resimulate(state, row, cfg, inflation)
+            assert label == resimulate(state, row, cfg)
         assert out[-1].y_bin == 0 and out[0].y_bin == 1
-        d = clearances(state, plans[0], cfg, inflation)
+        d = clearances(state, plans[0], cfg)
         k = int(np.argmax(d < 0.0))
         assert d[k + 1:].min() < d[:k + 1].min()  # deeper after the first penetration
         assert out[0].y_d == d[:k + 1].min() and out[0].y_ttc == (k + 1) * cfg.dt
         ttcs.update(o.y_ttc for o in out if o.y_bin)
-        assert wd.rollout_batch(state, plans[1:2], cfg, inflation) == [out[1]]
+        assert wd.rollout_batch(state, plans[1:2], cfg) == [out[1]]
     assert len(ttcs) >= 3
 
 
@@ -222,7 +283,8 @@ def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
     assert state.q_left.shape == (8, 3) and task.goal_left.shape == (8, 2)
     actions = rng.uniform(-0.3, 0.3, size=(8, 4))
     nxt = wd.step(state, actions, world_cfg)
-    d = wd.min_self_distance(state, world_cfg, inflation=0.01)
+    inflated = replace(world_cfg, inflation=0.01)
+    d = wd.min_self_distance(state, inflated)
     p = wd.proprio_feature(state)
     z = wd.scene_feature(state, task, 0.005, [np.random.default_rng(i) for i in range(8)])
     ok = wd.success_check(state, task)
@@ -234,7 +296,7 @@ def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
         for f in ("q_left", "q_right", "ee_left", "ee_right", "heading_left",
                   "heading_right", "segs_left", "segs_right", "t"):
             assert np.array_equal(getattr(row, f), getattr(ref, f)), f
-        assert d[i] == wd.min_self_distance(s, world_cfg, inflation=0.01)
+        assert d[i] == wd.min_self_distance(s, inflated)
         assert np.array_equal(p[i], wd.proprio_feature(s))
         assert np.array_equal(z[i], wd.scene_feature(s, t, 0.005, np.random.default_rng(i)))
         assert ok[i] == wd.success_check(s, t)
@@ -261,7 +323,7 @@ def test_batches_must_share_holding_flags(world_cfg):
 
 def test_rollout_batch_per_row_states_and_horizons(world_cfg):
     """Rows from their own states, padded to the longest horizon, equal
-    each row's N=1 `rollout` of its unpadded plan; padding never counts."""
+    each row's N=1 rollout of its unpadded plan; padding never counts."""
     rng = np.random.default_rng(20)
     q = np.array([-0.25, 0.0, 0.0])
     states, plans, horizons = [], [], []
@@ -277,11 +339,11 @@ def test_rollout_batch_per_row_states_and_horizons(world_cfg):
     out = wd.rollout_batch(wd.stack_states(states), np.array(plans), world_cfg,
                            horizons=horizons)
     for s, plan, h, label in zip(states, plans, horizons, out):
-        assert label == wd.rollout(s, plan[:h], world_cfg)
+        assert label == rollout(s, plan[:h], world_cfg)
     assert {o.y_bin for o in out} == {0, 1}
     assert len({o.y_ttc for o in out if o.y_bin == 0}) == 3  # censored at 2, 3 and 5 steps
     # rows that the padding would have made collide are labeled collision-free
-    assert any(o.y_bin == 0 and wd.rollout(s, plan, world_cfg).y_bin == 1
+    assert any(o.y_bin == 0 and rollout(s, plan, world_cfg).y_bin == 1
                for s, plan, o in zip(states, plans, out))
     for bad in ([5] * 11, [0] + [5] * 11, [6] * 12, [2.0] * 12):
         with pytest.raises(ValueError):
@@ -292,18 +354,14 @@ def test_rollout_batch_per_row_states_and_horizons(world_cfg):
 
 def test_rollout_censors_ttc_at_horizon(world_cfg):
     state = wd.make_state(world_cfg, [0.6, -0.4, -0.2], [0.6, -0.4, -0.2])
-    out = wd.rollout(state, np.zeros((3, 4)), world_cfg)
+    out = rollout(state, np.zeros((3, 4)), world_cfg)
     assert out.y_bin == 0
     assert out.y_ttc == pytest.approx(3 * world_cfg.dt)
 
 
 def test_rollout_validates_plan_shape(world_cfg):
     state = wd.make_state(world_cfg, [0.6, -0.4, -0.2], [0.6, -0.4, -0.2])
-    with pytest.raises(ValueError):
-        wd.rollout(state, np.zeros((0, 4)), world_cfg)
-    with pytest.raises(ValueError):
-        wd.rollout(state, np.zeros((3, 5)), world_cfg)
-    for shape in ((2, 0, 4), (2, 3, 5), (0, 3, 4), (3, 4)):
+    for shape in ((1, 0, 4), (1, 3, 5), (2, 0, 4), (2, 3, 5), (0, 3, 4), (3, 4)):
         with pytest.raises(ValueError):
             wd.rollout_batch(state, np.zeros(shape), world_cfg)
 
