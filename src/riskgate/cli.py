@@ -130,21 +130,11 @@ def _cmd_roc_tune(cfg: cf.RunConfig, args) -> None:
     _emit({k: payload[k] for k in ("tau_up", "tau_down", "auc", "fnr_at_tau")})
 
 
-def _demo_seeds(cfg: cf.RunConfig, task_id: str):
-    tidx = wd.task_index(task_id)
-    return [int(np.random.SeedSequence([cfg.seed, tidx, i, 301]).generate_state(1)[0])
-            for i in range(cfg.policy.demo_episodes_per_task)]
-
-
 def _collect_all_demos(cfg: cf.RunConfig):
-    world_cfg = cfg.world_config()
-    task_params = cfg.task_params()
-    demos = []
-    for tid in cfg.tasks.ids:
-        demos.extend(pol.collect_demonstrations(
-            tid, _demo_seeds(cfg, tid), cfg.eval.H, world_cfg, task_params,
-            explore_noise=cfg.policy.explore_noise))
-    return demos
+    jobs = [(tid, hn.episode_seed(cfg.seed, tid, i, tag=301))
+            for tid in cfg.tasks.ids for i in range(cfg.policy.demo_episodes_per_task)]
+    return pol.collect_demonstrations(jobs, cfg.eval.H, cfg.world_config(), cfg.task_params(),
+                                      explore_noise=cfg.policy.explore_noise)
 
 
 def _cmd_train_policy(cfg: cf.RunConfig, args) -> None:

@@ -1,12 +1,12 @@
 """Labeled (state, plan) dataset generation and line-delimited persistence.
 
-All expert episodes of a run advance in lockstep, as one batch of states;
-at every step each live episode's nominal plan plus Gaussian-jittered
-candidates are labeled by simulating them with the exact collision
-checker, all episodes' candidates in one oracle pass. Each episode keeps
-its own random streams and its samples, so the files are those of running
-the episodes one at a time. Files are JSONL: one header object, then one
-object per sample, partitioned by curriculum horizon.
+Expert episodes run in `world.lockstep`; at every step each live
+episode's nominal plan plus Gaussian-jittered candidates are labeled by
+simulating them with the exact collision checker, all live episodes'
+candidates in one oracle pass. Each episode keeps its own random streams
+and its samples, so the files are those of running the episodes one at a
+time. Files are JSONL: one header object, then one object per sample,
+partitioned by curriculum horizon.
 
 Every line is exactly the text of `json.dumps(obj, sort_keys=True)`.
 `write_dataset` renders it itself: for a list of finite floats, the list's
@@ -39,11 +39,6 @@ from . import policy as pol
 from . import world as wd
 
 FORMAT_VERSION = 1
-# Episodes advanced together. The oracle's temporaries grow with the rows
-# of one lockstep step (episodes x candidates x horizon); 64 episodes keep
-# gen-data's peak memory near that of one episode at a time and lose
-# little speed to a single batch of every episode.
-LOCKSTEP_EPISODES = 64
 # Parsed lines that read_dataset converts and validates together; bounds
 # the parsed objects held at once.
 _READ_SLICE = 64
@@ -203,35 +198,42 @@ def sample_candidates(nominal: np.ndarray, n: int, sigma_a: float,
     return np.concatenate([nominal[None], np.clip(nominal + noise, -a_max, a_max)])
 
 
-def _lockstep_samples(episodes, gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig,
-                      task_params: wd.TaskParams) -> list:
-    """All candidate samples along each expert episode, one list per
-    (task_id, ep_seed, horizon) in episodes.
+def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
+                     task_params: wd.TaskParams = wd.TaskParams()) -> tuple[dict, dict]:
+    """Write one JSONL file per curriculum horizon; returns ({H: path},
+    {H: header counts}), the counts as written, after oversampling.
 
-    The live episodes form one batched state. Each step makes one expert
-    call, run to the longest live horizon, and one oracle pass over every
-    episode's candidates, each row padded to that horizon and labeled over
-    its own. The expert's first predicted step is the executed step, and
-    the oracle's first-step clearance of candidate 0, the nominal plan, is
-    the clearance of the executed state. An episode drops out at collision
-    or success.
+    Episodes are assigned to horizons round-robin, giving each phase an
+    equal share. Each lockstep step makes one expert call, run to the
+    longest live horizon, and one oracle pass over every live episode's
+    candidates, each row padded to that horizon and labeled over its own.
+    The expert's first predicted step is the executed step, and the
+    oracle's first-step clearance of candidate 0, the nominal plan, is the
+    clearance of the executed state. An episode ends at collision or
+    success. Each step's samples pass `_check_columns` once, as columns.
 
-    Two independent streams per episode: feature noise and candidate jitter.
-    Keeping them separate means the executed trajectory (expert, nominal
-    actions) does not depend on how many candidates are drawn. Each step's
-    samples pass `_check_columns` once, as columns.
+    Two independent streams per episode: feature noise and candidate
+    jitter. Keeping them separate means the executed trajectory (expert,
+    nominal actions) does not depend on how many candidates are drawn.
+    Every stream is seeded from (seed, task, episode), so the same config
+    writes byte-identical files.
     """
-    inits = [wd.task_init(tid, seed, world_cfg, task_params) for tid, seed, _ in episodes]
-    state = wd.stack_states([s for s, _ in inits])
-    task = wd.stack_tasks([t for _, t in inits])
-    streams = [[np.random.default_rng(np.random.SeedSequence(
-                    [gen_cfg.seed, wd.task_index(tid), seed, k])) for k in (1, 2)]
-               for tid, seed, _ in episodes]
-    horizons = np.array([h for _, _, h in episodes])
+    digest = config_digest(gen_cfg)
+    n_phases = len(gen_cfg.horizons)
+    jobs, horizons, streams = [], [], []
+    for task_id in gen_cfg.tasks:
+        tidx = wd.task_index(task_id)
+        for ep in range(gen_cfg.episodes_per_task):
+            ep_seed = int(np.random.SeedSequence([gen_cfg.seed, tidx, ep]).generate_state(1)[0])
+            jobs.append((task_id, ep_seed))
+            horizons.append(gen_cfg.horizons[ep % n_phases])
+            streams.append([np.random.default_rng(np.random.SeedSequence(
+                [gen_cfg.seed, tidx, ep_seed, k])) for k in (1, 2)])
+    horizons = np.array(horizons)
     n = gen_cfg.n_candidates
-    samples = [[] for _ in episodes]
-    live = np.arange(len(episodes))
-    for step_idx in range(task_params.max_steps):
+    by_job = [[] for _ in jobs]
+
+    def advance(step_idx, live, state, task):
         h_live = horizons[live]
         h_max = int(h_live.max())
         nominal, state_next = pol.scripted_expert(state, task, h_max, world_cfg)
@@ -251,41 +253,15 @@ def _lockstep_samples(episodes, gen_cfg: DatagenConfig, world_cfg: wd.WorldConfi
                        np.concatenate(cands, axis=None), np.repeat(4 * h_live, n),
                        np.repeat(h_live, n), y[:, 0], y[:, 1], y[:, 2])
         for j, (i, h) in enumerate(zip(live, h_live)):
-            p_j, z_j, meta = proprio[j], z[j], (episodes[i][0], int(episodes[i][1]), step_idx)
-            samples[i].extend(_assemble(p_j, z_j, cand, int(h), label, meta)
-                              for cand, label in zip(cands[j], labels[j * n:(j + 1) * n]))
-        done = (d[0, ::n] < 0.0) | wd.success_check(state_next, task)
-        if done.all():
-            break
-        state = state_next
-        if done.any():
-            live, state, task = live[~done], wd.take(state, ~done), wd.take(task, ~done)
-    return samples
+            p_j, z_j, meta = proprio[j], z[j], (*jobs[i], step_idx)
+            by_job[i].extend(_assemble(p_j, z_j, cand, int(h), label, meta)
+                             for cand, label in zip(cands[j], labels[j * n:(j + 1) * n]))
+        return state_next, (d[0, ::n] < 0.0) | wd.success_check(state_next, task)
 
-
-def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
-                     task_params: wd.TaskParams = wd.TaskParams()) -> tuple[dict, dict]:
-    """Write one JSONL file per curriculum horizon; returns ({H: path},
-    {H: header counts}), the counts as written, after oversampling.
-
-    Episodes are assigned to horizons round-robin, giving each phase an
-    equal share. Every stage is seeded from (seed, task, episode), so the
-    same config writes byte-identical files.
-    """
-    digest = config_digest(gen_cfg)
-    n_phases = len(gen_cfg.horizons)
-    episodes = []
-    for task_id in gen_cfg.tasks:
-        tidx = wd.task_index(task_id)
-        for ep in range(gen_cfg.episodes_per_task):
-            ep_seed = int(np.random.SeedSequence([gen_cfg.seed, tidx, ep]).generate_state(1)[0])
-            episodes.append((task_id, ep_seed, gen_cfg.horizons[ep % n_phases]))
+    wd.lockstep(jobs, world_cfg, task_params, advance)
     by_h = {h: [] for h in gen_cfg.horizons}
-    for lo in range(0, len(episodes), LOCKSTEP_EPISODES):
-        group = episodes[lo:lo + LOCKSTEP_EPISODES]
-        for (_, _, horizon), samples in zip(group, _lockstep_samples(
-                group, gen_cfg, world_cfg, task_params)):
-            by_h[horizon].extend(samples)
+    for h, samples in zip(horizons.tolist(), by_job):
+        by_h[h].extend(samples)
 
     os.makedirs(out_dir, exist_ok=True)
     paths, counts = {}, {}

@@ -1,15 +1,10 @@
 """Episode execution and evaluation.
 
 run_episodes drives seeded episodes in one of four modes (ungated, gated,
-gated+refine, gated+finetuned), logging every step. The episodes advance
-in lockstep as one batched world state: per step, one call each takes
-the observations, the plans of the scripted expert or the cloned
-policy, the oracle labels of the executed plans, the executed step, its
-clearance and the success check for every live episode. When gated, one
-estimator forward also scores the candidates of every live episode, each
-episode's with the bits it gets scored alone. Candidate sampling (from
-each episode's own stream), the gate, recovery and refinement run per
-episode. Every log is therefore the one the episode gives when run by
+gated+refine, gated+finetuned), logging every step. The episodes run
+together in `world.lockstep`, with batched observation, planning,
+candidate scoring and oracle calls; the gate, recovery and refinement
+run per episode, and every log is the one the episode gives when run by
 itself. evaluate runs the episodes of every task and seed, aggregates a
 metrics report, and persists logs as line-delimited records. Logs are
 the source of truth: every non-latency number in the report is
@@ -93,15 +88,32 @@ def _state_digests(state: wd.DualArmState) -> list:
 
 def resolve_gate_config(cfg: cf.RunConfig) -> sg.GateConfig:
     """Gate thresholds for a run: the tuned file when configured, else the
-    static gate section."""
+    static gate section. A thresholds file that is missing, not JSON, or
+    without a numeric tau_up and tau_down that the gate accepts raises
+    ConfigError naming the file."""
     path = cfg.gate.thresholds_path
     if not path:
         return cfg.gate_config()
     if not os.path.exists(path):
         raise cf.ConfigError(f"thresholds file not found: {path}")
     with open(path) as f:
-        tuned = json.load(f)
-    return replace(cfg.gate_config(), tau_up=tuned["tau_up"], tau_down=tuned["tau_down"])
+        try:
+            tuned = json.load(f)
+        except json.JSONDecodeError as e:
+            raise cf.ConfigError(f"thresholds file {path} is not valid JSON: {e}") from e
+    if not isinstance(tuned, dict):
+        raise cf.ConfigError(f"thresholds file {path} must hold an object with tau_up "
+                             f"and tau_down, got {type(tuned).__name__}")
+    for key in ("tau_up", "tau_down"):
+        value = tuned.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise cf.ConfigError(f"thresholds file {path}: {key} must be a number, "
+                                 f"got {value!r}")
+    static = cfg.gate_config()
+    try:
+        return replace(static, tau_up=tuned["tau_up"], tau_down=tuned["tau_down"])
+    except ValueError as e:
+        raise cf.ConfigError(f"thresholds file {path}: {e}") from e
 
 
 def prepare_setup(cfg: cf.RunConfig, mode: str | None = None) -> EvalSetup:
@@ -164,34 +176,46 @@ def _decide(setup: EvalSetup, gate: sg.GateState, proprio, z, nominal, r_hat, ch
     return gate, decision, nominal, None
 
 
-def _lockstep(setup: EvalSetup, jobs, collectors) -> list:
-    """Run the (task_id, seed) episodes of jobs together; one log per job.
+def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
+    """Seeded episodes, one per (task_id, seed) in jobs; returns their logs
+    in job order.
 
-    The live episodes form one batched state. Per step, one call each
-    observes them all (proprioception, and the scene feature with each
+    The episodes run in `wd.lockstep`. Per step, one call each observes
+    every live episode (proprioception, and the scene feature with each
     episode's own noise generator) and plans them all, by the scripted
-    expert or the cloned policy. When gated, each
-    episode draws its candidates from its own jitter stream, and one
-    `select_candidate` call scores every episode's candidates, each
-    episode's with the bits it gets scored alone. Each episode then runs
-    its gate, recovery and refinement alone, in job order. One oracle
-    pass labels every executed plan from its own episode's state, and
-    one `step`, one clearance pass and one success check advance them
-    all. An episode drops out when it collides, succeeds or halts.
+    expert or the cloned policy. When gated, each episode draws its
+    candidates from its own jitter stream, and one `select_candidate` call
+    scores every episode's candidates, each episode's with the bits it
+    gets scored alone. Each episode then runs its gate, recovery and
+    refinement alone, in job order. One oracle pass labels every executed
+    plan from its own episode's state, and one `step`, one clearance pass
+    and one success check advance them all. Every log is therefore the one
+    the episode would give alone.
+
+    An episode ends at success, collision (terminal failure), a HALT
+    decision, or the step budget. Feature noise and candidate jitter come
+    from separate seeded streams per episode, so the executed trajectory
+    under a gate that never blocks matches the ungated trajectory exactly.
+
+    When collectors is given, it holds one list per job, and each step of
+    that episode appends a labeled record for aggregation (corrected
+    actions at blocked steps come from recovery; a HALT step adds none).
     """
+    jobs = list(jobs)
+    if collectors is None:
+        collectors = [None] * len(jobs)
+    if len(collectors) != len(jobs):
+        raise ValueError(f"{len(collectors)} collectors for {len(jobs)} jobs")
     wcfg = setup.world_cfg
-    inits = [wd.task_init(tid, seed, wcfg, setup.task_params) for tid, seed in jobs]
-    state = wd.stack_states([s for s, _ in inits])
-    task = wd.stack_tasks([t for _, t in inits])
     streams = [[np.random.default_rng(np.random.SeedSequence(
                     [setup.seed, wd.task_index(tid), int(seed), k])) for k in (101, 102)]
                for tid, seed in jobs]
     logs = [EpisodeLog(task_id=tid, seed=int(seed), mode=setup.mode, steps=[])
             for tid, seed in jobs]
     gates = [sg.GateState()] * len(jobs)
-    live = np.arange(len(jobs))
     gated = setup.mode != "ungated"
-    for t in range(setup.task_params.max_steps):
+
+    def advance(t, live, state, task):
         t0 = time.perf_counter()
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, wcfg.noise_sigma, [streams[i][0] for i in live])
@@ -250,39 +274,12 @@ def _lockstep(setup: EvalSetup, jobs, collectors) -> list:
             log.collided = not halted and d < 0.0
             log.success = not halted and not log.collided and bool(success[j])
             done[j] = halted or log.collided or log.success
-        if done.all():
-            break
-        state = state_next
-        if done.any():
-            live, state, task = live[~done], wd.take(state, ~done), wd.take(task, ~done)
+        return state_next, done
+
+    wd.lockstep(jobs, wcfg, setup.task_params, advance)
     for log in logs:
         log.n_steps = len(log.steps)
     return logs
-
-
-def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
-    """Seeded episodes, one per (task_id, seed) in jobs; returns their logs
-    in job order.
-
-    Episodes advance in lockstep, at most `datasetgen.LOCKSTEP_EPISODES`
-    at a time, and every log is the one the episode would give alone. An
-    episode ends at success, collision (terminal failure), a HALT
-    decision, or the step budget. Feature noise and candidate jitter come
-    from separate seeded streams per episode, so the executed trajectory
-    under a gate that never blocks matches the ungated trajectory exactly.
-
-    When collectors is given, it holds one list per job, and each step of
-    that episode appends a labeled record for aggregation (corrected
-    actions at blocked steps come from recovery; a HALT step adds none).
-    """
-    jobs = list(jobs)
-    if collectors is None:
-        collectors = [None] * len(jobs)
-    if len(collectors) != len(jobs):
-        raise ValueError(f"{len(collectors)} collectors for {len(jobs)} jobs")
-    size = dg.LOCKSTEP_EPISODES
-    return [log for lo in range(0, len(jobs), size)
-            for log in _lockstep(setup, jobs[lo:lo + size], collectors[lo:lo + size])]
 
 
 def write_episode_log(log: EpisodeLog, path) -> None:

@@ -2,9 +2,10 @@
 
 A deterministic scripted expert emits short-horizon plans by simulating a
 proportional task-space law (goal-seeking, collision-blind). A small MLP
-policy clones it from demonstrations collected in lockstep expert
-episodes, optionally with per-sample risk weights on a safety-filtered
-dataset. Records of gated rollouts post-train the risk estimator.
+policy clones it from demonstrations of expert episodes run in
+`world.lockstep`, optionally with per-sample risk weights on a
+safety-filtered dataset. Records of gated rollouts post-train the risk
+estimator.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import datasetgen as dg
 from . import estimator as est
 from . import world as wd
 
@@ -151,11 +151,11 @@ class PolicyTrainConfig:
     seed: int = 0
 
 
-def collect_demonstrations(task_id: str, seeds, horizon: int, cfg: wd.WorldConfig,
+def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
                            params: wd.TaskParams = wd.TaskParams(), *,
                            explore_noise: float) -> list:
-    """Expert rollouts over the given seeds, one record per visited state,
-    concatenated per seed in the order given.
+    """Expert rollouts of the (task_id, seed) episodes of jobs, one record
+    per visited state, concatenated per job in the order given.
 
     The executed action adds small exploration noise (clipped to the box)
     while the recorded action and plan stay the expert's own, so cloning
@@ -163,31 +163,18 @@ def collect_demonstrations(task_id: str, seeds, horizon: int, cfg: wd.WorldConfi
     closed loop. Episodes stop at success, collision, or the step budget.
     Oracle labels come from simulating each stored plan from its own state.
 
-    The episodes advance in lockstep, at most `datasetgen.LOCKSTEP_EPISODES`
-    at a time: per step, one expert call, one feature call each, one
-    oracle pass, one `step` and one clearance pass cover every live
-    episode. Each episode keeps one generator, which draws its scene noise
-    and then its exploration noise, so the records are those of running
-    the episodes one at a time.
+    The episodes run in `wd.lockstep`: per step, one expert call, one
+    feature call each, one oracle pass, one `step` and one clearance pass
+    cover every live episode. Each episode keeps one generator, which
+    draws its scene noise and then its exploration noise, so the records
+    are those of running the episodes one at a time.
     """
-    seeds = [int(s) for s in seeds]
-    size = dg.LOCKSTEP_EPISODES
-    return [rec for lo in range(0, len(seeds), size)
-            for episode in _lockstep_demos(task_id, seeds[lo:lo + size], horizon, cfg,
-                                           params, explore_noise)
-            for rec in episode]
+    jobs = [(tid, int(seed)) for tid, seed in jobs]
+    rngs = [np.random.default_rng(np.random.SeedSequence([wd.task_index(tid), seed, 29]))
+            for tid, seed in jobs]
+    records = [[] for _ in jobs]
 
-
-def _lockstep_demos(task_id, seeds, horizon, cfg, params, explore_noise) -> list:
-    """The records of each of seeds' episodes, one list per seed."""
-    inits = [wd.task_init(task_id, seed, cfg, params) for seed in seeds]
-    state = wd.stack_states([s for s, _ in inits])
-    task = wd.stack_tasks([t for _, t in inits])
-    rngs = [np.random.default_rng(np.random.SeedSequence([wd.task_index(task_id), seed, 29]))
-            for seed in seeds]
-    records = [[] for _ in seeds]
-    live = np.arange(len(seeds))
-    for _ in range(params.max_steps):
+    def advance(t, live, state, task):
         plans, _ = scripted_expert(state, task, horizon, cfg)
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, cfg.noise_sigma, [rngs[i] for i in live])
@@ -202,12 +189,10 @@ def _lockstep_demos(task_id, seeds, horizon, cfg, params, explore_noise) -> list
             noise = np.stack([rngs[i].normal(0.0, explore_noise, size=4) for i in live])
             executed = np.clip(executed + noise, -cfg.a_max, cfg.a_max)
         state = wd.step(state, executed, cfg)
-        done = (wd.min_self_distance(state, cfg) < 0.0) | wd.success_check(state, task)
-        if done.all():
-            break
-        if done.any():
-            live, state, task = live[~done], wd.take(state, ~done), wd.take(task, ~done)
-    return records
+        return state, (wd.min_self_distance(state, cfg) < 0.0) | wd.success_check(state, task)
+
+    wd.lockstep(jobs, cfg, params, advance)
+    return [rec for episode in records for rec in episode]
 
 
 def _demo_arrays(demos):

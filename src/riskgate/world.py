@@ -11,7 +11,8 @@ A state or task may carry a leading batch axis on every per-episode field
 does for arms. `step`, `min_self_distance`, `proprio_feature`,
 `scene_feature` and `success_check` then act on every row at once, and a
 single state is the same call without the axis. The kernels give each row
-the same bits at any batch size.
+the same bits at any batch size. `lockstep` drives episodes this way: it
+resets and stacks them, steps them together and drops each as it ends.
 
 Two kernels do the oracle's work. `_advance` moves both arms one control
 period in one kinematics call, over an arm axis of size 2 (see
@@ -34,6 +35,11 @@ from .geometry import (ArmModel, default_arm, dls_ik_step, forward_kinematics, j
 
 TASK_IDS = ("crossing_transfer", "parallel_place")
 A_MAX = 0.02  # per-component EE increment bound, m/step
+# Episodes advanced together by `lockstep`. The oracle's temporaries grow
+# with the rows of one lockstep step (episodes x candidates x horizon); 64
+# episodes keep gen-data's peak memory near that of one episode at a time
+# and lose little speed to a single batch of every episode.
+LOCKSTEP_EPISODES = 64
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,29 @@ def take(batch, rows):
     batch axis, an integer drops it."""
     return replace(batch, **{f.name: getattr(batch, f.name)[rows]
                              for f in fields(batch) if f.name not in _SHARED})
+
+
+def lockstep(jobs, cfg: WorldConfig, params: TaskParams, advance) -> None:
+    """Run the (task_id, seed) episodes of jobs together, in groups of at
+    most LOCKSTEP_EPISODES in job order.
+
+    Each group's episodes are reset by `task_init` and stacked into one
+    state and task. At each step t, `advance(t, live, state, task)` gets
+    the job indices of the live rows, in job order, and returns the next
+    state and a bool per row; rows marked done drop out. A group ends when
+    no row is live or after params.max_steps steps.
+    """
+    for lo in range(0, len(jobs), LOCKSTEP_EPISODES):
+        live = np.arange(lo, min(lo + LOCKSTEP_EPISODES, len(jobs)))
+        inits = [task_init(*jobs[i], cfg, params) for i in live]
+        state = stack_states([s for s, _ in inits])
+        task = stack_tasks([t for _, t in inits])
+        for t in range(params.max_steps):
+            state, done = advance(t, live, state, task)
+            if done.all():
+                break
+            if done.any():
+                live, state, task = live[~done], take(state, ~done), take(task, ~done)
 
 
 def make_state(
@@ -408,8 +437,17 @@ class TaskParams:
     max_reset_draws: int = 100
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        for name, ok, rule in (("goal_jitter", self.goal_jitter >= 0, "finite and >= 0"),
+                               ("start_q_jitter", self.start_q_jitter >= 0, "finite and >= 0"),
+                               ("success_tolerance", self.success_tolerance > 0,
+                                "finite and > 0"),
+                               ("min_start_clearance", True, "finite")):
+            value = getattr(self, name)
+            if not (ok and np.isfinite(value)):
+                raise ValueError(f"{name} must be {rule}, got {value}")
+        for name in ("max_steps", "max_reset_draws"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 _GOAL_CENTERS = {

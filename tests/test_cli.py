@@ -149,6 +149,35 @@ def test_exit_code_1_on_config_errors(tmp_path):
     assert cli.main(["roc-tune", "--config", str(cfg)]) == 1
 
 
+def test_bad_thresholds_file_is_a_config_error(micro_run, tmp_path, capsys):
+    """A thresholds file that is not JSON, not an object, or lacks a
+    numeric tau makes gated evaluate exit 1 naming the file and the key;
+    the file roc-tune wrote loads to its own values."""
+    written = micro_run["root"] / "thresholds.json"
+    cfg = cf.load_config(micro_run["cfg_path"])
+    cfg.gate.thresholds_path = str(written)
+    tuned = hn.resolve_gate_config(cfg)
+    thr = _read(micro_run["root"], "thresholds.json")
+    assert (tuned.tau_up, tuned.tau_down) == (thr["tau_up"], thr["tau_down"])
+
+    thresholds = tmp_path / "thr.json"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "estimator": {"checkpoint_path": str(micro_run["root"] / "est.json")},
+        "gate": {"thresholds_path": str(thresholds)},
+        "eval": {"logs_dir": str(tmp_path / "logs"), "report_path": str(tmp_path / "r.json")}}))
+    for text, key in (("{}", "tau_up"), ("[1, 2]", "tau_up and tau_down"),
+                      ('{"tau_up": "0.6", "tau_down": 0.3}', "tau_up"),
+                      ('{"tau_up": 0.6}', "tau_down"), ("{nope", "not valid JSON"),
+                      ('{"tau_up": 0.3, "tau_down": 0.6}', "tau_down < tau_up")):
+        thresholds.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(cfg_path), "--mode", "gated"]) == 1, text
+        err = capsys.readouterr().err
+        assert str(thresholds) in err and key in err, (text, err)
+    assert not (tmp_path / "logs").exists()
+
+
 def test_exit_code_2_on_runtime_errors(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -93,6 +93,14 @@ def test_semantic_validation():
                                 ("datagen", "sigma_a", -0.01), ("datagen", "sigma_a", float("nan")),
                                 ("datagen", "episodes_per_task", 0),
                                 ("tasks", "max_steps", 0),
+                                ("tasks", "success_tolerance", float("nan")),
+                                ("tasks", "success_tolerance", -1.0),
+                                ("tasks", "success_tolerance", 0.0),
+                                ("tasks", "min_start_clearance", -float("inf")),
+                                ("tasks", "goal_jitter", float("nan")),
+                                ("tasks", "goal_jitter", -0.01),
+                                ("tasks", "start_q_jitter", float("inf")),
+                                ("tasks", "max_reset_draws", 0),
                                 ("gate", "eta", 0.0), ("gate", "eta", -0.05),
                                 ("gate", "eta", float("nan")), ("gate", "eta", float("inf")),
                                 ("gate", "max_iters", 0), ("gate", "max_halvings", -1),
@@ -102,6 +110,8 @@ def test_semantic_validation():
                                 ("eval", "sigma_a", -0.01), ("eval", "sigma_a", float("nan"))):
         with pytest.raises(cf.ConfigError, match=key):
             cf.config_from_dict({section: {key: value}})
+    with pytest.raises(cf.ConfigError, match="success_tolerance"):
+        cf.config_from_dict(json.loads('{"tasks": {"success_tolerance": NaN}}'))
 
 
 def test_load_config_errors(tmp_path):

@@ -353,14 +353,14 @@ def one_episode_at_a_time(gen_cfg, world_cfg, task_params):
     return by_h, endings
 
 
-@pytest.mark.parametrize("group", [dg.LOCKSTEP_EPISODES, 4])
+@pytest.mark.parametrize("group", [wd.LOCKSTEP_EPISODES, 4])
 def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
                                                monkeypatch, group):
     """`generate_dataset` steps episodes together, in groups of `group`;
     every sample equals, with ==, the one the per-episode reference makes,
     in the same order, over both tasks, horizons 2, 3 and 5, and episodes
     that end by collision and by success at different steps."""
-    monkeypatch.setattr(dg, "LOCKSTEP_EPISODES", group)
+    monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
     cfg = dg.DatagenConfig(episodes_per_task=3, horizons=(2, 3, 5), oversample_factor=1, seed=4)
     paths, _ = dg.generate_dataset(cfg, world_cfg, tmp_path, task_params)
     ref, endings = one_episode_at_a_time(cfg, world_cfg, task_params)

@@ -390,14 +390,14 @@ def lockstep_cases(world_cfg, trained_tiny):
     return cases
 
 
-@pytest.mark.parametrize("group", [dg.LOCKSTEP_EPISODES, 3])
+@pytest.mark.parametrize("group", [wd.LOCKSTEP_EPISODES, 3])
 def test_lockstep_equals_one_episode_at_a_time(lockstep_cases, monkeypatch, group):
     """`run_episodes` steps its episodes together, in groups of `group`.
     In every mode each log, without its latency, and each collector's
     records equal, with ==, those of the episode run alone; over both
     tasks, episodes end by collision, success, the step budget and a
     watchdog HALT."""
-    monkeypatch.setattr(dg, "LOCKSTEP_EPISODES", group)
+    monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
     endings = {}
     for name, (setup, ref) in lockstep_cases.items():
         collectors = [[] for _ in LOCKSTEP_JOBS]

@@ -1,7 +1,8 @@
 """Module boundaries: no riskgate module reads another riskgate module's
 private (underscore) names, whether through a module alias or an import,
-the runtime imports nothing beyond the standard library and numpy, and
-every compact JSON writer goes through json's C encoder."""
+the modules import each other without a cycle, the runtime imports
+nothing beyond the standard library and numpy, and every compact JSON
+writer goes through json's C encoder."""
 
 import ast
 import pathlib
@@ -57,6 +58,74 @@ def test_no_module_reads_another_modules_private_names():
              for path in sorted(SRC.glob("*.py"))
              for line, text in private_reach_ins(path.read_text())]
     assert found == []
+
+
+def sibling_imports(source, modules):
+    """Names in modules that source imports, in any form."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "riskgate":
+                continue
+            parts = (node.module or "").split(".")
+            inner = parts[1:] if node.level == 0 else parts
+            if inner and inner[0]:
+                found.add(inner[0])
+            else:
+                found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("riskgate."))
+    return found & set(modules)
+
+
+def import_cycle(sources):
+    """One cycle of the import graph of sources ({module: source}), as the
+    modules along it with the first repeated at the end; [] when there is
+    none."""
+    graph = {m: sorted(sibling_imports(src, sources)) for m, src in sources.items()}
+    done, path = set(), []
+
+    def visit(m):
+        if m in path:
+            return path[path.index(m):] + [m]
+        if m in done:
+            return []
+        path.append(m)
+        for n in graph[m]:
+            cycle = visit(n)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(m)
+        return []
+
+    for m in sorted(graph):
+        cycle = visit(m)
+        if cycle:
+            return cycle
+    return []
+
+
+def test_import_cycle_checker():
+    sources = {"a": "from . import b as bb\nimport json\n",
+               "b": "from .c import f\nimport numpy\n",
+               "c": "def f():\n    import riskgate.a\n",
+               "d": "from riskgate import b, c\nfrom riskgate.e import g\n",
+               "e": "from . import d, version\n",
+               "f": "from __future__ import annotations\n"}
+    assert sibling_imports(sources["d"], sources) == {"b", "c", "e"}
+    assert sibling_imports(sources["e"], sources) == {"d"}
+    assert import_cycle(sources) == ["a", "b", "c", "a"]
+    sources["c"] = "def f():\n    return 1\n"
+    assert import_cycle(sources) == ["d", "e", "d"]
+    sources["e"] = "from . import version\n"
+    assert import_cycle(sources) == []
+
+
+def test_no_import_cycle():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert import_cycle(sources) == []
 
 
 def foreign_imports(source):

@@ -9,7 +9,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import assert_records_equal
-from riskgate import datasetgen as dg
 from riskgate import estimator as est
 from riskgate import policy as pol
 from riskgate import world as wd
@@ -17,7 +16,7 @@ from riskgate import world as wd
 
 @pytest.fixture(scope="module")
 def demo_records(world_cfg, task_params):
-    recs = pol.collect_demonstrations("crossing_transfer", range(6), 5,
+    recs = pol.collect_demonstrations([("crossing_transfer", s) for s in range(6)], 5,
                                       world_cfg, task_params, explore_noise=0.005)
     assert any(d.label.y_bin == 1 for d in recs) and any(d.label.y_bin == 0 for d in recs)
     return recs
@@ -122,9 +121,9 @@ def test_collect_demonstrations_records(demo_records, world_cfg):
 
 
 def test_collect_demonstrations_deterministic(world_cfg, task_params):
-    a = pol.collect_demonstrations("parallel_place", [7], 3, world_cfg, task_params,
+    a = pol.collect_demonstrations([("parallel_place", 7)], 3, world_cfg, task_params,
                                    explore_noise=0.005)
-    b = pol.collect_demonstrations("parallel_place", [7], 3, world_cfg, task_params,
+    b = pol.collect_demonstrations([("parallel_place", 7)], 3, world_cfg, task_params,
                                    explore_noise=0.005)
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
@@ -162,23 +161,24 @@ def demos_one_episode_at_a_time(task_id, seeds, horizon, world_cfg, task_params,
     return records, endings
 
 
-@pytest.mark.parametrize("group", [dg.LOCKSTEP_EPISODES, 3])
+@pytest.mark.parametrize("group", [wd.LOCKSTEP_EPISODES, 3])
 def test_lockstep_demonstrations_equal_one_episode_at_a_time(world_cfg, task_params,
                                                              monkeypatch, group):
-    """`collect_demonstrations` steps its episodes together, in groups of
-    `group`; every record equals the per-episode reference's, in seed
-    order, on both tasks, with episodes ending by collision, success and
-    the step budget at different steps."""
-    monkeypatch.setattr(dg, "LOCKSTEP_EPISODES", group)
+    """One `collect_demonstrations` call over both tasks' episodes steps
+    them together, in groups of `group`; every record equals the
+    per-episode reference's, in job order, with episodes ending by
+    collision, success and the step budget at different steps."""
+    monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
     params = wd.TaskParams(max_steps=25)
-    endings = set()
+    seeds = [11, 3, 7, 20, 5]
+    jobs = [(task_id, seed) for task_id in wd.TASK_IDS for seed in seeds]
+    ref, endings = [], set()
     for task_id in wd.TASK_IDS:
-        seeds = [11, 3, 7, 20, 5]
-        ref, ends = demos_one_episode_at_a_time(task_id, seeds, 3, world_cfg, params, 0.01)
-        got = pol.collect_demonstrations(task_id, seeds, 3, world_cfg, params,
-                                         explore_noise=0.01)
-        assert_records_equal(got, ref)
+        records, ends = demos_one_episode_at_a_time(task_id, seeds, 3, world_cfg, params, 0.01)
+        ref += records
         endings.update(ends)
+    got = pol.collect_demonstrations(jobs, 3, world_cfg, params, explore_noise=0.01)
+    assert_records_equal(got, ref)
     assert endings == {"collision", "success", "budget"}
 
 
