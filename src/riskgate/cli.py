@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -209,31 +210,44 @@ def _resolve_metric(report: dict, dotted: str):
     return float(cur)
 
 
-def _check_asserts(report: dict, exprs) -> list:
-    """Each expr is '<dotted.path><=value>' or with '>='. Returns failures."""
-    failures = []
+def _parse_asserts(exprs) -> list:
+    """(expr, path, op, bound) of each '<dotted.path><=value>' or '>='
+    expr; raises ConfigError on a missing operator or a bound that is not a
+    finite number."""
+    checks = []
     for expr in exprs:
-        if "<=" in expr:
-            path, _, raw = expr.partition("<=")
-            ok = _resolve_metric(report, path.strip()) <= float(raw)
-        elif ">=" in expr:
-            path, _, raw = expr.partition(">=")
-            ok = _resolve_metric(report, path.strip()) >= float(raw)
-        else:
+        op = "<=" if "<=" in expr else ">=" if ">=" in expr else None
+        if op is None:
             raise cf.ConfigError(f"assert must use <= or >=: {expr!r}")
-        if not ok:
+        path, _, raw = expr.partition(op)
+        try:
+            bound = float(raw)
+        except ValueError:
+            bound = math.nan
+        if not math.isfinite(bound):
+            raise cf.ConfigError(f"assert bound must be a finite number: {expr!r}")
+        checks.append((expr, path.strip(), op, bound))
+    return checks
+
+
+def _check_asserts(report: dict, checks) -> list:
+    """The exprs of the parsed checks whose metric misses its bound."""
+    failures = []
+    for expr, path, op, bound in checks:
+        value = _resolve_metric(report, path)
+        if not (value <= bound if op == "<=" else value >= bound):
             failures.append(expr)
     return failures
 
 
 def _cmd_evaluate(cfg: cf.RunConfig, args) -> None:
+    checks = _parse_asserts(args.assert_exprs)
     report = hn.evaluate(cfg, args.mode)
     payload = report.to_dict()
     _emit(payload)
-    if args.assert_exprs:
-        failures = _check_asserts(payload, args.assert_exprs)
-        if failures:
-            raise AssertFailure("; ".join(failures))
+    failures = _check_asserts(payload, checks)
+    if failures:
+        raise AssertFailure("; ".join(failures))
 
 
 def _cmd_report(cfg: cf.RunConfig, args) -> None:

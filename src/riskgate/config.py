@@ -11,6 +11,7 @@ config alone owns: paths, counts and a few stage arguments.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, make_dataclass
 
 from . import datasetgen as dg
@@ -182,12 +183,24 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("eval.latency_warmup must be >= 0")
     if not (0.0 < cfg.estimator.heldout_frac < 1.0):
         raise ConfigError("estimator.heldout_frac must lie in (0, 1)")
+    if not 0.0 <= cfg.gate.fn_target <= 1.0:
+        raise ConfigError(f"gate.fn_target must lie in [0, 1], got {cfg.gate.fn_target}")
+    for key in ("kappa", "explore_noise"):
+        if not 0.0 <= getattr(cfg.policy, key) < math.inf:
+            raise ConfigError(f"policy.{key} must be finite and >= 0, "
+                              f"got {getattr(cfg.policy, key)}")
+    for name, key in (("policy", "demo_episodes_per_task"),
+                      ("policy", "rollout_episodes_per_task"),
+                      ("tasks", "episodes_per_task"), ("eval", "workers")):
+        if getattr(getattr(cfg, name), key) < 1:
+            raise ConfigError(f"{name}.{key} must be >= 1")
     try:
         cfg.world_config()
         cfg.task_params()
         cfg.gate_config()
         cfg.datagen_config()
         cfg.estimator_train_config()
+        cfg.policy_train_config()
     except ValueError as e:
         raise ConfigError(str(e)) from e
     return cfg

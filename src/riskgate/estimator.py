@@ -10,16 +10,17 @@ minimum-clearance regression, and time-to-collision (softplus, capped).
 Gradients are analytic and hand-written. One backward chain runs from the
 heads to the plan inputs; training adds the parameter gradients on top of
 it, while projected-gradient recovery and refinement run the plan-only
-chain on the forward cache a B=1 prediction already carries, so descent
-pays one forward per evaluated plan and no parameter-gradient work.
+chain on the forward cache a prediction already carries, so descent pays
+one forward per evaluated plan and no parameter-gradient work.
 
 Everything runs in float64 numpy, batch-first, with one forward for every
-use. The forward takes any leading batch shape: numpy's matmul makes one
-call per leading block, so scoring E groups of N plans as (E, N, H, 4)
-gives each group the bits of its own (N, H, 4) call. Padded training
-batches pass a step mask; inference passes none (every step is real),
-which skips the mask multiply and count and gives the bits of an
-all-ones mask.
+use. The forward, predict_risk and risk_plan_gradient take any leading
+batch shape: numpy's matmul makes one call per leading block, so scoring E
+groups of N plans as (E, N, H, 4) gives each group the bits of its own
+(N, H, 4) call, and E descent rows scored as (E, 1, H, 4) each get the
+bits of a single (H, 4) plan. Padded training batches pass a step mask;
+inference passes none (every step is real), which skips the mask multiply
+and count and gives the bits of an all-ones mask.
 """
 
 from __future__ import annotations
@@ -43,17 +44,18 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class RiskPrediction:
-    """One network output: calibrated risk, raw logit, clearance, TTC (s).
+    """Network outputs: calibrated risk, raw logit, clearance, TTC (s);
+    floats for one plan, arrays over the leading shape of several.
 
     cache is the forward pass's activations when the prediction came from
     predict_risk (None otherwise); risk_plan_gradient backpropagates from
     it without a second forward.
     """
 
-    risk: float
-    logit: float
-    min_dist: float
-    ttc: float
+    risk: float | np.ndarray
+    logit: float | np.ndarray
+    min_dist: float | np.ndarray
+    ttc: float | np.ndarray
     cache: dict | None = field(default=None, compare=False, repr=False)
 
 
@@ -74,8 +76,8 @@ class TrainConfig:
         if not (0.0 < self.gamma_early <= 1.0):
             raise ValueError("gamma_early must lie in (0, 1]")
         for name in ("lr", "momentum", "batch_size", "epochs_per_phase", "w_pos"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 # (name, shape builder) for every learnable array, in fixed order
@@ -200,6 +202,8 @@ def _softplus(x):
 def _sigmoid(x):
     # exp(min(x, -x)) is exp(-x) where x >= 0 and exp(x) elsewhere (NaN
     # passes through with its sign): it never overflows
+    if x.size == 1:  # the scalar form: the same bits at a tenth of the cost
+        return np.full(x.shape, _sigmoid_scalar(float(x.flat[0])))
     e = np.exp(np.minimum(x, -x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
@@ -365,19 +369,17 @@ def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
     return g, plan_grads
 
 
-def _checked_inputs(proprio, z, plans, plan_axes: int):
+def _checked_inputs(proprio, z, plans):
     """(proprio, z, plans) as float arrays; raises ValueError naming the
-    shapes unless plans ends in plan_axes axes whose last two are (H, 4)
-    with H >= 1, and proprio and z are (..., 14) and (..., 10) over the
-    leading shape before those axes."""
+    shapes unless plans is (..., H, 4) with H >= 1, and proprio and z are
+    (..., 14) and (..., 10) over its leading shape."""
     proprio = np.asarray(proprio, dtype=float)
     z = np.asarray(z, dtype=float)
     plans = np.asarray(plans, dtype=float)
-    lead = plans.shape[:plans.ndim - plan_axes]
-    if (plans.ndim < plan_axes or plans.shape[-1] != ACTION_DIM or plans.shape[-2] < 1
+    lead = plans.shape[:-2]
+    if (plans.ndim < 2 or plans.shape[-1] != ACTION_DIM or plans.shape[-2] < 1
             or proprio.shape != (*lead, PROPRIO_DIM) or z.shape != (*lead, VISION_DIM)):
-        want = "(H, 4)" if plan_axes == 2 else "(..., N, H, 4)"
-        raise ValueError(f"need plans {want} with H >= 1, proprio (..., {PROPRIO_DIM}) and "
+        raise ValueError(f"need plans (..., H, 4) with H >= 1, proprio (..., {PROPRIO_DIM}) and "
                          f"z (..., {VISION_DIM}) over the plans' leading shape; got plans "
                          f"{plans.shape}, proprio {proprio.shape}, z {z.shape}")
     return proprio, z, plans
@@ -392,36 +394,23 @@ def _sigmoid_scalar(x: float) -> float:
 def predict_risk(params: EstimatorParams, proprio, z, plan) -> RiskPrediction:
     """Calibrated prediction: stored temperature applied to the risk logit.
 
-    plan is (H, 4), proprio (14,) and z (10,); raises ValueError on any
-    other shape. min_dist and ttc are unaffected by the temperature, and
-    risk ordering over any fixed batch is invariant to it (monotone
+    plan is (..., H, 4) and proprio, z are (..., 14), (..., 10) over its
+    leading shape; raises ValueError on any other shape. One (H, 4) plan
+    runs as a batch of one and gives floats; a leading shape gives arrays
+    of that shape, each block of the last leading axis with the bits it
+    gets scored alone. min_dist and ttc are unaffected by the temperature,
+    and risk ordering over any fixed batch is invariant to it (monotone
     transform). The result carries its forward cache for
     risk_plan_gradient.
     """
-    proprio, z, plan = _checked_inputs(proprio, z, plan, 2)
+    proprio, z, plan = _checked_inputs(proprio, z, plan)
+    if plan.ndim > 2:
+        logit, dist, ttc, cache = _forward_batch(params, proprio, z, plan)
+        return RiskPrediction(_sigmoid(logit / params.temperature), logit, dist, ttc, cache)
     logit, dist, ttc, cache = _forward_batch(params, proprio[None], z[None], plan[None])
     ell = float(logit[0])
-    return RiskPrediction(risk=_sigmoid_scalar(ell / params.temperature),
-                          logit=ell, min_dist=float(dist[0]), ttc=float(ttc[0]),
-                          cache=cache)
-
-
-def predict_risk_batch(params: EstimatorParams, proprio, z, plans):
-    """Calibrated predictions for groups of plans, each group sharing one
-    (proprio, z).
-
-    plans is (..., N, H, 4) and proprio, z are (..., 14), (..., 10) over
-    its group shape (a single group when plans is (N, H, 4)); raises
-    ValueError on any other shape. Returns (risk, logit, dist, ttc)
-    arrays of shape (..., N). Each group's predictions have the bits of
-    that group scored alone.
-    """
-    proprio, z, plans = _checked_inputs(proprio, z, plans, 3)
-    rows = plans.shape[:-2]
-    P = np.broadcast_to(proprio[..., None, :], (*rows, PROPRIO_DIM))
-    Z = np.broadcast_to(z[..., None, :], (*rows, VISION_DIM))
-    logit, dist, ttc, _ = _forward_batch(params, P, Z, plans)
-    return _sigmoid(logit / params.temperature), logit, dist, ttc
+    return RiskPrediction(_sigmoid_scalar(ell / params.temperature), ell, float(dist[0]),
+                          float(ttc[0]), cache)
 
 
 def risk_batch(params: EstimatorParams, batch: SampleBatch) -> np.ndarray:
@@ -431,15 +420,18 @@ def risk_batch(params: EstimatorParams, batch: SampleBatch) -> np.ndarray:
 
 
 def risk_plan_gradient(params: EstimatorParams, pred: RiskPrediction) -> np.ndarray:
-    """d logit / d plan, (H, 4), at the plan predict_risk scored into pred.
+    """d logit / d plan at the plans predict_risk scored into pred, in
+    their (..., H, 4) shape.
 
     Runs the plan-only backward on pred's forward cache, no forward. The
     gradient is of the uncalibrated risk logit, which shares its descent
     directions with the calibrated probability (temperature is a positive
     monotone reparameterization).
     """
-    plan_grads, _ = _plan_backward(params, pred.cache, np.ones(1), np.zeros(1), np.zeros(1))
-    return plan_grads[0]
+    lead = np.shape(pred.logit) or (1,)  # one plan's cache is a batch of one
+    zeros = np.zeros(lead)
+    g, _ = _plan_backward(params, pred.cache, np.ones(lead), zeros, zeros)
+    return g if np.ndim(pred.logit) else g[0]
 
 
 def _bce_from_logit(logit, y):

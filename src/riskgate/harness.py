@@ -3,12 +3,12 @@
 run_episodes drives seeded episodes in one of four modes (ungated, gated,
 gated+refine, gated+finetuned), logging every step. The episodes run
 together in `world.lockstep`, with batched observation, planning,
-candidate scoring and oracle calls; the gate, recovery and refinement
-run per episode, and every log is the one the episode gives when run by
-itself. evaluate runs the episodes of every task and seed, aggregates a
-metrics report, and persists logs as line-delimited records. Logs are
-the source of truth: every non-latency number in the report is
-recomputable from them.
+candidate scoring, recovery and refinement, and oracle calls; only the
+gate transition runs per episode, and every log is the one the episode
+gives when run by itself. evaluate runs the episodes of every task and
+seed, aggregates a metrics report, and persists logs as line-delimited
+records. Logs are the source of truth: every non-latency number in the
+report is recomputable from them.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ class StepRecord:
     action: list
     # wall time of the step's shared part (batched observation, the
     # expert's or the cloned policy's plans, candidate sampling and the one
-    # batched candidate scoring), plus this episode's own gate decision time
+    # batched candidate scoring), plus this episode's own gate transition
+    # time, plus, when this episode recovered or refined, the whole time of
+    # the step's one descent call, which every row in that call waited for
     latency_us: float
     plan_y_bin: int | None    # oracle label of the plan driving the step
 
@@ -147,35 +149,6 @@ def prepare_setup(cfg: cf.RunConfig, mode: str | None = None) -> EvalSetup:
         est_params=est_params, policy_params=policy_params)
 
 
-def _decide(setup: EvalSetup, gate: sg.GateState, proprio, z, nominal, r_hat, chosen):
-    """One episode's gate decision on its scored candidates.
-
-    r_hat is the chosen candidate's risk and chosen its plan (both None
-    when ungated). Returns (gate, decision, executed plan, action row);
-    the action row is None at HALT, where the executed plan stays the
-    nominal one.
-    """
-    if setup.mode == "ungated":
-        return gate, sg.EXECUTE, nominal, nominal[0].copy()
-    gate_cfg = setup.gate_cfg
-    gate, decision = sg.gate_step(gate, r_hat, gate_cfg)
-    if decision == sg.EXECUTE:
-        plan = chosen
-        if setup.mode == "gated+refine":
-            plan = sg.refine_plan(setup.est_params, proprio, z, plan, gate_cfg).plan
-        row = plan[0].copy()
-        if setup.soft_gate:
-            row *= sg.soft_scale(r_hat, gate_cfg.tau_up)
-        return gate, decision, plan, row
-    if decision == sg.BLOCK:
-        rec = sg.recover(setup.est_params, proprio, z, setup.horizon, gate_cfg)
-        row = rec.plan[0].copy()
-        if not rec.made_progress:
-            row *= sg.distance_fallback(rec.min_dist, gate_cfg.d0)
-        return gate, decision, rec.plan, row
-    return gate, decision, nominal, None
-
-
 def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
     """Seeded episodes, one per (task_id, seed) in jobs; returns their logs
     in job order.
@@ -185,12 +158,13 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
     episode's own noise generator) and plans them all, by the scripted
     expert or the cloned policy. When gated, each episode draws its
     candidates from its own jitter stream, and one `select_candidate` call
-    scores every episode's candidates, each episode's with the bits it
-    gets scored alone. Each episode then runs its gate, recovery and
-    refinement alone, in job order. One oracle pass labels every executed
-    plan from its own episode's state, and one `step`, one clearance pass
-    and one success check advance them all. Every log is therefore the one
-    the episode would give alone.
+    scores every episode's candidates. Each episode's gate then steps on
+    its chosen risk, and one `sg.descend` call recovers every episode that
+    blocked and, in gated+refine, refines every one that executes. One
+    oracle pass labels every executed plan from its own episode's state,
+    and one `step`, one clearance pass and one success check advance them
+    all. Every batched call gives each episode the bits it gets alone, so
+    every log is the one the episode would give alone.
 
     An episode ends at success, collision (terminal failure), a HALT
     decision, or the step budget. Feature noise and candidate jitter come
@@ -217,58 +191,74 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
 
     def advance(t, live, state, task):
         t0 = time.perf_counter()
+        n = len(live)
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, wcfg.noise_sigma, [streams[i][0] for i in live])
         if setup.policy_params is None:
-            nominals = pol.scripted_expert(state, task, setup.horizon, wcfg)[0]
+            plans = pol.scripted_expert(state, task, setup.horizon, wcfg)[0]
         else:
-            nominals = pol.policy_plan(setup.policy_params, state, task, wcfg, setup.horizon)
-        choice = None
+            plans = pol.policy_plan(setup.policy_params, state, task, wcfg, setup.horizon)
+        r_hats, decisions = [None] * n, [sg.EXECUTE] * n
+        actions = plans[:, 0].copy()
+        latency_s = np.full(n, time.perf_counter() - t0)
         if gated:
-            cands = np.stack([dg.sample_candidates(nominals[j], setup.n_candidates,
+            cands = np.stack([dg.sample_candidates(plans[j], setup.n_candidates,
                                                    setup.sigma_a, streams[i][1], wcfg.a_max)
                               for j, i in enumerate(live)])
             choice = sg.select_candidate(setup.est_params, proprio, z, cands, wcfg.a_max)
-        shared_s = time.perf_counter() - t0
-        decided = []  # per live episode: (r_hat, decision, executed plan, action row, latency)
-        for j, i in enumerate(live):
-            t1 = time.perf_counter()
-            r_hat = chosen = None
-            if gated:
-                r_hat = float(choice.risks[j, choice.index[j]])
-                chosen = choice.plan[j]
-            prev = gates[i]
-            gates[i], decision, plan, row = _decide(setup, prev, proprio[j], z[j],
-                                                    nominals[j], r_hat, chosen)
-            latency_us = max((shared_s + time.perf_counter() - t1) * 1e6, 1e-3)
-            if prev.mode == sg.RUN and gates[i].mode == sg.BLOCKED:
-                logs[i].recoveries += 1
-            logs[i].blocked_steps += decision == sg.BLOCK
-            decided.append((r_hat, decision, plan, row, latency_us))
-        r_hats, decisions, plans, rows, latencies = zip(*decided)
+            r_hats = choice.risks[np.arange(n), choice.index].tolist()
+            latency_s[:] = time.perf_counter() - t0
+            for j, i in enumerate(live):
+                t1 = time.perf_counter()
+                prev = gates[i]
+                gates[i], decisions[j] = sg.gate_step(prev, r_hats[j], setup.gate_cfg)
+                latency_s[j] += time.perf_counter() - t1
+                if prev.mode == sg.RUN and gates[i].mode == sg.BLOCKED:
+                    logs[i].recoveries += 1
+                logs[i].blocked_steps += decisions[j] == sg.BLOCK
+            decision = np.array(decisions)
+            execute, recover = decision == sg.EXECUTE, decision == sg.BLOCK
+            plans = np.where(execute[:, None, None], choice.plan, plans)
+            # executed rows scale by the soft gate, stalled recoveries by the
+            # distance fallback; a scale of 1 leaves a row's bits as they are
+            scale = np.ones(n)
+            if setup.soft_gate:
+                scale[execute] = [sg.soft_scale(r_hats[j], setup.gate_cfg.tau_up)
+                                  for j in np.flatnonzero(execute)]
+            rows = np.flatnonzero(recover | execute & (setup.mode == "gated+refine"))
+            if rows.size:
+                t1 = time.perf_counter()
+                res = sg.descend(setup.est_params, proprio[rows], z[rows], choice.plan[rows],
+                                 recover[rows], setup.gate_cfg)
+                plans[rows] = res.plan
+                latency_s[rows] += time.perf_counter() - t1
+                stalled = recover[rows] & ~res.made_progress
+                scale[rows[stalled]] = [sg.distance_fallback(d, setup.gate_cfg.d0)
+                                        for d in res.min_dist[stalled]]
+            actions = plans[:, 0] * scale[:, None]
+            actions[decision == sg.HALT] = 0.0
 
-        labels = wd.rollout_batch(state, np.stack(plans), wcfg)
-        actions = np.stack([np.zeros(4) if row is None else row for row in rows])
+        labels = wd.rollout_batch(state, plans, wcfg)
         state_next = wd.step(state, actions, wcfg)
         d_min = wd.min_self_distance(state_next, wcfg)
         success = wd.success_check(state_next, task)
         digests = _state_digests(state)
-        done = np.zeros(len(live), dtype=bool)
+        done = np.zeros(n, dtype=bool)
         for j, i in enumerate(live):
-            log, halted = logs[i], rows[j] is None
+            log, halted = logs[i], decisions[j] == sg.HALT
             # a HALT executes nothing, so it logs the clearance of the current
             # state; that state passed its success check after the last step
             d = float(wd.min_self_distance(wd.take(state, j), wcfg) if halted else d_min[j])
             log.steps.append(StepRecord(
                 t=t, state_digest=digests[j], r_hat=r_hats[j], d_min=d,
                 gate_mode=gates[i].mode, decision=decisions[j],
-                action=[float(a) for a in actions[j]], latency_us=latencies[j],
+                action=actions[j].tolist(), latency_us=max(latency_s[j] * 1e6, 1e-3),
                 plan_y_bin=int(labels[j].y_bin)))
             if not halted and collectors[i] is not None:
                 collectors[i].append(pol.DemoRecord(
                     proprio=proprio[j], z=z[j],
                     goals=np.concatenate([task.goal_left[j], task.goal_right[j]]),
-                    action=rows[j], plan=plans[j].copy(), label=labels[j],
+                    action=actions[j], plan=plans[j].copy(), label=labels[j],
                     risk=0.0 if r_hats[j] is None else r_hats[j],
                     corrected=(decisions[j] == sg.BLOCK)))
             log.collided = not halted and d < 0.0

@@ -11,6 +11,7 @@ estimator.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,6 +150,11 @@ class PolicyTrainConfig:
     batch_size: int = 64
     epochs: int = 300
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("lr", "momentum", "batch_size", "epochs"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,

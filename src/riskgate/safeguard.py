@@ -5,9 +5,9 @@ watchdog), soft velocity scaling, lowest-risk candidate selection,
 projected-gradient recovery toward a low-risk plan, test-time plan
 refinement, and a distance-head damping fallback for when recovery stalls.
 
-Descent runs one B=1 forward per evaluated plan: the accepted iterate's
-prediction keeps its forward cache, and the step direction comes from a
-plan-only backward on that cache.
+Recovery and refinement are rows of one batched descent (`descend`), each
+row with its own objective, step size and stop, and with the bits of its
+search run alone; every evaluated plan costs one forward row.
 """
 
 from __future__ import annotations
@@ -154,10 +154,17 @@ def select_candidate(params: est.EstimatorParams, proprio, z,
             or min(candidates.shape[-3:-1]) < 1):
         raise ValueError(f"candidates must be a (..., N, H, 4) array with N, H >= 1, "
                          f"got shape {candidates.shape}")
+    groups = candidates.shape[:-3]
+    ctx = [np.asarray(x, dtype=float) for x in (proprio, z)]
+    if any(x.ndim < 1 or x.shape[:-1] != groups for x in ctx):
+        raise ValueError(f"need proprio and z over the candidates' group shape {groups}, "
+                         f"got shapes {ctx[0].shape} and {ctx[1].shape}")
     feasible = np.abs(candidates).max(axis=(-2, -1)) <= a_max + _BOX_TOL
     if not feasible.any(axis=-1).all():
         raise ValueError("no feasible candidate (all violate the action box)")
-    risks, _, _, _ = est.predict_risk_batch(params, proprio, z, candidates)
+    # each group's context, broadcast over its candidates
+    ctx = [np.broadcast_to(x[..., None, :], (*candidates.shape[:-2], x.shape[-1])) for x in ctx]
+    risks = est.predict_risk(params, *ctx, candidates).risk
     risks = np.where(feasible, risks, np.inf)
     idx = np.argmin(risks, axis=-1)
     plan = np.take_along_axis(candidates, idx[..., None, None, None], axis=-3)[..., 0, :, :]
@@ -166,104 +173,114 @@ def select_candidate(params: est.EstimatorParams, proprio, z,
 
 @dataclass
 class DescentResult:
-    """Outcome of a projected-gradient plan optimization.
+    """Outcome of a projected-gradient descent over E rows of plans.
 
-    objectives holds the accepted-iterate objective values (index 0 is the
-    initial plan), so monotone descent is checkable directly. made_progress
-    is False exactly when the very first iteration exhausted every
-    backtracking halving, the trigger for the distance fallback. min_dist
-    is the clearance head's prediction at the returned plan.
+    objectives holds each row's accepted-iterate objective values (index 0
+    is the initial plan), so monotone descent is checkable directly.
+    made_progress is False for a row exactly when its very first iteration
+    exhausted every backtracking halving, the trigger for the distance
+    fallback. risk and min_dist are the estimator's predictions at the
+    returned plans.
     """
 
-    plan: np.ndarray   # (H, 4)
-    objectives: list
-    made_progress: bool
-    risk: float
-    min_dist: float
+    plan: np.ndarray           # (E, H, 4)
+    objectives: list           # E lists of floats
+    made_progress: np.ndarray  # (E,) bool
+    risk: np.ndarray           # (E,)
+    min_dist: np.ndarray       # (E,)
 
 
-def _projected_descent(params, proprio, z, init: np.ndarray, risk_coeff,
-                       grad_extra, obj_extra, cfg: GateConfig):
-    """Shared descent loop for recover and refine_plan.
+@dataclass
+class _Row:
+    """Search state of one descent row."""
 
-    Objective: risk_coeff * calibrated_risk + obj_extra(plan). The step
-    direction differentiates the uncalibrated risk logit instead of the
-    calibrated probability (same descent directions, the temperature is a
-    positive monotone map), while acceptance compares the true objective,
-    so accepted iterates strictly descend. Each iteration restarts the
-    step size and halves it on rejection; an iteration that exhausts all
-    halvings ends the search. Every evaluated plan costs one forward; the
-    gradient backpropagates from the accepted plan's forward cache.
-    """
-    a_max = cfg.a_max
-    plan = np.clip(np.asarray(init, dtype=float), -a_max, a_max)
-
-    def objective(arr, risk):
-        return risk_coeff * risk + obj_extra(arr)
-
-    pred = est.predict_risk(params, proprio, z, plan)
-    obj = objective(plan, pred.risk)
-    trace = [obj]
-    made_progress = False
-    for _ in range(cfg.max_iters):
-        g = risk_coeff * est.risk_plan_gradient(params, pred) + grad_extra(plan)
-        step = cfg.eta
-        accepted = False
-        for _ in range(cfg.max_halvings + 1):
-            cand = np.clip(plan - step * g, -a_max, a_max)
-            cand_pred = est.predict_risk(params, proprio, z, cand)
-            cand_obj = objective(cand, cand_pred.risk)
-            if cand_obj < obj:
-                plan, obj, pred = cand, cand_obj, cand_pred
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        made_progress = True
-        trace.append(obj)
-    return DescentResult(plan=plan, objectives=trace,
-                         made_progress=made_progress, risk=pred.risk,
-                         min_dist=pred.min_dist)
+    i: int           # row of the descend call
+    c: float         # risk weight
+    w: float         # proximity weight
+    step: float
+    tries: int = 0   # rejected steps in the current iteration
+    iters: int = -1  # accepted iterations; -1 until the start plan is scored
+    obj: float = math.inf  # the accepted plan's objective, risk and clearance
+    risk: float = math.nan
+    min_dist: float = math.nan
 
 
-def recover(params: est.EstimatorParams, proprio, z, horizon: int,
+def descend(params: est.EstimatorParams, proprio, z, anchors, recover,
             cfg: GateConfig) -> DescentResult:
-    """Search for a low-risk escape plan from a blocked state.
+    """Projected-gradient plan search for E rows at once.
 
-    Minimizes risk plus cfg.lambda_reg * ||A||^2 starting from the stay-still
-    (zero) plan, so doing nothing is the protective prior and any accepted
-    step strictly improves on it. Worst case returns the zero plan with
-    made_progress False.
+    anchors is (E, H, 4), proprio (E, 14), z (E, 10) and recover (E,)
+    bool. Each row minimizes c * risk(A) + w * ||A - A0||^2 in the a_max box
+    from A0: a recover row from the stay-still plan A0 = 0 with c = 1 and
+    w = cfg.lambda_reg (at worst the zero plan comes back, made_progress
+    False), a refine row from its anchor (the chosen plan) with c = cfg.beta
+    and w = cfg.alpha (for beta > 0 its risk never exceeds the anchor's).
+    Steps follow the uncalibrated logit's gradient and acceptance compares
+    the true objective, so accepted iterates strictly descend. Each
+    iteration of a row restarts its step at cfg.eta and halves it on
+    rejection; the row stops when an iteration exhausts its halvings or
+    after cfg.max_iters iterations. Each round scores every running row's
+    next plan in one forward. Raises ValueError on malformed shapes, or on
+    an anchor that is not finite or outside the action box.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    init = np.zeros((horizon, est.ACTION_DIM))
-    return _projected_descent(
-        params, proprio, z, init, risk_coeff=1.0,
-        grad_extra=lambda arr: 2.0 * cfg.lambda_reg * arr,
-        obj_extra=lambda arr: cfg.lambda_reg * float(np.sum(arr * arr)),
-        cfg=cfg)
-
-
-def refine_plan(params: est.EstimatorParams, proprio, z, nominal,
-                cfg: GateConfig) -> DescentResult:
-    """Locally deform a nominal plan toward lower predicted risk.
-
-    Minimizes cfg.alpha * ||A' - nominal||^2 + cfg.beta * risk(A') from
-    A' = nominal. Because the initial objective is beta * risk(nominal) and
-    acceptance is strict descent, the refined plan's risk never exceeds the
-    nominal's whenever beta > 0. The caller executes only the first action.
-    Raises ValueError on a nominal with a non-finite value or outside the
-    action box.
-    """
-    nom = np.asarray(nominal, dtype=float)
-    if not np.isfinite(nom).all():
-        raise ValueError("nominal plan has non-finite values")
-    if np.abs(nom).max() > cfg.a_max + _BOX_TOL:
-        raise ValueError("nominal plan violates the action box")
-    return _projected_descent(
-        params, proprio, z, nom, risk_coeff=cfg.beta,
-        grad_extra=lambda arr: 2.0 * cfg.alpha * (arr - nom),
-        obj_extra=lambda arr: cfg.alpha * float(np.sum((arr - nom) ** 2)),
-        cfg=cfg)
+    anchors = np.asarray(anchors, dtype=float)
+    recover = np.asarray(recover, dtype=bool)
+    if (anchors.ndim != 3 or min(anchors.shape) < 1 or anchors.shape[-1] != est.ACTION_DIM
+            or recover.shape != anchors.shape[:1]):
+        raise ValueError(f"need (E, H, 4) anchors with E, H >= 1 and (E,) recover flags, "
+                         f"got shapes {anchors.shape} and {recover.shape}")
+    worst = np.abs(anchors).max()
+    if not worst <= cfg.a_max + _BOX_TOL:  # NaN fails too
+        raise ValueError("anchor plan has non-finite values" if not math.isfinite(worst)
+                         else "anchor plan violates the action box")
+    anchor = np.where(recover[:, None, None], 0.0, anchors)
+    rows = [_Row(i, 1.0, cfg.lambda_reg, cfg.eta) if rec else _Row(i, cfg.beta, cfg.alpha, cfg.eta)
+            for i, rec in enumerate(recover.tolist())]
+    out = DescentResult(np.empty_like(anchor), [[] for _ in rows], np.zeros(len(rows), dtype=bool),
+                        np.empty(len(rows)), np.empty(len(rows)))
+    # the running rows with their contexts, anchors, weights, iterates and
+    # directions; a zero direction makes the first round score the anchors
+    run, P, Z = rows, np.asarray(proprio, dtype=float), np.asarray(z, dtype=float)
+    A0, cur, grad = anchor, anchor, np.zeros_like(anchor)
+    C = np.array([r.c for r in rows])[:, None, None]
+    W2 = np.array([2.0 * r.w for r in rows])[:, None, None]
+    while run:
+        step = np.array([r.step for r in run])[:, None, None] if len(run) > 1 else run[0].step
+        # the box projection: np.clip's values with fewer call layers
+        cand = np.minimum(np.maximum(cur - step * grad, -cfg.a_max), cfg.a_max)
+        # one row is scored as the single plan it is; several as (E, 1)
+        # blocks, which numpy's matmul runs one at a time, with those bits
+        if len(run) == 1:
+            pred = est.predict_risk(params, P[0], Z[0], cand[0])
+            risks, dists = [pred.risk], [pred.min_dist]
+        else:
+            pred = est.predict_risk(params, P[:, None], Z[:, None], cand[:, None])
+            risks, dists = pred.risk[:, 0].tolist(), pred.min_dist[:, 0].tolist()
+        diff = cand - A0
+        acc, fresh, keep = [], [], []
+        for r, risk, dist, sq in zip(run, risks, dists,
+                                     (diff ** 2).sum(axis=(-2, -1)).tolist()):
+            obj = r.c * risk + r.w * sq
+            acc.append(r.iters < 0 or obj < r.obj)
+            if acc[-1]:
+                out.objectives[r.i].append(obj)
+                r.obj, r.risk, r.min_dist = obj, risk, dist
+                r.iters, r.step, r.tries = r.iters + 1, cfg.eta, 0
+            else:
+                r.step, r.tries = r.step * 0.5, r.tries + 1
+            keep.append(r.tries <= cfg.max_halvings and r.iters < cfg.max_iters)
+            fresh.append(acc[-1] and keep[-1])  # accepted and going on: a new direction
+        if any(acc):
+            cur = cand if all(acc) else np.where(np.array(acc)[:, None, None], cand, cur)
+        if any(fresh):  # a plan-only backward on the forward that accepted the rows
+            g = C * est.risk_plan_gradient(params, pred).reshape(cand.shape) + W2 * diff
+            grad = g if all(fresh) else np.where(np.array(fresh)[:, None, None], g, grad)
+        if not all(keep):
+            for r, plan, going in zip(run, cur, keep):
+                if not going:
+                    out.plan[r.i], out.risk[r.i], out.min_dist[r.i] = plan, r.risk, r.min_dist
+                    out.made_progress[r.i] = r.iters > 0
+            run = [r for r, going in zip(run, keep) if going]
+            if run:
+                P, Z, A0, C, W2, cur, grad = (a[keep] for a in (P, Z, A0, C, W2, cur, grad))
+    return out

@@ -287,15 +287,16 @@ def test_criterion_08_recovery_refinement(pipeline, world_cfg, task_params):
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task)
         nominal, _ = pol.scripted_expert(state, task, 5, world_cfg)
-        res = sg.refine_plan(params, proprio, z, nominal, gate_cfg)
-        rec = sg.recover(params, proprio, z, 5, gate_cfg)
-        for r in (res, rec):
-            monotone &= all(b <= a for a, b in
-                            zip(r.objectives, r.objectives[1:]))
-            in_box &= bool(np.all(np.abs(r.plan) <= gate_cfg.a_max))
+        # row 0 refines the expert's plan, row 1 recovers from the same state
+        res = sg.descend(params, np.stack([proprio] * 2), np.stack([z] * 2),
+                         np.stack([nominal, np.zeros_like(nominal)]),
+                         np.array([False, True]), gate_cfg)
+        for objectives in res.objectives:
+            monotone &= all(b <= a for a, b in zip(objectives, objectives[1:]))
+        in_box &= bool(np.all(np.abs(res.plan) <= gate_cfg.a_max))
         nominal_risk = est.predict_risk(params, proprio, z, nominal).risk
-        improved &= res.risk <= nominal_risk
-        worst_gap = max(worst_gap, res.risk - nominal_risk)
+        improved &= res.risk[0] <= nominal_risk
+        worst_gap = max(worst_gap, res.risk[0] - nominal_risk)
 
     ok = monotone and in_box and improved
     record(8, "recovery/refinement descent", ok,

@@ -211,6 +211,26 @@ def test_evaluate_asserts(tmp_path):
     assert malformed == 1
 
 
+def test_malformed_assert_fails_before_evaluate(tmp_path, capsys):
+    """A missing operator or a bound that is not a finite number is a config
+    error (exit 1) before any episode runs: no log or report is written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "tasks": {"episodes_per_task": 1},
+        "eval": {"mode": "ungated", "logs_dir": str(tmp_path / "logs"),
+                 "report_path": str(tmp_path / "rep.json")},
+    }))
+    for expr in ("per_task.crossing_transfer.collision_rate<=abc", "episodes==0",
+                 "episodes>=nan", "episodes<=inf", "episodes<=", "episodes"):
+        capsys.readouterr()
+        ok = "per_task.crossing_transfer.collision_rate<=1.0"
+        code = cli.main(["evaluate", "--config", str(cfg), "--mode", "ungated",
+                         "--assert", ok, "--assert", expr])
+        assert code == 1, expr
+        assert expr in capsys.readouterr().err
+        assert not (tmp_path / "logs").exists() and not (tmp_path / "rep.json").exists()
+
+
 def test_seed_override_changes_data(tmp_path):
     for seed, d in ((None, "a"), (123, "b")):
         cfg = tmp_path / f"cfg_{d}.json"

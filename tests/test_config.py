@@ -107,7 +107,23 @@ def test_semantic_validation():
                                 ("gate", "lambda_reg", -0.1), ("gate", "alpha", -1.0),
                                 ("gate", "beta", -2.0), ("gate", "beta", float("nan")),
                                 ("eval", "latency_trials", 0), ("eval", "latency_warmup", -1),
-                                ("eval", "sigma_a", -0.01), ("eval", "sigma_a", float("nan"))):
+                                ("eval", "sigma_a", -0.01), ("eval", "sigma_a", float("nan")),
+                                ("eval", "workers", 0), ("tasks", "episodes_per_task", 0),
+                                ("gate", "fn_target", 2.0), ("gate", "fn_target", -0.1),
+                                ("gate", "fn_target", float("nan")),
+                                ("estimator", "lr", float("nan")),
+                                ("estimator", "momentum", float("nan")),
+                                ("estimator", "w_pos", float("nan")),
+                                ("estimator", "lr", float("inf")),
+                                ("policy", "batch_size", 0), ("policy", "epochs", -1),
+                                ("policy", "lr", float("nan")), ("policy", "lr", 0.0),
+                                ("policy", "momentum", float("inf")),
+                                ("policy", "kappa", float("nan")), ("policy", "kappa", -1.0),
+                                ("policy", "kappa", float("inf")),
+                                ("policy", "explore_noise", -1.0),
+                                ("policy", "explore_noise", float("nan")),
+                                ("policy", "demo_episodes_per_task", 0),
+                                ("policy", "rollout_episodes_per_task", 0)):
         with pytest.raises(cf.ConfigError, match=key):
             cf.config_from_dict({section: {key: value}})
     with pytest.raises(cf.ConfigError, match="success_tolerance"):

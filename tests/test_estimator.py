@@ -277,19 +277,20 @@ def test_calibration_rejects_single_class(tiny_data):
         est.calibrate_temperature(est.init_params(0), neg_only)
 
 
-def test_predict_risk_batch_matches_loop(trained_tiny, tiny_data):
+def test_predict_risk_over_plans_matches_loop(trained_tiny, tiny_data):
     b = small_batch(tiny_data, 1)
     h = int(b.mask[0].sum())
     rng = np.random.default_rng(10)
     plans = rng.uniform(-0.02, 0.02, size=(5, h, 4))
-    risk, logit, dist, ttc = est.predict_risk_batch(trained_tiny, b.proprio[0],
-                                                    b.z[0], plans)
+    many = est.predict_risk(trained_tiny, np.tile(b.proprio[0], (5, 1)),
+                            np.tile(b.z[0], (5, 1)), plans)
+    assert many.risk.shape == (5,)
     for i in range(5):
         one = est.predict_risk(trained_tiny, b.proprio[0], b.z[0], plans[i])
-        assert risk[i] == pytest.approx(one.risk, abs=1e-12)
-        assert logit[i] == pytest.approx(one.logit, abs=1e-12)
-        assert dist[i] == pytest.approx(one.min_dist, abs=1e-12)
-        assert ttc[i] == pytest.approx(one.ttc, abs=1e-12)
+        assert many.risk[i] == pytest.approx(one.risk, abs=1e-12)
+        assert many.logit[i] == pytest.approx(one.logit, abs=1e-12)
+        assert many.min_dist[i] == pytest.approx(one.min_dist, abs=1e-12)
+        assert many.ttc[i] == pytest.approx(one.ttc, abs=1e-12)
 
 
 def test_checkpoint_roundtrip(trained_tiny, tmp_path):
@@ -394,22 +395,39 @@ def rough_params(seed):
     return params
 
 
+def fields(pred):
+    return pred.risk, pred.logit, pred.min_dist, pred.ttc
+
+
 @pytest.mark.parametrize("groups", [1, 3, 8])
-def test_grouped_predict_risk_batch_equals_one_call_per_group(groups):
-    """An (E, N, H, 4) call gives each group, with ==, the outputs of its
-    own (N, H, 4) call."""
+def test_grouped_predict_risk_equals_one_call_per_group(groups):
+    """An (E, N, H, 4) call with broadcast contexts gives each group, with
+    ==, the outputs of its own (N, H, 4) call; (E, 1, H, 4) descent rows
+    give each row the outputs and plan gradient of its single (H, 4)
+    plan."""
     params = rough_params(groups)
     rng = np.random.default_rng(40 + groups)
     for n, h in ((8, 5), (1, 3), (5, 1)):
         proprio = rng.normal(size=(groups, est.PROPRIO_DIM))
         z = rng.normal(size=(groups, est.VISION_DIM))
         plans = rng.uniform(-0.02, 0.02, size=(groups, n, h, 4))
-        grouped = est.predict_risk_batch(params, proprio, z, plans)
-        assert all(out.shape == (groups, n) for out in grouped)
+        grouped = est.predict_risk(
+            params, np.broadcast_to(proprio[:, None], (groups, n, est.PROPRIO_DIM)),
+            np.broadcast_to(z[:, None], (groups, n, est.VISION_DIM)), plans)
+        assert all(out.shape == (groups, n) for out in fields(grouped))
         for e in range(groups):
-            alone = est.predict_risk_batch(params, proprio[e], z[e], plans[e])
-            for got, want in zip(grouped, alone):
+            alone = est.predict_risk(params, np.broadcast_to(proprio[e], (n, est.PROPRIO_DIM)),
+                                     np.broadcast_to(z[e], (n, est.VISION_DIM)), plans[e])
+            for got, want in zip(fields(grouped), fields(alone)):
                 assert_array_equal(bits(got[e]), bits(want))
+        rows = est.predict_risk(params, proprio[:, None], z[:, None], plans[:, :1])
+        grads = est.risk_plan_gradient(params, rows)
+        assert grads.shape == (groups, 1, h, 4)
+        for e in range(groups):
+            one = est.predict_risk(params, proprio[e], z[e], plans[e, 0])
+            assert (one.risk, one.logit, one.min_dist, one.ttc) == \
+                tuple(out[e, 0] for out in fields(rows))
+            assert_array_equal(bits(grads[e, 0]), bits(est.risk_plan_gradient(params, one)))
 
 
 @pytest.mark.parametrize("b", [1, 8])
@@ -449,13 +467,14 @@ def test_malformed_estimator_inputs_raise():
                  (p, np.zeros((1, est.VISION_DIM)), plan)):
         with pytest.raises(ValueError, match=r"got plans \("):
             est.predict_risk(params, *args)
+    # over a leading shape, the contexts must cover exactly that shape
     groups = np.zeros((2, 8, 3, 4))
-    pg, zg = np.zeros((2, est.PROPRIO_DIM)), np.zeros((2, est.VISION_DIM))
-    for args in ((p, z, np.zeros((8, 5, 1))), (p, z, np.zeros((8, 0, 4))), (p, z, plan),
-                 (p, z, groups), (pg, zg, np.zeros((8, 3, 4))), (pg[:1], zg, groups),
-                 (pg, zg[:, :9], groups)):
+    pg, zg = np.zeros((2, 8, est.PROPRIO_DIM)), np.zeros((2, 8, est.VISION_DIM))
+    for args in ((pg, zg, np.zeros((2, 8, 5, 1))), (pg, zg, np.zeros((2, 8, 0, 4))),
+                 (p, z, groups), (pg[:, 0], zg[:, 0], groups), (pg, zg, np.zeros((8, 3, 4))),
+                 (pg[:1], zg, groups), (pg, zg[..., :9], groups)):
         with pytest.raises(ValueError, match=r"got plans \("):
-            est.predict_risk_batch(params, *args)
+            est.predict_risk(params, *args)
 
 
 @pytest.mark.parametrize("blocks", [1, 3, 8])
@@ -466,9 +485,10 @@ def test_stacked_matmul_equals_per_block_calls(blocks, rows):
     the batched policy plan rest on this. Checked for every product of the
     estimator forward at its shapes, on the BLAS path (contiguous operands)
     and on the no-BLAS path numpy takes for the stride-0 context rows of a
-    broadcast (proprio, z), and for the policy network's two products on
-    (E, 1, features) blocks. A numpy or BLAS upgrade that breaks this fails
-    here rather than silently moving bits."""
+    broadcast (proprio, z), for the policy network's two products on
+    (E, 1, features) blocks, and for the plan-only backward's products on
+    the (E, 1, ...) rows of a batched descent. A numpy or BLAS upgrade that
+    breaks this fails here rather than silently moving bits."""
     rng = np.random.default_rng(60 + blocks * rows)
     d, h = est.D_MODEL, 5
     lead = (blocks, rows)
@@ -489,6 +509,17 @@ def test_stacked_matmul_equals_per_block_calls(blocks, rows):
          rng.normal(size=(pol.POLICY_IN, pol.POLICY_HIDDEN))),
         (rng.normal(size=(blocks, 1, pol.POLICY_HIDDEN)),                 # policy output
          rng.normal(size=(pol.POLICY_HIDDEN, pol.POLICY_OUT))),
+    ]
+    # the plan-only backward on (E, 1, ...) descent rows, against its B=1
+    # shapes, with the transposed weight views it multiplies by
+    desc = (blocks, 1)
+    cases += [
+        (rng.normal(size=(*desc, d)), w["square"].T),                     # a2, a1 -> trunk
+        (rng.normal(size=(*desc, h, d)),                                  # g_O @ V.mT
+         np.swapaxes(rng.normal(size=(*desc, 2, d)), -1, -2)),
+        (rng.normal(size=(*desc, h, 2)), rng.normal(size=(*desc, 2, d))),  # g_scores @ K
+        (rng.normal(size=(*desc, h, d)), w["square"].T),                  # g_Q @ w_query.T
+        (rng.normal(size=(*desc, h, d)), w["action"].T),                  # g_act_pre @ w_action.T
     ]
     for a, b in cases:
         stacked = a @ b

@@ -320,16 +320,20 @@ def one_episode_at_a_time(setup, task_id, seed, collector):
             if decision == sg.EXECUTE:
                 plan = choice.plan
                 if setup.mode == "gated+refine":
-                    plan = sg.refine_plan(setup.est_params, proprio, z, plan, gate_cfg).plan
+                    plan = sg.descend(setup.est_params, proprio[None], z[None], plan[None],
+                                      np.zeros(1, dtype=bool), gate_cfg).plan[0]
                 action = plan[0].copy()
                 if setup.soft_gate:
                     action *= sg.soft_scale(r_hat, gate_cfg.tau_up)
             elif decision == sg.BLOCK:
                 log.blocked_steps += 1
-                rec = sg.recover(setup.est_params, proprio, z, setup.horizon, gate_cfg)
-                plan, action = rec.plan, rec.plan[0].copy()
-                if not rec.made_progress:
-                    action *= sg.distance_fallback(rec.min_dist, gate_cfg.d0)
+                rec = sg.descend(setup.est_params, proprio[None], z[None],
+                                 np.zeros((1, setup.horizon, 4)), np.ones(1, dtype=bool),
+                                 gate_cfg)
+                plan = rec.plan[0]
+                action = plan[0].copy()
+                if not rec.made_progress[0]:
+                    action *= sg.distance_fallback(rec.min_dist[0], gate_cfg.d0)
         label = wd.rollout_batch(state, plan[None], wcfg)[0]
         if decision == sg.HALT:
             log.steps.append(hn.StepRecord(
@@ -366,8 +370,10 @@ LOCKSTEP_JOBS = [("crossing_transfer", s) for s in (0, 1, 2, 3)] + \
 
 @pytest.fixture(scope="module")
 def lockstep_cases(world_cfg, trained_tiny):
-    """Setups of all four modes plus the watchdog halt case, each with its
-    per-episode reference logs, records and endings over LOCKSTEP_JOBS."""
+    """Setups of all four modes, gated+refine with thresholds low enough
+    that episodes block while others refine, and the watchdog halt case,
+    each with its per-episode reference logs, records and endings over
+    LOCKSTEP_JOBS."""
     params = wd.TaskParams(max_steps=30)
     gate_cfg = sg.GateConfig(tau_up=0.6, tau_down=0.3)
     setups = {mode: make_setup(world_cfg, params, mode=mode, gate_cfg=gate_cfg,
@@ -376,6 +382,9 @@ def lockstep_cases(world_cfg, trained_tiny):
                                policy_params=pol.init_policy(seed=2)
                                if mode == "gated+finetuned" else None)
               for mode in cf.MODES}
+    setups["refine+recover"] = make_setup(
+        world_cfg, params, mode="gated+refine", gate_cfg=sg.GateConfig(tau_up=0.1, tau_down=0.05),
+        est_params=trained_tiny, soft_gate=True, horizon=5)
     setups["halt"] = make_setup(world_cfg, params, mode="gated",
                                 est_params=inert_estimator(30.0),
                                 gate_cfg=sg.GateConfig(watchdog_window=5))
@@ -396,12 +405,24 @@ def test_lockstep_equals_one_episode_at_a_time(lockstep_cases, monkeypatch, grou
     In every mode each log, without its latency, and each collector's
     records equal, with ==, those of the episode run alone; over both
     tasks, episodes end by collision, success, the step budget and a
-    watchdog HALT."""
+    watchdog HALT, and in gated+refine one descend call recovers one
+    episode while it refines another (the low-threshold case)."""
     monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
     endings = {}
     for name, (setup, ref) in lockstep_cases.items():
         collectors = [[] for _ in LOCKSTEP_JOBS]
-        logs = hn.run_episodes(setup, LOCKSTEP_JOBS, collectors)
+        flags = []
+        descend = sg.descend
+
+        def recorded(*args):
+            flags.append(np.array(args[4]))
+            return descend(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(sg, "descend", recorded)
+            logs = hn.run_episodes(setup, LOCKSTEP_JOBS, collectors)
+        if name == "refine+recover":
+            assert any(f.any() and not f.all() for f in flags)
         assert len(logs) == len(ref)
         for log, records, (ref_log, ref_records, ending) in zip(logs, collectors, ref):
             assert all(s.latency_us > 0.0 for s in log.steps)

@@ -232,21 +232,27 @@ def test_select_candidate_ties_keep_nominal(world_cfg, task_params):
     assert np.all(choice.risks == choice.risks[0])
 
 
+def recover_rows(params, proprio, z, horizon, cfg):
+    """Recover descents from one (14,), (10,) context, as a one-row batch."""
+    return sg.descend(params, proprio[None], z[None], np.zeros((1, horizon, 4)),
+                      np.ones(1, dtype=bool), cfg)
+
+
 def test_recover_descends_and_respects_box(trained_tiny, world_cfg, task_params):
     for seed in range(5):
         proprio, z = _state_features(seed, world_cfg, task_params)
-        res = sg.recover(trained_tiny, proprio, z, horizon=5, cfg=CFG)
-        obj = res.objectives
+        res = recover_rows(trained_tiny, proprio, z, 5, CFG)
+        obj = res.objectives[0]
         assert all(b < a for a, b in zip(obj, obj[1:]))
         assert np.all(np.abs(res.plan) <= CFG.a_max + 1e-12)
-        assert res.plan.shape == (5, 4)
+        assert res.plan.shape == (1, 5, 4)
         # the zero plan is the protective prior: any progress beat it
         zero_risk = est.predict_risk(trained_tiny, proprio, z,
                                      np.zeros((5, 4))).risk
-        if res.made_progress:
+        if res.made_progress[0]:
             assert obj[-1] < obj[0] == pytest.approx(zero_risk)
-    with pytest.raises(ValueError):
-        sg.recover(trained_tiny, proprio, z, horizon=0, cfg=CFG)
+    with pytest.raises(ValueError, match="anchors"):
+        recover_rows(trained_tiny, proprio, z, 0, CFG)
 
 
 def test_recover_stalls_to_zero_plan_on_flat_risk(world_cfg, task_params):
@@ -254,41 +260,65 @@ def test_recover_stalls_to_zero_plan_on_flat_risk(world_cfg, task_params):
     for k in params.weights:
         params.weights[k] = np.zeros_like(params.weights[k])
     proprio, z = _state_features(2, world_cfg, task_params)
-    res = sg.recover(params, proprio, z, horizon=4, cfg=CFG)
-    assert not res.made_progress
-    np.testing.assert_array_equal(res.plan, np.zeros((4, 4)))
-    assert len(res.objectives) == 1
+    res = recover_rows(params, proprio, z, 4, CFG)
+    assert not res.made_progress[0]
+    np.testing.assert_array_equal(res.plan[0], np.zeros((4, 4)))
+    assert len(res.objectives[0]) == 1
 
 
 def test_refine_never_raises_risk(trained_tiny, world_cfg, task_params):
+    """Ten refine rows in one call: each row's risk stays at or below its
+    anchor's, from an initial objective of beta times the anchor's risk."""
     rng = np.random.default_rng(3)
-    for seed in range(10):
-        proprio, z = _state_features(seed, world_cfg, task_params)
-        nominal = rng.uniform(-0.02, 0.02, size=(5, 4))
-        res = sg.refine_plan(trained_tiny, proprio, z, nominal,
-                             replace(CFG, alpha=1.0, beta=2.0))
-        nominal_risk = est.predict_risk(trained_tiny, proprio, z, nominal).risk
-        assert res.risk <= nominal_risk + 1e-12
-        assert res.objectives[0] == pytest.approx(2.0 * nominal_risk)
-        assert all(b < a for a, b in zip(res.objectives, res.objectives[1:]))
-        assert np.all(np.abs(res.plan) <= CFG.a_max + 1e-12)
+    feats = [_state_features(seed, world_cfg, task_params) for seed in range(10)]
+    proprio, z = np.stack([p for p, _ in feats]), np.stack([zz for _, zz in feats])
+    nominal = rng.uniform(-0.02, 0.02, size=(10, 5, 4))
+    res = sg.descend(trained_tiny, proprio, z, nominal, np.zeros(10, dtype=bool),
+                     replace(CFG, alpha=1.0, beta=2.0))
+    for e in range(10):
+        nominal_risk = est.predict_risk(trained_tiny, proprio[e], z[e], nominal[e]).risk
+        assert res.risk[e] <= nominal_risk + 1e-12
+        assert res.objectives[e][0] == pytest.approx(2.0 * nominal_risk)
+        assert all(b < a for a, b in zip(res.objectives[e], res.objectives[e][1:]))
+    assert np.all(np.abs(res.plan) <= CFG.a_max + 1e-12)
 
 
 def test_refine_rejects_out_of_box_nominal(trained_tiny, world_cfg, task_params):
     proprio, z = _state_features(0, world_cfg, task_params)
-    with pytest.raises(ValueError, match="action box"):
-        sg.refine_plan(trained_tiny, proprio, z, np.full((3, 4), 0.5), CFG)
+    anchors = np.zeros((2, 3, 4))
+    anchors[1] = 0.5
+    for recover in ([False, False], [True, True]):
+        with pytest.raises(ValueError, match="action box"):
+            sg.descend(trained_tiny, np.stack([proprio] * 2), np.stack([z] * 2), anchors,
+                       np.array(recover), CFG)
 
 
 def test_refine_rejects_non_finite_nominal(trained_tiny, world_cfg, task_params):
-    """NaN passes the box check (its comparison is false), so a nominal
+    """NaN passes the box check (its comparison is false), so an anchor
     holding one would come back as a NaN plan; it raises instead."""
     proprio, z = _state_features(0, world_cfg, task_params)
     for bad in (np.nan, np.inf, -np.inf):
-        nominal = np.zeros((3, 4))
-        nominal[1, 2] = bad
+        anchors = np.zeros((2, 3, 4))
+        anchors[1, 1, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            sg.refine_plan(trained_tiny, proprio, z, nominal, CFG)
+            sg.descend(trained_tiny, np.stack([proprio] * 2), np.stack([z] * 2), anchors,
+                       np.zeros(2, dtype=bool), CFG)
+
+
+def test_descend_rejects_malformed_rows(trained_tiny, world_cfg, task_params):
+    """Anchors that are not (E, H, 4) with E, H >= 1, recover flags that are
+    not (E,), and contexts that are not (E, 14) and (E, 10) raise."""
+    proprio, z = _state_features(0, world_cfg, task_params)
+    P, Z = np.stack([proprio] * 2), np.stack([z] * 2)
+    flags = np.zeros(2, dtype=bool)
+    for anchors, recover in ((np.zeros((3, 4)), flags), (np.zeros((0, 3, 4)), flags[:0]),
+                             (np.zeros((2, 3, 5)), flags), (np.zeros((2, 3, 4)), flags[:1]),
+                             (np.zeros((2, 3, 4)), np.zeros((2, 1), dtype=bool))):
+        with pytest.raises(ValueError, match="anchors"):
+            sg.descend(trained_tiny, P, Z, anchors, recover, CFG)
+    for ctx in ((proprio, Z), (P, z), (P[:1], Z)):
+        with pytest.raises(ValueError, match="got plans"):
+            sg.descend(trained_tiny, *ctx, np.zeros((2, 3, 4)), flags, CFG)
 
 
 def reference_descent(params, proprio, z, init, risk_coeff, grad_extra, obj_extra, cfg):
@@ -332,10 +362,25 @@ def reference_descent(params, proprio, z, init, risk_coeff, grad_extra, obj_extr
     return plan, trace, made_progress, risk, min_dist, evaluated
 
 
-def _descent_cases(trained_tiny, world_cfg, task_params):
-    """(params, proprio, z, nominal): the trained estimator on task states,
-    a rough random-weight estimator on random states (long descents), and
-    a flat estimator whose first iteration exhausts every halving."""
+def _corner_anchor(params, proprio, z, h, a_max):
+    """A box corner whose logit gradient points out of the box in every
+    component, so a refine row anchored there stalls on its first
+    iteration: every clipped step lands back on the anchor."""
+    anchor = np.zeros((h, 4))
+    for _ in range(20):
+        g = est.risk_plan_gradient(params, est.predict_risk(params, proprio, z, anchor))
+        anchor, prev = -a_max * np.sign(g), anchor
+        if np.array_equal(anchor, prev):
+            return anchor
+    raise AssertionError("no stalling corner found")
+
+
+def _descent_cases(trained_tiny, world_cfg, task_params, cfg):
+    """(params, proprio, z, anchors, recover) descend calls of E = 1, 3 and
+    17 rows mixing recover and refine rows: the trained estimator on task
+    states, a rough random-weight estimator on random states (long
+    descents, and a refine row at a stalling box corner), and a flat
+    estimator on which every row stalls on its first iteration."""
     rng = np.random.default_rng(12)
     rough = est.init_params(seed=4)
     for k in rough.weights:
@@ -344,24 +389,32 @@ def _descent_cases(trained_tiny, world_cfg, task_params):
     flat = est.init_params(seed=0)
     for k in flat.weights:
         flat.weights[k] = np.zeros_like(flat.weights[k])
-    for seed in range(3):
-        proprio, z = _state_features(seed, world_cfg, task_params)
-        for params in (trained_tiny, flat):
-            yield params, proprio, z, rng.uniform(-0.02, 0.02, size=(3, 4))
-    for _ in range(8):
+    for e in (1, 3, 17):
         h = int(rng.integers(1, 6))
-        yield (rough, rng.normal(size=est.PROPRIO_DIM), rng.normal(size=est.VISION_DIM),
-               rng.uniform(-0.02, 0.02, size=(h, 4)))
+        recover = np.arange(e) % 2 == 1 if e > 1 else np.array([rng.random() < 0.5])
+        anchors = rng.uniform(-0.02, 0.02, size=(e, h, 4))
+        feats = [_state_features(int(s), world_cfg, task_params) for s in rng.integers(0, 50, e)]
+        task_ctx = np.stack([p for p, _ in feats]), np.stack([zz for _, zz in feats])
+        for params in (trained_tiny, flat):
+            yield params, *task_ctx, anchors, recover
+        proprio = rng.normal(size=(e, est.PROPRIO_DIM))
+        z = rng.normal(size=(e, est.VISION_DIM))
+        anchors = anchors.copy()
+        anchors[0] = _corner_anchor(rough, proprio[0], z[0], h, cfg.a_max)
+        recover = recover.copy()
+        recover[0] = False
+        yield rough, proprio, z, anchors, recover
 
 
 def _count_forwards(monkeypatch):
-    """Counter of est._forward_batch calls; est._backward_batch must not run."""
+    """Plan rows of each est._forward_batch call; est._backward_batch must
+    not run."""
     calls = []
     forward = est._forward_batch
 
-    def counted(*args):
-        calls.append(1)
-        return forward(*args)
+    def counted(params, proprio, z, plan, *rest):
+        calls.append(int(np.prod(plan.shape[:-2])))
+        return forward(params, proprio, z, plan, *rest)
 
     def no_full_backward(*args):
         raise AssertionError("descent ran the parameter-gradient backward")
@@ -373,31 +426,40 @@ def _count_forwards(monkeypatch):
 
 def test_descent_matches_reference_with_one_forward_per_plan(
         trained_tiny, world_cfg, task_params, monkeypatch):
-    """recover and refine_plan equal, with ==, the loop without forward
-    reuse, and run exactly one forward per evaluated plan."""
+    """Each row of a batched descend call equals, with ==, the loop without
+    forward reuse run on that row alone; the call runs one forward row per
+    plan the rows evaluate, and one forward per round."""
     cfg = replace(CFG, max_iters=6, max_halvings=3)
     lengths = []
-    for params, proprio, z, nominal in _descent_cases(trained_tiny, world_cfg, task_params):
-        h = nominal.shape[0]
-        for init, coeff, g_extra, o_extra, run in (
-                (np.zeros((h, 4)), 1.0,
-                 lambda a: 2.0 * cfg.lambda_reg * a,
-                 lambda a: cfg.lambda_reg * float(np.sum(a * a)),
-                 lambda: sg.recover(params, proprio, z, h, cfg)),
-                (nominal, cfg.beta,
-                 lambda a: 2.0 * cfg.alpha * (a - nominal),
-                 lambda a: cfg.alpha * float(np.sum((a - nominal) ** 2)),
-                 lambda: sg.refine_plan(params, proprio, z, nominal, cfg))):
-            plan, trace, progress, risk, min_dist, evaluated = reference_descent(
-                params, proprio, z, init, coeff, g_extra, o_extra, cfg)
-            with monkeypatch.context() as m:
-                forwards = _count_forwards(m)
-                res = run()
-            assert np.array_equal(res.plan, plan)
-            assert res.objectives == trace
-            assert res.made_progress == progress
-            assert res.risk == risk and res.min_dist == min_dist
-            assert len(forwards) == evaluated
-            lengths.append(len(trace))
-    # stalled at once (flat), stalled part way, and ran all max_iters
-    assert {1, 2, cfg.max_iters + 1} <= set(lengths) and len(set(lengths)) >= 4
+    for params, proprio, z, anchors, recover in _descent_cases(trained_tiny, world_cfg,
+                                                               task_params, cfg):
+        with monkeypatch.context() as m:
+            forwards = _count_forwards(m)
+            res = sg.descend(params, proprio, z, anchors, recover, cfg)
+        evaluated = []
+        call_lengths = set()
+        for e in range(len(anchors)):
+            if recover[e]:
+                init, coeff = np.zeros_like(anchors[e]), 1.0
+                g_extra = lambda a: 2.0 * cfg.lambda_reg * a
+                o_extra = lambda a: cfg.lambda_reg * float(np.sum(a * a))
+            else:
+                nominal = anchors[e]
+                init, coeff = nominal, cfg.beta
+                g_extra = lambda a: 2.0 * cfg.alpha * (a - nominal)
+                o_extra = lambda a: cfg.alpha * float(np.sum((a - nominal) ** 2))
+            plan, trace, progress, risk, min_dist, n_eval = reference_descent(
+                params, proprio[e], z[e], init, coeff, g_extra, o_extra, cfg)
+            assert np.array_equal(res.plan[e], plan)
+            assert res.objectives[e] == trace
+            assert res.made_progress[e] == progress
+            assert res.risk[e] == risk and res.min_dist[e] == min_dist
+            evaluated.append(n_eval)
+            call_lengths.add(len(trace))
+        assert sum(forwards) == sum(evaluated) and len(forwards) == max(evaluated)
+        lengths.append(call_lengths)
+    every = set().union(*lengths)
+    # stalled at once, stalled part way, and ran all max_iters
+    assert {1, 2, cfg.max_iters + 1} <= every and len(every) >= 4
+    # within one call, a row stalled at once while others stopped later
+    assert any(1 in ls and len(ls) >= 3 for ls in lengths)
