@@ -199,12 +199,19 @@ def _cmd_run(cfg: cf.RunConfig, args) -> None:
            "recoveries": log.recoveries})
 
 
-def _resolve_metric(report: dict, dotted: str):
+def _metric_at(report: dict, dotted: str):
+    """The value at a dotted path of the report; AssertFailure when the
+    path names no key of it."""
     cur = report
     for part in dotted.split("."):
         if not isinstance(cur, dict) or part not in cur:
             raise AssertFailure(f"unknown metric path {dotted!r}")
         cur = cur[part]
+    return cur
+
+
+def _resolve_metric(report: dict, dotted: str):
+    cur = _metric_at(report, dotted)
     if not isinstance(cur, (int, float)) or isinstance(cur, bool):
         raise AssertFailure(f"metric {dotted!r} is not a number")
     return float(cur)
@@ -242,6 +249,10 @@ def _check_asserts(report: dict, checks) -> list:
 
 def _cmd_evaluate(cfg: cf.RunConfig, args) -> None:
     checks = _parse_asserts(args.assert_exprs)
+    if checks:  # an unknown path fails before any episode runs, with no log or report
+        shape = hn.report_shape(cfg.tasks.ids, args.mode or cfg.eval.mode)
+        for _, path, _, _ in checks:
+            _metric_at(shape, path)
     report = hn.evaluate(cfg, args.mode)
     payload = report.to_dict()
     _emit(payload)

@@ -71,6 +71,9 @@ class EvalSection:
     logs_dir: str = "logs"
     report_path: str = "report.json"
     workers: int = 1
+    # Inert: evaluate's estimator.latency now summarizes the logged step
+    # latencies, so nothing reads these two. They still load and are checked
+    # because existing configs set them; see ROADMAP item 6.
     latency_trials: int = 1000
     latency_warmup: int = 100
 

@@ -175,6 +175,8 @@ class DatagenConfig:
             raise ValueError(f"episodes_per_task must be >= 1, got {self.episodes_per_task}")
         if not self.sigma_a >= 0:
             raise ValueError(f"sigma_a must be >= 0, got {self.sigma_a}")
+        if not np.isfinite(self.d_thresh):
+            raise ValueError(f"d_thresh must be finite, got {self.d_thresh}")
         if not self.tasks:
             raise ValueError("tasks must name at least one task")
         for t in self.tasks:

@@ -78,6 +78,9 @@ class TrainConfig:
         for name in ("lr", "momentum", "batch_size", "epochs_per_phase", "w_pos"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("lambda_bce", "lambda_d", "lambda_ttc"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 # (name, shape builder) for every learnable array, in fixed order
@@ -279,9 +282,9 @@ def _forward_batch(params: EstimatorParams, proprio, z, plan, mask=None):
     return logit, dist, ttc, cache
 
 
-def _plan_backward(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
-    """Backprop of any scalar with upstream (g_logit, g_dist, g_ttc) to the
-    plan inputs only.
+def _plan_backward(params: EstimatorParams, cache, g_t2):
+    """Backprop of any scalar with upstream g_t2 (..., d) at the trunk
+    output to the plan inputs only.
 
     Returns (plan_grads, taps): plan_grads is (..., H, 4); taps holds the
     upstream gradient at each layer the plan path crosses, from which
@@ -292,10 +295,6 @@ def _plan_backward(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
     w = params.weights
     d = params.d_model
     c = cache
-
-    g_raw = g_ttc * (c["ttc_sp"] < params.ttc_cap) * _sigmoid(c["ttc_raw"])
-    g_t2 = (g_logit[..., None] * w["w_risk"] + g_dist[..., None] * w["w_dist"]
-            + g_raw[..., None] * w["w_ttc"])
 
     a2 = g_t2 * (1.0 - c["t2"] ** 2)
     g_t1 = a2 @ w["w_trunk2"].T
@@ -318,9 +317,19 @@ def _plan_backward(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
 
     g_act_pre = g_act * (1.0 - c["act"] ** 2)
     g_U = g_act_pre @ w["w_action"].T
-    taps = dict(g_raw=g_raw, a2=a2, a1=a1, g_O=g_O, g_scores=g_scores, g_Q=g_Q,
+    taps = dict(a2=a2, a1=a1, g_O=g_O, g_scores=g_scores, g_Q=g_Q,
                 g_act_pre=g_act_pre)
     return g_U[..., :ACTION_DIM], taps
+
+
+def _trunk_upstream(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
+    """(g_t2, g_raw): the upstream at the trunk output of the three heads'
+    upstream (g_logit, g_dist, g_ttc), and the one at the raw TTC head."""
+    w = params.weights
+    g_raw = g_ttc * (cache["ttc_sp"] < params.ttc_cap) * _sigmoid(cache["ttc_raw"])
+    g_t2 = (g_logit[..., None] * w["w_risk"] + g_dist[..., None] * w["w_dist"]
+            + g_raw[..., None] * w["w_ttc"])
+    return g_t2, g_raw
 
 
 def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
@@ -332,15 +341,16 @@ def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
     """
     w = params.weights
     c = cache
-    plan_grads, t = _plan_backward(params, cache, g_logit, g_dist, g_ttc)
+    g_t2, g_raw = _trunk_upstream(params, cache, g_logit, g_dist, g_ttc)
+    plan_grads, t = _plan_backward(params, cache, g_t2)
     g = {}
 
     g["w_risk"] = c["t2"].T @ g_logit
     g["b_risk"] = np.asarray(g_logit.sum())
     g["w_dist"] = c["t2"].T @ g_dist
     g["b_dist"] = np.asarray(g_dist.sum())
-    g["w_ttc"] = c["t2"].T @ t["g_raw"]
-    g["b_ttc"] = np.asarray(t["g_raw"].sum())
+    g["w_ttc"] = c["t2"].T @ g_raw
+    g["b_ttc"] = np.asarray(g_raw.sum())
     g["w_trunk2"] = c["t1"].T @ t["a2"]
     g["b_trunk2"] = t["a2"].sum(axis=0)
     g["w_trunk1"] = c["pooled"].T @ t["a1"]
@@ -423,14 +433,16 @@ def risk_plan_gradient(params: EstimatorParams, pred: RiskPrediction) -> np.ndar
     """d logit / d plan at the plans predict_risk scored into pred, in
     their (..., H, 4) shape.
 
-    Runs the plan-only backward on pred's forward cache, no forward. The
-    gradient is of the uncalibrated risk logit, which shares its descent
-    directions with the calibrated probability (temperature is a positive
-    monotone reparameterization).
+    Runs the plan-only backward on pred's forward cache, no forward, with
+    the logit head's weights as the trunk upstream (the distance and TTC
+    heads get none, so their terms are skipped). The gradient is of the
+    uncalibrated risk logit, which shares its descent directions with the
+    calibrated probability (temperature is a positive monotone
+    reparameterization).
     """
     lead = np.shape(pred.logit) or (1,)  # one plan's cache is a batch of one
-    zeros = np.zeros(lead)
-    g, _ = _plan_backward(params, pred.cache, np.ones(lead), zeros, zeros)
+    w_risk = params.weights["w_risk"]
+    g, _ = _plan_backward(params, pred.cache, np.broadcast_to(w_risk, (*lead, *w_risk.shape)))
     return g if np.ndim(pred.logit) else g[0]
 
 

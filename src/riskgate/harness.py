@@ -7,8 +7,8 @@ candidate scoring, recovery and refinement, and oracle calls; only the
 gate transition runs per episode, and every log is the one the episode
 gives when run by itself. evaluate runs the episodes of every task and
 seed, aggregates a metrics report, and persists logs as line-delimited
-records. Logs are the source of truth: every non-latency number in the
-report is recomputable from them.
+records. Logs are the source of truth: every number in the report,
+the control loop's step latency included, is recomputable from them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -333,11 +333,24 @@ class MetricsReport:
                 "thresholds": self.thresholds}
 
 
-def aggregate_metrics(logs, gate_cfg: sg.GateConfig, mode: str, seed: int,
-                      latency: mt.LatencyReport | None = None) -> MetricsReport:
-    """Reduce episode logs to the metrics report (order-independent)."""
+def _latency_summary(latency_us) -> dict:
+    """p50, p95 and max of logged step latencies; None each when empty."""
+    us = np.asarray(latency_us, dtype=float)
+    if not us.size:
+        return {"p50_us": None, "p95_us": None, "max_us": None}
+    return {"p50_us": float(np.percentile(us, 50)), "p95_us": float(np.percentile(us, 95)),
+            "max_us": float(us.max())}
+
+
+def aggregate_metrics(logs, gate_cfg: sg.GateConfig, mode: str, seed: int) -> MetricsReport:
+    """Reduce episode logs to the metrics report (order-independent).
+
+    A gated report's estimator.latency summarizes the control loop's own
+    logged `latency_us`: p50, p95 and max over every logged step (`calls`),
+    and per task (`steps`).
+    """
     logs = sorted(logs, key=lambda lg: (lg.task_id, lg.seed))
-    per_task = {}
+    per_task, latency_us = {}, {}
     for tid in sorted({lg.task_id for lg in logs}):
         group = [lg for lg in logs if lg.task_id == tid]
         n = len(group)
@@ -351,6 +364,7 @@ def aggregate_metrics(logs, gate_cfg: sg.GateConfig, mode: str, seed: int,
             "mean_steps": total_steps / n,
             "recoveries": sum(lg.recoveries for lg in group),
         }
+        latency_us[tid] = [s.latency_us for lg in group for s in lg.steps]
     estimator_block = None
     if mode != "ungated":
         risks, labels = [], []
@@ -359,8 +373,12 @@ def aggregate_metrics(logs, gate_cfg: sg.GateConfig, mode: str, seed: int,
                 if s.r_hat is not None and s.plan_y_bin is not None:
                     risks.append(s.r_hat)
                     labels.append(s.plan_y_bin)
+        every_step = [us for values in latency_us.values() for us in values]
+        latency = {**_latency_summary(every_step), "calls": len(every_step),
+                   "per_task": {tid: {**_latency_summary(values), "steps": len(values)}
+                                for tid, values in latency_us.items()}}
         estimator_block = {"auc": None, "ece": None, "reliability": None,
-                           "latency": None, "n_scored_steps": len(risks)}
+                           "latency": latency, "n_scored_steps": len(risks)}
         risks = np.array(risks)
         labels = np.array(labels, dtype=float)
         if len(risks) and labels.min() < 0.5 < labels.max():
@@ -369,8 +387,6 @@ def aggregate_metrics(logs, gate_cfg: sg.GateConfig, mode: str, seed: int,
             cal = mt.compute_calibration(risks, labels)
             estimator_block["ece"] = cal.ece
             estimator_block["reliability"] = cal.table
-        if latency is not None:
-            estimator_block["latency"] = asdict(latency)
     return MetricsReport(
         mode=mode, seed=seed, per_task=per_task, estimator=estimator_block,
         thresholds={"tau_up": gate_cfg.tau_up, "tau_down": gate_cfg.tau_down},
@@ -398,7 +414,7 @@ def evaluate(cfg: cf.RunConfig, mode: str | None = None,
     seeds pair up across modes. Workers > 1 split the job list into
     contiguous chunks, one `run_episodes` call per chunk in a process
     pool; each log is the episode's own, so the report is identical
-    either way.
+    either way but for the wall-clock estimator.latency.
     """
     setup = prepare_setup(cfg, mode)
     jobs = episode_grid(cfg)
@@ -416,18 +432,23 @@ def evaluate(cfg: cf.RunConfig, mode: str | None = None,
         for lg in logs:
             write_episode_log(lg, episode_log_path(cfg.eval.logs_dir, lg))
 
-    latency = None
-    if setup.mode != "ungated":
-        latency = mt.measure_latency(setup.est_params, setup.horizon,
-                                     trials=cfg.eval.latency_trials,
-                                     warmup=cfg.eval.latency_warmup,
-                                     seed=cfg.seed)
-    report = aggregate_metrics(logs, setup.gate_cfg, setup.mode, cfg.seed, latency)
+    report = aggregate_metrics(logs, setup.gate_cfg, setup.mode, cfg.seed)
     if write_logs:
         with open(cfg.eval.report_path, "w") as f:
             json.dump(report.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
     return report
+
+
+def report_shape(task_ids, mode: str) -> dict:
+    """The key tree of every report of `mode` over `task_ids`: the report of
+    one placeholder one-step log per task, so it has exactly the keys
+    aggregate_metrics writes (its values mean nothing)."""
+    step = StepRecord(t=0, state_digest="", r_hat=0.0, d_min=0.0, gate_mode=sg.RUN,
+                      decision=sg.EXECUTE, action=[0.0] * 4, latency_us=1.0, plan_y_bin=0)
+    logs = [EpisodeLog(task_id=tid, seed=0, mode=mode, steps=[step], n_steps=1)
+            for tid in task_ids]
+    return aggregate_metrics(logs, sg.GateConfig(), mode, 0).to_dict()
 
 
 def report_from_logs(cfg: cf.RunConfig, logs_dir=None) -> MetricsReport:

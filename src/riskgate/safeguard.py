@@ -58,10 +58,11 @@ class GateConfig:
             raise ValueError("need 0 < tau_down < tau_up < 1")
         if self.k_resume < 1 or self.watchdog_window < 1:
             raise ValueError("k_resume and watchdog_window must be >= 1")
-        if self.r_sat < self.tau_up:
-            raise ValueError("r_sat must be >= tau_up")
-        if self.d0 <= 0 or self.a_max <= 0:
-            raise ValueError("d0 and a_max must be positive")
+        if not self.r_sat >= self.tau_up:  # NaN fails too
+            raise ValueError(f"r_sat must be >= tau_up, got {self.r_sat}")
+        for name in ("d0", "a_max"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not (0.0 < self.eta < np.inf):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if self.max_iters < 1:
@@ -69,8 +70,8 @@ class GateConfig:
         if self.max_halvings < 0:
             raise ValueError(f"max_halvings must be >= 0, got {self.max_halvings}")
         for name in ("lambda_reg", "alpha", "beta"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

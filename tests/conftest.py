@@ -5,6 +5,8 @@ Everything is session-scoped and seeded, so the whole suite is
 deterministic and the expensive artifacts are built once.
 """
 
+import contextlib
+import io
 import json
 import os
 
@@ -94,13 +96,14 @@ def micro_run(tmp_path_factory):
     """One reduced-scale pipeline run through the CLI entry point.
 
     Returns the working directory (all artifact paths in MICRO_CONFIG are
-    relative to it) plus the recorded exit code of every stage.
+    relative to it), the recorded exit code of every stage, and the stdout
+    of each evaluate mode.
     """
     root = tmp_path_factory.mktemp("micro")
     cfg_path = root / "cfg.json"
     cfg_path.write_text(json.dumps(MICRO_CONFIG))
     cwd = os.getcwd()
-    codes = {}
+    codes, stdout = {}, {}
     try:
         os.chdir(root)
         for stage in MICRO_STAGES:
@@ -112,8 +115,11 @@ def micro_run(tmp_path_factory):
                                report_path=f"report_{mode}.json")
             mode_cfg = root / f"cfg_{mode}.json"
             mode_cfg.write_text(json.dumps(sub))
-            codes[f"evaluate-{mode}"] = cli.main(
-                ["evaluate", "--config", str(mode_cfg), "--mode", mode])
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                codes[f"evaluate-{mode}"] = cli.main(
+                    ["evaluate", "--config", str(mode_cfg), "--mode", mode])
+            stdout[mode] = buf.getvalue()
     finally:
         os.chdir(cwd)
-    return {"root": root, "codes": codes, "cfg_path": cfg_path}
+    return {"root": root, "codes": codes, "cfg_path": cfg_path, "stdout": stdout}

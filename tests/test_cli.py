@@ -103,6 +103,58 @@ def test_report_shapes(micro_run):
     assert gated["estimator"]["n_scored_steps"] > 0
     assert gated["estimator"]["latency"]["p50_us"] > 0.0
     assert all(b["blocked_fraction"] == 0.0 for b in ungated["per_task"].values())
+    # report_shape has exactly the keys of a real report
+    tids = sorted(gated["per_task"])
+    for rep, mode in ((ungated, "ungated"), (gated, "gated")):
+        assert key_tree(hn.report_shape(tids, mode)) == key_tree(rep), mode
+
+
+def key_tree(obj):
+    """The nested dict keys of obj, leaves as None."""
+    return {k: key_tree(v) for k, v in obj.items()} if isinstance(obj, dict) else None
+
+
+def test_latency_summarizes_the_logged_steps(micro_run):
+    """estimator.latency is the p50, p95 and max of the logged latency_us,
+    over every step of the run and per task, with the step counts."""
+    logs = [hn.read_episode_log(p) for p in sorted((micro_run["root"] / "logs_gated").iterdir())]
+    latency = _read(micro_run["root"], "report_gated.json")["estimator"]["latency"]
+
+    def summary(us):
+        return {"p50_us": float(np.percentile(us, 50)), "p95_us": float(np.percentile(us, 95)),
+                "max_us": max(us)}
+
+    every = [s.latency_us for lg in logs for s in lg.steps]
+    assert latency["calls"] == sum(lg.n_steps for lg in logs) == len(every)
+    assert {k: latency[k] for k in ("p50_us", "p95_us", "max_us")} == summary(every)
+    assert 0.0 < latency["p50_us"] <= latency["p95_us"] <= latency["max_us"]
+    assert sorted(latency["per_task"]) == ["crossing_transfer", "parallel_place"]
+    for tid, block in latency["per_task"].items():
+        mine = [s.latency_us for lg in logs if lg.task_id == tid for s in lg.steps]
+        assert block == {**summary(mine), "steps": sum(lg.n_steps for lg in logs
+                                                       if lg.task_id == tid)}
+
+
+def test_gated_evaluate_scores_only_its_episodes(micro_run, monkeypatch):
+    """A gated evaluate calls estimator.predict_risk exactly as often as the
+    run_episodes of its episode grid does: no synthetic timing loop."""
+    monkeypatch.chdir(micro_run["root"])
+    cfg = cf.load_config(micro_run["cfg_path"])
+    cfg.tasks.episodes_per_task = 2
+    cfg.eval.workers = 1
+    calls = []
+    predict_risk = est.predict_risk
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return predict_risk(*args, **kwargs)
+
+    monkeypatch.setattr(est, "predict_risk", counted)
+    hn.run_episodes(hn.prepare_setup(cfg, "gated"), hn.episode_grid(cfg))
+    in_episodes = len(calls)
+    calls.clear()
+    hn.evaluate(cfg, "gated", write_logs=False)
+    assert in_episodes > 0 and len(calls) == in_episodes
 
 
 def test_run_subcommand_and_modes(micro_run):
@@ -121,7 +173,7 @@ def test_run_subcommand_and_modes(micro_run):
         os.chdir(cwd)
 
 
-def test_report_subcommand_rebuilds_from_logs(micro_run, tmp_path):
+def test_report_subcommand_rebuilds_from_logs(micro_run, tmp_path, capsys):
     root = micro_run["root"]
     base = json.loads(micro_run["cfg_path"].read_text())
     base["eval"] = dict(base["eval"], logs_dir=str(root / "logs_gated"),
@@ -130,12 +182,12 @@ def test_report_subcommand_rebuilds_from_logs(micro_run, tmp_path):
     base["gate"] = dict(base["gate"], thresholds_path=str(root / "thresholds.json"))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base))
+    capsys.readouterr()
     assert cli.main(["report", "--config", str(cfg_path)]) == 0
-    rebuilt = json.load(open(tmp_path / "rebuilt.json"))
-    live = _read(root, "report_gated.json")
-    assert rebuilt["per_task"] == live["per_task"]
-    assert rebuilt["thresholds"] == live["thresholds"]
-    assert rebuilt["estimator"]["auc"] == live["estimator"]["auc"]
+    # the same bytes as evaluate's, estimator.latency included
+    assert capsys.readouterr().out == micro_run["stdout"]["gated"]
+    assert (tmp_path / "rebuilt.json").read_bytes() == (root / "report_gated.json").read_bytes()
+    assert json.load(open(tmp_path / "rebuilt.json"))["estimator"]["latency"]["calls"] > 0
 
 
 def test_exit_code_1_on_config_errors(tmp_path):
@@ -228,6 +280,33 @@ def test_malformed_assert_fails_before_evaluate(tmp_path, capsys):
                          "--assert", ok, "--assert", expr])
         assert code == 1, expr
         assert expr in capsys.readouterr().err
+        assert not (tmp_path / "logs").exists() and not (tmp_path / "rep.json").exists()
+
+
+def test_unknown_assert_path_fails_before_evaluate(tmp_path, capsys):
+    """An assert path the report cannot have (empty, an unknown task, metric
+    or estimator key, or an estimator key of an ungated run) exits 3 with
+    the unknown-path message before any episode runs: no log or report is
+    written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "tasks": {"episodes_per_task": 1, "ids": ["parallel_place"]},
+        "eval": {"mode": "ungated", "logs_dir": str(tmp_path / "logs"),
+                 "report_path": str(tmp_path / "rep.json")},
+    }))
+    for expr, mode in (("<=1", "ungated"), ("per_task.flying.success_rate>=0", "ungated"),
+                       ("per_task.crossing_transfer.success_rate>=0", "ungated"),
+                       ("per_task.parallel_place.speed>=0", "ungated"),
+                       ("estimator.auc>=0", "ungated"),
+                       ("estimator.latency.per_task.crossing_transfer.p50_us<=1", "gated"),
+                       ("estimator.latency.p99_us<=1", "gated")):
+        capsys.readouterr()
+        ok = "per_task.parallel_place.collision_rate<=1.0"
+        code = cli.main(["evaluate", "--config", str(cfg), "--mode", mode,
+                         "--assert", ok, "--assert", expr])
+        assert code == 3, expr
+        path = expr.partition("<=" if "<=" in expr else ">=")[0]
+        assert f"assertion failed: unknown metric path {path!r}" in capsys.readouterr().err
         assert not (tmp_path / "logs").exists() and not (tmp_path / "rep.json").exists()
 
 

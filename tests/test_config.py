@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from riskgate import cli
 from riskgate import config as cf
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
@@ -130,6 +131,32 @@ def test_semantic_validation():
         cf.config_from_dict(json.loads('{"tasks": {"success_tolerance": NaN}}'))
 
 
+NON_FINITE = (("gate", "d0", float("nan")), ("gate", "d0", float("inf")),
+              ("gate", "d0", -float("inf")), ("gate", "r_sat", float("nan")),
+              ("gate", "alpha", float("inf")), ("gate", "beta", float("inf")),
+              ("gate", "lambda_reg", float("inf")),
+              ("estimator", "lambda_bce", float("nan")), ("estimator", "lambda_bce", -1.0),
+              ("estimator", "lambda_d", float("nan")), ("estimator", "lambda_d", -1.0),
+              ("estimator", "lambda_ttc", float("nan")), ("estimator", "lambda_ttc", -0.5),
+              ("datagen", "d_thresh", float("nan")))
+
+
+@pytest.mark.parametrize("section,key,value", NON_FINITE)
+def test_non_finite_gate_loss_and_label_settings(section, key, value, tmp_path, capsys):
+    """A gate, loss-weight or near-miss setting that is NaN, infinite or a
+    negative weight is a config error (exit 1) naming the key; zero loss
+    weights and an infinite r_sat (no halting) still load."""
+    with pytest.raises(cf.ConfigError, match=key):
+        cf.config_from_dict({section: {key: value}})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    assert cli.main(["gen-data", "--config", str(path)]) == 1
+    assert key in capsys.readouterr().err
+    cfg = cf.config_from_dict({"estimator": {"lambda_bce": 0, "lambda_d": 0.0, "lambda_ttc": 0},
+                               "gate": {"r_sat": float("inf")}})
+    assert cfg.estimator_train_config().lambda_d == 0.0
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(cf.ConfigError, match="not found"):
         cf.load_config(tmp_path / "missing.json")
@@ -147,7 +174,6 @@ def test_world_values_from_json_text_are_checked(tmp_path, capsys):
     """json reads NaN and Infinity literals; a world value that would make
     every clearance or step meaningless is a config error (exit 1) whose
     message names the key, while zero inflation and grasp size pass."""
-    from riskgate import cli
     for text, key in (('{"mu": NaN}', "mu"), ('{"inflation": -0.05}', "inflation"),
                       ('{"a_max": Infinity}', "a_max")):
         path = tmp_path / "cfg.json"

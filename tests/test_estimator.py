@@ -183,7 +183,8 @@ def test_plan_only_backward_matches_full_backward(tiny_data):
     zero = np.zeros(n)
     for ups in ((np.ones(n), zero, zero), tuple(rng.normal(size=(3, n)))):
         _, full = est._backward_batch(params, cache, *ups)
-        plan_only, _ = est._plan_backward(params, cache, *ups)
+        plan_only, _ = est._plan_backward(params, cache,
+                                          est._trunk_upstream(params, cache, *ups)[0])
         assert_array_equal(plan_only.view(np.uint64), full.view(np.uint64))
 
 
@@ -430,6 +431,25 @@ def test_grouped_predict_risk_equals_one_call_per_group(groups):
             assert_array_equal(bits(grads[e, 0]), bits(est.risk_plan_gradient(params, one)))
 
 
+def test_plan_gradient_skips_the_zero_upstream_heads(trained_tiny):
+    """risk_plan_gradient, which feeds w_risk straight to the trunk, gives
+    the bits of the path that also runs the distance and TTC heads with
+    zero upstream, on (H, 4), (E, 1, H, 4) and (E, N, H, 4) plans."""
+    params = trained_tiny
+    rng = np.random.default_rng(61)
+    for lead in ((), (3, 1), (3, 8)):
+        proprio = rng.normal(size=(*lead, est.PROPRIO_DIM))
+        z = rng.normal(size=(*lead, est.VISION_DIM))
+        plans = rng.uniform(-0.02, 0.02, size=(*lead, 5, 4))
+        pred = est.predict_risk(params, proprio, z, plans)
+        ups = np.ones(lead or (1,)), np.zeros(lead or (1,)), np.zeros(lead or (1,))
+        old, _ = est._plan_backward(params, pred.cache,
+                                    est._trunk_upstream(params, pred.cache, *ups)[0])
+        got = est.risk_plan_gradient(params, pred)
+        assert got.shape == plans.shape
+        assert_array_equal(bits(got), bits(old.reshape(plans.shape)))
+
+
 @pytest.mark.parametrize("b", [1, 8])
 def test_unmasked_forward_equals_all_ones_mask(b):
     """mask=None, the inference forward, and the plan gradient taken on its
@@ -447,7 +467,7 @@ def test_unmasked_forward_equals_all_ones_mask(b):
             assert_array_equal(bits(got), bits(want))
         ups = (np.ones(b), np.zeros(b), np.zeros(b))
         _, want = est._backward_batch(params, m_cache, *ups)
-        got, _ = est._plan_backward(params, u_cache, *ups)
+        got, _ = est._plan_backward(params, u_cache, est._trunk_upstream(params, u_cache, *ups)[0])
         assert_array_equal(bits(got), bits(want))
         if b == 1:
             pred = est.predict_risk(params, proprio[0], z[0], plan[0])

@@ -1,8 +1,9 @@
 """Module boundaries: no riskgate module reads another riskgate module's
 private (underscore) names, whether through a module alias or an import,
 the modules import each other without a cycle, the runtime imports
-nothing beyond the standard library and numpy, and every compact JSON
-writer goes through json's C encoder."""
+nothing beyond the standard library and numpy, every compact JSON
+writer goes through json's C encoder, and every eval config key is read
+by the program."""
 
 import ast
 import pathlib
@@ -189,3 +190,44 @@ def test_compact_json_writers_use_the_c_encoder():
              for path in sorted(SRC.glob("*.py"))
              for line in streamed_json_dumps(path.read_text())]
     assert found == []
+
+
+# Eval keys that still load, for configs that set them, but drive nothing:
+# estimator.latency summarizes the logged step latencies since the synthetic
+# timing loop they sized was deleted. ROADMAP item 6 deletes them with the
+# perfbench configs that set them.
+INERT_EVAL_KEYS = ("latency_trials", "latency_warmup")
+
+
+def unread_eval_keys(sources):
+    """Fields of EvalSection in sources["config"] that no other module of
+    sources ({module: source}) reads as `<expr>.eval.<key>`, less
+    INERT_EVAL_KEYS."""
+    section = next(node for node in ast.walk(ast.parse(sources["config"]))
+                   if isinstance(node, ast.ClassDef) and node.name == "EvalSection")
+    keys = [node.target.id for node in section.body if isinstance(node, ast.AnnAssign)]
+    read = {node.attr
+            for module, source in sources.items() if module != "config"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "eval"}
+    return [k for k in keys if k not in read and k not in INERT_EVAL_KEYS]
+
+
+def test_unread_eval_key_checker():
+    sources = {"config": ("class EvalSection:\n"
+                          "    mode: str = 'gated'\n"
+                          "    H: int = 5\n"
+                          "    workers: int = 1\n"
+                          "    latency_trials: int = 1000\n"
+                          "def check(cfg):\n"
+                          "    return cfg.eval.workers >= 1\n"),
+               "harness": "def f(cfg):\n    return cfg.eval.mode, cfg.eval_H, eval.H\n"}
+    assert unread_eval_keys(sources) == ["H", "workers"]
+    sources["cli"] = "def g(args, cfg):\n    return args.H or cfg.eval.H\n"
+    assert unread_eval_keys(sources) == ["workers"]
+
+
+def test_every_eval_key_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_eval_keys(sources) == []
