@@ -188,6 +188,8 @@ def _cmd_post_train(cfg: cf.RunConfig, args) -> None:
 
 
 def _cmd_run(cfg: cf.RunConfig, args) -> None:
+    if args.index < 0:
+        raise cf.ConfigError(f"--index must be a non-negative integer, got {args.index}")
     setup = hn.prepare_setup(cfg, args.mode)
     seed = hn.episode_seed(cfg.seed, args.task, args.index)
     log = hn.run_episodes(setup, [(args.task, seed)])[0]
@@ -311,6 +313,8 @@ def main(argv=None) -> int:
     try:
         cfg = cf.load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise cf.ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
             cfg.seed = args.seed
         _COMMANDS[args.command](cfg, args)
     except cf.ConfigError as e:

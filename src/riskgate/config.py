@@ -178,8 +178,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"tasks.ids must not repeat a task, got {cfg.tasks.ids}")
     if cfg.eval.n_candidates < 1:
         raise ConfigError("eval.n_candidates must be >= 1")
-    if not cfg.eval.sigma_a >= 0:
-        raise ConfigError(f"eval.sigma_a must be >= 0, got {cfg.eval.sigma_a}")
+    if not 0.0 <= cfg.eval.sigma_a < math.inf:
+        raise ConfigError(f"eval.sigma_a must be finite and >= 0, got {cfg.eval.sigma_a}")
     if cfg.eval.latency_trials < 1:
         raise ConfigError("eval.latency_trials must be >= 1")
     if cfg.eval.latency_warmup < 0:
@@ -216,8 +216,8 @@ def config_from_dict(obj: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     seed = obj.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     kwargs = {"seed": seed}
     for name, cls in _SECTIONS.items():
         if name in obj:

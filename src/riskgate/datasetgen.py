@@ -173,8 +173,8 @@ class DatagenConfig:
             raise ValueError("horizons must be a non-empty list of ints >= 1")
         if self.episodes_per_task < 1:
             raise ValueError(f"episodes_per_task must be >= 1, got {self.episodes_per_task}")
-        if not self.sigma_a >= 0:
-            raise ValueError(f"sigma_a must be >= 0, got {self.sigma_a}")
+        if not 0 <= self.sigma_a < np.inf:  # NaN fails too
+            raise ValueError(f"sigma_a must be finite and >= 0, got {self.sigma_a}")
         if not np.isfinite(self.d_thresh):
             raise ValueError(f"d_thresh must be finite, got {self.d_thresh}")
         if not self.tasks:

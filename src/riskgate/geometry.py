@@ -173,9 +173,15 @@ def forward_kinematics(arm: ArmModel, q: np.ndarray):
     """
     q = np.asarray(q, dtype=float)
     pts, angles = joint_origins(arm, q)
+    check_joint_limits(arm, q)
+    return link_segments(pts), pts[..., -1, :].copy(), angles[..., -1]
+
+
+def check_joint_limits(arm: ArmModel, q: np.ndarray) -> None:
+    """Raise JointLimitError if some joint angle of q (..., n), or of q
+    (..., k, n) for stacked arms, lies outside its joint limits."""
     if np.any(q < arm.joint_limits[..., 0]) or np.any(q > arm.joint_limits[..., 1]):
         raise JointLimitError(f"joint vector {q} violates limits {arm.joint_limits.tolist()}")
-    return link_segments(pts), pts[..., -1, :].copy(), angles[..., -1]
 
 
 def _origins_jacobian(origins: np.ndarray) -> np.ndarray:

@@ -83,8 +83,9 @@ class EvalSetup:
 
 def _state_digests(state: wd.DualArmState) -> list:
     """Digest of each row of a batched state."""
-    payload = np.concatenate([state.q_left, state.q_right, state.g_left[:, None],
-                              state.g_right[:, None], state.t[:, None].astype(float)], axis=1)
+    n = len(state.t)
+    payload = np.concatenate([state.q.reshape(n, -1), state.g, state.t[:, None].astype(float)],
+                             axis=1)
     return [hashlib.sha256(row.tobytes()).hexdigest()[:16] for row in payload]
 
 
@@ -257,7 +258,7 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
             if not halted and collectors[i] is not None:
                 collectors[i].append(pol.DemoRecord(
                     proprio=proprio[j], z=z[j],
-                    goals=np.concatenate([task.goal_left[j], task.goal_right[j]]),
+                    goals=task.goal[j].reshape(4),
                     action=actions[j], plan=plans[j].copy(), label=labels[j],
                     risk=0.0 if r_hats[j] is None else r_hats[j],
                     corrected=(decisions[j] == sg.BLOCK)))

@@ -27,9 +27,8 @@ POLICY_OUT = 4
 
 
 def _expert_action_row(state: wd.DualArmState, task: wd.Task, a_max: float) -> np.ndarray:
-    dx_l = np.clip(K_P * (task.goal_left - state.ee_left), -a_max, a_max)
-    dx_r = np.clip(K_P * (task.goal_right - state.ee_right), -a_max, a_max)
-    return np.concatenate([dx_l, dx_r], axis=-1)
+    dx = np.clip(K_P * (task.goal - state.ee), -a_max, a_max)
+    return dx.reshape(*dx.shape[:-2], 4)
 
 
 def scripted_expert(state: wd.DualArmState, task: wd.Task, horizon: int,
@@ -113,7 +112,7 @@ def policy_plan(params: PolicyParams, state: wd.DualArmState, task: wd.Task,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    goals = np.concatenate([task.goal_left, task.goal_right], axis=-1)
+    goals = task.goal.reshape(*task.goal.shape[:-2], 4)
     rows = []
     cur = state
     for i in range(horizon):
@@ -184,7 +183,7 @@ def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
         plans, _ = scripted_expert(state, task, horizon, cfg)
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, cfg.noise_sigma, [rngs[i] for i in live])
-        goals = np.concatenate([task.goal_left, task.goal_right], axis=-1)
+        goals = task.goal.reshape(len(live), 4)
         labels = wd.rollout_batch(state, plans, cfg)
         executed = plans[:, 0]
         for j, i in enumerate(live):

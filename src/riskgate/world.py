@@ -14,13 +14,15 @@ single state is the same call without the axis. The kernels give each row
 the same bits at any batch size. `lockstep` drives episodes this way: it
 resets and stacks them, steps them together and drops each as it ends.
 
-Two kernels do the oracle's work. `_advance` moves both arms one control
-period in one kinematics call, over an arm axis of size 2 (see
-`geometry.stack_arms`); `_clearance` measures capsule clearance over any
-leading batch shape. `rollout_clearance` first advances all H steps of all
-N plans, since a configuration never depends on clearance, and then makes
-one clearance pass over the (H, N) configurations; `label_rollouts` turns
-those clearances into labels, and `rollout_batch` is the two together.
+A state and a task hold both arms on one arm axis of size 2, left arm
+first, the axis `geometry.stack_arms` gives `WorldConfig.arms`. Two
+kernels do the oracle's work over it. `_advance` moves both arms one
+control period in one kinematics call; `_clearance` measures capsule
+clearance over any leading batch shape. `rollout_clearance` first
+advances all H steps of all N plans, since a configuration never depends
+on clearance, and then makes one clearance pass over the (H, N)
+configurations; `label_rollouts` turns those clearances into labels, and
+`rollout_batch` is the two together.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (ArmModel, default_arm, dls_ik_step, forward_kinematics, joint_origins,
+from .geometry import (ArmModel, check_joint_limits, default_arm, dls_ik_step, joint_origins,
                        link_segments, segment_pairs_distance, stack_arms)
 
 TASK_IDS = ("crossing_transfer", "parallel_place")
@@ -71,10 +73,6 @@ class WorldConfig:
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
-    @property
-    def dof(self) -> int:
-        return self.arm_left.dof + self.arm_right.dof
-
     @cached_property
     def arms(self) -> ArmModel:
         """Both arms stacked on an arm axis, left then right."""
@@ -93,29 +91,30 @@ def default_world(**overrides) -> WorldConfig:
 class DualArmState:
     """Joint state of both arms with cached forward kinematics.
 
-    The cached EE poses and link segments always equal the forward
-    kinematics of q_left/q_right; use `make_state` (or `step`) so the caches
-    are rebuilt on every change. In a batch (`stack_states`) every field but
-    the holding flags carries a leading batch axis; the flags fix how many
-    capsules each side has, so all rows share them.
+    Every per-arm value sits on an arm axis of size 2, left arm first, as
+    in `WorldConfig.arms`: q (..., 2, n), grippers g (..., 2), joint
+    origins (..., 2, n+1, 2) and EE headings (..., 2). The cached origins
+    and headings always equal the forward kinematics of q; use
+    `make_state` (or `step`) so the caches are rebuilt on every change. In
+    a batch (`stack_states`) every field but the holding flags carries a
+    leading batch axis; the flags fix how many capsules each side has, so
+    all rows share them.
     """
 
-    q_left: np.ndarray
-    q_right: np.ndarray
-    g_left: float
-    g_right: float
-    holding_left: bool
-    holding_right: bool
+    q: np.ndarray
+    g: np.ndarray
+    holding: tuple  # (left, right)
     t: int
-    ee_left: np.ndarray
-    ee_right: np.ndarray
-    heading_left: float
-    heading_right: float
-    segs_left: np.ndarray   # (n, 2, 2)
-    segs_right: np.ndarray
+    origins: np.ndarray
+    heading: np.ndarray
+
+    @property
+    def ee(self) -> np.ndarray:
+        """EE positions (..., 2, 2), left arm first."""
+        return self.origins[..., -1, :]
 
 
-_SHARED = ("holding_left", "holding_right")
+_SHARED = ("holding",)
 
 
 def _stack(items):
@@ -127,7 +126,7 @@ def _stack(items):
 def stack_states(states) -> DualArmState:
     """One state whose row i is states[i]. Raises ValueError unless all
     states share their holding flags."""
-    if len({(s.holding_left, s.holding_right) for s in states}) != 1:
+    if len({s.holding for s in states}) != 1:
         raise ValueError("states in one batch must share their holding flags")
     return _stack(states)
 
@@ -178,30 +177,21 @@ def make_state(
     t: int = 0,
 ) -> DualArmState:
     """Build a state with fresh kinematic caches (joint limits enforced)."""
-    q_left = np.asarray(q_left, dtype=float)
-    q_right = np.asarray(q_right, dtype=float)
-    segs_l, ee_l, head_l = forward_kinematics(cfg.arm_left, q_left)
-    segs_r, ee_r, head_r = forward_kinematics(cfg.arm_right, q_right)
-    return DualArmState(
-        q_left=q_left, q_right=q_right,
-        g_left=float(g_left), g_right=float(g_right),
-        holding_left=holding_left, holding_right=holding_right,
-        t=t,
-        ee_left=ee_l, ee_right=ee_r,
-        heading_left=float(head_l), heading_right=float(head_r),
-        segs_left=segs_l, segs_right=segs_r,
-    )
+    q = np.stack([np.asarray(q_left, dtype=float), np.asarray(q_right, dtype=float)], axis=-2)
+    origins, angles = joint_origins(cfg.arms, q)
+    check_joint_limits(cfg.arms, q)
+    return DualArmState(q=q, g=np.array([g_left, g_right], dtype=float),
+                        holding=(bool(holding_left), bool(holding_right)), t=t,
+                        origins=origins, heading=angles[..., -1])
 
 
 @dataclass(frozen=True)
 class Task:
-    id: str
-    goal_left: np.ndarray
-    goal_right: np.ndarray
-    start_q_left: np.ndarray
-    start_q_right: np.ndarray
+    """Goal EE positions (..., 2, 2), left arm first, and the distance
+    within which each EE counts as at its goal."""
+
+    goal: np.ndarray
     success_tolerance: float
-    max_steps: int
 
 
 @dataclass(frozen=True)
@@ -229,15 +219,17 @@ def _side_capsules(segs, ee, heading, radii, holding: bool, cfg: WorldConfig):
     return np.concatenate([segs, grasp], axis=-3), np.append(radii, cfg.grasp_radius)
 
 
-def _clearance(cfg: WorldConfig, holding_left: bool, holding_right: bool,
-               left: tuple, right: tuple) -> np.ndarray:
+def _clearance(cfg: WorldConfig, holding: tuple, origins, heading) -> np.ndarray:
     """Minimum inflated capsule clearance per configuration.
 
-    left and right are each arm's (segs (..., n, 2, 2), ee (..., 2),
-    heading (...)); the result has the leading shape (...).
+    origins (..., 2, n+1, 2) and heading (..., 2) are both arms' joint
+    origins and EE headings, left arm first; the result has the leading
+    shape (...).
     """
-    segs_l, rad_l = _side_capsules(*left, cfg.arm_left.link_radii, holding_left, cfg)
-    segs_r, rad_r = _side_capsules(*right, cfg.arm_right.link_radii, holding_right, cfg)
+    segs, ee, radii = link_segments(origins), origins[..., -1, :], cfg.arms.link_radii
+    (segs_l, rad_l), (segs_r, rad_r) = (
+        _side_capsules(segs[..., k, :, :, :], ee[..., k, :], heading[..., k], radii[k],
+                       holding[k], cfg) for k in (0, 1))
     nl, nr = segs_l.shape[-3], segs_r.shape[-3]
     il, ir = np.repeat(np.arange(nl), nr), np.tile(np.arange(nr), nl)
     best = _pair_clearance(segs_l, rad_l, il, segs_r, rad_r, ir, cfg.inflation)
@@ -268,9 +260,7 @@ def min_self_distance(state: DualArmState, cfg: WorldConfig):
     between non-adjacent links of one arm join the enumeration only when
     cfg.include_intra_arm is set. Each capsule grows by cfg.inflation.
     """
-    d = _clearance(cfg, state.holding_left, state.holding_right,
-                   (state.segs_left, state.ee_left, state.heading_left),
-                   (state.segs_right, state.ee_right, state.heading_right))
+    d = _clearance(cfg, state.holding, state.origins, state.heading)
     return float(d) if d.ndim == 0 else d
 
 
@@ -287,16 +277,6 @@ def _advance(cfg: WorldConfig, q, origins, dx):
     return (q, *joint_origins(arms, q))
 
 
-def _state_arrays(state: DualArmState) -> tuple[np.ndarray, np.ndarray]:
-    """The state's joint vectors (..., 2, n) and joint origins (..., 2, n+1, 2),
-    the origins recovered from the cached link segments and EE."""
-    *batch, n = state.q_left.shape
-    q = np.concatenate([state.q_left, state.q_right], axis=-1)
-    pts = np.concatenate([state.segs_left[..., 0, :], state.ee_left[..., None, :],
-                          state.segs_right[..., 0, :], state.ee_right[..., None, :]], axis=-2)
-    return q.reshape(*batch, 2, n), pts.reshape(*batch, 2, n + 1, 2)
-
-
 def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
     """Advance one control period: DLS increment per arm, clip to limits.
 
@@ -306,18 +286,12 @@ def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
     cached kinematics.
     """
     action = np.asarray(action, dtype=float)
-    batch = state.q_left.shape[:-1]
+    batch = state.q.shape[:-2]
     if action.shape != (*batch, 4):
         raise ValueError(f"action must have shape {(*batch, 4)}, one row per state, "
                          f"got {action.shape}")
-    q, pts, ang = _advance(cfg, *_state_arrays(state), action.reshape(*batch, 2, 2))
-    segs = link_segments(pts)
-    return replace(
-        state, q_left=q[..., 0, :], q_right=q[..., 1, :], t=state.t + 1,
-        ee_left=pts[..., 0, -1, :], ee_right=pts[..., 1, -1, :],
-        heading_left=ang[..., 0, -1], heading_right=ang[..., 1, -1],
-        segs_left=segs[..., 0, :, :, :], segs_right=segs[..., 1, :, :, :],
-    )
+    q, origins, ang = _advance(cfg, state.q, state.origins, action.reshape(*batch, 2, 2))
+    return replace(state, q=q, t=state.t + 1, origins=origins, heading=ang[..., -1])
 
 
 def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig) -> np.ndarray:
@@ -334,21 +308,18 @@ def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig) -> np.ndarra
     if plans.ndim != 3 or plans.shape[2] != 4 or plans.shape[0] < 1 or plans.shape[1] < 1:
         raise ValueError(f"plans must be (N, H, 4) with N, H >= 1, got {plans.shape}")
     n, horizon = plans.shape[:2]
-    q, pts = _state_arrays(state)
-    if q.shape[:-2] not in ((), (n,)):
-        raise ValueError(f"state batch shape {q.shape[:-2]} must be () or ({n},) for {n} plans")
-    q = np.broadcast_to(q, (n, *q.shape[-2:]))
-    pts = np.broadcast_to(pts, (n, *pts.shape[-3:]))
+    batch = state.q.shape[:-2]
+    if batch not in ((), (n,)):
+        raise ValueError(f"state batch shape {batch} must be () or ({n},) for {n} plans")
+    q = np.broadcast_to(state.q, (n, *state.q.shape[-2:]))
+    pts = np.broadcast_to(state.origins, (n, *state.origins.shape[-3:]))
     dx = plans.reshape(n, horizon, 2, 2)
     traj = np.empty((horizon, *pts.shape))   # (H, N, 2, n_joints + 1, 2)
     heading = np.empty((horizon, n, 2))
     for i in range(horizon):
         q, pts, ang = _advance(cfg, q, pts, dx[:, i])
         traj[i], heading[i] = pts, ang[..., -1]
-    segs = link_segments(traj)
-    return _clearance(cfg, state.holding_left, state.holding_right,
-                      (segs[:, :, 0], traj[:, :, 0, -1], heading[:, :, 0]),
-                      (segs[:, :, 1], traj[:, :, 1, -1], heading[:, :, 1]))
+    return _clearance(cfg, state.holding, traj, heading)
 
 
 def label_rollouts(d, dt: float, horizons=None) -> list[RolloutOutcome]:
@@ -398,14 +369,11 @@ def scene_feature(state: DualArmState, task: Task, noise_sigma: float = 0.0,
     position entries only. A batched state and task give one row each, and
     rng is then a sequence of one generator per row.
     """
-    batch = state.ee_left.shape[:-1]
+    batch = state.q.shape[:-2]
     z = np.empty((*batch, 10))
-    z[..., 0:2] = state.ee_left
-    z[..., 2:4] = state.ee_right
-    z[..., 4:6] = task.goal_left
-    z[..., 6:8] = task.goal_right
-    z[..., 8] = float(state.holding_left)
-    z[..., 9] = float(state.holding_right)
+    z[..., 0:4] = state.ee.reshape(*batch, 4)
+    z[..., 4:8] = task.goal.reshape(*batch, 4)
+    z[..., 8:] = state.holding
     if noise_sigma > 0:
         for row, gen in zip(z.reshape(-1, z.shape[-1]), rng if batch else (rng,), strict=True):
             row[:8] += gen.normal(0.0, noise_sigma, size=8)
@@ -415,12 +383,11 @@ def scene_feature(state: DualArmState, task: Task, noise_sigma: float = 0.0,
 def proprio_feature(state: DualArmState) -> np.ndarray:
     """14-dim proprioception: interleaved sin/cos of the 6 joints + grippers,
     one row per row of a batched state."""
-    q = np.concatenate([state.q_left, state.q_right], axis=-1)
+    q = state.q.reshape(*state.q.shape[:-2], -1)
     out = np.empty((*q.shape[:-1], 2 * q.shape[-1] + 2))
     out[..., 0:-2:2] = np.sin(q)
     out[..., 1:-2:2] = np.cos(q)
-    out[..., -2] = state.g_left
-    out[..., -1] = state.g_right
+    out[..., -2:] = state.g
     return out
 
 
@@ -481,12 +448,8 @@ def task_init(task_id: str, seed: int, cfg: WorldConfig,
         q_r = mean + rng.uniform(-params.start_q_jitter, params.start_q_jitter, size=mean.shape)
         state = make_state(cfg, q_l, q_r)
         if min_self_distance(state, cfg) >= params.min_start_clearance:
-            task = Task(
-                id=task_id, goal_left=goal_l, goal_right=goal_r,
-                start_q_left=q_l, start_q_right=q_r,
-                success_tolerance=params.success_tolerance, max_steps=params.max_steps,
-            )
-            return state, task
+            return state, Task(goal=np.stack([goal_l, goal_r]),
+                               success_tolerance=params.success_tolerance)
     raise RuntimeError(
         f"task_init({task_id!r}, seed={seed}): no clear start in {params.max_reset_draws} draws"
     )
@@ -514,11 +477,9 @@ def _within(ee, goal, tol):
     return np.sqrt(np.vecdot(d, d)) <= tol
 
 
-def success_check(state: DualArmState, task: Task, collided: bool = False):
-    """True iff both EEs sit within tolerance of their goals and the episode
-    never collided (collision is a terminal failure). A batched state and
-    task give one bool per row."""
-    tol = task.success_tolerance
-    ok = (_within(state.ee_left, task.goal_left, tol)
-          & _within(state.ee_right, task.goal_right, tol) & (not collided))
+def success_check(state: DualArmState, task: Task):
+    """True iff both EEs sit within tolerance of their goals. A batched
+    state and task give one bool per row."""
+    tol = np.asarray(task.success_tolerance)[..., None]
+    ok = _within(state.ee, task.goal, tol).all(axis=-1)
     return bool(ok) if ok.ndim == 0 else ok

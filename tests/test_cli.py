@@ -201,6 +201,23 @@ def test_exit_code_1_on_config_errors(tmp_path):
     assert cli.main(["roc-tune", "--config", str(cfg)]) == 1
 
 
+def test_negative_seed_or_index_is_a_config_error(tmp_path, capsys):
+    """A negative seed, in the config or as --seed, and a negative run
+    --index each exit 1 naming the setting, before any stage runs."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"datagen": {"out_dir": str(tmp_path / "data")}}))
+    bad.write_text(json.dumps({"seed": -3, "datagen": {"out_dir": str(tmp_path / "data")}}))
+    for argv, name in ((["gen-data", "--config", str(bad)], "seed"),
+                       (["gen-data", "--config", str(good), "--seed", "-3"], "--seed"),
+                       (["run", "--config", str(good), "--task", "parallel_place",
+                         "--index", "-1"], "--index")):
+        capsys.readouterr()
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and name in err, (argv, err)
+    assert not (tmp_path / "data").exists()
+
+
 def test_bad_thresholds_file_is_a_config_error(micro_run, tmp_path, capsys):
     """A thresholds file that is not JSON, not an object, or lacks a
     numeric tau makes gated evaluate exit 1 naming the file and the key;

@@ -63,7 +63,8 @@ def test_type_rules():
                 {"datagen": {"horizons": [True]}},
                 {"datagen": {"horizons": ["a"]}},
                 {"seed": "zero"},
-                {"seed": True}):
+                {"seed": True},
+                {"seed": -3}):
         with pytest.raises(cf.ConfigError):
             cf.config_from_dict(bad)
 
@@ -138,7 +139,8 @@ NON_FINITE = (("gate", "d0", float("nan")), ("gate", "d0", float("inf")),
               ("estimator", "lambda_bce", float("nan")), ("estimator", "lambda_bce", -1.0),
               ("estimator", "lambda_d", float("nan")), ("estimator", "lambda_d", -1.0),
               ("estimator", "lambda_ttc", float("nan")), ("estimator", "lambda_ttc", -0.5),
-              ("datagen", "d_thresh", float("nan")))
+              ("datagen", "d_thresh", float("nan")),
+              ("datagen", "sigma_a", float("inf")), ("eval", "sigma_a", float("inf")))
 
 
 @pytest.mark.parametrize("section,key,value", NON_FINITE)

@@ -314,7 +314,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         dg.DatagenConfig(tasks=("bogus",))
     for bad in ({"tasks": ()}, {"episodes_per_task": 0}, {"sigma_a": -0.01},
-                {"sigma_a": float("nan")}):
+                {"sigma_a": float("nan")}, {"sigma_a": float("inf")}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             dg.DatagenConfig(**bad)
 
@@ -334,7 +334,7 @@ def one_episode_at_a_time(gen_cfg, world_cfg, task_params):
             noise, jitter = (np.random.default_rng(np.random.SeedSequence(
                 [gen_cfg.seed, tidx, seed, k])) for k in (1, 2))
             ending = "budget"
-            for t in range(task.max_steps):
+            for t in range(task_params.max_steps):
                 nominal, _ = pol.scripted_expert(state, task, h, world_cfg)
                 cands = dg.sample_candidates(nominal, gen_cfg.n_candidates, gen_cfg.sigma_a,
                                              jitter, world_cfg.a_max)

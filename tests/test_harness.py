@@ -294,13 +294,13 @@ def one_episode_at_a_time(setup, task_id, seed, collector):
     state, task = wd.task_init(task_id, seed, wcfg, setup.task_params)
     noise, jitter = (np.random.default_rng(np.random.SeedSequence(
         [setup.seed, wd.task_index(task_id), seed, k])) for k in (101, 102))
-    goals = np.concatenate([task.goal_left, task.goal_right])
+    goals = task.goal.ravel()
     gate = sg.GateState()
     log = hn.EpisodeLog(task_id=task_id, seed=seed, mode=setup.mode, steps=[])
     ending = "budget"
-    for t in range(task.max_steps):
+    for t in range(setup.task_params.max_steps):
         digest = hashlib.sha256(np.concatenate(
-            [state.q_left, state.q_right, [state.g_left, state.g_right, float(state.t)]]
+            [state.q[0], state.q[1], [state.g[0], state.g[1], float(state.t)]]
         ).tobytes()).hexdigest()[:16]
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, wcfg.noise_sigma, noise)

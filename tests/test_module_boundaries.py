@@ -2,8 +2,8 @@
 private (underscore) names, whether through a module alias or an import,
 the modules import each other without a cycle, the runtime imports
 nothing beyond the standard library and numpy, every compact JSON
-writer goes through json's C encoder, and every eval config key is read
-by the program."""
+writer goes through json's C encoder, and every eval config key and every
+field of the world state and task is read by the program."""
 
 import ast
 import pathlib
@@ -231,3 +231,55 @@ def test_unread_eval_key_checker():
 def test_every_eval_key_is_read():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_eval_keys(sources) == []
+
+
+def unread_fields(sources, classes=("DualArmState", "Task")):
+    """`Class.field` for each field of the named classes in sources["world"]
+    that no function of sources ({module: source}) reads as
+    `<param>.<field>`, where the parameter is annotated with that class.
+
+    Only reads through such a parameter count, so a same-named field of
+    another class (`TaskParams.max_steps` beside `Task.max_steps`) does
+    not hide an unread one.
+    """
+    fields = {node.name: [f.target.id for f in node.body if isinstance(f, ast.AnnAssign)]
+              for node in ast.walk(ast.parse(sources["world"]))
+              if isinstance(node, ast.ClassDef) and node.name in classes}
+    read = set()
+    for source in sources.values():
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            typed = {}
+            for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs:
+                ann = arg.annotation
+                cls = ann.attr if isinstance(ann, ast.Attribute) else getattr(ann, "id", None)
+                if cls in fields:
+                    typed[arg.arg] = cls
+            read.update((typed[node.value.id], node.attr) for node in ast.walk(fn)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name) and node.value.id in typed)
+    return [f"{cls}.{name}" for cls, names in fields.items() for name in names
+            if (cls, name) not in read]
+
+
+def test_unread_field_checker():
+    sources = {"world": ("class DualArmState:\n"
+                         "    q: object\n"
+                         "    t: int\n"
+                         "class Task:\n"
+                         "    goal: object\n"
+                         "    max_steps: int\n"
+                         "class TaskParams:\n"
+                         "    max_steps: int\n"
+                         "def step(state: DualArmState, params: TaskParams):\n"
+                         "    return state.q, params.max_steps\n"),
+               "policy": "def plan(state, task: wd.Task):\n    return task.goal, state.t\n"}
+    assert unread_fields(sources) == ["DualArmState.t", "Task.max_steps"]
+    sources["harness"] = "def digest(state: wd.DualArmState):\n    return state.t\n"
+    assert unread_fields(sources) == ["Task.max_steps"]
+
+
+def test_every_state_and_task_field_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_fields(sources) == []

@@ -27,8 +27,8 @@ def test_scripted_expert_matches_proportional_law(world_cfg, task_params):
     plan, reached = pol.scripted_expert(state, task, 4, world_cfg)
     assert plan.shape == (4, 4)
     first = np.concatenate([
-        np.clip(pol.K_P * (task.goal_left - state.ee_left), -0.02, 0.02),
-        np.clip(pol.K_P * (task.goal_right - state.ee_right), -0.02, 0.02),
+        np.clip(pol.K_P * (task.goal[0] - state.ee[0]), -0.02, 0.02),
+        np.clip(pol.K_P * (task.goal[1] - state.ee[1]), -0.02, 0.02),
     ])
     assert_allclose(plan[0], first, atol=1e-15)
     # row i is the proportional action at the state the plan itself reaches
@@ -40,7 +40,7 @@ def test_scripted_expert_matches_proportional_law(world_cfg, task_params):
     # the returned state is where the first row leads
     nxt = wd.step(state, plan[0], world_cfg)
     assert all(np.array_equal(getattr(reached, f), getattr(nxt, f))
-               for f in ("q_left", "q_right", "ee_left", "ee_right", "segs_left", "segs_right"))
+               for f in ("q", "g", "holding", "t", "origins", "heading"))
     with pytest.raises(ValueError):
         pol.scripted_expert(state, task, 0, world_cfg)
 
@@ -70,7 +70,7 @@ def test_policy_forward_stays_in_box(world_cfg, task_params):
 def network_row(params, state, task):
     """The network's action row at one state, from a (1, 28) input."""
     x = np.concatenate([wd.proprio_feature(state), wd.scene_feature(state, task),
-                        task.goal_left, task.goal_right])[None, :]
+                        task.goal.ravel()])[None, :]
     return pol._policy_forward_batch(params, x)[0][0]
 
 
@@ -139,9 +139,9 @@ def demos_one_episode_at_a_time(task_id, seeds, horizon, world_cfg, task_params,
     for seed in seeds:
         state, task = wd.task_init(task_id, seed, world_cfg, task_params)
         rng = np.random.default_rng(np.random.SeedSequence([wd.task_index(task_id), seed, 29]))
-        goals = np.concatenate([task.goal_left, task.goal_right])
+        goals = task.goal.ravel()
         ending = "budget"
-        for _ in range(task.max_steps):
+        for _ in range(task_params.max_steps):
             plan, _ = pol.scripted_expert(state, task, horizon, world_cfg)
             records.append(pol.DemoRecord(
                 proprio=wd.proprio_feature(state),

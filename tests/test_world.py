@@ -28,10 +28,10 @@ def enumerate_min_distance(state, cfg):
             caps.append((ee, tip, cfg.grasp_radius))
         return caps
 
-    left = side_capsules(state.segs_left, cfg.arm_left.link_radii,
-                         state.holding_left, state.ee_left, state.heading_left)
-    right = side_capsules(state.segs_right, cfg.arm_right.link_radii,
-                          state.holding_right, state.ee_right, state.heading_right)
+    segs = gm.link_segments(state.origins)
+    left, right = (side_capsules(segs[k], arm.link_radii, state.holding[k], state.ee[k],
+                                 state.heading[k])
+                   for k, arm in enumerate((cfg.arm_left, cfg.arm_right)))
     return min(float(gm.segment_pairs_distance(p0, p1, q0, q1)) - (ra + rb + 2.0 * cfg.inflation)
                for p0, p1, ra in left for q0, q1, rb in right)
 
@@ -103,12 +103,34 @@ def test_step_kinematics_and_limits(world_cfg):
     action = [1.0, 1.0, -1.0, 1.0]  # [dxL, dyL, dxR, dyR]
     nxt = wd.step(state, action, world_cfg)
     assert nxt.t == state.t + 1
-    assert np.all(np.abs(nxt.q_left - state.q_left) <= world_cfg.arm_left.joint_velocity_limit + 1e-15)
+    assert np.all(np.abs(nxt.q[0] - state.q[0]) <= world_cfg.arm_left.joint_velocity_limit + 1e-15)
     # caches stay consistent with the joint vector
-    segs, ee, heading = gm.forward_kinematics(world_cfg.arm_left, nxt.q_left)
-    assert_allclose(nxt.ee_left, ee, atol=1e-15)
-    assert_allclose(nxt.segs_left, segs, atol=1e-15)
-    assert nxt.heading_left == pytest.approx(heading)
+    segs, ee, heading = gm.forward_kinematics(world_cfg.arm_left, nxt.q[0])
+    assert_allclose(nxt.ee[0], ee, atol=1e-15)
+    assert_allclose(gm.link_segments(nxt.origins[0]), segs, atol=1e-15)
+    assert nxt.heading[0] == pytest.approx(heading)
+
+
+def test_make_state_matches_per_arm_forward_kinematics(world_cfg):
+    """`make_state` runs one kinematics call over the arm axis; its link
+    segments, EEs and headings equal, bit for bit, each arm's own
+    `forward_kinematics`. Either arm outside its joint limits raises."""
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        q_l, q_r = rng.uniform(-2.75, 2.75, 3), rng.uniform(-2.75, 2.75, 3)
+        g = rng.uniform(0.0, 1.0, 2)
+        state = wd.make_state(world_cfg, q_l, q_r, *g, holding_right=True, t=4)
+        assert state.q.shape == (2, 3) and state.origins.shape == (2, 4, 2)
+        assert np.array_equal(state.g, g) and state.holding == (False, True) and state.t == 4
+        for k, (arm, q) in enumerate(((world_cfg.arm_left, q_l), (world_cfg.arm_right, q_r))):
+            segs, ee, heading = gm.forward_kinematics(arm, q)
+            assert np.array_equal(state.q[k], q)
+            assert np.array_equal(gm.link_segments(state.origins[k]), segs)
+            assert np.array_equal(state.ee[k], ee) and state.heading[k] == heading
+    ok = [0.6, -0.4, -0.2]
+    for q_l, q_r in (([2.9, 0.0, 0.0], ok), (ok, [0.0, -2.81, 0.0])):
+        with pytest.raises(gm.JointLimitError):
+            wd.make_state(world_cfg, q_l, q_r)
 
 
 def test_step_matches_per_arm_reference(world_cfg):
@@ -121,16 +143,13 @@ def test_step_matches_per_arm_reference(world_cfg):
         state = wd.make_state(world_cfg, rng.uniform(-2.75, 2.75, 3), rng.uniform(-2.75, 2.75, 3))
         action = rng.uniform(-0.3, 0.3, 4)
         nxt = wd.step(state, action, world_cfg)
-        for arm, q, dx, q_new, ee, heading, segs in (
-                (world_cfg.arm_left, state.q_left, action[:2], nxt.q_left, nxt.ee_left,
-                 nxt.heading_left, nxt.segs_left),
-                (world_cfg.arm_right, state.q_right, action[2:], nxt.q_right, nxt.ee_right,
-                 nxt.heading_right, nxt.segs_right)):
+        for k, arm in enumerate((world_cfg.arm_left, world_cfg.arm_right)):
+            q, dx = state.q[k], action[2 * k:2 * k + 2]
             dq = gm.dls_ik_step(arm, gm.joint_origins(arm, q)[0], dx, world_cfg.mu)
             ref_q = np.clip(q + dq, arm.joint_limits[:, 0], arm.joint_limits[:, 1])
             pts, angles = gm.joint_origins(arm, ref_q)
-            assert np.array_equal(q_new, ref_q) and np.array_equal(ee, pts[-1])
-            assert heading == angles[-1] and np.array_equal(segs, gm.link_segments(pts))
+            assert np.array_equal(nxt.q[k], ref_q) and np.array_equal(nxt.origins[k], pts)
+            assert np.array_equal(nxt.ee[k], pts[-1]) and nxt.heading[k] == angles[-1]
             velocity_clipped += np.any(np.abs(dq) == arm.joint_velocity_limit)
             limit_clipped += np.any(ref_q != q + dq)
     assert velocity_clipped > 0 and limit_clipped > 0
@@ -275,12 +294,11 @@ def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
     from riskgate import policy as pol
     rng = np.random.default_rng(18)
     pairs = [wd.task_init(wd.TASK_IDS[i % 2], i, world_cfg, task_params) for i in range(7)]
-    pairs.append((pairs[0][0], replace(pairs[0][1], goal_left=pairs[0][0].ee_left,
-                                       goal_right=pairs[0][0].ee_right)))  # already at goal
+    pairs.append((pairs[0][0], replace(pairs[0][1], goal=pairs[0][0].ee)))  # already at goal
     states = [random_state(rng, world_cfg) for _ in range(4)] + [s for s, _ in pairs[4:]]
     tasks = [t for _, t in pairs]
     state, task = wd.stack_states(states), wd.stack_tasks(tasks)
-    assert state.q_left.shape == (8, 3) and task.goal_left.shape == (8, 2)
+    assert state.q.shape == (8, 2, 3) and task.goal.shape == (8, 2, 2)
     actions = rng.uniform(-0.3, 0.3, size=(8, 4))
     nxt = wd.step(state, actions, world_cfg)
     inflated = replace(world_cfg, inflation=0.01)
@@ -293,8 +311,7 @@ def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
     for i, (s, t) in enumerate(zip(states, tasks)):
         row = wd.take(nxt, i)
         ref = wd.step(s, actions[i], world_cfg)
-        for f in ("q_left", "q_right", "ee_left", "ee_right", "heading_left",
-                  "heading_right", "segs_left", "segs_right", "t"):
+        for f in ("q", "g", "holding", "t", "origins", "heading", "ee"):
             assert np.array_equal(getattr(row, f), getattr(ref, f)), f
         assert d[i] == wd.min_self_distance(s, inflated)
         assert np.array_equal(p[i], wd.proprio_feature(s))
@@ -302,11 +319,11 @@ def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
         assert ok[i] == wd.success_check(s, t)
         ref_plan, ref_reached = pol.scripted_expert(s, t, 4, world_cfg)
         assert np.array_equal(plan[i], ref_plan)
-        assert np.array_equal(wd.take(reached, i).q_left, ref_reached.q_left)
-        assert np.array_equal(wd.take(reached, i).q_right, ref_reached.q_right)
+        assert np.array_equal(wd.take(reached, i).q, ref_reached.q)
     # a mask keeps the batch axis
     kept = wd.take(task, np.arange(8) % 2 == 0)
-    assert kept.goal_left.shape == (4, 2) and list(kept.id) == [t.id for t in tasks[::2]]
+    assert kept.goal.shape == (4, 2, 2)
+    assert np.array_equal(kept.goal, np.stack([t.goal for t in tasks[::2]]))
     with pytest.raises(ValueError):
         wd.step(state, actions[0], world_cfg)
 
@@ -318,7 +335,7 @@ def test_batches_must_share_holding_flags(world_cfg):
     with pytest.raises(ValueError, match="holding"):
         wd.stack_states([a, b])
     with pytest.raises(ValueError, match="holding"):
-        wd.stack_states([a, replace(a, holding_right=False)])
+        wd.stack_states([a, replace(a, holding=(True, False))])
 
 
 def test_rollout_batch_per_row_states_and_horizons(world_cfg):
@@ -370,14 +387,14 @@ def test_task_init_deterministic_and_clear(world_cfg, task_params):
     for tid in wd.TASK_IDS:
         s1, t1 = wd.task_init(tid, 123, world_cfg, task_params)
         s2, t2 = wd.task_init(tid, 123, world_cfg, task_params)
-        assert_allclose(s1.q_left, s2.q_left)
-        assert_allclose(t1.goal_left, t2.goal_left)
+        assert_allclose(s1.q, s2.q)
+        assert_allclose(t1.goal, t2.goal)
         assert wd.min_self_distance(s1, world_cfg) >= task_params.min_start_clearance
     # crossing sends each EE to the opposite half-plane
     _, task = wd.task_init("crossing_transfer", 5, world_cfg, task_params)
-    assert task.goal_left[0] > 0 and task.goal_right[0] < 0
+    assert task.goal[0, 0] > 0 and task.goal[1, 0] < 0
     _, task = wd.task_init("parallel_place", 5, world_cfg, task_params)
-    assert task.goal_left[0] < 0 and task.goal_right[0] > 0
+    assert task.goal[0, 0] < 0 and task.goal[1, 0] > 0
 
 
 def test_task_init_rejects_unreachable_setup(world_cfg):
@@ -394,21 +411,20 @@ def test_success_check(world_cfg, task_params):
     # drive both EEs onto their goals with the oracle-free expert loop
     from riskgate import policy as pol
     cur = state
-    for _ in range(task.max_steps):
+    for _ in range(task_params.max_steps):
         plan, _ = pol.scripted_expert(cur, task, 1, world_cfg)
         cur = wd.step(cur, plan[0], world_cfg)
         if wd.success_check(cur, task):
             break
     assert wd.success_check(cur, task)
-    assert not wd.success_check(cur, task, collided=True)
 
 
 def test_scene_and_proprio_features(world_cfg, task_params):
     state, task = wd.task_init("crossing_transfer", 9, world_cfg, task_params)
     z = wd.scene_feature(state, task)
     assert z.shape == (10,)
-    assert_allclose(z[:2], state.ee_left)
-    assert_allclose(z[4:6], task.goal_left)
+    assert_allclose(z[:4], state.ee.ravel())
+    assert_allclose(z[4:8], task.goal.ravel())
     # same stream, same noise
     za = wd.scene_feature(state, task, 0.005, np.random.default_rng(1))
     zb = wd.scene_feature(state, task, 0.005, np.random.default_rng(1))
@@ -419,6 +435,6 @@ def test_scene_and_proprio_features(world_cfg, task_params):
 
     p = wd.proprio_feature(state)
     assert p.shape == (14,)
-    q = np.concatenate([state.q_left, state.q_right])
+    q = state.q.ravel()
     assert_allclose(p[0:12:2], np.sin(q))
     assert_allclose(p[1:12:2], np.cos(q))
