@@ -197,15 +197,18 @@ def _validate(cfg: RunConfig) -> RunConfig:
                       ("tasks", "episodes_per_task"), ("eval", "workers")):
         if getattr(getattr(cfg, name), key) < 1:
             raise ConfigError(f"{name}.{key} must be >= 1")
-    try:
-        cfg.world_config()
-        cfg.task_params()
-        cfg.gate_config()
-        cfg.datagen_config()
-        cfg.estimator_train_config()
-        cfg.policy_train_config()
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    # each runtime config checks its own section; a message that opens with
+    # one of the section's keys becomes "<section>.<key> ..."
+    for name, build in (("world", cfg.world_config), ("tasks", cfg.task_params),
+                        ("gate", cfg.gate_config), ("datagen", cfg.datagen_config),
+                        ("estimator", cfg.estimator_train_config),
+                        ("policy", cfg.policy_train_config)):
+        try:
+            build()
+        except ValueError as e:
+            msg = str(e)
+            keys = {f.name for f in fields(_SECTIONS[name])}
+            raise ConfigError(f"{name}{'.' if msg.split()[0] in keys else ': '}{msg}") from e
     return cfg
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = 1e-12
+_EYE2 = np.eye(2)
 
 
 class JointLimitError(ValueError):
@@ -86,15 +87,25 @@ def default_arm(base_position=(0.0, 0.0), base_orientation: float = 0.0) -> ArmM
     )
 
 
+def _dot2(x, y):
+    """Row dot products of (..., 2) arrays. x0*y0 + x1*y1 is the sum
+    `np.einsum("...i,...i")` forms, so it has einsum's bits, at a fraction
+    of its dispatch cost; only a zero may differ in sign, and every
+    distance below squares it away."""
+    out = x[..., 0] * y[..., 0]
+    out += x[..., 1] * y[..., 1]
+    return out
+
+
 def _point_segment_dist2(p, a, b):
     """Squared distance from points p to segments [a, b], all (..., 2)."""
     ab = b - a
-    denom = np.einsum("...i,...i", ab, ab)
-    t = np.einsum("...i,...i", p - a, ab) / np.where(denom < _EPS, 1.0, denom)
+    denom = _dot2(ab, ab)
+    t = _dot2(p - a, ab) / np.where(denom < _EPS, 1.0, denom)
     t = np.clip(np.where(denom < _EPS, 0.0, t), 0.0, 1.0)
     closest = a + t[..., None] * ab
     d = p - closest
-    return np.einsum("...i,...i", d, d)
+    return _dot2(d, d)
 
 
 def segment_pairs_distance(p0, p1, q0, q1) -> np.ndarray:
@@ -111,11 +122,11 @@ def segment_pairs_distance(p0, p1, q0, q1) -> np.ndarray:
     u = p1 - p0
     v = q1 - q0
     w0 = p0 - q0
-    a = np.einsum("...i,...i", u, u)
-    b = np.einsum("...i,...i", u, v)
-    c = np.einsum("...i,...i", v, v)
-    d = np.einsum("...i,...i", u, w0)
-    e = np.einsum("...i,...i", v, w0)
+    a = _dot2(u, u)
+    b = _dot2(u, v)
+    c = _dot2(v, v)
+    d = _dot2(u, w0)
+    e = _dot2(v, w0)
     det = a * c - b * b
 
     safe = np.where(det < _EPS, 1.0, det)
@@ -125,7 +136,7 @@ def segment_pairs_distance(p0, p1, q0, q1) -> np.ndarray:
     pi = p0 + s[..., None] * u
     qi = q0 + t[..., None] * v
     di = pi - qi
-    interior = np.where(inside, np.einsum("...i,...i", di, di), np.inf)
+    interior = np.where(inside, _dot2(di, di), np.inf)
 
     best = np.minimum(interior, _point_segment_dist2(q0, p0, p1))
     best = np.minimum(best, _point_segment_dist2(q1, p0, p1))
@@ -145,7 +156,10 @@ def joint_origins(arm: ArmModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if q.ndim < 1 or q.shape[-1] != arm.dof:
         raise ValueError(f"expected {arm.dof} joint angles, got shape {q.shape}")
     angles = np.asarray(arm.base_orientation)[..., None] + np.cumsum(q, axis=-1)
-    steps = arm.link_lengths[..., None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    steps = np.empty((*angles.shape, 2))
+    np.cos(angles, out=steps[..., 0])
+    np.sin(angles, out=steps[..., 1])
+    steps *= arm.link_lengths[..., None]
     pts = np.empty((*q.shape[:-1], arm.dof + 1, 2))
     pts[..., 0, :] = arm.base_position
     pts[..., 1:, :] = arm.base_position[..., None, :] + np.cumsum(steps, axis=-2)
@@ -189,7 +203,10 @@ def _origins_jacobian(origins: np.ndarray) -> np.ndarray:
     origins (..., n+1, 2): column j is the 90-degree CCW rotation of
     (ee - joint_j_origin)."""
     rel = origins[..., -1:, :] - origins[..., :-1, :]  # (..., n, 2)
-    return np.stack([-rel[..., 1], rel[..., 0]], axis=-2)
+    J = np.empty((*rel.shape[:-2], 2, rel.shape[-2]))
+    np.negative(rel[..., 1], out=J[..., 0, :])
+    J[..., 1, :] = rel[..., 0]
+    return J
 
 
 def dls_ik_step(arm: ArmModel, origins: np.ndarray, dx: np.ndarray, mu: float) -> np.ndarray:
@@ -207,7 +224,7 @@ def dls_ik_step(arm: ArmModel, origins: np.ndarray, dx: np.ndarray, mu: float) -
     dx = np.asarray(dx, dtype=float)
     J = _origins_jacobian(origins)
     Jt = np.swapaxes(J, -1, -2)
-    A = J @ Jt + (mu * mu) * np.eye(2)
+    A = J @ Jt + (mu * mu) * _EYE2
     dq = (Jt @ np.linalg.solve(A, dx[..., None]))[..., 0]
     lim = np.asarray(arm.joint_velocity_limit)[..., None]
-    return np.clip(dq, -lim, lim)
+    return np.minimum(np.maximum(dq, -lim), lim)

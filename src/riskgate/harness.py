@@ -161,11 +161,13 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
     candidates from its own jitter stream, and one `select_candidate` call
     scores every episode's candidates. Each episode's gate then steps on
     its chosen risk, and one `sg.descend` call recovers every episode that
-    blocked and, in gated+refine, refines every one that executes. One
-    oracle pass labels every executed plan from its own episode's state,
-    and one `step`, one clearance pass and one success check advance them
-    all. Every batched call gives each episode the bits it gets alone, so
-    every log is the one the episode would give alone.
+    blocked and, in gated+refine, refines every one that executes. Then
+    one oracle pass per step, `wd.rollout_and_step`, labels every executed
+    plan from its own episode's state and advances every episode by its
+    action, with the next state's clearance; one success check follows,
+    and one clearance call covers the current states of the episodes that
+    halted. Every batched call gives each episode the bits it gets alone,
+    so every log is the one the episode would give alone.
 
     An episode ends at success, collision (terminal failure), a HALT
     decision, or the step budget. Feature noise and candidate jitter come
@@ -239,32 +241,33 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
             actions = plans[:, 0] * scale[:, None]
             actions[decision == sg.HALT] = 0.0
 
-        labels = wd.rollout_batch(state, plans, wcfg)
-        state_next = wd.step(state, actions, wcfg)
-        d_min = wd.min_self_distance(state_next, wcfg)
+        d_plans, state_next, d_min = wd.rollout_and_step(state, plans, actions, wcfg)
+        labels = wd.label_rollouts(d_plans, wcfg.dt)
         success = wd.success_check(state_next, task)
+        halted = np.array(decisions) == sg.HALT
+        if halted.any():
+            # a HALT executes nothing, so it logs the clearance of the current
+            # state; that state passed its success check after the last step
+            d_min[halted] = wd.min_self_distance(wd.take(state, halted), wcfg)
         digests = _state_digests(state)
         done = np.zeros(n, dtype=bool)
         for j, i in enumerate(live):
-            log, halted = logs[i], decisions[j] == sg.HALT
-            # a HALT executes nothing, so it logs the clearance of the current
-            # state; that state passed its success check after the last step
-            d = float(wd.min_self_distance(wd.take(state, j), wcfg) if halted else d_min[j])
+            log, d = logs[i], float(d_min[j])
             log.steps.append(StepRecord(
                 t=t, state_digest=digests[j], r_hat=r_hats[j], d_min=d,
                 gate_mode=gates[i].mode, decision=decisions[j],
                 action=actions[j].tolist(), latency_us=max(latency_s[j] * 1e6, 1e-3),
                 plan_y_bin=int(labels[j].y_bin)))
-            if not halted and collectors[i] is not None:
+            if not halted[j] and collectors[i] is not None:
                 collectors[i].append(pol.DemoRecord(
                     proprio=proprio[j], z=z[j],
                     goals=task.goal[j].reshape(4),
                     action=actions[j], plan=plans[j].copy(), label=labels[j],
                     risk=0.0 if r_hats[j] is None else r_hats[j],
                     corrected=(decisions[j] == sg.BLOCK)))
-            log.collided = not halted and d < 0.0
-            log.success = not halted and not log.collided and bool(success[j])
-            done[j] = halted or log.collided or log.success
+            log.collided = not halted[j] and d < 0.0
+            log.success = not halted[j] and not log.collided and bool(success[j])
+            done[j] = halted[j] or log.collided or log.success
         return state_next, done
 
     wd.lockstep(jobs, wcfg, setup.task_params, advance)

@@ -169,10 +169,11 @@ def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
     Oracle labels come from simulating each stored plan from its own state.
 
     The episodes run in `wd.lockstep`: per step, one expert call, one
-    feature call each, one oracle pass, one `step` and one clearance pass
-    cover every live episode. Each episode keeps one generator, which
-    draws its scene noise and then its exploration noise, so the records
-    are those of running the episodes one at a time.
+    feature call each and one oracle pass (`wd.rollout_and_step`, which
+    labels the plans and executes the actions) cover every live episode.
+    Each episode keeps one generator, which draws its scene noise and then
+    its exploration noise, so the records are those of running the
+    episodes one at a time.
     """
     jobs = [(tid, int(seed)) for tid, seed in jobs]
     rngs = [np.random.default_rng(np.random.SeedSequence([wd.task_index(tid), seed, 29]))
@@ -184,17 +185,17 @@ def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, cfg.noise_sigma, [rngs[i] for i in live])
         goals = task.goal.reshape(len(live), 4)
-        labels = wd.rollout_batch(state, plans, cfg)
         executed = plans[:, 0]
+        if explore_noise > 0:
+            noise = np.stack([rngs[i].normal(0.0, explore_noise, size=4) for i in live])
+            executed = np.clip(executed + noise, -cfg.a_max, cfg.a_max)
+        d_plans, state, d_next = wd.rollout_and_step(state, plans, executed, cfg)
+        labels = wd.label_rollouts(d_plans, cfg.dt)
         for j, i in enumerate(live):
             records[i].append(DemoRecord(proprio=proprio[j], z=z[j], goals=goals[j],
                                          action=plans[j, 0].copy(), plan=plans[j],
                                          label=labels[j]))
-        if explore_noise > 0:
-            noise = np.stack([rngs[i].normal(0.0, explore_noise, size=4) for i in live])
-            executed = np.clip(executed + noise, -cfg.a_max, cfg.a_max)
-        state = wd.step(state, executed, cfg)
-        return state, (wd.min_self_distance(state, cfg) < 0.0) | wd.success_check(state, task)
+        return state, (d_next < 0.0) | wd.success_check(state, task)
 
     wd.lockstep(jobs, cfg, params, advance)
     return [rec for episode in records for rec in episode]

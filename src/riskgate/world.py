@@ -21,8 +21,13 @@ control period in one kinematics call; `_clearance` measures capsule
 clearance over any leading batch shape. `rollout_clearance` first
 advances all H steps of all N plans, since a configuration never depends
 on clearance, and then makes one clearance pass over the (H, N)
-configurations; `label_rollouts` turns those clearances into labels, and
-`rollout_batch` is the two together.
+configurations; `label_rollouts` turns those clearances into labels.
+The episode loops make one oracle pass per control step:
+`rollout_and_step` shares that trajectory routine, advances the plans'
+first rows and the executed actions in one kinematics call, and covers
+the plans' and the next states' configurations in one clearance pass.
+Since each row keeps its bits at any batch size, its outputs equal those
+of `rollout_clearance`, `step` and `min_self_distance` called apart.
 """
 
 from __future__ import annotations
@@ -272,8 +277,8 @@ def _advance(cfg: WorldConfig, q, origins, dx):
     Returns the new q, its joint origins and its cumulative link angles.
     """
     arms = cfg.arms
-    q = np.clip(q + dls_ik_step(arms, origins, dx, cfg.mu),
-                arms.joint_limits[..., 0], arms.joint_limits[..., 1])
+    q = np.minimum(np.maximum(q + dls_ik_step(arms, origins, dx, cfg.mu),
+                              arms.joint_limits[..., 0]), arms.joint_limits[..., 1])
     return (q, *joint_origins(arms, q))
 
 
@@ -294,15 +299,16 @@ def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
     return replace(state, q=q, t=state.t + 1, origins=origins, heading=ang[..., -1])
 
 
-def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig) -> np.ndarray:
-    """(H, N) clearance after each step of each of N (H, 4) plans, past any
-    penetration.
+def _plan_clearance(state: DualArmState, plans, cfg: WorldConfig, actions=None):
+    """(H, N) clearance after each step of each of N (H, 4) plans and, when
+    actions (N, 4) are given, the joint vectors, joint origins, cumulative
+    link angles and clearance after each state row executes its action.
 
-    The state is one state for every row, or a batch of N states, one per
-    row. All H steps of all N rows are advanced first, with the arithmetic
-    of `step`; then one clearance pass, with the arithmetic of
-    `min_self_distance`, covers the (H, N) configurations. Raises
-    ValueError unless plans is (N, H, 4) with N >= 1 and H >= 1.
+    All H steps of all N rows are advanced first, with the arithmetic of
+    `step`; step 0 advances the plans' first rows and the action rows in
+    one kinematics call. Then one clearance pass, with the arithmetic of
+    `min_self_distance`, covers every configuration: (H, N), plus the N
+    executed ones.
     """
     plans = np.asarray(plans, dtype=float)
     if plans.ndim != 3 or plans.shape[2] != 4 or plans.shape[0] < 1 or plans.shape[1] < 1:
@@ -314,12 +320,62 @@ def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig) -> np.ndarra
     q = np.broadcast_to(state.q, (n, *state.q.shape[-2:]))
     pts = np.broadcast_to(state.origins, (n, *state.origins.shape[-3:]))
     dx = plans.reshape(n, horizon, 2, 2)
-    traj = np.empty((horizon, *pts.shape))   # (H, N, 2, n_joints + 1, 2)
-    heading = np.empty((horizon, n, 2))
-    for i in range(horizon):
+    first = dx[:, 0]
+    if actions is not None:
+        actions = np.asarray(actions, dtype=float)
+        if batch != (n,) or actions.shape != (n, 4):
+            raise ValueError(f"{n} plans executed in one step need a batch of {n} states and "
+                             f"actions of shape ({n}, 4), got states {batch} and actions "
+                             f"{actions.shape}")
+        q, pts = np.concatenate([q, q]), np.concatenate([pts, pts])
+        first = np.concatenate([first, actions.reshape(n, 2, 2)])
+    q, pts, ang = _advance(cfg, q, pts, first)
+    # (H, N) plan configurations, then the N executed ones
+    traj = np.empty((horizon + (actions is not None), n, *pts.shape[1:]))
+    heading = np.empty(traj.shape[:3])
+    traj[0], heading[0] = pts[:n], ang[:n, ..., -1]
+    executed = None
+    if actions is not None:
+        traj[-1], heading[-1] = pts[n:], ang[n:, ..., -1]
+        executed = q[n:], pts[n:], ang[n:]
+        q, pts = q[:n], pts[:n]
+    for i in range(1, horizon):
         q, pts, ang = _advance(cfg, q, pts, dx[:, i])
         traj[i], heading[i] = pts, ang[..., -1]
-    return _clearance(cfg, state.holding, traj, heading)
+    d = _clearance(cfg, state.holding, traj, heading)
+    if actions is None:
+        return d
+    return d[:horizon], executed, d[horizon]
+
+
+def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig) -> np.ndarray:
+    """(H, N) clearance after each step of each of N (H, 4) plans, past any
+    penetration.
+
+    The state is one state for every row, or a batch of N states, one per
+    row. All H steps of all N rows are advanced first, with the arithmetic
+    of `step`; then one clearance pass, with the arithmetic of
+    `min_self_distance`, covers the (H, N) configurations. Raises
+    ValueError unless plans is (N, H, 4) with N >= 1 and H >= 1.
+    """
+    return _plan_clearance(state, plans, cfg)
+
+
+def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig):
+    """One oracle pass for a control step of N episodes: the (H, N)
+    clearance of the N (H, 4) plans, as `rollout_clearance` gives it, and
+    the next state and its clearance, as `step` and `min_self_distance`
+    give them, when state row i executes actions[i].
+
+    The state is a batch of N states and actions is (N, 4). Step 0 of the
+    plans and the actions advance in one kinematics call, and one
+    clearance pass covers the (H + 1, N) configurations, so each output
+    has the bits of the three separate calls. Raises ValueError on plans
+    `rollout_clearance` rejects, a state of any other batch shape or
+    actions of any other shape.
+    """
+    d, (q, origins, ang), d_next = _plan_clearance(state, plans, cfg, actions)
+    return d, replace(state, q=q, t=state.t + 1, origins=origins, heading=ang[..., -1]), d_next
 
 
 def label_rollouts(d, dt: float, horizons=None) -> list[RolloutOutcome]:
@@ -346,18 +402,6 @@ def label_rollouts(d, dt: float, horizons=None) -> list[RolloutOutcome]:
     y_ttc = np.where(y_bin, (last + 1) * dt, h * dt)
     return [RolloutOutcome(y_bin=int(b), y_d=float(d), y_ttc=float(t))
             for b, d, t in zip(y_bin, y_d, y_ttc)]
-
-
-def rollout_batch(state: DualArmState, plans, cfg: WorldConfig,
-                  horizons=None) -> list[RolloutOutcome]:
-    """Execute N (H, 4) plans from one state, or from one state per row;
-    outcome i labels plans[i] over its first horizons[i] steps.
-
-    `rollout_clearance` followed by `label_rollouts`; raises ValueError
-    unless plans is (N, H, 4) with N >= 1 and H >= 1. One plan labels as
-    `rollout_batch(state, plan[None], cfg)[0]`.
-    """
-    return label_rollouts(rollout_clearance(state, plans, cfg), cfg.dt, horizons)
 
 
 def scene_feature(state: DualArmState, task: Task, noise_sigma: float = 0.0,

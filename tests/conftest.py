@@ -30,6 +30,12 @@ def assert_records_equal(got, ref):
         assert (a.label, a.risk, a.corrected) == (b.label, b.risk, b.corrected)
 
 
+def label_plans(state, plans, cfg, horizons=None):
+    """The oracle's labels of N (H, 4) plans: `label_rollouts` of their
+    `rollout_clearance`."""
+    return wd.label_rollouts(wd.rollout_clearance(state, plans, cfg), cfg.dt, horizons)
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

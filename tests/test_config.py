@@ -184,10 +184,30 @@ def test_world_values_from_json_text_are_checked(tmp_path, capsys):
             cf.load_config(path)
         capsys.readouterr()
         assert cli.main(["evaluate", "--config", str(path)]) == 1
-        assert f"config error: {key} must be finite" in capsys.readouterr().err
+        assert f"config error: world.{key} must be finite" in capsys.readouterr().err
     cfg = cf.config_from_dict({"world": {"inflation": 0, "grasp_length": 0.0,
                                          "grasp_radius": 0.0}})
     assert cfg.world_config().inflation == 0.0
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("world", "mu", float("nan"), "world.mu must be finite and > 0, got nan"),
+    ("tasks", "max_steps", 0, "tasks.max_steps must be >= 1, got 0"),
+    ("gate", "eta", 0.0, "gate.eta must be positive and finite, got 0.0"),
+    ("gate", "tau_down", 0.9, "gate: need 0 < tau_down < tau_up < 1"),
+    ("datagen", "sigma_a", float("inf"), "datagen.sigma_a must be finite and >= 0, got inf"),
+    ("estimator", "lr", float("nan"), "estimator.lr must be finite and > 0, got nan"),
+    ("policy", "lr", 0.0, "policy.lr must be finite and > 0, got 0.0")])
+def test_runtime_config_errors_name_their_section(section, key, value, message, tmp_path,
+                                                  capsys):
+    """A value a runtime dataclass rejects is a config error (exit 1) whose
+    message names its section, so datagen.sigma_a and eval.sigma_a read
+    apart; a message that opens with no key of the section follows a
+    colon."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    assert cli.main(["gen-data", "--config", str(path)]) == 1
+    assert f"config error: {message}\n" in capsys.readouterr().err
 
 
 def test_derived_configs_carry_values():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import label_plans
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
 from riskgate import policy as pol
@@ -283,7 +284,7 @@ def test_stored_labels_are_exact(tiny_data, world_cfg):
         state = wd.make_state(world_cfg, q[:3], q[3:],
                               g_left=s.proprio[12], g_right=s.proprio[13],
                               holding_left=bool(s.z[8]), holding_right=bool(s.z[9]))
-        ref = wd.rollout_batch(state, s.plan[None], world_cfg)[0]
+        ref = label_plans(state, s.plan[None], world_cfg)[0]
         assert s.label.y_bin == ref.y_bin
         assert s.label.y_d == pytest.approx(ref.y_d, abs=1e-9)
         assert s.label.y_ttc == pytest.approx(ref.y_ttc, abs=1e-12)
@@ -340,7 +341,7 @@ def one_episode_at_a_time(gen_cfg, world_cfg, task_params):
                                              jitter, world_cfg.a_max)
                 proprio = wd.proprio_feature(state)
                 z = wd.scene_feature(state, task, world_cfg.noise_sigma, noise)
-                for cand, label in zip(cands, wd.rollout_batch(state, cands, world_cfg)):
+                for cand, label in zip(cands, label_plans(state, cands, world_cfg)):
                     by_h[h].append((proprio, z, cand, h, label, (task_id, seed, t)))
                 state = wd.step(state, nominal[0], world_cfg)
                 if wd.min_self_distance(state, world_cfg) < 0.0:

@@ -3,12 +3,15 @@
 The closed-form segment distance kernel the oracle runs is checked against
 dense parameter sampling, the analytic Jacobian that DLS-IK uses against
 central finite differences, and the kinematic chain against a hand-rolled
-reference.
+reference. The `reference_*` kernels keep the straightforward numpy
+formulas (einsum dot products, `np.stack`, `np.clip`) that the production
+kernels must match bit for bit, so a kernel change that moves any output
+bit fails here.
 """
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from riskgate import geometry as gm
 
@@ -30,6 +33,56 @@ def dense_segment_distance(p0, p1, q0, q1, n=1001):
     near = np.clip(np.rint(proj * (n - 1)).astype(int)[:, None] + np.arange(-2, 3), 0, n - 1)
     d2 = ((a[:, None, :] - b[near]) ** 2).sum(axis=2)
     return float(np.sqrt(d2.min()))
+
+
+def _reference_point_segment_dist2(p, a, b):
+    ab = b - a
+    denom = np.einsum("...i,...i", ab, ab)
+    t = np.einsum("...i,...i", p - a, ab) / np.where(denom < gm._EPS, 1.0, denom)
+    t = np.clip(np.where(denom < gm._EPS, 0.0, t), 0.0, 1.0)
+    d = p - (a + t[..., None] * ab)
+    return np.einsum("...i,...i", d, d)
+
+
+def reference_segment_pairs_distance(p0, p1, q0, q1):
+    """`segment_pairs_distance` with einsum dot products."""
+    u, v, w0 = p1 - p0, q1 - q0, p0 - q0
+    a = np.einsum("...i,...i", u, u)
+    b = np.einsum("...i,...i", u, v)
+    c = np.einsum("...i,...i", v, v)
+    d = np.einsum("...i,...i", u, w0)
+    e = np.einsum("...i,...i", v, w0)
+    det = a * c - b * b
+    safe = np.where(det < gm._EPS, 1.0, det)
+    s = (b * e - c * d) / safe
+    t = (a * e - b * d) / safe
+    inside = (det >= gm._EPS) & (s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)
+    di = (p0 + s[..., None] * u) - (q0 + t[..., None] * v)
+    best = np.where(inside, np.einsum("...i,...i", di, di), np.inf)
+    for pt, a0, a1 in ((q0, p0, p1), (q1, p0, p1), (p0, q0, q1), (p1, q0, q1)):
+        best = np.minimum(best, _reference_point_segment_dist2(pt, a0, a1))
+    return np.sqrt(best)
+
+
+def reference_joint_origins(arm, q):
+    """`joint_origins` with the link steps built by `np.stack`."""
+    angles = np.asarray(arm.base_orientation)[..., None] + np.cumsum(q, axis=-1)
+    steps = arm.link_lengths[..., None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    pts = np.empty((*q.shape[:-1], arm.dof + 1, 2))
+    pts[..., 0, :] = arm.base_position
+    pts[..., 1:, :] = arm.base_position[..., None, :] + np.cumsum(steps, axis=-2)
+    return pts, angles
+
+
+def reference_dls_ik_step(arm, origins, dx, mu):
+    """`dls_ik_step` with the Jacobian built by `np.stack`, a fresh identity
+    and `np.clip`."""
+    rel = origins[..., -1:, :] - origins[..., :-1, :]
+    J = np.stack([-rel[..., 1], rel[..., 0]], axis=-2)
+    Jt = np.swapaxes(J, -1, -2)
+    dq = (Jt @ np.linalg.solve(J @ Jt + (mu * mu) * np.eye(2), dx[..., None]))[..., 0]
+    lim = np.asarray(arm.joint_velocity_limit)[..., None]
+    return np.clip(dq, -lim, lim)
 
 
 def segment_distance(p0, p1, q0, q1):
@@ -186,3 +239,54 @@ def test_dls_step_finite_at_singularity():
     assert np.all(np.isfinite(dq))
     with pytest.raises(ValueError):
         gm.dls_ik_step(arm, origins, np.array([0.01, 0.0]), mu=0.0)
+
+
+def test_segment_distance_pins_reference_bits():
+    """`segment_pairs_distance` equals the einsum reference with == on a
+    datagen-shaped random batch and on zero-length, parallel, collinear
+    and crossing pairs."""
+    rng = np.random.default_rng(43)
+    pts = rng.uniform(-1.0, 1.0, size=(5, 8, 9, 4, 2))
+    p0, p1 = rng.uniform(-1.0, 1.0, size=(2, 12, 2))
+    shift = rng.uniform(-0.5, 0.5, size=(12, 2))
+    special = np.stack([
+        np.stack([p0, p0, p1, p1 + shift], axis=1),                 # first is a point
+        np.stack([p0, p0, p1, p1], axis=1),                         # both are points
+        np.stack([p0, p1, p0 + shift, p1 + shift], axis=1),         # parallel
+        np.stack([p0, p1, p1, p0], axis=1),                         # antiparallel, same line
+        np.stack([p0, p1, p0 + 2.0 * (p1 - p0), p0 + 3.0 * (p1 - p0)], axis=1),  # collinear gap
+        np.stack([p0, p1, p0 + shift, p1 - shift], axis=1),         # crossing or near
+    ])
+    for batch in (pts, special, pts[0, 0, 0]):
+        got = gm.segment_pairs_distance(*(batch[..., k, :] for k in range(4)))
+        ref = reference_segment_pairs_distance(*(batch[..., k, :] for k in range(4)))
+        assert_array_equal(got, ref)
+
+
+def test_kinematics_pin_reference_bits():
+    """`joint_origins` and `dls_ik_step` equal their reference formulas with
+    == on stacked arms, joints at their limits, a singular straight arm,
+    and increments large enough that the velocity limit clips them."""
+    arms = gm.stack_arms(gm.default_arm(base_position=(-0.25, 0.0), base_orientation=np.pi / 2),
+                         gm.default_arm(base_position=(0.3, 0.1), base_orientation=1.0))
+    rng = np.random.default_rng(44)
+    qs = rng.uniform(-2.8, 2.8, size=(40, 2, 3))
+    lo, hi = arms.joint_limits[..., 0], arms.joint_limits[..., 1]
+    qs[:8] = np.where(rng.integers(0, 2, size=(8, 2, 3)) == 1, hi, lo)  # every joint at a limit
+    qs[8:12] = hi
+    qs[12] = 0.0  # straight, singular arm
+    dxs = rng.uniform(-0.3, 0.3, size=(40, 2, 2))
+    dxs[20:] *= 0.01
+    lim = arms.joint_velocity_limit[:, None]
+    for q, dx in ((qs, dxs), (qs[0], dxs[0])):
+        pts, angles = gm.joint_origins(arms, q)
+        ref_pts, ref_angles = reference_joint_origins(arms, q)
+        assert_array_equal(pts, ref_pts)
+        assert_array_equal(angles, ref_angles)
+        dq = gm.dls_ik_step(arms, pts, dx, mu=0.05)
+        assert_array_equal(dq, reference_dls_ik_step(arms, pts, dx, mu=0.05))
+        if q.ndim == 3:
+            assert (np.abs(dq) < lim).any() and (dq == lim).any() and (dq == -lim).any()
+    one = gm.default_arm()
+    q = rng.uniform(-2.8, 2.8, size=(6, 3))
+    assert_array_equal(gm.joint_origins(one, q)[0], reference_joint_origins(one, q)[0])

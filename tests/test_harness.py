@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import assert_records_equal
+from conftest import assert_records_equal, label_plans
 from riskgate import config as cf
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
@@ -152,6 +152,36 @@ def test_watchdog_halts_saturated_blocked_episode(world_cfg, task_params):
     assert log.steps[-1].action == [0.0, 0.0, 0.0, 0.0]
     # recovery cannot progress on flat risk, so the fallback freezes motion
     assert log.steps[1].action == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_halted_rows_log_their_own_clearance(world_cfg, task_params, monkeypatch):
+    """Episodes that HALT in the same step log, with ==, the clearance of
+    their own current state, from one clearance call over those rows."""
+    setup = make_setup(world_cfg, task_params, mode="gated",
+                       est_params=inert_estimator(30.0), gate_cfg=sg.GateConfig(watchdog_window=5))
+    jobs = [("crossing_transfer", 3), ("parallel_place", 4), ("crossing_transfer", 5)]
+    states, batched = [], []
+    real_pass, real_clearance = wd.rollout_and_step, wd.min_self_distance
+
+    def recorded_pass(state, *args):
+        states.append(state)
+        return real_pass(state, *args)
+
+    def recorded_clearance(state, cfg):
+        if state.q.ndim == 3:
+            batched.append(len(state.q))
+        return real_clearance(state, cfg)
+
+    monkeypatch.setattr(wd, "rollout_and_step", recorded_pass)
+    monkeypatch.setattr(wd, "min_self_distance", recorded_clearance)
+    logs = hn.run_episodes(setup, jobs)
+    monkeypatch.undo()
+    assert [lg.steps[-1].decision for lg in logs] == [sg.HALT] * 3
+    assert {lg.n_steps for lg in logs} == {6}
+    state = states[5]
+    assert len(state.q) == len(jobs) and batched == [len(jobs)]
+    for j, lg in enumerate(logs):
+        assert lg.steps[-1].d_min == wd.min_self_distance(wd.take(state, j), world_cfg)
 
 
 def test_collector_records_and_corrected_flags(world_cfg, task_params):
@@ -334,7 +364,7 @@ def one_episode_at_a_time(setup, task_id, seed, collector):
                 action = plan[0].copy()
                 if not rec.made_progress[0]:
                     action *= sg.distance_fallback(rec.min_dist[0], gate_cfg.d0)
-        label = wd.rollout_batch(state, plan[None], wcfg)[0]
+        label = label_plans(state, plan[None], wcfg)[0]
         if decision == sg.HALT:
             log.steps.append(hn.StepRecord(
                 t=t, state_digest=digest, r_hat=r_hat,

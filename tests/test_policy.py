@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import assert_records_equal
+from conftest import assert_records_equal, label_plans
 from riskgate import estimator as est
 from riskgate import policy as pol
 from riskgate import world as wd
@@ -115,7 +115,7 @@ def test_collect_demonstrations_records(demo_records, world_cfg):
         d = demo_records[idx]
         q = np.arctan2(d.proprio[0:12:2], d.proprio[1:12:2])
         state = wd.make_state(world_cfg, q[:3], q[3:])
-        out = wd.rollout_batch(state, d.plan[None], world_cfg)[0]
+        out = label_plans(state, d.plan[None], world_cfg)[0]
         assert d.label.y_bin == out.y_bin
         assert d.label.y_d == pytest.approx(out.y_d, abs=1e-9)
 
@@ -147,7 +147,7 @@ def demos_one_episode_at_a_time(task_id, seeds, horizon, world_cfg, task_params,
                 proprio=wd.proprio_feature(state),
                 z=wd.scene_feature(state, task, world_cfg.noise_sigma, rng),
                 goals=goals, action=plan[0].copy(), plan=plan,
-                label=wd.rollout_batch(state, plan[None], world_cfg)[0]))
+                label=label_plans(state, plan[None], world_cfg)[0]))
             executed = np.clip(plan[0] + rng.normal(0.0, explore_noise, size=4),
                                -world_cfg.a_max, world_cfg.a_max)
             state = wd.step(state, executed, world_cfg)

@@ -10,8 +10,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import label_plans
+from test_geometry import reference_dls_ik_step, reference_joint_origins
 from riskgate import geometry as gm
 from riskgate import world as wd
 
@@ -207,8 +209,8 @@ def clearances(state, plan, cfg):
 
 
 def rollout(state, plan, cfg):
-    """The oracle's label of one plan: `rollout_batch` with N = 1."""
-    return wd.rollout_batch(state, np.asarray(plan)[None], cfg)[0]
+    """The oracle's label of one plan: `label_plans` with N = 1."""
+    return label_plans(state, np.asarray(plan)[None], cfg)[0]
 
 
 def resimulate(state, plan, cfg):
@@ -251,7 +253,7 @@ def test_rollout_batch_rows_equal_per_row_resimulation(world_cfg, intra_and_infl
     ttcs = set()
     for holding in ((True, False), (False, True), (True, True), (False, False)):
         state = wd.make_state(cfg, q, -q, holding_left=holding[0], holding_right=holding[1])
-        out = wd.rollout_batch(state, plans, cfg)
+        out = label_plans(state, plans, cfg)
         assert len(out) == len(plans)
         for row, label in zip(plans, out):
             assert label == resimulate(state, row, cfg)
@@ -261,14 +263,14 @@ def test_rollout_batch_rows_equal_per_row_resimulation(world_cfg, intra_and_infl
         assert d[k + 1:].min() < d[:k + 1].min()  # deeper after the first penetration
         assert out[0].y_d == d[:k + 1].min() and out[0].y_ttc == (k + 1) * cfg.dt
         ttcs.update(o.y_ttc for o in out if o.y_bin)
-        assert wd.rollout_batch(state, plans[1:2], cfg) == [out[1]]
+        assert label_plans(state, plans[1:2], cfg) == [out[1]]
     assert len(ttcs) >= 3
 
 
 def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch):
     """One kinematics call moves both arms: `step` computes joint origins
-    once, `rollout_batch` once per horizon step whatever N, and a whole
-    rollout makes one clearance pass."""
+    once, `rollout_clearance` and `rollout_and_step` once per horizon step
+    whatever N, and each makes one clearance pass."""
     calls = {"joint_origins": 0, "segment_pairs_distance": 0}
     for name in calls:
         def counting(*args, _name=name, _real=getattr(wd, name)):
@@ -283,8 +285,44 @@ def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch)
     plans = np.random.default_rng(16).uniform(-0.005, 0.005, size=(8, 5, 4))
     for n in (1, 8):
         calls.update(joint_origins=0, segment_pairs_distance=0)
-        assert not any(o.y_bin for o in wd.rollout_batch(state, plans[:n], world_cfg))
+        assert not any(o.y_bin for o in label_plans(state, plans[:n], world_cfg))
         assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
+        calls.update(joint_origins=0, segment_pairs_distance=0)
+        wd.rollout_and_step(wd.stack_states([state] * n), plans[:n], plans[:n, 0], world_cfg)
+        assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("horizon", [1, 5])
+def test_rollout_and_step_equals_separate_calls(world_cfg, n, horizon):
+    """The fused oracle pass gives, bit for bit, the plans' clearances of
+    `rollout_clearance`, the next state of `step` and that state's
+    `min_self_distance`, with both arms holding, intra-arm pairs and
+    inflation on, and rows that penetrate."""
+    cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
+    rng = np.random.default_rng(21)
+    states = [random_state(rng, cfg, holding=True) for _ in range(n - 1)]
+    q = np.array([-0.25, 0.0, 0.0])
+    states.append(wd.make_state(cfg, q, -q, holding_left=True, holding_right=True))
+    state = replace(wd.stack_states(states), t=np.arange(n) + 3)
+    plans = rng.uniform(-0.02, 0.02, size=(n, horizon, 4))
+    plans[-1] = [0.02, 0.0, -0.02, 0.0]  # both arms lean in and close the gap
+    actions = rng.uniform(-0.02, 0.02, size=(n, 4))
+    d, nxt, d_next = wd.rollout_and_step(state, plans, actions, cfg)
+    ref = wd.step(state, actions, cfg)
+    assert_array_equal(d, wd.rollout_clearance(state, plans, cfg))
+    for f in ("q", "g", "t", "origins", "heading"):
+        assert_array_equal(getattr(nxt, f), getattr(ref, f), err_msg=f)
+    assert nxt.holding == ref.holding
+    assert_array_equal(d_next, wd.min_self_distance(ref, cfg))
+    assert d.shape == (horizon, n) and d_next.shape == (n,)
+    assert (d < 0.0).any()
+    with pytest.raises(ValueError):
+        wd.rollout_and_step(wd.take(state, 0), plans[:1], actions[:1], cfg)
+    for bad in (actions[:, :3], actions[:1], actions[0]):
+        if bad.shape != (n, 4):
+            with pytest.raises(ValueError):
+                wd.rollout_and_step(state, plans, bad, cfg)
 
 
 def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
@@ -328,6 +366,28 @@ def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
         wd.step(state, actions[0], world_cfg)
 
 
+def test_step_pins_reference_kernels(world_cfg):
+    """`step` equals, with ==, the reference DLS step clipped by `np.clip`
+    and the reference joint origins, with joints at their limits and
+    increments that push past them."""
+    arms, rng = world_cfg.arms, np.random.default_rng(22)
+    lo, hi = arms.joint_limits[..., 0], arms.joint_limits[..., 1]
+    q = rng.uniform(-2.8, 2.8, size=(32, 2, 3))
+    q[:12] = np.where(rng.integers(0, 2, size=(12, 2, 3)) == 1, hi, lo)
+    state = wd.stack_states([wd.make_state(world_cfg, *row) for row in q])
+    actions = rng.uniform(-0.3, 0.3, size=(32, 4))
+    actions[16:] *= 0.01
+    nxt = wd.step(state, actions, world_cfg)
+    dq = reference_dls_ik_step(arms, reference_joint_origins(arms, q)[0],
+                               actions.reshape(32, 2, 2), world_cfg.mu)
+    ref_q = np.clip(q + dq, lo, hi)
+    ref_pts, ref_angles = reference_joint_origins(arms, ref_q)
+    assert_array_equal(nxt.q, ref_q)
+    assert_array_equal(nxt.origins, ref_pts)
+    assert_array_equal(nxt.heading, ref_angles[..., -1])
+    assert (nxt.q == lo).any() and (nxt.q == hi).any() and ((lo < nxt.q) & (nxt.q < hi)).any()
+
+
 def test_batches_must_share_holding_flags(world_cfg):
     rng = np.random.default_rng(19)
     a = random_state(rng, world_cfg, holding=True)
@@ -353,8 +413,7 @@ def test_rollout_batch_per_row_states_and_horizons(world_cfg):
         plan[h:] = [0.02, 0.0, -0.02, 0.0]  # padding that would collide if it counted
         plans.append(plan)
         horizons.append(h)
-    out = wd.rollout_batch(wd.stack_states(states), np.array(plans), world_cfg,
-                           horizons=horizons)
+    out = label_plans(wd.stack_states(states), np.array(plans), world_cfg, horizons=horizons)
     for s, plan, h, label in zip(states, plans, horizons, out):
         assert label == rollout(s, plan[:h], world_cfg)
     assert {o.y_bin for o in out} == {0, 1}
@@ -364,9 +423,9 @@ def test_rollout_batch_per_row_states_and_horizons(world_cfg):
                for s, plan, o in zip(states, plans, out))
     for bad in ([5] * 11, [0] + [5] * 11, [6] * 12, [2.0] * 12):
         with pytest.raises(ValueError):
-            wd.rollout_batch(wd.stack_states(states), np.array(plans), world_cfg, horizons=bad)
+            label_plans(wd.stack_states(states), np.array(plans), world_cfg, horizons=bad)
     with pytest.raises(ValueError):
-        wd.rollout_batch(wd.stack_states(states[:3]), np.array(plans), world_cfg)
+        label_plans(wd.stack_states(states[:3]), np.array(plans), world_cfg)
 
 
 def test_rollout_censors_ttc_at_horizon(world_cfg):
@@ -380,7 +439,7 @@ def test_rollout_validates_plan_shape(world_cfg):
     state = wd.make_state(world_cfg, [0.6, -0.4, -0.2], [0.6, -0.4, -0.2])
     for shape in ((1, 0, 4), (1, 3, 5), (2, 0, 4), (2, 3, 5), (0, 3, 4), (3, 4)):
         with pytest.raises(ValueError):
-            wd.rollout_batch(state, np.zeros(shape), world_cfg)
+            label_plans(state, np.zeros(shape), world_cfg)
 
 
 def test_task_init_deterministic_and_clear(world_cfg, task_params):
