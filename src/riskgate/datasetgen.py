@@ -137,6 +137,27 @@ def _check_columns(proprio, z, plan_values, plan_sizes, H, y_bin, y_d, y_ttc,
         raise _BadSample(row, checks[int(np.argmax(bad[:, row]))][1])
 
 
+# the input widths of the estimator, which every file's header records
+_DIMS = {"proprio": est.PROPRIO_DIM, "z": est.VISION_DIM, "action": est.ACTION_DIM}
+
+
+def _count(v) -> bool:
+    return type(v) is int and v >= 0  # JSON's true and false are not counts
+
+
+# each header key but format_version, with its rule and the rule's description
+_HEADER_RULES = {
+    "horizons": (lambda v: type(v) is list and len(v) > 0
+                 and all(type(h) is int and h >= 1 for h in v), "a non-empty list of ints >= 1"),
+    "dims": (lambda v: v == _DIMS and all(type(n) is int for n in v.values()),
+             f"the estimator's {_DIMS}"),
+    "counts": (lambda v: type(v) is dict and v.keys() == {"samples", "positives"}
+               and all(map(_count, v.values())), "ints >= 0 under samples and positives"),
+    "seed": (_count, "an int >= 0"),
+    "config_digest": (lambda v: type(v) is str, "a string"),
+}
+
+
 @dataclass
 class DatasetHeader:
     format_version: int
@@ -283,7 +304,7 @@ def make_header(horizons, samples, seed, digest) -> DatasetHeader:
     return DatasetHeader(
         format_version=FORMAT_VERSION,
         horizons=list(horizons),
-        dims={"proprio": est.PROPRIO_DIM, "z": est.VISION_DIM, "action": est.ACTION_DIM},
+        dims=dict(_DIMS),
         counts={"samples": len(samples),
                 "positives": int(sum(s.label.y_bin for s in samples))},
         seed=int(seed),
@@ -378,27 +399,38 @@ def _read_rows(rows, linenos, horizons) -> list:
         raise
 
 
+def _read_header(line: str) -> DatasetHeader:
+    """The header of a dataset file's first line; raises ValueError on a
+    version mismatch, or naming the first key that is missing, extra or
+    breaks its rule."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"malformed header: {e}") from e
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed header: not an object: {obj!r}")
+    if obj.get("format_version") != FORMAT_VERSION or type(obj["format_version"]) is not int:
+        raise ValueError(f"unsupported dataset version {obj.get('format_version')!r}")
+    keys = {"format_version", *_HEADER_RULES}
+    if obj.keys() != keys:
+        raise ValueError(f"malformed header: keys {sorted(obj)}, not {sorted(keys)}")
+    for key, (ok, rule) in _HEADER_RULES.items():
+        if not ok(obj[key]):
+            raise ValueError(f"malformed header: {key} must be {rule}, got {obj[key]!r}")
+    return DatasetHeader(**obj)
+
+
 def read_dataset(path) -> Dataset:
-    """Parse and validate a dataset file; raises ValueError on a version
-    mismatch, a malformed line, a sample that fails `_check_columns` or has
-    an H outside the header's horizons, or a header/body count
-    disagreement. A bad sample's error names its line."""
+    """Parse and validate a dataset file; raises ValueError on a header
+    `_read_header` rejects, a malformed line, a sample that fails
+    `_check_columns` or has an H outside the header's horizons, or header
+    counts that disagree with the body. A bad sample's error names its
+    line, and comes before any count disagreement."""
     with open(path) as f:
         first = f.readline()
         if not first.strip():
             raise ValueError("empty dataset file")
-        try:
-            head_obj = json.loads(first)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"malformed header: {e}") from e
-        if head_obj.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset version {head_obj.get('format_version')!r}")
-        header = DatasetHeader(
-            format_version=int(head_obj["format_version"]),
-            horizons=list(head_obj["horizons"]), dims=dict(head_obj["dims"]),
-            counts=dict(head_obj["counts"]), seed=int(head_obj["seed"]),
-            config_digest=str(head_obj["config_digest"]),
-        )
+        header = _read_header(first)
         samples, rows, linenos = [], [], []
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
@@ -414,6 +446,10 @@ def read_dataset(path) -> Dataset:
                 rows, linenos = [], []
         samples += _read_rows(rows, linenos, header.horizons)
     if header.counts["samples"] != len(samples):
-        raise ValueError(
-            f"header declares {header.counts['samples']} samples, body has {len(samples)}")
+        raise ValueError(f"header counts.samples declares {header.counts['samples']} samples, "
+                         f"body has {len(samples)}")
+    positives = sum(s.label.y_bin for s in samples)
+    if header.counts["positives"] != positives:
+        raise ValueError(f"header counts.positives declares {header.counts['positives']} "
+                         f"positives, body has {positives}")
     return Dataset(header=header, samples=samples)

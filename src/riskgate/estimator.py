@@ -44,18 +44,18 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class RiskPrediction:
-    """Network outputs: calibrated risk, raw logit, clearance, TTC (s);
-    floats for one plan, arrays over the leading shape of several.
+    """Network outputs: calibrated risk, raw logit, clearance, TTC (s),
+    each an array over the plans' leading shape (shape () for one plan).
 
     cache is the forward pass's activations when the prediction came from
     predict_risk (None otherwise); risk_plan_gradient backpropagates from
     it without a second forward.
     """
 
-    risk: float | np.ndarray
-    logit: float | np.ndarray
-    min_dist: float | np.ndarray
-    ttc: float | np.ndarray
+    risk: np.ndarray
+    logit: np.ndarray
+    min_dist: np.ndarray
+    ttc: np.ndarray
     cache: dict | None = field(default=None, compare=False, repr=False)
 
 
@@ -405,22 +405,16 @@ def predict_risk(params: EstimatorParams, proprio, z, plan) -> RiskPrediction:
     """Calibrated prediction: stored temperature applied to the risk logit.
 
     plan is (..., H, 4) and proprio, z are (..., 14), (..., 10) over its
-    leading shape; raises ValueError on any other shape. One (H, 4) plan
-    runs as a batch of one and gives floats; a leading shape gives arrays
-    of that shape, each block of the last leading axis with the bits it
-    gets scored alone. min_dist and ttc are unaffected by the temperature,
-    and risk ordering over any fixed batch is invariant to it (monotone
-    transform). The result carries its forward cache for
-    risk_plan_gradient.
+    leading shape; raises ValueError on any other shape. The outputs are
+    arrays of the leading shape, () for one (H, 4) plan, each block of the
+    last leading axis with the bits it gets scored alone. min_dist and ttc
+    are unaffected by the temperature, and risk ordering over any fixed
+    batch is invariant to it (monotone transform). The result carries its
+    forward cache for risk_plan_gradient.
     """
     proprio, z, plan = _checked_inputs(proprio, z, plan)
-    if plan.ndim > 2:
-        logit, dist, ttc, cache = _forward_batch(params, proprio, z, plan)
-        return RiskPrediction(_sigmoid(logit / params.temperature), logit, dist, ttc, cache)
-    logit, dist, ttc, cache = _forward_batch(params, proprio[None], z[None], plan[None])
-    ell = float(logit[0])
-    return RiskPrediction(_sigmoid_scalar(ell / params.temperature), ell, float(dist[0]),
-                          float(ttc[0]), cache)
+    logit, dist, ttc, cache = _forward_batch(params, proprio, z, plan)
+    return RiskPrediction(_sigmoid(logit / params.temperature), logit, dist, ttc, cache)
 
 
 def risk_batch(params: EstimatorParams, batch: SampleBatch) -> np.ndarray:
@@ -440,10 +434,10 @@ def risk_plan_gradient(params: EstimatorParams, pred: RiskPrediction) -> np.ndar
     calibrated probability (temperature is a positive monotone
     reparameterization).
     """
-    lead = np.shape(pred.logit) or (1,)  # one plan's cache is a batch of one
     w_risk = params.weights["w_risk"]
-    g, _ = _plan_backward(params, pred.cache, np.broadcast_to(w_risk, (*lead, *w_risk.shape)))
-    return g if np.ndim(pred.logit) else g[0]
+    g, _ = _plan_backward(params, pred.cache,
+                          np.broadcast_to(w_risk, (*np.shape(pred.logit), *w_risk.shape)))
+    return g
 
 
 def _bce_from_logit(logit, y):

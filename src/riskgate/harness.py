@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -296,29 +297,98 @@ def episode_log_path(logs_dir, log: EpisodeLog) -> str:
     return os.path.join(logs_dir, name)
 
 
+def _count(v) -> bool:
+    return type(v) is int and v >= 0  # JSON's true and false are not counts
+
+
+def _finite(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+# per record kind: what it is, then each key but "kind" with its rule and
+# the rule's description; every value `write_episode_log` writes passes,
+# and so does an action outside the box, which needs the world's a_max
+_LOG_RECORDS = {
+    "episode": ("an episode log header", {
+        "format_version": (lambda v: type(v) is int and v == LOG_FORMAT_VERSION,
+                           str(LOG_FORMAT_VERSION)),
+        "task_id": (lambda v: v in wd.TASK_IDS, f"one of {wd.TASK_IDS}"),
+        "seed": (_count, "an int >= 0"),
+        "mode": (lambda v: v in cf.MODES, f"one of {cf.MODES}")}),
+    "step": ("a step record", {
+        "t": (_count, "an int >= 0"),
+        "state_digest": (lambda v: type(v) is str, "a string"),
+        "r_hat": (lambda v: v is None or _finite(v) and 0 <= v <= 1,
+                  "null or a number in [0, 1]"),
+        "d_min": (_finite, "a finite number"),
+        "gate_mode": (lambda v: v in (sg.RUN, sg.BLOCKED, sg.HALTED),
+                      f"one of {(sg.RUN, sg.BLOCKED, sg.HALTED)}"),
+        "decision": (lambda v: v in (sg.EXECUTE, sg.BLOCK, sg.HALT),
+                     f"one of {(sg.EXECUTE, sg.BLOCK, sg.HALT)}"),
+        "action": (lambda v: type(v) is list and len(v) == 4 and all(map(_finite, v)),
+                   "a list of 4 finite numbers"),
+        "latency_us": (lambda v: _finite(v) and v > 0, "a finite number > 0"),
+        "plan_y_bin": (lambda v: v is None or type(v) is int and 0 <= v <= 1,
+                       "null, 0 or 1")}),
+    "terminal": ("a terminal record", {
+        "success": (lambda v: type(v) is bool, "true or false"),
+        "collided": (lambda v: type(v) is bool, "true or false"),
+        "steps": (_count, "an int >= 0"),
+        "blocked_steps": (_count, "an int >= 0"),
+        "recoveries": (_count, "an int >= 0")}),
+}
+_LOG_KEYS = {kind: {"kind", *rules} for kind, (_, rules) in _LOG_RECORDS.items()}
+
+
+def _log_record(where: str, line: str, kind: str) -> dict:
+    """The record of one log line, checked against the rules of its kind;
+    raises ValueError starting with where."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{where}: not JSON: {e}") from None
+    what, rules = _LOG_RECORDS[kind]
+    if not isinstance(obj, dict) or obj.get("kind") != kind:
+        got = obj.get("kind") if isinstance(obj, dict) else obj
+        raise ValueError(f"{where}: not {what} (kind {got!r})")
+    if obj.keys() != _LOG_KEYS[kind]:
+        raise ValueError(f"{where}: {what} has keys {sorted(obj)}, "
+                         f"not {sorted(_LOG_KEYS[kind])}")
+    for key, (ok, rule) in rules.items():
+        if not ok(obj[key]):
+            raise ValueError(f"{where}: {key} must be {rule}, got {obj[key]!r}")
+    return obj
+
+
 def read_episode_log(path) -> EpisodeLog:
+    """Parse and check an episode log: a header, step records and a
+    terminal record, each with exactly its keys and values of the types
+    and ranges `write_episode_log` writes (the action box aside, as the
+    log does not hold a_max), and terminal counts that agree with the
+    steps. Raises ValueError naming the file and line of the first fault.
+    """
     with open(path) as f:
-        lines = [json.loads(x) for x in f if x.strip()]
-    if not lines or lines[0].get("kind") != "episode":
-        raise ValueError(f"not an episode log: {path}")
-    head = lines[0]
-    log = EpisodeLog(task_id=head["task_id"], seed=int(head["seed"]),
-                     mode=head["mode"], steps=[])
-    for obj in lines[1:-1]:
-        if obj.get("kind") != "step":
-            raise ValueError(f"unexpected record kind {obj.get('kind')!r}")
-        obj = {k: v for k, v in obj.items() if k != "kind"}
+        lines = [(n, line) for n, line in enumerate(f, start=1) if line.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: not an episode log (no header and terminal record)")
+    head = _log_record(f"{path}: line {lines[0][0]}", lines[0][1], "episode")
+    log = EpisodeLog(task_id=head["task_id"], seed=head["seed"], mode=head["mode"], steps=[])
+    for n, line in lines[1:-1]:
+        obj = _log_record(f"{path}: line {n}", line, "step")
+        del obj["kind"]
         log.steps.append(StepRecord(**obj))
-    term = lines[-1]
-    if term.get("kind") != "terminal":
-        raise ValueError("log missing terminal record")
-    log.success = bool(term["success"])
-    log.collided = bool(term["collided"])
-    log.n_steps = int(term["steps"])
-    log.blocked_steps = int(term["blocked_steps"])
-    log.recoveries = int(term["recoveries"])
+    where = f"{path}: line {lines[-1][0]}"
+    term = _log_record(where, lines[-1][1], "terminal")
+    log.success, log.collided = term["success"], term["collided"]
+    log.n_steps, log.blocked_steps = term["steps"], term["blocked_steps"]
+    log.recoveries = term["recoveries"]
     if log.n_steps != len(log.steps):
-        raise ValueError("terminal step count disagrees with records")
+        raise ValueError(f"{where}: terminal step count {log.n_steps} disagrees with "
+                         f"{len(log.steps)} step records")
+    blocks = sum(s.decision == sg.BLOCK for s in log.steps)
+    if log.blocked_steps != blocks:
+        raise ValueError(f"{where}: blocked_steps {log.blocked_steps} disagrees with "
+                         f"{blocks} BLOCK decisions")
     return log
 
 

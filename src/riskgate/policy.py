@@ -39,8 +39,8 @@ def scripted_expert(state: wd.DualArmState, task: wd.Task, horizon: int,
     The expert rolls its own kinematic prediction forward, so later actions
     react to where the earlier ones will have moved each arm. Deliberately
     blind to the other arm: this is the unsafe baseline. A batched state
-    and task (`wd.stack_states`, `wd.stack_tasks`) plan every row at once:
-    the plan is then (..., H, 4).
+    and task (`wd.stack`) plan every row at once: the plan is then
+    (..., H, 4).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

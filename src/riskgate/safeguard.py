@@ -129,26 +129,27 @@ def distance_fallback(d_hat: float, d0: float) -> float:
 
 @dataclass
 class CandidateChoice:
-    """The chosen candidate of one group, or of each group when the
-    candidates carry a leading group shape."""
+    """The chosen candidate of each group, as arrays over the group shape
+    (shape () for one group)."""
 
-    index: int | np.ndarray  # int, or an int array of the group shape
-    plan: np.ndarray         # (..., H, 4)
-    risks: np.ndarray        # (..., N) calibrated risk, inf where infeasible
+    index: np.ndarray  # (...) int
+    plan: np.ndarray   # (..., H, 4)
+    risks: np.ndarray  # (..., N) calibrated risk, inf where infeasible
 
 
 def select_candidate(params: est.EstimatorParams, proprio, z,
                      candidates: np.ndarray, a_max: float) -> CandidateChoice:
     """Pick the lowest-risk feasible candidate plan of each group.
 
-    candidates is (N, H, 4), or (..., N, H, 4) with proprio (..., 14) and
-    z (..., 10) over the same group shape; feasibility means every
+    candidates is (..., N, H, 4) with proprio (..., 14) and z (..., 10)
+    over its group shape, () for one group; feasibility means every
     component respects the a_max box. Risks come from one batched
     calibrated forward pass over every group, each group with the bits
     it gets scored alone; ties break toward the lowest index, so the
     nominal plan (index 0) wins unless a jittered alternative is strictly
-    better. Raises ValueError on a malformed shape, an empty group or a
-    group with no feasible candidate.
+    better. The choice holds arrays over the group shape. Raises
+    ValueError on a malformed shape, an empty group or a group with no
+    feasible candidate.
     """
     candidates = np.asarray(candidates, dtype=float)
     if (candidates.ndim < 3 or candidates.shape[-1] != est.ACTION_DIM
@@ -169,7 +170,7 @@ def select_candidate(params: est.EstimatorParams, proprio, z,
     risks = np.where(feasible, risks, np.inf)
     idx = np.argmin(risks, axis=-1)
     plan = np.take_along_axis(candidates, idx[..., None, None, None], axis=-3)[..., 0, :, :]
-    return CandidateChoice(index=int(idx) if idx.ndim == 0 else idx, plan=plan, risks=risks)
+    return CandidateChoice(index=idx, plan=plan, risks=risks)
 
 
 @dataclass
@@ -246,17 +247,13 @@ def descend(params: est.EstimatorParams, proprio, z, anchors, recover,
     C = np.array([r.c for r in rows])[:, None, None]
     W2 = np.array([2.0 * r.w for r in rows])[:, None, None]
     while run:
-        step = np.array([r.step for r in run])[:, None, None] if len(run) > 1 else run[0].step
+        step = np.array([r.step for r in run])[:, None, None]
         # the box projection: np.clip's values with fewer call layers
         cand = np.minimum(np.maximum(cur - step * grad, -cfg.a_max), cfg.a_max)
-        # one row is scored as the single plan it is; several as (E, 1)
-        # blocks, which numpy's matmul runs one at a time, with those bits
-        if len(run) == 1:
-            pred = est.predict_risk(params, P[0], Z[0], cand[0])
-            risks, dists = [pred.risk], [pred.min_dist]
-        else:
-            pred = est.predict_risk(params, P[:, None], Z[:, None], cand[:, None])
-            risks, dists = pred.risk[:, 0].tolist(), pred.min_dist[:, 0].tolist()
+        # the rows are scored as (E, 1) blocks, which numpy's matmul runs one
+        # at a time, each with the bits of its single plan
+        pred = est.predict_risk(params, P[:, None], Z[:, None], cand[:, None])
+        risks, dists = pred.risk[:, 0].tolist(), pred.min_dist[:, 0].tolist()
         diff = cand - A0
         acc, fresh, keep = [], [], []
         for r, risk, dist, sq in zip(run, risks, dists,

@@ -6,13 +6,15 @@ function here is deterministic given its inputs (plus an explicit rng where
 noise is part of the contract). States are value-like: `step` returns a new
 state and never mutates its argument.
 
-A state or task may carry a leading batch axis on every per-episode field
-(`stack_states`, `stack_tasks`; `take` selects rows), as `geometry.stack_arms`
-does for arms. `step`, `min_self_distance`, `proprio_feature`,
-`scene_feature` and `success_check` then act on every row at once, and a
-single state is the same call without the axis. The kernels give each row
-the same bits at any batch size. `lockstep` drives episodes this way: it
-resets and stacks them, steps them together and drops each as it ends.
+A state or task may carry a leading batch axis on every field (`stack`;
+`take` selects rows), as `geometry.stack_arms` does for arms; the holding
+flags are a field like any other, so one batch may mix them. `step`,
+`min_self_distance`, `proprio_feature`, `scene_feature` and
+`success_check` then act on every row at once and return arrays over the
+batch shape; a single state is the same call without the axis, and its
+results have shape (). The kernels give each row the same bits at any
+batch size. `lockstep` drives episodes this way: it resets and stacks
+them, steps them together and drops each as it ends.
 
 A state and a task hold both arms on one arm axis of size 2, left arm
 first, the axis `geometry.stack_arms` gives `WorldConfig.arms`. Two
@@ -97,18 +99,17 @@ class DualArmState:
     """Joint state of both arms with cached forward kinematics.
 
     Every per-arm value sits on an arm axis of size 2, left arm first, as
-    in `WorldConfig.arms`: q (..., 2, n), grippers g (..., 2), joint
-    origins (..., 2, n+1, 2) and EE headings (..., 2). The cached origins
-    and headings always equal the forward kinematics of q; use
-    `make_state` (or `step`) so the caches are rebuilt on every change. In
-    a batch (`stack_states`) every field but the holding flags carries a
-    leading batch axis; the flags fix how many capsules each side has, so
-    all rows share them.
+    in `WorldConfig.arms`: q (..., 2, n), grippers g (..., 2), holding
+    flags (..., 2) (bool), joint origins (..., 2, n+1, 2) and EE headings
+    (..., 2). The cached origins and headings always equal the forward
+    kinematics of q; use `make_state` (or `step`) so the caches are
+    rebuilt on every change. In a batch (`stack`) every field carries a
+    leading batch axis.
     """
 
     q: np.ndarray
     g: np.ndarray
-    holding: tuple  # (left, right)
+    holding: np.ndarray
     t: int
     origins: np.ndarray
     heading: np.ndarray
@@ -119,33 +120,18 @@ class DualArmState:
         return self.origins[..., -1, :]
 
 
-_SHARED = ("holding",)
-
-
-def _stack(items):
+def stack(items):
+    """One state or task whose row i is items[i]; every field gains the
+    batch axis."""
     first = items[0]
     return replace(first, **{f.name: np.stack([getattr(x, f.name) for x in items])
-                             for f in fields(first) if f.name not in _SHARED})
-
-
-def stack_states(states) -> DualArmState:
-    """One state whose row i is states[i]. Raises ValueError unless all
-    states share their holding flags."""
-    if len({s.holding for s in states}) != 1:
-        raise ValueError("states in one batch must share their holding flags")
-    return _stack(states)
-
-
-def stack_tasks(tasks) -> Task:
-    """One task whose row i is tasks[i]; every field gains the batch axis."""
-    return _stack(tasks)
+                             for f in fields(first)})
 
 
 def take(batch, rows):
     """Rows of a stacked state or task: an index array or mask keeps the
     batch axis, an integer drops it."""
-    return replace(batch, **{f.name: getattr(batch, f.name)[rows]
-                             for f in fields(batch) if f.name not in _SHARED})
+    return replace(batch, **{f.name: getattr(batch, f.name)[rows] for f in fields(batch)})
 
 
 def lockstep(jobs, cfg: WorldConfig, params: TaskParams, advance) -> None:
@@ -161,8 +147,8 @@ def lockstep(jobs, cfg: WorldConfig, params: TaskParams, advance) -> None:
     for lo in range(0, len(jobs), LOCKSTEP_EPISODES):
         live = np.arange(lo, min(lo + LOCKSTEP_EPISODES, len(jobs)))
         inits = [task_init(*jobs[i], cfg, params) for i in live]
-        state = stack_states([s for s, _ in inits])
-        task = stack_tasks([t for _, t in inits])
+        state = stack([s for s, _ in inits])
+        task = stack([t for _, t in inits])
         for t in range(params.max_steps):
             state, done = advance(t, live, state, task)
             if done.all():
@@ -186,7 +172,7 @@ def make_state(
     origins, angles = joint_origins(cfg.arms, q)
     check_joint_limits(cfg.arms, q)
     return DualArmState(q=q, g=np.array([g_left, g_right], dtype=float),
-                        holding=(bool(holding_left), bool(holding_right)), t=t,
+                        holding=np.array([holding_left, holding_right], dtype=bool), t=t,
                         origins=origins, heading=angles[..., -1])
 
 
@@ -214,29 +200,38 @@ class RolloutOutcome:
     y_ttc: float
 
 
-def _side_capsules(segs, ee, heading, radii, holding: bool, cfg: WorldConfig):
-    """Capsule axes (..., k, 2, 2) and radii (k,) of one arm: its links,
-    plus the grasped object extending from the EE along the EE heading."""
-    if not holding:
+def _capsules(cfg: WorldConfig, holding, origins, heading):
+    """Capsule axes (..., 2, k, 2, 2) and radii (..., 2, k) of both arms.
+
+    The capsules are each arm's links and, when some row holds an object,
+    the grasped object extending from each EE along its heading, of radius
+    -inf where that arm holds nothing: every pair with such a capsule then
+    clears by +inf, so the minimum is that of the held capsules alone.
+    """
+    segs, radii = link_segments(origins), cfg.arms.link_radii
+    if not holding.any():
         return segs, radii
+    ee = origins[..., -1, :]
     tip = ee + cfg.grasp_length * np.stack([np.cos(heading), np.sin(heading)], axis=-1)
     grasp = np.stack([ee, tip], axis=-2)[..., None, :, :]
-    return np.concatenate([segs, grasp], axis=-3), np.append(radii, cfg.grasp_radius)
+    rad = np.empty((*holding.shape, radii.shape[-1] + 1))
+    rad[..., :-1] = radii
+    rad[..., -1] = np.where(holding, cfg.grasp_radius, -np.inf)
+    return np.concatenate([segs, grasp], axis=-3), rad
 
 
-def _clearance(cfg: WorldConfig, holding: tuple, origins, heading) -> np.ndarray:
+def _clearance(cfg: WorldConfig, holding, origins, heading) -> np.ndarray:
     """Minimum inflated capsule clearance per configuration.
 
     origins (..., 2, n+1, 2) and heading (..., 2) are both arms' joint
-    origins and EE headings, left arm first; the result has the leading
-    shape (...).
+    origins and EE headings, left arm first, and holding (..., 2) their
+    flags over a shape that broadcasts to the leading one; the result has
+    the leading shape (...).
     """
-    segs, ee, radii = link_segments(origins), origins[..., -1, :], cfg.arms.link_radii
-    (segs_l, rad_l), (segs_r, rad_r) = (
-        _side_capsules(segs[..., k, :, :, :], ee[..., k, :], heading[..., k], radii[k],
-                       holding[k], cfg) for k in (0, 1))
-    nl, nr = segs_l.shape[-3], segs_r.shape[-3]
-    il, ir = np.repeat(np.arange(nl), nr), np.tile(np.arange(nr), nl)
+    segs, rad = _capsules(cfg, holding, origins, heading)
+    (segs_l, rad_l), (segs_r, rad_r) = ((segs[..., k, :, :, :], rad[..., k, :]) for k in (0, 1))
+    m = segs.shape[-3]
+    il, ir = np.repeat(np.arange(m), m), np.tile(np.arange(m), m)
     best = _pair_clearance(segs_l, rad_l, il, segs_r, rad_r, ir, cfg.inflation)
 
     if cfg.include_intra_arm:
@@ -252,12 +247,12 @@ def _pair_clearance(segs_a, rad_a, ia, segs_b, rad_b, ib, inflation: float) -> n
     """Minimum inflated clearance over the capsule pairs (ia[k] of a, ib[k] of b)."""
     axis_dist = segment_pairs_distance(segs_a[..., ia, 0, :], segs_a[..., ia, 1, :],
                                        segs_b[..., ib, 0, :], segs_b[..., ib, 1, :])
-    return (axis_dist - (rad_a[ia] + rad_b[ib] + 2.0 * inflation)).min(axis=-1)
+    return (axis_dist - (rad_a[..., ia] + rad_b[..., ib] + 2.0 * inflation)).min(axis=-1)
 
 
 def min_self_distance(state: DualArmState, cfg: WorldConfig):
-    """Minimum inflated capsule clearance over all cross-arm pairs: a float,
-    or one value per row of a batched state.
+    """Minimum inflated capsule clearance over all cross-arm pairs, one
+    value per row of a batched state (shape () for one state).
 
     Pairs are every left capsule against every right capsule, where each
     side's capsules are its links plus (when holding) the grasped-object
@@ -265,8 +260,7 @@ def min_self_distance(state: DualArmState, cfg: WorldConfig):
     between non-adjacent links of one arm join the enumeration only when
     cfg.include_intra_arm is set. Each capsule grows by cfg.inflation.
     """
-    d = _clearance(cfg, state.holding, state.origins, state.heading)
-    return float(d) if d.ndim == 0 else d
+    return _clearance(cfg, state.holding, state.origins, state.heading)
 
 
 def _advance(cfg: WorldConfig, q, origins, dx):
@@ -522,8 +516,7 @@ def _within(ee, goal, tol):
 
 
 def success_check(state: DualArmState, task: Task):
-    """True iff both EEs sit within tolerance of their goals. A batched
-    state and task give one bool per row."""
+    """True iff both EEs sit within tolerance of their goals: one bool per
+    row of a batched state and task (shape () for one)."""
     tol = np.asarray(task.success_tolerance)[..., None]
-    ok = _within(state.ee, task.goal, tol).all(axis=-1)
-    return bool(ok) if ok.ndim == 0 else ok
+    return _within(state.ee, task.goal, tol).all(axis=-1)

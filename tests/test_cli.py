@@ -190,6 +190,68 @@ def test_report_subcommand_rebuilds_from_logs(micro_run, tmp_path, capsys):
     assert json.load(open(tmp_path / "rebuilt.json"))["estimator"]["latency"]["calls"] > 0
 
 
+def _edit_record(index, **changes):
+    """An edit of log line `index` that sets (or, for None, drops) keys."""
+    def edit(lines):
+        obj = json.loads(lines[index])
+        for key, value in changes.items():
+            if value is None:
+                del obj[key]
+            else:
+                obj[key] = value
+        lines[index] = json.dumps(obj, sort_keys=True)
+    return edit
+
+
+@pytest.mark.parametrize("edit, line, expect", [
+    (_edit_record(-1, success="false"), -1, "success must be true or false"),
+    (_edit_record(-1, steps="3"), -1, "steps must be an int >= 0"),
+    (_edit_record(-1, recoveries=-1), -1, "recoveries must be an int >= 0"),
+    (_edit_record(-1, blocked_steps=99), -1, "blocked_steps 99 disagrees"),
+    (_edit_record(1, plan_y_bin=7), 1, "plan_y_bin must be null, 0 or 1"),
+    (_edit_record(1, r_hat=3.5), 1, "r_hat must be null or a number in [0, 1]"),
+    (_edit_record(1, d_min=float("nan")), 1, "d_min must be a finite number"),
+    (_edit_record(1, latency_us=0.0), 1, "latency_us must be a finite number > 0"),
+    (_edit_record(1, t=True), 1, "t must be an int >= 0"),
+    (_edit_record(1, action=[0.0, 0.0, 0.0]), 1, "action must be a list of 4"),
+    (_edit_record(1, decision="GO"), 1, "decision must be one of"),
+    (_edit_record(1, gate_mode="HALT"), 1, "gate_mode must be one of"),
+    (_edit_record(1, action=None), 1, "a step record has keys"),
+    (_edit_record(1, extra=1), 1, "a step record has keys"),
+    (_edit_record(1, kind="terminal"), 1, "not a step record"),
+    (_edit_record(0, mode="fast"), 0, "mode must be one of"),
+    (lambda lines: lines.__setitem__(1, lines[1][:-1]), 1, "not JSON"),
+])
+def test_report_rejects_a_misread_log(micro_run, tmp_path, capsys, edit, line, expect):
+    """An episode log with a record `write_episode_log` cannot have written
+    does not load: `read_episode_log` raises naming the file and line, and
+    `report` exits 2 naming the file."""
+    root = micro_run["root"]
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    for src in (root / "logs_gated").iterdir():
+        (logs / src.name).write_bytes(src.read_bytes())
+    path = sorted(logs.iterdir())[0]
+    lines = path.read_text().splitlines()
+    assert len(lines) > 2
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        hn.read_episode_log(path)
+    assert f"{path}: line {range(1, len(lines) + 1)[line]}: " in str(err.value)
+    assert expect in str(err.value)
+    base = json.loads(micro_run["cfg_path"].read_text())
+    base["eval"] = dict(base["eval"], logs_dir=str(logs),
+                        report_path=str(tmp_path / "rebuilt.json"))
+    base["gate"] = dict(base["gate"], thresholds_path=str(root / "thresholds.json"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base))
+    capsys.readouterr()
+    assert cli.main(["report", "--config", str(cfg_path)]) == 2
+    assert f"error: ValueError: {path}: line" in capsys.readouterr().err
+    assert not (tmp_path / "rebuilt.json").exists()
+
+
 def test_exit_code_1_on_config_errors(tmp_path):
     assert cli.main(["gen-data", "--config", str(tmp_path / "nofile.json")]) == 1
     bad = tmp_path / "bad.json"

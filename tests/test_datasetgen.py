@@ -165,6 +165,45 @@ def test_read_rejects_corrupt_files(tiny_data, tmp_path):
 
 
 @pytest.mark.parametrize("edit, what", [
+    (lambda h: h.pop("horizons"), "keys"),
+    (lambda h: h.update(extra=1), "keys"),
+    (lambda h: h.update(format_version=True), "unsupported dataset version"),
+    (lambda h: h.update(horizons=[]), "horizons must be a non-empty list"),
+    (lambda h: h.update(horizons=[2.0]), "horizons must be"),
+    (lambda h: h.update(horizons=[0, 2]), "horizons must be"),
+    (lambda h: h.update(seed="x"), "seed must be an int >= 0"),
+    (lambda h: h.update(seed=-1), "seed must be an int >= 0"),
+    (lambda h: h.update(counts=[]), "counts must be"),
+    (lambda h: h["counts"].pop("positives"), "counts must be"),
+    (lambda h: h["counts"].update(samples=True), "counts must be"),
+    (lambda h: h.update(dims={"proprio": 3}), "dims must be the estimator's"),
+    (lambda h: h["dims"].update(z=10.0), "dims must be"),
+    (lambda h: h.update(config_digest=None), "config_digest must be a string"),
+    (lambda h: h["counts"].update(positives=h["counts"]["positives"] + 1), "counts.positives"),
+    (lambda h: h["counts"].update(samples=h["counts"]["samples"] + 1), "counts.samples"),
+])
+def test_read_checks_the_header(tiny_data, tmp_path, edit, what):
+    """A header without exactly its keys, with a value of the wrong type or
+    range, dims other than the estimator's or counts other than the
+    body's raises ValueError naming the key; a bad sample line is still
+    named before any count disagreement."""
+    lines = open(tiny_data["paths"][2]).read().splitlines()
+    head = json.loads(lines[0])
+    edit(head)
+    path = tmp_path / "h.jsonl"
+    path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match=what):
+        dg.read_dataset(path)
+    if what.startswith("counts."):
+        obj = json.loads(lines[5])
+        obj["y_bin"] = 1 - obj["y_bin"]
+        path.write_text("\n".join([json.dumps(head)] + lines[1:5] + [json.dumps(obj)]
+                                  + lines[6:]) + "\n")
+        with pytest.raises(ValueError, match=r"line 6: y_bin != \(y_d < 0\)"):
+            dg.read_dataset(path)
+
+
+@pytest.mark.parametrize("edit, what", [
     (lambda kw: kw.update(proprio=np.zeros(13)), "proprio"),
     (lambda kw: kw.update(z=np.zeros((2, 5))), "z must hold"),
     (lambda kw: kw.update(plan=np.zeros((3, 4))), "plan"),

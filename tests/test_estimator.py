@@ -206,7 +206,7 @@ def test_sigmoid_bits_match_masked_formula():
     wide = np.random.default_rng(13).normal(0.0, 40.0, size=1000)
     assert_array_equal(est._sigmoid(wide).view(np.uint64),
                        masked_sigmoid(wide).view(np.uint64))
-    # the scalar form predict_risk takes has the same bits
+    # the scalar form _sigmoid takes for one value has the same bits
     both = np.concatenate([x, wide])
     scalar = np.array([est._sigmoid_scalar(float(v)) for v in both])
     assert_array_equal(scalar.view(np.uint64), est._sigmoid(both).view(np.uint64))
@@ -429,6 +429,27 @@ def test_grouped_predict_risk_equals_one_call_per_group(groups):
             assert (one.risk, one.logit, one.min_dist, one.ttc) == \
                 tuple(out[e, 0] for out in fields(rows))
             assert_array_equal(bits(grads[e, 0]), bits(est.risk_plan_gradient(params, one)))
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+def test_one_plan_is_row_0_0_of_a_one_block_call(h):
+    """One (H, 4) plan runs through the batched forward as it is: its
+    outputs have shape () and equal, with ==, row (0, 0) of the
+    (1, 1, H, 4) call, and so does its plan gradient."""
+    params = rough_params(7 + h)
+    rng = np.random.default_rng(70 + h)
+    for _ in range(20):
+        proprio = rng.normal(size=est.PROPRIO_DIM)
+        z = rng.normal(size=est.VISION_DIM)
+        plan = rng.uniform(-0.02, 0.02, size=(h, 4))
+        one = est.predict_risk(params, proprio, z, plan)
+        block = est.predict_risk(params, proprio[None, None], z[None, None], plan[None, None])
+        for got, want in zip(fields(one), fields(block)):
+            assert np.shape(got) == ()
+            assert_array_equal(bits(got), bits(want[0, 0]))
+        grad = est.risk_plan_gradient(params, one)
+        assert grad.shape == (h, 4)
+        assert_array_equal(bits(grad), bits(est.risk_plan_gradient(params, block)[0, 0]))
 
 
 def test_plan_gradient_skips_the_zero_upstream_heads(trained_tiny):

@@ -2,8 +2,9 @@
 private (underscore) names, whether through a module alias or an import,
 the modules import each other without a cycle, the runtime imports
 nothing beyond the standard library and numpy, every compact JSON
-writer goes through json's C encoder, and every eval config key and every
-field of the world state and task is read by the program."""
+writer goes through json's C encoder, no result is unwrapped on its rank,
+and every eval config key and every field of the world state and task is
+read by the program."""
 
 import ast
 import pathlib
@@ -189,6 +190,36 @@ def test_compact_json_writers_use_the_c_encoder():
     found = [f"{path.name}:{line}"
              for path in sorted(SRC.glob("*.py"))
              for line in streamed_json_dumps(path.read_text())]
+    assert found == []
+
+
+def rank_unwraps(source):
+    """Line of every conditional expression whose test reads an array's
+    rank (`x.ndim`, `np.ndim(x)`), such as `float(d) if d.ndim == 0 else d`.
+    A batched call returns arrays over its leading shape, () for one item,
+    so no result is unwrapped to a Python scalar on its rank."""
+    def reads_rank(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "ndim"
+                   or isinstance(n, ast.Name) and n.id == "ndim" for n in ast.walk(node))
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.IfExp) and reads_rank(node.test))
+
+
+def test_rank_unwrap_checker():
+    source = ("from numpy import ndim\n"
+              "def f(d, g, x):\n"
+              "    if x.ndim < 2:\n"
+              "        raise ValueError(x.shape)\n"
+              "    a = float(d) if d.ndim == 0 else d\n"
+              "    b = [g if np.ndim(x) else g[0], d if d.size else 0]\n"
+              "    return bool(x) if not ndim(x) else x, x.ndim == 0\n")
+    assert rank_unwraps(source) == [5, 6, 7]
+
+
+def test_no_result_is_unwrapped_on_its_rank():
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line in rank_unwraps(path.read_text())]
     assert found == []
 
 

@@ -99,7 +99,7 @@ def test_policy_plan_matches_manual_rollout(world_cfg, task_params, monkeypatch)
     inits = [wd.task_init(wd.TASK_IDS[i % 2], i, world_cfg, task_params) for i in range(6)]
     states, tasks = [s for s, _ in inits], [t for _, t in inits]
     calls.clear()
-    plans = pol.policy_plan(params, wd.stack_states(states), wd.stack_tasks(tasks),
+    plans = pol.policy_plan(params, wd.stack(states), wd.stack(tasks),
                             world_cfg, 5)
     assert plans.shape == (6, 5, 4) and len(calls) == 4
     for row, s, t in zip(plans, states, tasks):

@@ -207,7 +207,7 @@ def test_select_candidate_groups_equal_one_call_per_group(trained_tiny, world_cf
     assert grouped.index.shape == (3,) and grouped.plan.shape == (3, 5, 4)
     for e in range(3):
         alone = sg.select_candidate(trained_tiny, proprio[e], z[e], cands[e], a_max=0.02)
-        assert isinstance(alone.index, int) and alone.index == grouped.index[e]
+        assert alone.index.shape == () and alone.index == grouped.index[e]
         np.testing.assert_array_equal(grouped.plan[e], alone.plan)
         np.testing.assert_array_equal(grouped.risks[e].view(np.uint64),
                                       alone.risks.view(np.uint64))

@@ -123,7 +123,8 @@ def test_make_state_matches_per_arm_forward_kinematics(world_cfg):
         g = rng.uniform(0.0, 1.0, 2)
         state = wd.make_state(world_cfg, q_l, q_r, *g, holding_right=True, t=4)
         assert state.q.shape == (2, 3) and state.origins.shape == (2, 4, 2)
-        assert np.array_equal(state.g, g) and state.holding == (False, True) and state.t == 4
+        assert np.array_equal(state.g, g) and state.t == 4
+        assert np.array_equal(state.holding, [False, True]) and state.holding.dtype == bool
         for k, (arm, q) in enumerate(((world_cfg.arm_left, q_l), (world_cfg.arm_right, q_r))):
             segs, ee, heading = gm.forward_kinematics(arm, q)
             assert np.array_equal(state.q[k], q)
@@ -288,7 +289,7 @@ def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch)
         assert not any(o.y_bin for o in label_plans(state, plans[:n], world_cfg))
         assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
         calls.update(joint_origins=0, segment_pairs_distance=0)
-        wd.rollout_and_step(wd.stack_states([state] * n), plans[:n], plans[:n, 0], world_cfg)
+        wd.rollout_and_step(wd.stack([state] * n), plans[:n], plans[:n, 0], world_cfg)
         assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
 
 
@@ -304,7 +305,7 @@ def test_rollout_and_step_equals_separate_calls(world_cfg, n, horizon):
     states = [random_state(rng, cfg, holding=True) for _ in range(n - 1)]
     q = np.array([-0.25, 0.0, 0.0])
     states.append(wd.make_state(cfg, q, -q, holding_left=True, holding_right=True))
-    state = replace(wd.stack_states(states), t=np.arange(n) + 3)
+    state = replace(wd.stack(states), t=np.arange(n) + 3)
     plans = rng.uniform(-0.02, 0.02, size=(n, horizon, 4))
     plans[-1] = [0.02, 0.0, -0.02, 0.0]  # both arms lean in and close the gap
     actions = rng.uniform(-0.02, 0.02, size=(n, 4))
@@ -313,7 +314,7 @@ def test_rollout_and_step_equals_separate_calls(world_cfg, n, horizon):
     assert_array_equal(d, wd.rollout_clearance(state, plans, cfg))
     for f in ("q", "g", "t", "origins", "heading"):
         assert_array_equal(getattr(nxt, f), getattr(ref, f), err_msg=f)
-    assert nxt.holding == ref.holding
+    assert_array_equal(nxt.holding, ref.holding)
     assert_array_equal(d_next, wd.min_self_distance(ref, cfg))
     assert d.shape == (horizon, n) and d_next.shape == (n,)
     assert (d < 0.0).any()
@@ -335,7 +336,7 @@ def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
     pairs.append((pairs[0][0], replace(pairs[0][1], goal=pairs[0][0].ee)))  # already at goal
     states = [random_state(rng, world_cfg) for _ in range(4)] + [s for s, _ in pairs[4:]]
     tasks = [t for _, t in pairs]
-    state, task = wd.stack_states(states), wd.stack_tasks(tasks)
+    state, task = wd.stack(states), wd.stack(tasks)
     assert state.q.shape == (8, 2, 3) and task.goal.shape == (8, 2, 2)
     actions = rng.uniform(-0.3, 0.3, size=(8, 4))
     nxt = wd.step(state, actions, world_cfg)
@@ -374,7 +375,7 @@ def test_step_pins_reference_kernels(world_cfg):
     lo, hi = arms.joint_limits[..., 0], arms.joint_limits[..., 1]
     q = rng.uniform(-2.8, 2.8, size=(32, 2, 3))
     q[:12] = np.where(rng.integers(0, 2, size=(12, 2, 3)) == 1, hi, lo)
-    state = wd.stack_states([wd.make_state(world_cfg, *row) for row in q])
+    state = wd.stack([wd.make_state(world_cfg, *row) for row in q])
     actions = rng.uniform(-0.3, 0.3, size=(32, 4))
     actions[16:] *= 0.01
     nxt = wd.step(state, actions, world_cfg)
@@ -388,14 +389,37 @@ def test_step_pins_reference_kernels(world_cfg):
     assert (nxt.q == lo).any() and (nxt.q == hi).any() and ((lo < nxt.q) & (nxt.q < hi)).any()
 
 
-def test_batches_must_share_holding_flags(world_cfg):
+@pytest.mark.parametrize("mixed", [True, False])
+def test_batch_mixing_holding_flags_equals_each_rows_own_call(world_cfg, mixed):
+    """A batch whose rows hold objects in all four ways (or, unmixed, hold
+    nothing) gives each row, with ==, the `min_self_distance`,
+    `rollout_clearance` and `rollout_and_step` outputs of that row's own
+    call, with intra-arm pairs and inflation on and rows that penetrate."""
+    cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
     rng = np.random.default_rng(19)
-    a = random_state(rng, world_cfg, holding=True)
-    b = random_state(rng, world_cfg, holding=False)
-    with pytest.raises(ValueError, match="holding"):
-        wd.stack_states([a, b])
-    with pytest.raises(ValueError, match="holding"):
-        wd.stack_states([a, replace(a, holding=(True, False))])
+    flags = [(False, False), (True, False), (False, True), (True, True)] * 4
+    if not mixed:
+        flags = [(False, False)] * len(flags)
+    q = np.array([-0.25, 0.0, 0.0])
+    states = [wd.make_state(cfg, q + rng.uniform(-0.4, 0.4, 3), -q + rng.uniform(-0.4, 0.4, 3),
+                            holding_left=left, holding_right=right) for left, right in flags]
+    state = wd.stack(states)
+    assert state.holding.shape == (len(flags), 2)
+    plans = rng.uniform(-0.02, 0.02, size=(len(flags), 3, 4))
+    actions = rng.uniform(-0.02, 0.02, size=(len(flags), 4))
+    d = wd.min_self_distance(state, cfg)
+    d_plans = wd.rollout_clearance(state, plans, cfg)
+    fused, nxt, d_next = wd.rollout_and_step(state, plans, actions, cfg)
+    assert (d < 0.0).any() and (d >= 0.0).any()
+    for i, s in enumerate(states):
+        assert d[i] == wd.min_self_distance(s, cfg)
+        assert_array_equal(d_plans[:, i], wd.rollout_clearance(s, plans[i:i + 1], cfg)[:, 0])
+        one, one_nxt, one_d = wd.rollout_and_step(wd.stack([s]), plans[i:i + 1],
+                                                  actions[i:i + 1], cfg)
+        assert_array_equal(fused[:, i], one[:, 0])
+        assert d_next[i] == one_d[0]
+        for f in ("q", "g", "holding", "t", "origins", "heading"):
+            assert_array_equal(getattr(wd.take(nxt, i), f), getattr(one_nxt, f)[0], err_msg=f)
 
 
 def test_rollout_batch_per_row_states_and_horizons(world_cfg):
@@ -413,7 +437,7 @@ def test_rollout_batch_per_row_states_and_horizons(world_cfg):
         plan[h:] = [0.02, 0.0, -0.02, 0.0]  # padding that would collide if it counted
         plans.append(plan)
         horizons.append(h)
-    out = label_plans(wd.stack_states(states), np.array(plans), world_cfg, horizons=horizons)
+    out = label_plans(wd.stack(states), np.array(plans), world_cfg, horizons=horizons)
     for s, plan, h, label in zip(states, plans, horizons, out):
         assert label == rollout(s, plan[:h], world_cfg)
     assert {o.y_bin for o in out} == {0, 1}
@@ -423,9 +447,9 @@ def test_rollout_batch_per_row_states_and_horizons(world_cfg):
                for s, plan, o in zip(states, plans, out))
     for bad in ([5] * 11, [0] + [5] * 11, [6] * 12, [2.0] * 12):
         with pytest.raises(ValueError):
-            label_plans(wd.stack_states(states), np.array(plans), world_cfg, horizons=bad)
+            label_plans(wd.stack(states), np.array(plans), world_cfg, horizons=bad)
     with pytest.raises(ValueError):
-        label_plans(wd.stack_states(states[:3]), np.array(plans), world_cfg)
+        label_plans(wd.stack(states[:3]), np.array(plans), world_cfg)
 
 
 def test_rollout_censors_ttc_at_horizon(world_cfg):
