@@ -424,8 +424,16 @@ def read_dataset(path) -> Dataset:
     """Parse and validate a dataset file; raises ValueError on a header
     `_read_header` rejects, a malformed line, a sample that fails
     `_check_columns` or has an H outside the header's horizons, or header
-    counts that disagree with the body. A bad sample's error names its
-    line, and comes before any count disagreement."""
+    counts that disagree with the body. Every error starts with the path;
+    a bad sample's error then names its line, and comes before any count
+    disagreement."""
+    try:
+        return _read_dataset(path)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+
+
+def _read_dataset(path) -> Dataset:
     with open(path) as f:
         first = f.readline()
         if not first.strip():

@@ -18,9 +18,10 @@ use. The forward, predict_risk and risk_plan_gradient take any leading
 batch shape: numpy's matmul makes one call per leading block, so scoring E
 groups of N plans as (E, N, H, 4) gives each group the bits of its own
 (N, H, 4) call, and E descent rows scored as (E, 1, H, 4) each get the
-bits of a single (H, 4) plan. Padded training batches pass a step mask;
-inference passes none (every step is real), which skips the mask multiply
-and count and gives the bits of an all-ones mask.
+bits of a single (H, 4) plan. Training batches that mix horizons pass a
+step mask; inference and single-horizon training phases pass none (every
+step is real), which skips the mask multiply and count and gives the bits
+of an all-ones mask.
 """
 
 from __future__ import annotations
@@ -159,22 +160,26 @@ class SampleBatch:
     """Padded, masked arrays for a set of labeled samples.
 
     plan is (B, H_pad, 4) right-padded with zero rows; mask marks real steps.
+    `train` sets mask to None on a phase whose steps are all real, which
+    runs the mask-free forward and backward.
     """
 
-    proprio: np.ndarray  # (B, 14)
-    z: np.ndarray        # (B, 10)
-    plan: np.ndarray     # (B, H_pad, 4)
-    mask: np.ndarray     # (B, H_pad), 1.0 for real steps
-    y_bin: np.ndarray    # (B,)
-    y_d: np.ndarray      # (B,)
-    y_ttc: np.ndarray    # (B,)
+    proprio: np.ndarray      # (B, 14)
+    z: np.ndarray            # (B, 10)
+    plan: np.ndarray         # (B, H_pad, 4)
+    mask: np.ndarray | None  # (B, H_pad), 1.0 for real steps
+    y_bin: np.ndarray        # (B,)
+    y_d: np.ndarray          # (B,)
+    y_ttc: np.ndarray        # (B,)
 
     def __len__(self) -> int:
         return self.proprio.shape[0]
 
     def take(self, idx) -> "SampleBatch":
+        """The rows idx selects: copies for an index array, views for a slice."""
         return SampleBatch(self.proprio[idx], self.z[idx], self.plan[idx],
-                           self.mask[idx], self.y_bin[idx], self.y_d[idx], self.y_ttc[idx])
+                           None if self.mask is None else self.mask[idx],
+                           self.y_bin[idx], self.y_d[idx], self.y_ttc[idx])
 
 
 def stack_batch(samples) -> SampleBatch:
@@ -360,10 +365,12 @@ def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
     g_K = t["g_scores"].transpose(0, 2, 1) @ c["Q"]
     g["w_query"] = np.einsum("bhd,bhe->de", c["act"], t["g_Q"])
     g["b_query"] = t["g_Q"].sum(axis=(0, 1))
-    g["w_key"] = np.einsum("bcd,bce->de", c["C"], g_K)
+    # one einsum for both: it sums each output element over (b, c) on its
+    # own, so each half has the bits of its own einsum
+    w_kv = np.einsum("bcd,bce->de", c["C"], np.concatenate([g_K, g_V], axis=-1))
+    g["w_key"], g["w_value"] = w_kv[:, :params.d_model], w_kv[:, params.d_model:]
     g["b_key"] = g_K.sum(axis=(0, 1))
     g_C = g_K @ w["w_key"].T
-    g["w_value"] = np.einsum("bcd,bce->de", c["C"], g_V)
     g["b_value"] = g_V.sum(axis=(0, 1))
     g_C = g_C + g_V @ w["w_value"].T
 
@@ -476,13 +483,13 @@ def loss(pred: RiskPrediction, label, cfg: TrainConfig):
     return total, parts
 
 
-def _batch_loss_and_grads(params: EstimatorParams, batch: SampleBatch, cfg: TrainConfig):
-    """Mean loss over the batch plus exact gradients (params and plans)."""
+def _batch_loss_and_grads(params: EstimatorParams, batch: SampleBatch, wgt, cfg: TrainConfig):
+    """Mean loss over the batch plus exact gradients (params and plans);
+    wgt is the batch's `_sample_weights`."""
     logit, dist, ttc, cache = _forward_batch(params, batch.proprio, batch.z,
                                              batch.plan, batch.mask)
     n = len(batch)
     y = batch.y_bin
-    wgt = _sample_weights(y, batch.y_ttc, cfg)
     bce = wgt * _bce_from_logit(logit, y)
     dist_term = (dist - batch.y_d) ** 2
     ttc_term = y * np.abs(ttc - batch.y_ttc)
@@ -504,8 +511,20 @@ def grad(params: EstimatorParams, batch: SampleBatch, cfg: TrainConfig):
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
-    _, param_grads, plan_grads = _batch_loss_and_grads(params, batch, cfg)
+    wgt = _sample_weights(batch.y_bin, batch.y_ttc, cfg)
+    _, param_grads, plan_grads = _batch_loss_and_grads(params, batch, wgt, cfg)
     return param_grads, plan_grads
+
+
+def flat_weights(weights: dict) -> tuple[np.ndarray, dict]:
+    """A copy of weights as one flat vector, and views into it with the
+    names and shapes of weights, in their order."""
+    flat = np.concatenate([arr.ravel() for arr in weights.values()])
+    views, lo = {}, 0
+    for name, arr in weights.items():
+        views[name] = flat[lo: lo + arr.size].reshape(arr.shape)
+        lo += arr.size
+    return flat, views
 
 
 def train(dataset_phases, cfg: TrainConfig,
@@ -515,29 +534,48 @@ def train(dataset_phases, cfg: TrainConfig,
     Each phase is a SampleBatch (shorter plans already right-padded with a
     mask). Shuffle order is fixed by cfg.seed, so identical inputs give
     identical weights. Raises RuntimeError if the loss goes non-finite.
+    The params given are left as they are.
+
+    The weights, their velocity and the gradient are each one flat vector
+    (the returned weights are views into it), so the momentum update is a
+    few elementwise ops on the whole vector. Each epoch gathers its phase
+    once, in shuffled order, and takes every batch as a slice of it. A
+    phase of one horizon (an all-ones mask, as every phase that gen-data
+    or post-train makes) runs the mask-free forward and backward, which
+    give the bits of the masked ones.
     """
     phases = sorted(dataset_phases, key=lambda b: int(b.mask.sum(axis=1).max()) if len(b) else 0)
     if params is None:
         params = init_params(cfg.seed)
-    else:
-        params = params.copy()
+    flat, weights = flat_weights(params.weights)
+    params = replace(params, weights=weights)
+    velocity = np.zeros_like(flat)
+    g = np.empty_like(flat)
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 11]))
-    velocity = {k: np.zeros_like(v) for k, v in params.weights.items()}
 
     for batch_all in phases:
         n = len(batch_all)
         if n == 0:
             continue
+        if batch_all.mask.all():
+            batch_all = replace(batch_all, mask=None)
+        wgt_all = _sample_weights(batch_all.y_bin, batch_all.y_ttc, cfg)
         for _ in range(cfg.epochs_per_phase):
             order = rng.permutation(n)
+            epoch, wgt = batch_all.take(order), wgt_all[order]
             for lo in range(0, n, cfg.batch_size):
-                sub = batch_all.take(order[lo: lo + cfg.batch_size])
-                total, grads, _ = _batch_loss_and_grads(params, sub, cfg)
+                hi = lo + cfg.batch_size
+                total, grads, _ = _batch_loss_and_grads(params, epoch.take(slice(lo, hi)),
+                                                        wgt[lo:hi], cfg)
                 if not np.isfinite(total):
                     raise RuntimeError(f"training diverged: loss={total}")
-                for k, gk in grads.items():
-                    velocity[k] = cfg.momentum * velocity[k] - cfg.lr * gk
-                    params.weights[k] = params.weights[k] + velocity[k]
+                # v = m*v - lr*g, then w = w + v: elementwise, so per weight the bits
+                # of updating each array on its own
+                np.concatenate([grads[k].ravel() for k in params.weights], out=g)
+                g *= cfg.lr
+                velocity *= cfg.momentum
+                velocity -= g
+                flat += velocity
     return params
 
 

@@ -212,35 +212,40 @@ def _fit_mlp(params: PolicyParams, x, y, weights, cfg: PolicyTrainConfig) -> Pol
 
     The error is measured in box-normalized units (divided by a_max), which
     leaves the minimizer unchanged but keeps gradient magnitudes independent
-    of the physical action scale.
+    of the physical action scale. As in `est.train`, the weights, velocity
+    and gradient are each one flat vector (the returned arrays are views
+    into it), and each epoch gathers the data once in shuffled order and
+    slices its batches.
     """
-    params = params.copy()
+    flat, views = est.flat_weights(dict(params.weight_items()))
+    params = PolicyParams(**views, a_max=params.a_max)
+    vel = np.zeros_like(flat)
+    g = np.empty_like(flat)
     n = x.shape[0]
     scale = 1.0 / params.a_max ** 2
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 17]))
-    vel = {name: np.zeros_like(arr) for name, arr in params.weight_items()}
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        x_ep, y_ep, w_ep = x[order], y[order], weights[order]
         for lo in range(0, n, cfg.batch_size):
-            idx = order[lo: lo + cfg.batch_size]
-            xb, yb, wb = x[idx], y[idx], weights[idx]
+            hi = lo + cfg.batch_size
+            xb, yb, wb = x_ep[lo:hi], y_ep[lo:hi], w_ep[lo:hi]
             out, h, u = _policy_forward_batch(params, xb)
             err = out - yb
             loss = float(np.mean(wb * np.sum(err * err, axis=1))) * scale
             if not np.isfinite(loss):
                 raise RuntimeError(f"policy training diverged: loss={loss}")
-            g_out = scale * 2.0 * wb[:, None] * err / len(idx)
+            g_out = scale * 2.0 * wb[:, None] * err / len(xb)
             g_u = g_out * params.a_max * (1.0 - np.tanh(u) ** 2)
-            grads = {
-                "w2": h.T @ g_u, "b2": g_u.sum(axis=0),
-            }
             g_h = g_u @ params.w2.T
             g_pre = g_h * (1.0 - h ** 2)
-            grads["w1"] = xb.T @ g_pre
-            grads["b1"] = g_pre.sum(axis=0)
-            for name, arr in params.weight_items():
-                vel[name] = cfg.momentum * vel[name] - cfg.lr * grads[name]
-                arr += vel[name]
+            grads = {"w1": xb.T @ g_pre, "b1": g_pre.sum(axis=0),
+                     "w2": h.T @ g_u, "b2": g_u.sum(axis=0)}
+            np.concatenate([grads[name].ravel() for name in views], out=g)
+            g *= cfg.lr
+            vel *= cfg.momentum
+            vel -= g
+            flat += vel
     return params
 
 

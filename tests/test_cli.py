@@ -321,6 +321,45 @@ def test_exit_code_2_on_runtime_errors(tmp_path):
     assert cli.main(["calibrate", "--config", str(cfg)]) == 2
 
 
+def test_dataset_errors_name_the_file(micro_run, tmp_path, capsys):
+    """An edited held-out header (read by calibrate) and an edited sample
+    line of a training file (read by train-estimator) each exit 2 with an
+    error that starts with that file's path, and write nothing."""
+    root = micro_run["root"]
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (root / "data").iterdir():
+        (data / src.name).write_bytes(src.read_bytes())
+    held = tmp_path / "heldout.jsonl"
+    lines = (root / "heldout.jsonl").read_text().splitlines()
+    head = json.loads(lines[0])
+    del head["seed"]
+    held.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
+    ckpt = tmp_path / "est.json"
+    ckpt.write_bytes((root / "est.json").read_bytes())
+    base = json.loads(micro_run["cfg_path"].read_text())
+    base["datagen"] = dict(base["datagen"], out_dir=str(data))
+    base["estimator"] = dict(base["estimator"], checkpoint_path=str(ckpt),
+                             heldout_path=str(held))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base))
+
+    capsys.readouterr()
+    assert cli.main(["calibrate", "--config", str(cfg_path)]) == 2
+    assert f"error: ValueError: {held}: malformed header: keys" in capsys.readouterr().err
+
+    train_file = sorted(data.iterdir())[0]
+    lines = train_file.read_text().splitlines()
+    obj = json.loads(lines[1])
+    del obj["z"]
+    train_file.write_text("\n".join([lines[0], json.dumps(obj)] + lines[2:]) + "\n")
+    assert cli.main(["train-estimator", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: ValueError: {train_file}: malformed sample at line 2: 'z'" in err
+    assert ckpt.read_bytes() == (root / "est.json").read_bytes()
+    assert held.read_text().splitlines()[0] == json.dumps(head)
+
+
 def test_evaluate_asserts(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

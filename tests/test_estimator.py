@@ -245,6 +245,72 @@ def test_train_phase_order_is_by_horizon(tiny_data):
         assert_array_equal(fwd.weights[name], rev.weights[name])
 
 
+def reference_grads(params, batch, cfg):
+    """The mean-loss parameter gradients of one batch through the masked
+    forward, with w_key and w_value from one einsum each."""
+    logit, dist, ttc, c = est._forward_batch(params, batch.proprio, batch.z,
+                                             batch.plan, batch.mask)
+    n, y = len(batch), batch.y_bin
+    wgt = est._sample_weights(y, batch.y_ttc, cfg)
+    ups = (cfg.lambda_bce * wgt * (est._sigmoid(logit) - y) / n,
+           cfg.lambda_d * 2.0 * (dist - batch.y_d) / n,
+           cfg.lambda_ttc * y * np.sign(ttc - batch.y_ttc) / n)
+    grads, _ = est._backward_batch(params, c, *ups)
+    _, t = est._plan_backward(params, c, est._trunk_upstream(params, c, *ups)[0])
+    g_v = c["attn"].transpose(0, 2, 1) @ t["g_O"]
+    g_k = t["g_scores"].transpose(0, 2, 1) @ c["Q"]
+    grads["w_key"] = np.einsum("bcd,bce->de", c["C"], g_k)
+    grads["w_value"] = np.einsum("bcd,bce->de", c["C"], g_v)
+    return grads
+
+
+def reference_train(phases, cfg, params=None):
+    """The training loop in its per-array form: a velocity per weight array,
+    a `take` copy per batch and the masked forward on every batch."""
+    phases = sorted(phases, key=lambda b: int(b.mask.sum(axis=1).max()))
+    params = est.init_params(cfg.seed) if params is None else params.copy()
+    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 11]))
+    velocity = {k: np.zeros_like(v) for k, v in params.weights.items()}
+    for batch_all in phases:
+        n = len(batch_all)
+        for _ in range(cfg.epochs_per_phase):
+            order = rng.permutation(n)
+            for lo in range(0, n, cfg.batch_size):
+                sub = batch_all.take(order[lo: lo + cfg.batch_size])
+                for k, gk in reference_grads(params, sub, cfg).items():
+                    velocity[k] = cfg.momentum * velocity[k] - cfg.lr * gk
+                    params.weights[k] = params.weights[k] + velocity[k]
+    return params
+
+
+def test_train_keeps_the_bits_of_the_per_array_loop(tiny_data):
+    """`train` (flat weight vector, one gather per epoch, mask-free
+    single-horizon phases, one K/V einsum) gives every weight the bits of
+    the per-array loop: on the single-horizon tiny phases, on a phase that
+    mixes horizons (the masked path), and continuing given params for one
+    phase (post-training), which it leaves as they were."""
+    h2, h3 = tiny_data["phases"]
+    assert h2.mask.all() and h3.mask.all()
+    mixed = est.stack_batch(
+        [s for h in (3, 2) for s in dg.read_dataset(tiny_data["paths"][h]).samples[:45]])
+    assert not mixed.mask.all()
+    given = rough_params(4)
+    before = given.copy()
+    cases = [([h2, h3], est.TrainConfig(epochs_per_phase=2, seed=0), None),
+             ([mixed], est.TrainConfig(epochs_per_phase=3, seed=2), None),
+             ([h3], est.TrainConfig(epochs_per_phase=2, seed=5), given)]
+    for phases, cfg, params in cases:
+        got = est.train(phases, cfg, params=params)
+        want = reference_train(phases, cfg, params=params)
+        assert list(got.weights) == list(want.weights)
+        for k in want.weights:
+            assert_array_equal(bits(got.weights[k]), bits(want.weights[k]), err_msg=k)
+    assert (got.temperature, got.config_digest) == (given.temperature, given.config_digest)
+    for k in given.weights:
+        assert_array_equal(bits(given.weights[k]), bits(before.weights[k]), err_msg=k)
+        assert not np.shares_memory(got.weights[k], given.weights[k]), k
+
+
 def test_train_raises_on_divergence(tiny_data):
     params = est.init_params(seed=9)
     params.weights["w_dist"] = params.weights["w_dist"] * 1e200

@@ -55,13 +55,15 @@ def test_episode_log_roundtrip(world_cfg, task_params, tmp_path):
 
 def test_episode_log_bytes_match_asdict_writer(world_cfg, task_params, tmp_path):
     """`write_episode_log` writes what the asdict-based writer wrote, byte
-    for byte, on a gated episode plus steps with edge values."""
+    for byte, on a gated episode plus a halted step with edge values, and
+    `read_episode_log` reads the same records back."""
     setup = make_setup(world_cfg, task_params, mode="gated", est_params=inert_estimator(-1.0))
     log = hn.run_episodes(setup, [("crossing_transfer", 3)])[0]
     log.steps.append(hn.StepRecord(t=len(log.steps), state_digest="f" * 16, r_hat=None,
-                                   d_min=-0.0, gate_mode="HALT", decision="HALT",
+                                   d_min=-0.0, gate_mode=sg.HALTED, decision=sg.HALT,
                                    action=[5e-324, -0.0, 1e16, 0.1 + 0.2],
                                    latency_us=1e-7, plan_y_bin=None))
+    log.n_steps = len(log.steps)
     path = tmp_path / "ep.jsonl"
     hn.write_episode_log(log, path)
     head = {"kind": "episode", "format_version": hn.LOG_FORMAT_VERSION,
@@ -71,6 +73,7 @@ def test_episode_log_bytes_match_asdict_writer(world_cfg, task_params, tmp_path)
             "recoveries": log.recoveries}
     ref = [head] + [{"kind": "step", **asdict(s)} for s in log.steps] + [term]
     assert path.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in ref)
+    assert hn.read_episode_log(path) == log
 
 
 def test_read_episode_log_validation(world_cfg, task_params, tmp_path):

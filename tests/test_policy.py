@@ -198,6 +198,49 @@ def test_bc_train_reduces_cloning_error(demo_records):
         pol.bc_train(init, [], cfg)
 
 
+def reference_fit_mlp(params, x, y, weights, cfg):
+    """Cloning SGD in its per-array form: a velocity per weight array and
+    an indexed copy of each batch."""
+    params = params.copy()
+    scale = 1.0 / params.a_max ** 2
+    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 17]))
+    vel = {name: np.zeros_like(arr) for name, arr in params.weight_items()}
+    for _ in range(cfg.epochs):
+        order = rng.permutation(x.shape[0])
+        for lo in range(0, x.shape[0], cfg.batch_size):
+            idx = order[lo: lo + cfg.batch_size]
+            xb, yb, wb = x[idx], y[idx], weights[idx]
+            out, h, u = pol._policy_forward_batch(params, xb)
+            g_out = scale * 2.0 * wb[:, None] * (out - yb) / len(idx)
+            g_u = g_out * params.a_max * (1.0 - np.tanh(u) ** 2)
+            g_pre = (g_u @ params.w2.T) * (1.0 - h ** 2)
+            grads = {"w1": xb.T @ g_pre, "b1": g_pre.sum(axis=0),
+                     "w2": h.T @ g_u, "b2": g_u.sum(axis=0)}
+            for name, arr in params.weight_items():
+                vel[name] = cfg.momentum * vel[name] - cfg.lr * grads[name]
+                arr += vel[name]
+    return params
+
+
+def test_fit_mlp_keeps_the_bits_of_the_per_array_loop(demo_records):
+    """The flat-vector cloning loop gives every weight the bits of the
+    per-array loop, with risk weights and a short last batch, and leaves
+    the params it was given as they were."""
+    x, y = pol._demo_arrays(demo_records)
+    assert len(x) % 64 != 0
+    weights = np.exp(-5.0 * np.random.default_rng(3).random(len(x)))
+    cfg = pol.PolicyTrainConfig(epochs=4, seed=2)
+    init = pol.init_policy(seed=1)
+    before = init.copy()
+    got = pol._fit_mlp(init, x, y, weights, cfg)
+    want = reference_fit_mlp(init, x, y, weights, cfg)
+    for (name, a), (_, b), (_, given), (_, kept) in zip(
+            got.weight_items(), want.weight_items(), init.weight_items(), before.weight_items()):
+        assert_array_equal(a.view(np.uint64), b.view(np.uint64), err_msg=name)
+        assert_array_equal(given.view(np.uint64), kept.view(np.uint64), err_msg=name)
+        assert not np.shares_memory(a, given), name
+
+
 def test_safety_filter_scores_and_threshold(demo_records, trained_tiny):
     kept = pol.safety_filter_dataset(demo_records, trained_tiny, tau_down=0.35)
     assert 0 < len(kept) <= len(demo_records)
