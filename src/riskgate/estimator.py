@@ -8,13 +8,18 @@ feeds a small tanh trunk with three linear heads: collision-risk logit,
 minimum-clearance regression, and time-to-collision (softplus, capped).
 
 Gradients are analytic and hand-written. One backward chain runs from the
-heads to the plan inputs; training adds the parameter gradients on top of
-it, while projected-gradient recovery and refinement run the plan-only
-chain on the forward cache a prediction already carries, so descent pays
-one forward per evaluated plan and no parameter-gradient work.
+heads along the plan path; training adds the parameter gradients on top of
+it and never forms the plan gradient, while projected-gradient recovery
+and refinement run the plan-only chain on the forward cache a prediction
+already carries, so descent pays one plan scoring per evaluated plan and
+no parameter-gradient work.
 
 Everything runs in float64 numpy, batch-first, with one forward for every
-use. The forward, predict_risk and risk_plan_gradient take any leading
+use. The forward has two stages: a context encoding (`encode_context`:
+proprio and scene tokens, keys and values) and a plan scoring
+(`score_plans`); `predict_risk` runs both, and a caller that scores many
+plans against one context, as descent does round after round, encodes it
+once. The forward, predict_risk and risk_plan_gradient take any leading
 batch shape: numpy's matmul makes one call per leading block, so scoring E
 groups of N plans as (E, N, H, 4) gives each group the bits of its own
 (N, H, 4) call, and E descent rows scored as (E, 1, H, 4) each get the
@@ -29,7 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -216,15 +221,59 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _forward_batch(params: EstimatorParams, proprio, z, plan, mask=None):
-    """Forward pass over any leading batch shape; returns (logit, dist, ttc,
-    cache).
+@dataclass
+class EncodedContext:
+    """The context stage of a forward over a leading shape (...): the
+    inputs, both context tokens and their keys and values. Made by
+    `encode_context`; `score_plans` scores plans of the same leading shape
+    against it, so a caller that scores many plans per context encodes
+    each context once."""
 
-    plan is (..., H, 4) and proprio, z are (..., 14), (..., 10) over the
-    same leading shape. mask (..., H) marks the real steps of right-padded
-    plans; None means every step is real. Each matmul runs once per
-    leading block of its core shape, so a row's bits depend only on the
-    shape of its last batch axis, never on how many blocks lead it.
+    proprio: np.ndarray  # (..., 14)
+    z: np.ndarray        # (..., 10)
+    ctx_p: np.ndarray    # (..., d)
+    ctx_v: np.ndarray    # (..., d)
+    C: np.ndarray        # (..., 2, d) the two context tokens
+    K: np.ndarray        # (..., 2, d)
+    V: np.ndarray        # (..., 2, d)
+
+    def take(self, rows) -> "EncodedContext":
+        """The rows of the first leading axis that rows selects."""
+        return EncodedContext(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def _encode(params: EstimatorParams, proprio, z) -> EncodedContext:
+    """The context stage: proprio (..., 14) and z (..., 10) to their tokens,
+    keys and values. Each matmul runs once per leading block, as in
+    `_score`."""
+    w = params.weights
+    d = params.d_model
+    ctx_p = proprio @ w["w_proprio"]                                     # (...,d)
+    ctx_p += w["b_proprio"]
+    np.tanh(ctx_p, out=ctx_p)
+    ctx_v = z @ w["w_vision"]                                            # (...,d)
+    ctx_v += w["b_vision"]
+    np.tanh(ctx_v, out=ctx_v)
+    C = np.empty((*ctx_p.shape[:-1], 2, d))                              # (...,2,d)
+    C[..., 0, :] = ctx_p
+    C[..., 1, :] = ctx_v
+    K = C @ w["w_key"]                                                   # (...,2,d)
+    K += w["b_key"]
+    V = C @ w["w_value"]                                                 # (...,2,d)
+    V += w["b_value"]
+    return EncodedContext(proprio, z, ctx_p, ctx_v, C, K, V)
+
+
+def _score(params: EstimatorParams, ctx: EncodedContext, plan, mask=None):
+    """The plan stage of a forward over any leading batch shape: plans
+    (..., H, 4) against the encoded contexts of the same leading shape;
+    returns (logit, dist, ttc, cache), the cache holding both stages'
+    activations.
+
+    mask (..., H) marks the real steps of right-padded plans; None means
+    every step is real. Each matmul runs once per leading block of its
+    core shape, so a row's bits depend only on the shape of its last
+    batch axis, never on how many blocks lead it.
     """
     w = params.weights
     d = params.d_model
@@ -236,28 +285,15 @@ def _forward_batch(params: EstimatorParams, proprio, z, plan, mask=None):
     act = U @ w["w_action"]                                              # (...,H,d)
     act += w["b_action"]
     np.tanh(act, out=act)
-    ctx_p = proprio @ w["w_proprio"]                                     # (...,d)
-    ctx_p += w["b_proprio"]
-    np.tanh(ctx_p, out=ctx_p)
-    ctx_v = z @ w["w_vision"]                                            # (...,d)
-    ctx_v += w["b_vision"]
-    np.tanh(ctx_v, out=ctx_v)
-    C = np.empty((*ctx_p.shape[:-1], 2, d))                              # (...,2,d)
-    C[..., 0, :] = ctx_p
-    C[..., 1, :] = ctx_v
 
     Q = act @ w["w_query"]                                               # (...,H,d)
     Q += w["b_query"]
-    K = C @ w["w_key"]                                                   # (...,2,d)
-    K += w["b_key"]
-    V = C @ w["w_value"]                                                 # (...,2,d)
-    V += w["b_value"]
-    attn = Q @ K.mT                                                      # (...,H,2)
+    attn = Q @ ctx.K.mT                                                  # (...,H,2)
     attn /= math.sqrt(d)
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
-    R = attn @ V                                                         # (...,H,d)
+    R = attn @ ctx.V                                                     # (...,H,d)
     R += act
     if mask is None:
         counts = None
@@ -280,22 +316,26 @@ def _forward_batch(params: EstimatorParams, proprio, z, plan, mask=None):
     ttc_sp = _softplus(ttc_raw)
     ttc = np.minimum(ttc_sp, params.ttc_cap)
 
-    cache = dict(U=U, act=act, ctx_p=ctx_p, ctx_v=ctx_v, C=C, Q=Q, K=K, V=V,
-                 attn=attn, pooled=pooled, t1=t1, t2=t2, ttc_raw=ttc_raw,
-                 ttc_sp=ttc_sp, mask=mask, counts=counts,
-                 proprio=proprio, z=z)
+    cache = dict(vars(ctx), U=U, act=act, Q=Q, attn=attn, pooled=pooled, t1=t1, t2=t2,
+                 ttc_raw=ttc_raw, ttc_sp=ttc_sp, mask=mask, counts=counts)
     return logit, dist, ttc, cache
+
+
+def _forward_batch(params: EstimatorParams, proprio, z, plan, mask=None):
+    """Both stages of the forward: `_score` of plan against the encoding of
+    (proprio, z), over any leading batch shape."""
+    return _score(params, _encode(params, proprio, z), plan, mask)
 
 
 def _plan_backward(params: EstimatorParams, cache, g_t2):
     """Backprop of any scalar with upstream g_t2 (..., d) at the trunk
-    output to the plan inputs only.
+    output along the plan path, up to the action layer's pre-activation.
 
-    Returns (plan_grads, taps): plan_grads is (..., H, 4); taps holds the
-    upstream gradient at each layer the plan path crosses, from which
-    _backward_batch forms the parameter gradients. The context branch
-    (key, value, proprio, vision) feeds no plan gradient and is skipped.
-    A cache without a mask gives the bits of an all-ones mask.
+    Returns taps, the upstream gradient at each layer the plan path
+    crosses: `_plan_grad` forms the plan gradient from them, and
+    _backward_batch the parameter gradients. The context branch (key,
+    value, proprio, vision) feeds no plan gradient and is skipped. A cache
+    without a mask gives the bits of an all-ones mask.
     """
     w = params.weights
     d = params.d_model
@@ -321,10 +361,12 @@ def _plan_backward(params: EstimatorParams, cache, g_t2):
     g_act = g_R + g_Q @ w["w_query"].T
 
     g_act_pre = g_act * (1.0 - c["act"] ** 2)
-    g_U = g_act_pre @ w["w_action"].T
-    taps = dict(a2=a2, a1=a1, g_O=g_O, g_scores=g_scores, g_Q=g_Q,
-                g_act_pre=g_act_pre)
-    return g_U[..., :ACTION_DIM], taps
+    return dict(a2=a2, a1=a1, g_O=g_O, g_scores=g_scores, g_Q=g_Q, g_act_pre=g_act_pre)
+
+
+def _plan_grad(params: EstimatorParams, taps) -> np.ndarray:
+    """The (..., H, 4) plan gradient of `_plan_backward`'s taps."""
+    return (taps["g_act_pre"] @ params.weights["w_action"].T)[..., :ACTION_DIM]
 
 
 def _trunk_upstream(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
@@ -340,14 +382,15 @@ def _trunk_upstream(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
 def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
     """Exact gradients of any scalar with upstream (g_logit, g_dist, g_ttc).
 
-    Returns (param_grads, plan_grads) where param_grads mirrors
-    params.weights and plan_grads is (B, H, 4): the plan-only pass plus
-    every parameter gradient (training).
+    Returns (param_grads, taps) where param_grads mirrors params.weights
+    and taps are the plan path's (`_plan_backward`), from which
+    `_plan_grad` forms the (B, H, 4) plan gradient when a caller wants it
+    (training does not).
     """
     w = params.weights
     c = cache
     g_t2, g_raw = _trunk_upstream(params, cache, g_logit, g_dist, g_ttc)
-    plan_grads, t = _plan_backward(params, cache, g_t2)
+    t = _plan_backward(params, cache, g_t2)
     g = {}
 
     g["w_risk"] = c["t2"].T @ g_logit
@@ -383,7 +426,7 @@ def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
 
     g["w_action"] = np.einsum("bhu,bhd->ud", c["U"], t["g_act_pre"])
     g["b_action"] = t["g_act_pre"].sum(axis=(0, 1))
-    return g, plan_grads
+    return g, t
 
 
 def _checked_inputs(proprio, z, plans):
@@ -417,10 +460,41 @@ def predict_risk(params: EstimatorParams, proprio, z, plan) -> RiskPrediction:
     last leading axis with the bits it gets scored alone. min_dist and ttc
     are unaffected by the temperature, and risk ordering over any fixed
     batch is invariant to it (monotone transform). The result carries its
-    forward cache for risk_plan_gradient.
+    forward cache for risk_plan_gradient. It is `score_plans` of plan
+    against `encode_context` of (proprio, z), with the same bits.
     """
     proprio, z, plan = _checked_inputs(proprio, z, plan)
-    logit, dist, ttc, cache = _forward_batch(params, proprio, z, plan)
+    return _predict(params, _encode(params, proprio, z), plan)
+
+
+def encode_context(params: EstimatorParams, proprio, z) -> EncodedContext:
+    """The context stage of the forward for proprio (..., 14) and z (..., 10)
+    over one leading shape; raises ValueError naming the shapes on any
+    other."""
+    proprio = np.asarray(proprio, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if (proprio.ndim < 1 or proprio.shape[-1] != PROPRIO_DIM
+            or z.shape != (*proprio.shape[:-1], VISION_DIM)):
+        raise ValueError(f"need proprio (..., {PROPRIO_DIM}) and z (..., {VISION_DIM}) over "
+                         f"one leading shape; got proprio {proprio.shape}, z {z.shape}")
+    return _encode(params, proprio, z)
+
+
+def score_plans(params: EstimatorParams, ctx: EncodedContext, plan) -> RiskPrediction:
+    """`predict_risk` of plans (..., H, 4) whose contexts `encode_context`
+    already encoded over the same leading shape (...), with its bits;
+    raises ValueError naming the shapes on any other plan shape."""
+    plan = np.asarray(plan, dtype=float)
+    lead = ctx.proprio.shape[:-1]
+    if (plan.ndim < 2 or plan.shape[-1] != ACTION_DIM or plan.shape[-2] < 1
+            or plan.shape[:-2] != lead):
+        raise ValueError(f"need plans (..., H, 4) with H >= 1 over the context's leading shape "
+                         f"{lead}, got {plan.shape}")
+    return _predict(params, ctx, plan)
+
+
+def _predict(params: EstimatorParams, ctx: EncodedContext, plan) -> RiskPrediction:
+    logit, dist, ttc, cache = _score(params, ctx, plan)
     return RiskPrediction(_sigmoid(logit / params.temperature), logit, dist, ttc, cache)
 
 
@@ -442,9 +516,8 @@ def risk_plan_gradient(params: EstimatorParams, pred: RiskPrediction) -> np.ndar
     reparameterization).
     """
     w_risk = params.weights["w_risk"]
-    g, _ = _plan_backward(params, pred.cache,
-                          np.broadcast_to(w_risk, (*np.shape(pred.logit), *w_risk.shape)))
-    return g
+    return _plan_grad(params, _plan_backward(
+        params, pred.cache, np.broadcast_to(w_risk, (*np.shape(pred.logit), *w_risk.shape))))
 
 
 def _bce_from_logit(logit, y):
@@ -484,8 +557,8 @@ def loss(pred: RiskPrediction, label, cfg: TrainConfig):
 
 
 def _batch_loss_and_grads(params: EstimatorParams, batch: SampleBatch, wgt, cfg: TrainConfig):
-    """Mean loss over the batch plus exact gradients (params and plans);
-    wgt is the batch's `_sample_weights`."""
+    """Mean loss over the batch, its exact parameter gradients and the plan
+    path's taps (`_backward_batch`); wgt is the batch's `_sample_weights`."""
     logit, dist, ttc, cache = _forward_batch(params, batch.proprio, batch.z,
                                              batch.plan, batch.mask)
     n = len(batch)
@@ -499,8 +572,8 @@ def _batch_loss_and_grads(params: EstimatorParams, batch: SampleBatch, wgt, cfg:
     g_logit = cfg.lambda_bce * wgt * (_sigmoid(logit) - y) / n
     g_dist = cfg.lambda_d * 2.0 * (dist - batch.y_d) / n
     g_ttc = cfg.lambda_ttc * y * np.sign(ttc - batch.y_ttc) / n
-    param_grads, plan_grads = _backward_batch(params, cache, g_logit, g_dist, g_ttc)
-    return total, param_grads, plan_grads
+    param_grads, taps = _backward_batch(params, cache, g_logit, g_dist, g_ttc)
+    return total, param_grads, taps
 
 
 def grad(params: EstimatorParams, batch: SampleBatch, cfg: TrainConfig):
@@ -512,8 +585,8 @@ def grad(params: EstimatorParams, batch: SampleBatch, cfg: TrainConfig):
     if len(batch) == 0:
         raise ValueError("empty batch")
     wgt = _sample_weights(batch.y_bin, batch.y_ttc, cfg)
-    _, param_grads, plan_grads = _batch_loss_and_grads(params, batch, wgt, cfg)
-    return param_grads, plan_grads
+    _, param_grads, taps = _batch_loss_and_grads(params, batch, wgt, cfg)
+    return param_grads, _plan_grad(params, taps)
 
 
 def flat_weights(weights: dict) -> tuple[np.ndarray, dict]:

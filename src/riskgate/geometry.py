@@ -97,12 +97,13 @@ def _dot2(x, y):
     return out
 
 
-def _point_segment_dist2(p, a, b):
-    """Squared distance from points p to segments [a, b], all (..., 2)."""
-    ab = b - a
-    denom = _dot2(ab, ab)
-    t = _dot2(p - a, ab) / np.where(denom < _EPS, 1.0, denom)
-    t = np.clip(np.where(denom < _EPS, 0.0, t), 0.0, 1.0)
+def _edge_dist2(p, a, ab, num, small, safe):
+    """Squared distance from points p to segments [a, a + ab], all (..., 2),
+    given num = (p - a).ab, small = |ab|^2 < _EPS and safe = |ab|^2 where
+    not small and 1 where small: the clamped projection of p on the
+    segment, a zero-length segment taken as its point a."""
+    t = num / safe
+    t = np.clip(np.where(small, 0.0, t), 0.0, 1.0)
     closest = a + t[..., None] * ab
     d = p - closest
     return _dot2(d, d)
@@ -116,7 +117,11 @@ def segment_pairs_distance(p0, p1, q0, q1) -> np.ndarray:
     interior stationary point (when it lies inside the square) or on one of
     the four edges, each of which reduces to a clamped point-to-segment
     projection, so taking the min over those five candidates is exact.
-    Zero-length segments degrade to points through the same clamping.
+    Zero-length segments degrade to points through the same clamping. The
+    edges reuse the axes u, v, their squared lengths a, c and the
+    projections e = w0.v and -d = (q0 - p0).u; a product's order does not
+    change its bits, and the one zero whose sign -d may flip is squared
+    away.
     """
     p0, p1, q0, q1 = (np.asarray(x, dtype=float) for x in (p0, p1, q0, q1))
     u = p1 - p0
@@ -138,10 +143,12 @@ def segment_pairs_distance(p0, p1, q0, q1) -> np.ndarray:
     di = pi - qi
     interior = np.where(inside, _dot2(di, di), np.inf)
 
-    best = np.minimum(interior, _point_segment_dist2(q0, p0, p1))
-    best = np.minimum(best, _point_segment_dist2(q1, p0, p1))
-    best = np.minimum(best, _point_segment_dist2(p0, q0, q1))
-    best = np.minimum(best, _point_segment_dist2(p1, q0, q1))
+    small_u, small_v = a < _EPS, c < _EPS
+    safe_u, safe_v = np.where(small_u, 1.0, a), np.where(small_v, 1.0, c)
+    best = np.minimum(interior, _edge_dist2(q0, p0, u, -d, small_u, safe_u))
+    best = np.minimum(best, _edge_dist2(q1, p0, u, _dot2(q1 - p0, u), small_u, safe_u))
+    best = np.minimum(best, _edge_dist2(p0, q0, v, e, small_v, safe_v))
+    best = np.minimum(best, _edge_dist2(p1, q0, v, _dot2(p1 - q0, v), small_v, safe_v))
     return np.sqrt(best)
 
 

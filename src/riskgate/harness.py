@@ -43,11 +43,13 @@ class StepRecord:
     gate_mode: str
     decision: str
     action: list
-    # wall time of the step's shared part (batched observation, the
-    # expert's or the cloned policy's plans, candidate sampling and the one
-    # batched candidate scoring), plus this episode's own gate transition
-    # time, plus, when this episode recovered or refined, the whole time of
-    # the step's one descent call, which every row in that call waited for
+    # wall time of the step's shared part (batched observation, at an
+    # episode's first step the expert's or the cloned policy's plans,
+    # candidate sampling and the one batched candidate scoring; from its
+    # second step the plans come with the last step's oracle pass, outside
+    # this time), plus this episode's own gate transition time, plus, when
+    # this episode recovered or refined, the whole time of the step's one
+    # descent call, which every row in that call waited for
     latency_us: float
     plan_y_bin: int | None    # oracle label of the plan driving the step
 
@@ -157,17 +159,18 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
 
     The episodes run in `wd.lockstep`. Per step, one call each observes
     every live episode (proprioception, and the scene feature with each
-    episode's own noise generator) and plans them all, by the scripted
-    expert or the cloned policy. When gated, each episode draws its
-    candidates from its own jitter stream, and one `select_candidate` call
-    scores every episode's candidates. Each episode's gate then steps on
+    episode's own noise generator); the plans of the scripted expert or
+    the cloned policy come from the last step's oracle pass, or, at a
+    lockstep group's first step, from one planner call. When gated, each
+    episode draws its candidates from its own jitter stream, and one
+    `select_candidate` call scores every episode's candidates. Each episode's gate then steps on
     its chosen risk, and one `sg.descend` call recovers every episode that
     blocked and, in gated+refine, refines every one that executes. Then
     one oracle pass per step, `wd.rollout_and_step`, labels every executed
     plan from its own episode's state and advances every episode by its
-    action, with the next state's clearance; one success check follows,
-    and one clearance call covers the current states of the episodes that
-    halted. Every batched call gives each episode the bits it gets alone,
+    action, with the next state's clearance and the planner's plan there,
+    which the next step takes; one success check follows, and one
+    clearance call covers the current states of the episodes that halted. Every batched call gives each episode the bits it gets alone,
     so every log is the one the episode would give alone.
 
     An episode ends at success, collision (terminal failure), a HALT
@@ -193,15 +196,16 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
     gates = [sg.GateState()] * len(jobs)
     gated = setup.mode != "ungated"
 
-    def advance(t, live, state, task):
+    def advance(t, live, state, task, carry):
         t0 = time.perf_counter()
         n = len(live)
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, wcfg.noise_sigma, [streams[i][0] for i in live])
         if setup.policy_params is None:
-            plans = pol.scripted_expert(state, task, setup.horizon, wcfg)[0]
+            law = pol.expert_law(task, wcfg.a_max)
         else:
-            plans = pol.policy_plan(setup.policy_params, state, task, wcfg, setup.horizon)
+            law = pol.policy_law(setup.policy_params, task)
+        plans = carry[0] if carry else pol.roll_plan(law, state, setup.horizon, wcfg)[0]
         r_hats, decisions = [None] * n, [sg.EXECUTE] * n
         actions = plans[:, 0].copy()
         latency_s = np.full(n, time.perf_counter() - t0)
@@ -242,7 +246,8 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
             actions = plans[:, 0] * scale[:, None]
             actions[decision == sg.HALT] = 0.0
 
-        d_plans, state_next, d_min = wd.rollout_and_step(state, plans, actions, wcfg)
+        d_plans, state_next, d_min, next_plans = wd.rollout_and_step(state, plans, actions,
+                                                                     wcfg, law)
         labels = wd.label_rollouts(d_plans, wcfg.dt)
         success = wd.success_check(state_next, task)
         halted = np.array(decisions) == sg.HALT
@@ -269,7 +274,7 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
             log.collided = not halted[j] and d < 0.0
             log.success = not halted[j] and not log.collided and bool(success[j])
             done[j] = halted[j] or log.collided or log.success
-        return state_next, done
+        return state_next, done, (next_plans,)
 
     wd.lockstep(jobs, wcfg, setup.task_params, advance)
     for log in logs:

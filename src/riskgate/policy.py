@@ -6,6 +6,12 @@ policy clones it from demonstrations of expert episodes run in
 `world.lockstep`, optionally with per-sample risk weights on a
 safety-filtered dataset. Records of gated rollouts post-train the risk
 estimator.
+
+Both planners are a row law (`expert_law`, `policy_law`: a state's action
+row) rolled forward kinematically by one loop, `roll_plan`. The episode
+loops plan by themselves only at a lockstep group's first step; after
+that, `world.rollout_and_step` rolls the same law from each executed
+state within its oracle pass.
 """
 
 from __future__ import annotations
@@ -26,31 +32,43 @@ POLICY_HIDDEN = 32
 POLICY_OUT = 4
 
 
-def _expert_action_row(state: wd.DualArmState, task: wd.Task, a_max: float) -> np.ndarray:
-    dx = np.clip(K_P * (task.goal - state.ee), -a_max, a_max)
-    return dx.reshape(*dx.shape[:-2], 4)
+def expert_law(task: wd.Task, a_max: float):
+    """The scripted expert's row law on task: a function from a state, or a
+    batch of states on task's batch axis, to its action rows (..., 4),
+    dx = clip(k_p (goal - ee), box) per arm, left arm first.
+
+    Deliberately blind to the other arm: this is the unsafe baseline.
+    """
+    def law(state: wd.DualArmState) -> np.ndarray:
+        dx = np.clip(K_P * (task.goal - state.ee), -a_max, a_max)
+        return dx.reshape(*dx.shape[:-2], 4)
+    return law
 
 
-def scripted_expert(state: wd.DualArmState, task: wd.Task, horizon: int,
-                    cfg: wd.WorldConfig) -> tuple[np.ndarray, wd.DualArmState]:
-    """(H, 4) plan from a proportional law dx = clip(k_p (goal - ee), box),
-    and the state its first row leads to.
+def roll_plan(law, state: wd.DualArmState, horizon: int,
+              cfg: wd.WorldConfig) -> tuple[np.ndarray, list]:
+    """The (..., H, 4) plan of a row law rolled forward from state, and the
+    H - 1 states its rows before the last lead to.
 
-    The expert rolls its own kinematic prediction forward, so later actions
-    react to where the earlier ones will have moved each arm. Deliberately
-    blind to the other arm: this is the unsafe baseline. A batched state
-    and task (`wd.stack`) plan every row at once: the plan is then
-    (..., H, 4).
+    Row i is the law's row at the state the rows before it lead to, so
+    later actions react to where the earlier ones will have moved each
+    arm. It steps no further than the state its last row is chosen at.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    rows = [_expert_action_row(state, task, cfg.a_max)]
-    first = cur = wd.step(state, rows[0], cfg)
+    rows, path = [law(state)], []
     for _ in range(1, horizon):
-        rows.append(_expert_action_row(cur, task, cfg.a_max))
-        if len(rows) < horizon:  # no state is needed past the last row
-            cur = wd.step(cur, rows[-1], cfg)
-    return np.stack(rows, axis=-2), first
+        path.append(wd.step(path[-1] if path else state, rows[-1], cfg))
+        rows.append(law(path[-1]))
+    return np.stack(rows, axis=-2), path
+
+
+def scripted_expert(state: wd.DualArmState, task: wd.Task, horizon: int,
+                    cfg: wd.WorldConfig) -> np.ndarray:
+    """(H, 4) plan of `expert_law` rolled forward by `roll_plan`. A batched
+    state and task (`wd.stack`) plan every row at once: the plan is then
+    (..., H, 4)."""
+    return roll_plan(expert_law(task, cfg.a_max), state, horizon, cfg)[0]
 
 
 @dataclass
@@ -97,30 +115,31 @@ def policy_features(proprio, z, goals) -> np.ndarray:
                            np.asarray(goals, dtype=float)], axis=-1)
 
 
-def policy_plan(params: PolicyParams, state: wd.DualArmState, task: wd.Task,
-                cfg: wd.WorldConfig, horizon: int) -> np.ndarray:
-    """The policy's own (H, 4) plan of action rows [dxL, dyL, dxR, dyR],
-    rolled forward kinematically; the tanh squash keeps every row inside
-    the a_max box.
+def policy_law(params: PolicyParams, task: wd.Task):
+    """The cloned policy's row law on task: a function from a state, or a
+    batch of states on task's batch axis, to its action rows (..., 4)
+    [dxL, dyL, dxR, dyR]; the tanh squash keeps every row inside the
+    a_max box.
 
     Noise-free scene features: this is the policy's internal prediction,
-    not a sensor pass. Like the expert, it steps no further than the state
-    its last row is chosen at. A batched state and task plan every row at
-    once: the plan is then (..., H, 4). Each row's features go through the
-    network as a (1, 28) block of its own, and numpy's matmul makes one
-    call per leading block, so each row gets the bits of planning it alone.
+    not a sensor pass. Each row's features go through the network as a
+    (1, 28) block of its own, and numpy's matmul makes one call per
+    leading block, so each row gets the bits of planning it alone.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     goals = task.goal.reshape(*task.goal.shape[:-2], 4)
-    rows = []
-    cur = state
-    for i in range(horizon):
-        x = policy_features(wd.proprio_feature(cur), wd.scene_feature(cur, task), goals)
-        rows.append(_policy_forward_batch(params, x[..., None, :])[0][..., 0, :])
-        if i + 1 < horizon:
-            cur = wd.step(cur, rows[-1], cfg)
-    return np.stack(rows, axis=-2)
+
+    def law(state: wd.DualArmState) -> np.ndarray:
+        x = policy_features(wd.proprio_feature(state), wd.scene_feature(state, task), goals)
+        return _policy_forward_batch(params, x[..., None, :])[0][..., 0, :]
+    return law
+
+
+def policy_plan(params: PolicyParams, state: wd.DualArmState, task: wd.Task,
+                cfg: wd.WorldConfig, horizon: int) -> np.ndarray:
+    """The policy's own (H, 4) plan: `policy_law` rolled forward by
+    `roll_plan`. A batched state and task plan every row at once: the plan
+    is then (..., H, 4)."""
+    return roll_plan(policy_law(params, task), state, horizon, cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -168,9 +187,10 @@ def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
     closed loop. Episodes stop at success, collision, or the step budget.
     Oracle labels come from simulating each stored plan from its own state.
 
-    The episodes run in `wd.lockstep`: per step, one expert call, one
-    feature call each and one oracle pass (`wd.rollout_and_step`, which
-    labels the plans and executes the actions) cover every live episode.
+    The episodes run in `wd.lockstep`: per step, one feature call each and
+    one oracle pass (`wd.rollout_and_step`, which labels the plans,
+    executes the actions and makes the expert's next plans) cover every
+    live episode; the expert plans by itself only at a group's first step.
     Each episode keeps one generator, which draws its scene noise and then
     its exploration noise, so the records are those of running the
     episodes one at a time.
@@ -180,8 +200,8 @@ def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
             for tid, seed in jobs]
     records = [[] for _ in jobs]
 
-    def advance(t, live, state, task):
-        plans, _ = scripted_expert(state, task, horizon, cfg)
+    def advance(t, live, state, task, carry):
+        plans = carry[0] if carry else scripted_expert(state, task, horizon, cfg)
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, cfg.noise_sigma, [rngs[i] for i in live])
         goals = task.goal.reshape(len(live), 4)
@@ -189,13 +209,14 @@ def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
         if explore_noise > 0:
             noise = np.stack([rngs[i].normal(0.0, explore_noise, size=4) for i in live])
             executed = np.clip(executed + noise, -cfg.a_max, cfg.a_max)
-        d_plans, state, d_next = wd.rollout_and_step(state, plans, executed, cfg)
+        d_plans, state, d_next, next_plans = wd.rollout_and_step(
+            state, plans, executed, cfg, expert_law(task, cfg.a_max))
         labels = wd.label_rollouts(d_plans, cfg.dt)
         for j, i in enumerate(live):
             records[i].append(DemoRecord(proprio=proprio[j], z=z[j], goals=goals[j],
                                          action=plans[j, 0].copy(), plan=plans[j],
                                          label=labels[j]))
-        return state, (d_next < 0.0) | wd.success_check(state, task)
+        return state, (d_next < 0.0) | wd.success_check(state, task), (next_plans,)
 
     wd.lockstep(jobs, cfg, params, advance)
     return [rec for episode in records for rec in episode]

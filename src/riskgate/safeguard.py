@@ -7,7 +7,8 @@ refinement, and a distance-head damping fallback for when recovery stalls.
 
 Recovery and refinement are rows of one batched descent (`descend`), each
 row with its own objective, step size and stop, and with the bits of its
-search run alone; every evaluated plan costs one forward row.
+search run alone; each row's context is encoded once per call, and every
+evaluated plan costs one plan-scoring row.
 """
 
 from __future__ import annotations
@@ -221,8 +222,9 @@ def descend(params: est.EstimatorParams, proprio, z, anchors, recover,
     the true objective, so accepted iterates strictly descend. Each
     iteration of a row restarts its step at cfg.eta and halves it on
     rejection; the row stops when an iteration exhausts its halvings or
-    after cfg.max_iters iterations. Each round scores every running row's
-    next plan in one forward. Raises ValueError on malformed shapes, or on
+    after cfg.max_iters iterations. The rows' contexts are encoded once per
+    call, and each round scores every running row's next plan against
+    them in one plan scoring. Raises ValueError on malformed shapes, or on
     an anchor that is not finite or outside the action box.
     """
     anchors = np.asarray(anchors, dtype=float)
@@ -240,9 +242,13 @@ def descend(params: est.EstimatorParams, proprio, z, anchors, recover,
             for i, rec in enumerate(recover.tolist())]
     out = DescentResult(np.empty_like(anchor), [[] for _ in rows], np.zeros(len(rows), dtype=bool),
                         np.empty(len(rows)), np.empty(len(rows)))
-    # the running rows with their contexts, anchors, weights, iterates and
-    # directions; a zero direction makes the first round score the anchors
-    run, P, Z = rows, np.asarray(proprio, dtype=float), np.asarray(z, dtype=float)
+    # the running rows with their encoded contexts, anchors, weights,
+    # iterates and directions; a zero direction makes the first round score
+    # the anchors. The rows are (E, 1) blocks, which numpy's matmul runs one
+    # at a time, each with the bits of its single plan.
+    run = rows
+    ctx = est.encode_context(params, np.asarray(proprio, dtype=float)[:, None],
+                             np.asarray(z, dtype=float)[:, None])
     A0, cur, grad = anchor, anchor, np.zeros_like(anchor)
     C = np.array([r.c for r in rows])[:, None, None]
     W2 = np.array([2.0 * r.w for r in rows])[:, None, None]
@@ -250,9 +256,7 @@ def descend(params: est.EstimatorParams, proprio, z, anchors, recover,
         step = np.array([r.step for r in run])[:, None, None]
         # the box projection: np.clip's values with fewer call layers
         cand = np.minimum(np.maximum(cur - step * grad, -cfg.a_max), cfg.a_max)
-        # the rows are scored as (E, 1) blocks, which numpy's matmul runs one
-        # at a time, each with the bits of its single plan
-        pred = est.predict_risk(params, P[:, None], Z[:, None], cand[:, None])
+        pred = est.score_plans(params, ctx, cand[:, None])
         risks, dists = pred.risk[:, 0].tolist(), pred.min_dist[:, 0].tolist()
         diff = cand - A0
         acc, fresh, keep = [], [], []
@@ -280,5 +284,6 @@ def descend(params: est.EstimatorParams, proprio, z, anchors, recover,
                     out.made_progress[r.i] = r.iters > 0
             run = [r for r, going in zip(run, keep) if going]
             if run:
-                P, Z, A0, C, W2, cur, grad = (a[keep] for a in (P, Z, A0, C, W2, cur, grad))
+                ctx = ctx.take(keep)
+                A0, C, W2, cur, grad = (a[keep] for a in (A0, C, W2, cur, grad))
     return out

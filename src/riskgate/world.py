@@ -14,7 +14,8 @@ flags are a field like any other, so one batch may mix them. `step`,
 batch shape; a single state is the same call without the axis, and its
 results have shape (). The kernels give each row the same bits at any
 batch size. `lockstep` drives episodes this way: it resets and stacks
-them, steps them together and drops each as it ends.
+them, steps them together and drops each as it ends, with whatever rows
+the step body carries to the next step.
 
 A state and a task hold both arms on one arm axis of size 2, left arm
 first, the axis `geometry.stack_arms` gives `WorldConfig.arms`. Two
@@ -27,9 +28,13 @@ configurations; `label_rollouts` turns those clearances into labels.
 The episode loops make one oracle pass per control step:
 `rollout_and_step` shares that trajectory routine, advances the plans'
 first rows and the executed actions in one kinematics call, and covers
-the plans' and the next states' configurations in one clearance pass.
-Since each row keeps its bits at any batch size, its outputs equal those
-of `rollout_clearance`, `step` and `min_self_distance` called apart.
+the plans' and the next states' configurations in one clearance pass. It
+also plans the next step: the planner's row law, given by the caller,
+makes its first row at each next state, and its prediction from there
+advances in the plans' steps 1..H-1, in the same kinematics calls. Since
+each row keeps its bits at any batch size, its outputs equal those of
+`rollout_clearance`, `step`, `min_self_distance` and the planner called
+apart.
 """
 
 from __future__ import annotations
@@ -139,22 +144,28 @@ def lockstep(jobs, cfg: WorldConfig, params: TaskParams, advance) -> None:
     most LOCKSTEP_EPISODES in job order.
 
     Each group's episodes are reset by `task_init` and stacked into one
-    state and task. At each step t, `advance(t, live, state, task)` gets
-    the job indices of the live rows, in job order, and returns the next
-    state and a bool per row; rows marked done drop out. A group ends when
-    no row is live or after params.max_steps steps.
+    state and task. At each step t, `advance(t, live, state, task, carry)`
+    gets the job indices of the live rows, in job order, and returns the
+    next state, a bool per row and the carry for the next step: a tuple of
+    arrays and batched states, each with one row per live row. Rows marked
+    done drop out, from the carry too; carry is None at a group's first
+    step. A group ends when no row is live or after params.max_steps steps.
     """
     for lo in range(0, len(jobs), LOCKSTEP_EPISODES):
         live = np.arange(lo, min(lo + LOCKSTEP_EPISODES, len(jobs)))
         inits = [task_init(*jobs[i], cfg, params) for i in live]
         state = stack([s for s, _ in inits])
         task = stack([t for _, t in inits])
+        carry = None
         for t in range(params.max_steps):
-            state, done = advance(t, live, state, task)
+            state, done, carry = advance(t, live, state, task, carry)
             if done.all():
                 break
             if done.any():
-                live, state, task = live[~done], take(state, ~done), take(task, ~done)
+                keep = ~done
+                live, state, task = live[keep], take(state, keep), take(task, keep)
+                carry = tuple(c[keep] if isinstance(c, np.ndarray) else take(c, keep)
+                              for c in carry)
 
 
 def make_state(
@@ -293,16 +304,20 @@ def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
     return replace(state, q=q, t=state.t + 1, origins=origins, heading=ang[..., -1])
 
 
-def _plan_clearance(state: DualArmState, plans, cfg: WorldConfig, actions=None):
+def _plan_clearance(state: DualArmState, plans, cfg: WorldConfig, actions=None, law=None):
     """(H, N) clearance after each step of each of N (H, 4) plans and, when
-    actions (N, 4) are given, the joint vectors, joint origins, cumulative
-    link angles and clearance after each state row executes its action.
+    actions (N, 4) and a row law are given, the state after each state row
+    executes its action, that state's clearance and the (N, H, 4) plan the
+    law makes from it.
 
     All H steps of all N rows are advanced first, with the arithmetic of
-    `step`; step 0 advances the plans' first rows and the action rows in
-    one kinematics call. Then one clearance pass, with the arithmetic of
-    `min_self_distance`, covers every configuration: (H, N), plus the N
-    executed ones.
+    `step`. With actions, step 0 advances the plans' first rows and the
+    action rows in one kinematics call; the law then makes its row 0 at
+    each executed state, and each step i >= 1 advances the plans' rows i
+    together with the law's row i-1 from the state its earlier rows lead
+    to, where the law makes its row i. Then one clearance pass, with the
+    arithmetic of `min_self_distance`, covers the plans' (H, N)
+    configurations, plus the N executed ones.
     """
     plans = np.asarray(plans, dtype=float)
     if plans.ndim != 3 or plans.shape[2] != 4 or plans.shape[0] < 1 or plans.shape[1] < 1:
@@ -328,18 +343,22 @@ def _plan_clearance(state: DualArmState, plans, cfg: WorldConfig, actions=None):
     traj = np.empty((horizon + (actions is not None), n, *pts.shape[1:]))
     heading = np.empty(traj.shape[:3])
     traj[0], heading[0] = pts[:n], ang[:n, ..., -1]
-    executed = None
-    if actions is not None:
-        traj[-1], heading[-1] = pts[n:], ang[n:, ..., -1]
-        executed = q[n:], pts[n:], ang[n:]
-        q, pts = q[:n], pts[:n]
-    for i in range(1, horizon):
-        q, pts, ang = _advance(cfg, q, pts, dx[:, i])
-        traj[i], heading[i] = pts, ang[..., -1]
-    d = _clearance(cfg, state.holding, traj, heading)
     if actions is None:
-        return d
-    return d[:horizon], executed, d[horizon]
+        for i in range(1, horizon):
+            q, pts, ang = _advance(cfg, q, pts, dx[:, i])
+            traj[i], heading[i] = pts, ang[..., -1]
+        return _clearance(cfg, state.holding, traj, heading)
+    traj[-1], heading[-1] = pts[n:], ang[n:, ..., -1]
+    executed = cur = replace(state, q=q[n:], t=state.t + 1, origins=pts[n:],
+                             heading=ang[n:, ..., -1])
+    rows = [law(cur)]
+    for i in range(1, horizon):
+        q, pts, ang = _advance(cfg, q, pts, np.concatenate([dx[:, i], rows[-1].reshape(n, 2, 2)]))
+        traj[i], heading[i] = pts[:n], ang[:n, ..., -1]
+        cur = replace(cur, q=q[n:], t=cur.t + 1, origins=pts[n:], heading=ang[n:, ..., -1])
+        rows.append(law(cur))
+    d = _clearance(cfg, state.holding, traj, heading)
+    return d[:horizon], executed, d[horizon], np.stack(rows, axis=-2)
 
 
 def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig) -> np.ndarray:
@@ -355,21 +374,26 @@ def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig) -> np.ndarra
     return _plan_clearance(state, plans, cfg)
 
 
-def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig):
-    """One oracle pass for a control step of N episodes: the (H, N)
-    clearance of the N (H, 4) plans, as `rollout_clearance` gives it, and
-    the next state and its clearance, as `step` and `min_self_distance`
-    give them, when state row i executes actions[i].
+def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig, law):
+    """One oracle pass for a control step of N episodes, which also plans
+    the next step: the (H, N) clearance of the N (H, 4) plans, as
+    `rollout_clearance` gives it, the next state and its clearance, as
+    `step` and `min_self_distance` give them, when state row i executes
+    actions[i], and the (N, H, 4) plan of the planner's row law at each
+    next state.
 
-    The state is a batch of N states and actions is (N, 4). Step 0 of the
-    plans and the actions advance in one kinematics call, and one
-    clearance pass covers the (H + 1, N) configurations, so each output
-    has the bits of the three separate calls. Raises ValueError on plans
-    `rollout_clearance` rejects, a state of any other batch shape or
-    actions of any other shape.
+    law maps a batch of N states to their (N, 4) action rows; the next
+    plan is the law's row at the next state, then its row at the state
+    the rows before it lead to, as `step` steps them, H rows in all (the
+    loop `policy.roll_plan` runs). The state is a batch of N states and
+    actions is (N, 4). Step 0 of the plans and the actions advance in one
+    kinematics call, each step i >= 1 of the plans and of the law's
+    prediction in one more, and one clearance pass covers the (H + 1, N)
+    configurations, so each output has the bits of the separate calls.
+    Raises ValueError on plans `rollout_clearance` rejects, a state of any
+    other batch shape or actions of any other shape.
     """
-    d, (q, origins, ang), d_next = _plan_clearance(state, plans, cfg, actions)
-    return d, replace(state, q=q, t=state.t + 1, origins=origins, heading=ang[..., -1]), d_next
+    return _plan_clearance(state, plans, cfg, actions, law)
 
 
 def label_rollouts(d, dt: float, horizons=None) -> list[RolloutOutcome]:

@@ -286,7 +286,7 @@ def test_criterion_08_recovery_refinement(pipeline, world_cfg, task_params):
                                    world_cfg, task_params)
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task)
-        nominal, _ = pol.scripted_expert(state, task, 5, world_cfg)
+        nominal = pol.scripted_expert(state, task, 5, world_cfg)
         # row 0 refines the expert's plan, row 1 recovers from the same state
         res = sg.descend(params, np.stack([proprio] * 2), np.stack([z] * 2),
                          np.stack([nominal, np.zeros_like(nominal)]),

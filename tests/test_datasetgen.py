@@ -375,7 +375,7 @@ def one_episode_at_a_time(gen_cfg, world_cfg, task_params):
                 [gen_cfg.seed, tidx, seed, k])) for k in (1, 2))
             ending = "budget"
             for t in range(task_params.max_steps):
-                nominal, _ = pol.scripted_expert(state, task, h, world_cfg)
+                nominal = pol.scripted_expert(state, task, h, world_cfg)
                 cands = dg.sample_candidates(nominal, gen_cfg.n_candidates, gen_cfg.sigma_a,
                                              jitter, world_cfg.a_max)
                 proprio = wd.proprio_feature(state)
@@ -397,12 +397,23 @@ def one_episode_at_a_time(gen_cfg, world_cfg, task_params):
 def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
                                                monkeypatch, group):
     """`generate_dataset` steps episodes together, in groups of `group`;
-    every sample equals, with ==, the one the per-episode reference makes,
-    in the same order, over both tasks, horizons 2, 3 and 5, and episodes
-    that end by collision and by success at different steps."""
+    every sample equals, with ==, the one the per-episode reference makes
+    by calling `scripted_expert` at every step, in the same order, over
+    both tasks, horizons 2, 3 and 5, and episodes that end by collision and
+    by success at different steps. The expert plans by itself once per
+    group; with groups of 4, a group's longest-horizon episode ends first,
+    and the longest live horizon shrinks under the plan gen-data carries."""
     monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
     cfg = dg.DatagenConfig(episodes_per_task=3, horizons=(2, 3, 5), oversample_factor=1, seed=4)
-    paths, _ = dg.generate_dataset(cfg, world_cfg, tmp_path, task_params)
+    rolls, roll_plan = [], pol.roll_plan
+
+    def counted(*args):
+        rolls.append(1)
+        return roll_plan(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(pol, "roll_plan", counted)
+        paths, _ = dg.generate_dataset(cfg, world_cfg, tmp_path, task_params)
     ref, endings = one_episode_at_a_time(cfg, world_cfg, task_params)
     assert {"collision", "success"} <= set(endings)
     for h in cfg.horizons:
@@ -417,3 +428,11 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
         for *_, (task_id, seed, t) in samples:
             steps[task_id, seed] = max(steps.get((task_id, seed), 0), t + 1)
     assert len(steps) == 6 and len(set(steps.values())) > 2  # episodes drop out at different steps
+    per_job = [(cfg.horizons[ep % len(cfg.horizons)], steps[task_id, int(np.random.SeedSequence(
+                    [cfg.seed, wd.task_index(task_id), ep]).generate_state(1)[0])])
+               for task_id in cfg.tasks for ep in range(cfg.episodes_per_task)]
+    groups = [per_job[lo:lo + group] for lo in range(0, len(per_job), group)]
+    assert len(rolls) == len(groups)
+    longest_ends_first = [max(n for h, n in g if h == max(g)[0]) < max(n for _, n in g)
+                          for g in groups]
+    assert any(longest_ends_first) == (group == 4)

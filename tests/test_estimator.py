@@ -182,9 +182,9 @@ def test_plan_only_backward_matches_full_backward(tiny_data):
     n = len(mixed)
     zero = np.zeros(n)
     for ups in ((np.ones(n), zero, zero), tuple(rng.normal(size=(3, n)))):
-        _, full = est._backward_batch(params, cache, *ups)
-        plan_only, _ = est._plan_backward(params, cache,
-                                          est._trunk_upstream(params, cache, *ups)[0])
+        full = est._plan_grad(params, est._backward_batch(params, cache, *ups)[1])
+        plan_only = est._plan_grad(params, est._plan_backward(
+            params, cache, est._trunk_upstream(params, cache, *ups)[0]))
         assert_array_equal(plan_only.view(np.uint64), full.view(np.uint64))
 
 
@@ -255,8 +255,7 @@ def reference_grads(params, batch, cfg):
     ups = (cfg.lambda_bce * wgt * (est._sigmoid(logit) - y) / n,
            cfg.lambda_d * 2.0 * (dist - batch.y_d) / n,
            cfg.lambda_ttc * y * np.sign(ttc - batch.y_ttc) / n)
-    grads, _ = est._backward_batch(params, c, *ups)
-    _, t = est._plan_backward(params, c, est._trunk_upstream(params, c, *ups)[0])
+    grads, t = est._backward_batch(params, c, *ups)
     g_v = c["attn"].transpose(0, 2, 1) @ t["g_O"]
     g_k = t["g_scores"].transpose(0, 2, 1) @ c["Q"]
     grads["w_key"] = np.einsum("bcd,bce->de", c["C"], g_k)
@@ -530,8 +529,8 @@ def test_plan_gradient_skips_the_zero_upstream_heads(trained_tiny):
         plans = rng.uniform(-0.02, 0.02, size=(*lead, 5, 4))
         pred = est.predict_risk(params, proprio, z, plans)
         ups = np.ones(lead or (1,)), np.zeros(lead or (1,)), np.zeros(lead or (1,))
-        old, _ = est._plan_backward(params, pred.cache,
-                                    est._trunk_upstream(params, pred.cache, *ups)[0])
+        old = est._plan_grad(params, est._plan_backward(
+            params, pred.cache, est._trunk_upstream(params, pred.cache, *ups)[0]))
         got = est.risk_plan_gradient(params, pred)
         assert got.shape == plans.shape
         assert_array_equal(bits(got), bits(old.reshape(plans.shape)))
@@ -553,8 +552,9 @@ def test_unmasked_forward_equals_all_ones_mask(b):
         for got, want in zip(unmasked, masked):
             assert_array_equal(bits(got), bits(want))
         ups = (np.ones(b), np.zeros(b), np.zeros(b))
-        _, want = est._backward_batch(params, m_cache, *ups)
-        got, _ = est._plan_backward(params, u_cache, est._trunk_upstream(params, u_cache, *ups)[0])
+        want = est._plan_grad(params, est._backward_batch(params, m_cache, *ups)[1])
+        got = est._plan_grad(params, est._plan_backward(
+            params, u_cache, est._trunk_upstream(params, u_cache, *ups)[0]))
         assert_array_equal(bits(got), bits(want))
         if b == 1:
             pred = est.predict_risk(params, proprio[0], z[0], plan[0])
@@ -582,6 +582,38 @@ def test_malformed_estimator_inputs_raise():
                  (pg[:1], zg, groups), (pg, zg[..., :9], groups)):
         with pytest.raises(ValueError, match=r"got plans \("):
             est.predict_risk(params, *args)
+
+
+def test_scoring_an_encoded_context_equals_predict_risk():
+    """`score_plans` against `encode_context` gives `predict_risk`'s outputs
+    and plan gradient with ==, on (H, 4), (E, 1, H, 4) and (E, N, H, 4)
+    plans, and so do the rows a context's `take` keeps; shapes that do not
+    fit raise naming them."""
+    params = rough_params(7)
+    rng = np.random.default_rng(71)
+    for lead in ((), (4, 1), (4, 8)):
+        proprio = rng.normal(size=(*lead, est.PROPRIO_DIM))
+        z = rng.normal(size=(*lead, est.VISION_DIM))
+        plans = rng.uniform(-0.02, 0.02, size=(*lead, 5, 4))
+        want = est.predict_risk(params, proprio, z, plans)
+        ctx = est.encode_context(params, proprio, z)
+        got = est.score_plans(params, ctx, plans)
+        for f in ("risk", "logit", "min_dist", "ttc"):
+            assert_array_equal(bits(getattr(got, f)), bits(getattr(want, f)), err_msg=f)
+        assert_array_equal(bits(est.risk_plan_gradient(params, got)),
+                           bits(est.risk_plan_gradient(params, want)))
+        if lead:
+            keep = np.array([True, False, True, True])
+            part = est.score_plans(params, ctx.take(keep), plans[keep])
+            assert_array_equal(bits(part.logit), bits(want.logit[keep]))
+    p, z = np.zeros((2, est.PROPRIO_DIM)), np.zeros((2, est.VISION_DIM))
+    for args in ((p[:, :13], z), (p, z[:1]), (p, z[:, :9]), (p[0], z)):
+        with pytest.raises(ValueError, match=r"got proprio \("):
+            est.encode_context(params, *args)
+    ctx = est.encode_context(params, p, z)
+    for plan in (np.zeros((3, 4)), np.zeros((2, 0, 4)), np.zeros((2, 3, 5)), np.zeros((1, 3, 4))):
+        with pytest.raises(ValueError, match="leading shape"):
+            est.score_plans(params, ctx, plan)
 
 
 @pytest.mark.parametrize("blocks", [1, 3, 8])

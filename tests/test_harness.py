@@ -187,6 +187,37 @@ def test_halted_rows_log_their_own_clearance(world_cfg, task_params, monkeypatch
         assert lg.steps[-1].d_min == wd.min_self_distance(wd.take(state, j), world_cfg)
 
 
+@pytest.mark.parametrize("horizon", [1, 3, 5])
+@pytest.mark.parametrize("cloned", [False, True])
+def test_gated_steps_plan_within_the_oracle_pass(world_cfg, task_params, monkeypatch,
+                                                 horizon, cloned):
+    """From a lockstep group's second step on, a gated step makes H
+    `dls_ik_step` and H `joint_origins` calls, those of its one oracle
+    pass, which also plans the next step; only the first step plans by
+    itself, with H - 1 more. Either planner, the expert or the cloned
+    policy."""
+    setup = make_setup(world_cfg, task_params, mode="gated", est_params=inert_estimator(-30.0),
+                       horizon=horizon, policy_params=pol.init_policy(seed=2) if cloned else None)
+    calls = {"dls_ik_step": 0, "joint_origins": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(wd, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(wd, name, counting)
+    marks, select = [], sg.select_candidate
+
+    def marked(*args):
+        marks.append(dict(calls))
+        return select(*args)
+
+    monkeypatch.setattr(sg, "select_candidate", marked)
+    logs = hn.run_episodes(setup, [("parallel_place", 4), ("crossing_transfer", 5)])
+    assert len(marks) == max(lg.n_steps for lg in logs) > 3
+    assert marks[0]["dls_ik_step"] == horizon - 1
+    for before, after in zip(marks, marks[1:]):
+        assert {k: after[k] - before[k] for k in calls} == {k: horizon for k in calls}
+
+
 def test_collector_records_and_corrected_flags(world_cfg, task_params):
     records = []
     setup = make_setup(world_cfg, task_params, mode="gated",
@@ -338,7 +369,7 @@ def one_episode_at_a_time(setup, task_id, seed, collector):
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, wcfg.noise_sigma, noise)
         if setup.policy_params is None:
-            nominal, _ = pol.scripted_expert(state, task, setup.horizon, wcfg)
+            nominal = pol.scripted_expert(state, task, setup.horizon, wcfg)
         else:
             nominal = pol.policy_plan(setup.policy_params, state, task, wcfg, setup.horizon)
         r_hat, decision, plan, action = None, sg.EXECUTE, nominal, nominal[0].copy()

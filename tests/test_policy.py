@@ -3,6 +3,7 @@ collection, cloning, the safety filter, risk-weighted fine-tuning, and
 estimator post-training."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ def demo_records(world_cfg, task_params):
 
 def test_scripted_expert_matches_proportional_law(world_cfg, task_params):
     state, task = wd.task_init("crossing_transfer", 0, world_cfg, task_params)
-    plan, reached = pol.scripted_expert(state, task, 4, world_cfg)
+    plan = pol.scripted_expert(state, task, 4, world_cfg)
     assert plan.shape == (4, 4)
     first = np.concatenate([
         np.clip(pol.K_P * (task.goal[0] - state.ee[0]), -0.02, 0.02),
@@ -34,13 +35,8 @@ def test_scripted_expert_matches_proportional_law(world_cfg, task_params):
     # row i is the proportional action at the state the plan itself reaches
     cur = state
     for i in range(4):
-        assert_allclose(plan[i], pol._expert_action_row(cur, task, 0.02),
-                        atol=1e-15)
+        assert_allclose(plan[i], pol.expert_law(task, 0.02)(cur), atol=1e-15)
         cur = wd.step(cur, plan[i], world_cfg)
-    # the returned state is where the first row leads
-    nxt = wd.step(state, plan[0], world_cfg)
-    assert all(np.array_equal(getattr(reached, f), getattr(nxt, f))
-               for f in ("q", "g", "holding", "t", "origins", "heading"))
     with pytest.raises(ValueError):
         pol.scripted_expert(state, task, 0, world_cfg)
 
@@ -104,6 +100,44 @@ def test_policy_plan_matches_manual_rollout(world_cfg, task_params, monkeypatch)
     assert plans.shape == (6, 5, 4) and len(calls) == 4
     for row, s, t in zip(plans, states, tasks):
         assert np.array_equal(row, pol.policy_plan(params, s, t, world_cfg, 5))
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("horizon", [1, 5])
+def test_oracle_pass_plans_the_next_states_as_the_planners_do(world_cfg, task_params, n,
+                                                              horizon):
+    """The next plans `wd.rollout_and_step` makes with the expert's and the
+    cloned policy's row law equal, with ==, `scripted_expert` and
+    `policy_plan` of the next states, batched and row by row, over mixed
+    holding flags, a row with joints at their limits and explore-noised
+    actions."""
+    rng = np.random.default_rng(40 + 10 * n + horizon)
+    flags = [(True, False), (False, False), (False, True), (True, True), (False, False)][:n]
+    inits = [wd.task_init(wd.TASK_IDS[i % 2], i, world_cfg, task_params) for i in range(n)]
+    states = [wd.make_state(world_cfg, s.q[0], s.q[1], holding_left=left, holding_right=right,
+                            t=3 * i) for i, ((s, _), (left, right)) in enumerate(zip(inits, flags))]
+    lim = world_cfg.arms.joint_limits
+    states[-1] = replace(wd.make_state(world_cfg, [lim[0, 0, 1], -0.4, -0.2],
+                                       [lim[1, 0, 0], 0.4, lim[1, 2, 1]]),
+                         holding=np.array(flags[-1]))
+    state, task = wd.stack(states), wd.stack([t for _, t in inits])
+    plans = pol.scripted_expert(state, task, horizon, world_cfg)
+    actions = np.clip(plans[:, 0] + rng.normal(0.0, 0.005, size=(n, 4)),
+                      -world_cfg.a_max, world_cfg.a_max)
+    policy = pol.init_policy(seed=3)
+    planners = (
+        (pol.expert_law(task, world_cfg.a_max),
+         lambda s, t: pol.scripted_expert(s, t, horizon, world_cfg)),
+        (pol.policy_law(policy, task),
+         lambda s, t: pol.policy_plan(policy, s, t, world_cfg, horizon)))
+    for law, planner in planners:
+        _, nxt, _, plan = wd.rollout_and_step(state, plans, actions, world_cfg, law)
+        assert plan.shape == (n, horizon, 4)
+        assert np.array_equal(plan, planner(nxt, task))
+        for i in range(n):
+            assert np.array_equal(plan[i], planner(wd.take(nxt, i), wd.take(task, i)))
+    # the joint limits clip the last row's next state
+    assert np.any(nxt.q[-1] == lim[..., 1]) or np.any(nxt.q[-1] == lim[..., 0])
+
+
 def test_collect_demonstrations_records(demo_records, world_cfg):
     for d in demo_records[:50]:
         assert d.plan.shape == (5, 4)
@@ -142,7 +176,7 @@ def demos_one_episode_at_a_time(task_id, seeds, horizon, world_cfg, task_params,
         goals = task.goal.ravel()
         ending = "budget"
         for _ in range(task_params.max_steps):
-            plan, _ = pol.scripted_expert(state, task, horizon, world_cfg)
+            plan = pol.scripted_expert(state, task, horizon, world_cfg)
             records.append(pol.DemoRecord(
                 proprio=wd.proprio_feature(state),
                 z=wd.scene_feature(state, task, world_cfg.noise_sigma, rng),

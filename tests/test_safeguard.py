@@ -317,7 +317,7 @@ def test_descend_rejects_malformed_rows(trained_tiny, world_cfg, task_params):
         with pytest.raises(ValueError, match="anchors"):
             sg.descend(trained_tiny, P, Z, anchors, recover, CFG)
     for ctx in ((proprio, Z), (P, z), (P[:1], Z)):
-        with pytest.raises(ValueError, match="got plans"):
+        with pytest.raises(ValueError, match="got proprio"):
             sg.descend(trained_tiny, *ctx, np.zeros((2, 3, 4)), flags, CFG)
 
 
@@ -332,8 +332,8 @@ def reference_descent(params, proprio, z, init, risk_coeff, grad_extra, obj_extr
         logit, dist, _, cache = est._forward_batch(
             params, np.asarray(proprio, dtype=float)[None], np.asarray(z, dtype=float)[None],
             A, np.ones(A.shape[:2]))
-        _, plan_grads = est._backward_batch(params, cache, np.ones(1), np.zeros(1),
-                                            np.zeros(1))
+        plan_grads = est._plan_grad(params, est._backward_batch(
+            params, cache, np.ones(1), np.zeros(1), np.zeros(1))[1])
         ell = float(logit[0])
         risk = float(est._sigmoid(np.array([ell / params.temperature]))[0])
         return risk, float(dist[0]), plan_grads[0]
@@ -407,34 +407,41 @@ def _descent_cases(trained_tiny, world_cfg, task_params, cfg):
 
 
 def _count_forwards(monkeypatch):
-    """Plan rows of each est._forward_batch call; est._backward_batch must
-    not run."""
-    calls = []
-    forward = est._forward_batch
+    """Plan rows of each call of the forward's scoring stage (est._score),
+    and context rows of each call of its context stage (est._encode);
+    est._backward_batch must not run."""
+    calls, encoded = [], []
+    score, encode = est._score, est._encode
 
-    def counted(params, proprio, z, plan, *rest):
+    def counted(params, ctx, plan, *rest):
         calls.append(int(np.prod(plan.shape[:-2])))
-        return forward(params, proprio, z, plan, *rest)
+        return score(params, ctx, plan, *rest)
+
+    def counted_encode(params, proprio, z):
+        encoded.append(int(np.prod(proprio.shape[:-1])))
+        return encode(params, proprio, z)
 
     def no_full_backward(*args):
         raise AssertionError("descent ran the parameter-gradient backward")
 
-    monkeypatch.setattr(est, "_forward_batch", counted)
+    monkeypatch.setattr(est, "_score", counted)
+    monkeypatch.setattr(est, "_encode", counted_encode)
     monkeypatch.setattr(est, "_backward_batch", no_full_backward)
-    return calls
+    return calls, encoded
 
 
 def test_descent_matches_reference_with_one_forward_per_plan(
         trained_tiny, world_cfg, task_params, monkeypatch):
     """Each row of a batched descend call equals, with ==, the loop without
-    forward reuse run on that row alone; the call runs one forward row per
-    plan the rows evaluate, and one forward per round."""
+    forward reuse run on that row alone; the call encodes each row's
+    context once, and scores one plan row per plan the rows evaluate, in
+    one scoring per round."""
     cfg = replace(CFG, max_iters=6, max_halvings=3)
     lengths = []
     for params, proprio, z, anchors, recover in _descent_cases(trained_tiny, world_cfg,
                                                                task_params, cfg):
         with monkeypatch.context() as m:
-            forwards = _count_forwards(m)
+            forwards, encoded = _count_forwards(m)
             res = sg.descend(params, proprio, z, anchors, recover, cfg)
         evaluated = []
         call_lengths = set()
@@ -457,6 +464,7 @@ def test_descent_matches_reference_with_one_forward_per_plan(
             evaluated.append(n_eval)
             call_lengths.add(len(trace))
         assert sum(forwards) == sum(evaluated) and len(forwards) == max(evaluated)
+        assert encoded == [len(anchors)]
         lengths.append(call_lengths)
     every = set().union(*lengths)
     # stalled at once, stalled part way, and ran all max_iters

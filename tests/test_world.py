@@ -53,6 +53,13 @@ def random_state(rng, cfg, holding=False):
     return wd.make_state(cfg, q_l, q_r, holding_left=holding, holding_right=holding)
 
 
+def lean_in(state):
+    """A row law for the oracle pass: each EE moves half way toward the
+    other arm's EE, clipped to the action box."""
+    ee = state.ee
+    return np.clip(0.5 * (ee[..., ::-1, :] - ee), -0.02, 0.02).reshape(*ee.shape[:-2], 4)
+
+
 def test_min_self_distance_matches_pair_enumeration(world_cfg):
     """Over random states, with and without a grasped object, radii that
     differ per arm, inflation, and zero radii and a zero-size grasped
@@ -270,8 +277,9 @@ def test_rollout_batch_rows_equal_per_row_resimulation(world_cfg, intra_and_infl
 
 def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch):
     """One kinematics call moves both arms: `step` computes joint origins
-    once, `rollout_clearance` and `rollout_and_step` once per horizon step
-    whatever N, and each makes one clearance pass."""
+    once, `rollout_clearance` and `rollout_and_step` (its next plan
+    included) once per horizon step whatever N, and each makes one
+    clearance pass."""
     calls = {"joint_origins": 0, "segment_pairs_distance": 0}
     for name in calls:
         def counting(*args, _name=name, _real=getattr(wd, name)):
@@ -289,7 +297,7 @@ def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch)
         assert not any(o.y_bin for o in label_plans(state, plans[:n], world_cfg))
         assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
         calls.update(joint_origins=0, segment_pairs_distance=0)
-        wd.rollout_and_step(wd.stack([state] * n), plans[:n], plans[:n, 0], world_cfg)
+        wd.rollout_and_step(wd.stack([state] * n), plans[:n], plans[:n, 0], world_cfg, lean_in)
         assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
 
 
@@ -297,9 +305,10 @@ def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch)
 @pytest.mark.parametrize("horizon", [1, 5])
 def test_rollout_and_step_equals_separate_calls(world_cfg, n, horizon):
     """The fused oracle pass gives, bit for bit, the plans' clearances of
-    `rollout_clearance`, the next state of `step` and that state's
-    `min_self_distance`, with both arms holding, intra-arm pairs and
-    inflation on, and rows that penetrate."""
+    `rollout_clearance`, the next state of `step`, that state's
+    `min_self_distance` and the row law rolled from it one `step` per row,
+    with both arms holding, intra-arm pairs and inflation on, and rows that
+    penetrate."""
     cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
     rng = np.random.default_rng(21)
     states = [random_state(rng, cfg, holding=True) for _ in range(n - 1)]
@@ -309,8 +318,13 @@ def test_rollout_and_step_equals_separate_calls(world_cfg, n, horizon):
     plans = rng.uniform(-0.02, 0.02, size=(n, horizon, 4))
     plans[-1] = [0.02, 0.0, -0.02, 0.0]  # both arms lean in and close the gap
     actions = rng.uniform(-0.02, 0.02, size=(n, 4))
-    d, nxt, d_next = wd.rollout_and_step(state, plans, actions, cfg)
+    d, nxt, d_next, plan = wd.rollout_and_step(state, plans, actions, cfg, lean_in)
     ref = wd.step(state, actions, cfg)
+    rows, cur = [lean_in(ref)], ref
+    for _ in range(1, horizon):
+        cur = wd.step(cur, rows[-1], cfg)
+        rows.append(lean_in(cur))
+    assert_array_equal(plan, np.stack(rows, axis=1))
     assert_array_equal(d, wd.rollout_clearance(state, plans, cfg))
     for f in ("q", "g", "t", "origins", "heading"):
         assert_array_equal(getattr(nxt, f), getattr(ref, f), err_msg=f)
@@ -319,11 +333,11 @@ def test_rollout_and_step_equals_separate_calls(world_cfg, n, horizon):
     assert d.shape == (horizon, n) and d_next.shape == (n,)
     assert (d < 0.0).any()
     with pytest.raises(ValueError):
-        wd.rollout_and_step(wd.take(state, 0), plans[:1], actions[:1], cfg)
+        wd.rollout_and_step(wd.take(state, 0), plans[:1], actions[:1], cfg, lean_in)
     for bad in (actions[:, :3], actions[:1], actions[0]):
         if bad.shape != (n, 4):
             with pytest.raises(ValueError):
-                wd.rollout_and_step(state, plans, bad, cfg)
+                wd.rollout_and_step(state, plans, bad, cfg, lean_in)
 
 
 def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
@@ -345,7 +359,7 @@ def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
     p = wd.proprio_feature(state)
     z = wd.scene_feature(state, task, 0.005, [np.random.default_rng(i) for i in range(8)])
     ok = wd.success_check(state, task)
-    plan, reached = pol.scripted_expert(state, task, 4, world_cfg)
+    plan = pol.scripted_expert(state, task, 4, world_cfg)
     assert plan.shape == (8, 4, 4) and ok.tolist().count(True) == 1
     for i, (s, t) in enumerate(zip(states, tasks)):
         row = wd.take(nxt, i)
@@ -356,9 +370,7 @@ def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
         assert np.array_equal(p[i], wd.proprio_feature(s))
         assert np.array_equal(z[i], wd.scene_feature(s, t, 0.005, np.random.default_rng(i)))
         assert ok[i] == wd.success_check(s, t)
-        ref_plan, ref_reached = pol.scripted_expert(s, t, 4, world_cfg)
-        assert np.array_equal(plan[i], ref_plan)
-        assert np.array_equal(wd.take(reached, i).q, ref_reached.q)
+        assert np.array_equal(plan[i], pol.scripted_expert(s, t, 4, world_cfg))
     # a mask keeps the batch axis
     kept = wd.take(task, np.arange(8) % 2 == 0)
     assert kept.goal.shape == (4, 2, 2)
@@ -409,15 +421,16 @@ def test_batch_mixing_holding_flags_equals_each_rows_own_call(world_cfg, mixed):
     actions = rng.uniform(-0.02, 0.02, size=(len(flags), 4))
     d = wd.min_self_distance(state, cfg)
     d_plans = wd.rollout_clearance(state, plans, cfg)
-    fused, nxt, d_next = wd.rollout_and_step(state, plans, actions, cfg)
+    fused, nxt, d_next, plan = wd.rollout_and_step(state, plans, actions, cfg, lean_in)
     assert (d < 0.0).any() and (d >= 0.0).any()
     for i, s in enumerate(states):
         assert d[i] == wd.min_self_distance(s, cfg)
         assert_array_equal(d_plans[:, i], wd.rollout_clearance(s, plans[i:i + 1], cfg)[:, 0])
-        one, one_nxt, one_d = wd.rollout_and_step(wd.stack([s]), plans[i:i + 1],
-                                                  actions[i:i + 1], cfg)
+        one, one_nxt, one_d, one_plan = wd.rollout_and_step(wd.stack([s]), plans[i:i + 1],
+                                                            actions[i:i + 1], cfg, lean_in)
         assert_array_equal(fused[:, i], one[:, 0])
         assert d_next[i] == one_d[0]
+        assert_array_equal(plan[i], one_plan[0])
         for f in ("q", "g", "holding", "t", "origins", "heading"):
             assert_array_equal(getattr(wd.take(nxt, i), f), getattr(one_nxt, f)[0], err_msg=f)
 
@@ -495,7 +508,7 @@ def test_success_check(world_cfg, task_params):
     from riskgate import policy as pol
     cur = state
     for _ in range(task_params.max_steps):
-        plan, _ = pol.scripted_expert(cur, task, 1, world_cfg)
+        plan = pol.scripted_expert(cur, task, 1, world_cfg)
         cur = wd.step(cur, plan[0], world_cfg)
         if wd.success_check(cur, task):
             break
