@@ -47,7 +47,17 @@ def _cmd_gen_data(cfg: cf.RunConfig, args) -> None:
 
 
 def _split_phases(cfg: cf.RunConfig):
-    """Per-phase train/held-out batches from the generated files."""
+    """Per-phase train/held-out batches from the generated files.
+
+    gen-data deals each task's episodes to the horizons in turn, so with
+    fewer episodes per task than horizons some files hold no samples; that
+    is a config error here, not in gen-data, which a one-episode warm-up
+    may run."""
+    d = cfg.datagen
+    if d.episodes_per_task < len(d.horizons):
+        raise cf.ConfigError(
+            f"datagen.episodes_per_task must be >= the number of datagen.horizons "
+            f"({len(d.horizons)}) to train on every horizon, got {d.episodes_per_task}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 31]))
     train_phases, held_samples = [], []
     for h, path in sorted(_phase_paths(cfg).items()):

@@ -3,12 +3,12 @@
 Expert episodes run in `world.lockstep`; at every step each live
 episode's nominal plan plus Gaussian-jittered candidates are labeled by
 simulating them with the exact collision checker, all live episodes'
-candidates in one oracle pass. The expert's nominal plan executes
-unchanged, so each step's plan is the last one's moved up a row plus one
-new row, and one kinematics call per step keeps the expert's prediction.
-Each episode keeps its own random streams and its samples, so the files
-are those of running the episodes one at a time. Files are JSONL: one header object, then one object per sample,
-partitioned by curriculum horizon.
+candidates in one oracle pass (`world.rollout_and_step`), which also
+executes each episode's nominal first row and makes the expert's plan for
+the next step. Each episode keeps its own random streams and its samples,
+so the files are those of running the episodes one at a time. Files are
+JSONL: one header object, then one object per sample, partitioned by
+curriculum horizon.
 
 Every line is exactly the text of `json.dumps(obj, sort_keys=True)`.
 `write_dataset` renders it itself: for a list of finite floats, the list's
@@ -229,18 +229,15 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
     {H: header counts}), the counts as written, after oversampling.
 
     Episodes are assigned to horizons round-robin, giving each phase an
-    equal share. The expert plans to the longest horizon of a lockstep
-    group, by itself at the group's first step (`pol.roll_plan` of
-    `pol.expert_law`), which keeps the states its rows lead to. The
-    expert's first predicted step is the executed step, so each later
-    step's plan is the last one's rows 1.. plus the law's row at the state
-    its last row leads to, which one kinematics call per step adds to the
-    kept states; that plan and those states are the ones the expert would
-    make there. Each step makes one oracle pass over every live episode's
-    candidates, each row padded to the longest live horizon and labeled
-    over its own. The oracle's first-step clearance of candidate 0, the
-    nominal plan, is the clearance of the executed state. An episode ends
-    at collision or success. Each step's samples pass `_check_columns` once, as columns.
+    equal share. The expert plans to the longest live horizon, by itself
+    only at a lockstep group's first step (`pol.roll_plan` of
+    `pol.expert_law`). Each step makes one oracle pass
+    (`wd.rollout_and_step`) over every live episode's candidates, each row
+    padded to the longest live horizon and labeled over its own; the pass
+    executes each episode's nominal first row, gives the clearance of the
+    state it leads to, and makes the expert's plan there, which the next
+    step takes. An episode ends at collision or success. Each step's
+    samples pass `_check_columns` once, as columns.
 
     Two independent streams per episode: feature noise and candidate
     jitter. Keeping them separate means the executed trajectory (expert,
@@ -263,14 +260,11 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
     n = gen_cfg.n_candidates
     by_job = [[] for _ in jobs]
 
-    def advance(step_idx, live, state, task, carry):
+    def advance(step_idx, live, state, task, nominal):
         h_live = horizons[live]
         h_max = int(h_live.max())
         law = pol.expert_law(task, world_cfg.a_max)
-        if carry is None:
-            nominal, path = pol.roll_plan(law, state, h_max, world_cfg)
-        else:
-            nominal, *path = carry
+        nominal = pol.roll_plan(law, state, h_max, world_cfg) if nominal is None else nominal
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, world_cfg.noise_sigma, [streams[i][0] for i in live])
         plans = np.zeros((len(live), n, h_max, 4))
@@ -279,9 +273,9 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
             cands.append(sample_candidates(nominal[j, :h], n, gen_cfg.sigma_a,
                                            streams[i][1], world_cfg.a_max))
             plans[j, :, :h] = cands[-1]
-        d = wd.rollout_clearance(wd.take(state, np.repeat(np.arange(len(live)), n)),
-                                 plans.reshape(-1, h_max, 4), world_cfg)
-        labels = wd.label_rollouts(d, world_cfg.dt, np.repeat(h_live, n))
+        d, state_next, d_next, nominal = wd.rollout_and_step(state, plans, nominal[:, 0],
+                                                             world_cfg, law)
+        labels = wd.label_rollouts(d.reshape(h_max, -1), world_cfg.dt, np.repeat(h_live, n))
         y = np.array([(lab.y_bin, lab.y_d, lab.y_ttc) for lab in labels])
         _check_columns(np.repeat(proprio, n, axis=0), np.repeat(z, n, axis=0),
                        np.concatenate(cands, axis=None), np.repeat(4 * h_live, n),
@@ -290,12 +284,7 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
             p_j, z_j, meta = proprio[j], z[j], (*jobs[i], step_idx)
             by_job[i].extend(_assemble(p_j, z_j, cand, int(h), label, meta)
                              for cand, label in zip(cands[j], labels[j * n:(j + 1) * n]))
-        # the state the plan's last row leads to, and the law's row there
-        path.append(wd.step(path[-1] if path else state, nominal[:, -1], world_cfg))
-        nominal = np.concatenate([nominal[:, 1:], law(path[-1])[:, None]], axis=1)
-        state_next = path[0]
-        return (state_next, (d[0, ::n] < 0.0) | wd.success_check(state_next, task),
-                (nominal, *path[1:]))
+        return state_next, (d_next < 0.0) | wd.success_check(state_next, task), nominal
 
     wd.lockstep(jobs, world_cfg, task_params, advance)
     by_h = {h: [] for h in gen_cfg.horizons}

@@ -196,7 +196,7 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
     gates = [sg.GateState()] * len(jobs)
     gated = setup.mode != "ungated"
 
-    def advance(t, live, state, task, carry):
+    def advance(t, live, state, task, plans):
         t0 = time.perf_counter()
         n = len(live)
         proprio = wd.proprio_feature(state)
@@ -205,7 +205,7 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
             law = pol.expert_law(task, wcfg.a_max)
         else:
             law = pol.policy_law(setup.policy_params, task)
-        plans = carry[0] if carry else pol.roll_plan(law, state, setup.horizon, wcfg)[0]
+        plans = pol.roll_plan(law, state, setup.horizon, wcfg) if plans is None else plans
         r_hats, decisions = [None] * n, [sg.EXECUTE] * n
         actions = plans[:, 0].copy()
         latency_s = np.full(n, time.perf_counter() - t0)
@@ -246,9 +246,9 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
             actions = plans[:, 0] * scale[:, None]
             actions[decision == sg.HALT] = 0.0
 
-        d_plans, state_next, d_min, next_plans = wd.rollout_and_step(state, plans, actions,
-                                                                     wcfg, law)
-        labels = wd.label_rollouts(d_plans, wcfg.dt)
+        d_plans, state_next, d_min, next_plans = wd.rollout_and_step(state, plans[:, None],
+                                                                     actions, wcfg, law)
+        labels = wd.label_rollouts(d_plans[..., 0], wcfg.dt)
         success = wd.success_check(state_next, task)
         halted = np.array(decisions) == sg.HALT
         if halted.any():
@@ -274,7 +274,7 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
             log.collided = not halted[j] and d < 0.0
             log.success = not halted[j] and not log.collided and bool(success[j])
             done[j] = halted[j] or log.collided or log.success
-        return state_next, done, (next_plans,)
+        return state_next, done, next_plans
 
     wd.lockstep(jobs, wcfg, setup.task_params, advance)
     for log in logs:

@@ -8,10 +8,11 @@ safety-filtered dataset. Records of gated rollouts post-train the risk
 estimator.
 
 Both planners are a row law (`expert_law`, `policy_law`: a state's action
-row) rolled forward kinematically by one loop, `roll_plan`. The episode
-loops plan by themselves only at a lockstep group's first step; after
-that, `world.rollout_and_step` rolls the same law from each executed
-state within its oracle pass.
+row) rolled forward kinematically by one loop, `roll_plan`, which returns
+the plan alone. The three episode loops (gen-data, demonstrations and
+evaluation) plan by themselves only at a lockstep group's first step;
+after that, `world.rollout_and_step` rolls the same law from each
+executed state within its oracle pass, and the loop carries that plan.
 """
 
 from __future__ import annotations
@@ -45,10 +46,8 @@ def expert_law(task: wd.Task, a_max: float):
     return law
 
 
-def roll_plan(law, state: wd.DualArmState, horizon: int,
-              cfg: wd.WorldConfig) -> tuple[np.ndarray, list]:
-    """The (..., H, 4) plan of a row law rolled forward from state, and the
-    H - 1 states its rows before the last lead to.
+def roll_plan(law, state: wd.DualArmState, horizon: int, cfg: wd.WorldConfig) -> np.ndarray:
+    """The (..., H, 4) plan of a row law rolled forward from state.
 
     Row i is the law's row at the state the rows before it lead to, so
     later actions react to where the earlier ones will have moved each
@@ -56,11 +55,11 @@ def roll_plan(law, state: wd.DualArmState, horizon: int,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    rows, path = [law(state)], []
+    rows = [law(state)]
     for _ in range(1, horizon):
-        path.append(wd.step(path[-1] if path else state, rows[-1], cfg))
-        rows.append(law(path[-1]))
-    return np.stack(rows, axis=-2), path
+        state = wd.step(state, rows[-1], cfg)
+        rows.append(law(state))
+    return np.stack(rows, axis=-2)
 
 
 def scripted_expert(state: wd.DualArmState, task: wd.Task, horizon: int,
@@ -68,7 +67,7 @@ def scripted_expert(state: wd.DualArmState, task: wd.Task, horizon: int,
     """(H, 4) plan of `expert_law` rolled forward by `roll_plan`. A batched
     state and task (`wd.stack`) plan every row at once: the plan is then
     (..., H, 4)."""
-    return roll_plan(expert_law(task, cfg.a_max), state, horizon, cfg)[0]
+    return roll_plan(expert_law(task, cfg.a_max), state, horizon, cfg)
 
 
 @dataclass
@@ -139,7 +138,7 @@ def policy_plan(params: PolicyParams, state: wd.DualArmState, task: wd.Task,
     """The policy's own (H, 4) plan: `policy_law` rolled forward by
     `roll_plan`. A batched state and task plan every row at once: the plan
     is then (..., H, 4)."""
-    return roll_plan(policy_law(params, task), state, horizon, cfg)[0]
+    return roll_plan(policy_law(params, task), state, horizon, cfg)
 
 
 @dataclass(frozen=True)
@@ -200,8 +199,8 @@ def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
             for tid, seed in jobs]
     records = [[] for _ in jobs]
 
-    def advance(t, live, state, task, carry):
-        plans = carry[0] if carry else scripted_expert(state, task, horizon, cfg)
+    def advance(t, live, state, task, plans):
+        plans = scripted_expert(state, task, horizon, cfg) if plans is None else plans
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, cfg.noise_sigma, [rngs[i] for i in live])
         goals = task.goal.reshape(len(live), 4)
@@ -210,13 +209,13 @@ def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
             noise = np.stack([rngs[i].normal(0.0, explore_noise, size=4) for i in live])
             executed = np.clip(executed + noise, -cfg.a_max, cfg.a_max)
         d_plans, state, d_next, next_plans = wd.rollout_and_step(
-            state, plans, executed, cfg, expert_law(task, cfg.a_max))
-        labels = wd.label_rollouts(d_plans, cfg.dt)
+            state, plans[:, None], executed, cfg, expert_law(task, cfg.a_max))
+        labels = wd.label_rollouts(d_plans[..., 0], cfg.dt)
         for j, i in enumerate(live):
             records[i].append(DemoRecord(proprio=proprio[j], z=z[j], goals=goals[j],
                                          action=plans[j, 0].copy(), plan=plans[j],
                                          label=labels[j]))
-        return state, (d_next < 0.0) | wd.success_check(state, task), (next_plans,)
+        return state, (d_next < 0.0) | wd.success_check(state, task), next_plans
 
     wd.lockstep(jobs, cfg, params, advance)
     return [rec for episode in records for rec in episode]

@@ -14,27 +14,26 @@ flags are a field like any other, so one batch may mix them. `step`,
 batch shape; a single state is the same call without the axis, and its
 results have shape (). The kernels give each row the same bits at any
 batch size. `lockstep` drives episodes this way: it resets and stacks
-them, steps them together and drops each as it ends, with whatever rows
-the step body carries to the next step.
+them, steps them together and drops each as it ends, with its row of
+what the step body carries to the next step (the next plans).
 
 A state and a task hold both arms on one arm axis of size 2, left arm
 first, the axis `geometry.stack_arms` gives `WorldConfig.arms`. Two
 kernels do the oracle's work over it. `_advance` moves both arms one
 control period in one kinematics call; `_clearance` measures capsule
-clearance over any leading batch shape. `rollout_clearance` first
-advances all H steps of all N plans, since a configuration never depends
-on clearance, and then makes one clearance pass over the (H, N)
-configurations; `label_rollouts` turns those clearances into labels.
-The episode loops make one oracle pass per control step:
-`rollout_and_step` shares that trajectory routine, advances the plans'
-first rows and the executed actions in one kinematics call, and covers
-the plans' and the next states' configurations in one clearance pass. It
-also plans the next step: the planner's row law, given by the caller,
-makes its first row at each next state, and its prediction from there
-advances in the plans' steps 1..H-1, in the same kinematics calls. Since
-each row keeps its bits at any batch size, its outputs equal those of
-`rollout_clearance`, `step`, `min_self_distance` and the planner called
-apart.
+clearance over any leading batch shape. The three episode loops (gen-data,
+demonstrations and evaluation) make one oracle pass per control step,
+`rollout_and_step`: it labels K plans per episode, executes each
+episode's action and plans the next step. Since a configuration never
+depends on clearance, it first advances all H steps of every plan, the
+actions beside the plans' first rows in one kinematics call; the
+planner's row law, given by the caller, makes its first row at each next
+state, and its prediction from there advances in the plans' steps
+1..H-1, in the same kinematics calls. Then one clearance pass covers the
+plans' and the next states' configurations, and `label_rollouts` turns
+the plans' clearances into labels. Since each row keeps its bits at any
+batch size, every output equals that of `step`, `min_self_distance` and
+the planner called one step at a time.
 """
 
 from __future__ import annotations
@@ -146,10 +145,11 @@ def lockstep(jobs, cfg: WorldConfig, params: TaskParams, advance) -> None:
     Each group's episodes are reset by `task_init` and stacked into one
     state and task. At each step t, `advance(t, live, state, task, carry)`
     gets the job indices of the live rows, in job order, and returns the
-    next state, a bool per row and the carry for the next step: a tuple of
-    arrays and batched states, each with one row per live row. Rows marked
-    done drop out, from the carry too; carry is None at a group's first
-    step. A group ends when no row is live or after params.max_steps steps.
+    next state, a bool per row and the carry for the next step: an array
+    with one row per live row (the episode loops carry the next step's
+    plans). Rows marked done drop out, from the carry too; carry is None
+    at a group's first step. A group ends when no row is live or after
+    params.max_steps steps.
     """
     for lo in range(0, len(jobs), LOCKSTEP_EPISODES):
         live = np.arange(lo, min(lo + LOCKSTEP_EPISODES, len(jobs)))
@@ -164,8 +164,7 @@ def lockstep(jobs, cfg: WorldConfig, params: TaskParams, advance) -> None:
             if done.any():
                 keep = ~done
                 live, state, task = live[keep], take(state, keep), take(task, keep)
-                carry = tuple(c[keep] if isinstance(c, np.ndarray) else take(c, keep)
-                              for c in carry)
+                carry = carry[keep]
 
 
 def make_state(
@@ -304,96 +303,57 @@ def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
     return replace(state, q=q, t=state.t + 1, origins=origins, heading=ang[..., -1])
 
 
-def _plan_clearance(state: DualArmState, plans, cfg: WorldConfig, actions=None, law=None):
-    """(H, N) clearance after each step of each of N (H, 4) plans and, when
-    actions (N, 4) and a row law are given, the state after each state row
-    executes its action, that state's clearance and the (N, H, 4) plan the
-    law makes from it.
+def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig, law):
+    """One oracle pass for a control step of N episodes, which labels K
+    plans per episode and plans the next step.
 
-    All H steps of all N rows are advanced first, with the arithmetic of
-    `step`. With actions, step 0 advances the plans' first rows and the
-    action rows in one kinematics call; the law then makes its row 0 at
-    each executed state, and each step i >= 1 advances the plans' rows i
-    together with the law's row i-1 from the state its earlier rows lead
-    to, where the law makes its row i. Then one clearance pass, with the
-    arithmetic of `min_self_distance`, covers the plans' (H, N)
-    configurations, plus the N executed ones.
+    state is a batch of N states, plans (N, K, H, 4) holds K plans of H
+    rows per state row, actions (N, 4) one action per state row, and law
+    maps a batch of N states to their (N, 4) action rows. Returns the
+    (H, N, K) clearance after each step of each plan, past any
+    penetration; the next state, when state row i executes actions[i];
+    its clearance; and the (N, H, 4) plan the law makes from it: the law's
+    row at the next state, then its row at the state the rows before it
+    lead to, H rows in all (the loop `policy.roll_plan` runs).
+
+    Step 0 of every plan and the actions advance in one kinematics call,
+    with the arithmetic of `step`; each step i >= 1 of the plans and of
+    the law's prediction in one more. Then one clearance pass, with the
+    arithmetic of `min_self_distance`, covers the plans' (H, N, K)
+    configurations, each with its state row's holding flags, and the N
+    next states. Raises ValueError unless plans is (N, K, H, 4) with N, K,
+    H >= 1, state a batch of N states and actions (N, 4).
     """
     plans = np.asarray(plans, dtype=float)
-    if plans.ndim != 3 or plans.shape[2] != 4 or plans.shape[0] < 1 or plans.shape[1] < 1:
-        raise ValueError(f"plans must be (N, H, 4) with N, H >= 1, got {plans.shape}")
-    n, horizon = plans.shape[:2]
+    actions = np.asarray(actions, dtype=float)
+    if plans.ndim != 4 or plans.shape[3] != 4 or 0 in plans.shape:
+        raise ValueError(f"plans must be (N, K, H, 4) with N, K, H >= 1, got {plans.shape}")
+    n, k, horizon = plans.shape[:3]
     batch = state.q.shape[:-2]
-    if batch not in ((), (n,)):
-        raise ValueError(f"state batch shape {batch} must be () or ({n},) for {n} plans")
-    q = np.broadcast_to(state.q, (n, *state.q.shape[-2:]))
-    pts = np.broadcast_to(state.origins, (n, *state.origins.shape[-3:]))
-    dx = plans.reshape(n, horizon, 2, 2)
-    first = dx[:, 0]
-    if actions is not None:
-        actions = np.asarray(actions, dtype=float)
-        if batch != (n,) or actions.shape != (n, 4):
-            raise ValueError(f"{n} plans executed in one step need a batch of {n} states and "
-                             f"actions of shape ({n}, 4), got states {batch} and actions "
-                             f"{actions.shape}")
-        q, pts = np.concatenate([q, q]), np.concatenate([pts, pts])
-        first = np.concatenate([first, actions.reshape(n, 2, 2)])
-    q, pts, ang = _advance(cfg, q, pts, first)
-    # (H, N) plan configurations, then the N executed ones
-    traj = np.empty((horizon + (actions is not None), n, *pts.shape[1:]))
-    heading = np.empty(traj.shape[:3])
-    traj[0], heading[0] = pts[:n], ang[:n, ..., -1]
-    if actions is None:
-        for i in range(1, horizon):
-            q, pts, ang = _advance(cfg, q, pts, dx[:, i])
-            traj[i], heading[i] = pts, ang[..., -1]
-        return _clearance(cfg, state.holding, traj, heading)
-    traj[-1], heading[-1] = pts[n:], ang[n:, ..., -1]
-    executed = cur = replace(state, q=q[n:], t=state.t + 1, origins=pts[n:],
-                             heading=ang[n:, ..., -1])
-    rows = [law(cur)]
+    if batch != (n,) or actions.shape != (n, 4):
+        raise ValueError(f"plans for {n} states need a batch of {n} states and actions of "
+                         f"shape ({n}, 4), got states {batch} and actions {actions.shape}")
+    m = n * k  # plan rows, state row major
+    dx = plans.reshape(m, horizon, 2, 2)
+    q = np.concatenate([np.repeat(state.q, k, axis=0), state.q])
+    pts = np.concatenate([np.repeat(state.origins, k, axis=0), state.origins])
+    q, pts, ang = _advance(cfg, q, pts, np.concatenate([dx[:, 0], actions.reshape(n, 2, 2)]))
+    executed = cur = replace(state, q=q[m:], t=state.t + 1, origins=pts[m:],
+                             heading=ang[m:, :, -1])
+    traj, heading, rows = [pts[:m]], [ang[:m, :, -1]], [law(cur)]
     for i in range(1, horizon):
         q, pts, ang = _advance(cfg, q, pts, np.concatenate([dx[:, i], rows[-1].reshape(n, 2, 2)]))
-        traj[i], heading[i] = pts[:n], ang[:n, ..., -1]
-        cur = replace(cur, q=q[n:], t=cur.t + 1, origins=pts[n:], heading=ang[n:, ..., -1])
+        traj.append(pts[:m])
+        heading.append(ang[:m, :, -1])
+        cur = replace(cur, q=q[m:], t=cur.t + 1, origins=pts[m:], heading=ang[m:, :, -1])
         rows.append(law(cur))
-    d = _clearance(cfg, state.holding, traj, heading)
-    return d[:horizon], executed, d[horizon], np.stack(rows, axis=-2)
-
-
-def rollout_clearance(state: DualArmState, plans, cfg: WorldConfig) -> np.ndarray:
-    """(H, N) clearance after each step of each of N (H, 4) plans, past any
-    penetration.
-
-    The state is one state for every row, or a batch of N states, one per
-    row. All H steps of all N rows are advanced first, with the arithmetic
-    of `step`; then one clearance pass, with the arithmetic of
-    `min_self_distance`, covers the (H, N) configurations. Raises
-    ValueError unless plans is (N, H, 4) with N >= 1 and H >= 1.
-    """
-    return _plan_clearance(state, plans, cfg)
-
-
-def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig, law):
-    """One oracle pass for a control step of N episodes, which also plans
-    the next step: the (H, N) clearance of the N (H, 4) plans, as
-    `rollout_clearance` gives it, the next state and its clearance, as
-    `step` and `min_self_distance` give them, when state row i executes
-    actions[i], and the (N, H, 4) plan of the planner's row law at each
-    next state.
-
-    law maps a batch of N states to their (N, 4) action rows; the next
-    plan is the law's row at the next state, then its row at the state
-    the rows before it lead to, as `step` steps them, H rows in all (the
-    loop `policy.roll_plan` runs). The state is a batch of N states and
-    actions is (N, 4). Step 0 of the plans and the actions advance in one
-    kinematics call, each step i >= 1 of the plans and of the law's
-    prediction in one more, and one clearance pass covers the (H + 1, N)
-    configurations, so each output has the bits of the separate calls.
-    Raises ValueError on plans `rollout_clearance` rejects, a state of any
-    other batch shape or actions of any other shape.
-    """
-    return _plan_clearance(state, plans, cfg, actions, law)
+    # the plans' H x N x K configurations, step by step, then the N next states
+    holding = np.tile(np.repeat(state.holding, k, axis=0), (horizon, 1))
+    d = _clearance(cfg, np.concatenate([holding, state.holding]),
+                   np.concatenate([*traj, executed.origins]),
+                   np.concatenate([*heading, executed.heading]))
+    return (d[:horizon * m].reshape(horizon, n, k), executed, d[horizon * m:],
+            np.stack(rows, axis=1))
 
 
 def label_rollouts(d, dt: float, horizons=None) -> list[RolloutOutcome]:

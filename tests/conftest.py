@@ -30,10 +30,24 @@ def assert_records_equal(got, ref):
         assert (a.label, a.risk, a.corrected) == (b.label, b.risk, b.corrected)
 
 
+def plan_clearances(state, plans, cfg):
+    """Reference (H, N) clearances of N (H, 4) plans from one state, or
+    from a batch of N states, one per plan: a plain loop of one `wd.step`
+    and one `wd.min_self_distance` per plan step."""
+    plans = np.asarray(plans, dtype=float)
+    if state.q.ndim == 2:
+        state = wd.stack([state] * len(plans))
+    d = []
+    for i in range(plans.shape[1]):
+        state = wd.step(state, plans[:, i], cfg)
+        d.append(wd.min_self_distance(state, cfg))
+    return np.array(d)
+
+
 def label_plans(state, plans, cfg, horizons=None):
-    """The oracle's labels of N (H, 4) plans: `label_rollouts` of their
-    `rollout_clearance`."""
-    return wd.label_rollouts(wd.rollout_clearance(state, plans, cfg), cfg.dt, horizons)
+    """Reference labels of N (H, 4) plans: `label_rollouts` of their
+    `plan_clearances`."""
+    return wd.label_rollouts(plan_clearances(state, plans, cfg), cfg.dt, horizons)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -263,6 +263,28 @@ def test_exit_code_1_on_config_errors(tmp_path):
     assert cli.main(["roc-tune", "--config", str(cfg)]) == 1
 
 
+def test_fewer_episodes_than_horizons_cannot_train(tmp_path, capsys):
+    """With fewer datagen episodes per task than horizons, gen-data still
+    runs (a one-episode warm-up may use it) and leaves a horizon's file
+    empty; train-estimator then exits 1 naming datagen.episodes_per_task,
+    before it writes a checkpoint or a held-out file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "tasks": {"ids": ["parallel_place"], "max_steps": 3},
+        "datagen": {"out_dir": str(tmp_path / "data"), "episodes_per_task": 2,
+                    "horizons": [2, 3, 5]},
+        "estimator": {"checkpoint_path": str(tmp_path / "est.json"),
+                      "heldout_path": str(tmp_path / "held.jsonl")}}))
+    assert cli.main(["gen-data", "--config", str(cfg)]) == 0
+    counts = json.loads(capsys.readouterr().out)["counts"]
+    assert counts["5"]["samples"] == 0 < counts["2"]["samples"]
+    assert cli.main(["train-estimator", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: datagen.episodes_per_task must be >= the number of "
+                          "datagen.horizons (3)")
+    assert not (tmp_path / "est.json").exists() and not (tmp_path / "held.jsonl").exists()
+
+
 def test_negative_seed_or_index_is_a_config_error(tmp_path, capsys):
     """A negative seed, in the config or as --seed, and a negative run
     --index each exit 1 naming the setting, before any stage runs."""

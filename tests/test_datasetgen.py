@@ -401,18 +401,35 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
     by calling `scripted_expert` at every step, in the same order, over
     both tasks, horizons 2, 3 and 5, and episodes that end by collision and
     by success at different steps. The expert plans by itself once per
-    group; with groups of 4, a group's longest-horizon episode ends first,
-    and the longest live horizon shrinks under the plan gen-data carries."""
+    group, with its h_max - 1 `wd.step` calls, the only ones; after that
+    each step makes one oracle pass, with h_max `dls_ik_step` calls for
+    its longest live horizon h_max. With groups of 4, a group's
+    longest-horizon episode ends first, and the longest live horizon
+    shrinks under the plan gen-data carries."""
     monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
     cfg = dg.DatagenConfig(episodes_per_task=3, horizons=(2, 3, 5), oversample_factor=1, seed=4)
-    rolls, roll_plan = [], pol.roll_plan
+    calls = {"dls_ik_step": 0, "step": 0}
+    rolls, passes = [], []  # (dls_ik_step, wd.step) calls in each roll_plan and each pass
 
-    def counted(*args):
-        rolls.append(1)
-        return roll_plan(*args)
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    def measured(log, real):
+        def wrapped(*args):
+            before = dict(calls)
+            out = real(*args)
+            log.append(tuple(calls[name] - before[name] for name in calls))
+            return out
+        return wrapped
 
     with monkeypatch.context() as m:
-        m.setattr(pol, "roll_plan", counted)
+        for name in calls:
+            m.setattr(wd, name, counting(name, getattr(wd, name)))
+        m.setattr(pol, "roll_plan", measured(rolls, pol.roll_plan))
+        m.setattr(wd, "rollout_and_step", measured(passes, wd.rollout_and_step))
         paths, _ = dg.generate_dataset(cfg, world_cfg, tmp_path, task_params)
     ref, endings = one_episode_at_a_time(cfg, world_cfg, task_params)
     assert {"collision", "success"} <= set(endings)
@@ -432,7 +449,10 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
                     [cfg.seed, wd.task_index(task_id), ep]).generate_state(1)[0])])
                for task_id in cfg.tasks for ep in range(cfg.episodes_per_task)]
     groups = [per_job[lo:lo + group] for lo in range(0, len(per_job), group)]
-    assert len(rolls) == len(groups)
+    assert rolls == [(max(h for h, _ in g) - 1,) * 2 for g in groups]
+    assert calls["step"] == sum(steps for _, steps in rolls)
+    h_max = [max(h for h, n in g if n > t) for g in groups for t in range(max(n for _, n in g))]
+    assert passes == [(h, 0) for h in h_max]
     longest_ends_first = [max(n for h, n in g if h == max(g)[0]) < max(n for _, n in g)
                           for g in groups]
     assert any(longest_ends_first) == (group == 4)

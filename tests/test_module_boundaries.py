@@ -314,3 +314,49 @@ def test_unread_field_checker():
 def test_every_state_and_task_field_is_read():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_fields(sources) == []
+
+
+def orphaned_definitions(sources, others=()):
+    """`module.name` of each top-level function and class of sources
+    ({module: source}) that no code names outside its own definition: not
+    another part of sources, nor any source in others. A name counts as
+    read as a bare name or as an attribute (`wd.step`)."""
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    seen_outside = set()
+    for source in others:
+        seen_outside |= names(ast.parse(source))
+    defs = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((module, node.name))
+            else:
+                seen_outside |= names(node)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # a definition's own body (recursion) does not keep it alive
+                seen_outside |= names(node) - {node.name}
+    return [f"{module}.{name}" for module, name in defs if name not in seen_outside]
+
+
+def test_orphaned_definition_checker():
+    sources = {"world": ("def step(s):\n    return _advance(s)\n"
+                         "def _advance(s):\n    return s\n"
+                         "def _unused(s):\n    return _unused(s - 1)\n"
+                         "class Orphan:\n    def helper(self):\n        return Orphan\n"
+                         "class Kept:\n    pass\n"
+                         "LOOKUP = {'k': Kept}\n"),
+               "harness": "from . import world as wd\ndef run(s):\n    return wd.step(s)\n"}
+    assert orphaned_definitions(sources) == ["world._unused", "world.Orphan", "harness.run"]
+    assert orphaned_definitions(sources, ["def test_run(s):\n    assert run(s)\n"]) == [
+        "world._unused", "world.Orphan"]
+
+
+def test_every_definition_is_named_outside_itself():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    tests = [path.read_text() for path in sorted(SRC.parents[1].joinpath("tests").glob("*.py"))]
+    assert orphaned_definitions(sources, tests) == []

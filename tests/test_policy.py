@@ -129,7 +129,7 @@ def test_oracle_pass_plans_the_next_states_as_the_planners_do(world_cfg, task_pa
         (pol.policy_law(policy, task),
          lambda s, t: pol.policy_plan(policy, s, t, world_cfg, horizon)))
     for law, planner in planners:
-        _, nxt, _, plan = wd.rollout_and_step(state, plans, actions, world_cfg, law)
+        _, nxt, _, plan = wd.rollout_and_step(state, plans[:, None], actions, world_cfg, law)
         assert plan.shape == (n, horizon, 4)
         assert np.array_equal(plan, planner(nxt, task))
         for i in range(n):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import label_plans
+from conftest import label_plans, plan_clearances
 from test_geometry import reference_dls_ik_step, reference_joint_origins
 from riskgate import geometry as gm
 from riskgate import world as wd
@@ -216,9 +216,17 @@ def clearances(state, plan, cfg):
     return np.array(out)
 
 
+def oracle_clearance(state, plans, cfg):
+    """(H, N, K) plan clearances of one oracle pass over a batch of N
+    states and their (N, K, H, 4) plans, every state executing a zero
+    action."""
+    return wd.rollout_and_step(state, plans, np.zeros((len(plans), 4)), cfg, lean_in)[0]
+
+
 def rollout(state, plan, cfg):
-    """The oracle's label of one plan: `label_plans` with N = 1."""
-    return label_plans(state, np.asarray(plan)[None], cfg)[0]
+    """The oracle pass's label of one plan from one state."""
+    d = oracle_clearance(wd.stack([state]), np.asarray(plan)[None, None], cfg)
+    return wd.label_rollouts(d[:, 0], cfg.dt)[0]
 
 
 def resimulate(state, plan, cfg):
@@ -244,8 +252,9 @@ def test_rollout_matches_manual_resimulation(world_cfg):
 
 @pytest.mark.parametrize("intra_and_inflation", [False, True])
 def test_rollout_batch_rows_equal_per_row_resimulation(world_cfg, intra_and_inflation):
-    """Every row of a batched rollout equals, bit for bit, the resimulation
-    of that row alone, across holding sides, intra-arm pairs, inflation,
+    """Every plan of one state's K plans in an oracle pass is labeled, bit
+    for bit, as the resimulation of that plan alone and as the reference
+    loop labels it, across holding sides, intra-arm pairs, inflation,
     rows that collide at different steps and rows that never collide.
     A row that penetrates at step k and goes deeper later is labeled from
     steps <= k only."""
@@ -261,7 +270,9 @@ def test_rollout_batch_rows_equal_per_row_resimulation(world_cfg, intra_and_infl
     ttcs = set()
     for holding in ((True, False), (False, True), (True, True), (False, False)):
         state = wd.make_state(cfg, q, -q, holding_left=holding[0], holding_right=holding[1])
-        out = label_plans(state, plans, cfg)
+        out = wd.label_rollouts(oracle_clearance(wd.stack([state]), plans[None], cfg)[:, 0],
+                                cfg.dt)
+        assert out == label_plans(state, plans, cfg)
         assert len(out) == len(plans)
         for row, label in zip(plans, out):
             assert label == resimulate(state, row, cfg)
@@ -271,15 +282,15 @@ def test_rollout_batch_rows_equal_per_row_resimulation(world_cfg, intra_and_infl
         assert d[k + 1:].min() < d[:k + 1].min()  # deeper after the first penetration
         assert out[0].y_d == d[:k + 1].min() and out[0].y_ttc == (k + 1) * cfg.dt
         ttcs.update(o.y_ttc for o in out if o.y_bin)
-        assert label_plans(state, plans[1:2], cfg) == [out[1]]
+        assert rollout(state, plans[1], cfg) == out[1]
     assert len(ttcs) >= 3
 
 
 def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch):
     """One kinematics call moves both arms: `step` computes joint origins
-    once, `rollout_clearance` and `rollout_and_step` (its next plan
-    included) once per horizon step whatever N, and each makes one
-    clearance pass."""
+    once, and `rollout_and_step` (its next plan included) once per horizon
+    step whatever the N states and K plans per state, with one clearance
+    pass."""
     calls = {"joint_origins": 0, "segment_pairs_distance": 0}
     for name in calls:
         def counting(*args, _name=name, _real=getattr(wd, name)):
@@ -291,53 +302,50 @@ def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch)
     calls["joint_origins"] = 0
     wd.step(state, [0.01, 0.0, -0.01, 0.0], world_cfg)
     assert calls["joint_origins"] == 1
-    plans = np.random.default_rng(16).uniform(-0.005, 0.005, size=(8, 5, 4))
+    plans = np.random.default_rng(16).uniform(-0.005, 0.005, size=(8, 3, 5, 4))
     for n in (1, 8):
-        calls.update(joint_origins=0, segment_pairs_distance=0)
-        assert not any(o.y_bin for o in label_plans(state, plans[:n], world_cfg))
-        assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
-        calls.update(joint_origins=0, segment_pairs_distance=0)
-        wd.rollout_and_step(wd.stack([state] * n), plans[:n], plans[:n, 0], world_cfg, lean_in)
-        assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
+        for k in (1, 3):
+            calls.update(joint_origins=0, segment_pairs_distance=0)
+            d = wd.rollout_and_step(wd.stack([state] * n), plans[:n, :k], plans[:n, 0, 0],
+                                    world_cfg, lean_in)[0]
+            assert d.shape == (5, n, k) and (d > 0.0).all()
+            assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
 
 
 @pytest.mark.parametrize("n", [1, 5])
 @pytest.mark.parametrize("horizon", [1, 5])
 def test_rollout_and_step_equals_separate_calls(world_cfg, n, horizon):
-    """The fused oracle pass gives, bit for bit, the plans' clearances of
-    `rollout_clearance`, the next state of `step`, that state's
+    """The fused oracle pass, with K = 1 or 3 plans per state, gives with
+    == each plan the clearances of the reference `step` /
+    `min_self_distance` loop, and the next state of `step`, that state's
     `min_self_distance` and the row law rolled from it one `step` per row,
-    with both arms holding, intra-arm pairs and inflation on, and rows that
-    penetrate."""
+    with both arms holding, intra-arm pairs and inflation on, and rows
+    that penetrate."""
     cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
     rng = np.random.default_rng(21)
     states = [random_state(rng, cfg, holding=True) for _ in range(n - 1)]
     q = np.array([-0.25, 0.0, 0.0])
     states.append(wd.make_state(cfg, q, -q, holding_left=True, holding_right=True))
     state = replace(wd.stack(states), t=np.arange(n) + 3)
-    plans = rng.uniform(-0.02, 0.02, size=(n, horizon, 4))
-    plans[-1] = [0.02, 0.0, -0.02, 0.0]  # both arms lean in and close the gap
+    plans = rng.uniform(-0.02, 0.02, size=(n, 3, horizon, 4))
+    plans[-1, 0] = [0.02, 0.0, -0.02, 0.0]  # both arms lean in and close the gap
     actions = rng.uniform(-0.02, 0.02, size=(n, 4))
-    d, nxt, d_next, plan = wd.rollout_and_step(state, plans, actions, cfg, lean_in)
     ref = wd.step(state, actions, cfg)
     rows, cur = [lean_in(ref)], ref
     for _ in range(1, horizon):
         cur = wd.step(cur, rows[-1], cfg)
         rows.append(lean_in(cur))
-    assert_array_equal(plan, np.stack(rows, axis=1))
-    assert_array_equal(d, wd.rollout_clearance(state, plans, cfg))
-    for f in ("q", "g", "t", "origins", "heading"):
-        assert_array_equal(getattr(nxt, f), getattr(ref, f), err_msg=f)
-    assert_array_equal(nxt.holding, ref.holding)
-    assert_array_equal(d_next, wd.min_self_distance(ref, cfg))
-    assert d.shape == (horizon, n) and d_next.shape == (n,)
-    assert (d < 0.0).any()
-    with pytest.raises(ValueError):
-        wd.rollout_and_step(wd.take(state, 0), plans[:1], actions[:1], cfg, lean_in)
-    for bad in (actions[:, :3], actions[:1], actions[0]):
-        if bad.shape != (n, 4):
-            with pytest.raises(ValueError):
-                wd.rollout_and_step(state, plans, bad, cfg, lean_in)
+    for k in (1, 3):
+        d, nxt, d_next, plan = wd.rollout_and_step(state, plans[:, :k], actions, cfg, lean_in)
+        assert_array_equal(plan, np.stack(rows, axis=1))
+        for c in range(k):
+            assert_array_equal(d[:, :, c], plan_clearances(state, plans[:, c], cfg))
+        for f in ("q", "g", "t", "origins", "heading"):
+            assert_array_equal(getattr(nxt, f), getattr(ref, f), err_msg=f)
+        assert_array_equal(nxt.holding, ref.holding)
+        assert_array_equal(d_next, wd.min_self_distance(ref, cfg))
+        assert d.shape == (horizon, n, k) and d_next.shape == (n,)
+        assert (d < 0.0).any()
 
 
 def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
@@ -404,9 +412,11 @@ def test_step_pins_reference_kernels(world_cfg):
 @pytest.mark.parametrize("mixed", [True, False])
 def test_batch_mixing_holding_flags_equals_each_rows_own_call(world_cfg, mixed):
     """A batch whose rows hold objects in all four ways (or, unmixed, hold
-    nothing) gives each row, with ==, the `min_self_distance`,
-    `rollout_clearance` and `rollout_and_step` outputs of that row's own
-    call, with intra-arm pairs and inflation on and rows that penetrate."""
+    nothing) gives each row, with ==, the `min_self_distance` and
+    `rollout_and_step` outputs of that row's own call, and, with K = 1 or
+    3 plans per state, each plan the clearances of the reference `step` /
+    `min_self_distance` loop, with intra-arm pairs and inflation on and
+    rows that penetrate."""
     cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
     rng = np.random.default_rng(19)
     flags = [(False, False), (True, False), (False, True), (True, True)] * 4
@@ -417,27 +427,32 @@ def test_batch_mixing_holding_flags_equals_each_rows_own_call(world_cfg, mixed):
                             holding_left=left, holding_right=right) for left, right in flags]
     state = wd.stack(states)
     assert state.holding.shape == (len(flags), 2)
-    plans = rng.uniform(-0.02, 0.02, size=(len(flags), 3, 4))
+    plans = rng.uniform(-0.02, 0.02, size=(len(flags), 3, 3, 4))
     actions = rng.uniform(-0.02, 0.02, size=(len(flags), 4))
     d = wd.min_self_distance(state, cfg)
-    d_plans = wd.rollout_clearance(state, plans, cfg)
-    fused, nxt, d_next, plan = wd.rollout_and_step(state, plans, actions, cfg, lean_in)
     assert (d < 0.0).any() and (d >= 0.0).any()
     for i, s in enumerate(states):
         assert d[i] == wd.min_self_distance(s, cfg)
-        assert_array_equal(d_plans[:, i], wd.rollout_clearance(s, plans[i:i + 1], cfg)[:, 0])
-        one, one_nxt, one_d, one_plan = wd.rollout_and_step(wd.stack([s]), plans[i:i + 1],
-                                                            actions[i:i + 1], cfg, lean_in)
-        assert_array_equal(fused[:, i], one[:, 0])
-        assert d_next[i] == one_d[0]
-        assert_array_equal(plan[i], one_plan[0])
-        for f in ("q", "g", "holding", "t", "origins", "heading"):
-            assert_array_equal(getattr(wd.take(nxt, i), f), getattr(one_nxt, f)[0], err_msg=f)
+    for k in (1, 3):
+        fused, nxt, d_next, plan = wd.rollout_and_step(state, plans[:, :k], actions, cfg,
+                                                       lean_in)
+        for c in range(k):
+            assert_array_equal(fused[:, :, c], plan_clearances(state, plans[:, c], cfg))
+        for i, s in enumerate(states):
+            one, one_nxt, one_d, one_plan = wd.rollout_and_step(
+                wd.stack([s]), plans[i:i + 1, :k], actions[i:i + 1], cfg, lean_in)
+            assert_array_equal(fused[:, i], one[:, 0])
+            assert d_next[i] == one_d[0]
+            assert_array_equal(plan[i], one_plan[0])
+            for f in ("q", "g", "holding", "t", "origins", "heading"):
+                assert_array_equal(getattr(wd.take(nxt, i), f), getattr(one_nxt, f)[0],
+                                   err_msg=f)
 
 
 def test_rollout_batch_per_row_states_and_horizons(world_cfg):
-    """Rows from their own states, padded to the longest horizon, equal
-    each row's N=1 rollout of its unpadded plan; padding never counts."""
+    """Plans from their own states in one oracle pass, padded to the
+    longest horizon, are labeled as each plan's own pass over its unpadded
+    rows; padding never counts."""
     rng = np.random.default_rng(20)
     q = np.array([-0.25, 0.0, 0.0])
     states, plans, horizons = [], [], []
@@ -450,7 +465,9 @@ def test_rollout_batch_per_row_states_and_horizons(world_cfg):
         plan[h:] = [0.02, 0.0, -0.02, 0.0]  # padding that would collide if it counted
         plans.append(plan)
         horizons.append(h)
-    out = label_plans(wd.stack(states), np.array(plans), world_cfg, horizons=horizons)
+    d = oracle_clearance(wd.stack(states), np.array(plans)[:, None], world_cfg)[..., 0]
+    out = wd.label_rollouts(d, world_cfg.dt, horizons)
+    assert out == label_plans(wd.stack(states), plans, world_cfg, horizons)
     for s, plan, h, label in zip(states, plans, horizons, out):
         assert label == rollout(s, plan[:h], world_cfg)
     assert {o.y_bin for o in out} == {0, 1}
@@ -460,9 +477,7 @@ def test_rollout_batch_per_row_states_and_horizons(world_cfg):
                for s, plan, o in zip(states, plans, out))
     for bad in ([5] * 11, [0] + [5] * 11, [6] * 12, [2.0] * 12):
         with pytest.raises(ValueError):
-            label_plans(wd.stack(states), np.array(plans), world_cfg, horizons=bad)
-    with pytest.raises(ValueError):
-        label_plans(wd.stack(states[:3]), np.array(plans), world_cfg)
+            wd.label_rollouts(d, world_cfg.dt, bad)
 
 
 def test_rollout_censors_ttc_at_horizon(world_cfg):
@@ -473,10 +488,23 @@ def test_rollout_censors_ttc_at_horizon(world_cfg):
 
 
 def test_rollout_validates_plan_shape(world_cfg):
-    state = wd.make_state(world_cfg, [0.6, -0.4, -0.2], [0.6, -0.4, -0.2])
-    for shape in ((1, 0, 4), (1, 3, 5), (2, 0, 4), (2, 3, 5), (0, 3, 4), (3, 4)):
-        with pytest.raises(ValueError):
-            label_plans(state, np.zeros(shape), world_cfg)
+    """The oracle pass takes (N, K, H, 4) plans with N, K, H >= 1, a batch
+    of N states and (N, 4) actions, and raises ValueError on anything
+    else."""
+    one = wd.make_state(world_cfg, [0.6, -0.4, -0.2], [0.6, -0.4, -0.2])
+    state = wd.stack([one] * 2)
+    actions = np.zeros((2, 4))
+    for shape in ((2, 1, 0, 4), (2, 1, 3, 5), (2, 0, 3, 4), (0, 1, 3, 4), (2, 3, 4),
+                  (1, 2, 1, 3, 4)):
+        with pytest.raises(ValueError, match="plans must be"):
+            wd.rollout_and_step(state, np.zeros(shape), actions, world_cfg, lean_in)
+    plans = np.zeros((2, 3, 4, 4))
+    for bad_state, bad_actions in ((one, actions), (wd.stack([one] * 3), actions),
+                                   (state, actions[:1]), (state, actions[:, :3]),
+                                   (state, actions[0])):
+        with pytest.raises(ValueError, match="batch of 2 states"):
+            wd.rollout_and_step(bad_state, plans, bad_actions, world_cfg, lean_in)
+    assert wd.rollout_and_step(state, plans, actions, world_cfg, lean_in)[0].shape == (4, 2, 3)
 
 
 def test_task_init_deterministic_and_clear(world_cfg, task_params):
