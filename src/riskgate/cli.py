@@ -65,8 +65,7 @@ def _split_phases(cfg: cf.RunConfig):
         n = len(ds.samples)
         order = rng.permutation(n)
         n_held = max(1, int(round(cfg.estimator.heldout_frac * n)))
-        held_idx = set(order[:n_held].tolist())
-        held_samples.extend(ds.samples[i] for i in sorted(held_idx))
+        held_samples.extend(ds.samples[i] for i in np.sort(order[:n_held]))
         train = [ds.samples[i] for i in order[n_held:]]
         train_phases.append(est.stack_batch(train))
     return train_phases, held_samples

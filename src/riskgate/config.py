@@ -41,8 +41,8 @@ def _section(name: str, runtime, drop=(), **own):
 
 
 WorldSection = _section("WorldSection", wd.WorldConfig, drop=("arm_left", "arm_right"))
-TasksSection = _section("TasksSection", wd.TaskParams, drop=("start_q_mean",),
-                        ids=list(wd.TASK_IDS), episodes_per_task=100)
+TasksSection = _section("TasksSection", wd.TaskParams, ids=list(wd.TASK_IDS),
+                        episodes_per_task=100)
 DatagenSection = _section("DatagenSection", dg.DatagenConfig, drop=("tasks", "seed"),
                           out_dir="data")
 EstimatorSection = _section(

@@ -215,8 +215,6 @@ def _softplus(x):
 def _sigmoid(x):
     # exp(min(x, -x)) is exp(-x) where x >= 0 and exp(x) elsewhere (NaN
     # passes through with its sign): it never overflows
-    if x.size == 1:  # the scalar form: the same bits at a tenth of the cost
-        return np.full(x.shape, _sigmoid_scalar(float(x.flat[0])))
     e = np.exp(np.minimum(x, -x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
@@ -443,12 +441,6 @@ def _checked_inputs(proprio, z, plans):
                          f"z (..., {VISION_DIM}) over the plans' leading shape; got plans "
                          f"{plans.shape}, proprio {proprio.shape}, z {z.shape}")
     return proprio, z, plans
-
-
-def _sigmoid_scalar(x: float) -> float:
-    """_sigmoid of one float, with the same bits."""
-    e = float(np.exp(min(x, -x)))
-    return 1.0 / (1.0 + e) if x >= 0 else e / (1.0 + e)
 
 
 def predict_risk(params: EstimatorParams, proprio, z, plan) -> RiskPrediction:

@@ -161,17 +161,20 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
     every live episode (proprioception, and the scene feature with each
     episode's own noise generator); the plans of the scripted expert or
     the cloned policy come from the last step's oracle pass, or, at a
-    lockstep group's first step, from one planner call. When gated, each
-    episode draws its candidates from its own jitter stream, and one
-    `select_candidate` call scores every episode's candidates. Each episode's gate then steps on
-    its chosen risk, and one `sg.descend` call recovers every episode that
-    blocked and, in gated+refine, refines every one that executes. Then
-    one oracle pass per step, `wd.rollout_and_step`, labels every executed
-    plan from its own episode's state and advances every episode by its
-    action, with the next state's clearance and the planner's plan there,
-    which the next step takes; one success check follows, and one
-    clearance call covers the current states of the episodes that halted. Every batched call gives each episode the bits it gets alone,
-    so every log is the one the episode would give alone.
+    lockstep group's first step, from one `pol.roll_plan` call. When
+    gated, each episode draws its candidates from its own jitter stream,
+    and one `select_candidate` call scores every episode's candidates.
+    Each episode's gate then steps on its chosen risk, one `sg.descend`
+    call recovers every episode that blocked and, in gated+refine, refines
+    every one that executes, and one call each scales the executed and
+    the stalled actions. Then one oracle pass per step,
+    `wd.rollout_and_step`, labels every executed plan from its own
+    episode's state and advances every episode by its action (a HALT by
+    the zero action, so it logs its current state's clearance), with the
+    next state's clearance and the planner's plan there, which the next
+    step takes; one success check follows. Every batched call gives each
+    episode the bits it gets alone, so every log is the one the episode
+    would give alone.
 
     An episode ends at success, collision (terminal failure), a HALT
     decision, or the step budget. Feature noise and candidate jitter come
@@ -214,7 +217,8 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
                                                    setup.sigma_a, streams[i][1], wcfg.a_max)
                               for j, i in enumerate(live)])
             choice = sg.select_candidate(setup.est_params, proprio, z, cands, wcfg.a_max)
-            r_hats = choice.risks[np.arange(n), choice.index].tolist()
+            risk = choice.risks[np.arange(n), choice.index]
+            r_hats = risk.tolist()
             latency_s[:] = time.perf_counter() - t0
             for j, i in enumerate(live):
                 t1 = time.perf_counter()
@@ -231,8 +235,7 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
             # distance fallback; a scale of 1 leaves a row's bits as they are
             scale = np.ones(n)
             if setup.soft_gate:
-                scale[execute] = [sg.soft_scale(r_hats[j], setup.gate_cfg.tau_up)
-                                  for j in np.flatnonzero(execute)]
+                scale[execute] = sg.soft_scale(risk[execute], setup.gate_cfg.tau_up)
             rows = np.flatnonzero(recover | execute & (setup.mode == "gated+refine"))
             if rows.size:
                 t1 = time.perf_counter()
@@ -241,8 +244,8 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
                 plans[rows] = res.plan
                 latency_s[rows] += time.perf_counter() - t1
                 stalled = recover[rows] & ~res.made_progress
-                scale[rows[stalled]] = [sg.distance_fallback(d, setup.gate_cfg.d0)
-                                        for d in res.min_dist[stalled]]
+                scale[rows[stalled]] = sg.distance_fallback(res.min_dist[stalled],
+                                                            setup.gate_cfg.d0)
             actions = plans[:, 0] * scale[:, None]
             actions[decision == sg.HALT] = 0.0
 
@@ -251,10 +254,6 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
         labels = wd.label_rollouts(d_plans[..., 0], wcfg.dt)
         success = wd.success_check(state_next, task)
         halted = np.array(decisions) == sg.HALT
-        if halted.any():
-            # a HALT executes nothing, so it logs the clearance of the current
-            # state; that state passed its success check after the last step
-            d_min[halted] = wd.min_self_distance(wd.take(state, halted), wcfg)
         digests = _state_digests(state)
         done = np.zeros(n, dtype=bool)
         for j, i in enumerate(live):

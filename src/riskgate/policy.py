@@ -62,14 +62,6 @@ def roll_plan(law, state: wd.DualArmState, horizon: int, cfg: wd.WorldConfig) ->
     return np.stack(rows, axis=-2)
 
 
-def scripted_expert(state: wd.DualArmState, task: wd.Task, horizon: int,
-                    cfg: wd.WorldConfig) -> np.ndarray:
-    """(H, 4) plan of `expert_law` rolled forward by `roll_plan`. A batched
-    state and task (`wd.stack`) plan every row at once: the plan is then
-    (..., H, 4)."""
-    return roll_plan(expert_law(task, cfg.a_max), state, horizon, cfg)
-
-
 @dataclass
 class PolicyParams:
     """Two-layer MLP, 28 -> 32 tanh -> 4, output squashed by a_max * tanh."""
@@ -133,14 +125,6 @@ def policy_law(params: PolicyParams, task: wd.Task):
     return law
 
 
-def policy_plan(params: PolicyParams, state: wd.DualArmState, task: wd.Task,
-                cfg: wd.WorldConfig, horizon: int) -> np.ndarray:
-    """The policy's own (H, 4) plan: `policy_law` rolled forward by
-    `roll_plan`. A batched state and task plan every row at once: the plan
-    is then (..., H, 4)."""
-    return roll_plan(policy_law(params, task), state, horizon, cfg)
-
-
 @dataclass(frozen=True)
 class DemoRecord:
     """One state on an expert (or gated) rollout with its oracle plan label.
@@ -200,7 +184,8 @@ def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
     records = [[] for _ in jobs]
 
     def advance(t, live, state, task, plans):
-        plans = scripted_expert(state, task, horizon, cfg) if plans is None else plans
+        law = expert_law(task, cfg.a_max)
+        plans = roll_plan(law, state, horizon, cfg) if plans is None else plans
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, cfg.noise_sigma, [rngs[i] for i in live])
         goals = task.goal.reshape(len(live), 4)
@@ -209,7 +194,7 @@ def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
             noise = np.stack([rngs[i].normal(0.0, explore_noise, size=4) for i in live])
             executed = np.clip(executed + noise, -cfg.a_max, cfg.a_max)
         d_plans, state, d_next, next_plans = wd.rollout_and_step(
-            state, plans[:, None], executed, cfg, expert_law(task, cfg.a_max))
+            state, plans[:, None], executed, cfg, law)
         labels = wd.label_rollouts(d_plans[..., 0], cfg.dt)
         for j, i in enumerate(live):
             records[i].append(DemoRecord(proprio=proprio[j], z=z[j], goals=goals[j],

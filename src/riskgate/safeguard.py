@@ -110,22 +110,24 @@ def gate_step(gate: GateState, r_hat: float, cfg: GateConfig):
     return GateState(mode=BLOCKED, safe_count=safe, sat_count=sat), BLOCK
 
 
-def soft_scale(r_hat: float, tau_up: float) -> float:
-    """Velocity scale clip(1 - r_hat/tau_up, 0, 1) for executed actions."""
+def soft_scale(r_hat, tau_up: float) -> np.ndarray:
+    """Velocity scale clip(1 - r_hat/tau_up, 0, 1) for executed actions,
+    elementwise over an array of risks."""
     if tau_up <= 0:
         raise ValueError("tau_up must be positive")
-    return float(np.clip(1.0 - r_hat / tau_up, 0.0, 1.0))
+    return np.clip(1.0 - r_hat / tau_up, 0.0, 1.0)
 
 
-def distance_fallback(d_hat: float, d0: float) -> float:
-    """Damping scale clip(d_hat/d0, 0, 1) from the clearance head.
+def distance_fallback(d_hat, d0: float) -> np.ndarray:
+    """Damping scale clip(d_hat/d0, 0, 1) from the clearance head,
+    elementwise over an array of predicted clearances.
 
     Applied to the executed action when recovery stalls: actions shrink
     proportionally as predicted clearance falls below the margin d0.
     """
     if d0 <= 0:
         raise ValueError("d0 must be positive")
-    return float(np.clip(d_hat / d0, 0.0, 1.0))
+    return np.clip(d_hat / d0, 0.0, 1.0)
 
 
 @dataclass

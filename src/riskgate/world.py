@@ -418,7 +418,6 @@ class TaskParams:
     """Reset-protocol knobs shared by both task definitions."""
 
     goal_jitter: float = 0.03
-    start_q_mean: tuple = (0.6, -0.4, -0.2)
     start_q_jitter: float = 0.1
     min_start_clearance: float = 0.05
     success_tolerance: float = 0.02
@@ -443,6 +442,7 @@ _GOAL_CENTERS = {
     "crossing_transfer": (np.array([0.35, 0.30]), np.array([-0.35, 0.30])),
     "parallel_place": (np.array([-0.35, 0.35]), np.array([0.35, 0.35])),
 }
+_START_Q_MEAN = np.array([0.6, -0.4, -0.2])  # both arms' start joints, before jitter
 
 
 def task_init(task_id: str, seed: int, cfg: WorldConfig,
@@ -464,10 +464,10 @@ def task_init(task_id: str, seed: int, cfg: WorldConfig,
     _check_reachable(goal_l, cfg.arm_left)
     _check_reachable(goal_r, cfg.arm_right)
 
-    mean = np.asarray(params.start_q_mean, dtype=float)
+    mean, j = _START_Q_MEAN, params.start_q_jitter
     for _ in range(params.max_reset_draws):
-        q_l = mean + rng.uniform(-params.start_q_jitter, params.start_q_jitter, size=mean.shape)
-        q_r = mean + rng.uniform(-params.start_q_jitter, params.start_q_jitter, size=mean.shape)
+        q_l = mean + rng.uniform(-j, j, size=mean.shape)
+        q_r = mean + rng.uniform(-j, j, size=mean.shape)
         state = make_state(cfg, q_l, q_r)
         if min_self_distance(state, cfg) >= params.min_start_clearance:
             return state, Task(goal=np.stack([goal_l, goal_r]),

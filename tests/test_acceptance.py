@@ -286,7 +286,7 @@ def test_criterion_08_recovery_refinement(pipeline, world_cfg, task_params):
                                    world_cfg, task_params)
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task)
-        nominal = pol.scripted_expert(state, task, 5, world_cfg)
+        nominal = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, 5, world_cfg)
         # row 0 refines the expert's plan, row 1 recovers from the same state
         res = sg.descend(params, np.stack([proprio] * 2), np.stack([z] * 2),
                          np.stack([nominal, np.zeros_like(nominal)]),
@@ -324,7 +324,7 @@ def test_criterion_10_risk_weighted_finetuning(pipeline, world_cfg, task_params)
         state, task = wd.task_init(tid, int(rng.integers(2 ** 31)),
                                    world_cfg, task_params)
         for _ in range(int(rng.integers(30))):
-            a = pol.policy_plan(bc, state, task, world_cfg, 1)[0]
+            a = pol.roll_plan(pol.policy_law(bc, task), state, 1, world_cfg)[0]
             nxt = wd.step(state, a, world_cfg)
             if wd.min_self_distance(nxt, world_cfg) < 0.0:
                 break
@@ -334,7 +334,7 @@ def test_criterion_10_risk_weighted_finetuning(pipeline, world_cfg, task_params)
     def mean_own_plan_risk(policy):
         risks = []
         for state, task in states:
-            plan = pol.policy_plan(policy, state, task, world_cfg, 5)
+            plan = pol.roll_plan(pol.policy_law(policy, task), state, 5, world_cfg)
             risks.append(est.predict_risk(params, wd.proprio_feature(state),
                                           wd.scene_feature(state, task),
                                           plan).risk)

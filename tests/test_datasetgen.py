@@ -375,7 +375,7 @@ def one_episode_at_a_time(gen_cfg, world_cfg, task_params):
                 [gen_cfg.seed, tidx, seed, k])) for k in (1, 2))
             ending = "budget"
             for t in range(task_params.max_steps):
-                nominal = pol.scripted_expert(state, task, h, world_cfg)
+                nominal = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, h, world_cfg)
                 cands = dg.sample_candidates(nominal, gen_cfg.n_candidates, gen_cfg.sigma_a,
                                              jitter, world_cfg.a_max)
                 proprio = wd.proprio_feature(state)
@@ -398,7 +398,7 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
                                                monkeypatch, group):
     """`generate_dataset` steps episodes together, in groups of `group`;
     every sample equals, with ==, the one the per-episode reference makes
-    by calling `scripted_expert` at every step, in the same order, over
+    by rolling the expert's plan at every step, in the same order, over
     both tasks, horizons 2, 3 and 5, and episodes that end by collision and
     by success at different steps. The expert plans by itself once per
     group, with its h_max - 1 `wd.step` calls, the only ones; after that

@@ -206,10 +206,11 @@ def test_sigmoid_bits_match_masked_formula():
     wide = np.random.default_rng(13).normal(0.0, 40.0, size=1000)
     assert_array_equal(est._sigmoid(wide).view(np.uint64),
                        masked_sigmoid(wide).view(np.uint64))
-    # the scalar form _sigmoid takes for one value has the same bits
+    # one value alone, of shape (1,) or (), gets the bits the batch gives it
     both = np.concatenate([x, wide])
-    scalar = np.array([est._sigmoid_scalar(float(v)) for v in both])
-    assert_array_equal(scalar.view(np.uint64), est._sigmoid(both).view(np.uint64))
+    for shape in ((1,), ()):
+        alone = np.array([est._sigmoid(v.reshape(shape)).item() for v in both])
+        assert_array_equal(alone.view(np.uint64), est._sigmoid(both).view(np.uint64))
 
 
 def test_batch_plan_gradients_zero_on_padding(tiny_data):

@@ -159,20 +159,21 @@ def test_watchdog_halts_saturated_blocked_episode(world_cfg, task_params):
 
 def test_halted_rows_log_their_own_clearance(world_cfg, task_params, monkeypatch):
     """Episodes that HALT in the same step log, with ==, the clearance of
-    their own current state, from one clearance call over those rows."""
+    their own current state, which the step's oracle pass measures: no
+    clearance call runs after the episodes' resets."""
     setup = make_setup(world_cfg, task_params, mode="gated",
                        est_params=inert_estimator(30.0), gate_cfg=sg.GateConfig(watchdog_window=5))
     jobs = [("crossing_transfer", 3), ("parallel_place", 4), ("crossing_transfer", 5)]
-    states, batched = [], []
+    states, calls = [], []
     real_pass, real_clearance = wd.rollout_and_step, wd.min_self_distance
 
     def recorded_pass(state, *args):
         states.append(state)
+        calls.append("pass")
         return real_pass(state, *args)
 
     def recorded_clearance(state, cfg):
-        if state.q.ndim == 3:
-            batched.append(len(state.q))
+        calls.append("clearance")
         return real_clearance(state, cfg)
 
     monkeypatch.setattr(wd, "rollout_and_step", recorded_pass)
@@ -181,8 +182,10 @@ def test_halted_rows_log_their_own_clearance(world_cfg, task_params, monkeypatch
     monkeypatch.undo()
     assert [lg.steps[-1].decision for lg in logs] == [sg.HALT] * 3
     assert {lg.n_steps for lg in logs} == {6}
+    first_pass = calls.index("pass")
+    assert "clearance" in calls[:first_pass] and "clearance" not in calls[first_pass:]
     state = states[5]
-    assert len(state.q) == len(jobs) and batched == [len(jobs)]
+    assert len(state.q) == len(jobs)
     for j, lg in enumerate(logs):
         assert lg.steps[-1].d_min == wd.min_self_distance(wd.take(state, j), world_cfg)
 
@@ -359,6 +362,10 @@ def one_episode_at_a_time(setup, task_id, seed, collector):
     noise, jitter = (np.random.default_rng(np.random.SeedSequence(
         [setup.seed, wd.task_index(task_id), seed, k])) for k in (101, 102))
     goals = task.goal.ravel()
+    if setup.policy_params is None:
+        law = pol.expert_law(task, wcfg.a_max)
+    else:
+        law = pol.policy_law(setup.policy_params, task)
     gate = sg.GateState()
     log = hn.EpisodeLog(task_id=task_id, seed=seed, mode=setup.mode, steps=[])
     ending = "budget"
@@ -368,10 +375,7 @@ def one_episode_at_a_time(setup, task_id, seed, collector):
         ).tobytes()).hexdigest()[:16]
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, wcfg.noise_sigma, noise)
-        if setup.policy_params is None:
-            nominal = pol.scripted_expert(state, task, setup.horizon, wcfg)
-        else:
-            nominal = pol.policy_plan(setup.policy_params, state, task, wcfg, setup.horizon)
+        nominal = pol.roll_plan(law, state, setup.horizon, wcfg)
         r_hat, decision, plan, action = None, sg.EXECUTE, nominal, nominal[0].copy()
         if setup.mode != "ungated":
             cands = dg.sample_candidates(nominal, setup.n_candidates, setup.sigma_a, jitter,

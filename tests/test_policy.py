@@ -25,7 +25,7 @@ def demo_records(world_cfg, task_params):
 
 def test_scripted_expert_matches_proportional_law(world_cfg, task_params):
     state, task = wd.task_init("crossing_transfer", 0, world_cfg, task_params)
-    plan = pol.scripted_expert(state, task, 4, world_cfg)
+    plan = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, 4, world_cfg)
     assert plan.shape == (4, 4)
     first = np.concatenate([
         np.clip(pol.K_P * (task.goal[0] - state.ee[0]), -0.02, 0.02),
@@ -38,7 +38,7 @@ def test_scripted_expert_matches_proportional_law(world_cfg, task_params):
         assert_allclose(plan[i], pol.expert_law(task, 0.02)(cur), atol=1e-15)
         cur = wd.step(cur, plan[i], world_cfg)
     with pytest.raises(ValueError):
-        pol.scripted_expert(state, task, 0, world_cfg)
+        pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, 0, world_cfg)
 
 
 def test_init_policy_shapes_and_determinism():
@@ -55,12 +55,12 @@ def test_policy_forward_stays_in_box(world_cfg, task_params):
     params = pol.init_policy(seed=0)
     params.w2 *= 100.0  # drive the pre-squash output far out of range
     state, task = wd.task_init("parallel_place", 1, world_cfg, task_params)
-    plan = pol.policy_plan(params, state, task, world_cfg, 1)
+    plan = pol.roll_plan(pol.policy_law(params, task), state, 1, world_cfg)
     assert plan.shape == (1, 4)
     assert np.all(np.abs(plan) <= params.a_max)
     assert np.abs(plan).max() > 0.99 * params.a_max
     with pytest.raises(ValueError):
-        pol.policy_plan(params, state, task, world_cfg, 0)
+        pol.roll_plan(pol.policy_law(params, task), state, 0, world_cfg)
 
 
 def network_row(params, state, task):
@@ -88,25 +88,27 @@ def test_policy_plan_matches_manual_rollout(world_cfg, task_params, monkeypatch)
         return real_step(*args)
 
     monkeypatch.setattr(wd, "step", counting_step)
-    plan = pol.policy_plan(params, state, task, world_cfg, 5)
+    plan = pol.roll_plan(pol.policy_law(params, task), state, 5, world_cfg)
     assert_array_equal(plan, np.array(ref))
     assert len(calls) == 4
 
     inits = [wd.task_init(wd.TASK_IDS[i % 2], i, world_cfg, task_params) for i in range(6)]
     states, tasks = [s for s, _ in inits], [t for _, t in inits]
     calls.clear()
-    plans = pol.policy_plan(params, wd.stack(states), wd.stack(tasks),
-                            world_cfg, 5)
+    plans = pol.roll_plan(pol.policy_law(params, wd.stack(tasks)), wd.stack(states), 5,
+                          world_cfg)
     assert plans.shape == (6, 5, 4) and len(calls) == 4
     for row, s, t in zip(plans, states, tasks):
-        assert np.array_equal(row, pol.policy_plan(params, s, t, world_cfg, 5))
+        assert np.array_equal(row, pol.roll_plan(pol.policy_law(params, t), s, 5, world_cfg))
+
+
 @pytest.mark.parametrize("n", [1, 5])
 @pytest.mark.parametrize("horizon", [1, 5])
 def test_oracle_pass_plans_the_next_states_as_the_planners_do(world_cfg, task_params, n,
                                                               horizon):
     """The next plans `wd.rollout_and_step` makes with the expert's and the
-    cloned policy's row law equal, with ==, `scripted_expert` and
-    `policy_plan` of the next states, batched and row by row, over mixed
+    cloned policy's row law equal, with ==, `roll_plan` of each law from
+    the next states, batched and row by row, over mixed
     holding flags, a row with joints at their limits and explore-noised
     actions."""
     rng = np.random.default_rng(40 + 10 * n + horizon)
@@ -119,15 +121,15 @@ def test_oracle_pass_plans_the_next_states_as_the_planners_do(world_cfg, task_pa
                                        [lim[1, 0, 0], 0.4, lim[1, 2, 1]]),
                          holding=np.array(flags[-1]))
     state, task = wd.stack(states), wd.stack([t for _, t in inits])
-    plans = pol.scripted_expert(state, task, horizon, world_cfg)
+    plans = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, horizon, world_cfg)
     actions = np.clip(plans[:, 0] + rng.normal(0.0, 0.005, size=(n, 4)),
                       -world_cfg.a_max, world_cfg.a_max)
     policy = pol.init_policy(seed=3)
     planners = (
         (pol.expert_law(task, world_cfg.a_max),
-         lambda s, t: pol.scripted_expert(s, t, horizon, world_cfg)),
+         lambda s, t: pol.roll_plan(pol.expert_law(t, world_cfg.a_max), s, horizon, world_cfg)),
         (pol.policy_law(policy, task),
-         lambda s, t: pol.policy_plan(policy, s, t, world_cfg, horizon)))
+         lambda s, t: pol.roll_plan(pol.policy_law(policy, t), s, horizon, world_cfg)))
     for law, planner in planners:
         _, nxt, _, plan = wd.rollout_and_step(state, plans[:, None], actions, world_cfg, law)
         assert plan.shape == (n, horizon, 4)
@@ -176,7 +178,7 @@ def demos_one_episode_at_a_time(task_id, seeds, horizon, world_cfg, task_params,
         goals = task.goal.ravel()
         ending = "budget"
         for _ in range(task_params.max_steps):
-            plan = pol.scripted_expert(state, task, horizon, world_cfg)
+            plan = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, horizon, world_cfg)
             records.append(pol.DemoRecord(
                 proprio=wd.proprio_feature(state),
                 z=wd.scene_feature(state, task, world_cfg.noise_sigma, rng),

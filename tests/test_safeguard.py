@@ -136,6 +136,12 @@ def test_soft_scale():
     assert sg.soft_scale(0.7, 0.7) == 0.0
     assert sg.soft_scale(0.35, 0.7) == pytest.approx(0.5)
     assert sg.soft_scale(0.9, 0.7) == 0.0
+    # elementwise over an array, each entry with its scalar call's bits
+    r = np.array([0.0, 0.7, 0.35, 0.9, 0.123, 0.69999, -0.2, 1.0])
+    scales = sg.soft_scale(r, 0.7)
+    assert scales.shape == r.shape
+    for v, out in zip(r.tolist(), scales.tolist()):
+        assert out == sg.soft_scale(v, 0.7) == min(max(1.0 - v / 0.7, 0.0), 1.0)
     with pytest.raises(ValueError):
         sg.soft_scale(0.5, 0.0)
 
@@ -144,6 +150,11 @@ def test_distance_fallback():
     assert sg.distance_fallback(0.05, 0.02) == 1.0
     assert sg.distance_fallback(0.01, 0.02) == pytest.approx(0.5)
     assert sg.distance_fallback(-0.3, 0.02) == 0.0
+    d = np.array([0.05, 0.02, 0.01, 0.0, -0.3, 0.0137, 0.019999])
+    scales = sg.distance_fallback(d, 0.02)
+    assert scales.shape == d.shape
+    for v, out in zip(d.tolist(), scales.tolist()):
+        assert out == sg.distance_fallback(v, 0.02) == min(max(v / 0.02, 0.0), 1.0)
     with pytest.raises(ValueError):
         sg.distance_fallback(0.1, 0.0)
 

@@ -367,7 +367,7 @@ def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
     p = wd.proprio_feature(state)
     z = wd.scene_feature(state, task, 0.005, [np.random.default_rng(i) for i in range(8)])
     ok = wd.success_check(state, task)
-    plan = pol.scripted_expert(state, task, 4, world_cfg)
+    plan = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, 4, world_cfg)
     assert plan.shape == (8, 4, 4) and ok.tolist().count(True) == 1
     for i, (s, t) in enumerate(zip(states, tasks)):
         row = wd.take(nxt, i)
@@ -378,7 +378,8 @@ def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
         assert np.array_equal(p[i], wd.proprio_feature(s))
         assert np.array_equal(z[i], wd.scene_feature(s, t, 0.005, np.random.default_rng(i)))
         assert ok[i] == wd.success_check(s, t)
-        assert np.array_equal(plan[i], pol.scripted_expert(s, t, 4, world_cfg))
+        assert np.array_equal(plan[i],
+                              pol.roll_plan(pol.expert_law(t, world_cfg.a_max), s, 4, world_cfg))
     # a mask keeps the batch axis
     kept = wd.take(task, np.arange(8) % 2 == 0)
     assert kept.goal.shape == (4, 2, 2)
@@ -536,7 +537,7 @@ def test_success_check(world_cfg, task_params):
     from riskgate import policy as pol
     cur = state
     for _ in range(task_params.max_steps):
-        plan = pol.scripted_expert(cur, task, 1, world_cfg)
+        plan = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), cur, 1, world_cfg)
         cur = wd.step(cur, plan[0], world_cfg)
         if wd.success_check(cur, task):
             break
