@@ -72,11 +72,10 @@ def _split_phases(cfg: cf.RunConfig):
 
 
 def _write_heldout(cfg: cf.RunConfig, held_samples) -> None:
-    horizons = sorted({s.H for s in held_samples})
-    header = dg.make_header(horizons, held_samples, cfg.seed,
+    held = dg.SampleColumns.of(held_samples)
+    header = dg.make_header(np.unique(held.H).tolist(), held.y_bin, cfg.seed,
                             dg.config_digest(cfg.datagen_config()))
-    dg.write_dataset(cfg.estimator.heldout_path,
-                     dg.Dataset(header=header, samples=held_samples))
+    dg.write_dataset(cfg.estimator.heldout_path, header, held)
 
 
 def _load_heldout(cfg: cf.RunConfig) -> est.SampleBatch:

@@ -3,25 +3,32 @@
 Expert episodes run in `world.lockstep`; at every step each live
 episode's nominal plan plus Gaussian-jittered candidates are labeled by
 simulating them with the exact collision checker, all live episodes'
-candidates in one oracle pass (`world.rollout_and_step`), which also
-executes each episode's nominal first row and makes the expert's plan for
-the next step. Each episode keeps its own random streams and its samples,
-so the files are those of running the episodes one at a time. Files are
-JSONL: one header object, then one object per sample, partitioned by
-curriculum horizon.
+candidates in one oracle pass (`world.rollout_and_step`), which advances
+each candidate on its own horizon's steps only, executes each episode's
+nominal first row and makes the expert's plan for the next step. Each
+episode keeps its own random streams, so the files are those of running
+the episodes one at a time. Files are JSONL: one header object, then one
+object per sample, partitioned by curriculum horizon.
+
+gen-data builds no object per sample. Each step keeps its arrays: the
+features once per live episode, the candidates and their labels
+(`world.label_rollouts`). A file's samples become one `SampleColumns`, in
+which the candidates of one step share that step's feature row, and
+near-miss oversampling is a write order over those rows
+(`oversample_near_miss`).
 
 Every line is exactly the text of `json.dumps(obj, sort_keys=True)`.
 `write_dataset` renders it itself: for a list of finite floats, the list's
-repr is that text. Every candidate of a step, and every oversampled copy,
-shares the step's `proprio` and `z`, so their text is rendered once per
-distinct pair in a file, keyed by the arrays' bytes.
+repr is that text. It renders each feature row's text once and each
+sample's line once; a sample written more than once keeps its line only
+until its last copy is written.
 
 Samples are validated as columns by one check, `_check_columns`.
-`Sample(...)` runs it on one row; gen-data runs it once per lockstep step,
-on that step's arrays; `read_dataset` parses line by line, then converts
-and checks slices of `_READ_SLICE` lines at a time, and names the first bad
-line. Validated columns become samples through `_assemble`, which checks
-nothing again.
+`Sample(...)` runs it on one row; `write_dataset` runs it once per file,
+on the rows it writes; `read_dataset` parses line by line, then converts
+and checks slices of `_READ_SLICE` lines at a time, and names the first
+bad line. Validated columns become samples through `_assemble`, which
+checks nothing again.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import itertools
 import json
 import operator
 import os
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -123,8 +130,8 @@ def _check_columns(proprio, z, plan_values, plan_sizes, H, y_bin, y_d, y_ttc,
         (np.zeros(n, bool) if horizons is None else ~np.isin(H, horizons),
          f"H not in the header's horizons {horizons}"),
         (plan_sizes != 4 * H, "plan must hold 4*H values"),
-        (~np.isfinite(proprio.reshape(n, -1)).all(axis=1), "non-finite proprio"),
-        (~np.isfinite(z.reshape(n, -1)).all(axis=1), "non-finite z"),
+        (~np.isfinite(proprio).all(axis=tuple(range(1, proprio.ndim))), "non-finite proprio"),
+        (~np.isfinite(z).all(axis=tuple(range(1, z.ndim))), "non-finite z"),
         (np.bincount(plan_rows, weights=~np.isfinite(plan_values), minlength=n) > 0,
          "non-finite plan"),
         ((y_bin != 0) & (y_bin != 1), "y_bin must be 0 or 1"),
@@ -177,6 +184,49 @@ class Dataset:
 
 
 @dataclass(frozen=True)
+class SampleColumns:
+    """N samples as columns over F feature rows, the states they were
+    labeled from.
+
+    Feature row f holds proprio[f] (F, 14), z[f] (F, 10) and meta[f], a
+    (task_id, episode seed, step index) tuple. Sample i has the feature
+    row feature[i], the horizon H[i], the plan values that plan (a flat
+    array) holds for it after those of the samples before it, 4 * H[i] of
+    them, and the labels y_bin[i], y_d[i] and y_ttc[i].
+    """
+
+    proprio: np.ndarray
+    z: np.ndarray
+    meta: list
+    feature: np.ndarray
+    H: np.ndarray
+    plan: np.ndarray
+    y_bin: np.ndarray
+    y_d: np.ndarray
+    y_ttc: np.ndarray
+
+    @classmethod
+    def of(cls, samples) -> SampleColumns:
+        """The columns of a list of samples; samples with equal meta and
+        proprio and z bytes share a feature row."""
+        index, firsts, feature = {}, [], []
+        for s in samples:
+            f = index.setdefault((s.proprio.tobytes(), s.z.tobytes(), s.meta), len(index))
+            if f == len(firsts):
+                firsts.append(s)
+            feature.append(f)
+        labels = [s.label for s in samples]
+        return cls(proprio=np.array([s.proprio for s in firsts]).reshape(-1, est.PROPRIO_DIM),
+                   z=np.array([s.z for s in firsts]).reshape(-1, est.VISION_DIM),
+                   meta=[s.meta for s in firsts], feature=np.array(feature, dtype=int),
+                   H=np.array([s.H for s in samples], dtype=int),
+                   plan=np.concatenate([np.zeros(0)] + [s.plan.ravel() for s in samples]),
+                   y_bin=np.array([lab.y_bin for lab in labels], dtype=int),
+                   y_d=np.array([lab.y_d for lab in labels], dtype=float),
+                   y_ttc=np.array([lab.y_ttc for lab in labels], dtype=float))
+
+
+@dataclass(frozen=True)
 class DatagenConfig:
     tasks: tuple = wd.TASK_IDS
     episodes_per_task: int = 200
@@ -194,6 +244,8 @@ class DatagenConfig:
             raise ValueError("oversample_factor must be >= 1")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ValueError("horizons must be a non-empty list of ints >= 1")
+        if len(set(self.horizons)) != len(self.horizons):
+            raise ValueError(f"horizons must not repeat a horizon, got {list(self.horizons)}")
         if self.episodes_per_task < 1:
             raise ValueError(f"episodes_per_task must be >= 1, got {self.episodes_per_task}")
         if not 0 <= self.sigma_a < np.inf:  # NaN fails too
@@ -233,11 +285,12 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
     only at a lockstep group's first step (`pol.roll_plan` of
     `pol.expert_law`). Each step makes one oracle pass
     (`wd.rollout_and_step`) over every live episode's candidates, each row
-    padded to the longest live horizon and labeled over its own; the pass
-    executes each episode's nominal first row, gives the clearance of the
-    state it leads to, and makes the expert's plan there, which the next
-    step takes. An episode ends at collision or success. Each step's
-    samples pass `_check_columns` once, as columns.
+    padded to the longest live horizon and advanced and labeled over its
+    own; the pass executes each episode's nominal first row, gives the
+    clearance of the state it leads to, and makes the expert's plan there,
+    which the next step takes. An episode ends at collision or success.
+    Each file's samples, in (task, episode, step, candidate) order, are
+    written as one `SampleColumns`.
 
     Two independent streams per episode: feature noise and candidate
     jitter. Keeping them separate means the executed trajectory (expert,
@@ -257,111 +310,115 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
             streams.append([np.random.default_rng(np.random.SeedSequence(
                 [gen_cfg.seed, tidx, ep_seed, k])) for k in (1, 2)])
     horizons = np.array(horizons)
-    n = gen_cfg.n_candidates
-    by_job = [[] for _ in jobs]
+    n, h_all = gen_cfg.n_candidates, max(gen_cfg.horizons)
+    visits = []  # per step: (live jobs, step index, proprio, z, candidates, labels)
 
     def advance(step_idx, live, state, task, nominal):
         h_live = horizons[live]
         h_max = int(h_live.max())
         law = pol.expert_law(task, world_cfg.a_max)
         nominal = pol.roll_plan(law, state, h_max, world_cfg) if nominal is None else nominal
-        proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task, world_cfg.noise_sigma, [streams[i][0] for i in live])
-        plans = np.zeros((len(live), n, h_max, 4))
-        cands = []
+        plans = np.zeros((len(live), n, h_all, 4))
         for j, (i, h) in enumerate(zip(live, h_live)):
-            cands.append(sample_candidates(nominal[j, :h], n, gen_cfg.sigma_a,
-                                           streams[i][1], world_cfg.a_max))
-            plans[j, :, :h] = cands[-1]
-        d, state_next, d_next, nominal = wd.rollout_and_step(state, plans, nominal[:, 0],
-                                                             world_cfg, law)
+            plans[j, :, :h] = sample_candidates(nominal[j, :h], n, gen_cfg.sigma_a,
+                                                streams[i][1], world_cfg.a_max)
+        d, state_next, d_next, nominal = wd.rollout_and_step(
+            state, plans[:, :, :h_max], nominal[:, 0], world_cfg, law, h_live)
         labels = wd.label_rollouts(d.reshape(h_max, -1), world_cfg.dt, np.repeat(h_live, n))
-        y = np.array([(lab.y_bin, lab.y_d, lab.y_ttc) for lab in labels])
-        _check_columns(np.repeat(proprio, n, axis=0), np.repeat(z, n, axis=0),
-                       np.concatenate(cands, axis=None), np.repeat(4 * h_live, n),
-                       np.repeat(h_live, n), y[:, 0], y[:, 1], y[:, 2])
-        for j, (i, h) in enumerate(zip(live, h_live)):
-            p_j, z_j, meta = proprio[j], z[j], (*jobs[i], step_idx)
-            by_job[i].extend(_assemble(p_j, z_j, cand, int(h), label, meta)
-                             for cand, label in zip(cands[j], labels[j * n:(j + 1) * n]))
+        visits.append((live, step_idx, wd.proprio_feature(state), z, plans, labels))
         return state_next, (d_next < 0.0) | wd.success_check(state_next, task), nominal
 
     wd.lockstep(jobs, world_cfg, task_params, advance)
-    by_h = {h: [] for h in gen_cfg.horizons}
-    for h, samples in zip(horizons.tolist(), by_job):
-        by_h[h].extend(samples)
+    live, step_idx, proprio, z, plans, labels = zip(*visits)
+    job, step = np.concatenate(live), np.repeat(step_idx, [len(j) for j in live])
+    proprio, z, plans = (np.concatenate(c) for c in (proprio, z, plans))
+    y_bin, y_d, y_ttc = (np.concatenate([getattr(lab, name) for lab in labels]).reshape(-1, n)
+                         for name in ("y_bin", "y_d", "y_ttc"))
+    del visits, labels  # the per-step arrays, which the columns above copy
 
     os.makedirs(out_dir, exist_ok=True)
     paths, counts = {}, {}
     for h in gen_cfg.horizons:
-        samples = by_h[h]
-        dataset = Dataset(header=make_header([h], samples, gen_cfg.seed, digest),
-                          samples=samples)
-        dataset = oversample_near_miss(dataset, gen_cfg.d_thresh, gen_cfg.oversample_factor)
+        rows = np.flatnonzero(horizons[job] == h)
+        rows = rows[np.argsort(job[rows], kind="stable")]  # by episode, each in step order
+        samples = SampleColumns(
+            proprio=proprio[rows], z=z[rows],
+            meta=[(*jobs[i], t) for i, t in zip(job[rows].tolist(), step[rows].tolist())],
+            feature=np.repeat(np.arange(len(rows)), n), H=np.full(len(rows) * n, h),
+            plan=plans[rows, :, :h].ravel(), y_bin=y_bin[rows].ravel(),
+            y_d=y_d[rows].ravel(), y_ttc=y_ttc[rows].ravel())
+        order = oversample_near_miss(samples.y_d, gen_cfg.seed, gen_cfg.d_thresh,
+                                     gen_cfg.oversample_factor)
+        header = make_header([h], samples.y_bin[order], gen_cfg.seed, digest)
         path = os.path.join(out_dir, f"risk_H{h}.jsonl")
-        write_dataset(path, dataset)
-        paths[h], counts[h] = path, dataset.header.counts
+        write_dataset(path, header, samples, order)
+        paths[h], counts[h] = path, header.counts
     return paths, counts
 
 
-def make_header(horizons, samples, seed, digest) -> DatasetHeader:
-    """Header of a dataset file holding these samples."""
+def make_header(horizons, y_bin, seed, digest) -> DatasetHeader:
+    """Header of a dataset file whose lines have these y_bin labels."""
     return DatasetHeader(
         format_version=FORMAT_VERSION,
         horizons=list(horizons),
         dims=dict(_DIMS),
-        counts={"samples": len(samples),
-                "positives": int(sum(s.label.y_bin for s in samples))},
+        counts={"samples": len(y_bin), "positives": int(np.sum(y_bin))},
         seed=int(seed),
         config_digest=digest,
     )
 
 
-def oversample_near_miss(dataset: Dataset, d_thresh: float, factor: int) -> Dataset:
-    """Duplicate near-miss samples (y_d below threshold) factor-1 extra
-    times, then reshuffle with the dataset seed. Collisions have negative
-    y_d, so every positive is duplicated too; the positive fraction never
-    drops."""
+def oversample_near_miss(y_d, seed: int, d_thresh: float, factor: int) -> np.ndarray:
+    """The order in which to write N samples of labels y_d: each near miss
+    (y_d below threshold) factor times and every other sample once,
+    shuffled with the dataset seed; with factor 1, each once in order.
+    Collisions have negative y_d, so every positive is repeated too; the
+    positive fraction never drops."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    samples = list(dataset.samples)
+    order = np.arange(len(y_d))
     if factor > 1:
-        extra = []
-        for s in samples:
-            if s.label.y_d < d_thresh:
-                extra.extend([s] * (factor - 1))
-        samples = samples + extra
-        rng = np.random.default_rng(np.random.SeedSequence([dataset.header.seed, 3]))
-        order = rng.permutation(len(samples))
-        samples = [samples[i] for i in order]
-    header = replace(dataset.header,
-                     counts={"samples": len(samples),
-                             "positives": int(sum(s.label.y_bin for s in samples))})
-    return Dataset(header=header, samples=samples)
+        order = np.concatenate([order, np.repeat(np.flatnonzero(y_d < d_thresh), factor - 1)])
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+        order = order[rng.permutation(len(order))]
+    return order
 
 
-def write_dataset(path, dataset: Dataset) -> None:
-    """Write the header line, then one line per sample, each the text of
-    `json.dumps(obj, sort_keys=True)` for the sample's object."""
-    header = dataset.header
-    if header.counts["samples"] != len(dataset.samples):
+def write_dataset(path, header: DatasetHeader, samples: SampleColumns, order=None) -> None:
+    """Write the header line, then the line of sample order[k] for each k
+    (each sample once, in order, when order is None), each the text of
+    `json.dumps(obj, sort_keys=True)` for the sample's object. Raises
+    ValueError, writing nothing, unless the header counts len(order)
+    samples and the samples pass `_check_columns`."""
+    s = samples
+    order = np.arange(len(s.H)) if order is None else np.asarray(order)
+    if header.counts["samples"] != len(order):
         raise ValueError("header sample count disagrees with body")
-    # (proprio bytes, z bytes) -> their text; kept for the whole file, as
-    # oversampling shuffles a step's samples across it
-    shared = {}
+    _check_columns(s.proprio[s.feature], s.z[s.feature], s.plan, 4 * s.H, s.H,
+                   s.y_bin, s.y_d, s.y_ttc)
+    meta = [f"[{encode_basestring_ascii(task_id)}, {seed}, {step}]"
+            for task_id, seed, step in s.meta]
+    proprio, z = (list(map(repr, c.tolist())) for c in (s.proprio, s.z))
+    ends = np.cumsum(4 * s.H)
+    starts, ends = (ends - 4 * s.H).tolist(), ends.tolist()
+    feature, H, y_bin, y_d, y_ttc = (c.tolist() for c in (s.feature, s.H, s.y_bin, s.y_d,
+                                                          s.y_ttc))
+    left = np.bincount(order, minlength=len(H)).tolist()  # lines each sample has still to write
+    kept = {}  # sample -> its line, while it has more than one line left
     with open(path, "w") as f:
         f.write(json.dumps(asdict(header), sort_keys=True) + "\n")
-        for s in dataset.samples:
-            key = (s.proprio.tobytes(), s.z.tobytes())
-            text = shared.get(key)
-            if text is None:
-                text = shared[key] = (repr(s.proprio.tolist()), repr(s.z.tolist()))
-            task_id, seed, step = s.meta
-            label = s.label
-            f.write(f'{{"H": {s.H}, "meta": [{encode_basestring_ascii(task_id)}, {seed}, '
-                    f'{step}], "plan": {s.plan.ravel().tolist()!r}, "proprio": {text[0]}, '
-                    f'"y_bin": {label.y_bin}, "y_d": {label.y_d!r}, '
-                    f'"y_ttc": {label.y_ttc!r}, "z": {text[1]}}}\n')
+        for r in order.tolist():
+            line = kept.pop(r, None)
+            if line is None:
+                i, plan = feature[r], s.plan[starts[r]:ends[r]].tolist()
+                line = (f'{{"H": {H[r]}, "meta": {meta[i]}, "plan": {plan!r}, '
+                        f'"proprio": {proprio[i]}, "y_bin": {y_bin[r]}, "y_d": {y_d[r]!r}, '
+                        f'"y_ttc": {y_ttc[r]!r}, "z": {z[i]}}}\n')
+            left[r] -= 1
+            if left[r]:
+                kept[r] = line
+            f.write(line)
 
 
 # the fields of a parsed sample line that read_dataset keeps, in this order

@@ -252,6 +252,7 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
         d_plans, state_next, d_min, next_plans = wd.rollout_and_step(state, plans[:, None],
                                                                      actions, wcfg, law)
         labels = wd.label_rollouts(d_plans[..., 0], wcfg.dt)
+        plan_y_bin = labels.y_bin.tolist()
         success = wd.success_check(state_next, task)
         halted = np.array(decisions) == sg.HALT
         digests = _state_digests(state)
@@ -262,12 +263,12 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
                 t=t, state_digest=digests[j], r_hat=r_hats[j], d_min=d,
                 gate_mode=gates[i].mode, decision=decisions[j],
                 action=actions[j].tolist(), latency_us=max(latency_s[j] * 1e6, 1e-3),
-                plan_y_bin=int(labels[j].y_bin)))
+                plan_y_bin=plan_y_bin[j]))
             if not halted[j] and collectors[i] is not None:
                 collectors[i].append(pol.DemoRecord(
                     proprio=proprio[j], z=z[j],
                     goals=task.goal[j].reshape(4),
-                    action=actions[j], plan=plans[j].copy(), label=labels[j],
+                    action=actions[j], plan=plans[j].copy(), label=labels.row(j),
                     risk=0.0 if r_hats[j] is None else r_hats[j],
                     corrected=(decisions[j] == sg.BLOCK)))
             log.collided = not halted[j] and d < 0.0

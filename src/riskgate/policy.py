@@ -199,7 +199,7 @@ def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
         for j, i in enumerate(live):
             records[i].append(DemoRecord(proprio=proprio[j], z=z[j], goals=goals[j],
                                          action=plans[j, 0].copy(), plan=plans[j],
-                                         label=labels[j]))
+                                         label=labels.row(j)))
         return state, (d_next < 0.0) | wd.success_check(state, task), next_plans
 
     wd.lockstep(jobs, cfg, params, advance)

@@ -29,11 +29,13 @@ depends on clearance, it first advances all H steps of every plan, the
 actions beside the plans' first rows in one kinematics call; the
 planner's row law, given by the caller, makes its first row at each next
 state, and its prediction from there advances in the plans' steps
-1..H-1, in the same kinematics calls. Then one clearance pass covers the
-plans' and the next states' configurations, and `label_rollouts` turns
-the plans' clearances into labels. Since each row keeps its bits at any
-batch size, every output equals that of `step`, `min_self_distance` and
-the planner called one step at a time.
+1..H-1, in the same kinematics calls. Given per-row horizons (gen-data
+pads shorter plans to the longest live one), a plan row advances only on
+its own steps. Then one clearance pass covers the plans' and the next
+states' configurations, and `label_rollouts` turns the plans' clearances
+into labels, one array per label field. Since each row keeps its bits at
+any batch size, every output equals that of `step`, `min_self_distance`
+and the planner called one step at a time.
 """
 
 from __future__ import annotations
@@ -197,7 +199,8 @@ class Task:
 
 @dataclass(frozen=True)
 class RolloutOutcome:
-    """Horizon labels of one executed plan.
+    """Horizon labels of one executed plan, or of N plans as (N,) arrays
+    (`label_rollouts`).
 
     y_bin is 1 iff some step penetrated (d_min < 0); y_d is the minimum
     clearance over the steps up to and including the first penetrating one
@@ -208,6 +211,11 @@ class RolloutOutcome:
     y_bin: int
     y_d: float
     y_ttc: float
+
+    def row(self, i) -> RolloutOutcome:
+        """Plan i's labels of a batch, as a Python int and floats."""
+        return RolloutOutcome(y_bin=int(self.y_bin[i]), y_d=float(self.y_d[i]),
+                              y_ttc=float(self.y_ttc[i]))
 
 
 def _capsules(cfg: WorldConfig, holding, origins, heading):
@@ -303,7 +311,8 @@ def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
     return replace(state, q=q, t=state.t + 1, origins=origins, heading=ang[..., -1])
 
 
-def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig, law):
+def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig, law,
+                     horizons=None):
     """One oracle pass for a control step of N episodes, which labels K
     plans per episode and plans the next step.
 
@@ -316,13 +325,19 @@ def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig, law)
     row at the next state, then its row at the state the rows before it
     lead to, H rows in all (the loop `policy.roll_plan` runs).
 
+    horizons, when given, holds N integers in [1, H]: state row i's plans
+    then advance and are measured on their first horizons[i] steps only,
+    and their later clearances come back +inf. The next state, its
+    clearance and the law's plan do not depend on it.
+
     Step 0 of every plan and the actions advance in one kinematics call,
-    with the arithmetic of `step`; each step i >= 1 of the plans and of
-    the law's prediction in one more. Then one clearance pass, with the
-    arithmetic of `min_self_distance`, covers the plans' (H, N, K)
-    configurations, each with its state row's holding flags, and the N
-    next states. Raises ValueError unless plans is (N, K, H, 4) with N, K,
-    H >= 1, state a batch of N states and actions (N, 4).
+    with the arithmetic of `step`; each step i >= 1 of the plans still
+    within their horizon and of the law's prediction in one more. Then one
+    clearance pass, with the arithmetic of `min_self_distance`, covers the
+    plans' configurations, each with its state row's holding flags, and
+    the N next states. Raises ValueError unless plans is (N, K, H, 4) with
+    N, K, H >= 1, state a batch of N states, actions (N, 4) and horizons,
+    when given, as above.
     """
     plans = np.asarray(plans, dtype=float)
     actions = np.asarray(actions, dtype=float)
@@ -334,6 +349,10 @@ def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig, law)
         raise ValueError(f"plans for {n} states need a batch of {n} states and actions of "
                          f"shape ({n}, 4), got states {batch} and actions {actions.shape}")
     m = n * k  # plan rows, state row major
+    live = None
+    if horizons is not None:
+        real = np.arange(horizon)[:, None] < np.repeat(_check_horizons(horizons, n, horizon), k)
+        live = [np.flatnonzero(r) for r in real]  # the plan rows each step advances
     dx = plans.reshape(m, horizon, 2, 2)
     q = np.concatenate([np.repeat(state.q, k, axis=0), state.q])
     pts = np.concatenate([np.repeat(state.origins, k, axis=0), state.origins])
@@ -341,28 +360,50 @@ def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig, law)
     executed = cur = replace(state, q=q[m:], t=state.t + 1, origins=pts[m:],
                              heading=ang[m:, :, -1])
     traj, heading, rows = [pts[:m]], [ang[:m, :, -1]], [law(cur)]
+    r = m  # plan rows in q and pts, ahead of the law's n
     for i in range(1, horizon):
-        q, pts, ang = _advance(cfg, q, pts, np.concatenate([dx[:, i], rows[-1].reshape(n, 2, 2)]))
-        traj.append(pts[:m])
-        heading.append(ang[:m, :, -1])
-        cur = replace(cur, q=q[m:], t=cur.t + 1, origins=pts[m:], heading=ang[m:, :, -1])
+        step_dx = dx[:, i]
+        if live is not None and len(live[i]) < m:
+            if len(live[i]) < r:  # drop the rows whose horizon ended
+                keep = np.concatenate([np.searchsorted(live[i - 1], live[i]),
+                                       np.arange(r, r + n)])
+                q, pts, r = q[keep], pts[keep], len(live[i])
+            step_dx = dx[live[i], i]
+        q, pts, ang = _advance(cfg, q, pts, np.concatenate([step_dx, rows[-1].reshape(n, 2, 2)]))
+        traj.append(pts[:r])
+        heading.append(ang[:r, :, -1])
+        cur = replace(cur, q=q[r:], t=cur.t + 1, origins=pts[r:], heading=ang[r:, :, -1])
         rows.append(law(cur))
-    # the plans' H x N x K configurations, step by step, then the N next states
-    holding = np.tile(np.repeat(state.holding, k, axis=0), (horizon, 1))
+    # the plans' configurations, step by step, then the N next states
+    holding = np.repeat(state.holding, k, axis=0)
+    holding = np.tile(holding, (horizon, 1)) if live is None else holding[np.nonzero(real)[1]]
     d = _clearance(cfg, np.concatenate([holding, state.holding]),
                    np.concatenate([*traj, executed.origins]),
                    np.concatenate([*heading, executed.heading]))
-    return (d[:horizon * m].reshape(horizon, n, k), executed, d[horizon * m:],
+    d_plans = d[:len(holding)]
+    if live is not None:
+        d_plans = np.full((horizon, m), np.inf)
+        d_plans[real] = d[:len(holding)]
+    return (d_plans.reshape(horizon, n, k), executed, d[len(holding):],
             np.stack(rows, axis=1))
 
 
-def label_rollouts(d, dt: float, horizons=None) -> list[RolloutOutcome]:
-    """Labels of N rollouts from their (H, N) step clearances.
+def _check_horizons(horizons, n: int, horizon: int) -> np.ndarray:
+    h = np.asarray(horizons)
+    if h.shape != (n,) or h.dtype.kind not in "iu" or h.min() < 1 or h.max() > horizon:
+        raise ValueError(f"horizons must be {n} integers in [1, {horizon}]")
+    return h
+
+
+def label_rollouts(d, dt: float, horizons=None) -> RolloutOutcome:
+    """Labels of N rollouts from their (H, N) step clearances, as one
+    RolloutOutcome of (N,) arrays (y_bin as ints).
 
     Row i counts only its first horizons[i] steps (all H when horizons is
-    None), so a shorter plan padded to H is labeled as if run alone. Each
-    row is labeled up to and including its first penetrating step, as if
-    it stopped there: y_d is the minimum clearance over those steps.
+    None), so a shorter plan padded to H is labeled as if run alone, and
+    its later clearances are never read. Each row is labeled up to and
+    including its first penetrating step, as if it stopped there: y_d is
+    the minimum clearance over those steps.
     """
     d = np.asarray(d, dtype=float)
     horizon, n = d.shape
@@ -370,16 +411,13 @@ def label_rollouts(d, dt: float, horizons=None) -> list[RolloutOutcome]:
     hit = d < 0.0
     h = horizon
     if horizons is not None:
-        h = np.asarray(horizons)
-        if h.shape != (n,) or h.dtype.kind not in "iu" or h.min() < 1 or h.max() > horizon:
-            raise ValueError(f"horizons must be {n} integers in [1, {horizon}]")
+        h = _check_horizons(horizons, n, horizon)
         hit &= steps < h
     y_bin = hit.any(axis=0)
     last = np.where(y_bin, hit.argmax(axis=0), h - 1)  # last step each row labels
     y_d = np.where(steps <= last, d, np.inf).min(axis=0)
     y_ttc = np.where(y_bin, (last + 1) * dt, h * dt)
-    return [RolloutOutcome(y_bin=int(b), y_d=float(d), y_ttc=float(t))
-            for b, d, t in zip(y_bin, y_d, y_ttc)]
+    return RolloutOutcome(y_bin=y_bin.astype(int), y_d=y_d, y_ttc=y_ttc)
 
 
 def scene_feature(state: DualArmState, task: Task, noise_sigma: float = 0.0,

@@ -22,12 +22,15 @@ ACCEPTANCE_LINES = []
 
 
 def assert_records_equal(got, ref):
-    """Two lists of policy.DemoRecord are equal, field by field, with ==."""
+    """Two lists of policy.DemoRecord are equal, field by field, with ==,
+    and every label holds a Python int and floats, as one row of
+    `label_rollouts` (`RolloutOutcome.row`) gives them."""
     assert len(got) == len(ref)
     for a, b in zip(got, ref):
         for name in ("proprio", "z", "goals", "action", "plan"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert (a.label, a.risk, a.corrected) == (b.label, b.risk, b.corrected)
+        assert [type(v) for v in vars(a.label).values()] == [int, float, float]
 
 
 def plan_clearances(state, plans, cfg):
@@ -44,10 +47,16 @@ def plan_clearances(state, plans, cfg):
     return np.array(d)
 
 
+def label_rows(labels):
+    """The rows of `label_rollouts`' (N,) label arrays, one RolloutOutcome
+    of a Python int and floats each."""
+    return [labels.row(i) for i in range(len(labels.y_bin))]
+
+
 def label_plans(state, plans, cfg, horizons=None):
-    """Reference labels of N (H, 4) plans: `label_rollouts` of their
-    `plan_clearances`."""
-    return wd.label_rollouts(plan_clearances(state, plans, cfg), cfg.dt, horizons)
+    """Reference labels of N (H, 4) plans, one RolloutOutcome each:
+    `label_rollouts` of their `plan_clearances`."""
+    return label_rows(wd.label_rollouts(plan_clearances(state, plans, cfg), cfg.dt, horizons))
 
 
 def pytest_terminal_summary(terminalreporter):

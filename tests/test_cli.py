@@ -252,7 +252,7 @@ def test_report_rejects_a_misread_log(micro_run, tmp_path, capsys, edit, line, e
     assert not (tmp_path / "rebuilt.json").exists()
 
 
-def test_exit_code_1_on_config_errors(tmp_path):
+def test_exit_code_1_on_config_errors(tmp_path, capsys):
     assert cli.main(["gen-data", "--config", str(tmp_path / "nofile.json")]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nonsense": {}}))
@@ -261,13 +261,23 @@ def test_exit_code_1_on_config_errors(tmp_path):
     cfg = tmp_path / "nothr.json"
     cfg.write_text(json.dumps({"gate": {"thresholds_path": ""}}))
     assert cli.main(["roc-tune", "--config", str(cfg)]) == 1
+    # a repeated horizon would write its file twice; gen-data writes none
+    cfg = tmp_path / "twice.json"
+    cfg.write_text(json.dumps({"datagen": {"out_dir": str(tmp_path / "data"),
+                                           "horizons": [2, 3, 2]}}))
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: datagen.horizons must not repeat a horizon, got [2, 3, 2]")
+    assert not (tmp_path / "data").exists()
 
 
 def test_fewer_episodes_than_horizons_cannot_train(tmp_path, capsys):
     """With fewer datagen episodes per task than horizons, gen-data still
-    runs (a one-episode warm-up may use it) and leaves a horizon's file
-    empty; train-estimator then exits 1 naming datagen.episodes_per_task,
-    before it writes a checkpoint or a held-out file."""
+    runs (a one-episode warm-up may use it) and writes a horizon's file
+    with its header line alone; train-estimator then exits 1 naming
+    datagen.episodes_per_task, before it writes a checkpoint or a held-out
+    file."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "tasks": {"ids": ["parallel_place"], "max_steps": 3},
@@ -278,6 +288,9 @@ def test_fewer_episodes_than_horizons_cannot_train(tmp_path, capsys):
     assert cli.main(["gen-data", "--config", str(cfg)]) == 0
     counts = json.loads(capsys.readouterr().out)["counts"]
     assert counts["5"]["samples"] == 0 < counts["2"]["samples"]
+    lines = (tmp_path / "data" / "risk_H5.jsonl").read_text().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["counts"] == {"samples": 0, "positives": 0}
+    assert dg.read_dataset(tmp_path / "data" / "risk_H5.jsonl").samples == []
     assert cli.main(["train-estimator", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: datagen.episodes_per_task must be >= the number of "

@@ -94,6 +94,8 @@ def test_semantic_validation():
                                 ("world", "grasp_radius", float("inf")),
                                 ("datagen", "sigma_a", -0.01), ("datagen", "sigma_a", float("nan")),
                                 ("datagen", "episodes_per_task", 0),
+                                ("datagen", "horizons", [2, 2]),
+                                ("datagen", "horizons", [5, 2, 3, 2]),
                                 ("tasks", "max_steps", 0),
                                 ("tasks", "success_tolerance", float("nan")),
                                 ("tasks", "success_tolerance", -1.0),

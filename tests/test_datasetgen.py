@@ -32,44 +32,43 @@ def test_sample_candidates_box_and_identity(world_cfg):
         dg.sample_candidates(nominal, 0, 0.05, rng, world_cfg.a_max)
 
 
-def _mk_sample(y_d, y_bin=0):
-    return dg.Sample(proprio=np.zeros(est.PROPRIO_DIM), z=np.zeros(est.VISION_DIM),
-                     plan=np.zeros((2, 4)), H=2,
-                     label=wd.RolloutOutcome(y_bin=y_bin, y_d=y_d, y_ttc=0.2),
-                     meta=("crossing_transfer", 0, 0))
+def reference_oversample(y_d, seed, d_thresh, factor):
+    """The list-based oversampling the index form replaced: each near miss
+    appended factor - 1 more times, in row order, then the permutation
+    drawn from the dataset seed."""
+    rows = list(range(len(y_d)))
+    rows += [r for r in rows if y_d[r] < d_thresh for _ in range(factor - 1)]
+    order = np.random.default_rng(np.random.SeedSequence([seed, 3])).permutation(len(rows))
+    return [rows[i] for i in order]
 
 
 def test_oversample_multiplicities():
-    near = [_mk_sample(0.01), _mk_sample(-0.02, y_bin=1)]
-    far = [_mk_sample(0.3), _mk_sample(0.9)]
-    header = dg.DatasetHeader(format_version=dg.FORMAT_VERSION, horizons=[2],
-                              dims={}, counts={"samples": 4, "positives": 1},
-                              seed=0, config_digest="x")
-    out = dg.oversample_near_miss(dg.Dataset(header, near + far), d_thresh=0.05, factor=3)
-    assert out.header.counts["samples"] == len(out.samples) == 2 * 3 + 2
-    assert out.header.counts["positives"] == 3
-    ids = [id(s) for s in out.samples]
-    for s in near:
-        assert ids.count(id(s)) == 3
-    for s in far:
-        assert ids.count(id(s)) == 1
-    # factor 1 is the identity
-    same = dg.oversample_near_miss(dg.Dataset(header, near + far), d_thresh=0.05, factor=1)
-    assert same.samples == near + far
+    """Each near miss (collisions included) is written factor times and
+    every other sample once, in the order of the list-based oversampling;
+    factor 1 writes each sample once, in order."""
+    y_d = np.array([0.01, -0.02, 0.3, 0.9, 0.04999, 0.05])
+    y_bin = (y_d < 0).astype(int)
+    order = dg.oversample_near_miss(y_d, 0, d_thresh=0.05, factor=3)
+    assert np.bincount(order).tolist() == [3, 3, 1, 1, 3, 1]
+    assert y_bin[order].sum() == 3
+    assert order.tolist() == reference_oversample(y_d, 0, 0.05, 3)
+    assert order.tolist() != sorted(order.tolist())
+    y_d = np.random.default_rng(4).uniform(-0.1, 0.3, size=500)
+    for seed, factor in ((7, 2), (2**32 - 1, 4)):
+        assert dg.oversample_near_miss(y_d, seed, 0.05, factor).tolist() == \
+            reference_oversample(y_d, seed, 0.05, factor)
+    assert dg.oversample_near_miss(y_d, 0, 0.05, 1).tolist() == list(range(500))
+    assert dg.oversample_near_miss(np.zeros(0), 0, 0.05, 3).size == 0
     with pytest.raises(ValueError):
-        dg.oversample_near_miss(dg.Dataset(header, near + far), d_thresh=0.05,
-                                factor=0)
+        dg.oversample_near_miss(y_d, 0, d_thresh=0.05, factor=0)
 
 
 def test_oversample_never_dilutes_positives():
-    pos = [_mk_sample(-0.01, y_bin=1)] * 3
-    neg = [_mk_sample(0.5)] * 7
-    header = dg.DatasetHeader(format_version=dg.FORMAT_VERSION, horizons=[2],
-                              dims={}, counts={"samples": 10, "positives": 3},
-                              seed=1, config_digest="x")
-    out = dg.oversample_near_miss(dg.Dataset(header, pos + neg), d_thresh=0.05, factor=4)
+    y_d = np.array([-0.01] * 3 + [0.5] * 7)
+    y_bin = (y_d < 0).astype(int)
+    order = dg.oversample_near_miss(y_d, 1, d_thresh=0.05, factor=4)
     frac_before = 3 / 10
-    frac_after = out.header.counts["positives"] / out.header.counts["samples"]
+    frac_after = y_bin[order].sum() / len(order)
     assert frac_after >= frac_before
 
 
@@ -80,7 +79,7 @@ def test_roundtrip_and_canonical_bytes(tiny_data, tmp_path):
     assert ds.header.dims == {"proprio": est.PROPRIO_DIM, "z": est.VISION_DIM,
                               "action": est.ACTION_DIM}
     dst = tmp_path / "copy.jsonl"
-    dg.write_dataset(dst, ds)
+    dg.write_dataset(dst, ds.header, dg.SampleColumns.of(ds.samples))
     assert dst.read_bytes() == open(src, "rb").read()
     back = dg.read_dataset(dst)
     for a, b in zip(ds.samples[:50], back.samples[:50]):
@@ -117,8 +116,8 @@ def test_read_rejects_corrupt_files(tiny_data, tmp_path):
 
     with pytest.raises(ValueError, match="disagrees"):
         ds = dg.read_dataset(src)
-        dg.write_dataset(tmp_path / "x.jsonl",
-                         dg.Dataset(ds.header, ds.samples[:-1]))
+        dg.write_dataset(tmp_path / "x.jsonl", ds.header, dg.SampleColumns.of(ds.samples),
+                         np.arange(len(ds.samples) - 1))
 
     # one bad sample among good ones, past the first read slice: the error
     # names its line (lines[k] is line k + 1 of the file)
@@ -237,8 +236,8 @@ def reference_line(s):
 def test_write_matches_json_dumps_bytes(tmp_path):
     """Every line of `write_dataset` is json.dumps of the sample's object,
     byte for byte: edge floats, the largest seeds, escaped task ids,
-    oversampled copies of one object and samples sharing proprio/z arrays,
-    including pairs whose text differs only in the sign of a zero."""
+    samples sharing a feature row, pairs whose text differs only in the
+    sign of a zero, and samples written several times, in any order."""
     edge = np.array([-0.0, 5e-324, 1e-7, 1e16, 0.1 + 0.2, -1.5e-300, 123456.789, 1 / 3])
     rng = np.random.default_rng(0)
     proprio = np.resize(edge, est.PROPRIO_DIM)
@@ -254,15 +253,25 @@ def test_write_matches_json_dumps_bytes(tmp_path):
                 proprio=p, z=zz, plan=plan, H=h,
                 label=wd.RolloutOutcome(y_bin=int(y_d < 0), y_d=y_d, y_ttc=0.1 * h),
                 meta=(["crossing_transfer", 'tâsk "x"\n'][i % 2], 2**32 - 1 - i, i)))
-    samples += [samples[3]] * 3 + [samples[7], samples[3]]  # shared objects
-    header = dg.make_header([2, 3, 5], samples, 2**32 - 1, "d" * 64)
+    columns = dg.SampleColumns.of(samples)
+    assert len(columns.proprio) == 15 < len(samples)  # each step's first and third share a row
+    order = np.concatenate([np.arange(len(samples)), [3, 3, 3, 7, 3, 19]])
+    order = order[rng.permutation(len(order))]
+    header = dg.make_header([2, 3, 5], columns.y_bin[order], 2**32 - 1, "d" * 64)
     path = tmp_path / "edge.jsonl"
-    dg.write_dataset(path, dg.Dataset(header, samples))
-    ref = json.dumps(asdict(header), sort_keys=True) + "\n" + "".join(map(reference_line, samples))
+    dg.write_dataset(path, header, columns, order)
+    written = [samples[i] for i in order]
+    ref = json.dumps(asdict(header), sort_keys=True) + "\n" + "".join(map(reference_line, written))
     assert path.read_bytes() == ref.encode()
     # reading the file back gives samples that render the same lines
     ds = dg.read_dataset(path)
-    assert [reference_line(s) for s in ds.samples] == list(map(reference_line, samples))
+    assert [reference_line(s) for s in ds.samples] == list(map(reference_line, written))
+    # without an order, each sample once, in order; no sample is no line
+    dg.write_dataset(path, dg.make_header([2, 3, 5], columns.y_bin, 0, "x"), columns)
+    assert path.read_text().splitlines(keepends=True)[1:] == list(map(reference_line, samples))
+    empty = dg.SampleColumns.of([])
+    dg.write_dataset(path, dg.make_header([2], empty.y_bin, 0, "x"), empty)
+    assert dg.read_dataset(path).samples == [] and len(path.read_text().splitlines()) == 1
 
 
 def per_line_reader(path):
@@ -294,7 +303,8 @@ def test_read_equals_per_line_reader(tiny_data, tmp_path):
     mixed_path = tmp_path / "mixed.jsonl"
     rng = np.random.default_rng(1)
     mixed = [mixed[i] for i in rng.permutation(len(mixed))]
-    dg.write_dataset(mixed_path, dg.Dataset(dg.make_header([2, 3], mixed, 0, "x"), mixed))
+    columns = dg.SampleColumns.of(mixed)
+    dg.write_dataset(mixed_path, dg.make_header([2, 3], columns.y_bin, 0, "x"), columns)
     for path in (tiny_data["paths"][2], tiny_data["paths"][3], mixed_path):
         head, ref = per_line_reader(path)
         ds = dg.read_dataset(path)
@@ -354,7 +364,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         dg.DatagenConfig(tasks=("bogus",))
     for bad in ({"tasks": ()}, {"episodes_per_task": 0}, {"sigma_a": -0.01},
-                {"sigma_a": float("nan")}, {"sigma_a": float("inf")}):
+                {"sigma_a": float("nan")}, {"sigma_a": float("inf")}, {"horizons": (2, 2)},
+                {"horizons": (3, 2, 3)}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             dg.DatagenConfig(**bad)
 
@@ -403,25 +414,33 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
     by success at different steps. The expert plans by itself once per
     group, with its h_max - 1 `wd.step` calls, the only ones; after that
     each step makes one oracle pass, with h_max `dls_ik_step` calls for
-    its longest live horizon h_max. With groups of 4, a group's
+    its longest live horizon h_max and one clearance pass. Each plan row
+    advances and is measured on its own horizon's steps only: step i's
+    kinematics see K rows per live episode whose horizon exceeds i, plus
+    one per live episode, and the clearance pass K * h rows per live
+    episode of horizon h, plus one. With groups of 4, a group's
     longest-horizon episode ends first, and the longest live horizon
     shrinks under the plan gen-data carries."""
     monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
     cfg = dg.DatagenConfig(episodes_per_task=3, horizons=(2, 3, 5), oversample_factor=1, seed=4)
-    calls = {"dls_ik_step": 0, "step": 0}
-    rolls, passes = [], []  # (dls_ik_step, wd.step) calls in each roll_plan and each pass
+    calls = {"dls_ik_step": 0, "step": 0, "segment_pairs_distance": 0}
+    seen = []  # (name, configurations) of each dls_ik_step and segment_pairs_distance call
+    # per roll_plan and per pass: (the calls made, what seen gained)
+    rolls, passes = [], []
 
     def counting(name, real):
         def counted(*args):
             calls[name] += 1
+            if name != "step":
+                seen.append((name, len(args[1] if name == "dls_ik_step" else args[0])))
             return real(*args)
         return counted
 
     def measured(log, real):
         def wrapped(*args):
-            before = dict(calls)
+            before, first = dict(calls), len(seen)
             out = real(*args)
-            log.append(tuple(calls[name] - before[name] for name in calls))
+            log.append((tuple(calls[name] - before[name] for name in calls), seen[first:]))
             return out
         return wrapped
 
@@ -449,10 +468,18 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
                     [cfg.seed, wd.task_index(task_id), ep]).generate_state(1)[0])])
                for task_id in cfg.tasks for ep in range(cfg.episodes_per_task)]
     groups = [per_job[lo:lo + group] for lo in range(0, len(per_job), group)]
-    assert rolls == [(max(h for h, _ in g) - 1,) * 2 for g in groups]
-    assert calls["step"] == sum(steps for _, steps in rolls)
-    h_max = [max(h for h, n in g if n > t) for g in groups for t in range(max(n for _, n in g))]
-    assert passes == [(h, 0) for h in h_max]
+    assert rolls == [((max(h for h, _ in g) - 1,) * 2 + (0,),
+                      [("dls_ik_step", len(g))] * (max(h for h, _ in g) - 1)) for g in groups]
+    assert calls["step"] == sum(counts[1] for counts, _ in rolls)
+    k, want = cfg.n_candidates, []
+    for g in groups:
+        for t in range(max(n for _, n in g)):
+            live = [h for h, n in g if n > t]
+            want.append(((max(live), 0, 1),
+                         [("dls_ik_step", k * sum(h > i for h in live) + len(live))
+                          for i in range(max(live))]
+                         + [("segment_pairs_distance", k * sum(live) + len(live))]))
+    assert passes == want
     longest_ends_first = [max(n for h, n in g if h == max(g)[0]) < max(n for _, n in g)
                           for g in groups]
     assert any(longest_ends_first) == (group == 4)

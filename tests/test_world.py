@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import label_plans, plan_clearances
+from conftest import label_plans, label_rows, plan_clearances
 from test_geometry import reference_dls_ik_step, reference_joint_origins
 from riskgate import geometry as gm
 from riskgate import world as wd
@@ -226,7 +226,7 @@ def oracle_clearance(state, plans, cfg):
 def rollout(state, plan, cfg):
     """The oracle pass's label of one plan from one state."""
     d = oracle_clearance(wd.stack([state]), np.asarray(plan)[None, None], cfg)
-    return wd.label_rollouts(d[:, 0], cfg.dt)[0]
+    return wd.label_rollouts(d[:, 0], cfg.dt).row(0)
 
 
 def resimulate(state, plan, cfg):
@@ -270,8 +270,8 @@ def test_rollout_batch_rows_equal_per_row_resimulation(world_cfg, intra_and_infl
     ttcs = set()
     for holding in ((True, False), (False, True), (True, True), (False, False)):
         state = wd.make_state(cfg, q, -q, holding_left=holding[0], holding_right=holding[1])
-        out = wd.label_rollouts(oracle_clearance(wd.stack([state]), plans[None], cfg)[:, 0],
-                                cfg.dt)
+        out = label_rows(wd.label_rollouts(
+            oracle_clearance(wd.stack([state]), plans[None], cfg)[:, 0], cfg.dt))
         assert out == label_plans(state, plans, cfg)
         assert len(out) == len(plans)
         for row, label in zip(plans, out):
@@ -290,7 +290,7 @@ def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch)
     """One kinematics call moves both arms: `step` computes joint origins
     once, and `rollout_and_step` (its next plan included) once per horizon
     step whatever the N states and K plans per state, with one clearance
-    pass."""
+    pass, with or without per-row horizons."""
     calls = {"joint_origins": 0, "segment_pairs_distance": 0}
     for name in calls:
         def counting(*args, _name=name, _real=getattr(wd, name)):
@@ -305,11 +305,63 @@ def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch)
     plans = np.random.default_rng(16).uniform(-0.005, 0.005, size=(8, 3, 5, 4))
     for n in (1, 8):
         for k in (1, 3):
-            calls.update(joint_origins=0, segment_pairs_distance=0)
-            d = wd.rollout_and_step(wd.stack([state] * n), plans[:n, :k], plans[:n, 0, 0],
-                                    world_cfg, lean_in)[0]
-            assert d.shape == (5, n, k) and (d > 0.0).all()
-            assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
+            for horizons in (None, np.arange(n) % 5 + 1):
+                calls.update(joint_origins=0, segment_pairs_distance=0)
+                d = wd.rollout_and_step(wd.stack([state] * n), plans[:n, :k], plans[:n, 0, 0],
+                                        world_cfg, lean_in, horizons)[0]
+                assert d.shape == (5, n, k) and (d > 0.0).all()
+                assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_rollout_and_step_skips_padded_plan_steps(world_cfg, monkeypatch, k):
+    """Given per-row horizons, the oracle pass gives with == every plan's
+    clearances on its real steps, the next state, its clearance and the
+    next plan of the padded call, and +inf on the padded steps, which
+    `label_rollouts` never reads. Each plan row is advanced and measured on
+    its real steps only: step i's kinematics see K rows per state row of
+    horizon > i plus the N next-state rows, and the clearance pass K *
+    horizons[i] rows per state row plus N. Holding mixes, intra-arm pairs,
+    inflation and rows that penetrate are on; the longest horizon may be
+    below H."""
+    cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
+    rng = np.random.default_rng(23)
+    q = np.array([-0.25, 0.0, 0.0])
+    flags = [(False, False), (True, False), (False, True), (True, True)] * 2
+    state = wd.stack([wd.make_state(cfg, q + rng.uniform(-0.3, 0.3, 3),
+                                    -q + rng.uniform(-0.3, 0.3, 3), holding_left=left,
+                                    holding_right=right) for left, right in flags[:7]])
+    plans = rng.uniform(-0.02, 0.02, size=(7, k, 5, 4))
+    plans[:, 0] = [0.02, 0.0, -0.02, 0.0]  # both arms lean in and close the gap
+    actions = rng.uniform(-0.02, 0.02, size=(7, 4))
+    d_pad, nxt_pad, d_next_pad, plan_pad = wd.rollout_and_step(state, plans, actions, cfg,
+                                                               lean_in)
+    seen = {"dls_ik_step": [], "segment_pairs_distance": []}  # configurations per call
+    for name, arg in (("dls_ik_step", 1), ("segment_pairs_distance", 0)):
+        def recorded(*args, _name=name, _arg=arg, _real=getattr(wd, name)):
+            seen[_name].append(len(args[_arg]))
+            return _real(*args)
+        monkeypatch.setattr(wd, name, recorded)
+    for horizons in (np.array([2, 5, 1, 3, 5, 2, 4]), np.array([1, 3, 3, 1, 2, 1, 3])):
+        for v in seen.values():
+            v.clear()
+        d, nxt, d_next, plan = wd.rollout_and_step(state, plans, actions, cfg, lean_in,
+                                                   horizons)
+        real = np.broadcast_to(np.arange(5)[:, None, None] < horizons[:, None], d.shape)
+        assert_array_equal(d[real], d_pad[real])
+        assert (d[~real] == np.inf).all() and (d[real] < 0.0).any()
+        assert label_rows(wd.label_rollouts(d.reshape(5, -1), cfg.dt, np.repeat(horizons, k))) \
+            == label_rows(wd.label_rollouts(d_pad.reshape(5, -1), cfg.dt, np.repeat(horizons, k)))
+        for f in ("q", "g", "holding", "t", "origins", "heading"):
+            assert_array_equal(getattr(nxt, f), getattr(nxt_pad, f), err_msg=f)
+        assert_array_equal(d_next, d_next_pad)
+        assert_array_equal(plan, plan_pad)
+        assert seen["dls_ik_step"] == [k * (horizons > i).sum() + 7 for i in range(5)]
+        # one clearance pass: the cross-arm pairs, then each arm's own
+        assert seen["segment_pairs_distance"] == [k * horizons.sum() + 7] * 3
+    for bad in ([0] * 7, [6] * 7, [2.0] * 7, [2] * 6, [[2] * 7]):
+        with pytest.raises(ValueError, match="horizons must be"):
+            wd.rollout_and_step(state, plans, actions, cfg, lean_in, np.array(bad))
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -467,7 +519,7 @@ def test_rollout_batch_per_row_states_and_horizons(world_cfg):
         plans.append(plan)
         horizons.append(h)
     d = oracle_clearance(wd.stack(states), np.array(plans)[:, None], world_cfg)[..., 0]
-    out = wd.label_rollouts(d, world_cfg.dt, horizons)
+    out = label_rows(wd.label_rollouts(d, world_cfg.dt, horizons))
     assert out == label_plans(wd.stack(states), plans, world_cfg, horizons)
     for s, plan, h, label in zip(states, plans, horizons, out):
         assert label == rollout(s, plan[:h], world_cfg)
