@@ -1,21 +1,24 @@
 """Labeled (state, plan) dataset generation and line-delimited persistence.
 
-Expert episodes run in `world.lockstep`; at every step each live
-episode's nominal plan plus Gaussian-jittered candidates are labeled by
-simulating them with the exact collision checker, all live episodes'
-candidates in one oracle pass (`world.rollout_and_step`), which advances
-each candidate on its own horizon's steps only, executes each episode's
-nominal first row and makes the expert's plan for the next step. Each
-episode keeps its own random streams, so the files are those of running
-the episodes one at a time. Files are JSONL: one header object, then one
-object per sample, partitioned by curriculum horizon.
+Expert episodes run in `world.lockstep`. At every step each live
+episode draws its nominal plan plus Gaussian-jittered candidates (one
+`sample_candidates` call for all of them) and executes the plan's first
+row, which one kinematics call does for every live episode while it
+extends the carried plan by a row. The candidates are labeled after the
+episodes have run, by simulating them with the exact collision checker
+from their recorded start configurations, in a few chunked oracle passes
+(`world.label_in_passes`) that advance each candidate on its own
+horizon's steps only. Each episode keeps its own random streams, so the
+files are those of running the episodes one at a time. Files are JSONL:
+one header object, then one object per sample, partitioned by curriculum
+horizon.
 
 gen-data builds no object per sample. Each step keeps its arrays: the
-features once per live episode, the candidates and their labels
-(`world.label_rollouts`). A file's samples become one `SampleColumns`, in
-which the candidates of one step share that step's feature row, and
-near-miss oversampling is a write order over those rows
-(`oversample_near_miss`).
+features once per live episode, the start configuration (joint vectors
+and holding flags, all the labels need) and the candidates. A file's
+samples become one `SampleColumns`, in which the candidates of one step
+share that step's feature row, and near-miss oversampling is a write
+order over those rows (`oversample_near_miss`).
 
 Every line is exactly the text of `json.dumps(obj, sort_keys=True)`.
 `write_dataset` renders it itself: for a list of finite floats, the list's
@@ -265,14 +268,33 @@ def config_digest(cfg: DatagenConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def sample_candidates(nominal: np.ndarray, n: int, sigma_a: float,
-                      rng: np.random.Generator, a_max: float) -> np.ndarray:
+def sample_candidates(nominal: np.ndarray, n: int, sigma_a: float, rng, a_max: float,
+                      horizons=None) -> np.ndarray:
     """(n, H, 4) candidates: the (H, 4) nominal plan in row 0, then n-1
-    Gaussian-jittered variants clipped to the box."""
+    Gaussian-jittered variants clipped to the box.
+
+    A batch of N nominal plans (N, H, 4) gives (N, n, H, 4), and rng is
+    then a sequence of one generator per row, each drawing its own row's
+    noise, so a row gets the candidates it gets alone; one concatenate and
+    one clip cover the batch. horizons, when given, holds N integers in
+    [1, H]: row i's candidates are then its plan's first horizons[i] steps,
+    the only ones its generator draws noise for, and zero after them.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    noise = rng.normal(0.0, sigma_a, size=(n - 1, *nominal.shape))
-    return np.concatenate([nominal[None], np.clip(nominal + noise, -a_max, a_max)])
+    nominal = np.asarray(nominal, dtype=float)
+    batch = nominal.ndim == 3
+    nominal, rngs = (nominal, rng) if batch else (nominal[None], (rng,))
+    rows, horizon = nominal.shape[:2]
+    h = [horizon] * rows if horizons is None else np.asarray(horizons).tolist()
+    noise = np.zeros((rows, n - 1, horizon, 4))
+    for j, (gen, hj) in enumerate(zip(rngs, h, strict=True)):
+        noise[j, :, :hj] = gen.normal(0.0, sigma_a, size=(n - 1, hj, 4))
+    if horizons is not None:
+        nominal = np.where(np.arange(horizon)[:, None] < np.array(h)[:, None, None], nominal, 0.0)
+    cands = np.concatenate([nominal[:, None], np.clip(nominal[:, None] + noise, -a_max, a_max)],
+                           axis=1)
+    return cands if batch else cands[0]
 
 
 def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
@@ -281,16 +303,22 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
     {H: header counts}), the counts as written, after oversampling.
 
     Episodes are assigned to horizons round-robin, giving each phase an
-    equal share. The expert plans to the longest live horizon, by itself
-    only at a lockstep group's first step (`pol.roll_plan` of
-    `pol.expert_law`). Each step makes one oracle pass
-    (`wd.rollout_and_step`) over every live episode's candidates, each row
-    padded to the longest live horizon and advanced and labeled over its
-    own; the pass executes each episode's nominal first row, gives the
-    clearance of the state it leads to, and makes the expert's plan there,
-    which the next step takes. An episode ends at collision or success.
-    Each file's samples, in (task, episode, step, candidate) order, are
-    written as one `SampleColumns`.
+    equal share. The expert plans to the longest horizon, by itself only
+    at a lockstep group's first step (`pol.roll_plan` of
+    `pol.expert_law`). Each step draws every live episode's candidates in
+    one call, records them with the features and the start configuration,
+    and executes each episode's nominal first row. The same kinematics
+    call moves the state the plan's last row was chosen at by that row,
+    and the expert's row there extends the plan, shifted by the executed
+    row: the plan `pol.roll_plan` makes from the executed state, which the
+    next step takes. One clearance call on the next states ends episodes
+    at collision, one check at success.
+
+    A candidate's label never steers its episode, so the labels come after
+    the episodes have run: `wd.label_in_passes` labels every recorded
+    candidate over its own horizon, in a few chunked oracle passes. Each
+    file's samples, in (task, episode, step, candidate) order, are written
+    as one `SampleColumns`.
 
     Two independent streams per episode: feature noise and candidate
     jitter. Keeping them separate means the executed trajectory (expert,
@@ -311,31 +339,35 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
                 [gen_cfg.seed, tidx, ep_seed, k])) for k in (1, 2)])
     horizons = np.array(horizons)
     n, h_all = gen_cfg.n_candidates, max(gen_cfg.horizons)
-    visits = []  # per step: (live jobs, step index, proprio, z, candidates, labels)
+    visits = []  # per step: (live jobs, step index, proprio, z, q, holding, candidates)
 
-    def advance(step_idx, live, state, task, nominal):
+    def advance(step_idx, live, state, task, carry):
         h_live = horizons[live]
-        h_max = int(h_live.max())
         law = pol.expert_law(task, world_cfg.a_max)
-        nominal = pol.roll_plan(law, state, h_max, world_cfg) if nominal is None else nominal
+        if carry is None:
+            carry = pol.roll_plan(law, state, h_all, world_cfg, with_state=True)
+        plan, last = carry  # last: the state plan's last row is chosen at
         z = wd.scene_feature(state, task, world_cfg.noise_sigma, [streams[i][0] for i in live])
-        plans = np.zeros((len(live), n, h_all, 4))
-        for j, (i, h) in enumerate(zip(live, h_live)):
-            plans[j, :, :h] = sample_candidates(nominal[j, :h], n, gen_cfg.sigma_a,
-                                                streams[i][1], world_cfg.a_max)
-        d, state_next, d_next, nominal = wd.rollout_and_step(
-            state, plans[:, :, :h_max], nominal[:, 0], world_cfg, law, h_live)
-        labels = wd.label_rollouts(d.reshape(h_max, -1), world_cfg.dt, np.repeat(h_live, n))
-        visits.append((live, step_idx, wd.proprio_feature(state), z, plans, labels))
-        return state_next, (d_next < 0.0) | wd.success_check(state_next, task), nominal
+        cands = sample_candidates(plan, n, gen_cfg.sigma_a, [streams[i][1] for i in live],
+                                  world_cfg.a_max, h_live)
+        visits.append((live, step_idx, wd.proprio_feature(state), z, state.q, state.holding,
+                       cands))
+        # execute each plan's first row, and extend the plan from its last
+        moved = wd.step(wd.stack([state, last]), np.stack([plan[:, 0], plan[:, -1]]), world_cfg)
+        state, last = wd.take(moved, 0), wd.take(moved, 1)
+        plan = np.concatenate([plan[:, 1:], law(last)[:, None]], axis=1)
+        done = (wd.min_self_distance(state, world_cfg) < 0.0) | wd.success_check(state, task)
+        return state, done, (plan, last)
 
     wd.lockstep(jobs, world_cfg, task_params, advance)
-    live, step_idx, proprio, z, plans, labels = zip(*visits)
+    live, step_idx, proprio, z, q, holding, cands = zip(*visits)
+    del visits
     job, step = np.concatenate(live), np.repeat(step_idx, [len(j) for j in live])
-    proprio, z, plans = (np.concatenate(c) for c in (proprio, z, plans))
-    y_bin, y_d, y_ttc = (np.concatenate([getattr(lab, name) for lab in labels]).reshape(-1, n)
-                         for name in ("y_bin", "y_d", "y_ttc"))
-    del visits, labels  # the per-step arrays, which the columns above copy
+    # the plans are zero past each row's horizon
+    proprio, z, q, holding, plans = (np.concatenate(c) for c in (proprio, z, q, holding, cands))
+    del cands
+    labels = wd.label_in_passes(q, holding, plans, horizons[job], world_cfg)
+    y_bin, y_d, y_ttc = (getattr(labels, name).reshape(-1, n) for name in ("y_bin", "y_d", "y_ttc"))
 
     os.makedirs(out_dir, exist_ok=True)
     paths, counts = {}, {}

@@ -3,6 +3,11 @@
 Everything here is a pure function of its inputs (no hidden state), so the
 simulator, the labeling oracle and any number of parallel workers can share
 these routines freely. Units are meters and radians throughout.
+
+Points are (..., 2) pairs everywhere but in the segment kernel, which
+takes x and y coordinate planes, (2, ...) arrays: the oracle's clearance
+pass gathers its capsule endpoints in that layout, so every step of the
+kernel runs over whole contiguous planes.
 """
 
 from __future__ import annotations
@@ -88,31 +93,37 @@ def default_arm(base_position=(0.0, 0.0), base_orientation: float = 0.0) -> ArmM
 
 
 def _dot2(x, y):
-    """Row dot products of (..., 2) arrays. x0*y0 + x1*y1 is the sum
-    `np.einsum("...i,...i")` forms, so it has einsum's bits, at a fraction
-    of its dispatch cost; only a zero may differ in sign, and every
-    distance below squares it away."""
-    out = x[..., 0] * y[..., 0]
-    out += x[..., 1] * y[..., 1]
+    """Dot products of coordinate pairs x and y, each an x plane then a y
+    plane (x[0], x[1]). x0*y0 + x1*y1 is the sum `np.einsum("...i,...i")`
+    forms over interleaved pairs, so it has einsum's bits, at a fraction of
+    its dispatch cost; only a zero may differ in sign, and every distance
+    below squares it away."""
+    out = x[0] * y[0]
+    out += x[1] * y[1]
     return out
 
 
 def _edge_dist2(p, a, ab, num, small, safe):
-    """Squared distance from points p to segments [a, a + ab], all (..., 2),
-    given num = (p - a).ab, small = |ab|^2 < _EPS and safe = |ab|^2 where
-    not small and 1 where small: the clamped projection of p on the
-    segment, a zero-length segment taken as its point a."""
+    """Squared distance from points p to segments [a, a + ab], all (2, ...)
+    coordinate planes, given num = (p - a).ab, small = |ab|^2 < _EPS and
+    safe = |ab|^2 where not small and 1 where small: the clamped projection
+    of p on the segment, a zero-length segment taken as its point a."""
     t = num / safe
     t = np.clip(np.where(small, 0.0, t), 0.0, 1.0)
-    closest = a + t[..., None] * ab
-    d = p - closest
+    d = p - (a + t * ab)
     return _dot2(d, d)
 
 
 def segment_pairs_distance(p0, p1, q0, q1) -> np.ndarray:
     """Minimum distances between segment pairs [p0,p1] and [q0,q1].
 
-    All inputs are (..., 2) arrays; the result has the broadcast batch shape.
+    Every input holds coordinate planes: a (2, ...) array whose [0] holds
+    the x and whose [1] the y coordinates of a batch (...), so each
+    operation below runs over whole planes instead of interleaved (..., 2)
+    pairs, with the same arithmetic per element; the planes are contiguous
+    when the input is. The batch shapes must have one rank and broadcast;
+    the result has the broadcast batch shape.
+
     The minimum over the (s, t) parameter square is attained either at the
     interior stationary point (when it lies inside the square) or on one of
     the four edges, each of which reduces to a clamped point-to-segment
@@ -138,9 +149,7 @@ def segment_pairs_distance(p0, p1, q0, q1) -> np.ndarray:
     s = (b * e - c * d) / safe
     t = (a * e - b * d) / safe
     inside = (det >= _EPS) & (s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)
-    pi = p0 + s[..., None] * u
-    qi = q0 + t[..., None] * v
-    di = pi - qi
+    di = (p0 + s * u) - (q0 + t * v)
     interior = np.where(inside, _dot2(di, di), np.inf)
 
     small_u, small_v = a < _EPS, c < _EPS

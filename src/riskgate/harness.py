@@ -162,8 +162,9 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
     episode's own noise generator); the plans of the scripted expert or
     the cloned policy come from the last step's oracle pass, or, at a
     lockstep group's first step, from one `pol.roll_plan` call. When
-    gated, each episode draws its candidates from its own jitter stream,
-    and one `select_candidate` call scores every episode's candidates.
+    gated, one `dg.sample_candidates` call draws every episode's
+    candidates, each episode's noise from its own jitter stream, and one
+    `select_candidate` call scores them.
     Each episode's gate then steps on its chosen risk, one `sg.descend`
     call recovers every episode that blocked and, in gated+refine, refines
     every one that executes, and one call each scales the executed and
@@ -213,9 +214,8 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
         actions = plans[:, 0].copy()
         latency_s = np.full(n, time.perf_counter() - t0)
         if gated:
-            cands = np.stack([dg.sample_candidates(plans[j], setup.n_candidates,
-                                                   setup.sigma_a, streams[i][1], wcfg.a_max)
-                              for j, i in enumerate(live)])
+            cands = dg.sample_candidates(plans, setup.n_candidates, setup.sigma_a,
+                                         [streams[i][1] for i in live], wcfg.a_max)
             choice = sg.select_candidate(setup.est_params, proprio, z, cands, wcfg.a_max)
             risk = choice.risks[np.arange(n), choice.index]
             r_hats = risk.tolist()

@@ -9,10 +9,13 @@ estimator.
 
 Both planners are a row law (`expert_law`, `policy_law`: a state's action
 row) rolled forward kinematically by one loop, `roll_plan`, which returns
-the plan alone. The three episode loops (gen-data, demonstrations and
-evaluation) plan by themselves only at a lockstep group's first step;
-after that, `world.rollout_and_step` rolls the same law from each
-executed state within its oracle pass, and the loop carries that plan.
+the plan (and, if asked, the state its last row is chosen at). The three
+episode loops (gen-data, demonstrations and evaluation) plan by
+themselves only at a lockstep group's first step; after that,
+demonstrations and evaluation take the plan `world.rollout_and_step`
+rolls from each executed state within its oracle pass, and gen-data
+extends its carried plan by the law's row at the state the plan's last
+row leads to.
 """
 
 from __future__ import annotations
@@ -46,12 +49,15 @@ def expert_law(task: wd.Task, a_max: float):
     return law
 
 
-def roll_plan(law, state: wd.DualArmState, horizon: int, cfg: wd.WorldConfig) -> np.ndarray:
+def roll_plan(law, state: wd.DualArmState, horizon: int, cfg: wd.WorldConfig,
+              with_state: bool = False):
     """The (..., H, 4) plan of a row law rolled forward from state.
 
     Row i is the law's row at the state the rows before it lead to, so
     later actions react to where the earlier ones will have moved each
-    arm. It steps no further than the state its last row is chosen at.
+    arm. It steps no further than the state its last row is chosen at;
+    with_state returns (plan, that state), from which a caller can extend
+    the plan by a row.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -59,7 +65,8 @@ def roll_plan(law, state: wd.DualArmState, horizon: int, cfg: wd.WorldConfig) ->
     for _ in range(1, horizon):
         state = wd.step(state, rows[-1], cfg)
         rows.append(law(state))
-    return np.stack(rows, axis=-2)
+    plan = np.stack(rows, axis=-2)
+    return (plan, state) if with_state else plan
 
 
 @dataclass

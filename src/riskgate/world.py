@@ -14,28 +14,40 @@ flags are a field like any other, so one batch may mix them. `step`,
 batch shape; a single state is the same call without the axis, and its
 results have shape (). The kernels give each row the same bits at any
 batch size. `lockstep` drives episodes this way: it resets and stacks
-them, steps them together and drops each as it ends, with its row of
-what the step body carries to the next step (the next plans).
+them, steps them together and drops each as it ends, with its rows of
+what the step body carries to the next step: the next plans, and for
+gen-data also the states at which those plans' last rows are chosen, so
+that one kinematics call both executes a plan's first row and extends
+the plan by a row. The plan so carried is, bit for bit, the one the law
+rolls from the executed state, as the executed action is its first row.
 
 A state and a task hold both arms on one arm axis of size 2, left arm
 first, the axis `geometry.stack_arms` gives `WorldConfig.arms`. Two
 kernels do the oracle's work over it. `_advance` moves both arms one
 control period in one kinematics call; `_clearance` measures capsule
-clearance over any leading batch shape. The three episode loops (gen-data,
-demonstrations and evaluation) make one oracle pass per control step,
+clearance over any leading batch shape, gathering each capsule pair's
+endpoints as the x and y coordinate planes the segment kernel computes
+on. Demonstrations and evaluation make one oracle pass per control step,
 `rollout_and_step`: it labels K plans per episode, executes each
 episode's action and plans the next step. Since a configuration never
 depends on clearance, it first advances all H steps of every plan, the
 actions beside the plans' first rows in one kinematics call; the
 planner's row law, given by the caller, makes its first row at each next
 state, and its prediction from there advances in the plans' steps
-1..H-1, in the same kinematics calls. Given per-row horizons (gen-data
-pads shorter plans to the longest live one), a plan row advances only on
-its own steps. Then one clearance pass covers the plans' and the next
-states' configurations, and `label_rollouts` turns the plans' clearances
-into labels, one array per label field. Since each row keeps its bits at
-any batch size, every output equals that of `step`, `min_self_distance`
-and the planner called one step at a time.
+1..H-1, in the same kinematics calls. Then one clearance pass covers the
+plans' and the next states' configurations, and `label_rollouts` turns
+the plans' clearances into labels, one array per label field. Since each
+row keeps its bits at any batch size, every output equals that of
+`step`, `min_self_distance` and the planner called one step at a time.
+
+gen-data's labels never steer its episodes, so it labels them after the
+episodes have run: `label_in_passes` runs the same pass without actions
+or a law over the recorded start configurations and candidates, at most
+LABEL_CHUNK plan configurations at a time. Given per-row horizons (its
+rows mix them, shorter plans padded to the longest), a plan row advances
+and is measured on its own steps only. Every pass measures its
+configurations in clearance calls of at most CLEARANCE_CHUNK, which bounds
+the kernel's temporaries however large the pass.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (ArmModel, check_joint_limits, default_arm, dls_ik_step, joint_origins,
-                       link_segments, segment_pairs_distance, stack_arms)
+                       segment_pairs_distance, stack_arms)
 
 TASK_IDS = ("crossing_transfer", "parallel_place")
 A_MAX = 0.02  # per-component EE increment bound, m/step
@@ -55,6 +67,20 @@ A_MAX = 0.02  # per-component EE increment bound, m/step
 # episodes keep gen-data's peak memory near that of one episode at a time
 # and lose little speed to a single batch of every episode.
 LOCKSTEP_EPISODES = 64
+# Plan configurations (a plan row at one of its steps) that one pass of
+# `label_in_passes` advances and measures at most. A pass makes one
+# kinematics call per plan step however many rows it holds, and each
+# configuration costs it about 150 bytes of joint origins until its
+# clearance is measured. 1024 keeps that near 150 KB; on `perfbench`
+# `datagen` (2.5k configurations, three passes) 2048 ran 4% faster, with a
+# 0.2 MB higher peak, and 256 took 10% longer.
+LABEL_CHUNK = 1024
+# Configurations that one call of the clearance kernel measures at most in
+# an oracle pass. The kernel's temporaries take about 2.5 KB per
+# configuration, and its time per configuration is lowest near 256 (its
+# arrays stay in cache): 1.6 us there against 2.6 us at 1024 on a 2-vCPU
+# host. A control step of 64 episodes with 5-step plans makes two calls.
+CLEARANCE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -147,11 +173,12 @@ def lockstep(jobs, cfg: WorldConfig, params: TaskParams, advance) -> None:
     Each group's episodes are reset by `task_init` and stacked into one
     state and task. At each step t, `advance(t, live, state, task, carry)`
     gets the job indices of the live rows, in job order, and returns the
-    next state, a bool per row and the carry for the next step: an array
-    with one row per live row (the episode loops carry the next step's
-    plans). Rows marked done drop out, from the carry too; carry is None
-    at a group's first step. A group ends when no row is live or after
-    params.max_steps steps.
+    next state, a bool per row and the carry for the next step: an array,
+    a state or a tuple of them, each with one row per live row (the
+    episode loops carry the next step's plans; gen-data also the state
+    its plans' last row is chosen at). Rows marked done drop out, from the
+    carry too; carry is None at a group's first step. A group ends when no
+    row is live or after params.max_steps steps.
     """
     for lo in range(0, len(jobs), LOCKSTEP_EPISODES):
         live = np.arange(lo, min(lo + LOCKSTEP_EPISODES, len(jobs)))
@@ -166,7 +193,14 @@ def lockstep(jobs, cfg: WorldConfig, params: TaskParams, advance) -> None:
             if done.any():
                 keep = ~done
                 live, state, task = live[keep], take(state, keep), take(task, keep)
-                carry = carry[keep]
+                carry = _carried_rows(carry, keep)
+
+
+def _carried_rows(carry, rows):
+    """The rows of a lockstep carry: an array, a state, or a tuple of them."""
+    if isinstance(carry, tuple):
+        return tuple(_carried_rows(c, rows) for c in carry)
+    return carry[rows] if isinstance(carry, np.ndarray) else take(carry, rows)
 
 
 def make_state(
@@ -219,23 +253,24 @@ class RolloutOutcome:
 
 
 def _capsules(cfg: WorldConfig, holding, origins, heading):
-    """Capsule axes (..., 2, k, 2, 2) and radii (..., 2, k) of both arms.
+    """Chain points (..., 2, k+1, 2) and radii (..., 2, k) of both arms'
+    capsules, capsule j running from point j to point j+1.
 
-    The capsules are each arm's links and, when some row holds an object,
-    the grasped object extending from each EE along its heading, of radius
-    -inf where that arm holds nothing: every pair with such a capsule then
-    clears by +inf, so the minimum is that of the held capsules alone.
+    The capsules are each arm's links (the points are its joint origins)
+    and, when some row holds an object, the grasped object from the EE to a
+    tip along its heading, of radius -inf where that arm holds nothing:
+    every pair with such a capsule then clears by +inf, so the minimum is
+    that of the held capsules alone.
     """
-    segs, radii = link_segments(origins), cfg.arms.link_radii
+    radii = cfg.arms.link_radii
     if not holding.any():
-        return segs, radii
-    ee = origins[..., -1, :]
-    tip = ee + cfg.grasp_length * np.stack([np.cos(heading), np.sin(heading)], axis=-1)
-    grasp = np.stack([ee, tip], axis=-2)[..., None, :, :]
+        return origins, radii
+    tip = origins[..., -1, :] + cfg.grasp_length * np.stack([np.cos(heading), np.sin(heading)],
+                                                           axis=-1)
     rad = np.empty((*holding.shape, radii.shape[-1] + 1))
     rad[..., :-1] = radii
     rad[..., -1] = np.where(holding, cfg.grasp_radius, -np.inf)
-    return np.concatenate([segs, grasp], axis=-3), rad
+    return np.concatenate([origins, tip[..., None, :]], axis=-2), rad
 
 
 def _clearance(cfg: WorldConfig, holding, origins, heading) -> np.ndarray:
@@ -244,27 +279,30 @@ def _clearance(cfg: WorldConfig, holding, origins, heading) -> np.ndarray:
     origins (..., 2, n+1, 2) and heading (..., 2) are both arms' joint
     origins and EE headings, left arm first, and holding (..., 2) their
     flags over a shape that broadcasts to the leading one; the result has
-    the leading shape (...).
+    the leading shape (...). The pairs' endpoints are gathered as x and y
+    coordinate planes, the layout `segment_pairs_distance` computes on.
     """
-    segs, rad = _capsules(cfg, holding, origins, heading)
-    (segs_l, rad_l), (segs_r, rad_r) = ((segs[..., k, :, :, :], rad[..., k, :]) for k in (0, 1))
-    m = segs.shape[-3]
+    points, rad = _capsules(cfg, holding, origins, heading)
+    planes = np.moveaxis(points, -1, 0)  # (2, ..., 2, k+1): x, then y
+    (pl_l, rad_l), (pl_r, rad_r) = ((planes[..., k, :], rad[..., k, :]) for k in (0, 1))
+    m = rad.shape[-1]
     il, ir = np.repeat(np.arange(m), m), np.tile(np.arange(m), m)
-    best = _pair_clearance(segs_l, rad_l, il, segs_r, rad_r, ir, cfg.inflation)
+    best = _pair_clearance(pl_l, rad_l, il, pl_r, rad_r, ir, cfg.inflation)
 
     if cfg.include_intra_arm:
-        for segs, rad in ((segs_l, rad_l), (segs_r, rad_r)):
-            ii, jj = np.triu_indices(segs.shape[-3], k=2)  # skip adjacent links (shared joint)
-            if len(ii):
-                best = np.minimum(best, _pair_clearance(segs, rad, ii, segs, rad, jj,
-                                                        cfg.inflation))
+        ii, jj = np.triu_indices(m, k=2)  # skip adjacent links (shared joint)
+        if len(ii):
+            for pl, rad in ((pl_l, rad_l), (pl_r, rad_r)):
+                best = np.minimum(best, _pair_clearance(pl, rad, ii, pl, rad, jj, cfg.inflation))
     return best
 
 
-def _pair_clearance(segs_a, rad_a, ia, segs_b, rad_b, ib, inflation: float) -> np.ndarray:
-    """Minimum inflated clearance over the capsule pairs (ia[k] of a, ib[k] of b)."""
-    axis_dist = segment_pairs_distance(segs_a[..., ia, 0, :], segs_a[..., ia, 1, :],
-                                       segs_b[..., ib, 0, :], segs_b[..., ib, 1, :])
+def _pair_clearance(pl_a, rad_a, ia, pl_b, rad_b, ib, inflation: float) -> np.ndarray:
+    """Minimum inflated clearance over the capsule pairs (ia[k] of a, ib[k]
+    of b), given each side's chain points as (2, ..., k+1) coordinate
+    planes."""
+    axis_dist = segment_pairs_distance(pl_a[..., ia], pl_a[..., ia + 1],
+                                       pl_b[..., ib], pl_b[..., ib + 1])
     return (axis_dist - (rad_a[..., ia] + rad_b[..., ib] + 2.0 * inflation)).min(axis=-1)
 
 
@@ -311,10 +349,10 @@ def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
     return replace(state, q=q, t=state.t + 1, origins=origins, heading=ang[..., -1])
 
 
-def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig, law,
-                     horizons=None):
+def rollout_and_step(state, plans, actions, cfg: WorldConfig, law=None, horizons=None):
     """One oracle pass for a control step of N episodes, which labels K
-    plans per episode and plans the next step.
+    plans per episode and plans the next step; or, without actions and
+    law, a pass that labels the plans alone.
 
     state is a batch of N states, plans (N, K, H, 4) holds K plans of H
     rows per state row, actions (N, 4) one action per state row, and law
@@ -323,7 +361,8 @@ def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig, law,
     penetration; the next state, when state row i executes actions[i];
     its clearance; and the (N, H, 4) plan the law makes from it: the law's
     row at the next state, then its row at the state the rows before it
-    lead to, H rows in all (the loop `policy.roll_plan` runs).
+    lead to, H rows in all (the loop `policy.roll_plan` runs). With actions
+    and law None, it returns the plans' clearances alone.
 
     horizons, when given, holds N integers in [1, H]: state row i's plans
     then advance and are measured on their first horizons[i] steps only,
@@ -335,57 +374,78 @@ def rollout_and_step(state: DualArmState, plans, actions, cfg: WorldConfig, law,
     within their horizon and of the law's prediction in one more. Then one
     clearance pass, with the arithmetic of `min_self_distance`, covers the
     plans' configurations, each with its state row's holding flags, and
-    the N next states. Raises ValueError unless plans is (N, K, H, 4) with
-    N, K, H >= 1, state a batch of N states, actions (N, 4) and horizons,
-    when given, as above.
+    the N next states, in calls of at most CLEARANCE_CHUNK configurations.
+    Raises ValueError unless plans is (N, K, H, 4) with
+    N, K, H >= 1, state a batch of N states, actions (N, 4) and law given
+    together or both None, and horizons, when given, as above.
     """
     plans = np.asarray(plans, dtype=float)
-    actions = np.asarray(actions, dtype=float)
     if plans.ndim != 4 or plans.shape[3] != 4 or 0 in plans.shape:
         raise ValueError(f"plans must be (N, K, H, 4) with N, K, H >= 1, got {plans.shape}")
     n, k, horizon = plans.shape[:3]
     batch = state.q.shape[:-2]
-    if batch != (n,) or actions.shape != (n, 4):
+    if (actions is None) != (law is None):
+        raise ValueError("actions and law must be given together, or neither")
+    e = 0 if actions is None else n  # executed rows, after the plan rows
+    if e:
+        actions = np.asarray(actions, dtype=float)
+    if batch != (n,) or e and actions.shape != (n, 4):
         raise ValueError(f"plans for {n} states need a batch of {n} states and actions of "
-                         f"shape ({n}, 4), got states {batch} and actions {actions.shape}")
+                         f"shape ({n}, 4), got states {batch} and actions "
+                         f"{None if actions is None else actions.shape}")
     m = n * k  # plan rows, state row major
     live = None
     if horizons is not None:
         real = np.arange(horizon)[:, None] < np.repeat(_check_horizons(horizons, n, horizon), k)
         live = [np.flatnonzero(r) for r in real]  # the plan rows each step advances
     dx = plans.reshape(m, horizon, 2, 2)
-    q = np.concatenate([np.repeat(state.q, k, axis=0), state.q])
-    pts = np.concatenate([np.repeat(state.origins, k, axis=0), state.origins])
-    q, pts, ang = _advance(cfg, q, pts, np.concatenate([dx[:, 0], actions.reshape(n, 2, 2)]))
-    executed = cur = replace(state, q=q[m:], t=state.t + 1, origins=pts[m:],
-                             heading=ang[m:, :, -1])
-    traj, heading, rows = [pts[:m]], [ang[:m, :, -1]], [law(cur)]
-    r = m  # plan rows in q and pts, ahead of the law's n
+    q, pts, step_dx = np.repeat(state.q, k, axis=0), np.repeat(state.origins, k, axis=0), dx[:, 0]
+    if e:
+        q, pts = np.concatenate([q, state.q]), np.concatenate([pts, state.origins])
+        step_dx = np.concatenate([step_dx, actions.reshape(n, 2, 2)])
+    q, pts, ang = _advance(cfg, q, pts, step_dx)
+    traj, heading, rows = [pts[:m]], [ang[:m, :, -1]], []
+    if e:
+        executed = cur = replace(state, q=q[m:], t=state.t + 1, origins=pts[m:],
+                                 heading=ang[m:, :, -1])
+        rows.append(law(cur))
+    r = m  # plan rows in q and pts, ahead of the law's e
     for i in range(1, horizon):
         step_dx = dx[:, i]
         if live is not None and len(live[i]) < m:
             if len(live[i]) < r:  # drop the rows whose horizon ended
                 keep = np.concatenate([np.searchsorted(live[i - 1], live[i]),
-                                       np.arange(r, r + n)])
+                                       np.arange(r, r + e)])
                 q, pts, r = q[keep], pts[keep], len(live[i])
             step_dx = dx[live[i], i]
-        q, pts, ang = _advance(cfg, q, pts, np.concatenate([step_dx, rows[-1].reshape(n, 2, 2)]))
+        if e:
+            step_dx = np.concatenate([step_dx, rows[-1].reshape(n, 2, 2)])
+        q, pts, ang = _advance(cfg, q, pts, step_dx)
         traj.append(pts[:r])
         heading.append(ang[:r, :, -1])
-        cur = replace(cur, q=q[r:], t=cur.t + 1, origins=pts[r:], heading=ang[r:, :, -1])
-        rows.append(law(cur))
+        if e:
+            cur = replace(cur, q=q[r:], t=cur.t + 1, origins=pts[r:], heading=ang[r:, :, -1])
+            rows.append(law(cur))
     # the plans' configurations, step by step, then the N next states
     holding = np.repeat(state.holding, k, axis=0)
     holding = np.tile(holding, (horizon, 1)) if live is None else holding[np.nonzero(real)[1]]
-    d = _clearance(cfg, np.concatenate([holding, state.holding]),
-                   np.concatenate([*traj, executed.origins]),
-                   np.concatenate([*heading, executed.heading]))
-    d_plans = d[:len(holding)]
+    measured = len(holding)
+    if e:
+        holding = np.concatenate([holding, state.holding])
+        traj.append(executed.origins)
+        heading.append(executed.heading)
+    traj, heading = np.concatenate(traj), np.concatenate(heading)  # drops the per-step arrays
+    d = np.concatenate([_clearance(cfg, holding[lo:lo + CLEARANCE_CHUNK],
+                                   traj[lo:lo + CLEARANCE_CHUNK], heading[lo:lo + CLEARANCE_CHUNK])
+                        for lo in range(0, len(holding), CLEARANCE_CHUNK)])
+    d_plans = d[:measured]
     if live is not None:
         d_plans = np.full((horizon, m), np.inf)
-        d_plans[real] = d[:len(holding)]
-    return (d_plans.reshape(horizon, n, k), executed, d[len(holding):],
-            np.stack(rows, axis=1))
+        d_plans[real] = d[:measured]
+    d_plans = d_plans.reshape(horizon, n, k)
+    if not e:
+        return d_plans
+    return d_plans, executed, d[measured:], np.stack(rows, axis=1)
 
 
 def _check_horizons(horizons, n: int, horizon: int) -> np.ndarray:
@@ -418,6 +478,41 @@ def label_rollouts(d, dt: float, horizons=None) -> RolloutOutcome:
     y_d = np.where(steps <= last, d, np.inf).min(axis=0)
     y_ttc = np.where(y_bin, (last + 1) * dt, h * dt)
     return RolloutOutcome(y_bin=y_bin.astype(int), y_d=y_d, y_ttc=y_ttc)
+
+
+def label_in_passes(q, holding, plans, horizons, cfg: WorldConfig) -> RolloutOutcome:
+    """Labels of K plans from each of N start configurations, in passes of
+    `rollout_and_step` over at most LABEL_CHUNK plan configurations each.
+
+    q (N, 2, n) and holding (N, 2) are the start states' joint vectors and
+    holding flags, plans (N, K, H, 4) their plans and horizons N integers
+    in [1, H]: row i's plans run their first horizons[i] steps. A pass
+    rebuilds its start states' joint origins and EE headings with
+    `joint_origins`, which gives the values a state caches; grippers and
+    time never enter a label, so they are zero there. A row's K plans
+    never split over passes, so a pass goes past the chunk only when one
+    row alone does. Returns one RolloutOutcome of (N * K,) arrays, in
+    state row major order, the labels `label_rollouts` gives each row's
+    plans over its own horizon.
+    """
+    plans = np.asarray(plans, dtype=float)
+    n, k, horizon = plans.shape[:3]
+    h = _check_horizons(horizons, n, horizon)
+    ends = np.cumsum(k * h)  # plan configurations up to and including each row
+    parts, lo = [], 0
+    while lo < n:
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + LABEL_CHUNK, side="right")))
+        origins, angles = joint_origins(cfg.arms, q[lo:hi])
+        start = DualArmState(q=q[lo:hi], g=np.zeros(holding[lo:hi].shape),
+                             holding=holding[lo:hi], t=np.zeros(hi - lo, dtype=int),
+                             origins=origins, heading=angles[..., -1])
+        h_max = int(h[lo:hi].max())
+        d = rollout_and_step(start, plans[lo:hi, :, :h_max], None, cfg, horizons=h[lo:hi])
+        parts.append(label_rollouts(d.reshape(h_max, -1), cfg.dt, np.repeat(h[lo:hi], k)))
+        lo = hi
+    return RolloutOutcome(*(np.concatenate([getattr(p, f.name) for p in parts])
+                            for f in fields(RolloutOutcome)))
 
 
 def scene_feature(state: DualArmState, task: Task, noise_sigma: float = 0.0,

@@ -96,9 +96,10 @@ def test_criterion_01_geometry_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     # the oracle's kernels: segment_pairs_distance over a batch of pairs,
-    # and the joint-origins Jacobian that dls_ik_step solves with
+    # given as (2, 1000) x and y planes, and the joint-origins Jacobian that
+    # dls_ik_step solves with
     pairs = rng.uniform(-1.0, 1.0, size=(1000, 4, 2))
-    exact = gm.segment_pairs_distance(pairs[:, 0], pairs[:, 1], pairs[:, 2], pairs[:, 3])
+    exact = gm.segment_pairs_distance(pairs[:, 0].T, pairs[:, 1].T, pairs[:, 2].T, pairs[:, 3].T)
     worst = 0.0
     for d, (p0, p1, q0, q1) in zip(exact, pairs):
         ref = dense_segment_distance(p0, p1, q0, q1)

@@ -6,9 +6,10 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import label_plans
+from test_world import configurations
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
 from riskgate import policy as pol
@@ -30,6 +31,27 @@ def test_sample_candidates_box_and_identity(world_cfg):
         np.testing.assert_array_equal(c, ref)
     with pytest.raises(ValueError):
         dg.sample_candidates(nominal, 0, 0.05, rng, world_cfg.a_max)
+
+
+def test_sample_candidates_batch_equals_each_rows_own_call(world_cfg):
+    """One call over N nominal plans, each row with its own generator,
+    gives every row with == the candidates of its own call, on its own
+    horizon's steps, zero after them, and leaves each generator where its
+    own call does."""
+    rng = np.random.default_rng(6)
+    nominal = rng.uniform(-0.03, 0.03, size=(4, 5, 4))
+    horizons = np.array([2, 5, 1, 3])
+    for h in (None, horizons):
+        gens = [np.random.default_rng(10 + j) for j in range(4)]
+        cands = dg.sample_candidates(nominal, 6, 0.02, gens, world_cfg.a_max, h)
+        assert cands.shape == (4, 6, 5, 4)
+        for j in range(4):
+            hj = 5 if h is None else h[j]
+            ref_gen = np.random.default_rng(10 + j)
+            ref = dg.sample_candidates(nominal[j, :hj], 6, 0.02, ref_gen, world_cfg.a_max)
+            assert_array_equal(cands[j, :, :hj], ref)
+            assert (cands[j, :, hj:] == 0.0).all()
+            assert gens[j].random() == ref_gen.random()
 
 
 def reference_oversample(y_d, seed, d_thresh, factor):
@@ -404,6 +426,20 @@ def one_episode_at_a_time(gen_cfg, world_cfg, task_params):
     return by_h, endings
 
 
+def label_passes(rows, k, chunk):
+    """The horizons of the rows of each label pass of `wd.label_in_passes`
+    over rows of these horizons: whole rows in order, as many as fit in
+    chunk plan configurations (k * horizon each), and at least one."""
+    passes, size = [], chunk
+    for h in rows:
+        if size + k * h > chunk:
+            passes.append([])
+            size = 0
+        passes[-1].append(h)
+        size += k * h
+    return passes
+
+
 @pytest.mark.parametrize("group", [wd.LOCKSTEP_EPISODES, 4])
 def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
                                                monkeypatch, group):
@@ -411,44 +447,53 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
     every sample equals, with ==, the one the per-episode reference makes
     by rolling the expert's plan at every step, in the same order, over
     both tasks, horizons 2, 3 and 5, and episodes that end by collision and
-    by success at different steps. The expert plans by itself once per
-    group, with its h_max - 1 `wd.step` calls, the only ones; after that
-    each step makes one oracle pass, with h_max `dls_ik_step` calls for
-    its longest live horizon h_max and one clearance pass. Each plan row
-    advances and is measured on its own horizon's steps only: step i's
-    kinematics see K rows per live episode whose horizon exceeds i, plus
-    one per live episode, and the clearance pass K * h rows per live
-    episode of horizon h, plus one. With groups of 4, a group's
+    by success at different steps.
+
+    The expert plans by itself once per group, with the H - 1 `wd.step`
+    calls of the longest horizon H = 5. After that each step makes
+    one `wd.step` call, one `dls_ik_step` call on its N live rows and the
+    N states their plans' last rows are chosen at, and one clearance call
+    on the N next states. The labels come after every step of every group,
+    from passes of whole rows in step order, each within LABEL_CHUNK plan
+    configurations: step i of a pass's kinematics sees K rows per row whose
+    horizon exceeds i, and its clearance calls K * h configurations per
+    row of horizon h, K * sum(h) in all, in blocks of CLEARANCE_CHUNK. With
+    groups of 4, a group's
     longest-horizon episode ends first, and the longest live horizon
     shrinks under the plan gen-data carries."""
     monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
     cfg = dg.DatagenConfig(episodes_per_task=3, horizons=(2, 3, 5), oversample_factor=1, seed=4)
     calls = {"dls_ik_step": 0, "step": 0, "segment_pairs_distance": 0}
     seen = []  # (name, configurations) of each dls_ik_step and segment_pairs_distance call
-    # per roll_plan and per pass: (the calls made, what seen gained)
-    rolls, passes = [], []
+    # per roll_plan, per step and per label pass: (the calls made, what seen gained)
+    rolls, per_step, passes = [], [], []
 
     def counting(name, real):
         def counted(*args):
             calls[name] += 1
             if name != "step":
-                seen.append((name, len(args[1] if name == "dls_ik_step" else args[0])))
+                seen.append((name, configurations(name, args)))
             return real(*args)
         return counted
 
     def measured(log, real):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             before, first = dict(calls), len(seen)
-            out = real(*args)
+            out = real(*args, **kwargs)
             log.append((tuple(calls[name] - before[name] for name in calls), seen[first:]))
             return out
         return wrapped
+
+    def lockstep(jobs, world, params, advance, _real=wd.lockstep):
+        _real(jobs, world, params, measured(per_step, advance))
+        per_step.append("end")
 
     with monkeypatch.context() as m:
         for name in calls:
             m.setattr(wd, name, counting(name, getattr(wd, name)))
         m.setattr(pol, "roll_plan", measured(rolls, pol.roll_plan))
         m.setattr(wd, "rollout_and_step", measured(passes, wd.rollout_and_step))
+        m.setattr(wd, "lockstep", lockstep)
         paths, _ = dg.generate_dataset(cfg, world_cfg, tmp_path, task_params)
     ref, endings = one_episode_at_a_time(cfg, world_cfg, task_params)
     assert {"collision", "success"} <= set(endings)
@@ -468,18 +513,61 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
                     [cfg.seed, wd.task_index(task_id), ep]).generate_state(1)[0])])
                for task_id in cfg.tasks for ep in range(cfg.episodes_per_task)]
     groups = [per_job[lo:lo + group] for lo in range(0, len(per_job), group)]
-    assert rolls == [((max(h for h, _ in g) - 1,) * 2 + (0,),
-                      [("dls_ik_step", len(g))] * (max(h for h, _ in g) - 1)) for g in groups]
-    assert calls["step"] == sum(counts[1] for counts, _ in rolls)
-    k, want = cfg.n_candidates, []
+    assert rolls == [((4, 4, 0), [("dls_ik_step", len(g))] * 4) for g in groups]
+    assert calls["step"] == sum(counts[1] for counts, _ in rolls) + len(per_step) - 1
+    k, want, rows = cfg.n_candidates, [], []
     for g in groups:
         for t in range(max(n for _, n in g)):
             live = [h for h, n in g if n > t]
-            want.append(((max(live), 0, 1),
-                         [("dls_ik_step", k * sum(h > i for h in live) + len(live))
-                          for i in range(max(live))]
-                         + [("segment_pairs_distance", k * sum(live) + len(live))]))
-    assert passes == want
+            roll = rolls.pop(0) if t == 0 else ((0, 0, 0), [])
+            want.append((tuple(a + b for a, b in zip(roll[0], (1, 1, 1))),
+                         roll[1] + [("dls_ik_step", 2 * len(live)),
+                                    ("segment_pairs_distance", len(live))]))
+            rows += live
+    assert per_step == want + ["end"]  # every label pass comes after the last step
+    blocks = [[min(wd.CLEARANCE_CHUNK, k * sum(hs) - lo)
+               for lo in range(0, k * sum(hs), wd.CLEARANCE_CHUNK)]
+              for hs in label_passes(rows, k, wd.LABEL_CHUNK)]
+    assert passes == [((max(hs), 0, len(b)),
+                       [("dls_ik_step", k * sum(h > i for h in hs)) for i in range(max(hs))]
+                       + [("segment_pairs_distance", size) for size in b])
+                      for hs, b in zip(label_passes(rows, k, wd.LABEL_CHUNK), blocks)]
+    assert 1 < len(passes) < len(want) and max(map(len, blocks)) > 1
     longest_ends_first = [max(n for h, n in g if h == max(g)[0]) < max(n for _, n in g)
                           for g in groups]
     assert any(longest_ends_first) == (group == 4)
+
+
+@pytest.mark.parametrize("horizons, group", [((1,), wd.LOCKSTEP_EPISODES), ((2, 3, 5), 4)])
+def test_carried_plan_equals_the_plan_rolled_from_each_executed_state(
+        world_cfg, task_params, tmp_path, monkeypatch, horizons, group):
+    """At every step, for every live episode, the plan gen-data carries to
+    the next step equals with == `pol.roll_plan` of the expert from the
+    state the step executed into, at the longest horizon, and the state it
+    carries is the one that roll's last row is chosen at; with H = 1, and
+    with groups of 4 whose longest live horizon shrinks while the plan
+    keeps its length."""
+    monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
+    cfg = dg.DatagenConfig(episodes_per_task=3, horizons=horizons, seed=4)
+    seen = []  # per step: (live horizons, next state, task, carry)
+
+    def lockstep(jobs, world, params, advance, _real=wd.lockstep):
+        def recorded(t, live, state, task, carry):
+            out = advance(t, live, state, task, carry)
+            # 3 episodes per task: a job's index picks its horizon round-robin
+            seen.append((np.array(horizons)[live % len(horizons)], out[0], task, out[2]))
+            return out
+        _real(jobs, world, params, recorded)
+
+    monkeypatch.setattr(wd, "lockstep", lockstep)
+    dg.generate_dataset(cfg, world_cfg, tmp_path, task_params)
+    shrunk, length = False, max(horizons)
+    for h_live, state, task, (plan, last) in seen:
+        assert plan.shape[1] == length
+        shrunk |= bool(h_live.max() < length)
+        ref, ref_last = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, length,
+                                      world_cfg, with_state=True)
+        assert_array_equal(plan, ref)
+        for f in ("q", "g", "holding", "origins", "heading"):
+            assert_array_equal(getattr(last, f), getattr(ref_last, f), err_msg=f)
+    assert len(seen) > 20 and shrunk == (group == 4)

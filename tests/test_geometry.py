@@ -9,6 +9,8 @@ kernels must match bit for bit, so a kernel change that moves any output
 bit fails here.
 """
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -86,7 +88,8 @@ def reference_dls_ik_step(arm, origins, dx, mu):
 
 
 def segment_distance(p0, p1, q0, q1):
-    """`segment_pairs_distance` of one pair, as a float."""
+    """`segment_pairs_distance` of one pair, whose (2,) points are their
+    own coordinate planes, as a float."""
     return float(gm.segment_pairs_distance(p0, p1, q0, q1))
 
 
@@ -95,10 +98,81 @@ def jacobian(arm, q):
     return gm._origins_jacobian(gm.joint_origins(arm, q)[0])
 
 
+def planes(pairs):
+    """The (2, ...) x and y coordinate planes of (..., 2) points."""
+    return np.moveaxis(pairs, -1, 0)
+
+
+def scalar_segment_distance(p0, p1, q0, q1):
+    """One pair's segment distance in Python float arithmetic, operation
+    for operation that of `segment_pairs_distance`: the interior
+    stationary point when it lies inside the parameter square, and the
+    four clamped edge projections."""
+    (p0x, p0y), (p1x, p1y), (q0x, q0y), (q1x, q1y) = (map(float, x) for x in (p0, p1, q0, q1))
+
+    def dot(x0, x1, y0, y1):
+        return x0 * y0 + x1 * y1
+
+    def edge(px, py, ax, ay, abx, aby, num, length2):
+        t = 0.0 if length2 < gm._EPS else min(max(num / length2, 0.0), 1.0)
+        dx, dy = px - (ax + t * abx), py - (ay + t * aby)
+        return dot(dx, dy, dx, dy)
+
+    ux, uy, vx, vy = p1x - p0x, p1y - p0y, q1x - q0x, q1y - q0y
+    wx, wy = p0x - q0x, p0y - q0y
+    a, b, c = dot(ux, uy, ux, uy), dot(ux, uy, vx, vy), dot(vx, vy, vx, vy)
+    d, e = dot(ux, uy, wx, wy), dot(vx, vy, wx, wy)
+    det = a * c - b * b
+    safe = 1.0 if det < gm._EPS else det
+    s, t = (b * e - c * d) / safe, (a * e - b * d) / safe
+    best = math.inf
+    if det >= gm._EPS and 0.0 <= s <= 1.0 and 0.0 <= t <= 1.0:
+        dx, dy = (p0x + s * ux) - (q0x + t * vx), (p0y + s * uy) - (q0y + t * vy)
+        best = dot(dx, dy, dx, dy)
+    return math.sqrt(min(best, edge(q0x, q0y, p0x, p0y, ux, uy, -d, a),
+                         edge(q1x, q1y, p0x, p0y, ux, uy, dot(q1x - p0x, q1y - p0y, ux, uy), a),
+                         edge(p0x, p0y, q0x, q0y, vx, vy, e, c),
+                         edge(p1x, p1y, q0x, q0y, vx, vy, dot(p1x - q0x, p1y - q0y, vx, vy), c)))
+
+
+def test_plane_kernel_equals_scalar_reference():
+    """`segment_pairs_distance` on contiguous x and y planes gives every
+    pair, with ==, the distance of the per-pair scalar reference: on
+    zero-length, parallel, collinear, touching and crossing pairs, and on
+    random batches of 1 to 3,000 pairs; a strided view of interleaved
+    pairs gives the same bits."""
+    rng = np.random.default_rng(45)
+    p0, p1 = rng.uniform(-1.0, 1.0, size=(2, 8, 2))
+    shift = rng.uniform(-0.5, 0.5, size=(8, 2))
+    special = np.concatenate([
+        np.stack([p0, p0, p1, p1 + shift], axis=1),                 # first is a point
+        np.stack([p0, p1, p1, p1], axis=1),                         # second is a point
+        np.stack([p0, p0, p1, p1], axis=1),                         # both are points
+        np.stack([p0, p0, p0, p0], axis=1),                         # one point twice
+        np.stack([p0, p1, p0 + shift, p1 + shift], axis=1),         # parallel
+        np.stack([p0, p1, p1, p0], axis=1),                         # antiparallel, same line
+        np.stack([p0, p1, p0 + 2.0 * (p1 - p0), p0 + 3.0 * (p1 - p0)], axis=1),  # collinear gap
+        np.stack([p0, p1, p1, p1 + shift], axis=1),                 # touching at an end
+        np.stack([p0, p1, 0.5 * (p0 + p1), 0.5 * (p0 + p1) + shift], axis=1),  # end touches side
+        np.stack([p0, p1, p0 + shift, p1 - shift], axis=1),         # crossing or near
+    ])
+    batches = [special] + [rng.uniform(-1.0, 1.0, size=(n, 4, 2)) for n in (1, 2, 17, 300, 3000)]
+    for pairs in batches:
+        contiguous = np.ascontiguousarray(planes(pairs))  # (2, n, 4)
+        got = gm.segment_pairs_distance(*(np.ascontiguousarray(contiguous[..., k])
+                                          for k in range(4)))
+        assert got.shape == (len(pairs),)
+        assert got.tolist() == [scalar_segment_distance(*pair) for pair in pairs]
+        assert_array_equal(gm.segment_pairs_distance(*(planes(pairs[:, k]) for k in range(4))),
+                           got)
+    touching = gm.segment_pairs_distance(*(planes(special[56:72, k]) for k in range(4)))
+    assert (touching == 0.0).all()
+
+
 def test_segment_distance_matches_dense_sampling():
     rng = np.random.default_rng(42)
     pts = rng.uniform(-1.0, 1.0, size=(200, 4, 2))
-    exact = gm.segment_pairs_distance(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
+    exact = gm.segment_pairs_distance(*(planes(pts[:, k]) for k in range(4)))
     worst = 0.0
     for d, (p0, p1, q0, q1) in zip(exact, pts):
         assert d == segment_distance(p0, p1, q0, q1)  # a batch row has its own bits
@@ -258,7 +332,7 @@ def test_segment_distance_pins_reference_bits():
         np.stack([p0, p1, p0 + shift, p1 - shift], axis=1),         # crossing or near
     ])
     for batch in (pts, special, pts[0, 0, 0]):
-        got = gm.segment_pairs_distance(*(batch[..., k, :] for k in range(4)))
+        got = gm.segment_pairs_distance(*(planes(batch[..., k, :]) for k in range(4)))
         ref = reference_segment_pairs_distance(*(batch[..., k, :] for k in range(4)))
         assert_array_equal(got, ref)
 

@@ -313,6 +313,14 @@ def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch)
                 assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
 
 
+def configurations(name, args):
+    """The configurations a `dls_ik_step` call (joint origins (..., 2, n+1,
+    2)) or a `segment_pairs_distance` call (coordinate planes (2, ...,
+    pairs)) works on."""
+    shape = args[1].shape[:-3] if name == "dls_ik_step" else args[0].shape[1:-1]
+    return int(np.prod(shape))
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_rollout_and_step_skips_padded_plan_steps(world_cfg, monkeypatch, k):
     """Given per-row horizons, the oracle pass gives with == every plan's
@@ -337,9 +345,9 @@ def test_rollout_and_step_skips_padded_plan_steps(world_cfg, monkeypatch, k):
     d_pad, nxt_pad, d_next_pad, plan_pad = wd.rollout_and_step(state, plans, actions, cfg,
                                                                lean_in)
     seen = {"dls_ik_step": [], "segment_pairs_distance": []}  # configurations per call
-    for name, arg in (("dls_ik_step", 1), ("segment_pairs_distance", 0)):
-        def recorded(*args, _name=name, _arg=arg, _real=getattr(wd, name)):
-            seen[_name].append(len(args[_arg]))
+    for name in seen:
+        def recorded(*args, _name=name, _real=getattr(wd, name)):
+            seen[_name].append(configurations(_name, args))
             return _real(*args)
         monkeypatch.setattr(wd, name, recorded)
     for horizons in (np.array([2, 5, 1, 3, 5, 2, 4]), np.array([1, 3, 3, 1, 2, 1, 3])):
@@ -398,6 +406,123 @@ def test_rollout_and_step_equals_separate_calls(world_cfg, n, horizon):
         assert_array_equal(d_next, wd.min_self_distance(ref, cfg))
         assert d.shape == (horizon, n, k) and d_next.shape == (n,)
         assert (d < 0.0).any()
+
+
+def test_rollout_and_step_labels_alone_without_actions_and_law(world_cfg):
+    """Without actions and law, the pass returns the plans' clearances
+    alone, equal with == to those of the full pass, with and without
+    per-row horizons; actions without a law, or a law without actions,
+    raise."""
+    cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
+    rng = np.random.default_rng(24)
+    state = wd.stack([random_state(rng, cfg, holding=bool(i % 2)) for i in range(4)])
+    plans = rng.uniform(-0.02, 0.02, size=(4, 3, 5, 4))
+    actions = rng.uniform(-0.02, 0.02, size=(4, 4))
+    for horizons in (None, np.array([5, 2, 1, 4])):
+        full = wd.rollout_and_step(state, plans, actions, cfg, lean_in, horizons)[0]
+        alone = wd.rollout_and_step(state, plans, None, cfg, horizons=horizons)
+        assert_array_equal(alone, full)
+    for only_actions, only_law in ((actions, None), (None, lean_in)):
+        with pytest.raises(ValueError, match="actions and law"):
+            wd.rollout_and_step(state, plans, only_actions, cfg, only_law)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_oracle_pass_measures_in_clearance_chunks(world_cfg, monkeypatch, chunk):
+    """The oracle pass measures its configurations in clearance calls of at
+    most CLEARANCE_CHUNK, in order, and every output is the same, with ==,
+    whatever the chunk: with and without actions, and with per-row
+    horizons."""
+    cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
+    rng = np.random.default_rng(27)
+    state = wd.stack([random_state(rng, cfg, holding=bool(i % 2)) for i in range(4)])
+    plans = rng.uniform(-0.02, 0.02, size=(4, 3, 5, 4))
+    actions = rng.uniform(-0.02, 0.02, size=(4, 4))
+    horizons = np.array([5, 2, 1, 4])
+    ref = (wd.rollout_and_step(state, plans, actions, cfg, lean_in),
+           wd.rollout_and_step(state, plans, None, cfg, horizons=horizons))
+    sizes, real = [], wd._clearance
+
+    def recorded(cfg, holding, origins, heading):
+        sizes.append(len(origins))
+        return real(cfg, holding, origins, heading)
+
+    monkeypatch.setattr(wd, "_clearance", recorded)
+    monkeypatch.setattr(wd, "CLEARANCE_CHUNK", chunk)
+    d, nxt, d_next, plan = wd.rollout_and_step(state, plans, actions, cfg, lean_in)
+    for got, want in ((d, ref[0][0]), (d_next, ref[0][2]), (plan, ref[0][3]),
+                      (nxt.q, ref[0][1].q), (nxt.origins, ref[0][1].origins)):
+        assert_array_equal(got, want)
+    measured = 4 * 3 * 5 + 4  # the plans' configurations and the next states
+    assert sizes == [min(chunk, measured - lo) for lo in range(0, measured, chunk)]
+    sizes.clear()
+    assert_array_equal(wd.rollout_and_step(state, plans, None, cfg, horizons=horizons), ref[1])
+    measured = 3 * horizons.sum()
+    assert sizes == [min(chunk, measured - lo) for lo in range(0, measured, chunk)]
+
+
+def test_joint_origins_rebuild_a_states_cached_kinematics(world_cfg, task_params):
+    """`joint_origins` of a state's q gives, with ==, the origins and EE
+    heading the state caches: for reset states, states that `step` and the
+    oracle pass reach (joint limits clipping some of them) in batches of
+    several sizes, and rows taken out of those batches. This is what lets
+    `label_in_passes` rebuild a start state from q alone."""
+    rng = np.random.default_rng(25)
+    states = [wd.task_init(wd.TASK_IDS[i % 2], i, world_cfg, task_params)[0] for i in range(4)]
+    states += [wd.make_state(world_cfg, [2.75, -2.75, 2.75], [-2.75, 2.75, -2.75]),
+               wd.make_state(world_cfg, [-2.75, 2.75, 2.75], [2.75, -2.75, -2.75])]
+    batch = wd.stack(states)
+    reached = [batch]
+    for _ in range(4):
+        batch = wd.step(batch, rng.uniform(-0.3, 0.3, size=(6, 4)), world_cfg)
+        reached.append(batch)
+    assert (np.abs(batch.q) == 2.8).any()  # a joint limit clipped
+    nxt = wd.rollout_and_step(batch, rng.uniform(-0.02, 0.02, size=(6, 2, 3, 4)),
+                              rng.uniform(-0.02, 0.02, size=(6, 4)), world_cfg, lean_in)[1]
+    reached += [nxt, wd.take(nxt, np.array([4, 1])), wd.take(batch, 3), *states]
+    for state in reached:
+        origins, angles = gm.joint_origins(world_cfg.arms, state.q)
+        assert_array_equal(origins, state.origins)
+        assert_array_equal(angles[..., -1], state.heading)
+
+
+def test_label_in_passes_equals_each_rows_labels(world_cfg, monkeypatch):
+    """`label_in_passes` gives each row's K plans, with ==, the labels of
+    the reference loop run from that row's own state over its own horizon,
+    in state row major order. Its passes cover whole rows in order, each
+    measuring at most LABEL_CHUNK plan configurations (K * horizon per
+    row) unless one row alone has more."""
+    cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
+    rng = np.random.default_rng(26)
+    q = np.array([-0.25, 0.0, 0.0])
+    states = [wd.make_state(cfg, q + rng.uniform(-0.3, 0.3, 3), -q + rng.uniform(-0.3, 0.3, 3),
+                            holding_left=i % 3 == 1, holding_right=i % 4 == 2) for i in range(9)]
+    batch = wd.stack(states)
+    horizons = np.array([2, 5, 1, 3, 5, 2, 4, 1, 3])
+    plans = rng.uniform(-0.02, 0.02, size=(9, 3, 5, 4))
+    plans[:, 0] = [0.02, 0.0, -0.02, 0.0]  # both arms lean in and close the gap
+    plans = np.where(np.arange(5)[:, None] < horizons[:, None, None, None], plans, 0.0)
+    ref = []
+    for i, state in enumerate(states):
+        ref += label_plans(state, plans[i, :, :horizons[i]], cfg)
+    assert any(label.y_bin for label in ref) and not all(label.y_bin for label in ref)
+    passes, real_pass = [], wd.rollout_and_step
+
+    def recorded_pass(state, plans, *args, **kwargs):
+        passes.append(kwargs["horizons"].tolist())
+        assert len(state.q) == len(plans) == len(passes[-1]) and plans.shape[2] == max(passes[-1])
+        return real_pass(state, plans, *args, **kwargs)
+
+    monkeypatch.setattr(wd, "rollout_and_step", recorded_pass)
+    for chunk, want in ((1000, [horizons.tolist()]),
+                        (12, [[2], [5], [1, 3], [5], [2], [4], [1, 3]]),
+                        (9, [[2], [5], [1], [3], [5], [2], [4], [1], [3]])):
+        monkeypatch.setattr(wd, "LABEL_CHUNK", chunk)
+        passes.clear()
+        labels = wd.label_in_passes(batch.q, batch.holding, plans, horizons, cfg)
+        assert label_rows(labels) == ref
+        assert passes == want
+        assert all(3 * sum(h) <= chunk or len(h) == 1 for h in want)
 
 
 def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
