@@ -62,10 +62,11 @@ from .geometry import (ArmModel, check_joint_limits, default_arm, dls_ik_step, j
 
 TASK_IDS = ("crossing_transfer", "parallel_place")
 A_MAX = 0.02  # per-component EE increment bound, m/step
-# Episodes advanced together by `lockstep`. The oracle's temporaries grow
-# with the rows of one lockstep step (episodes x candidates x horizon); 64
-# episodes keep gen-data's peak memory near that of one episode at a time
-# and lose little speed to a single batch of every episode.
+# Episodes advanced together by `lockstep`. A step's temporaries grow with
+# its rows (episodes x plans x horizon in the oracle pass of evaluate and
+# the demonstrations); 64 episodes keep peak memory near that of one
+# episode at a time and lose little speed to a single batch of every
+# episode.
 LOCKSTEP_EPISODES = 64
 # Plan configurations (a plan row at one of its steps) that one pass of
 # `label_in_passes` advances and measures at most. A pass makes one
@@ -77,9 +78,10 @@ LOCKSTEP_EPISODES = 64
 LABEL_CHUNK = 1024
 # Configurations that one call of the clearance kernel measures at most in
 # an oracle pass. The kernel's temporaries take about 2.5 KB per
-# configuration, and its time per configuration is lowest near 256 (its
-# arrays stay in cache): 1.6 us there against 2.6 us at 1024 on a 2-vCPU
-# host. A control step of 64 episodes with 5-step plans makes two calls.
+# configuration, so 256 bounds them near 0.6 MB however large a label pass
+# is; on default gen-data the kernel's total time matched that of calls on
+# whole 2.6k-configuration passes. A control step of 64 episodes with
+# 5-step plans makes two calls.
 CLEARANCE_CHUNK = 256
 
 
