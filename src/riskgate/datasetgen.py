@@ -6,12 +6,11 @@ episode draws its nominal plan plus Gaussian-jittered candidates (one
 row, which one kinematics call does for every live episode while it
 extends the carried plan by a row. The candidates are labeled after the
 episodes have run, by simulating them with the exact collision checker
-from their recorded start configurations, in a few chunked oracle passes
-(`world.label_in_passes`) that advance each candidate on its own
-horizon's steps only. Each episode keeps its own random streams, so the
-files are those of running the episodes one at a time. Files are JSONL:
-one header object, then one object per sample, partitioned by curriculum
-horizon.
+from their recorded start configurations: each horizon's rows in a few
+chunked oracle passes of their own (`world.label_in_passes`). Each
+episode keeps its own random streams, so the files are those of running
+the episodes one at a time. Files are JSONL: one header object, then one
+object per sample, partitioned by curriculum horizon.
 
 gen-data builds no object per sample. Each step keeps its arrays: the
 features once per live episode, the start configuration (joint vectors
@@ -277,8 +276,9 @@ def sample_candidates(nominal: np.ndarray, n: int, sigma_a: float, rng, a_max: f
     then a sequence of one generator per row, each drawing its own row's
     noise, so a row gets the candidates it gets alone; one concatenate and
     one clip cover the batch. horizons, when given, holds N integers in
-    [1, H]: row i's candidates are then its plan's first horizons[i] steps,
-    the only ones its generator draws noise for, and zero after them.
+    [1, H]: row i's generator then draws noise for its plan's first
+    horizons[i] steps only, as a call on those steps alone does, and its
+    candidates' later steps carry no noise.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -290,8 +290,6 @@ def sample_candidates(nominal: np.ndarray, n: int, sigma_a: float, rng, a_max: f
     noise = np.zeros((rows, n - 1, horizon, 4))
     for j, (gen, hj) in enumerate(zip(rngs, h, strict=True)):
         noise[j, :, :hj] = gen.normal(0.0, sigma_a, size=(n - 1, hj, 4))
-    if horizons is not None:
-        nominal = np.where(np.arange(horizon)[:, None] < np.array(h)[:, None, None], nominal, 0.0)
     cands = np.concatenate([nominal[:, None], np.clip(nominal[:, None] + noise, -a_max, a_max)],
                            axis=1)
     return cands if batch else cands[0]
@@ -315,10 +313,10 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
     at collision, one check at success.
 
     A candidate's label never steers its episode, so the labels come after
-    the episodes have run: `wd.label_in_passes` labels every recorded
-    candidate over its own horizon, in a few chunked oracle passes. Each
-    file's samples, in (task, episode, step, candidate) order, are written
-    as one `SampleColumns`.
+    the episodes have run: for each horizon h, `wd.label_in_passes` labels
+    the first h steps of that horizon's recorded candidates, in a few
+    chunked oracle passes, and its file's samples, in (task, episode, step,
+    candidate) order, are written as one `SampleColumns`.
 
     Two independent streams per episode: feature noise and candidate
     jitter. Keeping them separate means the executed trajectory (expert,
@@ -363,23 +361,21 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
     live, step_idx, proprio, z, q, holding, cands = zip(*visits)
     del visits
     job, step = np.concatenate(live), np.repeat(step_idx, [len(j) for j in live])
-    # the plans are zero past each row's horizon
     proprio, z, q, holding, plans = (np.concatenate(c) for c in (proprio, z, q, holding, cands))
     del cands
-    labels = wd.label_in_passes(q, holding, plans, horizons[job], world_cfg)
-    y_bin, y_d, y_ttc = (getattr(labels, name).reshape(-1, n) for name in ("y_bin", "y_d", "y_ttc"))
 
     os.makedirs(out_dir, exist_ok=True)
     paths, counts = {}, {}
     for h in gen_cfg.horizons:
         rows = np.flatnonzero(horizons[job] == h)
         rows = rows[np.argsort(job[rows], kind="stable")]  # by episode, each in step order
+        cands = plans[rows, :, :h]
+        labels = wd.label_in_passes(q[rows], holding[rows], cands, world_cfg)
         samples = SampleColumns(
             proprio=proprio[rows], z=z[rows],
             meta=[(*jobs[i], t) for i, t in zip(job[rows].tolist(), step[rows].tolist())],
             feature=np.repeat(np.arange(len(rows)), n), H=np.full(len(rows) * n, h),
-            plan=plans[rows, :, :h].ravel(), y_bin=y_bin[rows].ravel(),
-            y_d=y_d[rows].ravel(), y_ttc=y_ttc[rows].ravel())
+            plan=cands.ravel(), y_bin=labels.y_bin, y_d=labels.y_d, y_ttc=labels.y_ttc)
         order = oversample_near_miss(samples.y_d, gen_cfg.seed, gen_cfg.d_thresh,
                                      gen_cfg.oversample_factor)
         header = make_header([h], samples.y_bin[order], gen_cfg.seed, digest)

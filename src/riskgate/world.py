@@ -42,12 +42,11 @@ row keeps its bits at any batch size, every output equals that of
 
 gen-data's labels never steer its episodes, so it labels them after the
 episodes have run: `label_in_passes` runs the same pass without actions
-or a law over the recorded start configurations and candidates, at most
-LABEL_CHUNK plan configurations at a time. Given per-row horizons (its
-rows mix them, shorter plans padded to the longest), a plan row advances
-and is measured on its own steps only. Every pass measures its
-configurations in clearance calls of at most CLEARANCE_CHUNK, which bounds
-the kernel's temporaries however large the pass.
+or a law over the recorded start configurations and candidates of one
+horizon, whole rows at a time, at most LABEL_CHUNK plan configurations
+per pass. Every pass measures its configurations in clearance calls of at
+most CLEARANCE_CHUNK, which bounds the kernel's temporaries however large
+the pass.
 """
 
 from __future__ import annotations
@@ -69,12 +68,13 @@ A_MAX = 0.02  # per-component EE increment bound, m/step
 # episode.
 LOCKSTEP_EPISODES = 64
 # Plan configurations (a plan row at one of its steps) that one pass of
-# `label_in_passes` advances and measures at most. A pass makes one
-# kinematics call per plan step however many rows it holds, and each
-# configuration costs it about 150 bytes of joint origins until its
-# clearance is measured. 1024 keeps that near 150 KB; on `perfbench`
-# `datagen` (2.5k configurations, three passes) 2048 ran 4% faster, with a
-# 0.2 MB higher peak, and 256 took 10% longer.
+# `label_in_passes` advances and measures at most, unless one row holds
+# more. A pass makes one kinematics call per plan step however many rows
+# it holds, and each configuration costs it about 150 bytes of joint
+# origins until its clearance is measured; 1024 keeps that near 150 KB.
+# `perfbench` `datagen` labels about 2.6k configurations per gen-data, in
+# four passes at 1024 and three at 2048, and ran at the same speed with
+# either (medians of 6 runs each: 14162 and 14204 labeled plans/s).
 LABEL_CHUNK = 1024
 # Configurations that one call of the clearance kernel measures at most in
 # an oracle pass. The kernel's temporaries take about 2.5 KB per
@@ -351,7 +351,7 @@ def step(state: DualArmState, action, cfg: WorldConfig) -> DualArmState:
     return replace(state, q=q, t=state.t + 1, origins=origins, heading=ang[..., -1])
 
 
-def rollout_and_step(state, plans, actions, cfg: WorldConfig, law=None, horizons=None):
+def rollout_and_step(state, plans, actions, cfg: WorldConfig, law=None):
     """One oracle pass for a control step of N episodes, which labels K
     plans per episode and plans the next step; or, without actions and
     law, a pass that labels the plans alone.
@@ -366,20 +366,14 @@ def rollout_and_step(state, plans, actions, cfg: WorldConfig, law=None, horizons
     lead to, H rows in all (the loop `policy.roll_plan` runs). With actions
     and law None, it returns the plans' clearances alone.
 
-    horizons, when given, holds N integers in [1, H]: state row i's plans
-    then advance and are measured on their first horizons[i] steps only,
-    and their later clearances come back +inf. The next state, its
-    clearance and the law's plan do not depend on it.
-
     Step 0 of every plan and the actions advance in one kinematics call,
-    with the arithmetic of `step`; each step i >= 1 of the plans still
-    within their horizon and of the law's prediction in one more. Then one
-    clearance pass, with the arithmetic of `min_self_distance`, covers the
-    plans' configurations, each with its state row's holding flags, and
-    the N next states, in calls of at most CLEARANCE_CHUNK configurations.
-    Raises ValueError unless plans is (N, K, H, 4) with
-    N, K, H >= 1, state a batch of N states, actions (N, 4) and law given
-    together or both None, and horizons, when given, as above.
+    with the arithmetic of `step`; each step i >= 1 of every plan and of
+    the law's prediction in one more. Then one clearance pass, with the
+    arithmetic of `min_self_distance`, covers the plans' configurations,
+    each with its state row's holding flags, and the N next states, in
+    calls of at most CLEARANCE_CHUNK configurations. Raises ValueError
+    unless plans is (N, K, H, 4) with N, K, H >= 1, state a batch of N
+    states, and actions (N, 4) and law given together or both None.
     """
     plans = np.asarray(plans, dtype=float)
     if plans.ndim != 4 or plans.shape[3] != 4 or 0 in plans.shape:
@@ -396,10 +390,6 @@ def rollout_and_step(state, plans, actions, cfg: WorldConfig, law=None, horizons
                          f"shape ({n}, 4), got states {batch} and actions "
                          f"{None if actions is None else actions.shape}")
     m = n * k  # plan rows, state row major
-    live = None
-    if horizons is not None:
-        real = np.arange(horizon)[:, None] < np.repeat(_check_horizons(horizons, n, horizon), k)
-        live = [np.flatnonzero(r) for r in real]  # the plan rows each step advances
     dx = plans.reshape(m, horizon, 2, 2)
     q, pts, step_dx = np.repeat(state.q, k, axis=0), np.repeat(state.origins, k, axis=0), dx[:, 0]
     if e:
@@ -411,26 +401,18 @@ def rollout_and_step(state, plans, actions, cfg: WorldConfig, law=None, horizons
         executed = cur = replace(state, q=q[m:], t=state.t + 1, origins=pts[m:],
                                  heading=ang[m:, :, -1])
         rows.append(law(cur))
-    r = m  # plan rows in q and pts, ahead of the law's e
     for i in range(1, horizon):
         step_dx = dx[:, i]
-        if live is not None and len(live[i]) < m:
-            if len(live[i]) < r:  # drop the rows whose horizon ended
-                keep = np.concatenate([np.searchsorted(live[i - 1], live[i]),
-                                       np.arange(r, r + e)])
-                q, pts, r = q[keep], pts[keep], len(live[i])
-            step_dx = dx[live[i], i]
         if e:
             step_dx = np.concatenate([step_dx, rows[-1].reshape(n, 2, 2)])
         q, pts, ang = _advance(cfg, q, pts, step_dx)
-        traj.append(pts[:r])
-        heading.append(ang[:r, :, -1])
+        traj.append(pts[:m])
+        heading.append(ang[:m, :, -1])
         if e:
-            cur = replace(cur, q=q[r:], t=cur.t + 1, origins=pts[r:], heading=ang[r:, :, -1])
+            cur = replace(cur, q=q[m:], t=cur.t + 1, origins=pts[m:], heading=ang[m:, :, -1])
             rows.append(law(cur))
     # the plans' configurations, step by step, then the N next states
-    holding = np.repeat(state.holding, k, axis=0)
-    holding = np.tile(holding, (horizon, 1)) if live is None else holding[np.nonzero(real)[1]]
+    holding = np.tile(np.repeat(state.holding, k, axis=0), (horizon, 1))
     measured = len(holding)
     if e:
         holding = np.concatenate([holding, state.holding])
@@ -440,81 +422,54 @@ def rollout_and_step(state, plans, actions, cfg: WorldConfig, law=None, horizons
     d = np.concatenate([_clearance(cfg, holding[lo:lo + CLEARANCE_CHUNK],
                                    traj[lo:lo + CLEARANCE_CHUNK], heading[lo:lo + CLEARANCE_CHUNK])
                         for lo in range(0, len(holding), CLEARANCE_CHUNK)])
-    d_plans = d[:measured]
-    if live is not None:
-        d_plans = np.full((horizon, m), np.inf)
-        d_plans[real] = d[:measured]
-    d_plans = d_plans.reshape(horizon, n, k)
+    d_plans = d[:measured].reshape(horizon, n, k)
     if not e:
         return d_plans
     return d_plans, executed, d[measured:], np.stack(rows, axis=1)
 
 
-def _check_horizons(horizons, n: int, horizon: int) -> np.ndarray:
-    h = np.asarray(horizons)
-    if h.shape != (n,) or h.dtype.kind not in "iu" or h.min() < 1 or h.max() > horizon:
-        raise ValueError(f"horizons must be {n} integers in [1, {horizon}]")
-    return h
-
-
-def label_rollouts(d, dt: float, horizons=None) -> RolloutOutcome:
+def label_rollouts(d, dt: float) -> RolloutOutcome:
     """Labels of N rollouts from their (H, N) step clearances, as one
     RolloutOutcome of (N,) arrays (y_bin as ints).
 
-    Row i counts only its first horizons[i] steps (all H when horizons is
-    None), so a shorter plan padded to H is labeled as if run alone, and
-    its later clearances are never read. Each row is labeled up to and
-    including its first penetrating step, as if it stopped there: y_d is
-    the minimum clearance over those steps.
+    Each row is labeled up to and including its first penetrating step, as
+    if it stopped there: y_d is the minimum clearance over those steps.
     """
     d = np.asarray(d, dtype=float)
-    horizon, n = d.shape
-    steps = np.arange(horizon)[:, None]
+    horizon = len(d)
     hit = d < 0.0
-    h = horizon
-    if horizons is not None:
-        h = _check_horizons(horizons, n, horizon)
-        hit &= steps < h
     y_bin = hit.any(axis=0)
-    last = np.where(y_bin, hit.argmax(axis=0), h - 1)  # last step each row labels
-    y_d = np.where(steps <= last, d, np.inf).min(axis=0)
-    y_ttc = np.where(y_bin, (last + 1) * dt, h * dt)
+    last = np.where(y_bin, hit.argmax(axis=0), horizon - 1)  # last step each row labels
+    y_d = np.where(np.arange(horizon)[:, None] <= last, d, np.inf).min(axis=0)
+    y_ttc = np.where(y_bin, (last + 1) * dt, horizon * dt)
     return RolloutOutcome(y_bin=y_bin.astype(int), y_d=y_d, y_ttc=y_ttc)
 
 
-def label_in_passes(q, holding, plans, horizons, cfg: WorldConfig) -> RolloutOutcome:
-    """Labels of K plans from each of N start configurations, in passes of
-    `rollout_and_step` over at most LABEL_CHUNK plan configurations each.
+def label_in_passes(q, holding, plans, cfg: WorldConfig) -> RolloutOutcome:
+    """Labels of K plans of H rows from each of N start configurations, in
+    passes of `rollout_and_step` over whole rows, at most LABEL_CHUNK plan
+    configurations each (one row when its K * H alone exceed it).
 
     q (N, 2, n) and holding (N, 2) are the start states' joint vectors and
-    holding flags, plans (N, K, H, 4) their plans and horizons N integers
-    in [1, H]: row i's plans run their first horizons[i] steps. A pass
+    holding flags, plans (N, K, H, 4) their plans, with N >= 0. A pass
     rebuilds its start states' joint origins and EE headings with
     `joint_origins`, which gives the values a state caches; grippers and
-    time never enter a label, so they are zero there. A row's K plans
-    never split over passes, so a pass goes past the chunk only when one
-    row alone does. Returns one RolloutOutcome of (N * K,) arrays, in
-    state row major order, the labels `label_rollouts` gives each row's
-    plans over its own horizon.
+    time never enter a label, so they are zero there. Returns one
+    RolloutOutcome of (N * K,) arrays, in state row major order: the
+    labels `label_rollouts` gives each row's plans.
     """
     plans = np.asarray(plans, dtype=float)
     n, k, horizon = plans.shape[:3]
-    h = _check_horizons(horizons, n, horizon)
-    ends = np.cumsum(k * h)  # plan configurations up to and including each row
-    parts, lo = [], 0
-    while lo < n:
-        done = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + LABEL_CHUNK, side="right")))
+    per_pass = max(1, LABEL_CHUNK // (k * horizon))
+    d = np.empty((horizon, n * k))
+    for lo in range(0, n, per_pass):
+        hi = min(lo + per_pass, n)
         origins, angles = joint_origins(cfg.arms, q[lo:hi])
         start = DualArmState(q=q[lo:hi], g=np.zeros(holding[lo:hi].shape),
                              holding=holding[lo:hi], t=np.zeros(hi - lo, dtype=int),
                              origins=origins, heading=angles[..., -1])
-        h_max = int(h[lo:hi].max())
-        d = rollout_and_step(start, plans[lo:hi, :, :h_max], None, cfg, horizons=h[lo:hi])
-        parts.append(label_rollouts(d.reshape(h_max, -1), cfg.dt, np.repeat(h[lo:hi], k)))
-        lo = hi
-    return RolloutOutcome(*(np.concatenate([getattr(p, f.name) for p in parts])
-                            for f in fields(RolloutOutcome)))
+        d[:, lo * k:hi * k] = rollout_and_step(start, plans[lo:hi], None, cfg).reshape(horizon, -1)
+    return label_rollouts(d, cfg.dt)
 
 
 def scene_feature(state: DualArmState, task: Task, noise_sigma: float = 0.0,

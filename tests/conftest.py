@@ -53,10 +53,10 @@ def label_rows(labels):
     return [labels.row(i) for i in range(len(labels.y_bin))]
 
 
-def label_plans(state, plans, cfg, horizons=None):
+def label_plans(state, plans, cfg):
     """Reference labels of N (H, 4) plans, one RolloutOutcome each:
     `label_rollouts` of their `plan_clearances`."""
-    return label_rows(wd.label_rollouts(plan_clearances(state, plans, cfg), cfg.dt, horizons))
+    return label_rows(wd.label_rollouts(plan_clearances(state, plans, cfg), cfg.dt))
 
 
 def pytest_terminal_summary(terminalreporter):

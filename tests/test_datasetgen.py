@@ -9,7 +9,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import label_plans
-from test_world import configurations
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
 from riskgate import policy as pol
@@ -36,8 +35,7 @@ def test_sample_candidates_box_and_identity(world_cfg):
 def test_sample_candidates_batch_equals_each_rows_own_call(world_cfg):
     """One call over N nominal plans, each row with its own generator,
     gives every row with == the candidates of its own call, on its own
-    horizon's steps, zero after them, and leaves each generator where its
-    own call does."""
+    horizon's steps, and leaves each generator where its own call does."""
     rng = np.random.default_rng(6)
     nominal = rng.uniform(-0.03, 0.03, size=(4, 5, 4))
     horizons = np.array([2, 5, 1, 3])
@@ -50,7 +48,6 @@ def test_sample_candidates_batch_equals_each_rows_own_call(world_cfg):
             ref_gen = np.random.default_rng(10 + j)
             ref = dg.sample_candidates(nominal[j, :hj], 6, 0.02, ref_gen, world_cfg.a_max)
             assert_array_equal(cands[j, :, :hj], ref)
-            assert (cands[j, :, hj:] == 0.0).all()
             assert gens[j].random() == ref_gen.random()
 
 
@@ -392,6 +389,14 @@ def test_config_validation():
             dg.DatagenConfig(**bad)
 
 
+def configurations(name, args):
+    """The configurations a `dls_ik_step` call (joint origins (..., 2, n+1,
+    2)) or a `segment_pairs_distance` call (coordinate planes (2, ...,
+    pairs)) works on."""
+    shape = args[1].shape[:-3] if name == "dls_ik_step" else args[0].shape[1:-1]
+    return int(np.prod(shape))
+
+
 def one_episode_at_a_time(gen_cfg, world_cfg, task_params):
     """Reference generator: each episode alone, from the per-episode calls.
     Returns the samples per horizon, in (task, episode, step) order, and
@@ -426,20 +431,6 @@ def one_episode_at_a_time(gen_cfg, world_cfg, task_params):
     return by_h, endings
 
 
-def label_passes(rows, k, chunk):
-    """The horizons of the rows of each label pass of `wd.label_in_passes`
-    over rows of these horizons: whole rows in order, as many as fit in
-    chunk plan configurations (k * horizon each), and at least one."""
-    passes, size = [], chunk
-    for h in rows:
-        if size + k * h > chunk:
-            passes.append([])
-            size = 0
-        passes[-1].append(h)
-        size += k * h
-    return passes
-
-
 @pytest.mark.parametrize("group", [wd.LOCKSTEP_EPISODES, 4])
 def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
                                                monkeypatch, group):
@@ -454,13 +445,12 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
     one `wd.step` call, one `dls_ik_step` call on its N live rows and the
     N states their plans' last rows are chosen at, and one clearance call
     on the N next states. The labels come after every step of every group,
-    from passes of whole rows in step order, each within LABEL_CHUNK plan
-    configurations: step i of a pass's kinematics sees K rows per row whose
-    horizon exceeds i, and its clearance calls K * h configurations per
-    row of horizon h, K * sum(h) in all, in blocks of CLEARANCE_CHUNK. With
-    groups of 4, a group's
-    longest-horizon episode ends first, and the longest live horizon
-    shrinks under the plan gen-data carries."""
+    one horizon h at a time in write order, from passes of whole rows, each
+    LABEL_CHUNK // (K * h) rows (at least one) but the last: each of a
+    pass's h kinematics calls sees K rows per row, and its clearance K * h
+    configurations per row, in blocks of CLEARANCE_CHUNK. With groups of 4,
+    a group's longest-horizon episode ends first, and the longest live
+    horizon shrinks under the plan gen-data carries."""
     monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
     cfg = dg.DatagenConfig(episodes_per_task=3, horizons=(2, 3, 5), oversample_factor=1, seed=4)
     calls = {"dls_ik_step": 0, "step": 0, "segment_pairs_distance": 0}
@@ -515,7 +505,7 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
     groups = [per_job[lo:lo + group] for lo in range(0, len(per_job), group)]
     assert rolls == [((4, 4, 0), [("dls_ik_step", len(g))] * 4) for g in groups]
     assert calls["step"] == sum(counts[1] for counts, _ in rolls) + len(per_step) - 1
-    k, want, rows = cfg.n_candidates, [], []
+    k, want = cfg.n_candidates, []
     for g in groups:
         for t in range(max(n for _, n in g)):
             live = [h for h, n in g if n > t]
@@ -523,16 +513,18 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
             want.append((tuple(a + b for a, b in zip(roll[0], (1, 1, 1))),
                          roll[1] + [("dls_ik_step", 2 * len(live)),
                                     ("segment_pairs_distance", len(live))]))
-            rows += live
     assert per_step == want + ["end"]  # every label pass comes after the last step
-    blocks = [[min(wd.CLEARANCE_CHUNK, k * sum(hs) - lo)
-               for lo in range(0, k * sum(hs), wd.CLEARANCE_CHUNK)]
-              for hs in label_passes(rows, k, wd.LABEL_CHUNK)]
-    assert passes == [((max(hs), 0, len(b)),
-                       [("dls_ik_step", k * sum(h > i for h in hs)) for i in range(max(hs))]
-                       + [("segment_pairs_distance", size) for size in b])
-                      for hs, b in zip(label_passes(rows, k, wd.LABEL_CHUNK), blocks)]
-    assert 1 < len(passes) < len(want) and max(map(len, blocks)) > 1
+    want = []
+    for h in cfg.horizons:
+        rows = sum(n for hj, n in per_job if hj == h)  # one per step of each episode of h
+        per_pass = max(1, wd.LABEL_CHUNK // (k * h))
+        for lo in range(0, rows, per_pass):
+            size = k * h * min(per_pass, rows - lo)
+            blocks = [min(wd.CLEARANCE_CHUNK, size - b) for b in range(0, size, wd.CLEARANCE_CHUNK)]
+            want.append(((h, 0, len(blocks)), [("dls_ik_step", size // h)] * h
+                         + [("segment_pairs_distance", b) for b in blocks]))
+    assert passes == want
+    assert len(passes) > len(cfg.horizons) and max(counts[2] for counts, _ in passes) > 1
     longest_ends_first = [max(n for h, n in g if h == max(g)[0]) < max(n for _, n in g)
                           for g in groups]
     assert any(longest_ends_first) == (group == 4)

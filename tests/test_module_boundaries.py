@@ -320,41 +320,58 @@ def test_every_state_and_task_field_is_read():
 def orphaned_definitions(sources, others=()):
     """`module.name` of each top-level function and class of sources
     ({module: source}) that no code names outside its own definition: not
-    another part of sources, nor any source in others. A name counts as
-    read as a bare name or as an attribute (`wd.step`)."""
-    def names(node):
-        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                if isinstance(n, (ast.Name, ast.Attribute))}
-
-    seen_outside = set()
-    for source in others:
-        seen_outside |= names(ast.parse(source))
-    defs = []
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((module, node.name))
-            else:
-                seen_outside |= names(node)
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                # a definition's own body (recursion) does not keep it alive
-                seen_outside |= names(node) - {node.name}
-    return [f"{module}.{name}" for module, name in defs if name not in seen_outside]
+    another part of sources, nor any source in others. Its own module
+    names it as a bare name. Other code names it through a module alias
+    (`from . import world as wd`, then `wd.step`) or as a bare name it
+    imports (`from .world import step`); any other bare name there is a
+    binding of its own, such as a local of the same name."""
+    named = set()  # (module, name)
+    for module, source in [*sources.items(), *((None, source) for source in others)]:
+        tree = ast.parse(source)
+        aliases, imported = {}, {}  # local name -> module, local name -> (module, name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module in (None, "riskgate"):  # a module of the package
+                        aliases[local] = alias.name
+                    else:
+                        imported[local] = (node.module.rsplit(".", 1)[-1], alias.name)
+        for top in tree.body:
+            # a definition's own body (recursion) does not keep it alive
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for n in ast.walk(top):
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                    if n.value.id in aliases:
+                        named.add((aliases[n.value.id], n.attr))
+                elif isinstance(n, ast.Name) and n.id != own:
+                    named.add(imported.get(n.id, (module, n.id)))
+    return [f"{module}.{node.name}" for module, source in sources.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and (module, node.name) not in named]
 
 
 def test_orphaned_definition_checker():
+    """Besides recursion, a bare name in another module keeps nothing alive
+    unless that module imports it: `loss` below is a local of
+    `policy.fit`, not `estimator.loss`."""
     sources = {"world": ("def step(s):\n    return _advance(s)\n"
                          "def _advance(s):\n    return s\n"
                          "def _unused(s):\n    return _unused(s - 1)\n"
                          "class Orphan:\n    def helper(self):\n        return Orphan\n"
                          "class Kept:\n    pass\n"
                          "LOOKUP = {'k': Kept}\n"),
-               "harness": "from . import world as wd\ndef run(s):\n    return wd.step(s)\n"}
-    assert orphaned_definitions(sources) == ["world._unused", "world.Orphan", "harness.run"]
-    assert orphaned_definitions(sources, ["def test_run(s):\n    assert run(s)\n"]) == [
-        "world._unused", "world.Orphan"]
+               "harness": "from . import world as wd\ndef run(s):\n    return wd.step(s)\n",
+               "estimator": "def loss(p):\n    return p\ndef grad(p):\n    return p\n",
+               "policy": ("from .estimator import grad as g\n"
+                          "def fit(x):\n    loss = x - 1\n    return g(loss)\n")}
+    assert orphaned_definitions(sources) == ["world._unused", "world.Orphan", "harness.run",
+                                             "estimator.loss", "policy.fit"]
+    tests = ["from riskgate.harness import run\nfrom riskgate import estimator as est\n"
+             "def test_run(s):\n    assert run(s) and est.loss(s)\n",
+             "def test_fit(x):\n    fit = x\n    assert fit\n"]
+    assert orphaned_definitions(sources, tests) == ["world._unused", "world.Orphan", "policy.fit"]
 
 
 def test_every_definition_is_named_outside_itself():
@@ -367,6 +384,9 @@ def test_every_definition_is_named_outside_itself():
 TEST_ONLY_DEFINITIONS = {
     "geometry.forward_kinematics": "the reference `joint_origins` is tested against",
     "metrics.measure_latency": "runs acceptance criterion 9",
+    "estimator.loss": "the independent per-sample re-derivation that `batch_mean_loss` checks "
+                      "the batch loss against",
+    "estimator.grad": "runs acceptance criterion 2",
 }
 
 

@@ -290,7 +290,7 @@ def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch)
     """One kinematics call moves both arms: `step` computes joint origins
     once, and `rollout_and_step` (its next plan included) once per horizon
     step whatever the N states and K plans per state, with one clearance
-    pass, with or without per-row horizons."""
+    pass."""
     calls = {"joint_origins": 0, "segment_pairs_distance": 0}
     for name in calls:
         def counting(*args, _name=name, _real=getattr(wd, name)):
@@ -305,71 +305,11 @@ def test_oracle_runs_joint_origins_once_per_arm_per_step(world_cfg, monkeypatch)
     plans = np.random.default_rng(16).uniform(-0.005, 0.005, size=(8, 3, 5, 4))
     for n in (1, 8):
         for k in (1, 3):
-            for horizons in (None, np.arange(n) % 5 + 1):
-                calls.update(joint_origins=0, segment_pairs_distance=0)
-                d = wd.rollout_and_step(wd.stack([state] * n), plans[:n, :k], plans[:n, 0, 0],
-                                        world_cfg, lean_in, horizons)[0]
-                assert d.shape == (5, n, k) and (d > 0.0).all()
-                assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
-
-
-def configurations(name, args):
-    """The configurations a `dls_ik_step` call (joint origins (..., 2, n+1,
-    2)) or a `segment_pairs_distance` call (coordinate planes (2, ...,
-    pairs)) works on."""
-    shape = args[1].shape[:-3] if name == "dls_ik_step" else args[0].shape[1:-1]
-    return int(np.prod(shape))
-
-
-@pytest.mark.parametrize("k", [1, 3])
-def test_rollout_and_step_skips_padded_plan_steps(world_cfg, monkeypatch, k):
-    """Given per-row horizons, the oracle pass gives with == every plan's
-    clearances on its real steps, the next state, its clearance and the
-    next plan of the padded call, and +inf on the padded steps, which
-    `label_rollouts` never reads. Each plan row is advanced and measured on
-    its real steps only: step i's kinematics see K rows per state row of
-    horizon > i plus the N next-state rows, and the clearance pass K *
-    horizons[i] rows per state row plus N. Holding mixes, intra-arm pairs,
-    inflation and rows that penetrate are on; the longest horizon may be
-    below H."""
-    cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
-    rng = np.random.default_rng(23)
-    q = np.array([-0.25, 0.0, 0.0])
-    flags = [(False, False), (True, False), (False, True), (True, True)] * 2
-    state = wd.stack([wd.make_state(cfg, q + rng.uniform(-0.3, 0.3, 3),
-                                    -q + rng.uniform(-0.3, 0.3, 3), holding_left=left,
-                                    holding_right=right) for left, right in flags[:7]])
-    plans = rng.uniform(-0.02, 0.02, size=(7, k, 5, 4))
-    plans[:, 0] = [0.02, 0.0, -0.02, 0.0]  # both arms lean in and close the gap
-    actions = rng.uniform(-0.02, 0.02, size=(7, 4))
-    d_pad, nxt_pad, d_next_pad, plan_pad = wd.rollout_and_step(state, plans, actions, cfg,
-                                                               lean_in)
-    seen = {"dls_ik_step": [], "segment_pairs_distance": []}  # configurations per call
-    for name in seen:
-        def recorded(*args, _name=name, _real=getattr(wd, name)):
-            seen[_name].append(configurations(_name, args))
-            return _real(*args)
-        monkeypatch.setattr(wd, name, recorded)
-    for horizons in (np.array([2, 5, 1, 3, 5, 2, 4]), np.array([1, 3, 3, 1, 2, 1, 3])):
-        for v in seen.values():
-            v.clear()
-        d, nxt, d_next, plan = wd.rollout_and_step(state, plans, actions, cfg, lean_in,
-                                                   horizons)
-        real = np.broadcast_to(np.arange(5)[:, None, None] < horizons[:, None], d.shape)
-        assert_array_equal(d[real], d_pad[real])
-        assert (d[~real] == np.inf).all() and (d[real] < 0.0).any()
-        assert label_rows(wd.label_rollouts(d.reshape(5, -1), cfg.dt, np.repeat(horizons, k))) \
-            == label_rows(wd.label_rollouts(d_pad.reshape(5, -1), cfg.dt, np.repeat(horizons, k)))
-        for f in ("q", "g", "holding", "t", "origins", "heading"):
-            assert_array_equal(getattr(nxt, f), getattr(nxt_pad, f), err_msg=f)
-        assert_array_equal(d_next, d_next_pad)
-        assert_array_equal(plan, plan_pad)
-        assert seen["dls_ik_step"] == [k * (horizons > i).sum() + 7 for i in range(5)]
-        # one clearance pass: the cross-arm pairs, then each arm's own
-        assert seen["segment_pairs_distance"] == [k * horizons.sum() + 7] * 3
-    for bad in ([0] * 7, [6] * 7, [2.0] * 7, [2] * 6, [[2] * 7]):
-        with pytest.raises(ValueError, match="horizons must be"):
-            wd.rollout_and_step(state, plans, actions, cfg, lean_in, np.array(bad))
+            calls.update(joint_origins=0, segment_pairs_distance=0)
+            d = wd.rollout_and_step(wd.stack([state] * n), plans[:n, :k], plans[:n, 0, 0],
+                                    world_cfg, lean_in)[0]
+            assert d.shape == (5, n, k) and (d > 0.0).all()
+            assert calls == {"joint_origins": 5, "segment_pairs_distance": 1}
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -410,18 +350,15 @@ def test_rollout_and_step_equals_separate_calls(world_cfg, n, horizon):
 
 def test_rollout_and_step_labels_alone_without_actions_and_law(world_cfg):
     """Without actions and law, the pass returns the plans' clearances
-    alone, equal with == to those of the full pass, with and without
-    per-row horizons; actions without a law, or a law without actions,
-    raise."""
+    alone, equal with == to those of the full pass; actions without a
+    law, or a law without actions, raise."""
     cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
     rng = np.random.default_rng(24)
     state = wd.stack([random_state(rng, cfg, holding=bool(i % 2)) for i in range(4)])
     plans = rng.uniform(-0.02, 0.02, size=(4, 3, 5, 4))
     actions = rng.uniform(-0.02, 0.02, size=(4, 4))
-    for horizons in (None, np.array([5, 2, 1, 4])):
-        full = wd.rollout_and_step(state, plans, actions, cfg, lean_in, horizons)[0]
-        alone = wd.rollout_and_step(state, plans, None, cfg, horizons=horizons)
-        assert_array_equal(alone, full)
+    full = wd.rollout_and_step(state, plans, actions, cfg, lean_in)[0]
+    assert_array_equal(wd.rollout_and_step(state, plans, None, cfg), full)
     for only_actions, only_law in ((actions, None), (None, lean_in)):
         with pytest.raises(ValueError, match="actions and law"):
             wd.rollout_and_step(state, plans, only_actions, cfg, only_law)
@@ -431,16 +368,14 @@ def test_rollout_and_step_labels_alone_without_actions_and_law(world_cfg):
 def test_oracle_pass_measures_in_clearance_chunks(world_cfg, monkeypatch, chunk):
     """The oracle pass measures its configurations in clearance calls of at
     most CLEARANCE_CHUNK, in order, and every output is the same, with ==,
-    whatever the chunk: with and without actions, and with per-row
-    horizons."""
+    whatever the chunk, with and without actions."""
     cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
     rng = np.random.default_rng(27)
     state = wd.stack([random_state(rng, cfg, holding=bool(i % 2)) for i in range(4)])
     plans = rng.uniform(-0.02, 0.02, size=(4, 3, 5, 4))
     actions = rng.uniform(-0.02, 0.02, size=(4, 4))
-    horizons = np.array([5, 2, 1, 4])
     ref = (wd.rollout_and_step(state, plans, actions, cfg, lean_in),
-           wd.rollout_and_step(state, plans, None, cfg, horizons=horizons))
+           wd.rollout_and_step(state, plans, None, cfg))
     sizes, real = [], wd._clearance
 
     def recorded(cfg, holding, origins, heading):
@@ -456,8 +391,8 @@ def test_oracle_pass_measures_in_clearance_chunks(world_cfg, monkeypatch, chunk)
     measured = 4 * 3 * 5 + 4  # the plans' configurations and the next states
     assert sizes == [min(chunk, measured - lo) for lo in range(0, measured, chunk)]
     sizes.clear()
-    assert_array_equal(wd.rollout_and_step(state, plans, None, cfg, horizons=horizons), ref[1])
-    measured = 3 * horizons.sum()
+    assert_array_equal(wd.rollout_and_step(state, plans, None, cfg), ref[1])
+    measured = 4 * 3 * 5
     assert sizes == [min(chunk, measured - lo) for lo in range(0, measured, chunk)]
 
 
@@ -488,41 +423,45 @@ def test_joint_origins_rebuild_a_states_cached_kinematics(world_cfg, task_params
 
 def test_label_in_passes_equals_each_rows_labels(world_cfg, monkeypatch):
     """`label_in_passes` gives each row's K plans, with ==, the labels of
-    the reference loop run from that row's own state over its own horizon,
-    in state row major order. Its passes cover whole rows in order, each
-    measuring at most LABEL_CHUNK plan configurations (K * horizon per
-    row) unless one row alone has more."""
+    the reference loop run from that row's own state, in state row major
+    order. Its passes cover whole rows in order, LABEL_CHUNK // (K * H) of
+    them (at least one) each, the last pass the rest; no rows give empty
+    label arrays and make no pass."""
     cfg = replace(world_cfg, include_intra_arm=True, inflation=0.01)
     rng = np.random.default_rng(26)
     q = np.array([-0.25, 0.0, 0.0])
     states = [wd.make_state(cfg, q + rng.uniform(-0.3, 0.3, 3), -q + rng.uniform(-0.3, 0.3, 3),
                             holding_left=i % 3 == 1, holding_right=i % 4 == 2) for i in range(9)]
     batch = wd.stack(states)
-    horizons = np.array([2, 5, 1, 3, 5, 2, 4, 1, 3])
-    plans = rng.uniform(-0.02, 0.02, size=(9, 3, 5, 4))
-    plans[:, 0] = [0.02, 0.0, -0.02, 0.0]  # both arms lean in and close the gap
-    plans = np.where(np.arange(5)[:, None] < horizons[:, None, None, None], plans, 0.0)
-    ref = []
-    for i, state in enumerate(states):
-        ref += label_plans(state, plans[i, :, :horizons[i]], cfg)
-    assert any(label.y_bin for label in ref) and not all(label.y_bin for label in ref)
     passes, real_pass = [], wd.rollout_and_step
 
-    def recorded_pass(state, plans, *args, **kwargs):
-        passes.append(kwargs["horizons"].tolist())
-        assert len(state.q) == len(plans) == len(passes[-1]) and plans.shape[2] == max(passes[-1])
-        return real_pass(state, plans, *args, **kwargs)
+    def recorded_pass(state, plans, *args):
+        lo = sum(passes)
+        assert_array_equal(state.q, batch.q[lo:lo + len(plans)])
+        assert plans.shape[1:3] == (k, horizon)
+        passes.append(len(plans))
+        return real_pass(state, plans, *args)
 
     monkeypatch.setattr(wd, "rollout_and_step", recorded_pass)
-    for chunk, want in ((1000, [horizons.tolist()]),
-                        (12, [[2], [5], [1, 3], [5], [2], [4], [1, 3]]),
-                        (9, [[2], [5], [1], [3], [5], [2], [4], [1], [3]])):
-        monkeypatch.setattr(wd, "LABEL_CHUNK", chunk)
+    # chunk 7 holds two rows of K * H = 3 configurations, and no row of 15
+    for k, horizon, by_chunk in ((3, 5, {1: [1] * 9, 7: [1] * 9, 1000: [9]}),
+                                 (1, 3, {1: [1] * 9, 7: [2, 2, 2, 2, 1], 1000: [9]})):
+        plans = rng.uniform(-0.02, 0.02, size=(9, k, horizon, 4))
+        plans[:, 0] = [0.02, 0.0, -0.02, 0.0]  # both arms lean in and close the gap
+        ref = []
+        for state, row in zip(states, plans):
+            ref += label_plans(state, row, cfg)
+        assert any(label.y_bin for label in ref) and not all(label.y_bin for label in ref)
+        for chunk, want in by_chunk.items():
+            monkeypatch.setattr(wd, "LABEL_CHUNK", chunk)
+            passes.clear()
+            assert label_rows(wd.label_in_passes(batch.q, batch.holding, plans, cfg)) == ref
+            assert passes == want
         passes.clear()
-        labels = wd.label_in_passes(batch.q, batch.holding, plans, horizons, cfg)
-        assert label_rows(labels) == ref
-        assert passes == want
-        assert all(3 * sum(h) <= chunk or len(h) == 1 for h in want)
+        empty = wd.label_in_passes(batch.q[:0], batch.holding[:0], plans[:0], cfg)
+        for name in ("y_bin", "y_d", "y_ttc"):
+            assert getattr(empty, name).shape == (0,)
+        assert passes == []
 
 
 def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
@@ -627,35 +566,23 @@ def test_batch_mixing_holding_flags_equals_each_rows_own_call(world_cfg, mixed):
                                    err_msg=f)
 
 
-def test_rollout_batch_per_row_states_and_horizons(world_cfg):
-    """Plans from their own states in one oracle pass, padded to the
-    longest horizon, are labeled as each plan's own pass over its unpadded
-    rows; padding never counts."""
+def test_rollout_batch_per_row_states(world_cfg):
+    """Plans from their own states in one oracle pass are labeled as each
+    plan's own pass."""
     rng = np.random.default_rng(20)
     q = np.array([-0.25, 0.0, 0.0])
-    states, plans, horizons = [], [], []
+    states, plans = [], []
     for i in range(12):
-        h = (2, 3, 5)[i % 3]
         v = (0.02, 0.006, -0.02, 0.0)[i % 4]
         states.append(wd.make_state(world_cfg, q + rng.uniform(-0.05, 0.05, 3),
                                     -q + rng.uniform(-0.05, 0.05, 3)))
-        plan = np.tile([v, 0.0, -v, 0.0], (5, 1)) + rng.uniform(-0.002, 0.002, (5, 4))
-        plan[h:] = [0.02, 0.0, -0.02, 0.0]  # padding that would collide if it counted
-        plans.append(plan)
-        horizons.append(h)
+        plans.append(np.tile([v, 0.0, -v, 0.0], (5, 1)) + rng.uniform(-0.002, 0.002, (5, 4)))
     d = oracle_clearance(wd.stack(states), np.array(plans)[:, None], world_cfg)[..., 0]
-    out = label_rows(wd.label_rollouts(d, world_cfg.dt, horizons))
-    assert out == label_plans(wd.stack(states), plans, world_cfg, horizons)
-    for s, plan, h, label in zip(states, plans, horizons, out):
-        assert label == rollout(s, plan[:h], world_cfg)
+    out = label_rows(wd.label_rollouts(d, world_cfg.dt))
+    assert out == label_plans(wd.stack(states), plans, world_cfg)
+    for s, plan, label in zip(states, plans, out):
+        assert label == rollout(s, plan, world_cfg)
     assert {o.y_bin for o in out} == {0, 1}
-    assert len({o.y_ttc for o in out if o.y_bin == 0}) == 3  # censored at 2, 3 and 5 steps
-    # rows that the padding would have made collide are labeled collision-free
-    assert any(o.y_bin == 0 and rollout(s, plan, world_cfg).y_bin == 1
-               for s, plan, o in zip(states, plans, out))
-    for bad in ([5] * 11, [0] + [5] * 11, [6] * 12, [2.0] * 12):
-        with pytest.raises(ValueError):
-            wd.label_rollouts(d, world_cfg.dt, bad)
 
 
 def test_rollout_censors_ttc_at_horizon(world_cfg):
