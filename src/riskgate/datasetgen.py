@@ -25,12 +25,11 @@ repr is that text. It renders each feature row's text once and each
 sample's line once; a sample written more than once keeps its line only
 until its last copy is written.
 
-Samples are validated as columns by one check, `_check_columns`.
-`Sample(...)` runs it on one row; `write_dataset` runs it once per file,
-on the rows it writes; `read_dataset` parses line by line, then converts
-and checks slices of `_READ_SLICE` lines at a time, and names the first
-bad line. Validated columns become samples through `_assemble`, which
-checks nothing again.
+Samples are validated as columns by one check, `_check_columns`:
+`write_dataset` runs it once per file, on the rows it writes;
+`read_dataset` parses line by line, then converts and checks slices of
+`_READ_SLICE` lines at a time, names the first bad line, and builds each
+`Sample(...)` from checked columns. `Sample` itself checks nothing.
 """
 
 from __future__ import annotations
@@ -60,8 +59,9 @@ class Sample:
     """One labeled candidate plan.
 
     The fields hold float64 arrays, an int H, a label of Python scalars and
-    a (str, int, int) meta. `Sample(...)` coerces them to these types and
-    raises ValueError unless they pass `_check_columns`.
+    a (str, int, int) meta, as `read_dataset` builds them from checked
+    columns; the constructor neither converts nor checks them, and
+    `write_dataset` checks the samples it writes.
     """
 
     proprio: np.ndarray
@@ -70,36 +70,6 @@ class Sample:
     H: int
     label: wd.RolloutOutcome
     meta: tuple  # (task_id, episode seed, step index)
-
-    def __post_init__(self):
-        proprio = np.asarray(self.proprio, dtype=float)
-        z = np.asarray(self.z, dtype=float)
-        plan = np.asarray(self.plan, dtype=float)
-        label = self.label
-        _check_columns(proprio[None], z[None], plan.ravel(), [plan.size], [self.H],
-                       [label.y_bin], [label.y_d], [label.y_ttc])
-        task_id, seed, step = self.meta
-        for name, value in (
-                ("proprio", proprio), ("z", z), ("plan", plan.reshape(-1, 4)),
-                ("H", int(self.H)),
-                ("label", wd.RolloutOutcome(y_bin=int(label.y_bin), y_d=float(label.y_d),
-                                            y_ttc=float(label.y_ttc))),
-                ("meta", (str(task_id), int(seed), int(step)))):
-            object.__setattr__(self, name, value)
-
-
-def _assemble(proprio, z, plan, H, label, meta) -> Sample:
-    """A Sample of fields that `_check_columns` passed and that already
-    have Sample's types; nothing is checked again."""
-    s = object.__new__(Sample)
-    setattr_ = object.__setattr__  # Sample is frozen
-    setattr_(s, "proprio", proprio)
-    setattr_(s, "z", z)
-    setattr_(s, "plan", plan)
-    setattr_(s, "H", H)
-    setattr_(s, "label", label)
-    setattr_(s, "meta", meta)
-    return s
 
 
 class _BadSample(ValueError):
@@ -418,11 +388,14 @@ def write_dataset(path, header: DatasetHeader, samples: SampleColumns, order=Non
     (each sample once, in order, when order is None), each the text of
     `json.dumps(obj, sort_keys=True)` for the sample's object. Raises
     ValueError, writing nothing, unless the header counts len(order)
-    samples and the samples pass `_check_columns`."""
+    samples, the plan column holds 4*H values per sample and the samples
+    pass `_check_columns`."""
     s = samples
     order = np.arange(len(s.H)) if order is None else np.asarray(order)
     if header.counts["samples"] != len(order):
         raise ValueError("header sample count disagrees with body")
+    if len(s.plan) != 4 * s.H.sum():
+        raise ValueError(f"plan must hold 4*H values, {4 * s.H.sum()} in all, got {len(s.plan)}")
     _check_columns(s.proprio[s.feature], s.z[s.feature], s.plan, 4 * s.H, s.H,
                    s.y_bin, s.y_d, s.y_ttc)
     meta = [f"[{encode_basestring_ascii(task_id)}, {seed}, {step}]"
@@ -467,8 +440,8 @@ def _samples_from_rows(rows, horizons) -> list:
     labels = map(wd.RolloutOutcome, y_bin.astype(int).tolist(), y_d.tolist(), y_ttc.tolist())
     # each sample owns copies of its rows: views would keep the whole
     # slice's columns alive for as long as any one sample is kept
-    return [_assemble(p.copy(), zz.copy(), plan_values[end - 4 * h:end].reshape(h, 4).copy(),
-                      h, label, (str(m[0]), int(m[1]), int(m[2])))
+    return [Sample(p.copy(), zz.copy(), plan_values[end - 4 * h:end].reshape(h, 4).copy(),
+                   h, label, (str(m[0]), int(m[1]), int(m[2])))
             for p, zz, end, h, label, m in zip(proprio, z, ends, H.astype(int).tolist(),
                                                labels, metas)]
 

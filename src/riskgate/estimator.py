@@ -23,10 +23,13 @@ once. The forward, predict_risk and risk_plan_gradient take any leading
 batch shape: numpy's matmul makes one call per leading block, so scoring E
 groups of N plans as (E, N, H, 4) gives each group the bits of its own
 (N, H, 4) call, and E descent rows scored as (E, 1, H, 4) each get the
-bits of a single (H, 4) plan. Training batches that mix horizons pass a
-step mask; inference and single-horizon training phases pass none (every
-step is real), which skips the mask multiply and count and gives the bits
-of an all-ones mask.
+bits of a single (H, 4) plan. Only a batch that mixes horizons carries a
+step mask, and only the forward reads it: scoring the mixed-horizon
+held-out set. Training takes one-horizon batches, so the backward has no
+mask; a batch without one gives the bits of an all-ones mask.
+
+Both networks' checkpoints go through one writer, `write_checkpoint`, and
+one checked reader, `read_checkpoint`, with a per-kind field rule table.
 """
 
 from __future__ import annotations
@@ -145,12 +148,14 @@ def init_params(seed: int = 0, d_model: int = D_MODEL, ttc_cap: float = TTC_CAP)
 
 
 @functools.lru_cache(maxsize=None)
-def positional_encoding(horizon: int, dim: int = POS_ENC_DIM) -> np.ndarray:
-    """Interleaved (sin, cos) pairs; pe(0) = (0, 1, 0, 1, ...).
+def positional_encoding(horizon: int) -> np.ndarray:
+    """(horizon, POS_ENC_DIM) interleaved (sin, cos) pairs; pe(0) = (0, 1,
+    0, 1, ...).
 
     Every forward pass needs it, so one read-only array is kept per
-    (horizon, dim).
+    horizon.
     """
+    dim = POS_ENC_DIM
     pe = np.empty((horizon, dim))
     pos = np.arange(horizon)[:, None]
     freqs = 1.0 / np.power(10000.0, 2.0 * np.arange(dim // 2) / dim)
@@ -162,17 +167,19 @@ def positional_encoding(horizon: int, dim: int = POS_ENC_DIM) -> np.ndarray:
 
 @dataclass
 class SampleBatch:
-    """Padded, masked arrays for a set of labeled samples.
+    """The arrays of a set of labeled samples.
 
-    plan is (B, H_pad, 4) right-padded with zero rows; mask marks real steps.
-    `train` sets mask to None on a phase whose steps are all real, which
-    runs the mask-free forward and backward.
+    plan is (B, H, 4). When the samples' plans differ in length, shorter
+    plans are right-padded with zero rows to the longest, H, and mask marks
+    the real steps; when they all have H steps, mask is None. Only the
+    forward takes a padded batch (`risk_batch`, `heldout_nll`,
+    `calibrate_temperature`); `train` and `grad` raise on one.
     """
 
     proprio: np.ndarray      # (B, 14)
     z: np.ndarray            # (B, 10)
-    plan: np.ndarray         # (B, H_pad, 4)
-    mask: np.ndarray | None  # (B, H_pad), 1.0 for real steps
+    plan: np.ndarray         # (B, H, 4)
+    mask: np.ndarray | None  # (B, H), 1.0 for real steps; None when all are
     y_bin: np.ndarray        # (B,)
     y_d: np.ndarray          # (B,)
     y_ttc: np.ndarray        # (B,)
@@ -188,8 +195,9 @@ class SampleBatch:
 
 
 def stack_batch(samples) -> SampleBatch:
-    """Pad objects with proprio, z, plan and label (y_bin, y_d, y_ttc)
-    attributes into one SampleBatch."""
+    """One SampleBatch of objects with proprio, z, plan and label (y_bin,
+    y_d, y_ttc) attributes; padded and masked only if the plans differ in
+    length."""
     plans = [np.asarray(s.plan, dtype=float).reshape(-1, ACTION_DIM) for s in samples]
     h_pad = max(p.shape[0] for p in plans)
     n = len(samples)
@@ -201,7 +209,7 @@ def stack_batch(samples) -> SampleBatch:
     return SampleBatch(
         proprio=np.array([s.proprio for s in samples], dtype=float),
         z=np.array([s.z for s in samples], dtype=float),
-        plan=plan, mask=mask,
+        plan=plan, mask=None if mask.all() else mask,
         y_bin=np.array([s.label.y_bin for s in samples], dtype=float),
         y_d=np.array([s.label.y_d for s in samples], dtype=float),
         y_ttc=np.array([s.label.y_ttc for s in samples], dtype=float),
@@ -294,13 +302,11 @@ def _score(params: EstimatorParams, ctx: EncodedContext, plan, mask=None):
     R = attn @ ctx.V                                                     # (...,H,d)
     R += act
     if mask is None:
-        counts = None
         pooled = R.sum(axis=-2)
         pooled /= H
     else:
-        counts = mask.sum(axis=-1)                                       # (...,)
         pooled = (mask[..., None] * R).sum(axis=-2)
-        pooled /= counts[..., None]
+        pooled /= mask.sum(axis=-1)[..., None]
 
     t1 = pooled @ w["w_trunk1"]
     t1 += w["b_trunk1"]
@@ -315,7 +321,7 @@ def _score(params: EstimatorParams, ctx: EncodedContext, plan, mask=None):
     ttc = np.minimum(ttc_sp, params.ttc_cap)
 
     cache = dict(vars(ctx), U=U, act=act, Q=Q, attn=attn, pooled=pooled, t1=t1, t2=t2,
-                 ttc_raw=ttc_raw, ttc_sp=ttc_sp, mask=mask, counts=counts)
+                 ttc_raw=ttc_raw, ttc_sp=ttc_sp)
     return logit, dist, ttc, cache
 
 
@@ -332,8 +338,8 @@ def _plan_backward(params: EstimatorParams, cache, g_t2):
     Returns taps, the upstream gradient at each layer the plan path
     crosses: `_plan_grad` forms the plan gradient from them, and
     _backward_batch the parameter gradients. The context branch (key,
-    value, proprio, vision) feeds no plan gradient and is skipped. A cache
-    without a mask gives the bits of an all-ones mask.
+    value, proprio, vision) feeds no plan gradient and is skipped. The
+    cache is of an unmasked forward: every step is real.
     """
     w = params.weights
     d = params.d_model
@@ -344,11 +350,8 @@ def _plan_backward(params: EstimatorParams, cache, g_t2):
     a1 = g_t1 * (1.0 - c["t1"] ** 2)
     g_pooled = a1 @ w["w_trunk1"].T
 
-    if c["mask"] is None:
-        H = c["act"].shape[-2]
-        g_R = np.repeat((1.0 / H) * g_pooled[..., None, :], H, axis=-2)
-    else:
-        g_R = (c["mask"] / c["counts"][..., None])[..., None] * g_pooled[..., None, :]
+    H = c["act"].shape[-2]
+    g_R = np.repeat((1.0 / H) * g_pooled[..., None, :], H, axis=-2)
     g_O = g_R  # attention branch; the residual branch passes g_R to act
 
     g_attn = g_O @ c["V"].mT                                               # (...,H,2)
@@ -549,10 +552,10 @@ def loss(pred: RiskPrediction, label, cfg: TrainConfig):
 
 
 def _batch_loss_and_grads(params: EstimatorParams, batch: SampleBatch, wgt, cfg: TrainConfig):
-    """Mean loss over the batch, its exact parameter gradients and the plan
-    path's taps (`_backward_batch`); wgt is the batch's `_sample_weights`."""
-    logit, dist, ttc, cache = _forward_batch(params, batch.proprio, batch.z,
-                                             batch.plan, batch.mask)
+    """Mean loss over a one-horizon batch, its exact parameter gradients and
+    the plan path's taps (`_backward_batch`); wgt is the batch's
+    `_sample_weights`."""
+    logit, dist, ttc, cache = _forward_batch(params, batch.proprio, batch.z, batch.plan)
     n = len(batch)
     y = batch.y_bin
     bce = wgt * _bce_from_logit(logit, y)
@@ -569,13 +572,14 @@ def _batch_loss_and_grads(params: EstimatorParams, batch: SampleBatch, wgt, cfg:
 
 
 def grad(params: EstimatorParams, batch: SampleBatch, cfg: TrainConfig):
-    """Exact gradients of the mean batch loss.
+    """Exact gradients of the mean loss of a one-horizon batch.
 
     Returns (param_grads, plan_grads): a dict congruent to params.weights
-    and a (B, H, 4) array of per-sample plan-input gradients.
+    and a (B, H, 4) array of per-sample plan-input gradients. Raises
+    ValueError on an empty or a padded batch.
     """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
+    if len(batch) == 0 or batch.mask is not None:
+        raise ValueError("grad takes a non-empty batch of one horizon")
     wgt = _sample_weights(batch.y_bin, batch.y_ttc, cfg)
     _, param_grads, taps = _batch_loss_and_grads(params, batch, wgt, cfg)
     return param_grads, _plan_grad(params, taps)
@@ -596,20 +600,21 @@ def train(dataset_phases, cfg: TrainConfig,
           params: EstimatorParams | None = None) -> EstimatorParams:
     """SGD with momentum over curriculum phases in increasing-horizon order.
 
-    Each phase is a SampleBatch (shorter plans already right-padded with a
-    mask). Shuffle order is fixed by cfg.seed, so identical inputs give
-    identical weights. Raises RuntimeError if the loss goes non-finite.
-    The params given are left as they are.
+    Each phase is a one-horizon SampleBatch, as every phase that gen-data
+    or post-train makes; a padded phase raises ValueError before any
+    training. Phases run in increasing order of their plans' horizon.
+    Shuffle order is fixed by cfg.seed, so identical inputs give identical
+    weights. Raises RuntimeError if the loss goes non-finite. The params
+    given are left as they are.
 
     The weights, their velocity and the gradient are each one flat vector
     (the returned weights are views into it), so the momentum update is a
     few elementwise ops on the whole vector. Each epoch gathers its phase
-    once, in shuffled order, and takes every batch as a slice of it. A
-    phase of one horizon (an all-ones mask, as every phase that gen-data
-    or post-train makes) runs the mask-free forward and backward, which
-    give the bits of the masked ones.
+    once, in shuffled order, and takes every batch as a slice of it.
     """
-    phases = sorted(dataset_phases, key=lambda b: int(b.mask.sum(axis=1).max()) if len(b) else 0)
+    if any(b.mask is not None for b in dataset_phases):
+        raise ValueError("train takes one-horizon phases; a phase mixes plan horizons")
+    phases = sorted(dataset_phases, key=lambda b: b.plan.shape[1])
     if params is None:
         params = init_params(cfg.seed)
     flat, weights = flat_weights(params.weights)
@@ -622,8 +627,6 @@ def train(dataset_phases, cfg: TrainConfig,
         n = len(batch_all)
         if n == 0:
             continue
-        if batch_all.mask.all():
-            batch_all = replace(batch_all, mask=None)
         wgt_all = _sample_weights(batch_all.y_bin, batch_all.y_ttc, cfg)
         for _ in range(cfg.epochs_per_phase):
             order = rng.permutation(n)
@@ -650,13 +653,13 @@ def heldout_nll(params: EstimatorParams, batch: SampleBatch, temperature: float)
     return float(np.mean(_bce_from_logit(logit / temperature, batch.y_bin)))
 
 
-def calibrate_temperature(params: EstimatorParams, heldout: SampleBatch,
-                          lo: float = 0.25, hi: float = 4.0, iters: int = 40) -> float:
+def calibrate_temperature(params: EstimatorParams, heldout: SampleBatch) -> float:
     """Fit the temperature on held-out data by golden-section search.
 
-    Minimizes held-out NLL over T in [lo, hi]; the result never exceeds the
-    NLL at T=1 (T=1 wins any tie), so calibration cannot hurt. Stores T on
-    params and returns it. Raises ValueError on a single-class held-out set.
+    Minimizes held-out NLL over T in [0.25, 4] in 40 steps; the result
+    never exceeds the NLL at T=1 (T=1 wins any tie), so calibration cannot
+    hurt. Stores T on params and returns it. Raises ValueError on a
+    single-class held-out set.
     """
     y = heldout.y_bin
     if not (np.any(y > 0.5) and np.any(y < 0.5)):
@@ -668,11 +671,11 @@ def calibrate_temperature(params: EstimatorParams, heldout: SampleBatch,
         return float(np.mean(_bce_from_logit(logit / t, y)))
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 0.25, 4.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = nll(c), nll(d)
-    for _ in range(iters):
+    for _ in range(40):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -688,90 +691,118 @@ def calibrate_temperature(params: EstimatorParams, heldout: SampleBatch,
     return params.temperature
 
 
-def save_params(params: EstimatorParams, path) -> None:
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "kind": "risk_estimator",
-        "dims": {
-            "d_model": params.d_model,
-            "action": ACTION_DIM, "proprio": PROPRIO_DIM, "vision": VISION_DIM,
-            "pos_enc": POS_ENC_DIM,
-        },
-        "shapes": {k: list(v.shape) for k, v in params.weights.items()},
-        "weights": {k: v.ravel().tolist() for k, v in params.weights.items()},
-        "temperature": params.temperature,
-        "ttc_cap": params.ttc_cap,
-        "config_digest": params.config_digest,
-    }
+
+
+def _positive(v) -> bool:
+    return type(v) in (int, float) and 0 < v < math.inf  # bools and NaN fail
+
+
+_POSITIVE, _STRING = (_positive, "a finite number > 0"), (lambda v: type(v) is str, "a string")
+# per checkpoint kind: the fields written after the weights, in order, each
+# with its rule and the rule's description
+CHECKPOINT_FIELDS = {
+    "risk_estimator": {"temperature": _POSITIVE, "ttc_cap": _POSITIVE, "config_digest": _STRING},
+    "policy": {"a_max": _POSITIVE, "config_digest": _STRING},
+}
+
+
+def write_checkpoint(path, kind: str, dims: dict, weights: dict, **fields) -> None:
+    """Write a checkpoint on one line: a JSON object of format_version,
+    kind, dims, the weights' shapes and flat values, then the kind's
+    `CHECKPOINT_FIELDS`."""
+    payload = {"format_version": CHECKPOINT_VERSION, "kind": kind, "dims": dims,
+               "shapes": {k: list(v.shape) for k, v in weights.items()},
+               "weights": {k: v.ravel().tolist() for k, v in weights.items()}, **fields}
     with open(path, "w") as f:
         f.write(json.dumps(payload) + "\n")
 
 
-def checkpoint_weights(payload: dict, specs) -> dict:
-    """A checkpoint's arrays, in the checkpoint's order, checked against
-    (name, shape) specs: exactly the specs' names, each with its spec's
-    shape and every value finite. Raises ValueError naming the first bad
-    weight."""
-    weights, shapes = payload.get("weights"), payload.get("shapes")
+def read_checkpoint(path, kind: str, dims_rule, specs) -> tuple[dict, dict]:
+    """(weights, fields) of a checkpoint of this kind: the weights in the
+    (name, shape) order of specs(dims), and fields holding dims and the
+    kind's `CHECKPOINT_FIELDS`.
+
+    Raises ValueError, starting with the path, naming the first fault: not
+    a JSON object, a version other than CHECKPOINT_VERSION, another kind,
+    top-level keys other than those written, dims or a field that breaks
+    its (rule, description), or a weight that is missing, extra, misshapen
+    or not finite.
+    """
+    rules = {"dims": dims_rule, **CHECKPOINT_FIELDS[kind]}
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+        if not isinstance(payload, dict):
+            raise ValueError(f"not a checkpoint: a JSON {type(payload).__name__}")
+        version = payload.get("format_version")
+        if type(version) is not int or version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version!r}")
+        if payload.get("kind") != kind:
+            raise ValueError(f"not a {kind} checkpoint: kind={payload.get('kind')!r}")
+        keys = {"format_version", "kind", "shapes", "weights", *rules}
+        if payload.keys() != keys:
+            raise ValueError(f"checkpoint keys {sorted(payload)}, not {sorted(keys)}")
+        for key, (ok, rule) in rules.items():
+            if not ok(payload[key]):
+                raise ValueError(f"checkpoint {key} must be {rule}, got {payload[key]!r}")
+        weights = _checkpoint_weights(payload["weights"], payload["shapes"],
+                                      specs(payload["dims"]))
+    except ValueError as e:
+        why = f"not JSON: {e}" if isinstance(e, json.JSONDecodeError) else e
+        raise ValueError(f"{path}: {why}") from None
+    return weights, {key: payload[key] for key in rules}
+
+
+def _checkpoint_weights(weights, shapes, specs) -> dict:
+    """The arrays of a checkpoint's weights and shapes, checked against
+    (name, shape) specs, in their order: exactly the specs' names, each
+    with its spec's shape and every value finite. Raises ValueError naming
+    the first bad weight."""
     if not isinstance(weights, dict) or not isinstance(shapes, dict):
-        raise ValueError("checkpoint lacks its weights or shapes")
-    expected = dict(specs)
-    missing = [name for name in expected if name not in weights]
-    if missing:
-        raise ValueError(f"checkpoint lacks weight {missing[0]!r}")
-    out = {}
-    for name, values in weights.items():
-        if name not in expected:
-            raise ValueError(f"checkpoint has unknown weight {name!r}")
-        shape = expected[name]
-        if shapes.get(name) != list(shape):
+        raise ValueError("checkpoint weights and shapes must be objects")
+    expected = {name: list(shape) for name, shape in specs}
+    for name in {**weights, **expected}:
+        if name not in weights or name not in expected:
+            raise ValueError(f"checkpoint {'lacks' if name in expected else 'has unknown'} "
+                             f"weight {name!r}")
+        if shapes.get(name) != expected[name]:
             raise ValueError(f"weight {name!r} has shape {shapes.get(name)!r}, "
-                             f"expected {list(shape)}")
+                             f"expected {expected[name]}")
+    out = {}
+    for name, shape in specs:
         try:
-            arr = np.array(values, dtype=float)
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"weight {name!r} is not a list of numbers: {e}") from None
-        if arr.shape != (int(np.prod(shape)),):
-            raise ValueError(f"weight {name!r} holds {arr.size} values, "
-                             f"expected {int(np.prod(shape))}")
+            arr = np.array(weights[name], dtype=float)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.shape != (math.prod(shape),):
+            raise ValueError(f"weight {name!r} must be a list of {math.prod(shape)} numbers")
         if not np.isfinite(arr).all():
             raise ValueError(f"weight {name!r} has non-finite values")
         out[name] = arr.reshape(shape)
     return out
 
 
-def checkpoint_positive(payload: dict, key: str) -> float:
-    """payload[key] as a float; raises ValueError naming the key unless it
-    is a finite number > 0."""
-    try:
-        value = float(payload[key])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"checkpoint {key} must be a number, got {payload.get(key)!r}") from None
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"checkpoint {key} must be finite and > 0, got {value}")
-    return value
+# the estimator's input widths, which its checkpoint's dims record after d_model
+_INPUT_DIMS = {"action": ACTION_DIM, "proprio": PROPRIO_DIM, "vision": VISION_DIM,
+               "pos_enc": POS_ENC_DIM}
+
+
+def save_params(params: EstimatorParams, path) -> None:
+    write_checkpoint(path, "risk_estimator", {"d_model": params.d_model, **_INPUT_DIMS},
+                     params.weights, temperature=params.temperature, ttc_cap=params.ttc_cap,
+                     config_digest=params.config_digest)
 
 
 def load_params(path) -> EstimatorParams:
-    """Read an estimator checkpoint; raises ValueError on a wrong version or
-    kind, a `dims.d_model` or `config_digest` of the wrong type, or a
-    weight, temperature or ttc_cap that `checkpoint_weights` or
-    `checkpoint_positive` rejects."""
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-    if payload.get("kind") != "risk_estimator":
-        raise ValueError(f"not a risk estimator checkpoint: kind={payload.get('kind')!r}")
-    dims = payload.get("dims")
-    d_model = dims.get("d_model") if isinstance(dims, dict) else None
-    if not isinstance(d_model, int) or isinstance(d_model, bool) or d_model < 1:
-        raise ValueError(f"checkpoint dims.d_model must be an integer >= 1, got {d_model!r}")
-    digest = payload.get("config_digest")
-    if not isinstance(digest, str):
-        raise ValueError(f"checkpoint config_digest must be a string, got {digest!r}")
-    return EstimatorParams(weights=checkpoint_weights(payload, _weight_specs(d_model)),
-                           temperature=checkpoint_positive(payload, "temperature"),
-                           d_model=d_model,
-                           ttc_cap=checkpoint_positive(payload, "ttc_cap"),
-                           config_digest=digest)
+    """Read an estimator checkpoint; raises ValueError starting with the
+    path on anything `read_checkpoint` rejects, dims other than an int
+    d_model >= 1 and the estimator's input widths included."""
+    dims_rule = (lambda v: type(v) is dict and v.keys() == {"d_model", *_INPUT_DIMS}
+                 and all(type(n) is int for n in v.values()) and v["d_model"] >= 1
+                 and all(v[k] == n for k, n in _INPUT_DIMS.items()),
+                 f"an int d_model >= 1 and the estimator's {_INPUT_DIMS}")
+    weights, f = read_checkpoint(path, "risk_estimator", dims_rule,
+                                 lambda dims: _weight_specs(dims["d_model"]))
+    return EstimatorParams(weights=weights, temperature=float(f["temperature"]),
+                           d_model=f["dims"]["d_model"], ttc_cap=float(f["ttc_cap"]),
+                           config_digest=f["config_digest"])

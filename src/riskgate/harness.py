@@ -485,9 +485,10 @@ def episode_grid(cfg: cf.RunConfig) -> list:
             for i in range(cfg.tasks.episodes_per_task)]
 
 
-def evaluate(cfg: cf.RunConfig, mode: str | None = None,
-             write_logs: bool = True) -> MetricsReport:
-    """Run the full episode grid for one mode and aggregate the report.
+def evaluate(cfg: cf.RunConfig, mode: str | None = None) -> MetricsReport:
+    """Run the full episode grid for one mode, write every episode's log to
+    eval.logs_dir, and aggregate the report, which it writes to
+    eval.report_path.
 
     Episode seeds derive from (config seed, task, index) only, so the same
     seeds pair up across modes. Workers > 1 split the job list into
@@ -506,16 +507,14 @@ def evaluate(cfg: cf.RunConfig, mode: str | None = None,
     else:
         logs = run_episodes(setup, jobs)
 
-    if write_logs:
-        os.makedirs(cfg.eval.logs_dir, exist_ok=True)
-        for lg in logs:
-            write_episode_log(lg, episode_log_path(cfg.eval.logs_dir, lg))
+    os.makedirs(cfg.eval.logs_dir, exist_ok=True)
+    for lg in logs:
+        write_episode_log(lg, episode_log_path(cfg.eval.logs_dir, lg))
 
     report = aggregate_metrics(logs, setup.gate_cfg, setup.mode, cfg.seed)
-    if write_logs:
-        with open(cfg.eval.report_path, "w") as f:
-            json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+    with open(cfg.eval.report_path, "w") as f:
+        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
+        f.write("\n")
     return report
 
 
@@ -530,15 +529,16 @@ def report_shape(task_ids, mode: str) -> dict:
     return aggregate_metrics(logs, sg.GateConfig(), mode, 0).to_dict()
 
 
-def report_from_logs(cfg: cf.RunConfig, logs_dir=None) -> MetricsReport:
-    """Rebuild the metrics report purely from persisted episode logs.
+def report_from_logs(cfg: cf.RunConfig) -> MetricsReport:
+    """Rebuild the metrics report purely from the episode logs in
+    eval.logs_dir.
 
     The logs must be one mode's run of exactly the config's episode grid
     (`episode_grid`); logs that mix modes, a log from another grid (a
     stale one from an earlier run, say) and a missing log each raise
     ValueError.
     """
-    logs_dir = logs_dir or cfg.eval.logs_dir
+    logs_dir = cfg.eval.logs_dir
     paths = sorted(p for p in os.listdir(logs_dir) if p.endswith(".jsonl"))
     if not paths:
         raise FileNotFoundError(f"no episode logs in {logs_dir}")

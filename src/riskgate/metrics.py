@@ -95,8 +95,8 @@ class CalibrationReport:
     table: list  # rows: {lo, hi, count, confidence, accuracy}
 
 
-def compute_calibration(risks, labels, n_bins: int = 10) -> CalibrationReport:
-    """Expected calibration error over equal-width risk bins.
+def compute_calibration(risks, labels) -> CalibrationReport:
+    """Expected calibration error over 10 equal-width risk bins.
 
     ECE = sum over non-empty bins of (count/total) * |accuracy - confidence|.
     """
@@ -104,6 +104,7 @@ def compute_calibration(risks, labels, n_bins: int = 10) -> CalibrationReport:
     labels = np.asarray(labels, dtype=float)
     if len(risks) == 0:
         raise ValueError("empty evaluation set")
+    n_bins = 10
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     idx = np.clip(np.digitize(risks, edges[1:-1]), 0, n_bins - 1)
     ece = 0.0

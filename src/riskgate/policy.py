@@ -20,7 +20,6 @@ row leads to.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -321,33 +320,23 @@ def post_train_estimator(est_params: est.EstimatorParams, records,
 
 
 POLICY_CHECKPOINT_KIND = "policy"
+_DIMS = {"input": POLICY_IN, "hidden": POLICY_HIDDEN, "output": POLICY_OUT}
+_SPECS = [("w1", (POLICY_IN, POLICY_HIDDEN)), ("b1", (POLICY_HIDDEN,)),
+          ("w2", (POLICY_HIDDEN, POLICY_OUT)), ("b2", (POLICY_OUT,))]
 
 
 def save_policy(params: PolicyParams, path, config_digest: str = "") -> None:
-    payload = {
-        "format_version": est.CHECKPOINT_VERSION,
-        "kind": POLICY_CHECKPOINT_KIND,
-        "dims": {"input": POLICY_IN, "hidden": POLICY_HIDDEN, "output": POLICY_OUT},
-        "shapes": {name: list(arr.shape) for name, arr in params.weight_items()},
-        "weights": {name: arr.ravel().tolist() for name, arr in params.weight_items()},
-        "a_max": params.a_max,
-        "config_digest": config_digest,
-    }
-    with open(path, "w") as f:
-        f.write(json.dumps(payload) + "\n")
+    est.write_checkpoint(path, POLICY_CHECKPOINT_KIND, _DIMS, dict(params.weight_items()),
+                         a_max=params.a_max, config_digest=config_digest)
 
 
 def load_policy(path) -> PolicyParams:
-    """Read a policy checkpoint; raises ValueError on a wrong version or
-    kind, or arrays or an a_max that `est.checkpoint_weights` or
-    `est.checkpoint_positive` rejects."""
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("format_version") != est.CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-    if payload.get("kind") != POLICY_CHECKPOINT_KIND:
-        raise ValueError(f"not a policy checkpoint: kind={payload.get('kind')!r}")
-    arrs = est.checkpoint_weights(payload, [
-        ("w1", (POLICY_IN, POLICY_HIDDEN)), ("b1", (POLICY_HIDDEN,)),
-        ("w2", (POLICY_HIDDEN, POLICY_OUT)), ("b2", (POLICY_OUT,))])
-    return PolicyParams(**arrs, a_max=est.checkpoint_positive(payload, "a_max"))
+    """Read a policy checkpoint; raises ValueError starting with the path
+    on anything `est.read_checkpoint` rejects: dims other than the
+    policy's, an a_max that is not a finite number > 0, a config_digest
+    that is not a string, or a bad weight."""
+    arrs, fields = est.read_checkpoint(
+        path, POLICY_CHECKPOINT_KIND,
+        (lambda v: v == _DIMS and all(type(n) is int for n in v.values()), f"the policy's {_DIMS}"),
+        lambda dims: _SPECS)
+    return PolicyParams(**arrs, a_max=float(fields["a_max"]))

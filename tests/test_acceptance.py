@@ -155,7 +155,7 @@ def test_criterion_02_gradient_exactness(tiny_data):
     eps = 1e-6
     for _ in range(12):
         i = int(rng.integers(len(batch)))
-        h = int(batch.mask[i].sum())
+        h = batch.plan.shape[1] if batch.mask is None else int(batch.mask[i].sum())
         j, k = int(rng.integers(h)), int(rng.integers(4))
         orig = float(batch.plan[i, j, k])
         batch.plan[i, j, k] = orig + eps

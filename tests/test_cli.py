@@ -135,13 +135,14 @@ def test_latency_summarizes_the_logged_steps(micro_run):
                                                        if lg.task_id == tid)}
 
 
-def test_gated_evaluate_scores_only_its_episodes(micro_run, monkeypatch):
+def test_gated_evaluate_scores_only_its_episodes(micro_run, monkeypatch, tmp_path):
     """A gated evaluate calls estimator.predict_risk exactly as often as the
     run_episodes of its episode grid does: no synthetic timing loop."""
     monkeypatch.chdir(micro_run["root"])
     cfg = cf.load_config(micro_run["cfg_path"])
     cfg.tasks.episodes_per_task = 2
     cfg.eval.workers = 1
+    cfg.eval.logs_dir, cfg.eval.report_path = str(tmp_path / "logs"), str(tmp_path / "r.json")
     calls = []
     predict_risk = est.predict_risk
 
@@ -153,7 +154,7 @@ def test_gated_evaluate_scores_only_its_episodes(micro_run, monkeypatch):
     hn.run_episodes(hn.prepare_setup(cfg, "gated"), hn.episode_grid(cfg))
     in_episodes = len(calls)
     calls.clear()
-    hn.evaluate(cfg, "gated", write_logs=False)
+    hn.evaluate(cfg, "gated")
     assert in_episodes > 0 and len(calls) == in_episodes
 
 
@@ -393,6 +394,31 @@ def test_dataset_errors_name_the_file(micro_run, tmp_path, capsys):
     assert f"error: ValueError: {train_file}: malformed sample at line 2: 'z'" in err
     assert ckpt.read_bytes() == (root / "est.json").read_bytes()
     assert held.read_text().splitlines()[0] == json.dumps(head)
+
+
+def test_checkpoint_errors_name_the_file(micro_run, tmp_path, capsys):
+    """An estimator checkpoint that holds a JSON list (read by calibrate)
+    and a fine-tuned policy whose a_max is true (read by evaluate) each
+    exit 2 with an error that starts with that file's path."""
+    root = micro_run["root"]
+    ckpt, policy = tmp_path / "est.json", tmp_path / "pol_ft.json"
+    ckpt.write_text("[]\n")
+    payload = json.loads((root / "pol_ft.json").read_text())
+    policy.write_text(json.dumps({**payload, "a_max": True}) + "\n")
+    base = json.loads(micro_run["cfg_path"].read_text())
+    base["estimator"] = dict(base["estimator"], checkpoint_path=str(ckpt),
+                             heldout_path=str(root / "heldout.jsonl"))
+    base["policy"] = dict(base["policy"], finetuned_path=str(policy))
+    base["gate"] = dict(base["gate"], thresholds_path=str(root / "thresholds.json"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base))
+
+    capsys.readouterr()
+    assert cli.main(["calibrate", "--config", str(cfg_path)]) == 2
+    assert f"error: ValueError: {ckpt}: not a checkpoint" in capsys.readouterr().err
+    ckpt.write_bytes((root / "est.json").read_bytes())
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--mode", "gated+finetuned"]) == 2
+    assert f"error: ValueError: {policy}: checkpoint a_max must be" in capsys.readouterr().err
 
 
 def test_evaluate_asserts(tmp_path):

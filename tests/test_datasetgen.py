@@ -222,24 +222,47 @@ def test_read_checks_the_header(tiny_data, tmp_path, edit, what):
 
 
 @pytest.mark.parametrize("edit, what", [
-    (lambda kw: kw.update(proprio=np.zeros(13)), "proprio"),
-    (lambda kw: kw.update(z=np.zeros((2, 5))), "z must hold"),
-    (lambda kw: kw.update(plan=np.zeros((3, 4))), "plan"),
-    (lambda kw: kw.update(H=0, plan=np.zeros((0, 4))), "H must be"),
-    (lambda kw: kw.update(plan=np.full((2, 4), np.inf)), "plan"),
-    (lambda kw: kw.update(label=wd.RolloutOutcome(y_bin=1, y_d=0.1, y_ttc=0.2)), "y_bin !="),
-    (lambda kw: kw.update(label=wd.RolloutOutcome(y_bin=0, y_d=0.1, y_ttc=np.nan)), "y_ttc"),
+    (lambda c: c.update(proprio=np.zeros((1, 13))), "proprio"),
+    (lambda c: c.update(z=np.zeros((1, 11))), "z must hold"),
+    (lambda c: c.update(plan=np.zeros(12)), "plan"),
+    (lambda c: c.update(H=np.array([0]), plan=np.zeros(0)), "H must be"),
+    (lambda c: c.update(plan=np.full(8, np.inf)), "plan"),
+    (lambda c: c.update(y_bin=np.array([1])), "y_bin !="),
+    (lambda c: c.update(y_ttc=np.array([np.nan])), "y_ttc"),
 ])
-def test_sample_runs_the_column_check(edit, what):
-    kw = dict(proprio=np.zeros(est.PROPRIO_DIM), z=np.zeros(est.VISION_DIM),
-              plan=np.zeros(8), H=2, label=wd.RolloutOutcome(y_bin=0, y_d=0.5, y_ttc=0.2),
-              meta=("crossing_transfer", np.int64(3), 4))
-    s = dg.Sample(**kw)
-    assert s.plan.shape == (2, 4) and s.meta == ("crossing_transfer", 3, 4)
-    assert type(s.meta[1]) is int and type(s.label.y_d) is float
-    edit(kw)
+def test_write_runs_the_column_check(tmp_path, edit, what):
+    """`write_dataset` raises ValueError naming the fault, and writes
+    nothing, on a sample of the wrong widths, an H below 1, plan values
+    other than 4*H, a non-finite plan or y_ttc, or a y_bin that disagrees
+    with y_d; the unedited sample writes and reads back."""
+    cols = dict(proprio=np.zeros((1, est.PROPRIO_DIM)), z=np.zeros((1, est.VISION_DIM)),
+                meta=[("crossing_transfer", 3, 4)], feature=np.array([0]), H=np.array([2]),
+                plan=np.zeros(8), y_bin=np.array([0]), y_d=np.array([0.5]),
+                y_ttc=np.array([0.2]))
+    path = tmp_path / "d.jsonl"
+    dg.write_dataset(path, dg.make_header([2], cols["y_bin"], 0, "x"), dg.SampleColumns(**cols))
+    assert len(dg.read_dataset(path).samples) == 1
+    path.unlink()
+    edit(cols)
     with pytest.raises(ValueError, match=what):
-        dg.Sample(**kw)
+        dg.write_dataset(path, dg.make_header([2], cols["y_bin"], 0, "x"),
+                         dg.SampleColumns(**cols))
+    assert not path.exists()
+
+
+def test_read_samples_have_their_field_types(tiny_data):
+    """`read_dataset` builds each Sample from checked columns: float64
+    arrays of their shapes, each its own copy, a Python int H, a label of
+    a Python int and floats, and a (str, int, int) meta."""
+    for h in (2, 3):
+        for s in dg.read_dataset(tiny_data["paths"][h]).samples[:100]:
+            for arr, shape in ((s.proprio, (est.PROPRIO_DIM,)), (s.z, (est.VISION_DIM,)),
+                               (s.plan, (h, 4))):
+                assert arr.dtype == np.float64 and arr.shape == shape and arr.base is None
+            assert type(s.H) is int and s.H == h
+            assert type(s.label) is wd.RolloutOutcome
+            assert [type(v) for v in asdict(s.label).values()] == [int, float, float]
+            assert type(s.meta) is tuple and [type(v) for v in s.meta] == [str, int, int]
 
 
 def reference_line(s):

@@ -19,12 +19,17 @@ def small_batch(tiny_data, n=8):
     return tiny_data["phases"][0].take(np.arange(n))
 
 
+def horizon(batch, i):
+    """The number of real steps in row i of a batch."""
+    return batch.plan.shape[1] if batch.mask is None else int(batch.mask[i].sum())
+
+
 def batch_mean_loss(params, batch, cfg):
     """Independent re-derivation: mean of per-sample losses through the
     public single-sample prediction/loss path."""
     total = 0.0
     for i in range(len(batch)):
-        h = int(batch.mask[i].sum())
+        h = horizon(batch, i)
         pred = est.predict_risk(params, batch.proprio[i], batch.z[i], batch.plan[i, :h])
         label = wd.RolloutOutcome(y_bin=int(batch.y_bin[i]), y_d=float(batch.y_d[i]),
                                   y_ttc=float(batch.y_ttc[i]))
@@ -56,7 +61,7 @@ def test_positional_encoding():
     assert_allclose(pe[3, 0::2], np.sin(3 * freqs))
     assert_allclose(pe[3, 1::2], np.cos(3 * freqs))
     assert np.all(np.abs(pe) <= 1.0)
-    # one cached, read-only array per (horizon, dim)
+    # one cached, read-only array per horizon
     assert est.positional_encoding(5) is pe
     assert not pe.flags.writeable
     with pytest.raises(ValueError):
@@ -67,7 +72,7 @@ def test_forward_ranges_and_temperature(tiny_data):
     params = est.init_params(seed=2)
     b = small_batch(tiny_data, 4)
     for i in range(4):
-        h = int(b.mask[i].sum())
+        h = horizon(b, i)
         pred = est.predict_risk(replace(params, temperature=1.0), b.proprio[i], b.z[i],
                                 b.plan[i, :h])
         assert 0.0 < pred.risk < 1.0
@@ -156,7 +161,7 @@ def test_param_gradients_match_finite_differences(tiny_data):
 def test_plan_gradients_match_finite_differences(tiny_data):
     params = est.init_params(seed=7)
     b = small_batch(tiny_data, 1)
-    h = int(b.mask[0].sum())
+    h = horizon(b, 0)
     plan = b.plan[0, :h].copy()
     g = est.risk_plan_gradient(params, est.predict_risk(params, b.proprio[0], b.z[0], plan))
     assert g.shape == plan.shape
@@ -173,19 +178,19 @@ def test_plan_gradients_match_finite_differences(tiny_data):
 
 def test_plan_only_backward_matches_full_backward(tiny_data):
     """The plan-only pass gives the full pass's plan gradients bit for bit,
-    for any upstream and with padded rows."""
+    for any upstream, on a one-horizon batch of each horizon."""
     params = est.init_params(seed=11)
-    mixed = est.stack_batch(
-        [dg.read_dataset(tiny_data["paths"][h]).samples[i] for h in (2, 3) for i in range(4)])
-    _, _, _, cache = est._forward_batch(params, mixed.proprio, mixed.z, mixed.plan, mixed.mask)
     rng = np.random.default_rng(12)
-    n = len(mixed)
-    zero = np.zeros(n)
-    for ups in ((np.ones(n), zero, zero), tuple(rng.normal(size=(3, n)))):
-        full = est._plan_grad(params, est._backward_batch(params, cache, *ups)[1])
-        plan_only = est._plan_grad(params, est._plan_backward(
-            params, cache, est._trunk_upstream(params, cache, *ups)[0]))
-        assert_array_equal(plan_only.view(np.uint64), full.view(np.uint64))
+    for phase in tiny_data["phases"]:
+        batch = phase.take(np.arange(8))
+        _, _, _, cache = est._forward_batch(params, batch.proprio, batch.z, batch.plan)
+        n = len(batch)
+        zero = np.zeros(n)
+        for ups in ((np.ones(n), zero, zero), tuple(rng.normal(size=(3, n)))):
+            full = est._plan_grad(params, est._backward_batch(params, cache, *ups)[1])
+            plan_only = est._plan_grad(params, est._plan_backward(
+                params, cache, est._trunk_upstream(params, cache, *ups)[0]))
+            assert_array_equal(plan_only.view(np.uint64), full.view(np.uint64))
 
 
 def masked_sigmoid(x):
@@ -213,15 +218,34 @@ def test_sigmoid_bits_match_masked_formula():
         assert_array_equal(alone.view(np.uint64), est._sigmoid(both).view(np.uint64))
 
 
-def test_batch_plan_gradients_zero_on_padding(tiny_data):
-    params = est.init_params(seed=8)
-    cfg = est.TrainConfig()
+def test_stack_batch_masks_only_mixed_horizons(tiny_data):
+    """One-horizon samples stack with mask None; samples of two horizons
+    stack right-padded, with a mask that marks each row's real steps."""
+    samples = {h: dg.read_dataset(tiny_data["paths"][h]).samples[:3] for h in (2, 3)}
+    for h, some in samples.items():
+        batch = est.stack_batch(some)
+        assert batch.mask is None and batch.plan.shape == (3, h, 4)
+        assert batch.take(np.array([2, 0])).mask is None
+        assert_array_equal(batch.plan, [s.plan for s in some])
+    mixed = est.stack_batch(samples[3][:1] + samples[2])
+    assert mixed.plan.shape == (4, 3, 4)
+    assert_array_equal(mixed.mask, [[1, 1, 1], [1, 1, 0], [1, 1, 0], [1, 1, 0]])
+    assert_array_equal(mixed.plan[1:, 2], np.zeros((3, 4)))
+    assert_array_equal(mixed.plan[1, :2], samples[2][0].plan)
+
+
+def test_grad_and_train_reject_a_padded_batch(tiny_data):
+    """`grad` and `train` take one-horizon batches: a padded one, alone or
+    among one-horizon phases, raises ValueError before any training."""
     mixed = est.stack_batch(
         [dg.read_dataset(tiny_data["paths"][h]).samples[1] for h in (2, 3)])
-    _, plan_grads = est.grad(params, mixed, cfg)
-    assert plan_grads.shape == mixed.plan.shape
-    assert_array_equal(plan_grads[0, 2], np.zeros(4))  # padded row of the H=2 sample
-    assert np.any(plan_grads[0, :2] != 0.0)
+    assert mixed.mask is not None
+    cfg = est.TrainConfig(epochs_per_phase=1)
+    with pytest.raises(ValueError, match="non-empty batch of one horizon"):
+        est.grad(est.init_params(8), mixed, cfg)
+    for phases in ([mixed], [tiny_data["phases"][0], mixed]):
+        with pytest.raises(ValueError, match="a phase mixes plan horizons"):
+            est.train(phases, cfg)
 
 
 def test_train_is_deterministic_and_learns(tiny_data):
@@ -265,9 +289,9 @@ def reference_grads(params, batch, cfg):
 
 
 def reference_train(phases, cfg, params=None):
-    """The training loop in its per-array form: a velocity per weight array,
-    a `take` copy per batch and the masked forward on every batch."""
-    phases = sorted(phases, key=lambda b: int(b.mask.sum(axis=1).max()))
+    """The training loop in its per-array form: a velocity per weight array
+    and a `take` copy per batch."""
+    phases = sorted(phases, key=lambda b: b.plan.shape[1])
     params = est.init_params(cfg.seed) if params is None else params.copy()
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 11]))
     velocity = {k: np.zeros_like(v) for k, v in params.weights.items()}
@@ -284,20 +308,17 @@ def reference_train(phases, cfg, params=None):
 
 
 def test_train_keeps_the_bits_of_the_per_array_loop(tiny_data):
-    """`train` (flat weight vector, one gather per epoch, mask-free
-    single-horizon phases, one K/V einsum) gives every weight the bits of
-    the per-array loop: on the single-horizon tiny phases, on a phase that
-    mixes horizons (the masked path), and continuing given params for one
-    phase (post-training), which it leaves as they were."""
+    """`train` (flat weight vector, one gather per epoch, one K/V einsum)
+    gives every weight the bits of the per-array loop: on the one-horizon
+    tiny phases in either order (it runs them by increasing horizon), and
+    continuing given params for one phase (post-training), which it leaves
+    as they were."""
     h2, h3 = tiny_data["phases"]
-    assert h2.mask.all() and h3.mask.all()
-    mixed = est.stack_batch(
-        [s for h in (3, 2) for s in dg.read_dataset(tiny_data["paths"][h]).samples[:45]])
-    assert not mixed.mask.all()
+    assert h2.mask is None and h3.mask is None
     given = rough_params(4)
     before = given.copy()
     cases = [([h2, h3], est.TrainConfig(epochs_per_phase=2, seed=0), None),
-             ([mixed], est.TrainConfig(epochs_per_phase=3, seed=2), None),
+             ([h3, h2], est.TrainConfig(epochs_per_phase=3, seed=2), None),
              ([h3], est.TrainConfig(epochs_per_phase=2, seed=5), given)]
     for phases, cfg, params in cases:
         got = est.train(phases, cfg, params=params)
@@ -346,7 +367,7 @@ def test_calibration_rejects_single_class(tiny_data):
 
 def test_predict_risk_over_plans_matches_loop(trained_tiny, tiny_data):
     b = small_batch(tiny_data, 1)
-    h = int(b.mask[0].sum())
+    h = horizon(b, 0)
     rng = np.random.default_rng(10)
     plans = rng.uniform(-0.02, 0.02, size=(5, h, 4))
     many = est.predict_risk(trained_tiny, np.tile(b.proprio[0], (5, 1)),
@@ -437,6 +458,57 @@ def test_load_params_rejects_bad_checkpoints(trained_tiny, tmp_path, edit, key):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=key):
         est.load_params(path)
+
+
+def set_key(key, value):
+    """An edit of a checkpoint's text that sets one top-level key."""
+    return lambda text: json.dumps({**json.loads(text), key: value})
+
+
+def set_dim(key, value):
+    """An edit of a checkpoint's text that sets one entry of its dims."""
+    def edit(text):
+        payload = json.loads(text)
+        payload["dims"][key] = value
+        return json.dumps(payload)
+    return edit
+
+
+CHECKPOINT_WRITERS = {
+    "estimator": (lambda path: est.save_params(est.init_params(0), path), est.load_params),
+    "policy": (lambda path: pol.save_policy(pol.init_policy(seed=5), path, config_digest="d"),
+               pol.load_policy),
+}
+
+
+@pytest.mark.parametrize("kind, edit, what", [
+    (kind, edit, what) for kind in CHECKPOINT_WRITERS for edit, what in [
+        (lambda text: "[]", "not a checkpoint: a JSON list"),
+        (lambda text: text[:-10], "not JSON"),
+        (set_key("format_version", True), "unsupported checkpoint version True"),
+        (set_key("config_digest", 7), "config_digest must be a string, got 7"),
+        (set_key("extra", 1), "checkpoint keys"),
+    ]] + [
+    ("estimator", set_key("temperature", "2.5"), "temperature must be a finite number > 0"),
+    ("estimator", set_key("ttc_cap", True), "ttc_cap must be a finite number > 0"),
+    ("estimator", set_dim("proprio", 13), "dims must be an int d_model >= 1"),
+    ("policy", set_key("a_max", True), "a_max must be a finite number > 0, got True"),
+    ("policy", set_key("a_max", "0.5"), "a_max must be a finite number > 0"),
+    ("policy", set_dim("hidden", 16), "dims must be the policy's"),
+])
+def test_checkpoint_readers_reject_bad_input(tmp_path, kind, edit, what):
+    """Both networks' checkpoint readers raise ValueError, starting with the
+    path, on a file that is not JSON or not an object, a bool version, an
+    extra key, a field of the wrong type (a bool or a string is not a
+    number) and dims other than the network's."""
+    write, load = CHECKPOINT_WRITERS[kind]
+    path = tmp_path / "ckpt.json"
+    write(path)
+    load(path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: ") and what in str(info.value)
 
 
 def test_train_config_validation():
@@ -541,7 +613,7 @@ def test_plan_gradient_skips_the_zero_upstream_heads(trained_tiny):
 def test_unmasked_forward_equals_all_ones_mask(b):
     """mask=None, the inference forward, and the plan gradient taken on its
     cache equal, with ==, the explicit all-ones-mask forward and the full
-    backward."""
+    backward on its cache."""
     params = rough_params(5)
     rng = np.random.default_rng(50 + b)
     for h in (1, 3, 5):

@@ -97,7 +97,7 @@ def test_calibration_weighted_average():
     rng = np.random.default_rng(2)
     risks = rng.uniform(size=500)
     labels = rng.integers(0, 2, size=500)
-    rep = mt.compute_calibration(risks, labels, n_bins=10)
+    rep = mt.compute_calibration(risks, labels)
     total = sum(r["count"] for r in rep.table)
     assert total == 500
     manual = sum(r["count"] / 500 * abs(r["accuracy"] - r["confidence"])
