@@ -34,11 +34,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _phase_paths(cfg: cf.RunConfig) -> dict:
-    return {h: os.path.join(cfg.datagen.out_dir, f"risk_H{h}.jsonl")
-            for h in cfg.datagen.horizons}
-
-
 def _cmd_gen_data(cfg: cf.RunConfig, args) -> None:
     paths, counts = dg.generate_dataset(cfg.datagen_config(), cfg.world_config(),
                                         cfg.datagen.out_dir, cfg.task_params())
@@ -60,8 +55,8 @@ def _split_phases(cfg: cf.RunConfig):
             f"({len(d.horizons)}) to train on every horizon, got {d.episodes_per_task}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 31]))
     train_phases, held_samples = [], []
-    for h, path in sorted(_phase_paths(cfg).items()):
-        ds = dg.read_dataset(path)
+    for h in sorted(d.horizons):
+        ds = dg.read_dataset(dg.dataset_path(d.out_dir, h))
         n = len(ds.samples)
         order = rng.permutation(n)
         n_held = max(1, int(round(cfg.estimator.heldout_frac * n)))
@@ -139,39 +134,43 @@ def _cmd_roc_tune(cfg: cf.RunConfig, args) -> None:
     _emit({k: payload[k] for k in ("tau_up", "tau_down", "auc", "fnr_at_tau")})
 
 
-def _collect_all_demos(cfg: cf.RunConfig):
-    jobs = [(tid, hn.episode_seed(cfg.seed, tid, i, tag=301))
-            for tid in cfg.tasks.ids for i in range(cfg.policy.demo_episodes_per_task)]
-    return pol.collect_demonstrations(jobs, cfg.eval.H, cfg.world_config(), cfg.task_params(),
-                                      explore_noise=cfg.policy.explore_noise)
+def _episode_records(cfg: cf.RunConfig, setup: hn.EvalSetup, episodes: int, tag: int,
+                     streams=None) -> list:
+    """Records of `episodes` episodes per task of the grid `tag` names, in
+    (task, episode) order; streams, when given, makes the jobs' streams."""
+    jobs = [(tid, hn.episode_seed(cfg.seed, tid, i, tag=tag))
+            for tid in cfg.tasks.ids for i in range(episodes)]
+    collectors = [[] for _ in jobs]
+    hn.run_episodes(setup, jobs, collectors, streams and streams(jobs))
+    return [rec for records in collectors for rec in records]
+
+
+def _demonstrations(cfg: cf.RunConfig) -> list:
+    """Records of the expert's ungated episodes. Each executes its action
+    plus exploration noise while its records keep the expert's own action
+    and plan, so cloning sees corrective labels on off-trajectory states
+    and stays stable in closed loop."""
+    setup = replace(hn.prepare_setup(cfg, "ungated"), explore_noise=cfg.policy.explore_noise)
+    return _episode_records(cfg, setup, cfg.policy.demo_episodes_per_task, 301, hn.demo_streams)
 
 
 def _cmd_train_policy(cfg: cf.RunConfig, args) -> None:
-    demos = _collect_all_demos(cfg)
+    demos = _demonstrations(cfg)
     params = pol.bc_train(pol.init_policy(cfg.seed, cfg.world.a_max), demos,
                           cfg.policy_train_config())
     pol.save_policy(params, cfg.policy.checkpoint_path)
     _emit({"checkpoint": cfg.policy.checkpoint_path, "demonstrations": len(demos)})
 
 
-def _gated_records(setup: hn.EvalSetup, cfg: cf.RunConfig, episodes: int, tag: int) -> list:
-    """Records of `episodes` gated episodes per task, in (task, episode) order."""
-    jobs = [(tid, hn.episode_seed(cfg.seed, tid, i, tag=tag))
-            for tid in cfg.tasks.ids for i in range(episodes)]
-    collectors = [[] for _ in jobs]
-    hn.run_episodes(setup, jobs, collectors)
-    return [rec for records in collectors for rec in records]
-
-
 def _cmd_finetune_policy(cfg: cf.RunConfig, args) -> None:
-    demos = _collect_all_demos(cfg)
+    demos = _demonstrations(cfg)
     est_params = est.load_params(cfg.estimator.checkpoint_path)
     gate_cfg = hn.resolve_gate_config(cfg)
     params = pol.load_policy(cfg.policy.checkpoint_path)
     # Aggregation pass: roll the cloned policy under the gate so blocked
     # steps contribute the recovery action as a corrected cloning target.
     setup = replace(hn.prepare_setup(cfg, "gated"), policy_params=params)
-    records = _gated_records(setup, cfg, cfg.policy.rollout_episodes_per_task, tag=401)
+    records = _episode_records(cfg, setup, cfg.policy.rollout_episodes_per_task, 401)
     d_safe = pol.safety_filter_dataset(demos + records, est_params, gate_cfg.tau_down)
     tuned = pol.risk_weighted_finetune(params, d_safe, cfg.policy_train_config(),
                                        kappa=cfg.policy.kappa)
@@ -186,7 +185,7 @@ def _cmd_post_train(cfg: cf.RunConfig, args) -> None:
     setup = hn.prepare_setup(cfg, "gated")
     if os.path.exists(cfg.policy.checkpoint_path):
         setup = replace(setup, policy_params=pol.load_policy(cfg.policy.checkpoint_path))
-    records = _gated_records(setup, cfg, cfg.tasks.episodes_per_task, tag=501)
+    records = _episode_records(cfg, setup, cfg.tasks.episodes_per_task, 501)
     params = pol.post_train_estimator(setup.est_params, records,
                                       cfg.estimator_train_config())
     out = cfg.estimator.posttrained_path or cfg.estimator.checkpoint_path

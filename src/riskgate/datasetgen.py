@@ -265,6 +265,11 @@ def sample_candidates(nominal: np.ndarray, n: int, sigma_a: float, rng, a_max: f
     return cands if batch else cands[0]
 
 
+def dataset_path(out_dir, horizon: int) -> str:
+    """Where gen-data writes the samples of one horizon."""
+    return os.path.join(out_dir, f"risk_H{horizon}.jsonl")
+
+
 def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
                      task_params: wd.TaskParams = wd.TaskParams()) -> tuple[dict, dict]:
     """Write one JSONL file per curriculum horizon; returns ({H: path},
@@ -349,7 +354,7 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
         order = oversample_near_miss(samples.y_d, gen_cfg.seed, gen_cfg.d_thresh,
                                      gen_cfg.oversample_factor)
         header = make_header([h], samples.y_bin[order], gen_cfg.seed, digest)
-        path = os.path.join(out_dir, f"risk_H{h}.jsonl")
+        path = dataset_path(out_dir, h)
         write_dataset(path, header, samples, order)
         paths[h], counts[h] = path, header.counts
     return paths, counts

@@ -132,11 +132,11 @@ class EstimatorParams:
         return int(sum(v.size for v in self.weights.values())) + 1  # + temperature
 
 
-def init_params(seed: int = 0, d_model: int = D_MODEL, ttc_cap: float = TTC_CAP) -> EstimatorParams:
+def init_params(seed: int = 0) -> EstimatorParams:
     """Glorot-uniform weights, zero biases; deterministic given seed."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 7]))
     weights = {}
-    for name, shape in _weight_specs(d_model):
+    for name, shape in _weight_specs(D_MODEL):
         if name.startswith("b_"):
             weights[name] = np.zeros(shape)
         else:
@@ -144,7 +144,7 @@ def init_params(seed: int = 0, d_model: int = D_MODEL, ttc_cap: float = TTC_CAP)
             fan_out = shape[1] if len(shape) > 1 else 1
             lim = np.sqrt(6.0 / (fan_in + fan_out))
             weights[name] = rng.uniform(-lim, lim, size=shape)
-    return EstimatorParams(weights=weights, d_model=d_model, ttc_cap=ttc_cap)
+    return EstimatorParams(weights=weights)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,14 +1,17 @@
 """Episode execution and evaluation.
 
 run_episodes drives seeded episodes in one of four modes (ungated, gated,
-gated+refine, gated+finetuned), logging every step. The episodes run
-together in `world.lockstep`, with batched observation, planning,
-candidate scoring, recovery and refinement, and oracle calls; only the
-gate transition runs per episode, and every log is the one the episode
-gives when run by itself. evaluate runs the episodes of every task and
-seed, aggregates a metrics report, and persists logs as line-delimited
-records. Logs are the source of truth: every number in the report,
-the control loop's step latency included, is recomputable from them.
+gated+refine, gated+finetuned), logging every step: evaluation's
+episodes, the gated rollouts whose records refine policy and estimator,
+and the expert demonstrations (ungated, with exploration noise). The
+episodes run together in `world.lockstep`, with batched observation,
+planning, candidate scoring, recovery and refinement, and oracle calls;
+only the gate transition runs per episode, and every log is the one the
+episode gives when run by itself. evaluate runs the episodes of every
+task and seed, aggregates a metrics report, and persists logs as
+line-delimited records. Logs are the source of truth: every number in
+the report, the control loop's step latency included, is recomputable
+from them.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class StepRecord:
     # this episode recovered or refined, the whole time of the step's one
     # descent call, which every row in that call waited for
     latency_us: float
-    plan_y_bin: int | None    # oracle label of the plan driving the step
+    plan_y_bin: int           # oracle label of the plan driving the step
 
 
 @dataclass
@@ -82,6 +85,8 @@ class EvalSetup:
     seed: int
     est_params: est.EstimatorParams | None = None
     policy_params: pol.PolicyParams | None = None
+    # sigma of the Gaussian noise added to each executed action (ungated only)
+    explore_noise: float = 0.0
 
 
 def _state_digests(state: wd.DualArmState) -> list:
@@ -153,7 +158,17 @@ def prepare_setup(cfg: cf.RunConfig, mode: str | None = None) -> EvalSetup:
         est_params=est_params, policy_params=policy_params)
 
 
-def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
+def demo_streams(jobs) -> list:
+    """The streams of demonstration episodes, one pair per (task_id, seed)
+    of jobs: a single generator, SeedSequence([task index, seed, 29]),
+    serves as both, so it draws an episode's scene noise and then its
+    exploration noise at each step."""
+    rngs = [np.random.default_rng(np.random.SeedSequence([wd.task_index(tid), int(seed), 29]))
+            for tid, seed in jobs]
+    return [(rng, rng) for rng in rngs]
+
+
+def run_episodes(setup: EvalSetup, jobs, collectors=None, streams=None) -> list:
     """Seeded episodes, one per (task_id, seed) in jobs; returns their logs
     in job order.
 
@@ -168,7 +183,10 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
     Each episode's gate then steps on its chosen risk, one `sg.descend`
     call recovers every episode that blocked and, in gated+refine, refines
     every one that executes, and one call each scales the executed and
-    the stalled actions. Then one oracle pass per step,
+    the stalled actions. Ungated with setup.explore_noise > 0 (which the
+    gated modes refuse), each episode instead draws normal(0,
+    explore_noise, 4) from its jitter stream and executes its action plus
+    that noise, clipped to the box. Then one oracle pass per step,
     `wd.rollout_and_step`, labels every executed plan from its own
     episode's state and advances every episode by its action (a HALT by
     the zero action, so it logs its current state's clearance), with the
@@ -178,27 +196,33 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
     would give alone.
 
     An episode ends at success, collision (terminal failure), a HALT
-    decision, or the step budget. Feature noise and candidate jitter come
-    from separate seeded streams per episode, so the executed trajectory
-    under a gate that never blocks matches the ungated trajectory exactly.
+    decision, or the step budget. streams[i] is job i's (feature noise,
+    jitter) generator pair; by default each is seeded from (setup.seed,
+    task, seed) with its own tag, so the executed trajectory under a gate
+    that never blocks matches the ungated trajectory exactly.
 
     When collectors is given, it holds one list per job, and each step of
     that episode appends a labeled record for aggregation (corrected
     actions at blocked steps come from recovery; a HALT step adds none).
+    A record holds the commanded action, the log the executed one.
     """
     jobs = list(jobs)
     if collectors is None:
         collectors = [None] * len(jobs)
-    if len(collectors) != len(jobs):
-        raise ValueError(f"{len(collectors)} collectors for {len(jobs)} jobs")
+    if streams is None:
+        streams = [[np.random.default_rng(np.random.SeedSequence(
+                       [setup.seed, wd.task_index(tid), int(seed), k])) for k in (101, 102)]
+                   for tid, seed in jobs]
+    for name, given in (("collectors", collectors), ("streams", streams)):
+        if len(given) != len(jobs):
+            raise ValueError(f"{len(given)} {name} for {len(jobs)} jobs")
+    gated = setup.mode != "ungated"
+    if gated and setup.explore_noise:
+        raise ValueError(f"explore_noise applies to ungated episodes only, not {setup.mode}")
     wcfg = setup.world_cfg
-    streams = [[np.random.default_rng(np.random.SeedSequence(
-                    [setup.seed, wd.task_index(tid), int(seed), k])) for k in (101, 102)]
-               for tid, seed in jobs]
     logs = [EpisodeLog(task_id=tid, seed=int(seed), mode=setup.mode, steps=[])
             for tid, seed in jobs]
     gates = [sg.GateState()] * len(jobs)
-    gated = setup.mode != "ungated"
 
     def advance(t, live, state, task, plans):
         t0 = time.perf_counter()
@@ -248,9 +272,14 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
                                                             setup.gate_cfg.d0)
             actions = plans[:, 0] * scale[:, None]
             actions[decision == sg.HALT] = 0.0
+        executed = actions
+        if setup.explore_noise:
+            noise = np.stack([streams[i][1].normal(0.0, setup.explore_noise, size=4)
+                              for i in live])
+            executed = np.clip(actions + noise, -wcfg.a_max, wcfg.a_max)
 
         d_plans, state_next, d_min, next_plans = wd.rollout_and_step(state, plans[:, None],
-                                                                     actions, wcfg, law)
+                                                                     executed, wcfg, law)
         labels = wd.label_rollouts(d_plans[..., 0], wcfg.dt)
         plan_y_bin = labels.y_bin.tolist()
         success = wd.success_check(state_next, task)
@@ -262,7 +291,7 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None) -> list:
             log.steps.append(StepRecord(
                 t=t, state_digest=digests[j], r_hat=r_hats[j], d_min=d,
                 gate_mode=gates[i].mode, decision=decisions[j],
-                action=actions[j].tolist(), latency_us=max(latency_s[j] * 1e6, 1e-3),
+                action=executed[j].tolist(), latency_us=max(latency_s[j] * 1e6, 1e-3),
                 plan_y_bin=plan_y_bin[j]))
             if not halted[j] and collectors[i] is not None:
                 collectors[i].append(pol.DemoRecord(
@@ -333,8 +362,7 @@ _LOG_RECORDS = {
         "action": (lambda v: type(v) is list and len(v) == 4 and all(map(_finite, v)),
                    "a list of 4 finite numbers"),
         "latency_us": (lambda v: _finite(v) and v > 0, "a finite number > 0"),
-        "plan_y_bin": (lambda v: v is None or type(v) is int and 0 <= v <= 1,
-                       "null, 0 or 1")}),
+        "plan_y_bin": (lambda v: type(v) is int and 0 <= v <= 1, "0 or 1")}),
     "terminal": ("a terminal record", {
         "success": (lambda v: type(v) is bool, "true or false"),
         "collided": (lambda v: type(v) is bool, "true or false"),
@@ -369,32 +397,45 @@ def read_episode_log(path) -> EpisodeLog:
     """Parse and check an episode log: a header, step records and a
     terminal record, each with exactly its keys and values of the types
     and ranges `write_episode_log` writes (the action box aside, as the
-    log does not hold a_max), and terminal counts that agree with the
-    steps. Raises ValueError naming the file and line of the first fault.
+    log does not hold a_max). Only the last step may HALT or have a
+    negative d_min. The terminal record must agree with the steps: their
+    count, BLOCK decisions and RUN -> BLOCKED gate transitions (from RUN
+    before the first step, as recoveries), collided exactly when the last
+    step is no HALT and has a negative d_min, and success only without it.
+    Raises ValueError naming the file and line of the first fault.
     """
     with open(path) as f:
         lines = [(n, line) for n, line in enumerate(f, start=1) if line.strip()]
     if len(lines) < 2:
         raise ValueError(f"{path}: not an episode log (no header and terminal record)")
     head = _log_record(f"{path}: line {lines[0][0]}", lines[0][1], "episode")
-    log = EpisodeLog(task_id=head["task_id"], seed=head["seed"], mode=head["mode"], steps=[])
+    steps = []
     for n, line in lines[1:-1]:
         obj = _log_record(f"{path}: line {n}", line, "step")
         del obj["kind"]
-        log.steps.append(StepRecord(**obj))
+        if n < lines[-2][0] and (obj["decision"] == sg.HALT or obj["d_min"] < 0):
+            raise ValueError(f"{path}: line {n}: a step before the last has decision "
+                             f"{obj['decision']} and d_min {obj['d_min']!r}")
+        steps.append(StepRecord(**obj))
     where = f"{path}: line {lines[-1][0]}"
     term = _log_record(where, lines[-1][1], "terminal")
-    log.success, log.collided = term["success"], term["collided"]
-    log.n_steps, log.blocked_steps = term["steps"], term["blocked_steps"]
-    log.recoveries = term["recoveries"]
-    if log.n_steps != len(log.steps):
-        raise ValueError(f"{where}: terminal step count {log.n_steps} disagrees with "
-                         f"{len(log.steps)} step records")
-    blocks = sum(s.decision == sg.BLOCK for s in log.steps)
-    if log.blocked_steps != blocks:
-        raise ValueError(f"{where}: blocked_steps {log.blocked_steps} disagrees with "
-                         f"{blocks} BLOCK decisions")
-    return log
+    modes = [sg.RUN] + [s.gate_mode for s in steps]
+    last = steps[-1] if steps else None
+    for key, want, what in (
+            ("steps", len(steps), "the step count"),
+            ("blocked_steps", sum(s.decision == sg.BLOCK for s in steps), "the BLOCK decisions"),
+            ("recoveries", sum(a == sg.RUN and b == sg.BLOCKED for a, b in zip(modes, modes[1:])),
+             "the RUN -> BLOCKED gate transitions"),
+            ("collided", last is not None and last.decision != sg.HALT and last.d_min < 0,
+             "the last step's decision and d_min")):
+        if term[key] != want:
+            raise ValueError(f"{where}: {key} {json.dumps(term[key])} disagrees with {what}, "
+                             f"{json.dumps(want)}")
+    if term["success"] and term["collided"]:
+        raise ValueError(f"{where}: success and collided are both true")
+    return EpisodeLog(task_id=head["task_id"], seed=head["seed"], mode=head["mode"], steps=steps,
+                      success=term["success"], collided=term["collided"], n_steps=term["steps"],
+                      blocked_steps=term["blocked_steps"], recoveries=term["recoveries"])
 
 
 @dataclass
@@ -446,20 +487,15 @@ def aggregate_metrics(logs, gate_cfg: sg.GateConfig, mode: str, seed: int) -> Me
         latency_us[tid] = [s.latency_us for lg in group for s in lg.steps]
     estimator_block = None
     if mode != "ungated":
-        risks, labels = [], []
-        for lg in logs:
-            for s in lg.steps:
-                if s.r_hat is not None and s.plan_y_bin is not None:
-                    risks.append(s.r_hat)
-                    labels.append(s.plan_y_bin)
+        scored = [s for lg in logs for s in lg.steps if s.r_hat is not None]
+        risks = np.array([s.r_hat for s in scored])
+        labels = np.array([s.plan_y_bin for s in scored], dtype=float)
         every_step = [us for values in latency_us.values() for us in values]
         latency = {**_latency_summary(every_step), "calls": len(every_step),
                    "per_task": {tid: {**_latency_summary(values), "steps": len(values)}
                                 for tid, values in latency_us.items()}}
         estimator_block = {"auc": None, "ece": None, "reliability": None,
                            "latency": latency, "n_scored_steps": len(risks)}
-        risks = np.array(risks)
-        labels = np.array(labels, dtype=float)
         if len(risks) and labels.min() < 0.5 < labels.max():
             estimator_block["auc"] = mt.auc_trapezoid(risks, labels)
         if len(risks):

@@ -2,20 +2,20 @@
 
 A deterministic scripted expert emits short-horizon plans by simulating a
 proportional task-space law (goal-seeking, collision-blind). A small MLP
-policy clones it from demonstrations of expert episodes run in
-`world.lockstep`, optionally with per-sample risk weights on a
-safety-filtered dataset. Records of gated rollouts post-train the risk
-estimator.
+policy clones it from demonstrations, optionally with per-sample risk
+weights on a safety-filtered dataset. Records of gated rollouts post-train
+the risk estimator. The demonstrations and the gated rollouts are both
+episodes of `harness.run_episodes` (the demonstrations ungated, with
+exploration noise), which collects their `DemoRecord`s.
 
 Both planners are a row law (`expert_law`, `policy_law`: a state's action
 row) rolled forward kinematically by one loop, `roll_plan`, which returns
-the plan (and, if asked, the state its last row is chosen at). The three
-episode loops (gen-data, demonstrations and evaluation) plan by
-themselves only at a lockstep group's first step; after that,
-demonstrations and evaluation take the plan `world.rollout_and_step`
-rolls from each executed state within its oracle pass, and gen-data
-extends its carried plan by the law's row at the state the plan's last
-row leads to.
+the plan (and, if asked, the state its last row is chosen at). The two
+episode loops (gen-data's and `harness.run_episodes`) plan by themselves
+only at a lockstep group's first step; after that, `run_episodes` takes
+the plan `world.rollout_and_step` rolls from each executed state within
+its oracle pass, and gen-data extends its carried plan by the law's row
+at the state the plan's last row leads to.
 """
 
 from __future__ import annotations
@@ -164,54 +164,6 @@ class PolicyTrainConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
-def collect_demonstrations(jobs, horizon: int, cfg: wd.WorldConfig,
-                           params: wd.TaskParams = wd.TaskParams(), *,
-                           explore_noise: float) -> list:
-    """Expert rollouts of the (task_id, seed) episodes of jobs, one record
-    per visited state, concatenated per job in the order given.
-
-    The executed action adds small exploration noise (clipped to the box)
-    while the recorded action and plan stay the expert's own, so cloning
-    sees corrective labels on off-trajectory states and stays stable in
-    closed loop. Episodes stop at success, collision, or the step budget.
-    Oracle labels come from simulating each stored plan from its own state.
-
-    The episodes run in `wd.lockstep`: per step, one feature call each and
-    one oracle pass (`wd.rollout_and_step`, which labels the plans,
-    executes the actions and makes the expert's next plans) cover every
-    live episode; the expert plans by itself only at a group's first step.
-    Each episode keeps one generator, which draws its scene noise and then
-    its exploration noise, so the records are those of running the
-    episodes one at a time.
-    """
-    jobs = [(tid, int(seed)) for tid, seed in jobs]
-    rngs = [np.random.default_rng(np.random.SeedSequence([wd.task_index(tid), seed, 29]))
-            for tid, seed in jobs]
-    records = [[] for _ in jobs]
-
-    def advance(t, live, state, task, plans):
-        law = expert_law(task, cfg.a_max)
-        plans = roll_plan(law, state, horizon, cfg) if plans is None else plans
-        proprio = wd.proprio_feature(state)
-        z = wd.scene_feature(state, task, cfg.noise_sigma, [rngs[i] for i in live])
-        goals = task.goal.reshape(len(live), 4)
-        executed = plans[:, 0]
-        if explore_noise > 0:
-            noise = np.stack([rngs[i].normal(0.0, explore_noise, size=4) for i in live])
-            executed = np.clip(executed + noise, -cfg.a_max, cfg.a_max)
-        d_plans, state, d_next, next_plans = wd.rollout_and_step(
-            state, plans[:, None], executed, cfg, law)
-        labels = wd.label_rollouts(d_plans[..., 0], cfg.dt)
-        for j, i in enumerate(live):
-            records[i].append(DemoRecord(proprio=proprio[j], z=z[j], goals=goals[j],
-                                         action=plans[j, 0].copy(), plan=plans[j],
-                                         label=labels.row(j)))
-        return state, (d_next < 0.0) | wd.success_check(state, task), next_plans
-
-    wd.lockstep(jobs, cfg, params, advance)
-    return [rec for episode in records for rec in episode]
-
-
 def _demo_arrays(demos):
     x = np.array([policy_features(d.proprio, d.z, d.goals) for d in demos])
     y = np.array([d.action for d in demos], dtype=float)
@@ -299,19 +251,23 @@ def risk_weighted_finetune(params: PolicyParams, d_safe, cfg: PolicyTrainConfig,
     return _fit_mlp(params, x, y, weights, cfg)
 
 
+POST_TRAIN_HELDOUT_FRAC = 0.2
+
+
 def post_train_estimator(est_params: est.EstimatorParams, records,
-                         cfg: est.TrainConfig, heldout_frac: float = 0.2) -> est.EstimatorParams:
+                         cfg: est.TrainConfig) -> est.EstimatorParams:
     """Continue estimator training on gated-rollout records, then recalibrate.
 
-    A fresh held-out split (seeded shuffle) backs the temperature fit, so
-    the calibration NLL can only match or improve on T = 1.
+    A fresh held-out split (seeded shuffle, POST_TRAIN_HELDOUT_FRAC of the
+    records) backs the temperature fit, so the calibration NLL can only
+    match or improve on T = 1.
     """
     if not records:
         raise ValueError("no gated-rollout records")
     batch = est.stack_batch(records)
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 19]))
     order = rng.permutation(len(batch))
-    n_held = max(1, int(round(heldout_frac * len(batch))))
+    n_held = max(1, int(round(POST_TRAIN_HELDOUT_FRAC * len(batch))))
     heldout = batch.take(order[:n_held])
     train_part = batch.take(order[n_held:])
     params = est.train([train_part], cfg, params=est_params)

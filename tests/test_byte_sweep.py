@@ -97,3 +97,16 @@ def test_sweep_refuses_absolute_paths_and_missing_trees(tmp_path, capsys):
     assert bs.main([str(tmp_path), str(tmp_path), "--config", str(cfg),
                     "--work", str(tmp_path / "w")]) == 2
     assert "no riskgate package" in capsys.readouterr().err
+
+
+def test_timing_table_lists_each_stage_then_the_total():
+    """The table has a header, then one line per stage in the old tree's
+    order and the total, each with both trees' wall seconds and new/old."""
+    table = bs.timing_table({"gen-data": 2.5, "evaluate_gated": 10.0},
+                            {"evaluate_gated": 8.0, "gen-data": 2.75})
+    assert table.splitlines() == [
+        "stage              old s     new s  new/old",
+        "gen-data            2.50      2.75    1.100",
+        "evaluate_gated     10.00      8.00    0.800",
+        "total              12.50     10.75    0.860",
+    ]

@@ -209,7 +209,15 @@ def _edit_record(index, **changes):
     (_edit_record(-1, steps="3"), -1, "steps must be an int >= 0"),
     (_edit_record(-1, recoveries=-1), -1, "recoveries must be an int >= 0"),
     (_edit_record(-1, blocked_steps=99), -1, "blocked_steps 99 disagrees"),
-    (_edit_record(1, plan_y_bin=7), 1, "plan_y_bin must be null, 0 or 1"),
+    (_edit_record(-1, collided=False), -1, "collided false disagrees with the last step's"),
+    (_edit_record(-2, d_min=0.5), -1, "collided true disagrees with the last step's"),
+    (_edit_record(-1, success=True), -1, "success and collided are both true"),
+    (_edit_record(-1, recoveries=9), -1, "recoveries 9 disagrees with the RUN -> BLOCKED"),
+    (_edit_record(1, decision="HALT"), 1, "a step before the last has decision HALT"),
+    (_edit_record(1, d_min=-0.01), 1, "a step before the last has decision EXECUTE and d_min"),
+    (_edit_record(1, plan_y_bin=7), 1, "plan_y_bin must be 0 or 1"),
+    (lambda lines: lines.__setitem__(1, lines[1].replace('"plan_y_bin": 0', '"plan_y_bin": null')),
+     1, "plan_y_bin must be 0 or 1, got None"),
     (_edit_record(1, r_hat=3.5), 1, "r_hat must be null or a number in [0, 1]"),
     (_edit_record(1, d_min=float("nan")), 1, "d_min must be a finite number"),
     (_edit_record(1, latency_us=0.0), 1, "latency_us must be a finite number > 0"),
@@ -224,9 +232,11 @@ def _edit_record(index, **changes):
     (lambda lines: lines.__setitem__(1, lines[1][:-1]), 1, "not JSON"),
 ])
 def test_report_rejects_a_misread_log(micro_run, tmp_path, capsys, edit, line, expect):
-    """An episode log with a record `write_episode_log` cannot have written
-    does not load: `read_episode_log` raises naming the file and line, and
-    `report` exits 2 naming the file."""
+    """An episode log with a record `write_episode_log` cannot have written,
+    or a terminal record the steps contradict, does not load:
+    `read_episode_log` raises naming the file and line, and `report` exits
+    2 naming the file. The edited log is a gated crossing episode that
+    collided after two recoveries."""
     root = micro_run["root"]
     logs = tmp_path / "logs"
     logs.mkdir()
@@ -234,7 +244,7 @@ def test_report_rejects_a_misread_log(micro_run, tmp_path, capsys, edit, line, e
         (logs / src.name).write_bytes(src.read_bytes())
     path = sorted(logs.iterdir())[0]
     lines = path.read_text().splitlines()
-    assert len(lines) > 2
+    assert len(lines) > 3 and '"recoveries": 2' in lines[-1] and '"collided": true' in lines[-1]
     edit(lines)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:

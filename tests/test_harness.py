@@ -55,15 +55,17 @@ def test_episode_log_roundtrip(world_cfg, task_params, tmp_path):
 
 def test_episode_log_bytes_match_asdict_writer(world_cfg, task_params, tmp_path):
     """`write_episode_log` writes what the asdict-based writer wrote, byte
-    for byte, on a gated episode plus a halted step with edge values, and
-    `read_episode_log` reads the same records back."""
+    for byte, on a gated episode whose collision step gives way to a
+    halted step with edge values, and `read_episode_log` reads the same
+    records back."""
     setup = make_setup(world_cfg, task_params, mode="gated", est_params=inert_estimator(-1.0))
     log = hn.run_episodes(setup, [("crossing_transfer", 3)])[0]
-    log.steps.append(hn.StepRecord(t=len(log.steps), state_digest="f" * 16, r_hat=None,
-                                   d_min=-0.0, gate_mode=sg.HALTED, decision=sg.HALT,
-                                   action=[5e-324, -0.0, 1e16, 0.1 + 0.2],
-                                   latency_us=1e-7, plan_y_bin=None))
-    log.n_steps = len(log.steps)
+    assert log.collided
+    log.steps[-1] = hn.StepRecord(t=len(log.steps) - 1, state_digest="f" * 16, r_hat=None,
+                                  d_min=-0.0, gate_mode=sg.HALTED, decision=sg.HALT,
+                                  action=[5e-324, -0.0, 1e16, 0.1 + 0.2],
+                                  latency_us=1e-7, plan_y_bin=1)
+    log.collided = False
     path = tmp_path / "ep.jsonl"
     hn.write_episode_log(log, path)
     head = {"kind": "episode", "format_version": hn.LOG_FORMAT_VERSION,
@@ -241,6 +243,73 @@ def test_collector_records_and_corrected_flags(world_cfg, task_params):
     hn.run_episodes(halt_setup, [("crossing_transfer", 3)], [blocked])
     assert len(blocked) == 5  # the HALT step is never a training record
     assert all(r.corrected for r in blocked)
+
+
+class NoDraws:
+    """A stream that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from an untouched stream ({name})")
+
+
+def without_latency(log):
+    return replace(log, steps=[replace(s, latency_us=0.0) for s in log.steps])
+
+
+def test_exploration_noise_is_drawn_only_when_set(world_cfg, task_params):
+    """Ungated at explore_noise 0, no episode touches its jitter stream, and
+    the default streams are the (setup.seed, task, seed, 101 or 102)
+    layout. Above 0, each step draws the noise from the jitter stream,
+    executes and logs the commanded action plus the noise, clipped to the
+    box, and records the commanded action."""
+    setup = make_setup(world_cfg, task_params)
+    jobs = [("crossing_transfer", 11), ("parallel_place", 4)]
+
+    def layout():
+        return [[np.random.default_rng(np.random.SeedSequence(
+                    [setup.seed, wd.task_index(tid), seed, k])) for k in (101, 102)]
+                for tid, seed in jobs]
+
+    untouched = [(noise, NoDraws()) for noise, _ in layout()]
+    assert [without_latency(lg) for lg in hn.run_episodes(setup, jobs, streams=untouched)] == \
+        [without_latency(lg) for lg in hn.run_episodes(setup, jobs)]
+    noisy = replace(setup, explore_noise=0.01)
+    with pytest.raises(AssertionError, match="drew from an untouched stream"):
+        hn.run_episodes(noisy, jobs, streams=[(noise, NoDraws()) for noise, _ in layout()])
+    collectors = [[] for _ in jobs]
+    logs = hn.run_episodes(noisy, jobs, collectors)
+    a_max = world_cfg.a_max
+    for log, records, (_, jitter) in zip(logs, collectors, layout()):
+        assert len(records) == log.n_steps > 1
+        for step, rec in zip(log.steps, records):
+            assert_array_equal(rec.action, rec.plan[0])
+            noise = jitter.normal(0.0, 0.01, size=4)
+            assert step.action == np.clip(rec.action + noise, -a_max, a_max).tolist()
+        assert any(step.action != rec.action.tolist() for step, rec in zip(log.steps, records))
+
+
+def test_gated_modes_refuse_noise_and_halt_rows_execute_zeros(world_cfg, task_params,
+                                                              monkeypatch):
+    """A gated setup with explore_noise > 0 raises before any step runs; a
+    HALT row executes, and logs, the zero action."""
+    setup = make_setup(world_cfg, task_params, mode="gated", est_params=inert_estimator(30.0),
+                       gate_cfg=sg.GateConfig(watchdog_window=5))
+    executed, real_pass = [], wd.rollout_and_step
+
+    def recorded(state, plans, actions, *args):
+        executed.append(actions.copy())
+        return real_pass(state, plans, actions, *args)
+
+    monkeypatch.setattr(wd, "rollout_and_step", recorded)
+    for mode in ("gated", "gated+refine", "gated+finetuned"):
+        with pytest.raises(ValueError, match="explore_noise applies to ungated episodes only"):
+            hn.run_episodes(replace(setup, mode=mode, explore_noise=0.01),
+                            [("crossing_transfer", 3)])
+    assert executed == []
+    log = hn.run_episodes(setup, [("crossing_transfer", 3)])[0]
+    assert log.steps[-1].decision == sg.HALT and len(executed) == log.n_steps
+    assert_array_equal(executed[-1], np.zeros((1, 4)))
+    assert log.steps[-1].action == [0.0] * 4
 
 
 def synthetic_log(task_id, seed, collided, success, steps, blocked=0):
@@ -494,7 +563,7 @@ def test_lockstep_equals_one_episode_at_a_time(lockstep_cases, monkeypatch, grou
         assert len(logs) == len(ref)
         for log, records, (ref_log, ref_records, ending) in zip(logs, collectors, ref):
             assert all(s.latency_us > 0.0 for s in log.steps)
-            assert replace(log, steps=[replace(s, latency_us=0.0) for s in log.steps]) == ref_log
+            assert without_latency(log) == ref_log
             assert_records_equal(records, ref_records)
             endings.setdefault(ending, set()).add((name, log.task_id))
     assert set(endings) == {"collision", "success", "budget", "halt"}, endings

@@ -1,6 +1,6 @@
-"""Expert and learned policies: plan construction, lockstep demonstration
-collection, cloning, the safety filter, risk-weighted fine-tuning, and
-estimator post-training."""
+"""Expert and learned policies: plan construction, demonstrations (ungated
+`harness.run_episodes` episodes with exploration noise), cloning, the
+safety filter, risk-weighted fine-tuning, and estimator post-training."""
 
 import json
 from dataclasses import replace
@@ -11,14 +11,28 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import assert_records_equal, label_plans
 from riskgate import estimator as est
+from riskgate import harness as hn
 from riskgate import policy as pol
+from riskgate import safeguard as sg
 from riskgate import world as wd
+
+
+def demonstrations(jobs, horizon, world_cfg, task_params, explore_noise):
+    """The records of expert demonstrations of jobs, as train-policy
+    collects them: ungated `run_episodes` with exploration noise, each
+    episode's streams from `hn.demo_streams`."""
+    setup = hn.EvalSetup(mode="ungated", world_cfg=world_cfg, task_params=task_params,
+                         gate_cfg=sg.GateConfig(), horizon=horizon, n_candidates=1, sigma_a=0.0,
+                         soft_gate=False, seed=0, explore_noise=explore_noise)
+    collectors = [[] for _ in jobs]
+    hn.run_episodes(setup, jobs, collectors, hn.demo_streams(jobs))
+    return [rec for records in collectors for rec in records]
 
 
 @pytest.fixture(scope="module")
 def demo_records(world_cfg, task_params):
-    recs = pol.collect_demonstrations([("crossing_transfer", s) for s in range(6)], 5,
-                                      world_cfg, task_params, explore_noise=0.005)
+    recs = demonstrations([("crossing_transfer", s) for s in range(6)], 5, world_cfg,
+                          task_params, explore_noise=0.005)
     assert any(d.label.y_bin == 1 for d in recs) and any(d.label.y_bin == 0 for d in recs)
     return recs
 
@@ -140,7 +154,7 @@ def test_oracle_pass_plans_the_next_states_as_the_planners_do(world_cfg, task_pa
     assert np.any(nxt.q[-1] == lim[..., 1]) or np.any(nxt.q[-1] == lim[..., 0])
 
 
-def test_collect_demonstrations_records(demo_records, world_cfg):
+def test_demonstration_records(demo_records, world_cfg):
     for d in demo_records[:50]:
         assert d.plan.shape == (5, 4)
         assert_array_equal(d.action, d.plan[0])
@@ -156,11 +170,9 @@ def test_collect_demonstrations_records(demo_records, world_cfg):
         assert d.label.y_d == pytest.approx(out.y_d, abs=1e-9)
 
 
-def test_collect_demonstrations_deterministic(world_cfg, task_params):
-    a = pol.collect_demonstrations([("parallel_place", 7)], 3, world_cfg, task_params,
-                                   explore_noise=0.005)
-    b = pol.collect_demonstrations([("parallel_place", 7)], 3, world_cfg, task_params,
-                                   explore_noise=0.005)
+def test_demonstrations_deterministic(world_cfg, task_params):
+    a = demonstrations([("parallel_place", 7)], 3, world_cfg, task_params, explore_noise=0.005)
+    b = demonstrations([("parallel_place", 7)], 3, world_cfg, task_params, explore_noise=0.005)
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         assert_array_equal(ra.z, rb.z)
@@ -200,8 +212,8 @@ def demos_one_episode_at_a_time(task_id, seeds, horizon, world_cfg, task_params,
 @pytest.mark.parametrize("group", [wd.LOCKSTEP_EPISODES, 3])
 def test_lockstep_demonstrations_equal_one_episode_at_a_time(world_cfg, task_params,
                                                              monkeypatch, group):
-    """One `collect_demonstrations` call over both tasks' episodes steps
-    them together, in groups of `group`; every record equals the
+    """One `run_episodes` call over both tasks' demonstration episodes
+    steps them together, in groups of `group`; every record equals the
     per-episode reference's, in job order, with episodes ending by
     collision, success and the step budget at different steps."""
     monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
@@ -213,7 +225,7 @@ def test_lockstep_demonstrations_equal_one_episode_at_a_time(world_cfg, task_par
         records, ends = demos_one_episode_at_a_time(task_id, seeds, 3, world_cfg, params, 0.01)
         ref += records
         endings.update(ends)
-    got = pol.collect_demonstrations(jobs, 3, world_cfg, params, explore_noise=0.01)
+    got = demonstrations(jobs, 3, world_cfg, params, explore_noise=0.01)
     assert_records_equal(got, ref)
     assert endings == {"collision", "success", "budget"}
 

@@ -11,7 +11,9 @@ finetune-policy and post-train, then evaluate in each of the four modes and
 that mode's report, each stage in a fresh `python3 -m riskgate.cli`
 process. Each mode writes its logs and report to paths of its own
 (logs_<mode>, report_<mode>.json). Every stage's stdout and stderr are
-kept as files beside the artifacts.
+kept as files beside the artifacts, and its wall seconds (the whole
+process, start-up included) are printed as it ends and, for both trees,
+in a table after the diff.
 
 Then every file of the two working directories is compared. Files whose
 bytes differ are compared again with the wall-clock fields stripped: the
@@ -32,6 +34,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 MODES = ("ungated", "gated", "gated+refine", "gated+finetuned")
 STAGES = ("gen-data", "train-estimator", "calibrate", "roc-tune", "train-policy",
@@ -114,24 +117,41 @@ def stage_runs(cfg: dict) -> list:
     return runs
 
 
-def run_tree(src: str, workdir: str, cfg: dict) -> None:
+def run_tree(src: str, workdir: str, cfg: dict) -> dict:
     """Run every stage of `stage_runs` on the tree at src in workdir, each
-    in a fresh process; raises SweepError at the first stage that fails."""
+    in a fresh process; returns each stage's wall seconds by name, and
+    raises SweepError at the first stage that fails."""
     os.makedirs(os.path.join(workdir, "out"), exist_ok=True)
     env = dict(os.environ, PYTHONPATH=src)
+    seconds = {}
     for k, (name, argv, stage_cfg) in enumerate(stage_runs(cfg)):
         cfg_path = os.path.join(workdir, f"cfg_{name}.json")
         with open(cfg_path, "w") as f:
             json.dump(stage_cfg, f, indent=2)
+        t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "riskgate.cli", *argv, "--config", cfg_path],
                               cwd=workdir, env=env, capture_output=True)
+        seconds[name] = time.perf_counter() - t0
         for stream, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
             with open(os.path.join(workdir, "out", f"{k:02d}_{name}.{stream}"), "wb") as f:
                 f.write(data)
-        print(f"{workdir}: {name} exit {proc.returncode}", flush=True)
+        print(f"{workdir}: {name} exit {proc.returncode} in {seconds[name]:.2f} s", flush=True)
         if proc.returncode:
             raise SweepError(f"{name} exited {proc.returncode} in {workdir}:\n"
                              f"{proc.stderr.decode(errors='replace')[-2000:]}")
+    return seconds
+
+
+def timing_table(old: dict, new: dict) -> str:
+    """One line per stage of old, in its order, then the total: wall
+    seconds of each tree and their ratio new/old."""
+    rows = [*old.items(), ("total", sum(old.values()))]
+    new = {**new, "total": sum(new.values())}
+    width = max(len(name) for name, _ in rows)
+    lines = [f"{'stage':<{width}}  {'old s':>8}  {'new s':>8}  {'new/old':>7}"]
+    lines += [f"{name:<{width}}  {s:8.2f}  {new[name]:8.2f}  {new[name] / s:7.3f}"
+              for name, s in rows]
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -151,8 +171,7 @@ def main(argv=None) -> int:
     sides = {"old": os.path.join(work, "old"), "new": os.path.join(work, "new")}
     try:
         srcs = {"old": source_dir(args.old_src), "new": source_dir(args.new_src)}
-        for side in sides:
-            run_tree(srcs[side], sides[side], cfg)
+        seconds = {side: run_tree(srcs[side], sides[side], cfg) for side in sides}
     except SweepError as e:
         print(f"byte_sweep: {e}", file=sys.stderr)
         return 2
@@ -162,6 +181,7 @@ def main(argv=None) -> int:
           f"latency_us and latency")
     for rel in differ:
         print(f"differs: {rel}")
+    print(timing_table(seconds["old"], seconds["new"]))
     return 1 if differ else 0
 
 
