@@ -2,22 +2,26 @@
 
 Expert episodes run in `world.lockstep`. At every step each live
 episode draws its nominal plan plus Gaussian-jittered candidates (one
-`sample_candidates` call for all of them) and executes the plan's first
-row, which one kinematics call does for every live episode while it
-extends the carried plan by a row. The candidates are labeled after the
-episodes have run, by simulating them with the exact collision checker
-from their recorded start configurations: each horizon's rows in a few
-chunked oracle passes of their own (`world.label_in_passes`). Each
-episode keeps its own random streams, so the files are those of running
-the episodes one at a time. Files are JSONL: one header object, then one
-object per sample, partitioned by curriculum horizon.
+`sample_candidates` call per horizon for all of its episodes) and
+executes the plan's first row. The expert is collision-blind, so the
+states its plan leads to are stepped once, ahead of time: one kinematics
+call per step extends every live episode's carried plan by a row, and
+one clearance call measures the states of the next H steps. The
+candidates are labeled after the episodes have run, by simulating them
+with the exact collision checker from their recorded start
+configurations: each horizon's rows in a few chunked oracle passes of
+their own (`world.label_in_passes`). Each episode keeps its own random
+streams, so the files are those of running the episodes one at a time.
+Files are JSONL: one header object, then one object per sample,
+partitioned by curriculum horizon.
 
 gen-data builds no object per sample. Each step keeps its arrays: the
 features once per live episode, the start configuration (joint vectors
-and holding flags, all the labels need) and the candidates. A file's
-samples become one `SampleColumns`, in which the candidates of one step
-share that step's feature row, and near-miss oversampling is a write
-order over those rows (`oversample_near_miss`).
+and holding flags, all the labels need) and the candidates, each
+horizon's at its own length. A file's samples become one
+`SampleColumns`, in which the candidates of one step share that step's
+feature row, and near-miss oversampling is a write order over those rows
+(`oversample_near_miss`).
 
 Every line is exactly the text of `json.dumps(obj, sort_keys=True)`.
 `write_dataset` renders it itself: for a list of finite floats, the list's
@@ -237,18 +241,14 @@ def config_digest(cfg: DatagenConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def sample_candidates(nominal: np.ndarray, n: int, sigma_a: float, rng, a_max: float,
-                      horizons=None) -> np.ndarray:
+def sample_candidates(nominal: np.ndarray, n: int, sigma_a: float, rng, a_max: float) -> np.ndarray:
     """(n, H, 4) candidates: the (H, 4) nominal plan in row 0, then n-1
     Gaussian-jittered variants clipped to the box.
 
     A batch of N nominal plans (N, H, 4) gives (N, n, H, 4), and rng is
     then a sequence of one generator per row, each drawing its own row's
     noise, so a row gets the candidates it gets alone; one concatenate and
-    one clip cover the batch. horizons, when given, holds N integers in
-    [1, H]: row i's generator then draws noise for its plan's first
-    horizons[i] steps only, as a call on those steps alone does, and its
-    candidates' later steps carry no noise.
+    one clip cover the batch.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -256,10 +256,9 @@ def sample_candidates(nominal: np.ndarray, n: int, sigma_a: float, rng, a_max: f
     batch = nominal.ndim == 3
     nominal, rngs = (nominal, rng) if batch else (nominal[None], (rng,))
     rows, horizon = nominal.shape[:2]
-    h = [horizon] * rows if horizons is None else np.asarray(horizons).tolist()
-    noise = np.zeros((rows, n - 1, horizon, 4))
-    for j, (gen, hj) in enumerate(zip(rngs, h, strict=True)):
-        noise[j, :, :hj] = gen.normal(0.0, sigma_a, size=(n - 1, hj, 4))
+    noise = np.empty((rows, n - 1, horizon, 4))
+    for j, gen in enumerate(rngs):
+        noise[j] = gen.normal(0.0, sigma_a, size=(n - 1, horizon, 4))
     cands = np.concatenate([nominal[:, None], np.clip(nominal[:, None] + noise, -a_max, a_max)],
                            axis=1)
     return cands if batch else cands[0]
@@ -276,16 +275,19 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
     {H: header counts}), the counts as written, after oversampling.
 
     Episodes are assigned to horizons round-robin, giving each phase an
-    equal share. The expert plans to the longest horizon, by itself only
-    at a lockstep group's first step (`pol.roll_plan` of
-    `pol.expert_law`). Each step draws every live episode's candidates in
-    one call, records them with the features and the start configuration,
-    and executes each episode's nominal first row. The same kinematics
-    call moves the state the plan's last row was chosen at by that row,
-    and the expert's row there extends the plan, shifted by the executed
-    row: the plan `pol.roll_plan` makes from the executed state, which the
-    next step takes. One clearance call on the next states ends episodes
-    at collision, one check at success.
+    equal share. The expert plans to the longest horizon H, by itself only
+    at a lockstep group's first step (`pol.roll_plan` of `pol.expert_law`,
+    with the states its rows 1..H-1 are chosen at). Each step draws the
+    candidates of every live episode of horizon h from the first h rows of
+    its plan, one call per horizon, and records them with the features and
+    the start configuration. Then one kinematics call moves the newest of
+    the states the plan's rows are chosen at by the plan's last row, and
+    the expert's row there extends the plan, shifted by its first row: the
+    plan `pol.roll_plan` makes from the next state, the oldest of those
+    states, which leaves them as the new one joins. When the next state's
+    clearance is not yet known, one clearance call measures all H states
+    so carried, so that one call serves H steps; a negative clearance ends
+    an episode at collision, one check at success.
 
     A candidate's label never steers its episode, so the labels come after
     the episodes have run: for each horizon h, `wd.label_in_passes` labels
@@ -312,39 +314,46 @@ def generate_dataset(gen_cfg: DatagenConfig, world_cfg: wd.WorldConfig, out_dir,
                 [gen_cfg.seed, tidx, ep_seed, k])) for k in (1, 2)])
     horizons = np.array(horizons)
     n, h_all = gen_cfg.n_candidates, max(gen_cfg.horizons)
-    visits = []  # per step: (live jobs, step index, proprio, z, q, holding, candidates)
+    visits = []  # per step: (live jobs, step index, proprio, z, q, holding)
+    recorded = {h: [] for h in gen_cfg.horizons}  # per step: the candidates of h's live rows
 
     def advance(step_idx, live, state, task, carry):
         h_live = horizons[live]
         law = pol.expert_law(task, world_cfg.a_max)
         if carry is None:
-            carry = pol.roll_plan(law, state, h_all, world_cfg, with_state=True)
-        plan, last = carry  # last: the state plan's last row is chosen at
+            plan, ahead = pol.roll_plan(law, state, h_all, world_cfg, with_states=True)
+            carry = plan, ahead, np.empty((len(live), 0))
+        # ahead: the states rows 1.. of plan are chosen at; d: the clearances
+        # of the first d.shape[1] of them
+        plan, ahead, d = carry
         z = wd.scene_feature(state, task, world_cfg.noise_sigma, [streams[i][0] for i in live])
-        cands = sample_candidates(plan, n, gen_cfg.sigma_a, [streams[i][1] for i in live],
-                                  world_cfg.a_max, h_live)
-        visits.append((live, step_idx, wd.proprio_feature(state), z, state.q, state.holding,
-                       cands))
-        # execute each plan's first row, and extend the plan from its last
-        moved = wd.step(wd.stack([state, last]), np.stack([plan[:, 0], plan[:, -1]]), world_cfg)
-        state, last = wd.take(moved, 0), wd.take(moved, 1)
-        plan = np.concatenate([plan[:, 1:], law(last)[:, None]], axis=1)
-        done = (wd.min_self_distance(state, world_cfg) < 0.0) | wd.success_check(state, task)
-        return state, done, (plan, last)
+        visits.append((live, step_idx, wd.proprio_feature(state), z, state.q, state.holding))
+        for h in recorded:
+            rows = h_live == h
+            if rows.any():
+                recorded[h].append(sample_candidates(plan[rows, :h], n, gen_cfg.sigma_a,
+                                                     [streams[i][1] for i in live[rows]],
+                                                     world_cfg.a_max))
+        ahead = (*ahead, wd.step(ahead[-1] if ahead else state, plan[:, -1], world_cfg))
+        plan = np.concatenate([plan[:, 1:], law(ahead[-1])[:, None]], axis=1)
+        if not d.shape[1]:
+            d = wd.min_self_distance(wd.stack(ahead), world_cfg).T
+        state = ahead[0]
+        done = (d[:, 0] < 0.0) | wd.success_check(state, task)
+        return state, done, (plan, ahead[1:], d[:, 1:])
 
     wd.lockstep(jobs, world_cfg, task_params, advance)
-    live, step_idx, proprio, z, q, holding, cands = zip(*visits)
+    live, step_idx, proprio, z, q, holding = zip(*visits)
     del visits
     job, step = np.concatenate(live), np.repeat(step_idx, [len(j) for j in live])
-    proprio, z, q, holding, plans = (np.concatenate(c) for c in (proprio, z, q, holding, cands))
-    del cands
+    proprio, z, q, holding = (np.concatenate(c) for c in (proprio, z, q, holding))
 
     os.makedirs(out_dir, exist_ok=True)
     paths, counts = {}, {}
     for h in gen_cfg.horizons:
-        rows = np.flatnonzero(horizons[job] == h)
-        rows = rows[np.argsort(job[rows], kind="stable")]  # by episode, each in step order
-        cands = plans[rows, :, :h]
+        rows = np.flatnonzero(horizons[job] == h)  # in step order, as recorded[h]
+        order = np.argsort(job[rows], kind="stable")  # by episode, each in step order
+        rows, cands = rows[order], np.concatenate([np.empty((0, n, h, 4)), *recorded.pop(h)])[order]
         labels = wd.label_in_passes(q[rows], holding[rows], cands, world_cfg)
         samples = SampleColumns(
             proprio=proprio[rows], z=z[rows],

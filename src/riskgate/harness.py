@@ -401,7 +401,8 @@ def read_episode_log(path) -> EpisodeLog:
     negative d_min. The terminal record must agree with the steps: their
     count, BLOCK decisions and RUN -> BLOCKED gate transitions (from RUN
     before the first step, as recoveries), collided exactly when the last
-    step is no HALT and has a negative d_min, and success only without it.
+    step is no HALT and has a negative d_min, and success only without it
+    and after a last step that is no HALT.
     Raises ValueError naming the file and line of the first fault.
     """
     with open(path) as f:
@@ -433,6 +434,9 @@ def read_episode_log(path) -> EpisodeLog:
                              f"{json.dumps(want)}")
     if term["success"] and term["collided"]:
         raise ValueError(f"{where}: success and collided are both true")
+    if term["success"] and (last is None or last.decision == sg.HALT):
+        raise ValueError(f"{where}: success is true after "
+                         + ("no steps" if last is None else "a last step that HALTs"))
     return EpisodeLog(task_id=head["task_id"], seed=head["seed"], mode=head["mode"], steps=steps,
                       success=term["success"], collided=term["collided"], n_steps=term["steps"],
                       blocked_steps=term["blocked_steps"], recoveries=term["recoveries"])

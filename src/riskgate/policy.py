@@ -10,12 +10,13 @@ exploration noise), which collects their `DemoRecord`s.
 
 Both planners are a row law (`expert_law`, `policy_law`: a state's action
 row) rolled forward kinematically by one loop, `roll_plan`, which returns
-the plan (and, if asked, the state its last row is chosen at). The two
-episode loops (gen-data's and `harness.run_episodes`) plan by themselves
-only at a lockstep group's first step; after that, `run_episodes` takes
-the plan `world.rollout_and_step` rolls from each executed state within
-its oracle pass, and gen-data extends its carried plan by the law's row
-at the state the plan's last row leads to.
+the plan (and, if asked, the states its later rows are chosen at). The
+two episode loops (gen-data's and `harness.run_episodes`) plan by
+themselves only at a lockstep group's first step; after that,
+`run_episodes` takes the plan `world.rollout_and_step` rolls from each
+executed state within its oracle pass, and gen-data extends its carried
+plan by the law's row at the state the plan's last row leads to, which
+it carries beside the plan with the other states its rows are chosen at.
 """
 
 from __future__ import annotations
@@ -49,23 +50,25 @@ def expert_law(task: wd.Task, a_max: float):
 
 
 def roll_plan(law, state: wd.DualArmState, horizon: int, cfg: wd.WorldConfig,
-              with_state: bool = False):
+              with_states: bool = False):
     """The (..., H, 4) plan of a row law rolled forward from state.
 
     Row i is the law's row at the state the rows before it lead to, so
     later actions react to where the earlier ones will have moved each
     arm. It steps no further than the state its last row is chosen at;
-    with_state returns (plan, that state), from which a caller can extend
-    the plan by a row.
+    with_states returns (plan, states) instead, states[i - 1] the state
+    row i is chosen at (i = 1..H-1), from which a caller can extend the
+    plan by a row.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    rows = [law(state)]
+    rows, states = [law(state)], []
     for _ in range(1, horizon):
         state = wd.step(state, rows[-1], cfg)
         rows.append(law(state))
+        states.append(state)
     plan = np.stack(rows, axis=-2)
-    return (plan, state) if with_state else plan
+    return (plan, tuple(states)) if with_states else plan
 
 
 @dataclass

@@ -13,13 +13,17 @@ flags are a field like any other, so one batch may mix them. `step`,
 `success_check` then act on every row at once and return arrays over the
 batch shape; a single state is the same call without the axis, and its
 results have shape (). The kernels give each row the same bits at any
-batch size. `lockstep` drives episodes this way: it resets and stacks
-them, steps them together and drops each as it ends, with its rows of
-what the step body carries to the next step: the next plans, and for
-gen-data also the states at which those plans' last rows are chosen, so
-that one kinematics call both executes a plan's first row and extends
-the plan by a row. The plan so carried is, bit for bit, the one the law
-rolls from the executed state, as the executed action is its first row.
+batch size. `lockstep` drives episodes this way: it resets a group of
+them in one `task_init` call, whose every draw round measures all the
+starts still to be cleared in one clearance call, steps them together
+and drops each as it ends, with its rows of what the step body carries
+to the next step: the next plans, and for gen-data also the states those
+plans' later rows are chosen at, with the clearances measured of them so
+far. As gen-data's expert never looks at clearance, its next state is
+the oldest of those states, stepped already, so that one kinematics call
+per step extends the plan by a row and one clearance call serves H
+steps. The plan so carried is, bit for bit, the one the law rolls from
+the executed state, as the executed action is its first row.
 
 A state and a task hold both arms on one arm axis of size 2, left arm
 first, the axis `geometry.stack_arms` gives `WorldConfig.arms`. Two
@@ -56,8 +60,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (ArmModel, check_joint_limits, default_arm, dls_ik_step, joint_origins,
-                       segment_pairs_distance, stack_arms)
+from .geometry import (ArmModel, JointLimitError, check_joint_limits, default_arm, dls_ik_step,
+                       joint_origins, segment_pairs_distance, stack_arms)
 
 TASK_IDS = ("crossing_transfer", "parallel_place")
 A_MAX = 0.02  # per-component EE increment bound, m/step
@@ -172,21 +176,20 @@ def lockstep(jobs, cfg: WorldConfig, params: TaskParams, advance) -> None:
     """Run the (task_id, seed) episodes of jobs together, in groups of at
     most LOCKSTEP_EPISODES in job order.
 
-    Each group's episodes are reset by `task_init` and stacked into one
-    state and task. At each step t, `advance(t, live, state, task, carry)`
-    gets the job indices of the live rows, in job order, and returns the
-    next state, a bool per row and the carry for the next step: an array,
-    a state or a tuple of them, each with one row per live row (the
-    episode loops carry the next step's plans; gen-data also the state
-    its plans' last row is chosen at). Rows marked done drop out, from the
-    carry too; carry is None at a group's first step. A group ends when no
-    row is live or after params.max_steps steps.
+    Each group is reset by one `task_init` call, into one state and task
+    stacked in job order. At each step t, `advance(t, live, state, task,
+    carry)` gets the job indices of the live rows, in job order, and
+    returns the next state, a bool per row and the carry for the next
+    step: an array, a state or a tuple of them, each with one row per live
+    row (the episode loops carry the next step's plans; gen-data also the
+    states its plans' later rows are chosen at and their clearances). Rows
+    marked done drop out, from the carry too; carry is None at a group's
+    first step. A group ends when no row is live or after params.max_steps
+    steps.
     """
     for lo in range(0, len(jobs), LOCKSTEP_EPISODES):
         live = np.arange(lo, min(lo + LOCKSTEP_EPISODES, len(jobs)))
-        inits = [task_init(*jobs[i], cfg, params) for i in live]
-        state = stack([s for s, _ in inits])
-        task = stack([t for _, t in inits])
+        state, task = task_init([jobs[i] for i in live], cfg, params)
         carry = None
         for t in range(params.max_steps):
             state, done, carry = advance(t, live, state, task, carry)
@@ -215,13 +218,19 @@ def make_state(
     holding_right: bool = False,
     t: int = 0,
 ) -> DualArmState:
-    """Build a state with fresh kinematic caches (joint limits enforced)."""
+    """Build a state with fresh kinematic caches (joint limits enforced).
+
+    q_left and q_right (..., n) may carry a batch shape; every row then
+    gets the same grip, holding flags and t."""
     q = np.stack([np.asarray(q_left, dtype=float), np.asarray(q_right, dtype=float)], axis=-2)
     origins, angles = joint_origins(cfg.arms, q)
     check_joint_limits(cfg.arms, q)
-    return DualArmState(q=q, g=np.array([g_left, g_right], dtype=float),
-                        holding=np.array([holding_left, holding_right], dtype=bool), t=t,
-                        origins=origins, heading=angles[..., -1])
+    batch = q.shape[:-2]
+    return DualArmState(q=q, g=np.tile(np.array([g_left, g_right], dtype=float), (*batch, 1)),
+                        holding=np.tile(np.array([holding_left, holding_right], dtype=bool),
+                                        (*batch, 1)),
+                        t=np.full(batch, t) if batch else t, origins=origins,
+                        heading=angles[..., -1])
 
 
 @dataclass(frozen=True)
@@ -535,36 +544,64 @@ _GOAL_CENTERS = {
 _START_Q_MEAN = np.array([0.6, -0.4, -0.2])  # both arms' start joints, before jitter
 
 
-def task_init(task_id: str, seed: int, cfg: WorldConfig,
+def task_init(jobs, cfg: WorldConfig,
               params: TaskParams = TaskParams()) -> tuple[DualArmState, Task]:
-    """Seeded reset: jittered goals, then start joints redrawn until clear.
+    """Seeded resets of the (task_id, seed) jobs, as one state and task
+    whose row i is job i's: jittered goals, then start joints redrawn until
+    clear.
 
     crossing_transfer sends each EE to the opposite side of the workspace so
     straight goal paths intersect; parallel_place keeps each arm on its own
-    side. Start configurations with clearance below min_start_clearance are
-    rejected; after max_reset_draws rejections this raises RuntimeError.
+    side. Each job draws from a stream of its own, its goals and then its
+    starts, so its row and its stream are those of resetting it alone. Each
+    draw round draws a start for every job still without a clear one and
+    measures them all in one clearance call; a start with clearance below
+    min_start_clearance is redrawn. A job fails on an unknown task id or an
+    unreachable goal (ValueError), a start outside the joint limits
+    (JointLimitError) or max_reset_draws rejections (RuntimeError); the
+    first failing job in job order raises its error.
     """
-    if task_id not in _GOAL_CENTERS:
-        raise ValueError(f"unknown task id {task_id!r}; expected one of {TASK_IDS}")
-    rng = np.random.default_rng(np.random.SeedSequence([task_index(task_id), int(seed)]))
-    center_l, center_r = _GOAL_CENTERS[task_id]
-    j = params.goal_jitter
-    goal_l = center_l + rng.uniform(-j, j, size=2)
-    goal_r = center_r + rng.uniform(-j, j, size=2)
-    _check_reachable(goal_l, cfg.arm_left)
-    _check_reachable(goal_r, cfg.arm_right)
-
-    mean, j = _START_Q_MEAN, params.start_q_jitter
+    n = len(jobs)
+    rngs, goal, errors = [None] * n, np.empty((n, 2, 2)), {}
+    for i, (task_id, seed) in enumerate(jobs):
+        try:
+            if task_id not in _GOAL_CENTERS:
+                raise ValueError(f"unknown task id {task_id!r}; expected one of {TASK_IDS}")
+            rng = rngs[i] = np.random.default_rng(
+                np.random.SeedSequence([task_index(task_id), int(seed)]))
+            j = params.goal_jitter
+            goal[i] = [c + rng.uniform(-j, j, size=2) for c in _GOAL_CENTERS[task_id]]
+            _check_reachable(goal[i, 0], cfg.arm_left)
+            _check_reachable(goal[i, 1], cfg.arm_right)
+        except ValueError as e:
+            errors[i] = ValueError(f"{_reset_name(jobs[i])}: {e}")
+    mean, j, lim = _START_Q_MEAN, params.start_q_jitter, cfg.arms.joint_limits
+    q = np.empty((n, 2, len(mean)))
+    pending = np.array([i for i in range(n) if i not in errors], dtype=int)
     for _ in range(params.max_reset_draws):
-        q_l = mean + rng.uniform(-j, j, size=mean.shape)
-        q_r = mean + rng.uniform(-j, j, size=mean.shape)
-        state = make_state(cfg, q_l, q_r)
-        if min_self_distance(state, cfg) >= params.min_start_clearance:
-            return state, Task(goal=np.stack([goal_l, goal_r]),
-                               success_tolerance=params.success_tolerance)
-    raise RuntimeError(
-        f"task_init({task_id!r}, seed={seed}): no clear start in {params.max_reset_draws} draws"
-    )
+        if not len(pending):
+            break
+        q[pending] = [[mean + rngs[i].uniform(-j, j, size=mean.shape) for _ in range(2)]
+                      for i in pending]
+        outside = ((q[pending] < lim[..., 0]) | (q[pending] > lim[..., 1])).any(axis=(1, 2))
+        errors.update((i, JointLimitError(f"{_reset_name(jobs[i])}: start joints {q[i].tolist()} "
+                                          f"violate limits {lim.tolist()}"))
+                      for i in pending[outside])
+        pending = pending[~outside]
+        start = make_state(cfg, q[pending, 0], q[pending, 1])
+        clear = min_self_distance(start, cfg) >= params.min_start_clearance
+        pending = pending[~clear]
+    errors.update((i, RuntimeError(f"{_reset_name(jobs[i])}: no clear start in "
+                                   f"{params.max_reset_draws} draws")) for i in pending)
+    if errors:
+        raise errors[min(errors)]
+    return make_state(cfg, q[:, 0], q[:, 1]), Task(
+        goal=goal, success_tolerance=np.full(n, params.success_tolerance))
+
+
+def _reset_name(job) -> str:
+    task_id, seed = job
+    return f"task_init({task_id!r}, seed={seed})"
 
 
 def task_index(task_id: str) -> int:

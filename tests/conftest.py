@@ -33,6 +33,13 @@ def assert_records_equal(got, ref):
         assert [type(v) for v in vars(a.label).values()] == [int, float, float]
 
 
+def reset(task_id, seed, cfg, params=wd.TaskParams()):
+    """The state and task of one job's reset, without the batch axis: row 0
+    of `wd.task_init` of that job alone."""
+    state, task = wd.task_init([(task_id, seed)], cfg, params)
+    return wd.take(state, 0), wd.take(task, 0)
+
+
 def plan_clearances(state, plans, cfg):
     """Reference (H, N) clearances of N (H, 4) plans from one state, or
     from a batch of N states, one per plan: a plain loop of one `wd.step`

@@ -25,7 +25,7 @@ from riskgate import policy as pol
 from riskgate import safeguard as sg
 from riskgate import world as wd
 
-from conftest import ACCEPTANCE_LINES, MICRO_CONFIG, MICRO_STAGES
+from conftest import ACCEPTANCE_LINES, MICRO_CONFIG, MICRO_STAGES, reset
 from test_estimator import batch_mean_loss
 from test_geometry import dense_segment_distance, jacobian
 
@@ -283,7 +283,7 @@ def test_criterion_08_recovery_refinement(pipeline, world_cfg, task_params):
     worst_gap = -np.inf
     for i in range(200):
         tid = wd.TASK_IDS[i % 2]
-        state, task = wd.task_init(tid, int(rng.integers(2 ** 31)),
+        state, task = reset(tid, int(rng.integers(2 ** 31)),
                                    world_cfg, task_params)
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task)
@@ -322,7 +322,7 @@ def test_criterion_10_risk_weighted_finetuning(pipeline, world_cfg, task_params)
     states = []
     for i in range(500):
         tid = wd.TASK_IDS[i % 2]
-        state, task = wd.task_init(tid, int(rng.integers(2 ** 31)),
+        state, task = reset(tid, int(rng.integers(2 ** 31)),
                                    world_cfg, task_params)
         for _ in range(int(rng.integers(30))):
             a = pol.roll_plan(pol.policy_law(bc, task), state, 1, world_cfg)[0]

@@ -204,6 +204,20 @@ def _edit_record(index, **changes):
     return edit
 
 
+def _halt_last_step(lines):
+    """The log of the same episode had its last step HALTed, then marked a
+    success."""
+    _edit_record(-2, decision="HALT")(lines)
+    _edit_record(-1, collided=False, success=True)(lines)
+
+
+def _drop_steps(lines):
+    """A log of no steps whose terminal record agrees with that, marked a
+    success."""
+    del lines[1:-1]
+    _edit_record(-1, steps=0, blocked_steps=0, recoveries=0, collided=False, success=True)(lines)
+
+
 @pytest.mark.parametrize("edit, line, expect", [
     (_edit_record(-1, success="false"), -1, "success must be true or false"),
     (_edit_record(-1, steps="3"), -1, "steps must be an int >= 0"),
@@ -213,6 +227,8 @@ def _edit_record(index, **changes):
     (_edit_record(-2, d_min=0.5), -1, "collided true disagrees with the last step's"),
     (_edit_record(-1, success=True), -1, "success and collided are both true"),
     (_edit_record(-1, recoveries=9), -1, "recoveries 9 disagrees with the RUN -> BLOCKED"),
+    (_halt_last_step, -1, "success is true after a last step that HALTs"),
+    (_drop_steps, -1, "success is true after no steps"),
     (_edit_record(1, decision="HALT"), 1, "a step before the last has decision HALT"),
     (_edit_record(1, d_min=-0.01), 1, "a step before the last has decision EXECUTE and d_min"),
     (_edit_record(1, plan_y_bin=7), 1, "plan_y_bin must be 0 or 1"),

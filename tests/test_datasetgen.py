@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import label_plans
+from conftest import label_plans, reset
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
 from riskgate import policy as pol
@@ -34,21 +34,18 @@ def test_sample_candidates_box_and_identity(world_cfg):
 
 def test_sample_candidates_batch_equals_each_rows_own_call(world_cfg):
     """One call over N nominal plans, each row with its own generator,
-    gives every row with == the candidates of its own call, on its own
-    horizon's steps, and leaves each generator where its own call does."""
+    gives every row with == the candidates of its own call, and leaves
+    each generator where its own call does."""
     rng = np.random.default_rng(6)
     nominal = rng.uniform(-0.03, 0.03, size=(4, 5, 4))
-    horizons = np.array([2, 5, 1, 3])
-    for h in (None, horizons):
-        gens = [np.random.default_rng(10 + j) for j in range(4)]
-        cands = dg.sample_candidates(nominal, 6, 0.02, gens, world_cfg.a_max, h)
-        assert cands.shape == (4, 6, 5, 4)
-        for j in range(4):
-            hj = 5 if h is None else h[j]
-            ref_gen = np.random.default_rng(10 + j)
-            ref = dg.sample_candidates(nominal[j, :hj], 6, 0.02, ref_gen, world_cfg.a_max)
-            assert_array_equal(cands[j, :, :hj], ref)
-            assert gens[j].random() == ref_gen.random()
+    gens = [np.random.default_rng(10 + j) for j in range(4)]
+    cands = dg.sample_candidates(nominal, 6, 0.02, gens, world_cfg.a_max)
+    assert cands.shape == (4, 6, 5, 4)
+    for j in range(4):
+        ref_gen = np.random.default_rng(10 + j)
+        ref = dg.sample_candidates(nominal[j], 6, 0.02, ref_gen, world_cfg.a_max)
+        assert_array_equal(cands[j], ref)
+        assert gens[j].random() == ref_gen.random()
 
 
 def reference_oversample(y_d, seed, d_thresh, factor):
@@ -431,7 +428,7 @@ def one_episode_at_a_time(gen_cfg, world_cfg, task_params):
         for ep in range(gen_cfg.episodes_per_task):
             h = gen_cfg.horizons[ep % len(gen_cfg.horizons)]
             seed = int(np.random.SeedSequence([gen_cfg.seed, tidx, ep]).generate_state(1)[0])
-            state, task = wd.task_init(task_id, seed, world_cfg, task_params)
+            state, task = reset(task_id, seed, world_cfg, task_params)
             noise, jitter = (np.random.default_rng(np.random.SeedSequence(
                 [gen_cfg.seed, tidx, seed, k])) for k in (1, 2))
             ending = "budget"
@@ -463,11 +460,15 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
     both tasks, horizons 2, 3 and 5, and episodes that end by collision and
     by success at different steps.
 
-    The expert plans by itself once per group, with the H - 1 `wd.step`
-    calls of the longest horizon H = 5. After that each step makes
-    one `wd.step` call, one `dls_ik_step` call on its N live rows and the
-    N states their plans' last rows are chosen at, and one clearance call
-    on the N next states. The labels come after every step of every group,
+    Each group's reset makes one clearance call on its starts, all clear
+    at the first draw. The expert plans by itself once per group, with
+    the H - 1 `wd.step` calls of the longest horizon H = 5. After that each
+    step makes one `wd.step` call, one `dls_ik_step` call on its N live
+    rows (the newest state a carried plan's row is chosen at, moved by the
+    plan's last row), and every H-th step from the group's first one
+    clearance call on the N live rows' next H states, which serves those H
+    steps: at most ceil(steps / (H - 1)) calls in a group of that many
+    steps. The labels come after every step of every group,
     one horizon h at a time in write order, from passes of whole rows, each
     LABEL_CHUNK // (K * h) rows (at least one) but the last: each of a
     pass's h kinematics calls sees K rows per row, and its clearance K * h
@@ -479,7 +480,7 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
     calls = {"dls_ik_step": 0, "step": 0, "segment_pairs_distance": 0}
     seen = []  # (name, configurations) of each dls_ik_step and segment_pairs_distance call
     # per roll_plan, per step and per label pass: (the calls made, what seen gained)
-    rolls, per_step, passes = [], [], []
+    rolls, per_step, passes, resets = [], [], [], []
 
     def counting(name, real):
         def counted(*args):
@@ -506,6 +507,7 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
             m.setattr(wd, name, counting(name, getattr(wd, name)))
         m.setattr(pol, "roll_plan", measured(rolls, pol.roll_plan))
         m.setattr(wd, "rollout_and_step", measured(passes, wd.rollout_and_step))
+        m.setattr(wd, "task_init", measured(resets, wd.task_init))
         m.setattr(wd, "lockstep", lockstep)
         paths, _ = dg.generate_dataset(cfg, world_cfg, tmp_path, task_params)
     ref, endings = one_episode_at_a_time(cfg, world_cfg, task_params)
@@ -526,16 +528,18 @@ def test_lockstep_equals_one_episode_at_a_time(world_cfg, task_params, tmp_path,
                     [cfg.seed, wd.task_index(task_id), ep]).generate_state(1)[0])])
                for task_id in cfg.tasks for ep in range(cfg.episodes_per_task)]
     groups = [per_job[lo:lo + group] for lo in range(0, len(per_job), group)]
+    assert resets == [((0, 0, 1), [("segment_pairs_distance", len(g))]) for g in groups]
     assert rolls == [((4, 4, 0), [("dls_ik_step", len(g))] * 4) for g in groups]
     assert calls["step"] == sum(counts[1] for counts, _ in rolls) + len(per_step) - 1
-    k, want = cfg.n_candidates, []
+    k, h_all, want = cfg.n_candidates, max(cfg.horizons), []
     for g in groups:
         for t in range(max(n for _, n in g)):
             live = [h for h, n in g if n > t]
             roll = rolls.pop(0) if t == 0 else ((0, 0, 0), [])
-            want.append((tuple(a + b for a, b in zip(roll[0], (1, 1, 1))),
-                         roll[1] + [("dls_ik_step", 2 * len(live)),
-                                    ("segment_pairs_distance", len(live))]))
+            measure = t % h_all == 0
+            want.append((tuple(a + b for a, b in zip(roll[0], (1, 1, measure))),
+                         roll[1] + [("dls_ik_step", len(live))]
+                         + [("segment_pairs_distance", h_all * len(live))] * measure))
     assert per_step == want + ["end"]  # every label pass comes after the last step
     want = []
     for h in cfg.horizons:
@@ -558,31 +562,38 @@ def test_carried_plan_equals_the_plan_rolled_from_each_executed_state(
         world_cfg, task_params, tmp_path, monkeypatch, horizons, group):
     """At every step, for every live episode, the plan gen-data carries to
     the next step equals with == `pol.roll_plan` of the expert from the
-    state the step executed into, at the longest horizon, and the state it
-    carries is the one that roll's last row is chosen at; with H = 1, and
-    with groups of 4 whose longest live horizon shrinks while the plan
+    state the step executed into, at the longest horizon H, the H - 1
+    states it carries are the ones that roll's rows 1..H-1 are chosen at,
+    and the clearances it carries are those of the first of them, as many
+    as the H steps served by the last clearance call leave; with H = 1,
+    and with groups of 4 whose longest live horizon shrinks while the plan
     keeps its length."""
     monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
     cfg = dg.DatagenConfig(episodes_per_task=3, horizons=horizons, seed=4)
-    seen = []  # per step: (live horizons, next state, task, carry)
+    seen = []  # per step: (step index, live horizons, next state, task, carry)
 
     def lockstep(jobs, world, params, advance, _real=wd.lockstep):
         def recorded(t, live, state, task, carry):
             out = advance(t, live, state, task, carry)
             # 3 episodes per task: a job's index picks its horizon round-robin
-            seen.append((np.array(horizons)[live % len(horizons)], out[0], task, out[2]))
+            seen.append((t, np.array(horizons)[live % len(horizons)], out[0], task, out[2]))
             return out
         _real(jobs, world, params, recorded)
 
     monkeypatch.setattr(wd, "lockstep", lockstep)
     dg.generate_dataset(cfg, world_cfg, tmp_path, task_params)
     shrunk, length = False, max(horizons)
-    for h_live, state, task, (plan, last) in seen:
+    for t, h_live, state, task, (plan, ahead, d) in seen:
         assert plan.shape[1] == length
         shrunk |= bool(h_live.max() < length)
-        ref, ref_last = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, length,
-                                      world_cfg, with_state=True)
+        ref, ref_ahead = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, length,
+                                       world_cfg, with_states=True)
         assert_array_equal(plan, ref)
-        for f in ("q", "g", "holding", "origins", "heading"):
-            assert_array_equal(getattr(last, f), getattr(ref_last, f), err_msg=f)
+        assert len(ahead) == len(ref_ahead) == length - 1
+        for got, want in zip(ahead, ref_ahead):
+            for f in ("q", "g", "holding", "origins", "heading"):
+                assert_array_equal(getattr(got, f), getattr(want, f), err_msg=f)
+        assert d.shape == (len(plan), length - 1 - t % length)
+        if d.shape[1]:
+            assert_array_equal(d, wd.min_self_distance(wd.stack(ahead[:d.shape[1]]), world_cfg).T)
     assert len(seen) > 20 and shrunk == (group == 4)

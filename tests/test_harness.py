@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import assert_records_equal, label_plans
+from conftest import assert_records_equal, label_plans, reset
 from riskgate import config as cf
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
@@ -427,7 +427,7 @@ def one_episode_at_a_time(setup, task_id, seed, collector):
     """Reference episode: the closed loop of one episode alone, from the
     per-state public calls. Returns its log and how it ended."""
     wcfg, gate_cfg = setup.world_cfg, setup.gate_cfg
-    state, task = wd.task_init(task_id, seed, wcfg, setup.task_params)
+    state, task = reset(task_id, seed, wcfg, setup.task_params)
     noise, jitter = (np.random.default_rng(np.random.SeedSequence(
         [setup.seed, wd.task_index(task_id), seed, k])) for k in (101, 102))
     goals = task.goal.ravel()

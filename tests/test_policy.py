@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import assert_records_equal, label_plans
+from conftest import assert_records_equal, label_plans, reset
 from riskgate import estimator as est
 from riskgate import harness as hn
 from riskgate import policy as pol
@@ -38,7 +38,7 @@ def demo_records(world_cfg, task_params):
 
 
 def test_scripted_expert_matches_proportional_law(world_cfg, task_params):
-    state, task = wd.task_init("crossing_transfer", 0, world_cfg, task_params)
+    state, task = reset("crossing_transfer", 0, world_cfg, task_params)
     plan = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, 4, world_cfg)
     assert plan.shape == (4, 4)
     first = np.concatenate([
@@ -68,7 +68,7 @@ def test_init_policy_shapes_and_determinism():
 def test_policy_forward_stays_in_box(world_cfg, task_params):
     params = pol.init_policy(seed=0)
     params.w2 *= 100.0  # drive the pre-squash output far out of range
-    state, task = wd.task_init("parallel_place", 1, world_cfg, task_params)
+    state, task = reset("parallel_place", 1, world_cfg, task_params)
     plan = pol.roll_plan(pol.policy_law(params, task), state, 1, world_cfg)
     assert plan.shape == (1, 4)
     assert np.all(np.abs(plan) <= params.a_max)
@@ -90,7 +90,7 @@ def test_policy_plan_matches_manual_rollout(world_cfg, task_params, monkeypatch)
     state and task over both tasks plan every row in one call, and each
     row equals its own single-state call with ==."""
     params = pol.init_policy(seed=2)
-    state, task = wd.task_init("crossing_transfer", 3, world_cfg, task_params)
+    state, task = reset("crossing_transfer", 3, world_cfg, task_params)
     ref, cur = [], state
     for i in range(5):
         ref.append(network_row(params, cur, task))
@@ -106,7 +106,7 @@ def test_policy_plan_matches_manual_rollout(world_cfg, task_params, monkeypatch)
     assert_array_equal(plan, np.array(ref))
     assert len(calls) == 4
 
-    inits = [wd.task_init(wd.TASK_IDS[i % 2], i, world_cfg, task_params) for i in range(6)]
+    inits = [reset(wd.TASK_IDS[i % 2], i, world_cfg, task_params) for i in range(6)]
     states, tasks = [s for s, _ in inits], [t for _, t in inits]
     calls.clear()
     plans = pol.roll_plan(pol.policy_law(params, wd.stack(tasks)), wd.stack(states), 5,
@@ -127,7 +127,7 @@ def test_oracle_pass_plans_the_next_states_as_the_planners_do(world_cfg, task_pa
     actions."""
     rng = np.random.default_rng(40 + 10 * n + horizon)
     flags = [(True, False), (False, False), (False, True), (True, True), (False, False)][:n]
-    inits = [wd.task_init(wd.TASK_IDS[i % 2], i, world_cfg, task_params) for i in range(n)]
+    inits = [reset(wd.TASK_IDS[i % 2], i, world_cfg, task_params) for i in range(n)]
     states = [wd.make_state(world_cfg, s.q[0], s.q[1], holding_left=left, holding_right=right,
                             t=3 * i) for i, ((s, _), (left, right)) in enumerate(zip(inits, flags))]
     lim = world_cfg.arms.joint_limits
@@ -185,7 +185,7 @@ def demos_one_episode_at_a_time(task_id, seeds, horizon, world_cfg, task_params,
     Returns the records and how each episode ended."""
     records, endings = [], []
     for seed in seeds:
-        state, task = wd.task_init(task_id, seed, world_cfg, task_params)
+        state, task = reset(task_id, seed, world_cfg, task_params)
         rng = np.random.default_rng(np.random.SeedSequence([wd.task_index(task_id), seed, 29]))
         goals = task.goal.ravel()
         ending = "budget"

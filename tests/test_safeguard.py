@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reset
 from riskgate import estimator as est
 from riskgate import safeguard as sg
 from riskgate import world as wd
@@ -160,7 +161,7 @@ def test_distance_fallback():
 
 
 def _state_features(seed, world_cfg, task_params):
-    state, task = wd.task_init("crossing_transfer", seed, world_cfg, task_params)
+    state, task = reset("crossing_transfer", seed, world_cfg, task_params)
     return wd.proprio_feature(state), wd.scene_feature(state, task)
 
 

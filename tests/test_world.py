@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import label_plans, label_rows, plan_clearances
+from conftest import label_plans, label_rows, plan_clearances, reset
 from test_geometry import reference_dls_ik_step, reference_joint_origins
 from riskgate import geometry as gm
 from riskgate import world as wd
@@ -141,6 +141,15 @@ def test_make_state_matches_per_arm_forward_kinematics(world_cfg):
     for q_l, q_r in (([2.9, 0.0, 0.0], ok), (ok, [0.0, -2.81, 0.0])):
         with pytest.raises(gm.JointLimitError):
             wd.make_state(world_cfg, q_l, q_r)
+    # a batch of joint vectors: each row that of its own call, the other
+    # fields shared by every row
+    q = rng.uniform(-2.75, 2.75, (5, 2, 3))
+    batch = wd.make_state(world_cfg, q[:, 0], q[:, 1], 0.25, 0.5, holding_left=True, t=7)
+    rows = wd.stack([wd.make_state(world_cfg, *row, 0.25, 0.5, holding_left=True, t=7)
+                     for row in q])
+    for name, value in vars(rows).items():
+        got = getattr(batch, name)
+        assert np.array_equal(got, value) and got.dtype == value.dtype, name
 
 
 def test_step_matches_per_arm_reference(world_cfg):
@@ -403,7 +412,7 @@ def test_joint_origins_rebuild_a_states_cached_kinematics(world_cfg, task_params
     several sizes, and rows taken out of those batches. This is what lets
     `label_in_passes` rebuild a start state from q alone."""
     rng = np.random.default_rng(25)
-    states = [wd.task_init(wd.TASK_IDS[i % 2], i, world_cfg, task_params)[0] for i in range(4)]
+    states = [reset(wd.TASK_IDS[i % 2], i, world_cfg, task_params)[0] for i in range(4)]
     states += [wd.make_state(world_cfg, [2.75, -2.75, 2.75], [-2.75, 2.75, -2.75]),
                wd.make_state(world_cfg, [-2.75, 2.75, 2.75], [2.75, -2.75, -2.75])]
     batch = wd.stack(states)
@@ -470,7 +479,7 @@ def test_batched_world_rows_equal_single_state_calls(world_cfg, task_params):
     features, `success_check` and the expert's plan and next state."""
     from riskgate import policy as pol
     rng = np.random.default_rng(18)
-    pairs = [wd.task_init(wd.TASK_IDS[i % 2], i, world_cfg, task_params) for i in range(7)]
+    pairs = [reset(wd.TASK_IDS[i % 2], i, world_cfg, task_params) for i in range(7)]
     pairs.append((pairs[0][0], replace(pairs[0][1], goal=pairs[0][0].ee)))  # already at goal
     states = [random_state(rng, world_cfg) for _ in range(4)] + [s for s, _ in pairs[4:]]
     tasks = [t for _, t in pairs]
@@ -614,28 +623,146 @@ def test_rollout_validates_plan_shape(world_cfg):
 
 def test_task_init_deterministic_and_clear(world_cfg, task_params):
     for tid in wd.TASK_IDS:
-        s1, t1 = wd.task_init(tid, 123, world_cfg, task_params)
-        s2, t2 = wd.task_init(tid, 123, world_cfg, task_params)
+        s1, t1 = reset(tid, 123, world_cfg, task_params)
+        s2, t2 = reset(tid, 123, world_cfg, task_params)
         assert_allclose(s1.q, s2.q)
         assert_allclose(t1.goal, t2.goal)
         assert wd.min_self_distance(s1, world_cfg) >= task_params.min_start_clearance
     # crossing sends each EE to the opposite half-plane
-    _, task = wd.task_init("crossing_transfer", 5, world_cfg, task_params)
+    _, task = reset("crossing_transfer", 5, world_cfg, task_params)
     assert task.goal[0, 0] > 0 and task.goal[1, 0] < 0
-    _, task = wd.task_init("parallel_place", 5, world_cfg, task_params)
+    _, task = reset("parallel_place", 5, world_cfg, task_params)
     assert task.goal[0, 0] < 0 and task.goal[1, 0] > 0
 
 
 def test_task_init_rejects_unreachable_setup(world_cfg):
     with pytest.raises(ValueError):
-        wd.task_init("no_such_task", 0, world_cfg)
+        reset("no_such_task", 0, world_cfg)
     strict = wd.TaskParams(min_start_clearance=1.0, max_reset_draws=5)
     with pytest.raises(RuntimeError):
-        wd.task_init("crossing_transfer", 0, world_cfg, strict)
+        reset("crossing_transfer", 0, world_cfg, strict)
+
+
+# Start clearances lie in about [0.26, 0.38] m, so this one rejects about
+# half of all draws and many jobs take several
+PICKY = wd.TaskParams(min_start_clearance=0.355)
+# goals jittered this far fall out of reach for about two jobs in five
+PICKY_FAR = replace(PICKY, goal_jitter=0.1)
+
+
+def reference_reset(task_id, seed, cfg, params):
+    """One job reset alone, from single-state calls: jittered goals, then
+    start joints redrawn until clear. Returns its state, task, stream and
+    the draws it took, or (None, None, stream, draws) when it runs out."""
+    rng = np.random.default_rng(np.random.SeedSequence([wd.task_index(task_id), seed]))
+    j = params.goal_jitter
+    goal = np.stack([c + rng.uniform(-j, j, size=2) for c in wd._GOAL_CENTERS[task_id]])
+    mean, j = wd._START_Q_MEAN, params.start_q_jitter
+    for draw in range(1, params.max_reset_draws + 1):
+        q_l = mean + rng.uniform(-j, j, size=mean.shape)
+        q_r = mean + rng.uniform(-j, j, size=mean.shape)
+        state = wd.make_state(cfg, q_l, q_r)
+        if wd.min_self_distance(state, cfg) >= params.min_start_clearance:
+            return state, wd.Task(goal=goal, success_tolerance=params.success_tolerance), rng, draw
+    return None, None, rng, params.max_reset_draws
+
+
+def streams_made(monkeypatch):
+    """The generators `np.random.default_rng` makes from now on, in order."""
+    made, real = [], np.random.default_rng
+
+    def recorded(*args):
+        made.append(real(*args))
+        return made[-1]
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    return made
+
+
+def test_batched_reset_rows_equal_each_job_reset_alone(world_cfg, monkeypatch):
+    """Row i of one `task_init` call over many jobs equals, with ==, job i
+    reset alone by single-state calls, and leaves job i's stream where
+    that reset leaves it, also for jobs that take several draws."""
+    jobs = [(wd.TASK_IDS[i % 2], 3 * i + 1) for i in range(12)]
+    made = streams_made(monkeypatch)
+    state, task = wd.task_init(jobs, world_cfg, PICKY)
+    assert len(made) == len(jobs)
+    draws = []
+    for i, (task_id, seed) in enumerate(jobs):
+        ref_state, ref_task, ref_rng, n = reference_reset(task_id, seed, world_cfg, PICKY)
+        draws.append(n)
+        for name, ref in (*vars(ref_state).items(), *vars(ref_task).items()):
+            got = getattr(wd.take(state if name in vars(ref_state) else task, i), name)
+            assert np.array_equal(got, ref) and np.asarray(got).dtype == np.asarray(ref).dtype, name
+        assert made[i].random() == ref_rng.random()
+    assert min(draws) == 1 and max(draws) > 2
+
+
+def test_batched_reset_raises_the_first_failing_jobs_error(world_cfg):
+    """Among jobs that fail, the first in job order raises its own error,
+    naming it, even when a later job fails in an earlier draw round: an
+    unknown task id, an unreachable goal, a start outside the joint limits
+    or no clear start in max_reset_draws draws."""
+    params = replace(PICKY_FAR, max_reset_draws=2)
+    unreachable, late, exhausted = [], [], []
+    for seed in range(60):
+        try:
+            wd.task_init([("crossing_transfer", seed)], world_cfg, PICKY_FAR)
+        except ValueError:
+            unreachable.append(seed)
+            continue
+        state, _, _, n = reference_reset("crossing_transfer", seed, world_cfg, params)
+        if state is None:
+            exhausted.append(seed)
+        elif n == 2:
+            late.append(seed)
+    assert unreachable and late and exhausted
+    ok, gone, far = (("crossing_transfer", s[0]) for s in (late, exhausted, unreachable))
+    unknown = ("no_such_task", 0)
+    for jobs, error, what in (
+            ([ok, gone, far, unknown], RuntimeError, f"seed={gone[1]}): no clear start in 2 draws"),
+            ([ok, far, gone, unknown], ValueError, f"seed={far[1]}): goal"),
+            ([ok, unknown, far, gone], ValueError, "seed=0): unknown task id 'no_such_task'")):
+        with pytest.raises(error, match=r"task_init\(") as err:
+            wd.task_init(jobs, world_cfg, params)
+        assert what in str(err.value)
+    wd.task_init([ok, ok], world_cfg, params)
+    # a start drawn outside the joint limits fails its job
+    wide, outside = replace(PICKY, start_q_jitter=2.4), []
+    for seed in range(8):
+        try:
+            reference_reset("parallel_place", seed, world_cfg, wide)
+        except gm.JointLimitError:
+            outside.append(seed)
+    assert outside and outside[0] > 0
+    with pytest.raises(gm.JointLimitError, match=rf"seed={outside[0]}\): start joints"):
+        wd.task_init([("parallel_place", s) for s in range(8)], world_cfg, wide)
+
+
+def test_lockstep_resets_a_group_in_one_clearance_call_per_draw_round(world_cfg, monkeypatch):
+    """`lockstep` resets each group with one `task_init` call, which
+    measures every start still to be drawn in a draw round in one
+    clearance call: as many calls per group as its slowest job's draws."""
+    monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", 4)
+    jobs = [(wd.TASK_IDS[i % 2], 5 * i) for i in range(10)]
+    draws = [reference_reset(*job, world_cfg, PICKY)[3] for job in jobs]
+    measured, real = [], wd.min_self_distance
+
+    def counted(state, cfg):
+        measured.append(len(state.q))
+        return real(state, cfg)
+    monkeypatch.setattr(wd, "min_self_distance", counted)
+    groups = []
+    wd.lockstep(jobs, world_cfg, PICKY,
+                lambda t, live, state, task, carry: (groups.append(list(live)) or state,
+                                                      np.ones(len(live), dtype=bool), None))
+    assert groups == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    want = [sum(n > r for n in draws[lo:lo + 4])
+            for lo in range(0, len(jobs), 4) for r in range(max(draws[lo:lo + 4]))]
+    assert measured == want and max(draws) > 2
 
 
 def test_success_check(world_cfg, task_params):
-    state, task = wd.task_init("parallel_place", 3, world_cfg, task_params)
+    state, task = reset("parallel_place", 3, world_cfg, task_params)
     assert not wd.success_check(state, task)
     # drive both EEs onto their goals with the oracle-free expert loop
     from riskgate import policy as pol
@@ -649,7 +776,7 @@ def test_success_check(world_cfg, task_params):
 
 
 def test_scene_and_proprio_features(world_cfg, task_params):
-    state, task = wd.task_init("crossing_transfer", 9, world_cfg, task_params)
+    state, task = reset("crossing_transfer", 9, world_cfg, task_params)
     z = wd.scene_feature(state, task)
     assert z.shape == (10,)
     assert_allclose(z[:4], state.ee.ravel())
