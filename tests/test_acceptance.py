@@ -283,8 +283,7 @@ def test_criterion_08_recovery_refinement(pipeline, world_cfg, task_params):
     worst_gap = -np.inf
     for i in range(200):
         tid = wd.TASK_IDS[i % 2]
-        state, task = reset(tid, int(rng.integers(2 ** 31)),
-                                   world_cfg, task_params)
+        state, task = reset(tid, int(rng.integers(2 ** 31)), world_cfg, task_params)
         proprio = wd.proprio_feature(state)
         z = wd.scene_feature(state, task)
         nominal = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, 5, world_cfg)
@@ -322,8 +321,7 @@ def test_criterion_10_risk_weighted_finetuning(pipeline, world_cfg, task_params)
     states = []
     for i in range(500):
         tid = wd.TASK_IDS[i % 2]
-        state, task = reset(tid, int(rng.integers(2 ** 31)),
-                                   world_cfg, task_params)
+        state, task = reset(tid, int(rng.integers(2 ** 31)), world_cfg, task_params)
         for _ in range(int(rng.integers(30))):
             a = pol.roll_plan(pol.policy_law(bc, task), state, 1, world_cfg)[0]
             nxt = wd.step(state, a, world_cfg)
