@@ -4,6 +4,8 @@ Subcommands: gen-data, train-estimator, calibrate, roc-tune, train-policy,
 finetune-policy, post-train, run, evaluate, report. Every command takes
 --config and an optional --seed override. Exit codes: 0 success, 1 config
 error, 2 runtime error, 3 failed --assert threshold in evaluate.
+
+train-estimator, calibrate and roc-tune keep datasets as columns.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ def _cmd_gen_data(cfg: cf.RunConfig, args) -> None:
 
 
 def _split_phases(cfg: cf.RunConfig):
-    """Per-phase train/held-out batches from the generated files.
+    """(the generated files' samples as one SampleColumns, one training
+    batch per horizon, the held-out rows): per file, a seeded share of its
+    rows, in line order, is held out and the rest, in the permutation's
+    order, is its horizon's phase.
 
     gen-data deals each task's episodes to the horizons in turn, so with
     fewer episodes per task than horizons some files hold no samples; that
@@ -54,42 +59,33 @@ def _split_phases(cfg: cf.RunConfig):
             f"datagen.episodes_per_task must be >= the number of datagen.horizons "
             f"({len(d.horizons)}) to train on every horizon, got {d.episodes_per_task}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 31]))
-    train_phases, held_samples = [], []
-    for h in sorted(d.horizons):
-        ds = dg.read_dataset(dg.dataset_path(d.out_dir, h))
-        n = len(ds.samples)
-        order = rng.permutation(n)
-        n_held = max(1, int(round(cfg.estimator.heldout_frac * n)))
-        held_samples.extend(ds.samples[i] for i in np.sort(order[:n_held]))
-        train = [ds.samples[i] for i in order[n_held:]]
-        train_phases.append(est.stack_batch(train))
-    return train_phases, held_samples
-
-
-def _write_heldout(cfg: cf.RunConfig, held_samples) -> None:
-    held = dg.SampleColumns.of(held_samples)
-    header = dg.make_header(np.unique(held.H).tolist(), held.y_bin, cfg.seed,
-                            dg.config_digest(cfg.datagen_config()))
-    dg.write_dataset(cfg.estimator.heldout_path, header, held)
-
-
-def _load_heldout(cfg: cf.RunConfig) -> est.SampleBatch:
-    ds = dg.read_dataset(cfg.estimator.heldout_path)
-    return est.stack_batch(ds.samples)
+    parts = [dg.read_dataset(dg.dataset_path(d.out_dir, h)).columns for h in sorted(d.horizons)]
+    columns = dg.SampleColumns.concat(parts)
+    train_phases, held = [], []
+    for part, start in zip(parts, np.cumsum([0] + [len(p.H) for p in parts])):
+        order = start + rng.permutation(len(part.H))
+        n_held = max(1, int(round(cfg.estimator.heldout_frac * len(part.H))))
+        held.append(np.sort(order[:n_held]))
+        train_phases.append(columns.batch(order[n_held:]))
+    return columns, train_phases, np.concatenate(held)
 
 
 def _cmd_train_estimator(cfg: cf.RunConfig, args) -> None:
-    train_phases, held_samples = _split_phases(cfg)
+    columns, train_phases, held_rows = _split_phases(cfg)
     params = est.train(train_phases, cfg.estimator_train_config())
+    train_samples = int(sum(len(b) for b in train_phases))
+    del train_phases  # freed before the held-out forward, the stage's peak
     params.config_digest = dg.config_digest(cfg.datagen_config())
     est.save_params(params, cfg.estimator.checkpoint_path)
-    _write_heldout(cfg, held_samples)
-    held = est.stack_batch(held_samples)
+    header = dg.make_header(sorted(set(columns.H[held_rows].tolist())),
+                            columns.y_bin[held_rows], cfg.seed, params.config_digest)
+    dg.write_dataset(cfg.estimator.heldout_path, header, columns, held_rows)
+    held = columns.batch(held_rows)
     risks = est.risk_batch(params, held)
     _emit({
         "checkpoint": cfg.estimator.checkpoint_path,
         "heldout": cfg.estimator.heldout_path,
-        "train_samples": int(sum(len(b) for b in train_phases)),
+        "train_samples": train_samples,
         "heldout_samples": len(held),
         "heldout_auc": mt.auc_trapezoid(risks, held.y_bin),
         "param_count": params.count(),
@@ -98,7 +94,7 @@ def _cmd_train_estimator(cfg: cf.RunConfig, args) -> None:
 
 def _cmd_calibrate(cfg: cf.RunConfig, args) -> None:
     params = est.load_params(cfg.estimator.checkpoint_path)
-    held = _load_heldout(cfg)
+    held = dg.read_dataset(cfg.estimator.heldout_path).columns.batch()
     nll_before = est.heldout_nll(params, held, 1.0)
     ece_before = mt.compute_calibration(
         est.risk_batch(replace(params, temperature=1.0), held), held.y_bin).ece
@@ -118,7 +114,7 @@ def _cmd_roc_tune(cfg: cf.RunConfig, args) -> None:
     if not cfg.gate.thresholds_path:
         raise cf.ConfigError("gate.thresholds_path must be set for roc-tune")
     params = est.load_params(cfg.estimator.checkpoint_path)
-    held = _load_heldout(cfg)
+    held = dg.read_dataset(cfg.estimator.heldout_path).columns.batch()
     res = mt.roc_tune(params, held, cfg.gate.fn_target)
     payload = {
         "tau_up": res.tau_up, "tau_down": res.tau_down, "auc": res.auc,

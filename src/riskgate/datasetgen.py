@@ -15,25 +15,27 @@ streams, so the files are those of running the episodes one at a time.
 Files are JSONL: one header object, then one object per sample,
 partitioned by curriculum horizon.
 
-gen-data builds no object per sample. Each step keeps its arrays: the
-features once per live episode, the start configuration (joint vectors
-and holding flags, all the labels need) and the candidates, each
-horizon's at its own length. A file's samples become one
-`SampleColumns`, in which the candidates of one step share that step's
+A set of labeled samples is one `SampleColumns` from file to batch. gen-data
+keeps each step's arrays: the features once per live episode, the start
+configuration (joint vectors and holding flags, all the labels need) and
+the candidates, each horizon's at its own length. A file's samples become
+one `SampleColumns`, in which the candidates of one step share that step's
 feature row, and near-miss oversampling is a write order over those rows
-(`oversample_near_miss`).
+(`oversample_near_miss`). `SampleColumns.batch` pads and masks the
+`estimator.SampleBatch` of any rows; `Dataset.samples` is a row view.
 
 Every line is exactly the text of `json.dumps(obj, sort_keys=True)`.
 `write_dataset` renders it itself: for a list of finite floats, the list's
-repr is that text. It renders each feature row's text once and each
-sample's line once; a sample written more than once keeps its line only
-until its last copy is written.
+repr is that text. It renders the text of each feature row it writes once
+and each sample's line once; a sample written more than once keeps its
+line only until its last copy is written.
 
 Samples are validated as columns by one check, `_check_columns`:
-`write_dataset` runs it once per file, on the rows it writes;
+`write_dataset` runs it once per file, on every sample of its columns;
 `read_dataset` parses line by line, then converts and checks slices of
-`_READ_SLICE` lines at a time, names the first bad line, and builds each
-`Sample(...)` from checked columns. `Sample` itself checks nothing.
+`_READ_SLICE` lines at a time, names the first bad line, keeps each
+slice's columns and joins them at the end. `Sample` itself checks
+nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import itertools
 import json
 import operator
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -60,13 +62,9 @@ _READ_SLICE = 64
 
 @dataclass(frozen=True)
 class Sample:
-    """One labeled candidate plan.
-
-    The fields hold float64 arrays, an int H, a label of Python scalars and
-    a (str, int, int) meta, as `read_dataset` builds them from checked
-    columns; the constructor neither converts nor checks them, and
-    `write_dataset` checks the samples it writes.
-    """
+    """One labeled candidate plan: float64 arrays, an int H, a label of
+    Python scalars and a (str, int, int) meta, as `Dataset.samples` builds
+    them from checked columns; the constructor neither converts nor checks."""
 
     proprio: np.ndarray
     z: np.ndarray
@@ -156,7 +154,18 @@ class DatasetHeader:
 @dataclass
 class Dataset:
     header: DatasetHeader
-    samples: list
+    columns: SampleColumns
+
+    @property
+    def samples(self) -> list:
+        """`Sample` objects owning copies of their rows, built anew on each
+        access; only the benchmark's dataset checks and the tests read it."""
+        c = self.columns
+        ends = np.cumsum(4 * c.H).tolist()
+        labels = map(wd.RolloutOutcome, c.y_bin.tolist(), c.y_d.tolist(), c.y_ttc.tolist())
+        return [Sample(c.proprio[f].copy(), c.z[f].copy(),
+                       c.plan[end - 4 * h:end].reshape(h, 4).copy(), h, label, c.meta[f])
+                for f, end, h, label in zip(c.feature.tolist(), ends, c.H.tolist(), labels)]
 
 
 @dataclass(frozen=True)
@@ -182,24 +191,40 @@ class SampleColumns:
     y_ttc: np.ndarray
 
     @classmethod
-    def of(cls, samples) -> SampleColumns:
-        """The columns of a list of samples; samples with equal meta and
-        proprio and z bytes share a feature row."""
-        index, firsts, feature = {}, [], []
-        for s in samples:
-            f = index.setdefault((s.proprio.tobytes(), s.z.tobytes(), s.meta), len(index))
-            if f == len(firsts):
-                firsts.append(s)
-            feature.append(f)
-        labels = [s.label for s in samples]
-        return cls(proprio=np.array([s.proprio for s in firsts]).reshape(-1, est.PROPRIO_DIM),
-                   z=np.array([s.z for s in firsts]).reshape(-1, est.VISION_DIM),
-                   meta=[s.meta for s in firsts], feature=np.array(feature, dtype=int),
-                   H=np.array([s.H for s in samples], dtype=int),
-                   plan=np.concatenate([np.zeros(0)] + [s.plan.ravel() for s in samples]),
-                   y_bin=np.array([lab.y_bin for lab in labels], dtype=int),
-                   y_d=np.array([lab.y_d for lab in labels], dtype=float),
-                   y_ttc=np.array([lab.y_ttc for lab in labels], dtype=float))
+    def concat(cls, parts) -> SampleColumns:
+        """The samples of parts, one part after the other, as one
+        SampleColumns."""
+        parts = [_NO_SAMPLES, *parts]
+        starts = np.cumsum([0] + [len(p.meta) for p in parts])  # each part's first feature row
+        cols = {f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                for f in fields(cls) if f.name not in ("meta", "feature")}
+        return cls(meta=[m for p in parts for m in p.meta],
+                   feature=np.concatenate([p.feature + s for p, s in zip(parts, starts)]), **cols)
+
+    def batch(self, rows=None) -> est.SampleBatch:
+        """The SampleBatch of the samples rows selects (each sample once, in
+        order, when rows is None). Plans are right-padded with zero steps to
+        the longest, and a mask marks the real steps only when the horizons
+        differ: the one place a SampleBatch is padded."""
+        rows = np.arange(len(self.H)) if rows is None else np.asarray(rows)
+        H, feature = self.H[rows], self.feature[rows]
+        real = np.arange(H.max()) < H[:, None]
+        # each real step's row in the plan values as (-1, 4) steps: its
+        # sample's first step plus its index within the sample
+        first = np.cumsum(self.H) - self.H
+        steps = np.arange(real.sum()) + np.repeat(first[rows] - (np.cumsum(H) - H), H)
+        plan = np.zeros((*real.shape, est.ACTION_DIM))
+        plan[real] = self.plan.reshape(-1, est.ACTION_DIM)[steps]
+        return est.SampleBatch(proprio=self.proprio[feature], z=self.z[feature], plan=plan,
+                               mask=None if real.all() else real.astype(float),
+                               y_bin=self.y_bin[rows].astype(float), y_d=self.y_d[rows],
+                               y_ttc=self.y_ttc[rows])
+
+
+_NO_SAMPLES = SampleColumns(
+    proprio=np.empty((0, est.PROPRIO_DIM)), z=np.empty((0, est.VISION_DIM)), meta=[],
+    feature=np.empty(0, int), H=np.empty(0, int), plan=np.empty(0), y_bin=np.empty(0, int),
+    y_d=np.empty(0), y_ttc=np.empty(0))
 
 
 @dataclass(frozen=True)
@@ -402,8 +427,8 @@ def write_dataset(path, header: DatasetHeader, samples: SampleColumns, order=Non
     (each sample once, in order, when order is None), each the text of
     `json.dumps(obj, sort_keys=True)` for the sample's object. Raises
     ValueError, writing nothing, unless the header counts len(order)
-    samples, the plan column holds 4*H values per sample and the samples
-    pass `_check_columns`."""
+    samples, the plan column holds 4*H values per sample and every sample
+    of the columns passes `_check_columns`."""
     s = samples
     order = np.arange(len(s.H)) if order is None else np.asarray(order)
     if header.counts["samples"] != len(order):
@@ -412,9 +437,11 @@ def write_dataset(path, header: DatasetHeader, samples: SampleColumns, order=Non
         raise ValueError(f"plan must hold 4*H values, {4 * s.H.sum()} in all, got {len(s.plan)}")
     _check_columns(s.proprio[s.feature], s.z[s.feature], s.plan, 4 * s.H, s.H,
                    s.y_bin, s.y_d, s.y_ttc)
-    meta = [f"[{encode_basestring_ascii(task_id)}, {seed}, {step}]"
-            for task_id, seed, step in s.meta]
-    proprio, z = (list(map(repr, c.tolist())) for c in (s.proprio, s.z))
+    # the text of each feature row that order writes, by row
+    rows = np.flatnonzero(np.bincount(s.feature[order], minlength=len(s.meta))).tolist()
+    meta = {i: f"[{encode_basestring_ascii(s.meta[i][0])}, {s.meta[i][1]}, {s.meta[i][2]}]"
+            for i in rows}
+    proprio, z = ({i: repr(v) for i, v in zip(rows, c[rows].tolist())} for c in (s.proprio, s.z))
     ends = np.cumsum(4 * s.H)
     starts, ends = (ends - 4 * s.H).tolist(), ends.tolist()
     feature, H, y_bin, y_d, y_ttc = (c.tolist() for c in (s.feature, s.H, s.y_bin, s.y_d,
@@ -440,32 +467,24 @@ def write_dataset(path, header: DatasetHeader, samples: SampleColumns, order=Non
 _line_fields = operator.itemgetter("proprio", "z", "plan", "H", "y_bin", "y_d", "y_ttc", "meta")
 
 
-def _samples_from_rows(rows, horizons) -> list:
-    """Samples of parsed sample lines, each given as its `_line_fields`,
-    converted and checked as columns."""
-    proprio, z, plans, H, y_bin, y_d, y_ttc, metas = zip(*rows)
-    plan_sizes = np.fromiter(map(len, plans), dtype=int, count=len(plans))
-    plan_values = np.fromiter(itertools.chain.from_iterable(plans), dtype=float,
-                              count=int(plan_sizes.sum()))
-    proprio, z, H, y_bin, y_d, y_ttc = (np.array(c, dtype=float)
-                                        for c in (proprio, z, H, y_bin, y_d, y_ttc))
-    _check_columns(proprio, z, plan_values, plan_sizes, H, y_bin, y_d, y_ttc, horizons)
-    ends = np.cumsum(plan_sizes).tolist()
-    labels = map(wd.RolloutOutcome, y_bin.astype(int).tolist(), y_d.tolist(), y_ttc.tolist())
-    # each sample owns copies of its rows: views would keep the whole
-    # slice's columns alive for as long as any one sample is kept
-    return [Sample(p.copy(), zz.copy(), plan_values[end - 4 * h:end].reshape(h, 4).copy(),
-                   h, label, (str(m[0]), int(m[1]), int(m[2])))
-            for p, zz, end, h, label, m in zip(proprio, z, ends, H.astype(int).tolist(),
-                                               labels, metas)]
-
-
 def _read_rows(rows, linenos, horizons) -> list:
-    """`_samples_from_rows`, with errors naming the first bad line."""
+    """[the columns of parsed sample lines, each given as its
+    `_line_fields`, converted and checked, each line its own feature row]
+    ([] for no lines); errors name the first bad line."""
     if not rows:
         return []
     try:
-        return _samples_from_rows(rows, horizons)
+        proprio, z, plans, H, y_bin, y_d, y_ttc, metas = zip(*rows)
+        plan_sizes = np.fromiter(map(len, plans), dtype=int, count=len(plans))
+        plan_values = np.fromiter(itertools.chain.from_iterable(plans), dtype=float,
+                                  count=int(plan_sizes.sum()))
+        proprio, z, H, y_bin, y_d, y_ttc = (np.array(c, dtype=float)
+                                            for c in (proprio, z, H, y_bin, y_d, y_ttc))
+        _check_columns(proprio, z, plan_values, plan_sizes, H, y_bin, y_d, y_ttc, horizons)
+        return [SampleColumns(proprio=proprio, z=z,
+                              meta=[(str(m[0]), int(m[1]), int(m[2])) for m in metas],
+                              feature=np.arange(len(rows)), H=H.astype(int), plan=plan_values,
+                              y_bin=y_bin.astype(int), y_d=y_d, y_ttc=y_ttc)]
     except _BadSample as e:
         raise ValueError(f"malformed sample at line {linenos[e.row]}: {e}") from None
     except (KeyError, TypeError, ValueError, IndexError) as e:
@@ -516,7 +535,7 @@ def _read_dataset(path) -> Dataset:
         if not first.strip():
             raise ValueError("empty dataset file")
         header = _read_header(first)
-        samples, rows, linenos = [], [], []
+        parts, rows, linenos = [], [], []
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
@@ -527,14 +546,12 @@ def _read_dataset(path) -> Dataset:
                 raise ValueError(f"malformed sample at line {lineno}: {e}") from e
             linenos.append(lineno)
             if len(rows) == _READ_SLICE:
-                samples += _read_rows(rows, linenos, header.horizons)
+                parts += _read_rows(rows, linenos, header.horizons)
                 rows, linenos = [], []
-        samples += _read_rows(rows, linenos, header.horizons)
-    if header.counts["samples"] != len(samples):
-        raise ValueError(f"header counts.samples declares {header.counts['samples']} samples, "
-                         f"body has {len(samples)}")
-    positives = sum(s.label.y_bin for s in samples)
-    if header.counts["positives"] != positives:
-        raise ValueError(f"header counts.positives declares {header.counts['positives']} "
-                         f"positives, body has {positives}")
-    return Dataset(header=header, samples=samples)
+        parts += _read_rows(rows, linenos, header.horizons)
+    columns = SampleColumns.concat(parts)
+    for key, body in (("samples", len(columns.H)), ("positives", int(columns.y_bin.sum()))):
+        if header.counts[key] != body:
+            raise ValueError(f"header counts.{key} declares {header.counts[key]} {key}, "
+                             f"body has {body}")
+    return Dataset(header=header, columns=columns)

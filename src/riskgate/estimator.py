@@ -171,9 +171,10 @@ class SampleBatch:
 
     plan is (B, H, 4). When the samples' plans differ in length, shorter
     plans are right-padded with zero rows to the longest, H, and mask marks
-    the real steps; when they all have H steps, mask is None. Only the
-    forward takes a padded batch (`risk_batch`, `heldout_nll`,
-    `calibrate_temperature`); `train` and `grad` raise on one.
+    the real steps; when they all have H steps, mask is None. Only
+    `datasetgen.SampleColumns.batch` pads, and only the forward takes a
+    padded batch (`risk_batch`, `heldout_nll`, `calibrate_temperature`);
+    `train` and `grad` raise on one.
     """
 
     proprio: np.ndarray      # (B, 14)
@@ -194,26 +195,17 @@ class SampleBatch:
                            self.y_bin[idx], self.y_d[idx], self.y_ttc[idx])
 
 
-def stack_batch(samples) -> SampleBatch:
-    """One SampleBatch of objects with proprio, z, plan and label (y_bin,
-    y_d, y_ttc) attributes; padded and masked only if the plans differ in
-    length."""
-    plans = [np.asarray(s.plan, dtype=float).reshape(-1, ACTION_DIM) for s in samples]
-    h_pad = max(p.shape[0] for p in plans)
-    n = len(samples)
-    plan = np.zeros((n, h_pad, ACTION_DIM))
-    mask = np.zeros((n, h_pad))
-    for i, p in enumerate(plans):
-        plan[i, : p.shape[0]] = p
-        mask[i, : p.shape[0]] = 1.0
+def stack_batch(records) -> SampleBatch:
+    """One SampleBatch, without a mask, of records of one horizon with
+    proprio, z, plan and label (y_bin, y_d, y_ttc) attributes; plans of
+    different horizons raise ValueError."""
     return SampleBatch(
-        proprio=np.array([s.proprio for s in samples], dtype=float),
-        z=np.array([s.z for s in samples], dtype=float),
-        plan=plan, mask=None if mask.all() else mask,
-        y_bin=np.array([s.label.y_bin for s in samples], dtype=float),
-        y_d=np.array([s.label.y_d for s in samples], dtype=float),
-        y_ttc=np.array([s.label.y_ttc for s in samples], dtype=float),
-    )
+        proprio=np.array([r.proprio for r in records], dtype=float),
+        z=np.array([r.z for r in records], dtype=float),
+        plan=np.array([r.plan for r in records], dtype=float), mask=None,
+        y_bin=np.array([r.label.y_bin for r in records], dtype=float),
+        y_d=np.array([r.label.y_d for r in records], dtype=float),
+        y_ttc=np.array([r.label.y_ttc for r in records], dtype=float))
 
 
 def _softplus(x):
@@ -689,8 +681,6 @@ def calibrate_temperature(params: EstimatorParams, heldout: SampleBatch) -> floa
         t_star = 1.0
     params.temperature = float(t_star)
     return params.temperature
-
-
 
 
 def _positive(v) -> bool:

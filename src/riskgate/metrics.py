@@ -59,7 +59,8 @@ def roc_tune(params: est.EstimatorParams, heldout: est.SampleBatch,
              fn_target: float) -> RocResult:
     """Tune the gate thresholds from held-out calibrated risks.
 
-    Sweeps the unique scores as thresholds (predict positive iff r > tau).
+    Sweeps the distinct scores, the ROC curve's finite thresholds, as
+    thresholds (predict positive iff r > tau).
     FNR rises with the threshold, so the useful choice honoring the
     false-negative budget is the largest threshold with FNR <= fn_target:
     anything smaller blocks more while buying nothing on missed collisions.
@@ -69,20 +70,15 @@ def roc_tune(params: est.EstimatorParams, heldout: est.SampleBatch,
     y = np.asarray(heldout.y_bin, dtype=float) > 0.5
     if not (y.any() and (~y).any()):
         raise ValueError("held-out set must contain both classes")
+    fpr, tpr, thresholds = roc_points(risks, heldout.y_bin)
     pos_scores = np.sort(risks[y])
-    n_pos = len(pos_scores)
-    candidates = np.unique(risks)
+    candidates = thresholds[:0:-1]  # ascending
     # FNR(tau) = fraction of positives with score <= tau
-    fnr = np.searchsorted(pos_scores, candidates, side="right") / n_pos
-    ok = np.nonzero(fnr <= fn_target)[0]
-    if len(ok) == 0:
-        # even the smallest threshold misses too many; take it anyway
-        idx = 0
-    else:
-        idx = ok[-1]
+    fnr = np.searchsorted(pos_scores, candidates, side="right") / len(pos_scores)
+    ok = np.flatnonzero(fnr <= fn_target)
+    idx = ok[-1] if len(ok) else 0  # else even the smallest misses too many; take it
     tau_up = float(candidates[idx])
     tau_up = min(max(tau_up, 1e-6), 1.0 - 1e-6)
-    fpr, tpr, thresholds = roc_points(risks, heldout.y_bin)
     return RocResult(tau_up=tau_up, tau_down=0.5 * tau_up,
                      auc=float(np.trapezoid(tpr, fpr)),
                      fnr_at_tau=float(fnr[idx]), fpr=fpr, tpr=tpr,

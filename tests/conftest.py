@@ -90,15 +90,17 @@ def tiny_data(tmp_path_factory, world_cfg, task_params):
     gen_cfg = dg.DatagenConfig(episodes_per_task=8, horizons=(2, 3), seed=0)
     paths, _ = dg.generate_dataset(gen_cfg, world_cfg, out, task_params)
     rng = np.random.default_rng(np.random.SeedSequence([0, 31]))
-    phases, held = [], []
-    for h in sorted(paths):
-        samples = dg.read_dataset(paths[h]).samples
-        order = rng.permutation(len(samples))
-        n_held = max(1, len(samples) // 6)
-        held.extend(samples[i] for i in order[:n_held])
-        phases.append(est.stack_batch([samples[i] for i in order[n_held:]]))
+    parts = [dg.read_dataset(paths[h]).columns for h in sorted(paths)]
+    columns = dg.SampleColumns.concat(parts)
+    phases, held, start = [], [], 0
+    for part in parts:
+        order = start + rng.permutation(len(part.H))
+        n_held = max(1, len(part.H) // 6)
+        held.append(order[:n_held])
+        phases.append(columns.batch(order[n_held:]))
+        start += len(part.H)
     return {"paths": paths, "phases": phases,
-            "heldout": est.stack_batch(held), "gen_cfg": gen_cfg}
+            "heldout": columns.batch(np.concatenate(held)), "gen_cfg": gen_cfg}
 
 
 @pytest.fixture(scope="session")

@@ -81,8 +81,7 @@ def pipeline(tmp_path_factory):
         "times": times,
         "est": est.load_params(art / "estimator.json"),
         "est_precal": est.load_params(art / "estimator_precal.json"),
-        "heldout": est.stack_batch(
-            dg.read_dataset(art / "heldout.jsonl").samples),
+        "heldout": dg.read_dataset(art / "heldout.jsonl").columns.batch(),
         "data_paths": [art / "data" / f"risk_H{h}.jsonl" for h in (2, 3, 5)],
         "bc": pol.load_policy(art / "policy.json"),
         "ft": pol.load_policy(art / "policy_finetuned.json"),

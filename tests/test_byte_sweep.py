@@ -3,6 +3,8 @@ synthetic directories (the sweep itself runs the whole pipeline twice)."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,12 +103,40 @@ def test_sweep_refuses_absolute_paths_and_missing_trees(tmp_path, capsys):
 
 def test_timing_table_lists_each_stage_then_the_total():
     """The table has a header, then one line per stage in the old tree's
-    order and the total, each with both trees' wall seconds and new/old."""
-    table = bs.timing_table({"gen-data": 2.5, "evaluate_gated": 10.0},
-                            {"evaluate_gated": 8.0, "gen-data": 2.75})
+    order and the total, each with both trees' wall seconds, new/old and
+    both trees' peak RSS; the total's peak is the largest stage's."""
+    table = bs.timing_table({"gen-data": (2.5, 60.0), "evaluate_gated": (10.0, 120.5)},
+                            {"evaluate_gated": (8.0, 110.4), "gen-data": (2.75, 61.0)})
     assert table.splitlines() == [
-        "stage              old s     new s  new/old",
-        "gen-data            2.50      2.75    1.100",
-        "evaluate_gated     10.00      8.00    0.800",
-        "total              12.50     10.75    0.860",
+        "stage              old s     new s  new/old    old MB    new MB",
+        "gen-data            2.50      2.75    1.100      60.0      61.0",
+        "evaluate_gated     10.00      8.00    0.800     120.5     110.4",
+        "total              12.50     10.75    0.860     120.5     110.4",
     ]
+
+
+def test_run_tree_reports_each_stages_own_peak(tmp_path):
+    """Each stage's peak RSS is its own process's: a stage after one that
+    holds 64 MB more reads well below it, where a running maximum over the
+    children would not. A child's peak counts its parent's pages until it
+    execs, so the sweep runs from a fresh interpreter, as from the shell."""
+    pkg = tmp_path / "tree" / "riskgate"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(
+        "import sys\n"
+        "held = b'x' * (64 << 20) if sys.argv[1] == 'gen-data' else b''\n"
+        "print(sys.argv[1])\n")
+    script = ("import importlib.util, json, sys\n"
+              f"spec = importlib.util.spec_from_file_location('byte_sweep', {str(TOOL)!r})\n"
+              "bs = importlib.util.module_from_spec(spec)\n"
+              "spec.loader.exec_module(bs)\n"
+              "usage = bs.run_tree(bs.source_dir(sys.argv[1]), sys.argv[2], {})\n"
+              "print(json.dumps(usage))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "tree"),
+                           str(tmp_path / "w")], capture_output=True, text=True, check=True)
+    usage = json.loads(proc.stdout.splitlines()[-1])
+    assert list(usage) == [name for name, _, _ in bs.stage_runs({})]
+    assert usage["gen-data"][1] > usage["train-estimator"][1] + 48
+    assert all(s > 0 for s, _ in usage.values())
+    assert (tmp_path / "w" / "out" / "01_train-estimator.stdout").read_text() == "train-estimator\n"

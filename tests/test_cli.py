@@ -3,6 +3,9 @@ integrity, exit codes, assert expressions, and seed overrides."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +60,64 @@ def test_estimator_checkpoints_keep_config_digest(micro_run):
         assert _read(micro_run["root"], name)["config_digest"] == digest, name
 
 
+def test_split_equals_the_per_sample_split(tiny_data):
+    """train-estimator's split of the files' columns gives the phases and
+    the held-out samples of the per-sample split it replaced: per file, in
+    increasing horizon, one permutation, the held-out share in line order
+    and the rest, in permutation order, that horizon's phase."""
+    out_dir = str(Path(tiny_data["paths"][2]).parent)
+    cfg = cf.config_from_dict({"seed": 5, "estimator": {"heldout_frac": 0.2},
+                               "datagen": {"out_dir": out_dir, "episodes_per_task": 8,
+                                           "horizons": [3, 2]}})
+    columns, phases, held = cli._split_phases(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence([5, 31]))
+    ref_phases, ref_held = [], []
+    for h in (2, 3):
+        samples = dg.read_dataset(tiny_data["paths"][h]).samples
+        order = rng.permutation(len(samples))
+        n_held = max(1, int(round(0.2 * len(samples))))
+        ref_held.extend(samples[i] for i in np.sort(order[:n_held]))
+        ref_phases.append([samples[i] for i in order[n_held:]])
+    assert len(phases) == 2
+    for batch, want in zip(phases, ref_phases):
+        assert batch.mask is None and len(batch) == len(want)
+        for name, ref in (("proprio", [s.proprio for s in want]), ("z", [s.z for s in want]),
+                          ("plan", [s.plan for s in want]),
+                          ("y_bin", [s.label.y_bin for s in want]),
+                          ("y_d", [s.label.y_d for s in want]),
+                          ("y_ttc", [s.label.y_ttc for s in want])):
+            got = getattr(batch, name)
+            assert got.dtype == np.float64 and np.array_equal(got, ref), name
+    view = dg.Dataset(None, columns).samples
+    assert len(held) == len(ref_held)
+    for got, want in zip((view[r] for r in held), ref_held):
+        assert all(np.array_equal(getattr(got, f), getattr(want, f))
+                   for f in ("proprio", "z", "plan"))
+        assert (got.H, got.label, got.meta) == (want.H, want.label, want.meta)
+
+
+def test_estimator_stages_never_import_numpy_ma(tmp_path):
+    """gen-data, train-estimator, calibrate and roc-tune, run in one fresh
+    process, leave numpy.ma unimported: its import alone costs about
+    1.7 MB of peak RSS."""
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "datagen": {"out_dir": "data", "episodes_per_task": 6},
+        "estimator": {"checkpoint_path": "est.json", "heldout_path": "held.jsonl",
+                      "epochs_per_phase": 1},
+        "gate": {"thresholds_path": "thr.json"}}))
+    script = ("import contextlib, io, sys\n"
+              "from riskgate import cli\n"
+              "for stage in ('gen-data', 'train-estimator', 'calibrate', 'roc-tune'):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main([stage, '--config', 'cfg.json']) == 0, stage\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_thresholds_file_feeds_reports(micro_run):
     root = micro_run["root"]
     thr = _read(root, "thresholds.json")
@@ -72,7 +133,7 @@ def test_thresholds_bytes_match_json_dump(micro_run, tmp_path):
     """roc-tune writes the bytes json.dump wrote for the same payload."""
     root = micro_run["root"]
     cfg = cf.load_config(micro_run["cfg_path"])
-    held = est.stack_batch(dg.read_dataset(root / "heldout.jsonl").samples)
+    held = dg.read_dataset(root / "heldout.jsonl").columns.batch()
     res = mt.roc_tune(est.load_params(root / "est.json"), held, cfg.gate.fn_target)
     payload = {
         "tau_up": res.tau_up, "tau_down": res.tau_down, "auc": res.auc,

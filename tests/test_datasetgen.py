@@ -89,19 +89,22 @@ def test_oversample_never_dilutes_positives():
 
 
 def test_roundtrip_and_canonical_bytes(tiny_data, tmp_path):
-    src = tiny_data["paths"][2]
-    ds = dg.read_dataset(src)
-    assert ds.header.config_digest == dg.config_digest(tiny_data["gen_cfg"])
-    assert ds.header.dims == {"proprio": est.PROPRIO_DIM, "z": est.VISION_DIM,
-                              "action": est.ACTION_DIM}
-    dst = tmp_path / "copy.jsonl"
-    dg.write_dataset(dst, ds.header, dg.SampleColumns.of(ds.samples))
-    assert dst.read_bytes() == open(src, "rb").read()
-    back = dg.read_dataset(dst)
-    for a, b in zip(ds.samples[:50], back.samples[:50]):
-        assert_allclose(a.proprio, b.proprio)
-        assert_allclose(a.plan, b.plan)
-        assert a.label == b.label and a.meta == b.meta
+    """The columns read from each tiny file, written back with
+    `write_dataset`, give that file byte for byte, and read back the
+    same."""
+    for h, src in tiny_data["paths"].items():
+        ds = dg.read_dataset(src)
+        assert ds.header.config_digest == dg.config_digest(tiny_data["gen_cfg"])
+        assert ds.header.dims == {"proprio": est.PROPRIO_DIM, "z": est.VISION_DIM,
+                                  "action": est.ACTION_DIM}
+        dst = tmp_path / f"copy_{h}.jsonl"
+        dg.write_dataset(dst, ds.header, ds.columns)
+        assert dst.read_bytes() == open(src, "rb").read()
+        back = dg.read_dataset(dst)
+        for a, b in zip(ds.samples[:50], back.samples[:50]):
+            assert_allclose(a.proprio, b.proprio)
+            assert_allclose(a.plan, b.plan)
+            assert a.label == b.label and a.meta == b.meta
 
 
 def test_read_rejects_corrupt_files(tiny_data, tmp_path):
@@ -132,8 +135,8 @@ def test_read_rejects_corrupt_files(tiny_data, tmp_path):
 
     with pytest.raises(ValueError, match="disagrees"):
         ds = dg.read_dataset(src)
-        dg.write_dataset(tmp_path / "x.jsonl", ds.header, dg.SampleColumns.of(ds.samples),
-                         np.arange(len(ds.samples) - 1))
+        dg.write_dataset(tmp_path / "x.jsonl", ds.header, ds.columns,
+                         np.arange(len(ds.columns.H) - 1))
 
     # one bad sample among good ones, past the first read slice: the error
     # names its line (lines[k] is line k + 1 of the file)
@@ -248,11 +251,14 @@ def test_write_runs_the_column_check(tmp_path, edit, what):
 
 
 def test_read_samples_have_their_field_types(tiny_data):
-    """`read_dataset` builds each Sample from checked columns: float64
+    """`Dataset.samples` builds each Sample from checked columns: float64
     arrays of their shapes, each its own copy, a Python int H, a label of
-    a Python int and floats, and a (str, int, int) meta."""
+    a Python int and floats, and a (str, int, int) meta; the row view is
+    built anew on each access."""
     for h in (2, 3):
-        for s in dg.read_dataset(tiny_data["paths"][h]).samples[:100]:
+        ds = dg.read_dataset(tiny_data["paths"][h])
+        assert ds.samples[0] is not ds.samples[0]
+        for s in ds.samples[:100]:
             for arr, shape in ((s.proprio, (est.PROPRIO_DIM,)), (s.z, (est.VISION_DIM,)),
                                (s.plan, (h, 4))):
                 assert arr.dtype == np.float64 and arr.shape == shape and arr.base is None
@@ -283,17 +289,33 @@ def test_write_matches_json_dumps_bytes(tmp_path):
     z = np.resize(edge[::-1], est.VISION_DIM)
     neg_zero = proprio.copy()
     neg_zero[0] = 0.0  # same text as proprio but for one sign
-    samples = []
+    samples, rows, feature = [], [], []  # rows: (proprio, z, meta) of each feature row
     for i, (h, y_d) in enumerate([(2, -0.0), (3, 5e-324), (5, -1e-7), (2, 1e16), (3, 0.1 + 0.2)]):
         plan = np.resize(np.concatenate([edge, rng.normal(0, 0.01, 40)]), (h, 4))
-        for p, zz in ((proprio, z), (neg_zero, z), (proprio.copy(), z.copy()),
-                      (proprio, rng.normal(size=est.VISION_DIM))):
+        meta = (["crossing_transfer", 'tâsk "x"\n'][i % 2], 2**32 - 1 - i, i)
+        other_z = rng.normal(size=est.VISION_DIM)
+        base = len(rows)
+        rows += [(proprio, z, meta), (neg_zero, z, meta), (proprio, other_z, meta)]
+        # each step's first and third samples share a feature row
+        for f, (p, zz) in zip((0, 1, 0, 2), ((proprio, z), (neg_zero, z),
+                                             (proprio.copy(), z.copy()), (proprio, other_z))):
+            feature.append(base + f)
             samples.append(dg.Sample(
                 proprio=p, z=zz, plan=plan, H=h,
                 label=wd.RolloutOutcome(y_bin=int(y_d < 0), y_d=y_d, y_ttc=0.1 * h),
-                meta=(["crossing_transfer", 'tâsk "x"\n'][i % 2], 2**32 - 1 - i, i)))
-    columns = dg.SampleColumns.of(samples)
-    assert len(columns.proprio) == 15 < len(samples)  # each step's first and third share a row
+                meta=meta))
+    columns = dg.SampleColumns(
+        proprio=np.array([r[0] for r in rows]), z=np.array([r[1] for r in rows]),
+        meta=[r[2] for r in rows], feature=np.array(feature),
+        H=np.array([s.H for s in samples]),
+        plan=np.concatenate([s.plan.ravel() for s in samples]),
+        y_bin=np.array([s.label.y_bin for s in samples]),
+        y_d=np.array([s.label.y_d for s in samples]),
+        y_ttc=np.array([s.label.y_ttc for s in samples]))
+    assert len(columns.proprio) == 15 < len(samples)
+    for s, f in zip(samples, feature):
+        assert (s.proprio.tobytes(), s.z.tobytes(), s.meta) == \
+            (rows[f][0].tobytes(), rows[f][1].tobytes(), rows[f][2])
     order = np.concatenate([np.arange(len(samples)), [3, 3, 3, 7, 3, 19]])
     order = order[rng.permutation(len(order))]
     header = dg.make_header([2, 3, 5], columns.y_bin[order], 2**32 - 1, "d" * 64)
@@ -305,12 +327,50 @@ def test_write_matches_json_dumps_bytes(tmp_path):
     # reading the file back gives samples that render the same lines
     ds = dg.read_dataset(path)
     assert [reference_line(s) for s in ds.samples] == list(map(reference_line, written))
+    # an order that leaves samples and feature rows out writes its own lines only
+    some = np.array([19, 2, 2, 5])
+    dg.write_dataset(path, dg.make_header([2, 5], columns.y_bin[some], 0, "x"), columns, some)
+    assert path.read_text().splitlines(keepends=True)[1:] == \
+        [reference_line(samples[i]) for i in some]
     # without an order, each sample once, in order; no sample is no line
     dg.write_dataset(path, dg.make_header([2, 3, 5], columns.y_bin, 0, "x"), columns)
     assert path.read_text().splitlines(keepends=True)[1:] == list(map(reference_line, samples))
-    empty = dg.SampleColumns.of([])
+    empty = dg.SampleColumns.concat([])
     dg.write_dataset(path, dg.make_header([2], empty.y_bin, 0, "x"), empty)
     assert dg.read_dataset(path).samples == [] and len(path.read_text().splitlines()) == 1
+
+
+def test_columns_batch_pads_and_masks_only_mixed_horizons(tiny_data):
+    """`SampleColumns.batch` of a mixed H2/H3 row selection equals a
+    per-row zero-padded reference, mask included; a one-horizon selection,
+    and every row by default, stack without a mask."""
+    parts = [dg.read_dataset(tiny_data["paths"][h]).columns for h in (2, 3)]
+    columns = dg.SampleColumns.concat(parts)
+    samples = dg.Dataset(None, columns).samples
+    n2 = len(parts[0].H)
+    rows = np.random.default_rng(4).permutation(len(samples))[:40]
+    assert {2, 3} == set(columns.H[rows].tolist())
+    batch = columns.batch(rows)
+    plan, mask = np.zeros((len(rows), 3, 4)), np.zeros((len(rows), 3))
+    for k, r in enumerate(rows):
+        plan[k, :samples[r].H] = samples[r].plan
+        mask[k, :samples[r].H] = 1.0
+    assert_array_equal(batch.plan, plan)
+    assert_array_equal(batch.mask, mask)
+    for name, want in (("proprio", [samples[r].proprio for r in rows]),
+                       ("z", [samples[r].z for r in rows]),
+                       ("y_bin", [samples[r].label.y_bin for r in rows]),
+                       ("y_d", [samples[r].label.y_d for r in rows]),
+                       ("y_ttc", [samples[r].label.y_ttc for r in rows])):
+        got = getattr(batch, name)
+        assert got.dtype == np.float64 and np.array_equal(got, want), name
+    for h, some in ((2, np.arange(n2)[::-5]), (3, n2 + np.arange(len(parts[1].H))[:7])):
+        one = columns.batch(some)
+        assert one.mask is None and one.plan.shape == (len(some), h, 4)
+        assert_array_equal(one.plan, [samples[r].plan for r in some])
+        whole = parts[h - 2].batch()
+        assert whole.mask is None and len(whole) == len(parts[h - 2].H)
+    assert_array_equal(columns.batch().plan[n2:], parts[1].batch().plan)
 
 
 def per_line_reader(path):
@@ -338,12 +398,14 @@ def test_read_equals_per_line_reader(tiny_data, tmp_path):
     """`read_dataset` equals the per-line reader on every field of every
     sample: one-horizon files, and a mixed-horizon file (like the held-out
     file) that spans several read slices."""
-    mixed = [s for h in (2, 3) for s in dg.read_dataset(tiny_data["paths"][h]).samples[::3]]
+    parts = [dg.read_dataset(tiny_data["paths"][h]).columns for h in (2, 3)]
+    columns = dg.SampleColumns.concat(parts)
+    mixed = np.concatenate([np.arange(len(parts[0].H))[::3],
+                            len(parts[0].H) + np.arange(len(parts[1].H))[::3]])
+    mixed = mixed[np.random.default_rng(1).permutation(len(mixed))]
     mixed_path = tmp_path / "mixed.jsonl"
-    rng = np.random.default_rng(1)
-    mixed = [mixed[i] for i in rng.permutation(len(mixed))]
-    columns = dg.SampleColumns.of(mixed)
-    dg.write_dataset(mixed_path, dg.make_header([2, 3], columns.y_bin, 0, "x"), columns)
+    dg.write_dataset(mixed_path, dg.make_header([2, 3], columns.y_bin[mixed], 0, "x"), columns,
+                     mixed)
     for path in (tiny_data["paths"][2], tiny_data["paths"][3], mixed_path):
         head, ref = per_line_reader(path)
         ds = dg.read_dataset(path)
@@ -363,11 +425,11 @@ def test_stored_labels_are_exact(tiny_data, world_cfg):
     """Rebuild the state from the serialized features (joints and grippers
     from proprio, holding flags from the scene feature) and re-run the
     collision oracle on the stored plan: every label must agree."""
-    ds = dg.read_dataset(tiny_data["paths"][3])
+    samples = dg.read_dataset(tiny_data["paths"][3]).samples
     rng = np.random.default_rng(2)
-    pick = rng.choice(len(ds.samples), size=min(200, len(ds.samples)), replace=False)
+    pick = rng.choice(len(samples), size=min(200, len(samples)), replace=False)
     for idx in pick:
-        s = ds.samples[idx]
+        s = samples[idx]
         q = np.arctan2(s.proprio[0:12:2], s.proprio[1:12:2])
         state = wd.make_state(world_cfg, q[:3], q[3:],
                               g_left=s.proprio[12], g_right=s.proprio[13],

@@ -19,6 +19,13 @@ def small_batch(tiny_data, n=8):
     return tiny_data["phases"][0].take(np.arange(n))
 
 
+def mixed_batch(tiny_data, k):
+    """The batch of sample k of the H2 file and sample k of the H3 file,
+    the first padded to H = 3."""
+    h2, h3 = (dg.read_dataset(tiny_data["paths"][h]).columns for h in (2, 3))
+    return dg.SampleColumns.concat([h2, h3]).batch([k, len(h2.H) + k])
+
+
 def horizon(batch, i):
     """The number of real steps in row i of a batch."""
     return batch.plan.shape[1] if batch.mask is None else int(batch.mask[i].sum())
@@ -91,8 +98,7 @@ def test_masked_padding_is_inert(tiny_data):
     """A right-padded short plan must predict exactly like the unpadded one."""
     params = est.init_params(seed=3)
     phases = tiny_data["phases"]
-    mixed = est.stack_batch(
-        [dg.read_dataset(tiny_data["paths"][h]).samples[0] for h in (2, 3)])
+    mixed = mixed_batch(tiny_data, 0)
     assert mixed.plan.shape[1] == 3 and mixed.mask[0, 2] == 0.0
     logit, dist, ttc, _ = est._forward_batch(params, mixed.proprio, mixed.z,
                                              mixed.plan, mixed.mask)
@@ -218,27 +224,25 @@ def test_sigmoid_bits_match_masked_formula():
         assert_array_equal(alone.view(np.uint64), est._sigmoid(both).view(np.uint64))
 
 
-def test_stack_batch_masks_only_mixed_horizons(tiny_data):
-    """One-horizon samples stack with mask None; samples of two horizons
-    stack right-padded, with a mask that marks each row's real steps."""
+def test_stack_batch_stacks_records_of_one_horizon(tiny_data):
+    """`stack_batch` stacks records of one horizon, as the policy's are,
+    with mask None; records of two horizons raise ValueError."""
     samples = {h: dg.read_dataset(tiny_data["paths"][h]).samples[:3] for h in (2, 3)}
     for h, some in samples.items():
         batch = est.stack_batch(some)
         assert batch.mask is None and batch.plan.shape == (3, h, 4)
-        assert batch.take(np.array([2, 0])).mask is None
         assert_array_equal(batch.plan, [s.plan for s in some])
-    mixed = est.stack_batch(samples[3][:1] + samples[2])
-    assert mixed.plan.shape == (4, 3, 4)
-    assert_array_equal(mixed.mask, [[1, 1, 1], [1, 1, 0], [1, 1, 0], [1, 1, 0]])
-    assert_array_equal(mixed.plan[1:, 2], np.zeros((3, 4)))
-    assert_array_equal(mixed.plan[1, :2], samples[2][0].plan)
+        assert_array_equal(batch.proprio, [s.proprio for s in some])
+        assert_array_equal(batch.y_d, [s.label.y_d for s in some])
+        assert batch.y_bin.dtype == np.float64
+    with pytest.raises(ValueError):
+        est.stack_batch(samples[3][:1] + samples[2])
 
 
 def test_grad_and_train_reject_a_padded_batch(tiny_data):
     """`grad` and `train` take one-horizon batches: a padded one, alone or
     among one-horizon phases, raises ValueError before any training."""
-    mixed = est.stack_batch(
-        [dg.read_dataset(tiny_data["paths"][h]).samples[1] for h in (2, 3)])
+    mixed = mixed_batch(tiny_data, 1)
     assert mixed.mask is not None
     cfg = est.TrainConfig(epochs_per_phase=1)
     with pytest.raises(ValueError, match="non-empty batch of one horizon"):

@@ -12,8 +12,11 @@ that mode's report, each stage in a fresh `python3 -m riskgate.cli`
 process. Each mode writes its logs and report to paths of its own
 (logs_<mode>, report_<mode>.json). Every stage's stdout and stderr are
 kept as files beside the artifacts, and its wall seconds (the whole
-process, start-up included) are printed as it ends and, for both trees,
-in a table after the diff.
+process, start-up included) and peak RSS (the process's own `ru_maxrss`,
+which `os.wait4` reads as it reaps the stage) are printed as it ends and,
+for both trees, in a table after the diff. Linux counts the sweep's own
+pages (about 15 MB) in a stage's peak until the stage execs, well below
+any riskgate stage's.
 
 Then every file of the two working directories is compared. Files whose
 bytes differ are compared again with the wall-clock fields stripped: the
@@ -119,38 +122,48 @@ def stage_runs(cfg: dict) -> list:
 
 def run_tree(src: str, workdir: str, cfg: dict) -> dict:
     """Run every stage of `stage_runs` on the tree at src in workdir, each
-    in a fresh process; returns each stage's wall seconds by name, and
-    raises SweepError at the first stage that fails."""
+    in a fresh process; returns each stage's (wall seconds, peak RSS in MB)
+    by name, and raises SweepError at the first stage that fails."""
     os.makedirs(os.path.join(workdir, "out"), exist_ok=True)
     env = dict(os.environ, PYTHONPATH=src)
-    seconds = {}
+    usage = {}
     for k, (name, argv, stage_cfg) in enumerate(stage_runs(cfg)):
         cfg_path = os.path.join(workdir, f"cfg_{name}.json")
         with open(cfg_path, "w") as f:
             json.dump(stage_cfg, f, indent=2)
-        t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "riskgate.cli", *argv, "--config", cfg_path],
-                              cwd=workdir, env=env, capture_output=True)
-        seconds[name] = time.perf_counter() - t0
-        for stream, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
-            with open(os.path.join(workdir, "out", f"{k:02d}_{name}.{stream}"), "wb") as f:
-                f.write(data)
-        print(f"{workdir}: {name} exit {proc.returncode} in {seconds[name]:.2f} s", flush=True)
+        out = os.path.join(workdir, "out", f"{k:02d}_{name}")
+        with open(f"{out}.stdout", "wb") as stdout, open(f"{out}.stderr", "wb") as stderr:
+            t0 = time.perf_counter()
+            proc = subprocess.Popen([sys.executable, "-m", "riskgate.cli", *argv,
+                                     "--config", cfg_path],
+                                    cwd=workdir, env=env, stdout=stdout, stderr=stderr)
+            # wait4 gives this child's own peak; RUSAGE_CHILDREN is a running max
+            _, status, rusage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        usage[name] = time.perf_counter() - t0, rusage.ru_maxrss / 1024.0
+        print(f"{workdir}: {name} exit {proc.returncode} in {usage[name][0]:.2f} s, "
+              f"peak {usage[name][1]:.1f} MB", flush=True)
         if proc.returncode:
-            raise SweepError(f"{name} exited {proc.returncode} in {workdir}:\n"
-                             f"{proc.stderr.decode(errors='replace')[-2000:]}")
-    return seconds
+            with open(f"{out}.stderr", "rb") as f:
+                err = f.read().decode(errors="replace")
+            raise SweepError(f"{name} exited {proc.returncode} in {workdir}:\n{err[-2000:]}")
+    return usage
 
 
 def timing_table(old: dict, new: dict) -> str:
-    """One line per stage of old, in its order, then the total: wall
-    seconds of each tree and their ratio new/old."""
-    rows = [*old.items(), ("total", sum(old.values()))]
-    new = {**new, "total": sum(new.values())}
+    """One line per stage of old, in its order, then the total: each
+    tree's wall seconds, their ratio new/old, and each tree's peak RSS in
+    MB (the total's is the largest stage peak)."""
+    def total(usage):
+        return sum(s for s, _ in usage.values()), max(mb for _, mb in usage.values())
+
+    rows = [*old.items(), ("total", total(old))]
+    new = {**new, "total": total(new)}
     width = max(len(name) for name, _ in rows)
-    lines = [f"{'stage':<{width}}  {'old s':>8}  {'new s':>8}  {'new/old':>7}"]
-    lines += [f"{name:<{width}}  {s:8.2f}  {new[name]:8.2f}  {new[name] / s:7.3f}"
-              for name, s in rows]
+    lines = [f"{'stage':<{width}}  {'old s':>8}  {'new s':>8}  {'new/old':>7}  "
+             f"{'old MB':>8}  {'new MB':>8}"]
+    lines += [f"{name:<{width}}  {s:8.2f}  {new[name][0]:8.2f}  {new[name][0] / s:7.3f}  "
+              f"{mb:8.1f}  {new[name][1]:8.1f}" for name, (s, mb) in rows]
     return "\n".join(lines)
 
 
@@ -171,7 +184,7 @@ def main(argv=None) -> int:
     sides = {"old": os.path.join(work, "old"), "new": os.path.join(work, "new")}
     try:
         srcs = {"old": source_dir(args.old_src), "new": source_dir(args.new_src)}
-        seconds = {side: run_tree(srcs[side], sides[side], cfg) for side in sides}
+        usage = {side: run_tree(srcs[side], sides[side], cfg) for side in sides}
     except SweepError as e:
         print(f"byte_sweep: {e}", file=sys.stderr)
         return 2
@@ -181,7 +194,7 @@ def main(argv=None) -> int:
           f"latency_us and latency")
     for rel in differ:
         print(f"differs: {rel}")
-    print(timing_table(seconds["old"], seconds["new"]))
+    print(timing_table(usage["old"], usage["new"]))
     return 1 if differ else 0
 
 
