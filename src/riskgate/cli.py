@@ -5,7 +5,8 @@ finetune-policy, post-train, run, evaluate, report. Every command takes
 --config and an optional --seed override. Exit codes: 0 success, 1 config
 error, 2 runtime error, 3 failed --assert threshold in evaluate.
 
-train-estimator, calibrate and roc-tune keep datasets as columns.
+Datasets (train-estimator, calibrate, roc-tune) and rollout records
+(train-policy, finetune-policy, post-train) stay columns.
 """
 
 from __future__ import annotations
@@ -52,19 +53,23 @@ def _split_phases(cfg: cf.RunConfig):
     gen-data deals each task's episodes to the horizons in turn, so with
     fewer episodes per task than horizons some files hold no samples; that
     is a config error here, not in gen-data, which a one-episode warm-up
-    may run."""
+    may run. So is a file whose held-out share leaves its phase empty."""
     d = cfg.datagen
     if d.episodes_per_task < len(d.horizons):
         raise cf.ConfigError(
             f"datagen.episodes_per_task must be >= the number of datagen.horizons "
             f"({len(d.horizons)}) to train on every horizon, got {d.episodes_per_task}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 31]))
-    parts = [dg.read_dataset(dg.dataset_path(d.out_dir, h)).columns for h in sorted(d.horizons)]
+    paths = [dg.dataset_path(d.out_dir, h) for h in sorted(d.horizons)]
+    parts = [dg.read_dataset(path).columns for path in paths]
     columns = dg.SampleColumns.concat(parts)
     train_phases, held = [], []
-    for part, start in zip(parts, np.cumsum([0] + [len(p.H) for p in parts])):
+    for path, part, start in zip(paths, parts, np.cumsum([0] + [len(p.H) for p in parts])):
         order = start + rng.permutation(len(part.H))
         n_held = max(1, int(round(cfg.estimator.heldout_frac * len(part.H))))
+        if n_held >= len(part.H):
+            raise cf.ConfigError(f"estimator.heldout_frac {cfg.estimator.heldout_frac} holds out "
+                                 f"all {len(part.H)} samples of {path}, leaving none to train on")
         held.append(np.sort(order[:n_held]))
         train_phases.append(columns.batch(order[n_held:]))
     return columns, train_phases, np.concatenate(held)
@@ -95,18 +100,16 @@ def _cmd_train_estimator(cfg: cf.RunConfig, args) -> None:
 def _cmd_calibrate(cfg: cf.RunConfig, args) -> None:
     params = est.load_params(cfg.estimator.checkpoint_path)
     held = dg.read_dataset(cfg.estimator.heldout_path).columns.batch()
-    nll_before = est.heldout_nll(params, held, 1.0)
-    ece_before = mt.compute_calibration(
-        est.risk_batch(replace(params, temperature=1.0), held), held.y_bin).ece
-    temperature = est.calibrate_temperature(params, held)
+    logit, y = est.logit_batch(params, held), held.y_bin
+    params.temperature = est.calibrate_temperature(logit, y)
     est.save_params(params, cfg.estimator.checkpoint_path)
-    risks = est.risk_batch(params, held)
     _emit({
-        "temperature": temperature,
-        "nll_t1": nll_before,
-        "nll_calibrated": est.heldout_nll(params, held, temperature),
-        "ece_before": ece_before,
-        "ece_after": mt.compute_calibration(risks, held.y_bin).ece,
+        "temperature": params.temperature,
+        "nll_t1": est.heldout_nll(logit, y, 1.0),
+        "nll_calibrated": est.heldout_nll(logit, y, params.temperature),
+        "ece_before": mt.compute_calibration(est.calibrated_risk(logit, 1.0), y).ece,
+        "ece_after": mt.compute_calibration(est.calibrated_risk(logit, params.temperature),
+                                            y).ece,
     })
 
 
@@ -131,17 +134,16 @@ def _cmd_roc_tune(cfg: cf.RunConfig, args) -> None:
 
 
 def _episode_records(cfg: cf.RunConfig, setup: hn.EvalSetup, episodes: int, tag: int,
-                     streams=None) -> list:
+                     streams=None) -> pol.Records:
     """Records of `episodes` episodes per task of the grid `tag` names, in
-    (task, episode) order; streams, when given, makes the jobs' streams."""
+    (task, episode, step) order; streams, when given, makes the jobs'
+    streams."""
     jobs = [(tid, hn.episode_seed(cfg.seed, tid, i, tag=tag))
             for tid in cfg.tasks.ids for i in range(episodes)]
-    collectors = [[] for _ in jobs]
-    hn.run_episodes(setup, jobs, collectors, streams and streams(jobs))
-    return [rec for records in collectors for rec in records]
+    return hn.run_episodes(setup, jobs, streams and streams(jobs), record=True)[1]
 
 
-def _demonstrations(cfg: cf.RunConfig) -> list:
+def _demonstrations(cfg: cf.RunConfig) -> pol.Records:
     """Records of the expert's ungated episodes. Each executes its action
     plus exploration noise while its records keep the expert's own action
     and plan, so cloning sees corrective labels on off-trajectory states
@@ -167,13 +169,14 @@ def _cmd_finetune_policy(cfg: cf.RunConfig, args) -> None:
     # steps contribute the recovery action as a corrected cloning target.
     setup = replace(hn.prepare_setup(cfg, "gated"), policy_params=params)
     records = _episode_records(cfg, setup, cfg.policy.rollout_episodes_per_task, 401)
-    d_safe = pol.safety_filter_dataset(demos + records, est_params, gate_cfg.tau_down)
-    tuned = pol.risk_weighted_finetune(params, d_safe, cfg.policy_train_config(),
+    d_safe, risk = pol.safety_filter_dataset(pol.Records.concat([demos, records]), est_params,
+                                             gate_cfg.tau_down)
+    tuned = pol.risk_weighted_finetune(params, d_safe, risk, cfg.policy_train_config(),
                                        kappa=cfg.policy.kappa)
     pol.save_policy(tuned, cfg.policy.finetuned_path)
     _emit({"checkpoint": cfg.policy.finetuned_path, "kept": len(d_safe),
            "demos": len(demos), "rollout_records": len(records),
-           "corrected": sum(r.corrected for r in records),
+           "corrected": int(records.corrected.sum()),
            "tau_down": gate_cfg.tau_down})
 
 

@@ -26,7 +26,8 @@ groups of N plans as (E, N, H, 4) gives each group the bits of its own
 bits of a single (H, 4) plan. Only a batch that mixes horizons carries a
 step mask, and only the forward reads it: scoring the mixed-horizon
 held-out set. Training takes one-horizon batches, so the backward has no
-mask; a batch without one gives the bits of an all-ones mask.
+mask; a batch without one gives the bits of an all-ones mask. Calibration
+takes every risk and NLL from one forward's logits (`logit_batch`).
 
 Both networks' checkpoints go through one writer, `write_checkpoint`, and
 one checked reader, `read_checkpoint`, with a per-kind field rule table.
@@ -173,8 +174,8 @@ class SampleBatch:
     plans are right-padded with zero rows to the longest, H, and mask marks
     the real steps; when they all have H steps, mask is None. Only
     `datasetgen.SampleColumns.batch` pads, and only the forward takes a
-    padded batch (`risk_batch`, `heldout_nll`, `calibrate_temperature`);
-    `train` and `grad` raise on one.
+    padded batch (`logit_batch`, `risk_batch`); `train` and `grad` raise on
+    one.
     """
 
     proprio: np.ndarray      # (B, 14)
@@ -193,19 +194,6 @@ class SampleBatch:
         return SampleBatch(self.proprio[idx], self.z[idx], self.plan[idx],
                            None if self.mask is None else self.mask[idx],
                            self.y_bin[idx], self.y_d[idx], self.y_ttc[idx])
-
-
-def stack_batch(records) -> SampleBatch:
-    """One SampleBatch, without a mask, of records of one horizon with
-    proprio, z, plan and label (y_bin, y_d, y_ttc) attributes; plans of
-    different horizons raise ValueError."""
-    return SampleBatch(
-        proprio=np.array([r.proprio for r in records], dtype=float),
-        z=np.array([r.z for r in records], dtype=float),
-        plan=np.array([r.plan for r in records], dtype=float), mask=None,
-        y_bin=np.array([r.label.y_bin for r in records], dtype=float),
-        y_d=np.array([r.label.y_d for r in records], dtype=float),
-        y_ttc=np.array([r.label.y_ttc for r in records], dtype=float))
 
 
 def _softplus(x):
@@ -482,13 +470,22 @@ def score_plans(params: EstimatorParams, ctx: EncodedContext, plan) -> RiskPredi
 
 def _predict(params: EstimatorParams, ctx: EncodedContext, plan) -> RiskPrediction:
     logit, dist, ttc, cache = _score(params, ctx, plan)
-    return RiskPrediction(_sigmoid(logit / params.temperature), logit, dist, ttc, cache)
+    return RiskPrediction(calibrated_risk(logit, params.temperature), logit, dist, ttc, cache)
+
+
+def calibrated_risk(logit, temperature: float) -> np.ndarray:
+    """The risk sigmoid(logit / T) of uncalibrated risk logits."""
+    return _sigmoid(logit / temperature)
+
+
+def logit_batch(params: EstimatorParams, batch: SampleBatch) -> np.ndarray:
+    """Uncalibrated risk logit of every sample in a padded batch."""
+    return _forward_batch(params, batch.proprio, batch.z, batch.plan, batch.mask)[0]
 
 
 def risk_batch(params: EstimatorParams, batch: SampleBatch) -> np.ndarray:
     """Calibrated risk sigmoid(logit / T) of every sample in a padded batch."""
-    logit, _, _, _ = _forward_batch(params, batch.proprio, batch.z, batch.plan, batch.mask)
-    return _sigmoid(logit / params.temperature)
+    return calibrated_risk(logit_batch(params, batch), params.temperature)
 
 
 def risk_plan_gradient(params: EstimatorParams, pred: RiskPrediction) -> np.ndarray:
@@ -639,29 +636,22 @@ def train(dataset_phases, cfg: TrainConfig,
     return params
 
 
-def heldout_nll(params: EstimatorParams, batch: SampleBatch, temperature: float) -> float:
+def heldout_nll(logit, y_bin, temperature: float) -> float:
     """Mean BCE of sigmoid(logit / T) against y_bin (no class weights)."""
-    logit, _, _, _ = _forward_batch(params, batch.proprio, batch.z, batch.plan, batch.mask)
-    return float(np.mean(_bce_from_logit(logit / temperature, batch.y_bin)))
+    return float(np.mean(_bce_from_logit(logit / temperature, y_bin)))
 
 
-def calibrate_temperature(params: EstimatorParams, heldout: SampleBatch) -> float:
-    """Fit the temperature on held-out data by golden-section search.
+def calibrate_temperature(logit, y_bin) -> float:
+    """The temperature that held-out logits and labels fit, by
+    golden-section search.
 
-    Minimizes held-out NLL over T in [0.25, 4] in 40 steps; the result
+    Minimizes `heldout_nll` over T in [0.25, 4] in 40 steps; the result
     never exceeds the NLL at T=1 (T=1 wins any tie), so calibration cannot
-    hurt. Stores T on params and returns it. Raises ValueError on a
-    single-class held-out set.
+    hurt. Raises ValueError on a single-class held-out set.
     """
-    y = heldout.y_bin
-    if not (np.any(y > 0.5) and np.any(y < 0.5)):
+    if not (np.any(y_bin > 0.5) and np.any(y_bin < 0.5)):
         raise ValueError("held-out set must contain both classes")
-    logit, _, _, _ = _forward_batch(params, heldout.proprio, heldout.z,
-                                    heldout.plan, heldout.mask)
-
-    def nll(t):
-        return float(np.mean(_bce_from_logit(logit / t, y)))
-
+    nll = functools.partial(heldout_nll, logit, y_bin)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = 0.25, 4.0
     c = b - invphi * (b - a)
@@ -679,8 +669,7 @@ def calibrate_temperature(params: EstimatorParams, heldout: SampleBatch) -> floa
     t_star = (a + b) / 2.0
     if nll(1.0) <= nll(t_star):
         t_star = 1.0
-    params.temperature = float(t_star)
-    return params.temperature
+    return float(t_star)
 
 
 def _positive(v) -> bool:

@@ -3,7 +3,8 @@
 run_episodes drives seeded episodes in one of four modes (ungated, gated,
 gated+refine, gated+finetuned), logging every step: evaluation's
 episodes, the gated rollouts whose records refine policy and estimator,
-and the expert demonstrations (ungated, with exploration noise). The
+and the expert demonstrations (ungated, with exploration noise), whose
+training records it keeps as columns (`pol.Records`) on request. The
 episodes run together in `world.lockstep`, with batched observation,
 planning, candidate scoring, recovery and refinement, and oracle calls;
 only the gate transition runs per episode, and every log is the one the
@@ -168,9 +169,9 @@ def demo_streams(jobs) -> list:
     return [(rng, rng) for rng in rngs]
 
 
-def run_episodes(setup: EvalSetup, jobs, collectors=None, streams=None) -> list:
+def run_episodes(setup: EvalSetup, jobs, streams=None, record: bool = False):
     """Seeded episodes, one per (task_id, seed) in jobs; returns their logs
-    in job order.
+    in job order, and with record also their `pol.Records`.
 
     The episodes run in `wd.lockstep`. Per step, one call each observes
     every live episode (proprioception, and the scene feature with each
@@ -201,21 +202,18 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None, streams=None) -> list:
     task, seed) with its own tag, so the executed trajectory under a gate
     that never blocks matches the ungated trajectory exactly.
 
-    When collectors is given, it holds one list per job, and each step of
-    that episode appends a labeled record for aggregation (corrected
-    actions at blocked steps come from recovery; a HALT step adds none).
-    A record holds the commanded action, the log the executed one.
+    With record, each step keeps the columns of its rows that do not HALT
+    (job, features, labeled plan and labels, goals, the commanded action,
+    whereas the log holds the executed one, and BLOCK as corrected); one
+    stable sort by job puts them in (job, step) order.
     """
     jobs = list(jobs)
-    if collectors is None:
-        collectors = [None] * len(jobs)
     if streams is None:
         streams = [[np.random.default_rng(np.random.SeedSequence(
                        [setup.seed, wd.task_index(tid), int(seed), k])) for k in (101, 102)]
                    for tid, seed in jobs]
-    for name, given in (("collectors", collectors), ("streams", streams)):
-        if len(given) != len(jobs):
-            raise ValueError(f"{len(given)} {name} for {len(jobs)} jobs")
+    if len(streams) != len(jobs):
+        raise ValueError(f"{len(streams)} streams for {len(jobs)} jobs")
     gated = setup.mode != "ungated"
     if gated and setup.explore_noise:
         raise ValueError(f"explore_noise applies to ungated episodes only, not {setup.mode}")
@@ -223,6 +221,7 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None, streams=None) -> list:
     logs = [EpisodeLog(task_id=tid, seed=int(seed), mode=setup.mode, steps=[])
             for tid, seed in jobs]
     gates = [sg.GateState()] * len(jobs)
+    visits = []
 
     def advance(t, live, state, task, plans):
         t0 = time.perf_counter()
@@ -284,6 +283,11 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None, streams=None) -> list:
         plan_y_bin = labels.y_bin.tolist()
         success = wd.success_check(state_next, task)
         halted = np.array(decisions) == sg.HALT
+        if record:
+            kept = ~halted
+            visits.append((live[kept], proprio[kept], z[kept], plans[kept], labels.y_bin[kept],
+                           labels.y_d[kept], labels.y_ttc[kept], task.goal[kept].reshape(-1, 4),
+                           actions[kept], np.array(decisions)[kept] == sg.BLOCK))
         digests = _state_digests(state)
         done = np.zeros(n, dtype=bool)
         for j, i in enumerate(live):
@@ -293,13 +297,6 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None, streams=None) -> list:
                 gate_mode=gates[i].mode, decision=decisions[j],
                 action=executed[j].tolist(), latency_us=max(latency_s[j] * 1e6, 1e-3),
                 plan_y_bin=plan_y_bin[j]))
-            if not halted[j] and collectors[i] is not None:
-                collectors[i].append(pol.DemoRecord(
-                    proprio=proprio[j], z=z[j],
-                    goals=task.goal[j].reshape(4),
-                    action=actions[j], plan=plans[j].copy(), label=labels.row(j),
-                    risk=0.0 if r_hats[j] is None else r_hats[j],
-                    corrected=(decisions[j] == sg.BLOCK)))
             log.collided = not halted[j] and d < 0.0
             log.success = not halted[j] and not log.collided and bool(success[j])
             done[j] = halted[j] or log.collided or log.success
@@ -308,7 +305,13 @@ def run_episodes(setup: EvalSetup, jobs, collectors=None, streams=None) -> list:
     wd.lockstep(jobs, wcfg, setup.task_params, advance)
     for log in logs:
         log.n_steps = len(log.steps)
-    return logs
+    if not record:
+        return logs
+    job, proprio, z, plan, y_bin, y_d, y_ttc, goals, action, corrected = (
+        np.concatenate(column) for column in zip(*visits))
+    records = pol.Records(est.SampleBatch(proprio, z, plan, None, y_bin.astype(float), y_d, y_ttc),
+                          goals, action, corrected)
+    return logs, records.take(np.argsort(job, kind="stable"))
 
 
 def write_episode_log(log: EpisodeLog, path) -> None:

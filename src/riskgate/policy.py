@@ -6,7 +6,7 @@ policy clones it from demonstrations, optionally with per-sample risk
 weights on a safety-filtered dataset. Records of gated rollouts post-train
 the risk estimator. The demonstrations and the gated rollouts are both
 episodes of `harness.run_episodes` (the demonstrations ungated, with
-exploration noise), which collects their `DemoRecord`s.
+exploration noise), which records their steps as columns (`Records`).
 
 Both planners are a row law (`expert_law`, `policy_law`: a state's action
 row) rolled forward kinematically by one loop, `roll_plan`, which returns
@@ -22,7 +22,7 @@ it carries beside the plan with the other states its rows are chosen at.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,23 +134,37 @@ def policy_law(params: PolicyParams, task: wd.Task):
     return law
 
 
-@dataclass(frozen=True)
-class DemoRecord:
-    """One state on an expert (or gated) rollout with its oracle plan label.
+@dataclass
+class Records:
+    """Rollout steps as columns, one row per executed step in (episode,
+    step) order: batch holds the proprio, scene feature, plan and the
+    plan's oracle labels (one horizon, mask None, y_bin as float); goals
+    and the commanded action are (N, 4); corrected marks the recovery
+    actions, the gate's BLOCK decisions."""
 
-    risk is the estimator's score of the stored plan, 0 until a filter or
-    collection pass fills it in; corrected marks actions supplied by the
-    recovery controller rather than the expert.
-    """
-
-    proprio: np.ndarray
-    z: np.ndarray
+    batch: est.SampleBatch
     goals: np.ndarray
     action: np.ndarray
-    plan: np.ndarray
-    label: wd.RolloutOutcome
-    risk: float = 0.0
-    corrected: bool = False
+    corrected: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.batch)
+
+    def take(self, rows) -> "Records":
+        """The records rows selects, in its order."""
+        return Records(self.batch.take(rows), self.goals[rows], self.action[rows],
+                       self.corrected[rows])
+
+    @staticmethod
+    def concat(parts) -> "Records":
+        """The records of parts, one after another; all of one horizon."""
+        def cat(items, name):
+            return np.concatenate([getattr(item, name) for item in items])
+
+        b = [p.batch for p in parts]
+        batch = est.SampleBatch(cat(b, "proprio"), cat(b, "z"), cat(b, "plan"), None,
+                                cat(b, "y_bin"), cat(b, "y_d"), cat(b, "y_ttc"))
+        return Records(batch, cat(parts, "goals"), cat(parts, "action"), cat(parts, "corrected"))
 
 
 @dataclass
@@ -167,14 +181,10 @@ class PolicyTrainConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
-def _demo_arrays(demos):
-    x = np.array([policy_features(d.proprio, d.z, d.goals) for d in demos])
-    y = np.array([d.action for d in demos], dtype=float)
-    return x, y
-
-
-def _fit_mlp(params: PolicyParams, x, y, weights, cfg: PolicyTrainConfig) -> PolicyParams:
-    """Weighted squared-error SGD with momentum; exact analytic gradients.
+def _fit_mlp(params: PolicyParams, records: Records, weights,
+             cfg: PolicyTrainConfig) -> PolicyParams:
+    """Weighted squared-error SGD with momentum of the commanded actions on
+    the `policy_features` of records; exact analytic gradients.
 
     The error is measured in box-normalized units (divided by a_max), which
     leaves the minimizer unchanged but keeps gradient magnitudes independent
@@ -183,6 +193,8 @@ def _fit_mlp(params: PolicyParams, x, y, weights, cfg: PolicyTrainConfig) -> Pol
     into it), and each epoch gathers the data once in shuffled order and
     slices its batches.
     """
+    b = records.batch
+    x, y = policy_features(b.proprio, b.z, records.goals), records.action
     flat, views = est.flat_weights(dict(params.weight_items()))
     params = PolicyParams(**views, a_max=params.a_max)
     vel = np.zeros_like(flat)
@@ -215,49 +227,44 @@ def _fit_mlp(params: PolicyParams, x, y, weights, cfg: PolicyTrainConfig) -> Pol
     return params
 
 
-def bc_train(params: PolicyParams, demonstrations, cfg: PolicyTrainConfig) -> PolicyParams:
+def bc_train(params: PolicyParams, demonstrations: Records,
+             cfg: PolicyTrainConfig) -> PolicyParams:
     """Plain behavior cloning: unit-weight squared error against the expert."""
     if not demonstrations:
         raise ValueError("no demonstrations")
-    x, y = _demo_arrays(demonstrations)
-    return _fit_mlp(params, x, y, np.ones(len(demonstrations)), cfg)
+    return _fit_mlp(params, demonstrations, np.ones(len(demonstrations)), cfg)
 
 
-def safety_filter_dataset(demonstrations, est_params: est.EstimatorParams,
-                          tau_down: float) -> list:
-    """Keep records whose stored plan the estimator scores at or below tau_down.
-
-    Returns new records with the risk field frozen to the score used for
-    the decision. Raises if nothing survives (threshold too strict).
-    """
-    if not demonstrations:
+def safety_filter_dataset(records: Records, est_params: est.EstimatorParams,
+                          tau_down: float) -> tuple[Records, np.ndarray]:
+    """(the records whose plan the estimator scores at or below tau_down,
+    their scores), from one `est.risk_batch`. Raises if nothing survives
+    (threshold too strict)."""
+    if not records:
         raise ValueError("no demonstrations")
-    risk = est.risk_batch(est_params, est.stack_batch(demonstrations))
-    kept = [replace(d, risk=float(r)) for d, r in zip(demonstrations, risk)
-            if r <= tau_down]
-    if not kept:
+    risk = est.risk_batch(est_params, records.batch)
+    kept = np.flatnonzero(risk <= tau_down)
+    if not kept.size:
         raise ValueError("safety filter removed every record; tau_down too strict")
-    return kept
+    return records.take(kept), risk[kept]
 
 
-def risk_weighted_finetune(params: PolicyParams, d_safe, cfg: PolicyTrainConfig,
+def risk_weighted_finetune(params: PolicyParams, d_safe: Records, risk, cfg: PolicyTrainConfig,
                            kappa: float) -> PolicyParams:
     """Cloning with per-sample weight exp(-kappa * risk).
 
-    Risks are the ones frozen on the records at filter time, so the
+    risk holds each record's score from the safety filter, so the
     objective is a fixed weighted regression, deterministic given the seed.
     """
     if not d_safe:
         raise ValueError("empty fine-tuning dataset")
-    x, y = _demo_arrays(d_safe)
-    weights = np.exp(-kappa * np.array([d.risk for d in d_safe], dtype=float))
-    return _fit_mlp(params, x, y, weights, cfg)
+    return _fit_mlp(params, d_safe, np.exp(-kappa * risk), cfg)
 
 
 POST_TRAIN_HELDOUT_FRAC = 0.2
 
 
-def post_train_estimator(est_params: est.EstimatorParams, records,
+def post_train_estimator(est_params: est.EstimatorParams, records: Records,
                          cfg: est.TrainConfig) -> est.EstimatorParams:
     """Continue estimator training on gated-rollout records, then recalibrate.
 
@@ -267,14 +274,14 @@ def post_train_estimator(est_params: est.EstimatorParams, records,
     """
     if not records:
         raise ValueError("no gated-rollout records")
-    batch = est.stack_batch(records)
+    batch = records.batch
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 19]))
     order = rng.permutation(len(batch))
     n_held = max(1, int(round(POST_TRAIN_HELDOUT_FRAC * len(batch))))
     heldout = batch.take(order[:n_held])
-    train_part = batch.take(order[n_held:])
-    params = est.train([train_part], cfg, params=est_params)
-    est.calibrate_temperature(params, heldout)
+    params = est.train([batch.take(order[n_held:])], cfg, params=est_params)
+    params.temperature = est.calibrate_temperature(est.logit_batch(params, heldout),
+                                                   heldout.y_bin)
     return params
 
 

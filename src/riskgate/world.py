@@ -257,11 +257,6 @@ class RolloutOutcome:
     y_d: float
     y_ttc: float
 
-    def row(self, i) -> RolloutOutcome:
-        """Plan i's labels of a batch, as a Python int and floats."""
-        return RolloutOutcome(y_bin=int(self.y_bin[i]), y_d=float(self.y_d[i]),
-                              y_ttc=float(self.y_ttc[i]))
-
 
 def _capsules(cfg: WorldConfig, holding, origins, heading):
     """Chain points (..., 2, k+1, 2) and radii (..., 2, k) of both arms'

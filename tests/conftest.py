@@ -22,15 +22,28 @@ ACCEPTANCE_LINES = []
 
 
 def assert_records_equal(got, ref):
-    """Two lists of policy.DemoRecord are equal, field by field, with ==,
-    and every label holds a Python int and floats, as one row of
-    `label_rollouts` (`RolloutOutcome.row`) gives them."""
-    assert len(got) == len(ref)
-    for a, b in zip(got, ref):
-        for name in ("proprio", "z", "goals", "action", "plan"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert (a.label, a.risk, a.corrected) == (b.label, b.risk, b.corrected)
-        assert [type(v) for v in vars(a.label).values()] == [int, float, float]
+    """A `policy.Records` equals reference rows, one per record in order,
+    each a dict of proprio, z, goals, action, plan, label (a
+    RolloutOutcome) and corrected: row by row, every column with ==, y_bin
+    as the float of the label's int. The batch is of one horizon, without
+    a mask."""
+    b = got.batch
+    assert len(got) == len(ref) and b.mask is None
+    assert (b.y_bin.dtype, got.corrected.dtype) == (np.float64, np.bool_)
+    for i, r in enumerate(ref):
+        for name, column in (("proprio", b.proprio), ("z", b.z), ("plan", b.plan),
+                             ("goals", got.goals), ("action", got.action)):
+            assert np.array_equal(column[i], r[name]), (i, name)
+        label = r["label"]
+        assert (b.y_bin[i], b.y_d[i], b.y_ttc[i]) == (float(label.y_bin), label.y_d, label.y_ttc)
+        assert got.corrected[i] == r["corrected"], i
+
+
+def record_columns(records):
+    """Every column of a `policy.Records`, its batch's first."""
+    b = records.batch
+    return [b.proprio, b.z, b.plan, b.y_bin, b.y_d, b.y_ttc, records.goals, records.action,
+            records.corrected]
 
 
 def reset(task_id, seed, cfg, params=wd.TaskParams()):
@@ -57,7 +70,8 @@ def plan_clearances(state, plans, cfg):
 def label_rows(labels):
     """The rows of `label_rollouts`' (N,) label arrays, one RolloutOutcome
     of a Python int and floats each."""
-    return [labels.row(i) for i in range(len(labels.y_bin))]
+    return [wd.RolloutOutcome(y_bin=int(y), y_d=float(d), y_ttc=float(t))
+            for y, d, t in zip(labels.y_bin, labels.y_d, labels.y_ttc)]
 
 
 def label_plans(state, plans, cfg):
@@ -108,7 +122,8 @@ def trained_tiny(tiny_data):
     """Estimator trained a few epochs on the tiny dataset, then calibrated."""
     cfg = est.TrainConfig(epochs_per_phase=4, seed=0)
     params = est.train(tiny_data["phases"], cfg)
-    est.calibrate_temperature(params, tiny_data["heldout"])
+    held = tiny_data["heldout"]
+    params.temperature = est.calibrate_temperature(est.logit_batch(params, held), held.y_bin)
     return params
 
 

@@ -192,8 +192,8 @@ def test_criterion_03_estimator_quality(pipeline):
 def test_criterion_04_calibration(pipeline):
     held = pipeline["heldout"]
     pre, post = pipeline["est_precal"], pipeline["est"]
-    nll_t1 = est.heldout_nll(pre, held, 1.0)
-    nll_cal = est.heldout_nll(post, held, post.temperature)
+    nll_t1 = est.heldout_nll(est.logit_batch(pre, held), held.y_bin, 1.0)
+    nll_cal = est.heldout_nll(est.logit_batch(post, held), held.y_bin, post.temperature)
     ece_before = mt.compute_calibration(est.risk_batch(pre, held),
                                         held.y_bin).ece
     ece_after = mt.compute_calibration(est.risk_batch(post, held),

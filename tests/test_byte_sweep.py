@@ -1,5 +1,6 @@
 """tools/byte_sweep.py: its timing strip and its tree diff, on small
-synthetic directories (the sweep itself runs the whole pipeline twice)."""
+synthetic directories, and its runs, on fake trees (the sweep itself runs
+the whole pipeline twice per config)."""
 
 import importlib.util
 import json
@@ -115,28 +116,86 @@ def test_timing_table_lists_each_stage_then_the_total():
     ]
 
 
+def fake_tree(root, cli_source):
+    """A tree holding a riskgate package whose cli module is cli_source."""
+    pkg = root / "riskgate"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(cli_source)
+    return str(root)
+
+
 def test_run_tree_reports_each_stages_own_peak(tmp_path):
     """Each stage's peak RSS is its own process's: a stage after one that
     holds 64 MB more reads well below it, where a running maximum over the
     children would not. A child's peak counts its parent's pages until it
     execs, so the sweep runs from a fresh interpreter, as from the shell."""
-    pkg = tmp_path / "tree" / "riskgate"
-    pkg.mkdir(parents=True)
-    (pkg / "__init__.py").write_text("")
-    (pkg / "cli.py").write_text(
-        "import sys\n"
-        "held = b'x' * (64 << 20) if sys.argv[1] == 'gen-data' else b''\n"
-        "print(sys.argv[1])\n")
+    tree = fake_tree(tmp_path / "tree",
+                     "import sys\n"
+                     "held = b'x' * (64 << 20) if sys.argv[1] == 'gen-data' else b''\n"
+                     "print(sys.argv[1])\n")
     script = ("import importlib.util, json, sys\n"
               f"spec = importlib.util.spec_from_file_location('byte_sweep', {str(TOOL)!r})\n"
               "bs = importlib.util.module_from_spec(spec)\n"
               "spec.loader.exec_module(bs)\n"
               "usage = bs.run_tree(bs.source_dir(sys.argv[1]), sys.argv[2], {})\n"
               "print(json.dumps(usage))\n")
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "tree"),
-                           str(tmp_path / "w")], capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", script, tree, str(tmp_path / "w")],
+                          capture_output=True, text=True, check=True)
     usage = json.loads(proc.stdout.splitlines()[-1])
     assert list(usage) == [name for name, _, _ in bs.stage_runs({})]
     assert usage["gen-data"][1] > usage["train-estimator"][1] + 48
     assert all(s > 0 for s, _ in usage.values())
     assert (tmp_path / "w" / "out" / "01_train-estimator.stdout").read_text() == "train-estimator\n"
+
+
+def test_each_config_is_swept_in_a_directory_of_its_own(tmp_path, capsys):
+    """--config given twice sweeps each config in a subdirectory of --work
+    named after its file, each with its own list of differing files and
+    its own timing table; the sweep exits 1 when a file of any config
+    differs, 0 when none does, and 2 on two configs of one file name."""
+    writes_seed = ("import json, sys\n"
+                   "cfg = json.load(open(sys.argv[sys.argv.index('--config') + 1]))\n"
+                   "open(sys.argv[1] + '.txt', 'w').write(str(cfg['seed']{}))\n")
+    old = fake_tree(tmp_path / "old", writes_seed.format(""))
+    new = fake_tree(tmp_path / "new", writes_seed.format(" % 7"))  # differs at seed 7 only
+    configs = {}
+    for name, seed in (("same", 3), ("other", 7)):
+        configs[name] = tmp_path / "cfgs" / f"{name}.json"
+        configs[name].parent.mkdir(exist_ok=True)
+        configs[name].write_text(json.dumps({"seed": seed}))
+    work = tmp_path / "w"
+    assert bs.main([old, new, "--config", str(configs["same"]), "--config",
+                    str(configs["other"]), "--work", str(work)]) == 1
+    first, second = capsys.readouterr().out.split("\nconfig same: ")[1].split("config other: ")
+    assert f" files in {work / 'same'}: 0 differ in bytes, 0 after" in first
+    assert f" files in {work / 'other'}: 9 differ in bytes, 9 after" in second
+    assert "differs:" not in first and "differs: gen-data.txt\n" in second
+    assert [part.count("\ntotal ") for part in (first, second)] == [1, 1]
+    assert (work / "same" / "new" / "gen-data.txt").read_text() == "3"
+    assert (work / "other" / "old" / "gen-data.txt").read_text() == "7"
+    assert (work / "other" / "new" / "gen-data.txt").read_text() == "0"
+    assert bs.main([old, new, "--config", str(configs["same"]),
+                    "--work", str(tmp_path / "w2")]) == 0
+    twin = tmp_path / "same.json"
+    twin.write_text("{}")
+    assert bs.main([old, new, "--config", str(configs["same"]), "--config", str(twin)]) == 2
+    assert "two configs are named same" in capsys.readouterr().err
+
+
+def test_every_stage_runs_before_the_first_diff(tmp_path, monkeypatch, capsys):
+    """The sweep diffs no config's trees until every config's stages have
+    run: a diff grows the sweep's own memory, which a stage's peak RSS
+    counts until the stage execs."""
+    calls = []
+    monkeypatch.setattr(bs, "source_dir", lambda tree: tree)
+    monkeypatch.setattr(bs, "run_tree", lambda src, workdir, cfg: calls.append("run")
+                        or {"gen-data": (1.0, 50.0)})
+    monkeypatch.setattr(bs, "compare_trees", lambda old, new: calls.append("diff") or ([], 0))
+    argv = ["old", "new", "--work", str(tmp_path)]
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.json").write_text("{}")
+        argv += ["--config", str(tmp_path / f"{name}.json")]
+    assert bs.main(argv) == 0
+    assert calls == ["run"] * 4 + ["diff"] * 2
+    assert capsys.readouterr().out.count("\ntotal ") == 2

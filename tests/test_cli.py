@@ -386,6 +386,57 @@ def test_fewer_episodes_than_horizons_cannot_train(tmp_path, capsys):
     assert not (tmp_path / "est.json").exists() and not (tmp_path / "held.jsonl").exists()
 
 
+def test_a_held_out_share_that_empties_a_phase_cannot_train(tmp_path, capsys):
+    """When the held-out share of a file takes every sample, its horizon
+    has no training phase: train-estimator exits 1 naming
+    estimator.heldout_frac and the file, before it writes a checkpoint or
+    a held-out file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "tasks": {"max_steps": 1},
+        "datagen": {"out_dir": str(tmp_path / "data"), "episodes_per_task": 3, "n_candidates": 1,
+                    "oversample_factor": 1},
+        "estimator": {"checkpoint_path": str(tmp_path / "est.json"),
+                      "heldout_path": str(tmp_path / "held.jsonl"), "heldout_frac": 0.8}}))
+    assert cli.main(["gen-data", "--config", str(cfg)]) == 0
+    counts = json.loads(capsys.readouterr().out)["counts"]
+    assert {c["samples"] for c in counts.values()} == {2}
+    assert cli.main(["train-estimator", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: estimator.heldout_frac 0.8 holds out all 2 samples of ")
+    assert str(tmp_path / "data" / "risk_H2.jsonl") in err
+    assert not (tmp_path / "est.json").exists() and not (tmp_path / "held.jsonl").exists()
+
+
+def test_calibrate_runs_one_held_out_forward(micro_run, tmp_path, monkeypatch, capsys):
+    """calibrate scores the held-out set with one forward and takes its
+    temperature, both NLLs and both ECEs from those logits."""
+    root = micro_run["root"]
+    for name in ("est.json", "heldout.jsonl"):
+        (tmp_path / name).write_bytes((root / name).read_bytes())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"estimator": {"checkpoint_path": str(tmp_path / "est.json"),
+                                             "heldout_path": str(tmp_path / "heldout.jsonl")}}))
+    calls, score = [], est._score
+
+    def counted(*args):
+        calls.append(args[2].shape)
+        return score(*args)
+
+    monkeypatch.setattr(est, "_score", counted)
+    assert cli.main(["calibrate", "--config", str(cfg)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    held = dg.read_dataset(tmp_path / "heldout.jsonl").columns.batch()
+    assert calls == [held.plan.shape]
+    params = est.load_params(tmp_path / "est.json")
+    assert out["temperature"] == params.temperature == _read(root, "est.json")["temperature"]
+    logit = est.logit_batch(params, held)
+    for key, t in (("nll_t1", 1.0), ("nll_calibrated", params.temperature)):
+        assert out[key] == est.heldout_nll(logit, held.y_bin, t)
+    for key, t in (("ece_before", 1.0), ("ece_after", params.temperature)):
+        assert out[key] == mt.compute_calibration(est.calibrated_risk(logit, t), held.y_bin).ece
+
+
 def test_negative_seed_or_index_is_a_config_error(tmp_path, capsys):
     """A negative seed, in the config or as --seed, and a negative run
     --index each exit 1 naming the setting, before any stage runs."""

@@ -224,21 +224,6 @@ def test_sigmoid_bits_match_masked_formula():
         assert_array_equal(alone.view(np.uint64), est._sigmoid(both).view(np.uint64))
 
 
-def test_stack_batch_stacks_records_of_one_horizon(tiny_data):
-    """`stack_batch` stacks records of one horizon, as the policy's are,
-    with mask None; records of two horizons raise ValueError."""
-    samples = {h: dg.read_dataset(tiny_data["paths"][h]).samples[:3] for h in (2, 3)}
-    for h, some in samples.items():
-        batch = est.stack_batch(some)
-        assert batch.mask is None and batch.plan.shape == (3, h, 4)
-        assert_array_equal(batch.plan, [s.plan for s in some])
-        assert_array_equal(batch.proprio, [s.proprio for s in some])
-        assert_array_equal(batch.y_d, [s.label.y_d for s in some])
-        assert batch.y_bin.dtype == np.float64
-    with pytest.raises(ValueError):
-        est.stack_batch(samples[3][:1] + samples[2])
-
-
 def test_grad_and_train_reject_a_padded_batch(tiny_data):
     """`grad` and `train` take one-horizon batches: a padded one, alone or
     among one-horizon phases, raises ValueError before any training."""
@@ -352,21 +337,29 @@ def test_grad_rejects_empty_batch(tiny_data):
 
 
 def test_calibration_never_hurts(trained_tiny, tiny_data):
+    """The fitted temperature's NLL is at most T = 1's; the logits do not
+    depend on the stored temperature, so calibrating again gives the same
+    T, and the risks at any T are `calibrated_risk` of them."""
     held = tiny_data["heldout"]
     t = trained_tiny.temperature
     assert 0.25 <= t <= 4.0
-    assert est.heldout_nll(trained_tiny, held, t) <= est.heldout_nll(trained_tiny, held, 1.0)
-    # re-running calibration reproduces the stored temperature
+    logit = est.logit_batch(trained_tiny, held)
+    assert est.heldout_nll(logit, held.y_bin, t) <= est.heldout_nll(logit, held.y_bin, 1.0)
     clone = trained_tiny.copy()
     clone.temperature = 1.0
-    assert est.calibrate_temperature(clone, held) == t
+    assert_array_equal(est.logit_batch(clone, held), logit)
+    assert est.calibrate_temperature(logit, held.y_bin) == t
+    for params in (clone, trained_tiny):
+        assert_array_equal(est.risk_batch(params, held),
+                           est.calibrated_risk(logit, params.temperature))
 
 
 def test_calibration_rejects_single_class(tiny_data):
     held = tiny_data["heldout"]
-    neg_only = held.take(np.flatnonzero(held.y_bin < 0.5)[:10])
+    neg_only = np.flatnonzero(held.y_bin < 0.5)[:10]
+    logit = est.logit_batch(est.init_params(0), held.take(neg_only))
     with pytest.raises(ValueError, match="both classes"):
-        est.calibrate_temperature(est.init_params(0), neg_only)
+        est.calibrate_temperature(logit, held.y_bin[neg_only])
 
 
 def test_predict_risk_over_plans_matches_loop(trained_tiny, tiny_data):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import assert_records_equal, label_plans, reset
+from conftest import assert_records_equal, label_plans, record_columns, reset
 from riskgate import config as cf
 from riskgate import datasetgen as dg
 from riskgate import estimator as est
@@ -224,25 +224,23 @@ def test_gated_steps_plan_within_the_oracle_pass(world_cfg, task_params, monkeyp
 
 
 def test_collector_records_and_corrected_flags(world_cfg, task_params):
-    records = []
+    """With record, run_episodes also returns one row per executed step:
+    the commanded action (here the executed one), the plan and its label;
+    corrected holds the BLOCK decisions, and a HALT step adds no row."""
     setup = make_setup(world_cfg, task_params, mode="gated",
                        est_params=inert_estimator(-30.0))
-    log = hn.run_episodes(setup, [("parallel_place", 4)], [records])[0]
-    assert len(records) == log.n_steps
-    for rec, step in zip(records, log.steps):
-        assert not rec.corrected
-        assert rec.risk == step.r_hat
-        assert_array_equal(rec.action, np.array(step.action))
-        assert rec.plan.shape == (setup.horizon, 4)
-        assert rec.label.y_bin == step.plan_y_bin
+    (log,), records = hn.run_episodes(setup, [("parallel_place", 4)], record=True)
+    assert len(records) == log.n_steps and not records.corrected.any()
+    assert_array_equal(records.action, [step.action for step in log.steps])
+    assert records.batch.plan.shape == (log.n_steps, setup.horizon, 4)
+    assert_array_equal(records.batch.y_bin, [step.plan_y_bin for step in log.steps])
 
-    blocked = []
     halt_setup = make_setup(world_cfg, task_params, mode="gated",
                             est_params=inert_estimator(30.0),
                             gate_cfg=sg.GateConfig(watchdog_window=5))
-    hn.run_episodes(halt_setup, [("crossing_transfer", 3)], [blocked])
-    assert len(blocked) == 5  # the HALT step is never a training record
-    assert all(r.corrected for r in blocked)
+    (log,), blocked = hn.run_episodes(halt_setup, [("crossing_transfer", 3)], record=True)
+    assert [step.decision for step in log.steps] == [sg.BLOCK] * 5 + [sg.HALT]
+    assert len(blocked) == 5 and blocked.corrected.all()
 
 
 class NoDraws:
@@ -276,16 +274,17 @@ def test_exploration_noise_is_drawn_only_when_set(world_cfg, task_params):
     noisy = replace(setup, explore_noise=0.01)
     with pytest.raises(AssertionError, match="drew from an untouched stream"):
         hn.run_episodes(noisy, jobs, streams=[(noise, NoDraws()) for noise, _ in layout()])
-    collectors = [[] for _ in jobs]
-    logs = hn.run_episodes(noisy, jobs, collectors)
-    a_max = world_cfg.a_max
-    for log, records, (_, jitter) in zip(logs, collectors, layout()):
-        assert len(records) == log.n_steps > 1
-        for step, rec in zip(log.steps, records):
-            assert_array_equal(rec.action, rec.plan[0])
+    logs, records = hn.run_episodes(noisy, jobs, record=True)
+    assert len(records) == sum(log.n_steps for log in logs)
+    assert_array_equal(records.action, records.batch.plan[:, 0])
+    a_max, lo = world_cfg.a_max, 0
+    for log, (_, jitter) in zip(logs, layout()):
+        assert log.n_steps > 1
+        actions, lo = records.action[lo:lo + log.n_steps], lo + log.n_steps
+        for step, action in zip(log.steps, actions):
             noise = jitter.normal(0.0, 0.01, size=4)
-            assert step.action == np.clip(rec.action + noise, -a_max, a_max).tolist()
-        assert any(step.action != rec.action.tolist() for step, rec in zip(log.steps, records))
+            assert step.action == np.clip(action + noise, -a_max, a_max).tolist()
+        assert any(step.action != action.tolist() for step, action in zip(log.steps, actions))
 
 
 def test_gated_modes_refuse_noise_and_halt_rows_execute_zeros(world_cfg, task_params,
@@ -425,7 +424,9 @@ def test_episode_seeds_pair_across_modes():
 
 def one_episode_at_a_time(setup, task_id, seed, collector):
     """Reference episode: the closed loop of one episode alone, from the
-    per-state public calls. Returns its log and how it ended."""
+    per-state public calls. Returns its log and how it ended, and appends
+    to collector the reference row (`assert_records_equal`) of each step
+    that does not HALT."""
     wcfg, gate_cfg = setup.world_cfg, setup.gate_cfg
     state, task = reset(task_id, seed, wcfg, setup.task_params)
     noise, jitter = (np.random.default_rng(np.random.SeedSequence(
@@ -480,9 +481,8 @@ def one_episode_at_a_time(setup, task_id, seed, collector):
                 plan_y_bin=label.y_bin))
             ending = "halt"
             break
-        collector.append(pol.DemoRecord(
-            proprio=proprio, z=z, goals=goals, action=action, plan=plan, label=label,
-            risk=0.0 if r_hat is None else r_hat, corrected=decision == sg.BLOCK))
+        collector.append(dict(proprio=proprio, z=z, goals=goals, action=action, plan=plan,
+                              label=label, corrected=decision == sg.BLOCK))
         state = wd.step(state, action, wcfg)
         d_min = wd.min_self_distance(state, wcfg)
         log.steps.append(hn.StepRecord(
@@ -539,15 +539,15 @@ def lockstep_cases(world_cfg, trained_tiny):
 @pytest.mark.parametrize("group", [wd.LOCKSTEP_EPISODES, 3])
 def test_lockstep_equals_one_episode_at_a_time(lockstep_cases, monkeypatch, group):
     """`run_episodes` steps its episodes together, in groups of `group`.
-    In every mode each log, without its latency, and each collector's
-    records equal, with ==, those of the episode run alone; over both
-    tasks, episodes end by collision, success, the step budget and a
-    watchdog HALT, and in gated+refine one descend call recovers one
-    episode while it refines another (the low-threshold case)."""
+    In every mode each log, without its latency, equals, with ==, that of
+    the episode run alone, and the records are the episodes' reference
+    rows in (job, step) order; over both tasks, episodes end by collision,
+    success, the step budget and a watchdog HALT, and in gated+refine one
+    descend call recovers one episode while it refines another (the
+    low-threshold case)."""
     monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
     endings = {}
     for name, (setup, ref) in lockstep_cases.items():
-        collectors = [[] for _ in LOCKSTEP_JOBS]
         flags = []
         descend = sg.descend
 
@@ -557,14 +557,36 @@ def test_lockstep_equals_one_episode_at_a_time(lockstep_cases, monkeypatch, grou
 
         with monkeypatch.context() as m:
             m.setattr(sg, "descend", recorded)
-            logs = hn.run_episodes(setup, LOCKSTEP_JOBS, collectors)
+            logs, records = hn.run_episodes(setup, LOCKSTEP_JOBS, record=True)
         if name == "refine+recover":
             assert any(f.any() and not f.all() for f in flags)
         assert len(logs) == len(ref)
-        for log, records, (ref_log, ref_records, ending) in zip(logs, collectors, ref):
+        assert_records_equal(records, [row for _, rows, _ in ref for row in rows])
+        for log, (ref_log, _, ending) in zip(logs, ref):
             assert all(s.latency_us > 0.0 for s in log.steps)
             assert without_latency(log) == ref_log
-            assert_records_equal(records, ref_records)
             endings.setdefault(ending, set()).add((name, log.task_id))
     assert set(endings) == {"collision", "success", "budget", "halt"}, endings
     assert {task_id for cases in endings.values() for _, task_id in cases} == set(wd.TASK_IDS)
+
+
+def test_records_of_one_job_are_its_rows_of_a_multi_job_run(lockstep_cases):
+    """The records of a run of many jobs are, job after job, the records
+    of each job run alone: a row per step that does not HALT, corrected
+    exactly where that step BLOCKs."""
+    decisions = set()
+    for name in ("ungated", "refine+recover", "halt"):
+        setup, _ = lockstep_cases[name]
+        logs, records = hn.run_episodes(setup, LOCKSTEP_JOBS, record=True)
+        lo = 0
+        for job, log in zip(LOCKSTEP_JOBS, logs):
+            _, alone = hn.run_episodes(setup, [job], record=True)
+            steps = [step.decision for step in log.steps]
+            decisions.update(steps)
+            assert_array_equal(alone.corrected, [d == sg.BLOCK for d in steps if d != sg.HALT])
+            part = records.take(slice(lo, lo + len(alone)))
+            for got, want in zip(record_columns(part), record_columns(alone)):
+                assert_array_equal(got, want)
+            lo += len(alone)
+        assert lo == len(records)
+    assert decisions == {sg.EXECUTE, sg.BLOCK, sg.HALT}

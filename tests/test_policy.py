@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import assert_records_equal, label_plans, reset
+from conftest import assert_records_equal, label_plans, record_columns, reset
 from riskgate import estimator as est
 from riskgate import harness as hn
 from riskgate import policy as pol
@@ -24,17 +24,34 @@ def demonstrations(jobs, horizon, world_cfg, task_params, explore_noise):
     setup = hn.EvalSetup(mode="ungated", world_cfg=world_cfg, task_params=task_params,
                          gate_cfg=sg.GateConfig(), horizon=horizon, n_candidates=1, sigma_a=0.0,
                          soft_gate=False, seed=0, explore_noise=explore_noise)
-    collectors = [[] for _ in jobs]
-    hn.run_episodes(setup, jobs, collectors, hn.demo_streams(jobs))
-    return [rec for records in collectors for rec in records]
+    return hn.run_episodes(setup, jobs, hn.demo_streams(jobs), record=True)[1]
 
 
 @pytest.fixture(scope="module")
 def demo_records(world_cfg, task_params):
     recs = demonstrations([("crossing_transfer", s) for s in range(6)], 5, world_cfg,
                           task_params, explore_noise=0.005)
-    assert any(d.label.y_bin == 1 for d in recs) and any(d.label.y_bin == 0 for d in recs)
+    assert (recs.batch.y_bin == 1).any() and (recs.batch.y_bin == 0).any()
     return recs
+
+
+def cloning_arrays(records):
+    """The cloning inputs and targets of records."""
+    b = records.batch
+    return pol.policy_features(b.proprio, b.z, records.goals), records.action
+
+
+def test_records_take_and_concat_keep_rows_in_order(demo_records):
+    """`Records.take` selects rows in the order given and `concat` joins
+    records one after another, every column with them; the batch stays
+    of one horizon, without a mask."""
+    last = len(demo_records) - 1  # of another episode, with other goals, than row 0
+    assert not np.array_equal(demo_records.goals[last], demo_records.goals[0])
+    rows = np.array([last, 0, 3])
+    joined = pol.Records.concat([demo_records.take(rows), demo_records.take(slice(0, 2))])
+    assert len(joined) == 5 and joined.batch.mask is None
+    for got, full in zip(record_columns(joined), record_columns(demo_records)):
+        assert_array_equal(got, full[[last, 0, 3, 0, 1]])
 
 
 def test_scripted_expert_matches_proportional_law(world_cfg, task_params):
@@ -155,34 +172,33 @@ def test_oracle_pass_plans_the_next_states_as_the_planners_do(world_cfg, task_pa
 
 
 def test_demonstration_records(demo_records, world_cfg):
-    for d in demo_records[:50]:
-        assert d.plan.shape == (5, 4)
-        assert_array_equal(d.action, d.plan[0])
-        assert d.risk == 0.0 and not d.corrected
+    b = demo_records.batch
+    assert b.plan.shape == (len(demo_records), 5, 4)
+    assert_array_equal(demo_records.action, b.plan[:, 0])
+    assert not demo_records.corrected.any()
     # labels are the oracle's verdict on the stored plan from its own state
     rng = np.random.default_rng(0)
     for idx in rng.choice(len(demo_records), size=20, replace=False):
-        d = demo_records[idx]
-        q = np.arctan2(d.proprio[0:12:2], d.proprio[1:12:2])
+        q = np.arctan2(b.proprio[idx, 0:12:2], b.proprio[idx, 1:12:2])
         state = wd.make_state(world_cfg, q[:3], q[3:])
-        out = label_plans(state, d.plan[None], world_cfg)[0]
-        assert d.label.y_bin == out.y_bin
-        assert d.label.y_d == pytest.approx(out.y_d, abs=1e-9)
+        out = label_plans(state, b.plan[idx][None], world_cfg)[0]
+        assert b.y_bin[idx] == out.y_bin
+        assert b.y_d[idx] == pytest.approx(out.y_d, abs=1e-9)
 
 
 def test_demonstrations_deterministic(world_cfg, task_params):
     a = demonstrations([("parallel_place", 7)], 3, world_cfg, task_params, explore_noise=0.005)
     b = demonstrations([("parallel_place", 7)], 3, world_cfg, task_params, explore_noise=0.005)
     assert len(a) == len(b)
-    for ra, rb in zip(a, b):
-        assert_array_equal(ra.z, rb.z)
-        assert_array_equal(ra.plan, rb.plan)
+    assert_array_equal(a.batch.z, b.batch.z)
+    assert_array_equal(a.batch.plan, b.batch.plan)
 
 
 def demos_one_episode_at_a_time(task_id, seeds, horizon, world_cfg, task_params,
                                 explore_noise):
     """Reference collector: each episode alone, from the per-state calls.
-    Returns the records and how each episode ended."""
+    Returns the reference rows (`assert_records_equal`) and how each
+    episode ended."""
     records, endings = [], []
     for seed in seeds:
         state, task = reset(task_id, seed, world_cfg, task_params)
@@ -191,11 +207,11 @@ def demos_one_episode_at_a_time(task_id, seeds, horizon, world_cfg, task_params,
         ending = "budget"
         for _ in range(task_params.max_steps):
             plan = pol.roll_plan(pol.expert_law(task, world_cfg.a_max), state, horizon, world_cfg)
-            records.append(pol.DemoRecord(
+            records.append(dict(
                 proprio=wd.proprio_feature(state),
                 z=wd.scene_feature(state, task, world_cfg.noise_sigma, rng),
                 goals=goals, action=plan[0].copy(), plan=plan,
-                label=label_plans(state, plan[None], world_cfg)[0]))
+                label=label_plans(state, plan[None], world_cfg)[0], corrected=False))
             executed = np.clip(plan[0] + rng.normal(0.0, explore_noise, size=4),
                                -world_cfg.a_max, world_cfg.a_max)
             state = wd.step(state, executed, world_cfg)
@@ -213,8 +229,8 @@ def demos_one_episode_at_a_time(task_id, seeds, horizon, world_cfg, task_params,
 def test_lockstep_demonstrations_equal_one_episode_at_a_time(world_cfg, task_params,
                                                              monkeypatch, group):
     """One `run_episodes` call over both tasks' demonstration episodes
-    steps them together, in groups of `group`; every record equals the
-    per-episode reference's, in job order, with episodes ending by
+    steps them together, in groups of `group`; the records are the
+    per-episode reference's rows, in (job, step) order, with episodes ending by
     collision, success and the step budget at different steps."""
     monkeypatch.setattr(wd, "LOCKSTEP_EPISODES", group)
     params = wd.TaskParams(max_steps=25)
@@ -234,7 +250,7 @@ def test_bc_train_reduces_cloning_error(demo_records):
     cfg = pol.PolicyTrainConfig(epochs=60, seed=0)
     init = pol.init_policy(seed=0)
     fit = pol.bc_train(init, demo_records, cfg)
-    x, y = pol._demo_arrays(demo_records)
+    x, y = cloning_arrays(demo_records)
     before = np.mean((pol._policy_forward_batch(init, x)[0] - y) ** 2)
     after = np.mean((pol._policy_forward_batch(fit, x)[0] - y) ** 2)
     assert after < 0.25 * before
@@ -243,7 +259,7 @@ def test_bc_train_reduces_cloning_error(demo_records):
     assert_array_equal(fit.w1, fit2.w1)
     assert_array_equal(init.b2, np.zeros(pol.POLICY_OUT))
     with pytest.raises(ValueError):
-        pol.bc_train(init, [], cfg)
+        pol.bc_train(init, demo_records.take(slice(0, 0)), cfg)
 
 
 def reference_fit_mlp(params, x, y, weights, cfg):
@@ -274,13 +290,13 @@ def test_fit_mlp_keeps_the_bits_of_the_per_array_loop(demo_records):
     """The flat-vector cloning loop gives every weight the bits of the
     per-array loop, with risk weights and a short last batch, and leaves
     the params it was given as they were."""
-    x, y = pol._demo_arrays(demo_records)
+    x, y = cloning_arrays(demo_records)
     assert len(x) % 64 != 0
     weights = np.exp(-5.0 * np.random.default_rng(3).random(len(x)))
     cfg = pol.PolicyTrainConfig(epochs=4, seed=2)
     init = pol.init_policy(seed=1)
     before = init.copy()
-    got = pol._fit_mlp(init, x, y, weights, cfg)
+    got = pol._fit_mlp(init, demo_records, weights, cfg)
     want = reference_fit_mlp(init, x, y, weights, cfg)
     for (name, a), (_, b), (_, given), (_, kept) in zip(
             got.weight_items(), want.weight_items(), init.weight_items(), before.weight_items()):
@@ -290,40 +306,43 @@ def test_fit_mlp_keeps_the_bits_of_the_per_array_loop(demo_records):
 
 
 def test_safety_filter_scores_and_threshold(demo_records, trained_tiny):
-    kept = pol.safety_filter_dataset(demo_records, trained_tiny, tau_down=0.35)
-    assert 0 < len(kept) <= len(demo_records)
-    by_id = {id(d): d for d in demo_records}
-    for k in kept[:30]:
-        assert k.risk <= 0.35
-        one = est.predict_risk(trained_tiny, k.proprio, k.z, k.plan)
-        assert k.risk == pytest.approx(one.risk, abs=1e-9)
-        assert id(k) not in by_id  # records are replaced, not mutated
-    # inputs keep their unscored risk
-    assert all(d.risk == 0.0 for d in demo_records)
+    """The filter keeps, in order, the records whose plan scores at or
+    below tau_down, each with its score, and leaves its input as it was."""
+    kept, risk = pol.safety_filter_dataset(demo_records, trained_tiny, tau_down=0.35)
+    assert 0 < len(kept) <= len(demo_records) and risk.shape == (len(kept),)
+    assert (risk <= 0.35).all()
+    b = kept.batch
+    for i in range(30):
+        one = est.predict_risk(trained_tiny, b.proprio[i], b.z[i], b.plan[i])
+        assert risk[i] == pytest.approx(one.risk, abs=1e-9)
+    rows = np.flatnonzero(est.risk_batch(trained_tiny, demo_records.batch) <= 0.35)
+    for got, full in zip(record_columns(kept), record_columns(demo_records)):
+        assert_array_equal(got, full[rows])
+        assert not np.shares_memory(got, full)
     with pytest.raises(ValueError, match="tau_down too strict"):
         pol.safety_filter_dataset(demo_records, trained_tiny, tau_down=1e-12)
     with pytest.raises(ValueError):
-        pol.safety_filter_dataset([], trained_tiny, tau_down=0.35)
+        pol.safety_filter_dataset(demo_records.take(slice(0, 0)), trained_tiny, tau_down=0.35)
 
 
 def test_risk_weighting_downweights_risky_targets():
     """Two conflicting targets for one input: with a harsh kappa the fit
     must land near the low-risk target, not the average."""
-    base = pol.DemoRecord(proprio=np.zeros(14), z=np.zeros(10), goals=np.zeros(4),
-                          action=np.full(4, 0.015), plan=np.zeros((1, 4)),
-                          label=wd.RolloutOutcome(y_bin=0, y_d=0.5, y_ttc=0.5),
-                          risk=0.0)
-    from dataclasses import replace
-    risky = replace(base, action=np.full(4, -0.015), risk=0.9)
-    data = [base, risky] * 40
+    n = 80  # a safe and a risky record, alternating
+    batch = est.SampleBatch(np.zeros((n, 14)), np.zeros((n, 10)), np.zeros((n, 1, 4)), None,
+                            np.zeros(n), np.full(n, 0.5), np.full(n, 0.5))
+    safe, risky = np.full(4, 0.015), np.full(4, -0.015)
+    data = pol.Records(batch, np.zeros((n, 4)), np.tile([safe, risky], (n // 2, 1)),
+                       np.zeros(n, dtype=bool))
+    risk = np.tile([0.0, 0.9], n // 2)
     cfg = pol.PolicyTrainConfig(epochs=200, batch_size=16, seed=0)
-    fit = pol.risk_weighted_finetune(pol.init_policy(seed=0), data, cfg, kappa=8.0)
-    x, _ = pol._demo_arrays([base])
-    out = pol._policy_forward_batch(fit, x)[0][0]
-    assert np.all(np.abs(out - base.action) < 0.004)
-    assert np.all(np.abs(out - risky.action) > 0.02)
+    fit = pol.risk_weighted_finetune(pol.init_policy(seed=0), data, risk, cfg, kappa=8.0)
+    out = pol._policy_forward_batch(fit, cloning_arrays(data.take([0]))[0])[0][0]
+    assert np.all(np.abs(out - safe) < 0.004)
+    assert np.all(np.abs(out - risky) > 0.02)
     with pytest.raises(ValueError):
-        pol.risk_weighted_finetune(pol.init_policy(0), [], cfg, kappa=8.0)
+        pol.risk_weighted_finetune(pol.init_policy(0), data.take(slice(0, 0)), risk[:0], cfg,
+                                   kappa=8.0)
 
 
 def test_post_train_estimator_runs_and_calibrates(demo_records, trained_tiny):
@@ -337,7 +356,7 @@ def test_post_train_estimator_runs_and_calibrates(demo_records, trained_tiny):
     assert_array_equal(out.weights["w_risk"], again.weights["w_risk"])
     assert out.temperature == again.temperature
     with pytest.raises(ValueError):
-        pol.post_train_estimator(trained_tiny, [], cfg)
+        pol.post_train_estimator(trained_tiny, demo_records.take(slice(0, 0)), cfg)
 
 
 def test_policy_checkpoint_roundtrip(tmp_path):

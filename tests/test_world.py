@@ -235,7 +235,7 @@ def oracle_clearance(state, plans, cfg):
 def rollout(state, plan, cfg):
     """The oracle pass's label of one plan from one state."""
     d = oracle_clearance(wd.stack([state]), np.asarray(plan)[None, None], cfg)
-    return wd.label_rollouts(d[:, 0], cfg.dt).row(0)
+    return label_rows(wd.label_rollouts(d[:, 0], cfg.dt))[0]
 
 
 def resimulate(state, plan, cfg):

@@ -1,16 +1,18 @@
-"""Byte-identity sweep: run every CLI stage of two source trees on one
-config and diff everything they write.
+"""Byte-identity sweep: run every CLI stage of two source trees on one or
+more configs and diff everything they write.
 
-    python3 tools/byte_sweep.py OLD_SRC NEW_SRC --config CFG [--work DIR]
+    python3 tools/byte_sweep.py OLD_SRC NEW_SRC --config CFG [--config CFG2 ...] [--work DIR]
 
 OLD_SRC and NEW_SRC are checkouts (holding src/riskgate) or directories
-holding the riskgate package. For each tree, in a working directory of its
-own under DIR (a new temporary directory by default, kept afterwards), the
-sweep runs gen-data, train-estimator, calibrate, roc-tune, train-policy,
-finetune-policy and post-train, then evaluate in each of the four modes and
-that mode's report, each stage in a fresh `python3 -m riskgate.cli`
-process. Each mode writes its logs and report to paths of its own
-(logs_<mode>, report_<mode>.json). Every stage's stdout and stderr are
+holding the riskgate package. Each config is swept in a subdirectory of
+DIR (a new temporary directory by default, kept afterwards) named after
+its file, so the configs' file names must differ. For each tree, in a
+working directory of its own there (old, new), the sweep runs gen-data,
+train-estimator, calibrate, roc-tune, train-policy, finetune-policy and
+post-train, then evaluate in each of the four modes and that mode's
+report, each stage in a fresh `python3 -m riskgate.cli` process. Each
+mode writes its logs and report to paths of its own (logs_<mode>,
+report_<mode>.json). Every stage's stdout and stderr are
 kept as files beside the artifacts, and its wall seconds (the whole
 process, start-up included) and peak RSS (the process's own `ru_maxrss`,
 which `os.wait4` reads as it reaps the stage) are printed as it ends and,
@@ -21,11 +23,12 @@ any riskgate stage's.
 Then every file of the two working directories is compared. Files whose
 bytes differ are compared again with the wall-clock fields stripped: the
 value of every `"latency_us"` key (episode-log steps) and the object of
-every `"latency"` key (a report's estimator.latency). The sweep prints the
-number of files and which differ, and exits 0 when none differs, 1 when
-some do, and 2 when a stage fails (a non-zero exit) or the input is bad.
-The config's artifact paths must be relative, so that each tree writes
-into its own working directory.
+every `"latency"` key (a report's estimator.latency). Once every config's
+stages have run, the sweep prints, per config, the number of files and
+which differ, then its timing table. It exits 0 when no file of any
+config differs, 1 when some do, and 2 when a stage fails (a non-zero
+exit) or the input is bad. A config's artifact paths must be relative,
+so that each tree writes into its own working directory.
 """
 
 from __future__ import annotations
@@ -167,35 +170,55 @@ def timing_table(old: dict, new: dict) -> str:
     return "\n".join(lines)
 
 
+def report_config(name: str, sides: dict, usage: dict) -> list:
+    """Diff one config's two working directories (sides, by tree) and
+    print which files differ and the timing table of usage (by tree);
+    returns the paths that differ."""
+    differ, raw = compare_trees(sides["old"], sides["new"])
+    files = len(tree_files(sides["old"]) | tree_files(sides["new"]))
+    print(f"config {name}: {files} files in {os.path.dirname(sides['old'])}: {raw} differ in "
+          f"bytes, {len(differ)} after stripping latency_us and latency")
+    for rel in differ:
+        print(f"differs: {rel}")
+    print(timing_table(usage["old"], usage["new"]))
+    return differ
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
-    parser.add_argument("--config", required=True, help="the JSON config both trees run")
+    parser.add_argument("--config", required=True, action="append",
+                        help="a JSON config both trees run; give it again for more")
     parser.add_argument("--work", default=None, help="directory for both trees' runs")
     args = parser.parse_args(argv)
-    with open(args.config) as f:
-        cfg = json.load(f)
-    for section, key in PATH_KEYS:
-        if os.path.isabs(str(cfg.get(section, {}).get(key, ""))):
-            print(f"byte_sweep: {section}.{key} must be a relative path", file=sys.stderr)
+    configs = {}
+    for path in args.config:
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name in configs:
+            print(f"byte_sweep: two configs are named {name}", file=sys.stderr)
             return 2
+        with open(path) as f:
+            configs[name] = json.load(f)
+        for section, key in PATH_KEYS:
+            if os.path.isabs(str(configs[name].get(section, {}).get(key, ""))):
+                print(f"byte_sweep: {path}: {section}.{key} must be a relative path",
+                      file=sys.stderr)
+                return 2
     work = args.work or tempfile.mkdtemp(prefix="byte_sweep_")
-    sides = {"old": os.path.join(work, "old"), "new": os.path.join(work, "new")}
+    sides = {name: {side: os.path.join(work, name, side) for side in ("old", "new")}
+             for name in configs}
     try:
         srcs = {"old": source_dir(args.old_src), "new": source_dir(args.new_src)}
-        usage = {side: run_tree(srcs[side], sides[side], cfg) for side in sides}
+        # every stage runs before the first diff, which grows this process:
+        # a stage's peak RSS counts this process's pages until it execs
+        usage = {name: {side: run_tree(srcs[side], sides[name][side], cfg) for side in srcs}
+                 for name, cfg in configs.items()}
     except SweepError as e:
         print(f"byte_sweep: {e}", file=sys.stderr)
         return 2
-    differ, raw = compare_trees(sides["old"], sides["new"])
-    files = len(tree_files(sides["old"]) | tree_files(sides["new"]))
-    print(f"{files} files in {work}: {raw} differ in bytes, {len(differ)} after stripping "
-          f"latency_us and latency")
-    for rel in differ:
-        print(f"differs: {rel}")
-    print(timing_table(usage["old"], usage["new"]))
-    return 1 if differ else 0
+    differ = [report_config(name, sides[name], usage[name]) for name in configs]
+    return 1 if any(differ) else 0
 
 
 if __name__ == "__main__":
