@@ -70,10 +70,11 @@ class EvalSection:
     soft_gate: bool = True
     logs_dir: str = "logs"
     report_path: str = "report.json"
+    # Inert: evaluate runs every episode in one process, and its
+    # estimator.latency summarizes the logged step latencies, so nothing
+    # reads these three. They still load and are checked because existing
+    # configs set them; see ROADMAP item 6.
     workers: int = 1
-    # Inert: evaluate's estimator.latency now summarizes the logged step
-    # latencies, so nothing reads these two. They still load and are checked
-    # because existing configs set them; see ROADMAP item 6.
     latency_trials: int = 1000
     latency_warmup: int = 100
 

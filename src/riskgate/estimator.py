@@ -114,7 +114,7 @@ def _weight_specs(d: int):
 class EstimatorParams:
     """All learnable arrays plus the calibration temperature.
 
-    Treated as immutable once training finishes; any number of workers may
+    Treated as immutable once training finishes; any number of callers may
     run inference on a shared instance. config_digest names the dataset
     config the weights were trained on ("" when unknown); checkpoints carry
     it through calibration and post-training.

@@ -1,8 +1,8 @@
 """Planar kinematics and the segment distance kernel of the capsule oracle.
 
 Everything here is a pure function of its inputs (no hidden state), so the
-simulator, the labeling oracle and any number of parallel workers can share
-these routines freely. Units are meters and radians throughout.
+simulator, the labeling oracle and the gate's batched calls can share these
+routines freely. Units are meters and radians throughout.
 
 Points are (..., 2) pairs everywhere but in the segment kernel, which
 takes x and y coordinate planes, (2, ...) arrays: the oracle's clearance

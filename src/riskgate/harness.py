@@ -22,7 +22,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,7 +72,7 @@ class EpisodeLog:
 
 @dataclass
 class EvalSetup:
-    """Everything an episode worker needs, resolved from RunConfig."""
+    """Everything `run_episodes` needs, resolved from RunConfig."""
 
     mode: str
     world_cfg: wd.WorldConfig
@@ -534,21 +533,12 @@ def evaluate(cfg: cf.RunConfig, mode: str | None = None) -> MetricsReport:
     eval.report_path.
 
     Episode seeds derive from (config seed, task, index) only, so the same
-    seeds pair up across modes. Workers > 1 split the job list into
-    contiguous chunks, one `run_episodes` call per chunk in a process
-    pool; each log is the episode's own, so the report is identical
-    either way but for the wall-clock estimator.latency.
+    seeds pair up across modes. Every episode runs in one `run_episodes`
+    call, in this process; each log is the one the episode gives when run
+    by itself.
     """
     setup = prepare_setup(cfg, mode)
-    jobs = episode_grid(cfg)
-    if cfg.eval.workers > 1:
-        size = -(-len(jobs) // cfg.eval.workers)
-        chunks = [jobs[lo:lo + size] for lo in range(0, len(jobs), size)]
-        with ProcessPoolExecutor(max_workers=cfg.eval.workers) as pool:
-            logs = [lg for part in pool.map(run_episodes, [setup] * len(chunks), chunks)
-                    for lg in part]
-    else:
-        logs = run_episodes(setup, jobs)
+    logs = run_episodes(setup, episode_grid(cfg))
 
     os.makedirs(cfg.eval.logs_dir, exist_ok=True)
     for lg in logs:

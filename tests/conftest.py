@@ -137,7 +137,7 @@ MICRO_CONFIG = {
     "policy": {"checkpoint_path": "pol.json", "finetuned_path": "pol_ft.json",
                "demo_episodes_per_task": 15, "rollout_episodes_per_task": 4,
                "epochs": 100},
-    "eval": {"logs_dir": "logs", "report_path": "report.json", "workers": 2},
+    "eval": {"logs_dir": "logs", "report_path": "report.json"},
 }
 
 MICRO_STAGES = ("gen-data", "train-estimator", "calibrate", "roc-tune",

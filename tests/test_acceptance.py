@@ -9,6 +9,7 @@ the terminal summary, so a single pytest run reports the whole gate.
 import json
 import os
 import pathlib
+import re
 import shutil
 import time
 
@@ -391,24 +392,33 @@ def test_criterion_11_reproducibility(tmp_path_factory):
     reports_equal = (stripped_report(roots[0] / "report.json")
                      == stripped_report(roots[1] / "report.json"))
 
-    # worker fan-out must not change the metrics either
-    alt = dict(MICRO_CONFIG)
-    alt["eval"] = dict(MICRO_CONFIG["eval"], workers=1, logs_dir="logs_w1",
-                       report_path="report_w1.json")
-    alt_path = roots[0] / "cfg_w1.json"
-    alt_path.write_text(json.dumps(alt))
+    # evaluate's lockstep episodes log what each episode logs when run alone
+    alone = dict(MICRO_CONFIG, eval=dict(MICRO_CONFIG["eval"], logs_dir="logs_alone"))
+    alone_path = roots[0] / "cfg_alone.json"
+    alone_path.write_text(json.dumps(alone))
     cwd = os.getcwd()
     try:
         os.chdir(roots[0])
-        assert cli.main(["evaluate", "--config", str(alt_path)]) == 0
+        for tid in wd.TASK_IDS:  # MICRO_CONFIG runs every task
+            for i in range(MICRO_CONFIG["tasks"]["episodes_per_task"]):
+                assert cli.main(["run", "--task", tid, "--index", str(i),
+                                 "--config", str(alone_path)]) == 0, (tid, i)
     finally:
         os.chdir(cwd)
-    workers_equal = (stripped_report(roots[0] / "report_w1.json")
-                     == stripped_report(roots[0] / "report.json"))
 
-    ok = len(identical) == len(artifacts) and reports_equal and workers_equal
+    def stripped_log(path):
+        return re.sub(rb'"latency_us": [-+0-9.eE]+', b'"latency_us": _', path.read_bytes())
+
+    n_episodes = len(wd.TASK_IDS) * MICRO_CONFIG["tasks"]["episodes_per_task"]
+    lockstep = sorted(p.name for p in (roots[0] / "logs").iterdir())
+    alone_equal = [name for name in lockstep if (roots[0] / "logs_alone" / name).exists()
+                   and stripped_log(roots[0] / "logs" / name)
+                   == stripped_log(roots[0] / "logs_alone" / name)]
+    logs_match = len(lockstep) == len(alone_equal) == n_episodes
+
+    ok = len(identical) == len(artifacts) and reports_equal and logs_match
     record(11, "byte-identical reproducibility", ok,
            f"{len(identical)}/{len(artifacts)} artifacts byte-identical across "
            f"independent runs, reports identical latency-stripped "
-           f"{reports_equal}, workers 1 vs {MICRO_CONFIG['eval']['workers']} "
-           f"identical {workers_equal}")
+           f"{reports_equal}, evaluate logs equal run-alone logs latency-stripped "
+           f"{len(alone_equal)}/{n_episodes}")

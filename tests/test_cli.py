@@ -118,6 +118,32 @@ def test_estimator_stages_never_import_numpy_ma(tmp_path):
     assert proc.stdout == "False\n"
 
 
+def test_no_stage_imports_multiprocessing(tmp_path):
+    """gen-data, train-estimator, calibrate, roc-tune, evaluate and report,
+    run in one fresh process, import neither multiprocessing nor
+    concurrent.futures: the pipeline is single-process, and those imports
+    alone cost over 1 MB of peak RSS."""
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "tasks": {"episodes_per_task": 1},
+        "datagen": {"out_dir": "data", "episodes_per_task": 6},
+        "estimator": {"checkpoint_path": "est.json", "heldout_path": "held.jsonl",
+                      "epochs_per_phase": 1},
+        "gate": {"thresholds_path": "thr.json"},
+        "eval": {"logs_dir": "logs", "report_path": "report.json", "workers": 2}}))
+    script = ("import contextlib, io, sys\n"
+              "from riskgate import cli\n"
+              "for stage in ('gen-data', 'train-estimator', 'calibrate', 'roc-tune',\n"
+              "              'evaluate', 'report'):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main([stage, '--config', 'cfg.json']) == 0, stage\n"
+              "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_thresholds_file_feeds_reports(micro_run):
     root = micro_run["root"]
     thr = _read(root, "thresholds.json")
@@ -202,7 +228,6 @@ def test_gated_evaluate_scores_only_its_episodes(micro_run, monkeypatch, tmp_pat
     monkeypatch.chdir(micro_run["root"])
     cfg = cf.load_config(micro_run["cfg_path"])
     cfg.tasks.episodes_per_task = 2
-    cfg.eval.workers = 1
     cfg.eval.logs_dir, cfg.eval.report_path = str(tmp_path / "logs"), str(tmp_path / "r.json")
     calls = []
     predict_risk = est.predict_risk

@@ -225,10 +225,11 @@ def test_no_result_is_unwrapped_on_its_rank():
 
 
 # Eval keys that still load, for configs that set them, but drive nothing:
-# estimator.latency summarizes the logged step latencies since the synthetic
-# timing loop they sized was deleted. ROADMAP item 6 deletes them with the
+# evaluate runs every episode in one process since its worker pool was
+# deleted, and estimator.latency summarizes the logged step latencies since
+# the synthetic timing loop was deleted. ROADMAP item 6 deletes them with the
 # perfbench configs that set them.
-INERT_EVAL_KEYS = ("latency_trials", "latency_warmup")
+INERT_EVAL_KEYS = ("workers", "latency_trials", "latency_warmup")
 
 
 def unread_eval_keys(sources):
@@ -250,14 +251,15 @@ def test_unread_eval_key_checker():
     sources = {"config": ("class EvalSection:\n"
                           "    mode: str = 'gated'\n"
                           "    H: int = 5\n"
+                          "    n_candidates: int = 8\n"
                           "    workers: int = 1\n"
                           "    latency_trials: int = 1000\n"
                           "def check(cfg):\n"
-                          "    return cfg.eval.workers >= 1\n"),
+                          "    return cfg.eval.n_candidates >= 1\n"),
                "harness": "def f(cfg):\n    return cfg.eval.mode, cfg.eval_H, eval.H\n"}
-    assert unread_eval_keys(sources) == ["H", "workers"]
+    assert unread_eval_keys(sources) == ["H", "n_candidates"]
     sources["cli"] = "def g(args, cfg):\n    return args.H or cfg.eval.H\n"
-    assert unread_eval_keys(sources) == ["workers"]
+    assert unread_eval_keys(sources) == ["n_candidates"]
 
 
 def test_every_eval_key_is_read():

@@ -153,15 +153,23 @@ def run_tree(src: str, workdir: str, cfg: dict) -> dict:
     return usage
 
 
+def usage_total(usage: dict) -> tuple:
+    """(the summed wall seconds, the largest peak MB) of a run's stages."""
+    return sum(s for s, _ in usage.values()), max(mb for _, mb in usage.values())
+
+
+def absolute_paths(cfg: dict) -> list:
+    """The `section.key` of each artifact path in cfg that is absolute."""
+    return [f"{section}.{key}" for section, key in PATH_KEYS
+            if os.path.isabs(str(cfg.get(section, {}).get(key, "")))]
+
+
 def timing_table(old: dict, new: dict) -> str:
     """One line per stage of old, in its order, then the total: each
     tree's wall seconds, their ratio new/old, and each tree's peak RSS in
     MB (the total's is the largest stage peak)."""
-    def total(usage):
-        return sum(s for s, _ in usage.values()), max(mb for _, mb in usage.values())
-
-    rows = [*old.items(), ("total", total(old))]
-    new = {**new, "total": total(new)}
+    rows = [*old.items(), ("total", usage_total(old))]
+    new = {**new, "total": usage_total(new)}
     width = max(len(name) for name, _ in rows)
     lines = [f"{'stage':<{width}}  {'old s':>8}  {'new s':>8}  {'new/old':>7}  "
              f"{'old MB':>8}  {'new MB':>8}"]
@@ -200,11 +208,9 @@ def main(argv=None) -> int:
             return 2
         with open(path) as f:
             configs[name] = json.load(f)
-        for section, key in PATH_KEYS:
-            if os.path.isabs(str(configs[name].get(section, {}).get(key, ""))):
-                print(f"byte_sweep: {path}: {section}.{key} must be a relative path",
-                      file=sys.stderr)
-                return 2
+        for key in absolute_paths(configs[name]):
+            print(f"byte_sweep: {path}: {key} must be a relative path", file=sys.stderr)
+            return 2
     work = args.work or tempfile.mkdtemp(prefix="byte_sweep_")
     sides = {name: {side: os.path.join(work, name, side) for side in ("old", "new")}
              for name in configs}
