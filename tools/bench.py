@@ -20,9 +20,10 @@ every repeat's raw values; and the facts of the host and the source:
 `nproc`, the Python and numpy versions, the BLAS numpy was built with
 (from `np.show_config()`), any BLAS thread variables set, the tree's git
 commit (`git describe --dirty`, null outside git) and a sha256 of its
-`riskgate/*.py`. A config's artifact paths must be relative, so that each
-repeat writes into its own working directory. It exits 0 once the file is
-written, and 2 when a stage fails or the input is bad.
+`riskgate/*.py`; and the config's path and sha256. A config's artifact
+paths must be relative, so that each repeat writes into its own working
+directory. It exits 0 once the file is written, and 2 when a stage fails
+or the input is bad.
 """
 
 from __future__ import annotations
