@@ -79,7 +79,7 @@ def _cmd_train_estimator(cfg: cf.RunConfig, args) -> None:
     columns, train_phases, held_rows = _split_phases(cfg)
     params = est.train(train_phases, cfg.estimator_train_config())
     train_samples = int(sum(len(b) for b in train_phases))
-    del train_phases  # freed before the held-out forward, the stage's peak
+    del train_phases  # the read and split above are the stage's peak
     params.config_digest = dg.config_digest(cfg.datagen_config())
     est.save_params(params, cfg.estimator.checkpoint_path)
     header = dg.make_header(sorted(set(columns.H[held_rows].tolist())),

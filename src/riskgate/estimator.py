@@ -26,8 +26,13 @@ groups of N plans as (E, N, H, 4) gives each group the bits of its own
 bits of a single (H, 4) plan. Only a batch that mixes horizons carries a
 step mask, and only the forward reads it: scoring the mixed-horizon
 held-out set. Training takes one-horizon batches, so the backward has no
-mask; a batch without one gives the bits of an all-ones mask. Calibration
-takes every risk and NLL from one forward's logits (`logit_batch`).
+mask; a batch without one gives the bits of an all-ones mask. Every
+caller that reads only logits or risks (train-estimator's held-out AUC,
+calibration, ROC tuning, the safety filter, post-training) goes through
+`logit_batch`, which runs the forward over blocks of INFER_CHUNK rows and
+keeps only their logits, so its memory stays one block's activations
+whatever the set's size. A block size that is a multiple of the gemm
+kernel's row unroll gives every row the bits of one whole forward.
 
 Both networks' checkpoints go through one writer, `write_checkpoint`, and
 one checked reader, `read_checkpoint`, with a per-kind field rule table.
@@ -48,6 +53,7 @@ VISION_DIM = 10
 POS_ENC_DIM = 8
 D_MODEL = 32
 TTC_CAP = 1.0  # horizon cap on predicted time-to-collision, s (H_max * dt)
+INFER_CHUNK = 128  # rows per block of a logit-only forward (`logit_batch`)
 
 CHECKPOINT_VERSION = 1
 
@@ -259,7 +265,10 @@ def _score(params: EstimatorParams, ctx: EncodedContext, plan, mask=None):
     mask (..., H) marks the real steps of right-padded plans; None means
     every step is real. Each matmul runs once per leading block of its
     core shape, so a row's bits depend only on the shape of its last
-    batch axis, never on how many blocks lead it.
+    batch axis, never on how many blocks lead it. Along that axis they
+    depend on where the gemm kernel's row unroll puts the row: rows split
+    into blocks whose size is a multiple of the unroll keep the bits of
+    one call over all of them (`logit_batch`'s INFER_CHUNK).
     """
     w = params.weights
     d = params.d_model
@@ -479,12 +488,26 @@ def calibrated_risk(logit, temperature: float) -> np.ndarray:
 
 
 def logit_batch(params: EstimatorParams, batch: SampleBatch) -> np.ndarray:
-    """Uncalibrated risk logit of every sample in a padded batch."""
-    return _forward_batch(params, batch.proprio, batch.z, batch.plan, batch.mask)[0]
+    """Uncalibrated risk logit of every sample in a padded batch.
+
+    The forward runs over consecutive blocks of INFER_CHUNK rows, each
+    padded to the batch's H, and keeps only each block's logit, so memory
+    is bounded by one block's activations. The logits equal one whole
+    forward's: INFER_CHUNK is a multiple of the gemm kernel's row unroll,
+    so a row falls in the kernel's tail in its block exactly when it does
+    in the whole batch.
+    """
+    logit = np.empty(len(batch))
+    for start in range(0, len(batch), INFER_CHUNK):
+        block = batch.take(slice(start, start + INFER_CHUNK))
+        logit[start:start + len(block)] = _forward_batch(params, block.proprio, block.z,
+                                                         block.plan, block.mask)[0]
+    return logit
 
 
 def risk_batch(params: EstimatorParams, batch: SampleBatch) -> np.ndarray:
-    """Calibrated risk sigmoid(logit / T) of every sample in a padded batch."""
+    """Calibrated risk sigmoid(logit / T) of every sample in a padded batch,
+    from `logit_batch`'s blocks."""
     return calibrated_risk(logit_batch(params, batch), params.temperature)
 
 

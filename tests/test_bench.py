@@ -87,3 +87,21 @@ def test_bench_refuses_bad_input_and_failed_stages(tmp_path):
     proc = run_bench(tmp_path, tree, "--config", str(cfg))
     assert proc.returncode == 2 and "datagen.out_dir must be a relative path" in proc.stderr
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_committed_bench_files_are_whole():
+    """Every committed BENCH_<n>.json parses, holds the stages `run_tree`
+    runs plus the total, each with q1 <= median <= q3 for wall seconds and
+    peak MB, and `repeat` raw runs of every stage."""
+    names = [name for name, _, _ in bs.stage_runs({})]
+    files = sorted(TOOLS.parent.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        out = json.loads(path.read_text())
+        assert list(out["stages"]) == [*names, "total"], path.name
+        for stage, usage in out["stages"].items():
+            for measure in ("wall_s", "peak_mb"):
+                q = usage[measure]
+                assert q["q1"] <= q["median"] <= q["q3"], (path.name, stage, measure)
+        assert out["repeat"] >= 3 and len(out["runs"]) == out["repeat"], path.name
+        assert all(list(run) == names for run in out["runs"]), path.name

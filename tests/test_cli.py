@@ -3,12 +3,14 @@ integrity, exit codes, assert expressions, and seed overrides."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from riskgate import cli
 from riskgate import config as cf
@@ -19,7 +21,7 @@ from riskgate import metrics as mt
 from riskgate import policy as pol
 from riskgate import world as wd
 
-from conftest import MICRO_STAGES
+from conftest import MICRO_CONFIG, MICRO_STAGES
 
 
 def _read(root, name):
@@ -434,25 +436,28 @@ def test_a_held_out_share_that_empties_a_phase_cannot_train(tmp_path, capsys):
 
 
 def test_calibrate_runs_one_held_out_forward(micro_run, tmp_path, monkeypatch, capsys):
-    """calibrate scores the held-out set with one forward and takes its
-    temperature, both NLLs and both ECEs from those logits."""
+    """calibrate scores the held-out set once, in blocks of at most
+    INFER_CHUNK rows that together take every row once, in order, and takes
+    its temperature, both NLLs and both ECEs from those logits."""
     root = micro_run["root"]
     for name in ("est.json", "heldout.jsonl"):
         (tmp_path / name).write_bytes((root / name).read_bytes())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"estimator": {"checkpoint_path": str(tmp_path / "est.json"),
                                              "heldout_path": str(tmp_path / "heldout.jsonl")}}))
-    calls, score = [], est._score
+    blocks, score = [], est._score
 
-    def counted(*args):
-        calls.append(args[2].shape)
-        return score(*args)
+    def counted(params, ctx, plan, *rest):
+        blocks.append((ctx.proprio, plan))
+        return score(params, ctx, plan, *rest)
 
     monkeypatch.setattr(est, "_score", counted)
     assert cli.main(["calibrate", "--config", str(cfg)]) == 0
     out = json.loads(capsys.readouterr().out)
     held = dg.read_dataset(tmp_path / "heldout.jsonl").columns.batch()
-    assert calls == [held.plan.shape]
+    assert all(len(plan) <= est.INFER_CHUNK for _, plan in blocks)
+    assert_array_equal(np.concatenate([proprio for proprio, _ in blocks]), held.proprio)
+    assert_array_equal(np.concatenate([plan for _, plan in blocks]), held.plan)
     params = est.load_params(tmp_path / "est.json")
     assert out["temperature"] == params.temperature == _read(root, "est.json")["temperature"]
     logit = est.logit_batch(params, held)
@@ -460,6 +465,49 @@ def test_calibrate_runs_one_held_out_forward(micro_run, tmp_path, monkeypatch, c
         assert out[key] == est.heldout_nll(logit, held.y_bin, t)
     for key, t in (("ece_before", 1.0), ("ece_after", params.temperature)):
         assert out[key] == mt.compute_calibration(est.calibrated_risk(logit, t), held.y_bin).ece
+
+
+def test_logit_only_stages_score_in_blocks(micro_run, tmp_path, monkeypatch, capsys):
+    """train-estimator's held-out AUC, calibrate and roc-tune score in
+    blocks of at most INFER_CHUNK rows: at a chunk of 32, a multiple of
+    every common gemm row unroll, no scoring outside training takes more
+    rows, and each stage's stdout and artifacts equal those at the default
+    chunk."""
+    scored, score, train = [], est._score, est.train
+    training = False
+
+    def counted(params, ctx, plan, *rest):
+        if not training:
+            scored.append(len(plan))
+        return score(params, ctx, plan, *rest)
+
+    def flagged(*args, **kwargs):
+        nonlocal training
+        training = True
+        try:
+            return train(*args, **kwargs)
+        finally:
+            training = False
+
+    monkeypatch.setattr(est, "_score", counted)
+    monkeypatch.setattr(est, "train", flagged)
+    runs = {}
+    for chunk in (est.INFER_CHUNK, 32):
+        monkeypatch.setattr(est, "INFER_CHUNK", chunk)
+        work = tmp_path / f"chunk{chunk}"
+        shutil.copytree(micro_run["root"] / "data", work / "data")
+        (work / "cfg.json").write_text(json.dumps(MICRO_CONFIG))
+        monkeypatch.chdir(work)
+        scored.clear()
+        stdout = {}
+        for stage in ("train-estimator", "calibrate", "roc-tune"):
+            assert cli.main([stage, "--config", "cfg.json"]) == 0
+            stdout[stage] = capsys.readouterr().out
+        artifacts = {p.relative_to(work): p.read_bytes() for p in sorted(work.rglob("*"))
+                     if p.is_file()}
+        runs[chunk] = stdout, artifacts
+    assert max(scored) == 32 and len(scored) > 3
+    assert runs[32] == runs[est.INFER_CHUNK]
 
 
 def test_negative_seed_or_index_is_a_config_error(tmp_path, capsys):

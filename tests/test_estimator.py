@@ -354,6 +354,30 @@ def test_calibration_never_hurts(trained_tiny, tiny_data):
                            est.calibrated_risk(logit, params.temperature))
 
 
+def _blas() -> str:
+    """The BLAS numpy was built with, as its build config names it."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return ", ".join(str(blas[k]) for k in ("name", "version", "openblas configuration")
+                     if k in blas) or "unknown"
+
+
+@pytest.mark.parametrize("horizons", [(2,), (2, 3)])
+def test_logit_batch_blocks_keep_the_whole_forwards_bits(trained_tiny, tiny_data, horizons):
+    """logit_batch scores in blocks of INFER_CHUNK rows and its logits
+    equal, with ==, one whole forward's: on a batch of one horizon and on a
+    padded mixed-horizon batch, each of 2 * INFER_CHUNK + 3 rows, so the
+    last block is short."""
+    columns = dg.SampleColumns.concat([dg.read_dataset(tiny_data["paths"][h]).columns
+                                       for h in horizons])
+    rows = np.random.default_rng(3).integers(0, len(columns.H), size=2 * est.INFER_CHUNK + 3)
+    batch = columns.batch(rows)
+    assert (batch.mask is None) == (len(horizons) == 1)
+    whole = est._forward_batch(trained_tiny, batch.proprio, batch.z, batch.plan, batch.mask)[0]
+    differ = int((est.logit_batch(trained_tiny, batch) != whole).sum())
+    assert differ == 0, (f"{differ} of {len(batch)} logits in {est.INFER_CHUNK}-row blocks "
+                         f"differ from one whole forward's; BLAS: {_blas()}")
+
+
 def test_calibration_rejects_single_class(tiny_data):
     held = tiny_data["heldout"]
     neg_only = np.flatnonzero(held.y_bin < 0.5)[:10]
