@@ -1,5 +1,6 @@
 """Self-collision risk network: forward pass, exact gradients, training,
-temperature calibration.
+temperature calibration; and `sgd`, the momentum loop that trains both the
+network and the cloned policy.
 
 The network fuses an action-token stream (one token per plan step, with
 sinusoidal positional encodings) and a two-token context stream (proprio,
@@ -200,6 +201,8 @@ class SampleBatch:
         return SampleBatch(self.proprio[idx], self.z[idx], self.plan[idx],
                            None if self.mask is None else self.mask[idx],
                            self.y_bin[idx], self.y_d[idx], self.y_ttc[idx])
+
+    __getitem__ = take  # so `sgd` gathers and slices a batch as it does an array
 
 
 def _softplus(x):
@@ -419,22 +422,6 @@ def _backward_batch(params: EstimatorParams, cache, g_logit, g_dist, g_ttc):
     return g, t
 
 
-def _checked_inputs(proprio, z, plans):
-    """(proprio, z, plans) as float arrays; raises ValueError naming the
-    shapes unless plans is (..., H, 4) with H >= 1, and proprio and z are
-    (..., 14) and (..., 10) over its leading shape."""
-    proprio = np.asarray(proprio, dtype=float)
-    z = np.asarray(z, dtype=float)
-    plans = np.asarray(plans, dtype=float)
-    lead = plans.shape[:-2]
-    if (plans.ndim < 2 or plans.shape[-1] != ACTION_DIM or plans.shape[-2] < 1
-            or proprio.shape != (*lead, PROPRIO_DIM) or z.shape != (*lead, VISION_DIM)):
-        raise ValueError(f"need plans (..., H, 4) with H >= 1, proprio (..., {PROPRIO_DIM}) and "
-                         f"z (..., {VISION_DIM}) over the plans' leading shape; got plans "
-                         f"{plans.shape}, proprio {proprio.shape}, z {z.shape}")
-    return proprio, z, plans
-
-
 def predict_risk(params: EstimatorParams, proprio, z, plan) -> RiskPrediction:
     """Calibrated prediction: stored temperature applied to the risk logit.
 
@@ -445,10 +432,9 @@ def predict_risk(params: EstimatorParams, proprio, z, plan) -> RiskPrediction:
     are unaffected by the temperature, and risk ordering over any fixed
     batch is invariant to it (monotone transform). The result carries its
     forward cache for risk_plan_gradient. It is `score_plans` of plan
-    against `encode_context` of (proprio, z), with the same bits.
+    against `encode_context` of (proprio, z).
     """
-    proprio, z, plan = _checked_inputs(proprio, z, plan)
-    return _predict(params, _encode(params, proprio, z), plan)
+    return score_plans(params, encode_context(params, proprio, z), plan)
 
 
 def encode_context(params: EstimatorParams, proprio, z) -> EncodedContext:
@@ -465,19 +451,15 @@ def encode_context(params: EstimatorParams, proprio, z) -> EncodedContext:
 
 
 def score_plans(params: EstimatorParams, ctx: EncodedContext, plan) -> RiskPrediction:
-    """`predict_risk` of plans (..., H, 4) whose contexts `encode_context`
-    already encoded over the same leading shape (...), with its bits;
-    raises ValueError naming the shapes on any other plan shape."""
+    """The calibrated prediction of plans (..., H, 4) whose contexts
+    `encode_context` encoded over the same leading shape (...); raises
+    ValueError naming the shapes on any other plan shape."""
     plan = np.asarray(plan, dtype=float)
     lead = ctx.proprio.shape[:-1]
     if (plan.ndim < 2 or plan.shape[-1] != ACTION_DIM or plan.shape[-2] < 1
             or plan.shape[:-2] != lead):
         raise ValueError(f"need plans (..., H, 4) with H >= 1 over the context's leading shape "
-                         f"{lead}, got {plan.shape}")
-    return _predict(params, ctx, plan)
-
-
-def _predict(params: EstimatorParams, ctx: EncodedContext, plan) -> RiskPrediction:
+                         f"{lead}, got plans {plan.shape}")
     logit, dist, ttc, cache = _score(params, ctx, plan)
     return RiskPrediction(calibrated_risk(logit, params.temperature), logit, dist, ttc, cache)
 
@@ -597,66 +579,74 @@ def grad(params: EstimatorParams, batch: SampleBatch, cfg: TrainConfig):
     return param_grads, _plan_grad(params, taps)
 
 
-def flat_weights(weights: dict) -> tuple[np.ndarray, dict]:
-    """A copy of weights as one flat vector, and views into it with the
-    names and shapes of weights, in their order."""
+def sgd(weights: dict, bind, step, phases, lr: float, momentum: float, batch_size: int,
+        epochs: int, rng: np.random.Generator):
+    """Momentum SGD, v = momentum * v - lr * g then w = w + v (classical
+    momentum), over phases in order; returns the trained model.
+
+    weights (name -> array) is copied into one flat vector, and bind(views)
+    makes the model whose arrays are views into it, with weights' names and
+    shapes; the velocity and gradient are flat vectors too, so an update is
+    a few elementwise ops on the whole vector, which per weight has the
+    bits of updating each array on its own. Each phase is a tuple of
+    row-indexable columns of one length (arrays or SampleBatches). Each of
+    its epochs gathers them once in rng.permutation order and calls
+    step(model, *columns) on consecutive batch_size slices; step returns
+    (loss, grads), grads holding an array per name of weights. A phase
+    without rows draws nothing, and the velocity carries from one phase to
+    the next. Phases are read once, in order, so they may be a generator.
+    Raises RuntimeError if a loss is not finite.
+    """
     flat = np.concatenate([arr.ravel() for arr in weights.values()])
     views, lo = {}, 0
     for name, arr in weights.items():
         views[name] = flat[lo: lo + arr.size].reshape(arr.shape)
         lo += arr.size
-    return flat, views
+    model = bind(views)
+    velocity = np.zeros_like(flat)
+    g = np.empty_like(flat)
+    for phase in phases:
+        n = len(phase[0])
+        if n == 0:
+            continue
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            epoch = [column[order] for column in phase]
+            for lo in range(0, n, batch_size):
+                hi = lo + batch_size
+                batch_loss, grads = step(model, *[column[lo:hi] for column in epoch])
+                if not np.isfinite(batch_loss):
+                    raise RuntimeError(f"training diverged: loss={batch_loss}")
+                np.concatenate([grads[k].ravel() for k in views], out=g)
+                g *= lr
+                velocity *= momentum
+                velocity -= g
+                flat += velocity
+    return model
 
 
 def train(dataset_phases, cfg: TrainConfig,
           params: EstimatorParams | None = None) -> EstimatorParams:
-    """SGD with momentum over curriculum phases in increasing-horizon order.
+    """`sgd` over curriculum phases in increasing-horizon order.
 
     Each phase is a one-horizon SampleBatch, as every phase that gen-data
     or post-train makes; a padded phase raises ValueError before any
     training. Phases run in increasing order of their plans' horizon.
     Shuffle order is fixed by cfg.seed, so identical inputs give identical
     weights. Raises RuntimeError if the loss goes non-finite. The params
-    given are left as they are.
-
-    The weights, their velocity and the gradient are each one flat vector
-    (the returned weights are views into it), so the momentum update is a
-    few elementwise ops on the whole vector. Each epoch gathers its phase
-    once, in shuffled order, and takes every batch as a slice of it.
+    given are left as they are; the returned weights are views into
+    `sgd`'s flat vector.
     """
     if any(b.mask is not None for b in dataset_phases):
         raise ValueError("train takes one-horizon phases; a phase mixes plan horizons")
     phases = sorted(dataset_phases, key=lambda b: b.plan.shape[1])
     if params is None:
         params = init_params(cfg.seed)
-    flat, weights = flat_weights(params.weights)
-    params = replace(params, weights=weights)
-    velocity = np.zeros_like(flat)
-    g = np.empty_like(flat)
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 11]))
-
-    for batch_all in phases:
-        n = len(batch_all)
-        if n == 0:
-            continue
-        wgt_all = _sample_weights(batch_all.y_bin, batch_all.y_ttc, cfg)
-        for _ in range(cfg.epochs_per_phase):
-            order = rng.permutation(n)
-            epoch, wgt = batch_all.take(order), wgt_all[order]
-            for lo in range(0, n, cfg.batch_size):
-                hi = lo + cfg.batch_size
-                total, grads, _ = _batch_loss_and_grads(params, epoch.take(slice(lo, hi)),
-                                                        wgt[lo:hi], cfg)
-                if not np.isfinite(total):
-                    raise RuntimeError(f"training diverged: loss={total}")
-                # v = m*v - lr*g, then w = w + v: elementwise, so per weight the bits
-                # of updating each array on its own
-                np.concatenate([grads[k].ravel() for k in params.weights], out=g)
-                g *= cfg.lr
-                velocity *= cfg.momentum
-                velocity -= g
-                flat += velocity
-    return params
+    return sgd(params.weights, lambda views: replace(params, weights=views),
+               lambda p, batch, wgt: _batch_loss_and_grads(p, batch, wgt, cfg)[:2],
+               ((b, _sample_weights(b.y_bin, b.y_ttc, cfg)) for b in phases),
+               cfg.lr, cfg.momentum, cfg.batch_size, cfg.epochs_per_phase,
+               np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 11])))
 
 
 def heldout_nll(logit, y_bin, temperature: float) -> float:

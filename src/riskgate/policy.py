@@ -22,7 +22,7 @@ it carries beside the plan with the other states its rows are chosen at.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,48 +183,31 @@ class PolicyTrainConfig:
 
 def _fit_mlp(params: PolicyParams, records: Records, weights,
              cfg: PolicyTrainConfig) -> PolicyParams:
-    """Weighted squared-error SGD with momentum of the commanded actions on
-    the `policy_features` of records; exact analytic gradients.
+    """Weighted squared-error `est.sgd` of the commanded actions on the
+    `policy_features` of records; exact analytic gradients. The returned
+    arrays are views into `est.sgd`'s flat vector.
 
     The error is measured in box-normalized units (divided by a_max), which
     leaves the minimizer unchanged but keeps gradient magnitudes independent
-    of the physical action scale. As in `est.train`, the weights, velocity
-    and gradient are each one flat vector (the returned arrays are views
-    into it), and each epoch gathers the data once in shuffled order and
-    slices its batches.
+    of the physical action scale.
     """
     b = records.batch
-    x, y = policy_features(b.proprio, b.z, records.goals), records.action
-    flat, views = est.flat_weights(dict(params.weight_items()))
-    params = PolicyParams(**views, a_max=params.a_max)
-    vel = np.zeros_like(flat)
-    g = np.empty_like(flat)
-    n = x.shape[0]
     scale = 1.0 / params.a_max ** 2
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 17]))
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        x_ep, y_ep, w_ep = x[order], y[order], weights[order]
-        for lo in range(0, n, cfg.batch_size):
-            hi = lo + cfg.batch_size
-            xb, yb, wb = x_ep[lo:hi], y_ep[lo:hi], w_ep[lo:hi]
-            out, h, u = _policy_forward_batch(params, xb)
-            err = out - yb
-            loss = float(np.mean(wb * np.sum(err * err, axis=1))) * scale
-            if not np.isfinite(loss):
-                raise RuntimeError(f"policy training diverged: loss={loss}")
-            g_out = scale * 2.0 * wb[:, None] * err / len(xb)
-            g_u = g_out * params.a_max * (1.0 - np.tanh(u) ** 2)
-            g_h = g_u @ params.w2.T
-            g_pre = g_h * (1.0 - h ** 2)
-            grads = {"w1": xb.T @ g_pre, "b1": g_pre.sum(axis=0),
-                     "w2": h.T @ g_u, "b2": g_u.sum(axis=0)}
-            np.concatenate([grads[name].ravel() for name in views], out=g)
-            g *= cfg.lr
-            vel *= cfg.momentum
-            vel -= g
-            flat += vel
-    return params
+
+    def step(p: PolicyParams, xb, yb, wb):
+        out, h, u = _policy_forward_batch(p, xb)
+        err = out - yb
+        loss = float(np.mean(wb * np.sum(err * err, axis=1))) * scale
+        g_out = scale * 2.0 * wb[:, None] * err / len(xb)
+        g_u = g_out * p.a_max * (1.0 - np.tanh(u) ** 2)
+        g_pre = (g_u @ p.w2.T) * (1.0 - h ** 2)
+        return loss, {"w1": xb.T @ g_pre, "b1": g_pre.sum(axis=0),
+                      "w2": h.T @ g_u, "b2": g_u.sum(axis=0)}
+
+    return est.sgd(dict(params.weight_items()), lambda views: replace(params, **views), step,
+                   [(policy_features(b.proprio, b.z, records.goals), records.action, weights)],
+                   cfg.lr, cfg.momentum, cfg.batch_size, cfg.epochs,
+                   np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 17])))
 
 
 def bc_train(params: PolicyParams, demonstrations: Records,
@@ -278,6 +261,9 @@ def post_train_estimator(est_params: est.EstimatorParams, records: Records,
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 19]))
     order = rng.permutation(len(batch))
     n_held = max(1, int(round(POST_TRAIN_HELDOUT_FRAC * len(batch))))
+    if n_held >= len(batch):
+        raise ValueError(f"post-train holds out all {len(batch)} gated-rollout records for "
+                         f"calibration, leaving none to train on")
     heldout = batch.take(order[:n_held])
     params = est.train([batch.take(order[n_held:])], cfg, params=est_params)
     params.temperature = est.calibrate_temperature(est.logit_batch(params, heldout),

@@ -435,6 +435,25 @@ def test_a_held_out_share_that_empties_a_phase_cannot_train(tmp_path, capsys):
     assert not (tmp_path / "est.json").exists() and not (tmp_path / "held.jsonl").exists()
 
 
+def test_post_train_on_one_record_cannot_train(micro_run, tmp_path, capsys):
+    """One task, one episode and one step give post-train a single gated
+    record, which its held-out split takes whole: it exits 2 saying that
+    nothing is left to train on, and writes no checkpoint."""
+    root = micro_run["root"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "tasks": {"ids": ["parallel_place"], "episodes_per_task": 1, "max_steps": 1},
+        "estimator": {"checkpoint_path": str(root / "est.json"),
+                      "posttrained_path": str(tmp_path / "est_post.json")},
+        "gate": {"thresholds_path": str(root / "thresholds.json")},
+        "policy": {"checkpoint_path": str(tmp_path / "no_policy.json")}}))
+    assert cli.main(["post-train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: post-train holds out all 1 gated-rollout records")
+    assert "leaving none to train on" in err
+    assert not (tmp_path / "est_post.json").exists()
+
+
 def test_calibrate_runs_one_held_out_forward(micro_run, tmp_path, monkeypatch, capsys):
     """calibrate scores the held-out set once, in blocks of at most
     INFER_CHUNK rows that together take every row once, in order, and takes

@@ -321,6 +321,18 @@ def test_train_keeps_the_bits_of_the_per_array_loop(tiny_data):
         assert not np.shares_memory(got.weights[k], given.weights[k]), k
 
 
+def test_an_empty_phase_draws_nothing(tiny_data):
+    """A phase without rows is skipped without drawing a permutation:
+    training with it, before or after a real phase, gives the bits of
+    training on the real phase alone."""
+    h2, h3 = tiny_data["phases"]
+    cfg = est.TrainConfig(epochs_per_phase=2, seed=3)
+    for phases, alone in (([h2.take(slice(0, 0)), h3], h3), ([h2, h3.take(slice(0, 0))], h2)):
+        got, want = est.train(phases, cfg), est.train([alone], cfg)
+        for k in want.weights:
+            assert_array_equal(bits(got.weights[k]), bits(want.weights[k]), err_msg=k)
+
+
 def test_train_raises_on_divergence(tiny_data):
     params = est.init_params(seed=9)
     params.weights["w_dist"] = params.weights["w_dist"] * 1e200
@@ -666,7 +678,7 @@ def test_malformed_estimator_inputs_raise():
     for args in ((p, z, np.zeros((5, 1))), (p, z, np.zeros((0, 4))), (p, z, np.zeros(4)),
                  (p, z, np.zeros((1, 3, 4))), (np.zeros(13), z, plan),
                  (p, np.zeros((1, est.VISION_DIM)), plan)):
-        with pytest.raises(ValueError, match=r"got plans \("):
+        with pytest.raises(ValueError, match=r"got (plans|proprio) \("):
             est.predict_risk(params, *args)
     # over a leading shape, the contexts must cover exactly that shape
     groups = np.zeros((2, 8, 3, 4))
@@ -674,7 +686,7 @@ def test_malformed_estimator_inputs_raise():
     for args in ((pg, zg, np.zeros((2, 8, 5, 1))), (pg, zg, np.zeros((2, 8, 0, 4))),
                  (p, z, groups), (pg[:, 0], zg[:, 0], groups), (pg, zg, np.zeros((8, 3, 4))),
                  (pg[:1], zg, groups), (pg, zg[..., :9], groups)):
-        with pytest.raises(ValueError, match=r"got plans \("):
+        with pytest.raises(ValueError, match=r"got (plans|proprio) \("):
             est.predict_risk(params, *args)
 
 

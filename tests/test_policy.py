@@ -305,6 +305,39 @@ def test_fit_mlp_keeps_the_bits_of_the_per_array_loop(demo_records):
         assert not np.shares_memory(a, given), name
 
 
+def test_bc_train_raises_on_divergence(demo_records):
+    """A non-finite target makes the cloning loss non-finite, and training
+    stops with RuntimeError instead of returning NaN weights."""
+    bad = demo_records.take(np.arange(len(demo_records)))
+    bad.action[3] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="diverged"):
+        pol.bc_train(pol.init_policy(seed=0), bad, pol.PolicyTrainConfig(epochs=1))
+
+
+def test_each_training_entry_runs_one_sgd_loop(demo_records, tiny_data, monkeypatch):
+    """The estimator's training and both cloning entries each train
+    through exactly one `est.sgd` call."""
+    calls = []
+    sgd = est.sgd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sgd(*args, **kwargs)
+
+    monkeypatch.setattr(est, "sgd", counted)
+    cfg = pol.PolicyTrainConfig(epochs=1)
+    runs = {"est.train": lambda: est.train(tiny_data["phases"],
+                                           est.TrainConfig(epochs_per_phase=1)),
+            "bc_train": lambda: pol.bc_train(pol.init_policy(seed=0), demo_records, cfg),
+            "risk_weighted_finetune": lambda: pol.risk_weighted_finetune(
+                pol.init_policy(seed=0), demo_records, np.zeros(len(demo_records)), cfg,
+                kappa=1.0)}
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == 1, name
+
+
 def test_safety_filter_scores_and_threshold(demo_records, trained_tiny):
     """The filter keeps, in order, the records whose plan scores at or
     below tau_down, each with its score, and leaves its input as it was."""
@@ -357,6 +390,13 @@ def test_post_train_estimator_runs_and_calibrates(demo_records, trained_tiny):
     assert out.temperature == again.temperature
     with pytest.raises(ValueError):
         pol.post_train_estimator(trained_tiny, demo_records.take(slice(0, 0)), cfg)
+
+
+def test_post_train_refuses_a_single_record(demo_records, trained_tiny):
+    """With one record, the held-out split takes it whole: post-training
+    raises naming the count instead of training on nothing."""
+    with pytest.raises(ValueError, match="all 1 gated-rollout records.*none to train on"):
+        pol.post_train_estimator(trained_tiny, demo_records.take([0]), est.TrainConfig())
 
 
 def test_policy_checkpoint_roundtrip(tmp_path):
