@@ -45,10 +45,12 @@ def _cmd_gen_data(cfg: cf.RunConfig, args) -> None:
 
 
 def _split_phases(cfg: cf.RunConfig):
-    """(the generated files' samples as one SampleColumns, one training
-    batch per horizon, the held-out rows): per file, a seeded share of its
-    rows, in line order, is held out and the rest, in the permutation's
-    order, is its horizon's phase.
+    """(the held-out samples as one SampleColumns, one training batch per
+    horizon): per file, in increasing horizon, a seeded share of its rows,
+    in line order, is held out and the rest, in the permutation's order, is
+    its horizon's phase. The files are read and split one at a time, so
+    besides the phases and the held-out rows the split holds one file's
+    columns, and a fault is met at the file that has it.
 
     gen-data deals each task's episodes to the horizons in turn, so with
     fewer episodes per task than horizons some files hold no samples; that
@@ -60,39 +62,39 @@ def _split_phases(cfg: cf.RunConfig):
             f"datagen.episodes_per_task must be >= the number of datagen.horizons "
             f"({len(d.horizons)}) to train on every horizon, got {d.episodes_per_task}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 31]))
-    paths = [dg.dataset_path(d.out_dir, h) for h in sorted(d.horizons)]
-    parts = [dg.read_dataset(path).columns for path in paths]
-    columns = dg.SampleColumns.concat(parts)
-    train_phases, held = [], []
-    for path, part, start in zip(paths, parts, np.cumsum([0] + [len(p.H) for p in parts])):
-        order = start + rng.permutation(len(part.H))
+    held, train_phases = [], []
+    for h in sorted(d.horizons):
+        path = dg.dataset_path(d.out_dir, h)
+        part = dg.read_dataset(path).columns
+        order = rng.permutation(len(part.H))
         n_held = max(1, int(round(cfg.estimator.heldout_frac * len(part.H))))
         if n_held >= len(part.H):
             raise cf.ConfigError(f"estimator.heldout_frac {cfg.estimator.heldout_frac} holds out "
                                  f"all {len(part.H)} samples of {path}, leaving none to train on")
-        held.append(np.sort(order[:n_held]))
-        train_phases.append(columns.batch(order[n_held:]))
-    return columns, train_phases, np.concatenate(held)
+        held.append(part.take(np.sort(order[:n_held])))
+        train_phases.append(part.batch(order[n_held:]))
+        del part  # before the next file is read
+    return dg.SampleColumns.concat(held), train_phases
 
 
 def _cmd_train_estimator(cfg: cf.RunConfig, args) -> None:
-    columns, train_phases, held_rows = _split_phases(cfg)
+    held, train_phases = _split_phases(cfg)
     params = est.train(train_phases, cfg.estimator_train_config())
     train_samples = int(sum(len(b) for b in train_phases))
-    del train_phases  # the read and split above are the stage's peak
+    del train_phases  # the held-out forward below runs without the phases
     params.config_digest = dg.config_digest(cfg.datagen_config())
     est.save_params(params, cfg.estimator.checkpoint_path)
-    header = dg.make_header(sorted(set(columns.H[held_rows].tolist())),
-                            columns.y_bin[held_rows], cfg.seed, params.config_digest)
-    dg.write_dataset(cfg.estimator.heldout_path, header, columns, held_rows)
-    held = columns.batch(held_rows)
-    risks = est.risk_batch(params, held)
+    header = dg.make_header(sorted(set(held.H.tolist())), held.y_bin, cfg.seed,
+                            params.config_digest)
+    dg.write_dataset(cfg.estimator.heldout_path, header, held)
+    batch = held.batch()
+    risks = est.risk_batch(params, batch)
     _emit({
         "checkpoint": cfg.estimator.checkpoint_path,
         "heldout": cfg.estimator.heldout_path,
         "train_samples": train_samples,
-        "heldout_samples": len(held),
-        "heldout_auc": mt.auc_trapezoid(risks, held.y_bin),
+        "heldout_samples": len(batch),
+        "heldout_auc": mt.auc_trapezoid(risks, batch.y_bin),
         "param_count": params.count(),
     })
 
@@ -140,7 +142,7 @@ def _episode_records(cfg: cf.RunConfig, setup: hn.EvalSetup, episodes: int, tag:
     streams."""
     jobs = [(tid, hn.episode_seed(cfg.seed, tid, i, tag=tag))
             for tid in cfg.tasks.ids for i in range(episodes)]
-    return hn.run_episodes(setup, jobs, streams and streams(jobs), record=True)[1]
+    return hn.run_episodes(setup, jobs, streams and streams(jobs), record=True)
 
 
 def _demonstrations(cfg: cf.RunConfig) -> pol.Records:

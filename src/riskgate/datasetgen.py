@@ -22,7 +22,8 @@ the candidates, each horizon's at its own length. A file's samples become
 one `SampleColumns`, in which the candidates of one step share that step's
 feature row, and near-miss oversampling is a write order over those rows
 (`oversample_near_miss`). `SampleColumns.batch` pads and masks the
-`estimator.SampleBatch` of any rows; `Dataset.samples` is a row view.
+`estimator.SampleBatch` of any rows, `SampleColumns.take` keeps any rows
+as columns, and `Dataset.samples` is a row view.
 
 Every line is exactly the text of `json.dumps(obj, sort_keys=True)`.
 `write_dataset` renders it itself: for a list of finite floats, the list's
@@ -201,6 +202,26 @@ class SampleColumns:
         return cls(meta=[m for p in parts for m in p.meta],
                    feature=np.concatenate([p.feature + s for p, s in zip(parts, starts)]), **cols)
 
+    def _plan_steps(self, rows, H) -> np.ndarray:
+        """The real steps of the samples rows selects (horizons H), in
+        order, as rows of the plan values seen as (-1, 4) steps: each
+        sample's first step plus the step's index within the sample."""
+        first = np.cumsum(self.H) - self.H
+        return np.arange(H.sum()) + np.repeat(first[rows] - (np.cumsum(H) - H), H)
+
+    def take(self, rows) -> SampleColumns:
+        """The samples rows selects, in its order, as SampleColumns that
+        keep only the feature rows those samples use."""
+        rows = np.asarray(rows, dtype=int)
+        H, feature = self.H[rows], self.feature[rows]
+        used = np.bincount(feature, minlength=len(self.meta)) > 0
+        kept = np.flatnonzero(used)
+        plan = self.plan.reshape(-1, est.ACTION_DIM)[self._plan_steps(rows, H)]
+        return SampleColumns(proprio=self.proprio[kept], z=self.z[kept],
+                             meta=[self.meta[f] for f in kept.tolist()],
+                             feature=(np.cumsum(used) - 1)[feature], H=H, plan=plan.ravel(),
+                             y_bin=self.y_bin[rows], y_d=self.y_d[rows], y_ttc=self.y_ttc[rows])
+
     def batch(self, rows=None) -> est.SampleBatch:
         """The SampleBatch of the samples rows selects (each sample once, in
         order, when rows is None). Plans are right-padded with zero steps to
@@ -209,12 +230,8 @@ class SampleColumns:
         rows = np.arange(len(self.H)) if rows is None else np.asarray(rows)
         H, feature = self.H[rows], self.feature[rows]
         real = np.arange(H.max()) < H[:, None]
-        # each real step's row in the plan values as (-1, 4) steps: its
-        # sample's first step plus its index within the sample
-        first = np.cumsum(self.H) - self.H
-        steps = np.arange(real.sum()) + np.repeat(first[rows] - (np.cumsum(H) - H), H)
         plan = np.zeros((*real.shape, est.ACTION_DIM))
-        plan[real] = self.plan.reshape(-1, est.ACTION_DIM)[steps]
+        plan[real] = self.plan.reshape(-1, est.ACTION_DIM)[self._plan_steps(rows, H)]
         return est.SampleBatch(proprio=self.proprio[feature], z=self.z[feature], plan=plan,
                                mask=None if real.all() else real.astype(float),
                                y_bin=self.y_bin[rows].astype(float), y_d=self.y_d[rows],

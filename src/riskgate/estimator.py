@@ -202,7 +202,7 @@ class SampleBatch:
                            None if self.mask is None else self.mask[idx],
                            self.y_bin[idx], self.y_d[idx], self.y_ttc[idx])
 
-    __getitem__ = take  # so `sgd` gathers and slices a batch as it does an array
+    __getitem__ = take  # so `sgd` gathers a batch's rows as it does an array's
 
 
 def _softplus(x):
@@ -590,11 +590,13 @@ def sgd(weights: dict, bind, step, phases, lr: float, momentum: float, batch_siz
     a few elementwise ops on the whole vector, which per weight has the
     bits of updating each array on its own. Each phase is a tuple of
     row-indexable columns of one length (arrays or SampleBatches). Each of
-    its epochs gathers them once in rng.permutation order and calls
-    step(model, *columns) on consecutive batch_size slices; step returns
-    (loss, grads), grads holding an array per name of weights. A phase
-    without rows draws nothing, and the velocity carries from one phase to
-    the next. Phases are read once, in order, so they may be a generator.
+    its epochs draws one rng.permutation and calls step(model, *columns) on
+    the rows of its consecutive batch_size slices, gathered per batch, so no
+    column is ever indexed for more than batch_size rows and the phase is
+    held once; step returns (loss, grads), grads holding an array per name
+    of weights. A phase without rows draws nothing, and the velocity
+    carries from one phase to the next. Phases are read once, in order, so
+    they may be a generator.
     Raises RuntimeError if a loss is not finite.
     """
     flat = np.concatenate([arr.ravel() for arr in weights.values()])
@@ -611,10 +613,9 @@ def sgd(weights: dict, bind, step, phases, lr: float, momentum: float, batch_siz
             continue
         for _ in range(epochs):
             order = rng.permutation(n)
-            epoch = [column[order] for column in phase]
             for lo in range(0, n, batch_size):
-                hi = lo + batch_size
-                batch_loss, grads = step(model, *[column[lo:hi] for column in epoch])
+                rows = order[lo:lo + batch_size]
+                batch_loss, grads = step(model, *[column[rows] for column in phase])
                 if not np.isfinite(batch_loss):
                     raise RuntimeError(f"training diverged: loss={batch_loss}")
                 np.concatenate([grads[k].ravel() for k in views], out=g)

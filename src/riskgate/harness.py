@@ -1,11 +1,11 @@
 """Episode execution and evaluation.
 
 run_episodes drives seeded episodes in one of four modes (ungated, gated,
-gated+refine, gated+finetuned), logging every step: evaluation's
-episodes, the gated rollouts whose records refine policy and estimator,
-and the expert demonstrations (ungated, with exploration noise), whose
-training records it keeps as columns (`pol.Records`) on request. The
-episodes run together in `world.lockstep`, with batched observation,
+gated+refine, gated+finetuned). It logs every step of evaluation's
+episodes; of the gated rollouts whose records refine policy and
+estimator, and of the expert demonstrations (ungated, with exploration
+noise), it keeps only the training records, as columns (`pol.Records`).
+The episodes run together in `world.lockstep`, with batched observation,
 planning, candidate scoring, recovery and refinement, and oracle calls;
 only the gate transition runs per episode, and every log is the one the
 episode gives when run by itself. evaluate runs the episodes of every
@@ -170,7 +170,7 @@ def demo_streams(jobs) -> list:
 
 def run_episodes(setup: EvalSetup, jobs, streams=None, record: bool = False):
     """Seeded episodes, one per (task_id, seed) in jobs; returns their logs
-    in job order, and with record also their `pol.Records`.
+    in job order, or with record their `pol.Records` instead.
 
     The episodes run in `wd.lockstep`. Per step, one call each observes
     every live episode (proprioception, and the scene feature with each
@@ -201,10 +201,13 @@ def run_episodes(setup: EvalSetup, jobs, streams=None, record: bool = False):
     task, seed) with its own tag, so the executed trajectory under a gate
     that never blocks matches the ungated trajectory exactly.
 
-    With record, each step keeps the columns of its rows that do not HALT
-    (job, features, labeled plan and labels, goals, the commanded action,
-    whereas the log holds the executed one, and BLOCK as corrected); one
-    stable sort by job puts them in (job, step) order.
+    Each step's collided, success and done flags are computed once, as
+    arrays. Without record, each step logs a `StepRecord` per live
+    episode. With record, nobody reads a log, so no `StepRecord`, state
+    digest or log is built: each step keeps the columns of its rows that do
+    not HALT (job, features, labeled plan and labels, goals, the commanded
+    action, whereas a log holds the executed one, and BLOCK as corrected),
+    and one stable sort by job puts them in (job, step) order.
     """
     jobs = list(jobs)
     if streams is None:
@@ -217,9 +220,12 @@ def run_episodes(setup: EvalSetup, jobs, streams=None, record: bool = False):
     if gated and setup.explore_noise:
         raise ValueError(f"explore_noise applies to ungated episodes only, not {setup.mode}")
     wcfg = setup.world_cfg
-    logs = [EpisodeLog(task_id=tid, seed=int(seed), mode=setup.mode, steps=[])
-            for tid, seed in jobs]
     gates = [sg.GateState()] * len(jobs)
+    # per job: its logged steps, BLOCK decisions and entries into BLOCKED,
+    # and its last step's collided and success flags
+    steps = [[] for _ in jobs]
+    blocked, recoveries = np.zeros(len(jobs), int), np.zeros(len(jobs), int)
+    collided, succeeded = np.zeros(len(jobs), bool), np.zeros(len(jobs), bool)
     visits = []
 
     def advance(t, live, state, task, plans):
@@ -247,10 +253,9 @@ def run_episodes(setup: EvalSetup, jobs, streams=None, record: bool = False):
                 prev = gates[i]
                 gates[i], decisions[j] = sg.gate_step(prev, r_hats[j], setup.gate_cfg)
                 latency_s[j] += time.perf_counter() - t1
-                if prev.mode == sg.RUN and gates[i].mode == sg.BLOCKED:
-                    logs[i].recoveries += 1
-                logs[i].blocked_steps += decisions[j] == sg.BLOCK
+                recoveries[i] += prev.mode == sg.RUN and gates[i].mode == sg.BLOCKED
             decision = np.array(decisions)
+            blocked[live] += decision == sg.BLOCK
             execute, recover = decision == sg.EXECUTE, decision == sg.BLOCK
             plans = np.where(execute[:, None, None], choice.plan, plans)
             # executed rows scale by the soft gate, stalled recoveries by the
@@ -279,38 +284,50 @@ def run_episodes(setup: EvalSetup, jobs, streams=None, record: bool = False):
         d_plans, state_next, d_min, next_plans = wd.rollout_and_step(state, plans[:, None],
                                                                      executed, wcfg, law)
         labels = wd.label_rollouts(d_plans[..., 0], wcfg.dt)
-        plan_y_bin = labels.y_bin.tolist()
-        success = wd.success_check(state_next, task)
         halted = np.array(decisions) == sg.HALT
+        hit = ~halted & (d_min < 0.0)
+        reached = ~halted & ~hit & wd.success_check(state_next, task)
         if record:
             kept = ~halted
-            visits.append((live[kept], proprio[kept], z[kept], plans[kept], labels.y_bin[kept],
-                           labels.y_d[kept], labels.y_ttc[kept], task.goal[kept].reshape(-1, 4),
-                           actions[kept], np.array(decisions)[kept] == sg.BLOCK))
-        digests = _state_digests(state)
-        done = np.zeros(n, dtype=bool)
-        for j, i in enumerate(live):
-            log, d = logs[i], float(d_min[j])
-            log.steps.append(StepRecord(
-                t=t, state_digest=digests[j], r_hat=r_hats[j], d_min=d,
-                gate_mode=gates[i].mode, decision=decisions[j],
-                action=executed[j].tolist(), latency_us=max(latency_s[j] * 1e6, 1e-3),
-                plan_y_bin=plan_y_bin[j]))
-            log.collided = not halted[j] and d < 0.0
-            log.success = not halted[j] and not log.collided and bool(success[j])
-            done[j] = halted[j] or log.collided or log.success
-        return state_next, done, next_plans
+            visits.append((live[kept], proprio[kept], z[kept], plans[kept],
+                           labels.y_bin[kept].astype(float), labels.y_d[kept],
+                           labels.y_ttc[kept], task.goal[kept].reshape(-1, 4), actions[kept],
+                           np.array(decisions)[kept] == sg.BLOCK))
+        else:
+            digests, plan_y_bin = _state_digests(state), labels.y_bin.tolist()
+            for j, i in enumerate(live):
+                steps[i].append(StepRecord(
+                    t=t, state_digest=digests[j], r_hat=r_hats[j], d_min=float(d_min[j]),
+                    gate_mode=gates[i].mode, decision=decisions[j],
+                    action=executed[j].tolist(), latency_us=max(latency_s[j] * 1e6, 1e-3),
+                    plan_y_bin=plan_y_bin[j]))
+            collided[live], succeeded[live] = hit, reached
+        return state_next, halted | hit | reached, next_plans
 
     wd.lockstep(jobs, wcfg, setup.task_params, advance)
-    for log in logs:
-        log.n_steps = len(log.steps)
-    if not record:
-        return logs
-    job, proprio, z, plan, y_bin, y_d, y_ttc, goals, action, corrected = (
-        np.concatenate(column) for column in zip(*visits))
-    records = pol.Records(est.SampleBatch(proprio, z, plan, None, y_bin.astype(float), y_d, y_ttc),
-                          goals, action, corrected)
-    return logs, records.take(np.argsort(job, kind="stable"))
+    if record:
+        return _gathered_records(visits)
+    return [EpisodeLog(task_id=tid, seed=int(seed), mode=setup.mode, steps=log_steps,
+                       success=bool(succeeded[i]), collided=bool(collided[i]),
+                       n_steps=len(log_steps), blocked_steps=int(blocked[i]),
+                       recoveries=int(recoveries[i]))
+            for i, ((tid, seed), log_steps) in enumerate(zip(jobs, steps))]
+
+
+def _gathered_records(visits) -> pol.Records:
+    """The records of `run_episodes`' per-step visits (job, then the
+    records' columns), stably sorted by job. Each column is gathered in
+    turn and its visits let go, so the visits and the records together
+    hold about one copy of the columns."""
+    columns = [list(column) for column in zip(*visits)]
+    visits.clear()
+    order = np.argsort(np.concatenate(columns.pop(0)), kind="stable")
+    for k, parts in enumerate(columns):
+        columns[k] = np.concatenate(parts)[order]
+        parts.clear()
+    proprio, z, plan, y_bin, y_d, y_ttc, goals, action, corrected = columns
+    return pol.Records(est.SampleBatch(proprio, z, plan, None, y_bin, y_d, y_ttc),
+                       goals, action, corrected)
 
 
 def write_episode_log(log: EpisodeLog, path) -> None:
@@ -464,7 +481,7 @@ def _latency_summary(latency_us) -> dict:
     us = np.asarray(latency_us, dtype=float)
     if not us.size:
         return {"p50_us": None, "p95_us": None, "max_us": None}
-    return {"p50_us": float(np.percentile(us, 50)), "p95_us": float(np.percentile(us, 95)),
+    return {"p50_us": mt.percentile(us, 50), "p95_us": mt.percentile(us, 95),
             "max_us": float(us.max())}
 
 

@@ -73,6 +73,41 @@ def test_bench_runs_each_repeat_in_a_fresh_directory(tmp_path):
     assert out["source"] == {"git": None, "source_sha256": h.hexdigest()}
 
 
+def test_bench_alternates_the_trees_repeat_by_repeat(tmp_path):
+    """With two --src/--out pairs, each repeat runs each tree once, in the
+    given order and then in the reverse order, so their runs interleave;
+    each tree's file holds its own runs and source facts."""
+    trail = tmp_path / "trail.txt"
+    trees = [fake_tree(tmp_path / name,
+                       "import sys\n"
+                       "if sys.argv[1] == 'gen-data':\n"
+                       f"    open({str(trail)!r}, 'a').write({name!r} + '\\n')\n")
+             for name in ("old", "new")]
+    (tmp_path / "cfg.json").write_text("{}")
+    proc = subprocess.run([sys.executable, str(TOOLS / "bench.py"), "--config",
+                           str(tmp_path / "cfg.json"), "--repeat", "4",
+                           "--src", str(trees[0]), "--out", str(tmp_path / "old.json"),
+                           "--src", str(trees[1]), "--out", str(tmp_path / "new.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert trail.read_text().split() == ["old", "new", "new", "old", "old", "new", "new", "old"]
+    names = [name for name, _, _ in bs.stage_runs({})]
+    shas = set()
+    for tree, name in zip(trees, ("old", "new")):
+        out = json.loads((tmp_path / f"{name}.json").read_text())
+        assert list(out["stages"]) == [*names, "total"] and len(out["runs"]) == 4
+        h = hashlib.sha256(b"__init__.py" + b"cli.py" + (tree / "riskgate" / "cli.py").read_bytes())
+        assert out["source"]["source_sha256"] == h.hexdigest()
+        shas.add(h.hexdigest())
+    assert len(shas) == 2
+    proc = subprocess.run([sys.executable, str(TOOLS / "bench.py"), "--config",
+                           str(tmp_path / "cfg.json"), "--src", str(trees[0]),
+                           "--src", str(trees[1]), "--out", str(tmp_path / "one.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and "give one distinct --out per tree" in proc.stderr
+    assert not (tmp_path / "one.json").exists()
+
+
 def test_bench_refuses_bad_input_and_failed_stages(tmp_path):
     tree = fake_tree(tmp_path / "tree",
                      "import sys\n"

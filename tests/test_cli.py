@@ -63,15 +63,16 @@ def test_estimator_checkpoints_keep_config_digest(micro_run):
 
 
 def test_split_equals_the_per_sample_split(tiny_data):
-    """train-estimator's split of the files' columns gives the phases and
-    the held-out samples of the per-sample split it replaced: per file, in
-    increasing horizon, one permutation, the held-out share in line order
-    and the rest, in permutation order, that horizon's phase."""
+    """train-estimator's split of the files' columns gives the held-out
+    samples, as columns, and the phases of the per-sample split it
+    replaced: per file, in increasing horizon, one permutation, the
+    held-out share in line order and the rest, in permutation order, that
+    horizon's phase."""
     out_dir = str(Path(tiny_data["paths"][2]).parent)
     cfg = cf.config_from_dict({"seed": 5, "estimator": {"heldout_frac": 0.2},
                                "datagen": {"out_dir": out_dir, "episodes_per_task": 8,
                                            "horizons": [3, 2]}})
-    columns, phases, held = cli._split_phases(cfg)
+    held, phases = cli._split_phases(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([5, 31]))
     ref_phases, ref_held = [], []
     for h in (2, 3):
@@ -90,9 +91,9 @@ def test_split_equals_the_per_sample_split(tiny_data):
                           ("y_ttc", [s.label.y_ttc for s in want])):
             got = getattr(batch, name)
             assert got.dtype == np.float64 and np.array_equal(got, ref), name
-    view = dg.Dataset(None, columns).samples
-    assert len(held) == len(ref_held)
-    for got, want in zip((view[r] for r in held), ref_held):
+    view = dg.Dataset(None, held).samples
+    assert len(view) == len(ref_held)
+    for got, want in zip(view, ref_held):
         assert all(np.array_equal(getattr(got, f), getattr(want, f))
                    for f in ("proprio", "z", "plan"))
         assert (got.H, got.label, got.meta) == (want.H, want.label, want.meta)
@@ -118,6 +119,36 @@ def test_estimator_stages_never_import_numpy_ma(tmp_path):
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_gated_evaluate_and_report_never_import_numpy_ma(tmp_path):
+    """gated evaluate and report, run in one fresh process after the
+    stages that make their estimator and thresholds, leave numpy.ma
+    unimported: the report's latency percentiles come from
+    `metrics.percentile`, not `np.percentile`."""
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "tasks": {"episodes_per_task": 1, "max_steps": 20},
+        "datagen": {"out_dir": "data", "episodes_per_task": 6},
+        "estimator": {"checkpoint_path": "est.json", "heldout_path": "held.jsonl",
+                      "epochs_per_phase": 1},
+        "gate": {"thresholds_path": "thr.json"},
+        "eval": {"logs_dir": "logs", "report_path": "report.json"}}))
+    script = ("import contextlib, io, sys\n"
+              "from riskgate import cli\n"
+              "for stage in ('gen-data', 'train-estimator', 'calibrate', 'roc-tune',\n"
+              "              'evaluate', 'report'):\n"
+              "    argv = [stage, '--config', 'cfg.json']\n"
+              "    argv += ['--mode', 'gated'] if stage == 'evaluate' else []\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0, stage\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["mode"] == "gated" and report["estimator"]["latency"]["p50_us"] > 0
 
 
 def test_no_stage_imports_multiprocessing(tmp_path):
@@ -624,6 +655,47 @@ def test_dataset_errors_name_the_file(micro_run, tmp_path, capsys):
     assert f"error: ValueError: {train_file}: malformed sample at line 2: 'z'" in err
     assert ckpt.read_bytes() == (root / "est.json").read_bytes()
     assert held.read_text().splitlines()[0] == json.dumps(head)
+
+
+@pytest.mark.parametrize("fault", ["unreadable", "emptied"])
+def test_a_fault_in_the_last_file_keeps_its_message(micro_run, tmp_path, capsys, fault):
+    """train-estimator reads and splits its files one at a time, by
+    increasing horizon, so it meets a fault in the last file after
+    splitting the others. A sample line of it that cannot be read still
+    exits 2 naming the file and the line; a held-out share that takes all
+    of its samples still exits 1 naming estimator.heldout_frac and the
+    file. Neither writes a checkpoint or a held-out file."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (micro_run["root"] / "data").iterdir():
+        (data / src.name).write_bytes(src.read_bytes())
+    last = data / "risk_H5.jsonl"
+    lines = last.read_text().splitlines()
+    if fault == "unreadable":
+        obj = json.loads(lines[2])
+        del obj["plan"]
+        lines[2] = json.dumps(obj)
+    else:
+        head, one = json.loads(lines[0]), json.loads(lines[1])
+        head["counts"] = {"samples": 1, "positives": one["y_bin"]}
+        lines = [json.dumps(head), lines[1]]
+    last.write_text("\n".join(lines) + "\n")
+    base = json.loads(micro_run["cfg_path"].read_text())
+    base["datagen"] = dict(base["datagen"], out_dir=str(data))
+    base["estimator"] = dict(base["estimator"], checkpoint_path=str(tmp_path / "est.json"),
+                             heldout_path=str(tmp_path / "held.jsonl"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base))
+    capsys.readouterr()
+    code = cli.main(["train-estimator", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    if fault == "unreadable":
+        assert code == 2
+        assert f"error: ValueError: {last}: malformed sample at line 3: 'plan'" in err
+    else:
+        assert code == 1 and err.startswith("config error: estimator.heldout_frac ")
+        assert f"holds out all 1 samples of {last}, leaving none to train on" in err
+    assert not (tmp_path / "est.json").exists() and not (tmp_path / "held.jsonl").exists()
 
 
 def test_checkpoint_errors_name_the_file(micro_run, tmp_path, capsys):

@@ -373,6 +373,31 @@ def test_columns_batch_pads_and_masks_only_mixed_horizons(tiny_data):
     assert_array_equal(columns.batch().plan[n2:], parts[1].batch().plan)
 
 
+def test_take_keeps_the_rows_that_batch_selects(tiny_data):
+    """`SampleColumns.take(rows)` holds the samples rows selects, repeats
+    included, in its order: its batch equals `batch(rows)`, padded and
+    masked over both horizons, each sample keeps its meta and its plan
+    segment, and it keeps only the feature rows those samples use."""
+    parts = [dg.read_dataset(tiny_data["paths"][h]).columns for h in (2, 3)]
+    columns = dg.SampleColumns.concat(parts)
+    rows = np.random.default_rng(6).permutation(len(columns.H))[:40]
+    rows = np.concatenate([rows, rows[[3, 3, 0]]])
+    assert {2, 3} == set(columns.H[rows].tolist())
+    taken = columns.take(rows)
+    got, want = taken.batch(), columns.batch(rows)
+    assert got.mask is not None
+    for name in ("proprio", "z", "plan", "mask", "y_bin", "y_d", "y_ttc"):
+        assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    samples, kept = dg.Dataset(None, columns).samples, dg.Dataset(None, taken).samples
+    assert len(kept) == len(rows)
+    for s, r in zip(kept, rows):
+        assert (s.meta, s.H, s.label) == (samples[r].meta, samples[r].H, samples[r].label)
+        assert_array_equal(s.plan, samples[r].plan)
+    assert len(taken.meta) == len(taken.proprio) == len(set(columns.feature[rows].tolist()))
+    assert len(taken.meta) < len(columns.meta)
+    assert len(columns.take(rows[:0]).H) == 0
+
+
 def per_line_reader(path):
     """The per-line reader the column reader replaced: one json.loads and
     one validated Sample per line."""

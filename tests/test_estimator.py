@@ -297,7 +297,7 @@ def reference_train(phases, cfg, params=None):
 
 
 def test_train_keeps_the_bits_of_the_per_array_loop(tiny_data):
-    """`train` (flat weight vector, one gather per epoch, one K/V einsum)
+    """`train` (flat weight vector, one gather per batch, one K/V einsum)
     gives every weight the bits of the per-array loop: on the one-horizon
     tiny phases in either order (it runs them by increasing horizon), and
     continuing given params for one phase (post-training), which it leaves
@@ -331,6 +331,42 @@ def test_an_empty_phase_draws_nothing(tiny_data):
         got, want = est.train(phases, cfg), est.train([alone], cfg)
         for k in want.weights:
             assert_array_equal(bits(got.weights[k]), bits(want.weights[k]), err_msg=k)
+
+
+class RecordingColumn:
+    """An array's rows that remember how many rows each index selects."""
+
+    def __init__(self, values):
+        self.values, self.sizes = values, []
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, rows):
+        self.sizes.append(len(self.values[rows]))
+        return self.values[rows]
+
+
+def test_sgd_gathers_each_batch_from_the_permutation():
+    """`sgd` never indexes a column for more than batch_size rows: each
+    epoch, it gathers every batch's rows from that epoch's permutation, so
+    the batches are the permutation's consecutive slices."""
+    column = RecordingColumn(np.arange(10.0))
+    seen = []
+
+    def step(model, rows):
+        seen.append(rows.copy())
+        return 0.0, {"w": np.zeros(1)}
+
+    est.sgd({"w": np.zeros(1)}, lambda views: views, step, [(column,)], lr=0.1, momentum=0.9,
+            batch_size=4, epochs=3, rng=np.random.default_rng(8))
+    assert column.sizes == [4, 4, 2] * 3
+    rng = np.random.default_rng(8)
+    want = [order[lo:lo + 4] for order in (rng.permutation(10) for _ in range(3))
+            for lo in range(0, 10, 4)]
+    assert len(seen) == len(want)
+    for got, rows in zip(seen, want):
+        assert_array_equal(got, rows)
 
 
 def test_train_raises_on_divergence(tiny_data):

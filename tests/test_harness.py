@@ -224,12 +224,14 @@ def test_gated_steps_plan_within_the_oracle_pass(world_cfg, task_params, monkeyp
 
 
 def test_collector_records_and_corrected_flags(world_cfg, task_params):
-    """With record, run_episodes also returns one row per executed step:
-    the commanded action (here the executed one), the plan and its label;
-    corrected holds the BLOCK decisions, and a HALT step adds no row."""
+    """With record, run_episodes returns, instead of the logs, one row per
+    executed step of them: the commanded action (here the executed one),
+    the plan and its label; corrected holds the BLOCK decisions, and a
+    HALT step adds no row."""
     setup = make_setup(world_cfg, task_params, mode="gated",
                        est_params=inert_estimator(-30.0))
-    (log,), records = hn.run_episodes(setup, [("parallel_place", 4)], record=True)
+    (log,) = hn.run_episodes(setup, [("parallel_place", 4)])
+    records = hn.run_episodes(setup, [("parallel_place", 4)], record=True)
     assert len(records) == log.n_steps and not records.corrected.any()
     assert_array_equal(records.action, [step.action for step in log.steps])
     assert records.batch.plan.shape == (log.n_steps, setup.horizon, 4)
@@ -238,9 +240,29 @@ def test_collector_records_and_corrected_flags(world_cfg, task_params):
     halt_setup = make_setup(world_cfg, task_params, mode="gated",
                             est_params=inert_estimator(30.0),
                             gate_cfg=sg.GateConfig(watchdog_window=5))
-    (log,), blocked = hn.run_episodes(halt_setup, [("crossing_transfer", 3)], record=True)
+    (log,) = hn.run_episodes(halt_setup, [("crossing_transfer", 3)])
+    blocked = hn.run_episodes(halt_setup, [("crossing_transfer", 3)], record=True)
     assert [step.decision for step in log.steps] == [sg.BLOCK] * 5 + [sg.HALT]
     assert len(blocked) == 5 and blocked.corrected.all()
+
+
+def test_record_mode_builds_no_log(world_cfg, task_params, monkeypatch):
+    """With record, run_episodes never digests a state or makes a
+    `StepRecord`, in any mode; without record, every step does both."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a log")
+
+    monkeypatch.setattr(hn, "_state_digests", refuse)
+    monkeypatch.setattr(hn, "StepRecord", refuse)
+    jobs = [("crossing_transfer", 3), ("parallel_place", 4)]
+    for mode in cf.MODES:
+        setup = make_setup(world_cfg, task_params, mode=mode,
+                           est_params=None if mode == "ungated" else inert_estimator(-30.0),
+                           policy_params=pol.init_policy(seed=2)
+                           if mode == "gated+finetuned" else None)
+        assert len(hn.run_episodes(setup, jobs, record=True)) > 0, mode
+        with pytest.raises(AssertionError, match="built a log"):
+            hn.run_episodes(setup, jobs)
 
 
 class NoDraws:
@@ -274,7 +296,7 @@ def test_exploration_noise_is_drawn_only_when_set(world_cfg, task_params):
     noisy = replace(setup, explore_noise=0.01)
     with pytest.raises(AssertionError, match="drew from an untouched stream"):
         hn.run_episodes(noisy, jobs, streams=[(noise, NoDraws()) for noise, _ in layout()])
-    logs, records = hn.run_episodes(noisy, jobs, record=True)
+    logs, records = hn.run_episodes(noisy, jobs), hn.run_episodes(noisy, jobs, record=True)
     assert len(records) == sum(log.n_steps for log in logs)
     assert_array_equal(records.action, records.batch.plan[:, 0])
     a_max, lo = world_cfg.a_max, 0
@@ -557,7 +579,8 @@ def test_lockstep_equals_one_episode_at_a_time(lockstep_cases, monkeypatch, grou
 
         with monkeypatch.context() as m:
             m.setattr(sg, "descend", recorded)
-            logs, records = hn.run_episodes(setup, LOCKSTEP_JOBS, record=True)
+            logs = hn.run_episodes(setup, LOCKSTEP_JOBS)
+            records = hn.run_episodes(setup, LOCKSTEP_JOBS, record=True)
         if name == "refine+recover":
             assert any(f.any() and not f.all() for f in flags)
         assert len(logs) == len(ref)
@@ -577,10 +600,11 @@ def test_records_of_one_job_are_its_rows_of_a_multi_job_run(lockstep_cases):
     decisions = set()
     for name in ("ungated", "refine+recover", "halt"):
         setup, _ = lockstep_cases[name]
-        logs, records = hn.run_episodes(setup, LOCKSTEP_JOBS, record=True)
+        logs = hn.run_episodes(setup, LOCKSTEP_JOBS)
+        records = hn.run_episodes(setup, LOCKSTEP_JOBS, record=True)
         lo = 0
         for job, log in zip(LOCKSTEP_JOBS, logs):
-            _, alone = hn.run_episodes(setup, [job], record=True)
+            alone = hn.run_episodes(setup, [job], record=True)
             steps = [step.decision for step in log.steps]
             decisions.update(steps)
             assert_array_equal(alone.corrected, [d == sg.BLOCK for d in steps if d != sg.HALT])

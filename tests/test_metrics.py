@@ -109,3 +109,15 @@ def test_measure_latency_smoke(trained_tiny):
     rep = mt.measure_latency(trained_tiny, horizon=5, trials=50, warmup=5)
     assert rep.calls == 50
     assert 0.0 < rep.p50_us <= rep.p95_us <= rep.max_us
+
+
+def test_percentile_equals_numpy_percentile():
+    """`percentile` gives the bits of `np.percentile` for every size from 1
+    to 5,000 and each q used or at an edge: each set is a fresh draw of
+    latency-like values, some of them repeated, in no order."""
+    rng = np.random.default_rng(12)
+    for n in range(1, 5001):
+        values = np.round(rng.lognormal(8.0, 0.6, size=n), int(rng.integers(0, 4)))
+        for q in (0, 37.5, 50, 95, 99, 100):
+            got, want = mt.percentile(values, q), float(np.percentile(values, q))
+            assert got == want, (n, q, got, want)

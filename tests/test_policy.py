@@ -24,7 +24,7 @@ def demonstrations(jobs, horizon, world_cfg, task_params, explore_noise):
     setup = hn.EvalSetup(mode="ungated", world_cfg=world_cfg, task_params=task_params,
                          gate_cfg=sg.GateConfig(), horizon=horizon, n_candidates=1, sigma_a=0.0,
                          soft_gate=False, seed=0, explore_noise=explore_noise)
-    return hn.run_episodes(setup, jobs, hn.demo_streams(jobs), record=True)[1]
+    return hn.run_episodes(setup, jobs, hn.demo_streams(jobs), record=True)
 
 
 @pytest.fixture(scope="module")
