@@ -51,6 +51,18 @@ horizon, whole rows at a time, at most LABEL_CHUNK plan configurations
 per pass. Every pass measures its configurations in clearance calls of at
 most CLEARANCE_CHUNK, which bounds the kernel's temporaries however large
 the pass.
+
+A task is one row of `TASKS`, an ordered table of frozen `TaskSpec`s: the
+centers its goals are jittered about and the holding flags its resets
+start with, left arm first. `task_init` reads each job's row and nothing
+else of its task; every task shares `TaskParams` and one mean start
+configuration. `TASK_IDS` is the table's keys in order, and the other
+modules read it: the default of the config's `tasks.ids`, gen-data's
+tasks, the episode-log schema and `riskgate run --task`. Adding a task is
+appending a row. A task's position in the table seeds each of its streams
+(`task_index`), so appending keeps every existing task's resets, episodes
+and samples, where inserting would move them; and since `tasks.ids`
+defaults to every task, a config that omits it runs the new task too.
 """
 
 from __future__ import annotations
@@ -63,7 +75,6 @@ import numpy as np
 from .geometry import (ArmModel, JointLimitError, check_joint_limits, default_arm, dls_ik_step,
                        joint_origins, segment_pairs_distance, stack_arms)
 
-TASK_IDS = ("crossing_transfer", "parallel_place")
 A_MAX = 0.02  # per-component EE increment bound, m/step
 # Episodes advanced together by `lockstep`. A step's temporaries grow with
 # its rows (episodes x plans x horizon in the oracle pass of evaluate and
@@ -509,7 +520,7 @@ def proprio_feature(state: DualArmState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TaskParams:
-    """Reset-protocol knobs shared by both task definitions."""
+    """Reset-protocol knobs shared by every task."""
 
     goal_jitter: float = 0.03
     start_q_jitter: float = 0.1
@@ -532,40 +543,57 @@ class TaskParams:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-_GOAL_CENTERS = {
-    "crossing_transfer": (np.array([0.35, 0.30]), np.array([-0.35, 0.30])),
-    "parallel_place": (np.array([-0.35, 0.35]), np.array([0.35, 0.35])),
+@dataclass(frozen=True)
+class TaskSpec:
+    """One task's facts, left arm first: the (x, y) centers its goals are
+    jittered about, in m, and whether each arm holds an object from the
+    start."""
+
+    goals: tuple
+    holding: tuple
+
+
+# Every task, in order. A task's position seeds each of its streams
+# (`task_index`), so a new task is appended, never inserted.
+TASKS = {
+    # each EE goes to the opposite side of the workspace, so straight goal
+    # paths cross
+    "crossing_transfer": TaskSpec(goals=((0.35, 0.30), (-0.35, 0.30)), holding=(False, False)),
+    # each arm stays on its own side
+    "parallel_place": TaskSpec(goals=((-0.35, 0.35), (0.35, 0.35)), holding=(False, False)),
 }
+TASK_IDS = tuple(TASKS)
 _START_Q_MEAN = np.array([0.6, -0.4, -0.2])  # both arms' start joints, before jitter
 
 
 def task_init(jobs, cfg: WorldConfig,
               params: TaskParams = TaskParams()) -> tuple[DualArmState, Task]:
     """Seeded resets of the (task_id, seed) jobs, as one state and task
-    whose row i is job i's: jittered goals, then start joints redrawn until
-    clear.
+    whose row i is job i's: goals jittered about its `TASKS` row's centers
+    and that row's holding flags, then start joints redrawn until clear.
 
-    crossing_transfer sends each EE to the opposite side of the workspace so
-    straight goal paths intersect; parallel_place keeps each arm on its own
-    side. Each job draws from a stream of its own, its goals and then its
-    starts, so its row and its stream are those of resetting it alone. Each
-    draw round draws a start for every job still without a clear one and
-    measures them all in one clearance call; a start with clearance below
-    min_start_clearance is redrawn. A job fails on an unknown task id or an
-    unreachable goal (ValueError), a start outside the joint limits
-    (JointLimitError) or max_reset_draws rejections (RuntimeError); the
-    first failing job in job order raises its error.
+    Each job draws from a stream of its own, its goals and then its starts,
+    so its row and its stream are those of resetting it alone. Each draw
+    round draws a start for every job still without a clear one and
+    measures them all in one clearance call, held objects included; a
+    start with clearance below min_start_clearance is redrawn. A job fails
+    on an unknown task id or an unreachable goal (ValueError), a start
+    outside the joint limits (JointLimitError) or max_reset_draws
+    rejections (RuntimeError); the first failing job in job order raises
+    its error.
     """
     n = len(jobs)
-    rngs, goal, errors = [None] * n, np.empty((n, 2, 2)), {}
+    rngs, goal, holding, errors = [None] * n, np.empty((n, 2, 2)), np.zeros((n, 2), bool), {}
     for i, (task_id, seed) in enumerate(jobs):
         try:
-            if task_id not in _GOAL_CENTERS:
-                raise ValueError(f"unknown task id {task_id!r}; expected one of {TASK_IDS}")
+            if task_id not in TASKS:
+                raise ValueError(f"unknown task id {task_id!r}; expected one of {tuple(TASKS)}")
+            spec = TASKS[task_id]
             rng = rngs[i] = np.random.default_rng(
                 np.random.SeedSequence([task_index(task_id), int(seed)]))
             j = params.goal_jitter
-            goal[i] = [c + rng.uniform(-j, j, size=2) for c in _GOAL_CENTERS[task_id]]
+            goal[i] = np.add(spec.goals, rng.uniform(-j, j, size=(2, 2)))
+            holding[i] = spec.holding
             _check_reachable(goal[i, 0], cfg.arm_left)
             _check_reachable(goal[i, 1], cfg.arm_right)
         except ValueError as e:
@@ -583,14 +611,14 @@ def task_init(jobs, cfg: WorldConfig,
                                           f"violate limits {lim.tolist()}"))
                       for i in pending[outside])
         pending = pending[~outside]
-        start = make_state(cfg, q[pending, 0], q[pending, 1])
+        start = replace(make_state(cfg, q[pending, 0], q[pending, 1]), holding=holding[pending])
         clear = min_self_distance(start, cfg) >= params.min_start_clearance
         pending = pending[~clear]
     errors.update((i, RuntimeError(f"{_reset_name(jobs[i])}: no clear start in "
                                    f"{params.max_reset_draws} draws")) for i in pending)
     if errors:
         raise errors[min(errors)]
-    return make_state(cfg, q[:, 0], q[:, 1]), Task(
+    return replace(make_state(cfg, q[:, 0], q[:, 1]), holding=holding), Task(
         goal=goal, success_tolerance=np.full(n, params.success_tolerance))
 
 
@@ -600,8 +628,8 @@ def _reset_name(job) -> str:
 
 
 def task_index(task_id: str) -> int:
-    """Position of task_id in TASK_IDS; every per-task seed stream mixes it in."""
-    return TASK_IDS.index(task_id)
+    """Position of task_id in TASKS; every per-task seed stream mixes it in."""
+    return list(TASKS).index(task_id)
 
 
 def _check_reachable(goal: np.ndarray, arm: ArmModel) -> None:

@@ -651,17 +651,20 @@ PICKY_FAR = replace(PICKY, goal_jitter=0.1)
 
 
 def reference_reset(task_id, seed, cfg, params):
-    """One job reset alone, from single-state calls: jittered goals, then
-    start joints redrawn until clear. Returns its state, task, stream and
-    the draws it took, or (None, None, stream, draws) when it runs out."""
+    """One job reset alone, from single-state calls: goals jittered about
+    its `TASKS` row's centers, then start joints, holding the row's objects,
+    redrawn until clear. Returns its state, task, stream and the draws it
+    took, or (None, None, stream, draws) when it runs out."""
+    spec = wd.TASKS[task_id]
     rng = np.random.default_rng(np.random.SeedSequence([wd.task_index(task_id), seed]))
     j = params.goal_jitter
-    goal = np.stack([c + rng.uniform(-j, j, size=2) for c in wd._GOAL_CENTERS[task_id]])
+    goal = np.stack([np.array(c) + rng.uniform(-j, j, size=2) for c in spec.goals])
     mean, j = wd._START_Q_MEAN, params.start_q_jitter
     for draw in range(1, params.max_reset_draws + 1):
         q_l = mean + rng.uniform(-j, j, size=mean.shape)
         q_r = mean + rng.uniform(-j, j, size=mean.shape)
-        state = wd.make_state(cfg, q_l, q_r)
+        state = wd.make_state(cfg, q_l, q_r, holding_left=spec.holding[0],
+                              holding_right=spec.holding[1])
         if wd.min_self_distance(state, cfg) >= params.min_start_clearance:
             return state, wd.Task(goal=goal, success_tolerance=params.success_tolerance), rng, draw
     return None, None, rng, params.max_reset_draws
@@ -695,6 +698,59 @@ def test_batched_reset_rows_equal_each_job_reset_alone(world_cfg, monkeypatch):
             assert np.array_equal(got, ref) and np.asarray(got).dtype == np.asarray(ref).dtype, name
         assert made[i].random() == ref_rng.random()
     assert min(draws) == 1 and max(draws) > 2
+
+
+def test_an_appended_task_keeps_the_resets_of_the_tasks_before_it(world_cfg, monkeypatch):
+    """A row appended to `TASKS` takes the next position, the tasks before
+    it keep theirs, and their `task_init` rows (goals, q, holding and every
+    other field) and streams equal, with ==, those of the unpatched table,
+    also in a batch that holds the new task's rows."""
+    jobs = [(task_id, 2 * i) for i in range(6) for task_id in wd.TASK_IDS]
+    made = streams_made(monkeypatch)
+    ref_state, ref_task = wd.task_init(jobs, world_cfg, PICKY)
+    ref_draws = [rng.random() for rng in made]
+    made.clear()
+    handover = wd.TaskSpec(goals=((-0.08, 0.45), (0.08, 0.45)), holding=(True, False))
+    monkeypatch.setattr(wd, "TASKS", {**wd.TASKS, "handover": handover})
+    assert [wd.task_index(task_id) for task_id in wd.TASKS] == [0, 1, 2]
+    mixed = [row for i, job in enumerate(jobs) for row in (job, ("handover", i))]
+    state, task = wd.task_init(mixed, world_cfg, PICKY)
+    old = np.arange(0, len(mixed), 2)
+    for batch, ref in ((state, ref_state), (task, ref_task)):
+        for name, value in vars(ref).items():
+            got = getattr(wd.take(batch, old), name)
+            assert np.array_equal(got, value) and got.dtype == value.dtype, name
+    assert [made[i].random() for i in old] == ref_draws
+    assert state.holding[1::2].tolist() == [[True, False]] * len(jobs)
+
+
+def test_a_rows_holding_flags_reach_its_resets_and_their_clearance(world_cfg, monkeypatch):
+    """A `TASKS` row whose left arm holds an object resets every job with
+    holding [True, False], which `scene_feature` shows as z[8:10] = (1, 0),
+    and accepts only starts whose clearance, grasp capsule included, is at
+    least min_start_clearance: each row equals, with ==, its job reset
+    alone holding that object, and the capsule moves some job to another
+    start than the same row without it."""
+    held = wd.TaskSpec(goals=wd.TASKS["parallel_place"].goals, holding=(True, False))
+    bare = replace(held, holding=(False, False))
+    jobs = [("held", seed) for seed in range(16)]
+    # the left arm's object points up at the mean start; a wider jitter
+    # turns it toward the right arm in some draws
+    params = replace(PICKY, start_q_jitter=0.3)
+    monkeypatch.setattr(wd, "TASKS", {**wd.TASKS, "held": bare})
+    bare_state, _ = wd.task_init(jobs, world_cfg, params)
+    monkeypatch.setattr(wd, "TASKS", {**wd.TASKS, "held": held})
+    state, task = wd.task_init(jobs, world_cfg, params)
+    assert state.holding.tolist() == [[True, False]] * len(jobs)
+    assert (wd.scene_feature(state, task)[:, 8:10] == [1.0, 0.0]).all()
+    assert (wd.min_self_distance(state, world_cfg) >= params.min_start_clearance).all()
+    for i, (task_id, seed) in enumerate(jobs):
+        ref_state, ref_task, _, _ = reference_reset(task_id, seed, world_cfg, params)
+        for name, value in (*vars(ref_state).items(), *vars(ref_task).items()):
+            got = getattr(wd.take(state if name in vars(ref_state) else task, i), name)
+            assert np.array_equal(got, value), (i, name)
+    moved = (state.q != bare_state.q).any(axis=(1, 2))
+    assert moved.any() and not moved.all()
 
 
 def test_batched_reset_raises_the_first_failing_jobs_error(world_cfg):

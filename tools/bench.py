@@ -19,6 +19,13 @@ a comparison of two trees is one bench, not two in sequence. A stage's
 wall seconds count the whole process, start-up included, and its peak
 RSS is the process's own `ru_maxrss`.
 
+Five repeats on a 2-vCPU host cannot tell a change of 10% or less in one
+stage's wall time from host noise, even alternating: in two back-to-back
+benches of the same two trees, different stages sat above the older
+tree's third quartile. To compare one stage, time alternating pairs of
+fresh processes of that stage alone on the same artifacts, the old tree
+first in one pair and the new tree first in the next.
+
 Each tree's output holds, per stage in run order and then for the total (a
 repeat's summed wall seconds and largest stage peak), the first quartile,
 median and third quartile of wall seconds and of peak MB over the repeats;
